@@ -66,7 +66,6 @@ type serverConfig struct {
 	seed     int64
 	addr     string
 	parallel int
-	buildCH  bool
 	shards   int
 
 	walDir     string
@@ -89,7 +88,6 @@ func parseFlags(args []string, stderr io.Writer) (*serverConfig, error) {
 	fs.Int64Var(&cfg.seed, "seed", 42, "seed for synthesis and preprocessing")
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.parallel, "parallel", 0, "default worker count for POST /batch (0 = GOMAXPROCS)")
-	fs.BoolVar(&cfg.buildCH, "ch", false, "build a contraction hierarchy so the SFA-CH/SPA-CH/TSA-CH variants serve (survives edge churn: in-place repair for insertions, background rebuild otherwise)")
 	fs.IntVar(&cfg.shards, "shards", 1, "spatially partition the engine across this many shards (parallel fan-out queries, per-shard update pipelines, per-shard /stats; 1 = monolithic)")
 	fs.StringVar(&cfg.walDir, "wal-dir", "", "journal every mutation to a write-ahead log in this directory and recover from it on start (empty = not durable)")
 	fs.StringVar(&cfg.fsync, "fsync", "batch", "WAL commit policy: batch (group-committed fsync before a write returns), interval, or off")
@@ -123,7 +121,7 @@ func buildServer(cfg *serverConfig) (*httpapi.Server, *ssrq.Dataset, func(), err
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	opts := &ssrq.Options{Seed: cfg.seed, BuildCH: cfg.buildCH, Shards: cfg.shards}
+	opts := &ssrq.Options{Seed: cfg.seed, Shards: cfg.shards}
 
 	if cfg.followerOf != "" {
 		f, err := follower.New(ds, follower.HTTPSource{BaseURL: cfg.followerOf}, &follower.Options{

@@ -210,10 +210,17 @@ func (e *Engine) logWrite(ops []core.Update) {
 // Flush then drains the async pipelines through to publication, and the
 // export snapshot covers everything ≤ s. No-op error when the engine is
 // not durable.
+//
+// Cuts are serialized: the checkpoint's temp file is named after s alone, so
+// an explicit call racing the background cut (or another explicit call) at
+// the same log position would write and rename one shared temp path, and the
+// loser's rename fails on a file the winner already moved.
 func (e *Engine) Checkpoint() error {
 	if e.log == nil {
 		return fmt.Errorf("ssrq: engine has no durability configured")
 	}
+	e.ckptMu.Lock()
+	defer e.ckptMu.Unlock()
 	s := e.log.LastSeq()
 	e.eng.MutationBarrier()
 	e.eng.Flush()

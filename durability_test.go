@@ -3,7 +3,9 @@ package ssrq
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ssrq/internal/graph"
 )
@@ -354,6 +356,59 @@ func TestCheckpointRecoveryEquivalence(t *testing.T) {
 	}
 	requireSameWorld(t, rec, twin)
 	requireSameResults(t, rec, twin, 23)
+}
+
+// TestCheckpointCutsSerialize is the regression for the checkpoint temp-path
+// collision: two cuts at one log position share the temp file name, so when
+// an explicit Checkpoint raced the background cut (or another explicit one)
+// the loser's rename failed with "no such file or directory". The first cut
+// is parked between its temp write and its rename while a second one starts.
+// Unserialized, the second reaches the same point while the first is still
+// parked — observed as an event, so that failure needs no timing; serialized,
+// it cannot, which only a bounded wait can conclude.
+func TestCheckpointCutsSerialize(t *testing.T) {
+	ds, err := Synthesize("gowalla", 200, 46)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(ds, &Options{Durability: &DurabilityOptions{Dir: t.TempDir(), Fsync: "off"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, op := range genCrashOps(ds, 50, 14) {
+		if err := op.apply(eng); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var cuts atomic.Int32
+	overlap := make(chan struct{}, 1)
+	second := make(chan error, 1)
+	eng.TestingWAL().TestingBeforeCheckpointInstall(func() {
+		if cuts.Add(1) > 1 {
+			select {
+			case overlap <- struct{}{}:
+			default:
+			}
+			return
+		}
+		go func() { second <- eng.Checkpoint() }()
+		select {
+		case <-overlap:
+			t.Error("a second cut wrote its temp file while the first was between temp write and rename")
+		case <-time.After(250 * time.Millisecond):
+		}
+	})
+	if err := eng.Checkpoint(); err != nil {
+		t.Errorf("first cut: %v", err)
+	}
+	if err := <-second; err != nil {
+		t.Errorf("second cut: %v", err)
+	}
+	if got := cuts.Load(); got != 2 {
+		t.Fatalf("%d cuts reached the install point, want 2", got)
+	}
 }
 
 // TestRecoveredEngineServesSubscriptions verifies the subscription layer

@@ -21,16 +21,15 @@
 // array duplication and the propagateUp recomputation across all moves of
 // the batch before a single Publish installs the next epoch.
 //
-// The social dimension — the mutable edge overlay, the dynamic landmark
-// tables and the epoch-tagged contraction hierarchy — lives in a Social
-// substrate (see substrate.go) that an Index *consumes* rather than owns.
-// NewSocial builds a private substrate for the monolithic case; NewShared
-// attaches to an existing one, so a sharded deployment runs S spatial
-// indexes over ONE social world: every edge op is applied once, and the
-// substrate synchronously pushes each new social epoch into every consumer,
-// which re-derives exactly the cell summaries the op invalidated and
-// republishes. Every published Snapshot therefore still pairs grid
-// membership, graph, landmark tables and summaries of one consistent
+// The social dimension — the mutable edge overlay and the dynamic landmark
+// tables — lives in a Social substrate (see substrate.go) that an Index
+// *consumes* rather than owns. NewShared attaches to an existing substrate:
+// the monolithic engine's private one, or the one a sharded deployment's S
+// spatial indexes all run over as ONE social world. Every edge op is applied
+// once, and the substrate synchronously pushes each new social epoch into
+// every consumer, which re-derives exactly the cell summaries the op
+// invalidated and republishes. Every published Snapshot therefore still pairs
+// grid membership, graph, landmark tables and summaries of one consistent
 // version — the Lemma-2 epoch-coordination invariant survives sharing.
 package aggindex
 
@@ -41,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ssrq/internal/ch"
 	"ssrq/internal/graph"
 	"ssrq/internal/landmark"
 	"ssrq/internal/spatial"
@@ -83,8 +81,6 @@ type Snapshot struct {
 	g           *spatial.Snapshot
 	soc         *graph.Graph  // nil for indexes built without a social graph
 	lm          *landmark.Set // landmark epoch the summaries were computed on
-	hier        *ch.CH        // nil when the substrate owns no hierarchy
-	hierEpoch   uint64        // social epoch hier was built at
 	minSum      [][]float64   // [level][cell*m + j]
 	maxSum      [][]float64
 	labelSum    [][]uint64 // [level][cell]: OR of member label masks (nil when unlabeled)
@@ -100,7 +96,7 @@ type Snapshot struct {
 func (s *Snapshot) Grid() *spatial.Snapshot { return s.g }
 
 // SocialGraph returns this epoch's social graph (nil when the index was
-// built with New rather than NewSocial/NewShared).
+// built with New rather than NewShared).
 func (s *Snapshot) SocialGraph() *graph.Graph { return s.soc }
 
 // Landmarks returns this epoch's landmark set — the tables every summary in
@@ -111,28 +107,12 @@ func (s *Snapshot) Landmarks() *landmark.Set { return s.lm }
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // SocialEpoch returns the social graph version (0 at construction, +1 per
-// batch that contained edge ops). CH-based variants compare it against their
-// build epoch to detect staleness.
+// batch with an effective edge op). The CH-based variants serve only at 0,
+// the epoch their hierarchy was built on.
 func (s *Snapshot) SocialEpoch() uint64 { return s.socialEpoch }
 
 // PublishedAt returns when this epoch was installed.
 func (s *Snapshot) PublishedAt() time.Time { return s.publishedAt }
-
-// Hierarchy returns the contraction hierarchy published with this epoch
-// (nil when the substrate owns none). It answers exact distances only for
-// the graph of HierarchyEpoch — callers must check HierarchyFresh before
-// serving CH-backed queries from it.
-func (s *Snapshot) Hierarchy() *ch.CH { return s.hier }
-
-// HierarchyEpoch returns the social epoch the published hierarchy was built
-// (or last repaired) at.
-func (s *Snapshot) HierarchyEpoch() uint64 { return s.hierEpoch }
-
-// HierarchyFresh reports whether the published hierarchy describes exactly
-// this snapshot's social graph.
-func (s *Snapshot) HierarchyFresh() bool {
-	return s.hier != nil && s.hierEpoch == s.socialEpoch
-}
 
 // CellLabelMask returns the OR of the label bitmasks of every member of the
 // cell (0 for an empty cell or an unlabeled index). A filtered query prunes
@@ -260,10 +240,8 @@ type Index struct {
 	m int
 
 	// Social substrate this index consumes (nil for static indexes built
-	// with New). ownsSub marks the NewSocial case, where Close must tear the
-	// private substrate down too; NewShared consumers never close it.
-	sub     *Social
-	ownsSub bool
+	// with New). The index never closes it; the substrate's owner does.
+	sub *Social
 
 	mu        sync.Mutex // writer side: guards everything below and grid mutation
 	published atomic.Pointer[Snapshot]
@@ -322,7 +300,7 @@ type Index struct {
 
 // EpochDelta describes what one published epoch changed: the users whose
 // location ops were applied in the batch and whether the social state
-// (graph, landmark tables, or hierarchy) moved. Moved is only valid for
+// (graph or landmark tables) moved. Moved is only valid for
 // the duration of the callback — the index reuses the backing array.
 type EpochDelta struct {
 	Epoch         uint64
@@ -372,8 +350,7 @@ func (ix *Index) MutationBarrier() {
 	}
 }
 
-// Config tunes the social substrate built by NewSocial (or handed to
-// NewSocialSubstrate directly).
+// Config tunes the social substrate built by NewSocialSubstrate.
 type Config struct {
 	// RepairBudget caps per-landmark per-op incremental repair work before
 	// the landmark is disabled and rebuilt asynchronously (default 256).
@@ -382,17 +359,14 @@ type Config struct {
 	// triggers folding the delta back into a pure CSR (default
 	// max(1024, n/8)).
 	CompactThreshold int
-	// CH hands the substrate ownership of an epoch-tagged contraction
-	// hierarchy (built by the caller against the construction graph, social
-	// epoch 0). ApplyEdges then repairs it in place for decrease-only edge
-	// batches, stale hierarchies are rebuilt asynchronously beside the
-	// landmark loop, and every Snapshot publishes the hierarchy tagged with
-	// its build epoch.
-	CH *ch.Dynamic
+	// BuildCH makes the substrate contract the construction graph into a
+	// hierarchy (Social.Hierarchy). It is built once and never maintained:
+	// exact for social epoch 0 only.
+	BuildCH bool
 	// ForcedInstallInterval rate-limits the install-under-writer-lock
-	// fallback that bounds rebuild starvation: at most one forced landmark
-	// install event and one forced CH install per interval. 0 selects the 2s
-	// default; negative disables forced installs (pure optimistic rebuilds).
+	// fallback that bounds landmark rebuild starvation: at most one forced
+	// install event per interval. 0 selects the 2s default; negative disables
+	// forced installs (pure optimistic rebuilds).
 	ForcedInstallInterval time.Duration
 	// Labels is the per-user attribute bitmask slice (nil = unlabeled).
 	// Like the graph topology it is fixed for the substrate's lifetime; the
@@ -410,42 +384,22 @@ func New(grid *spatial.Grid, lm *landmark.Set) (*Index, error) {
 	if lm == nil {
 		return nil, fmt.Errorf("aggindex: nil grid or landmark set")
 	}
-	return build(grid, lm, nil, false)
+	return build(grid, lm, nil)
 }
 
-// NewSocial builds the full dynamic index with a private social substrate:
-// grid, social graph g and landmark tables all mutable through Apply,
-// published together per epoch. When the landmark count exceeds what dynamic
-// maintenance supports (64), the index still builds but rejects edge ops
-// (SupportsEdgeChurn reports false).
-func NewSocial(grid *spatial.Grid, lm *landmark.Set, g *graph.Graph, cfg Config) (*Index, error) {
-	if g == nil {
-		return nil, fmt.Errorf("aggindex: nil social graph")
-	}
-	if lm == nil {
-		return nil, fmt.Errorf("aggindex: nil grid or landmark set")
-	}
-	sub, err := NewSocialSubstrate(lm, g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return build(grid, lm, sub, true)
-}
-
-// NewShared builds an aggregate index that consumes an existing shared
-// social substrate: the index owns only its grid and summaries, while graph,
-// landmark tables and hierarchy come from (and are maintained by) sub. Any
-// number of indexes may share one substrate — the sharded engine attaches S
-// of them, so the social dimension is stored and maintained once instead of
-// S times. Closing a shared index never closes the substrate.
+// NewShared builds an aggregate index that consumes an existing social
+// substrate: the index owns only its grid and summaries, while graph and
+// landmark tables come from (and are maintained by) sub. Any number of
+// indexes may share one substrate — the sharded engine attaches S of them, so
+// the social dimension is stored and maintained once instead of S times.
 func NewShared(grid *spatial.Grid, sub *Social) (*Index, error) {
 	if sub == nil {
 		return nil, fmt.Errorf("aggindex: nil social substrate")
 	}
-	return build(grid, sub.Landmarks(), sub, false)
+	return build(grid, sub.Landmarks(), sub)
 }
 
-func build(grid *spatial.Grid, lm *landmark.Set, sub *Social, ownsSub bool) (*Index, error) {
+func build(grid *spatial.Grid, lm *landmark.Set, sub *Social) (*Index, error) {
 	if grid == nil || lm == nil {
 		return nil, fmt.Errorf("aggindex: nil grid or landmark set")
 	}
@@ -454,7 +408,6 @@ func build(grid *spatial.Grid, lm *landmark.Set, sub *Social, ownsSub bool) (*In
 		lm:          lm,
 		m:           lm.M(),
 		sub:         sub,
-		ownsSub:     ownsSub,
 		dirtyLeaves: make(map[int32]struct{}),
 	}
 	if sub != nil {
@@ -517,10 +470,6 @@ func (ix *Index) Snapshot() *Snapshot { return ix.published.Load() }
 
 // Grid returns the underlying spatial grid (writer-side handle).
 func (ix *Index) Grid() *spatial.Grid { return ix.grid }
-
-// Substrate returns the social substrate this index consumes (nil for
-// static indexes).
-func (ix *Index) Substrate() *Social { return ix.sub }
 
 // Landmarks returns the landmark set the summaries are built on
 // (writer-side view; concurrent readers should use Snapshot().Landmarks).
@@ -617,8 +566,6 @@ func (ix *Index) publishLockedAt(now time.Time) {
 	if soc := ix.social; soc != nil {
 		s.soc = soc.g
 		s.lm = soc.lm
-		s.hier = soc.hier
-		s.hierEpoch = soc.hierEpoch
 		s.socialEpoch = soc.epoch
 	} else {
 		s.lm = ix.lm
@@ -644,7 +591,7 @@ func (ix *Index) publishLockedAt(now time.Time) {
 // writer lock, so the published Snapshot pairs the new graph and tables with
 // summaries recomputed against exactly them. dirty lists vertices whose
 // landmark distances changed; allLeaves forces a full sweep (whole-table
-// installs); neither means a CH-only change, which only needs republishing.
+// installs).
 func (ix *Index) socialSync(sn *SocialSnapshot, dirty []graph.VertexID, allLeaves bool, now time.Time) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -930,25 +877,6 @@ func (ix *Index) onInsert(leaf int32, id int32) {
 	}
 }
 
-// Close stops the background maintenance of a privately-owned substrate
-// (NewSocial). Indexes attached to a shared substrate (NewShared) never
-// close it — the substrate's owner does. Idempotent.
-func (ix *Index) Close() {
-	if ix.ownsSub && ix.sub != nil {
-		ix.sub.Close()
-	}
-}
-
-// RebuildCH synchronously re-contracts the current social graph through the
-// substrate; see Social.RebuildCH. False when the index has no substrate or
-// hierarchy.
-func (ix *Index) RebuildCH() bool {
-	if ix.sub == nil {
-		return false
-	}
-	return ix.sub.RebuildCH()
-}
-
 // RebuildDisabledLandmarks synchronously restores disabled landmark tables
 // through the substrate; see Social.RebuildDisabledLandmarks. Returns how
 // many landmarks it restored.
@@ -996,20 +924,6 @@ type SocialStats struct {
 	// under the writer lock after the asynchronous rebuild lost the install
 	// race 8 times in a row (the rate-limited anti-starvation fallback).
 	LandmarkForcedInstalls int64
-
-	// CHBuilt reports whether the substrate owns a contraction hierarchy.
-	CHBuilt bool
-	// CHBuiltEpoch is the social epoch the current hierarchy was built (or
-	// last repaired) at; the *-CH variants serve iff it equals SocialEpoch.
-	CHBuiltEpoch uint64
-	// CHRepairs counts in-place hierarchy repairs (decrease-only batches
-	// within the cone budget); CHRecontracted the vertices they
-	// re-contracted; CHRepairFallbacks repair attempts deferred to the
-	// rebuild pipeline (removals, increases or budget overruns);
-	// CHRebuilds full hierarchies installed (async, sync and forced);
-	// CHForcedInstalls the subset installed under the writer lock by the
-	// anti-starvation fallback.
-	CHRepairs, CHRecontracted, CHRepairFallbacks, CHRebuilds, CHForcedInstalls int64
 }
 
 // SocialStats reports the social dimension's counters (zero value for

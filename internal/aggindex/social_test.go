@@ -7,13 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"ssrq/internal/ch"
 	"ssrq/internal/graph"
-	"ssrq/internal/landmark"
 	"ssrq/internal/spatial"
 )
 
-// mkSocialFixture builds a NewSocial index over a random geo-social world.
+// mkSocialFixture builds an index with its own social substrate over a
+// random geo-social world; tests stop background work via f.ix.sub.Close().
 func mkSocialFixture(t *testing.T, rng *rand.Rand, n, m, s, levels int, cfg Config) *fixture {
 	t.Helper()
 	f := mkFixture(t, rng, n, m, s, levels, 0.15, false)
@@ -25,7 +24,11 @@ func mkSocialFixture(t *testing.T, rng *rand.Rand, n, m, s, levels int, cfg Conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := NewSocial(grid, f.lm, f.g, cfg)
+	sub, err := NewSocialSubstrate(f.lm, f.g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewShared(grid, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,97 +288,6 @@ func TestStaticIndexRejectsEdgeOps(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesHierarchyEpochs pins the CH publication contract:
-// snapshots carry the hierarchy tagged with its build epoch, decrease-only
-// batches keep it fresh via in-place repair, removals leave it stale (with
-// background rebuilds suppressed by Close), and RebuildCH restores it.
-func TestSnapshotCarriesHierarchyEpochs(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	n := 60
-	b := graph.NewBuilder(n)
-	for v := 1; v < n; v++ {
-		_ = b.AddEdge(graph.VertexID(rng.Intn(v)), graph.VertexID(v), 0.1+rng.Float64()*2)
-	}
-	g := b.MustBuild()
-	lm, err := landmark.Select(g, 3, landmark.Farthest, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := spatial.NewLayout(spatial.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := make([]spatial.Point, n)
-	located := make([]bool, n)
-	for i := range pts {
-		pts[i] = spatial.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-		located[i] = true
-	}
-	grid, err := spatial.NewGrid(layout, pts, located)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chd, err := ch.NewDynamic(g, ch.Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := NewSocial(grid, lm, g, Config{CH: chd})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-
-	sn := ix.Snapshot()
-	if sn.Hierarchy() == nil || !sn.HierarchyFresh() || sn.HierarchyEpoch() != 0 {
-		t.Fatalf("construction snapshot: hier=%v fresh=%v epoch=%d", sn.Hierarchy(), sn.HierarchyFresh(), sn.HierarchyEpoch())
-	}
-
-	// Insert batch: repaired in place, still fresh, no rebuild needed.
-	ix.Apply([]Op{{Kind: OpEdgeUpsert, U: 3, V: 40, W: 0.5}, {Kind: OpEdgeUpsert, U: 7, V: 51, W: 0.9}})
-	sn = ix.Snapshot()
-	if !sn.HierarchyFresh() || sn.HierarchyEpoch() != 1 {
-		t.Fatalf("post-insert: fresh=%v epoch=%d", sn.HierarchyFresh(), sn.HierarchyEpoch())
-	}
-	if st := ix.SocialStats(); st.CHRepairs != 1 || st.CHBuiltEpoch != 1 {
-		t.Fatalf("post-insert stats: %+v", st)
-	}
-	// The repaired hierarchy answers the mutated graph exactly.
-	cur := sn.SocialGraph()
-	for probe := 0; probe < 20; probe++ {
-		s, tgt := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
-		want := cur.DijkstraTo(s, tgt)
-		got, _ := sn.Hierarchy().Dist(s, tgt)
-		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("repaired hierarchy Dist(%d,%d)=%v want %v", s, tgt, got, want)
-		}
-	}
-
-	// Removal with background rebuilds suppressed: deterministically stale.
-	ix.Close()
-	ix.Apply([]Op{{Kind: OpEdgeRemove, U: 3, V: 40}})
-	sn = ix.Snapshot()
-	if sn.HierarchyFresh() || sn.HierarchyEpoch() != 1 || sn.SocialEpoch() != 2 {
-		t.Fatalf("post-removal: fresh=%v built=%d social=%d", sn.HierarchyFresh(), sn.HierarchyEpoch(), sn.SocialEpoch())
-	}
-
-	if !ix.RebuildCH() {
-		t.Fatal("RebuildCH declined a stale hierarchy")
-	}
-	sn = ix.Snapshot()
-	if !sn.HierarchyFresh() {
-		t.Fatal("hierarchy stale after RebuildCH")
-	}
-	cur = sn.SocialGraph()
-	for probe := 0; probe < 20; probe++ {
-		s, tgt := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
-		want := cur.DijkstraTo(s, tgt)
-		got, _ := sn.Hierarchy().Dist(s, tgt)
-		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("rebuilt hierarchy Dist(%d,%d)=%v want %v", s, tgt, got, want)
-		}
-	}
-}
-
 // TestForcedInstallBoundsLandmarkStarvation deterministically reproduces the
 // install-starvation regime: the testBeforeInstall seam applies one edge op
 // between every rebuild recompute and its install attempt, so the optimistic
@@ -389,7 +301,7 @@ func TestForcedInstallBoundsLandmarkStarvation(t *testing.T) {
 		RepairBudget:          1, // effective ops disable landmarks immediately
 		ForcedInstallInterval: time.Nanosecond,
 	})
-	defer f.ix.Close()
+	defer f.ix.sub.Close()
 	churn := rand.New(rand.NewSource(99))
 	f.ix.sub.testBeforeInstall = func() {
 		u := churn.Int31n(80)
@@ -429,7 +341,7 @@ func TestForcedInstallRateLimited(t *testing.T) {
 		RepairBudget:          1,
 		ForcedInstallInterval: time.Hour,
 	})
-	defer f.ix.Close()
+	defer f.ix.sub.Close()
 	churn := rand.New(rand.NewSource(77))
 	var seamCalls atomic.Int64
 	f.ix.sub.testBeforeInstall = func() {
@@ -462,7 +374,7 @@ func TestForcedInstallRateLimited(t *testing.T) {
 	if seamCalls.Load() < target {
 		t.Fatal("rebuild loop stopped attempting")
 	}
-	f.ix.Close() // drain the loop before reading counters race-free
+	f.ix.sub.Close() // drain the loop before reading counters race-free
 	if got := f.ix.SocialStats().LandmarkForcedInstalls; got != first {
 		t.Fatalf("forced installs grew %d -> %d within the interval", first, got)
 	}

@@ -1,11 +1,11 @@
-// The shared social substrate: one mutable social world — edge overlay,
-// dynamic landmark tables, contraction hierarchy — publishing one immutable
-// epoch-tagged SocialSnapshot that any number of aggregate indexes consume.
+// The shared social substrate: one mutable social world — edge overlay and
+// dynamic landmark tables — publishing one immutable epoch-tagged
+// SocialSnapshot that any number of aggregate indexes consume.
 //
 // Before the substrate existed every Index owned its own overlay + landmark
-// + CH copies, so a spatially-partitioned engine with S shards replicated
+// copies, so a spatially-partitioned engine with S shards replicated
 // the whole social dimension S times: every edge op was an O(S) broadcast
-// (S overlay patches, S landmark repairs, S hierarchy repairs) and resident
+// (S overlay patches, S landmark repairs) and resident
 // social memory scaled with S. The substrate applies each edge op exactly
 // once and then *notifies* every attached Index under its own writer lock,
 // so each consumer re-derives only the cell summaries the op invalidated in
@@ -34,16 +34,13 @@ import (
 )
 
 // SocialSnapshot is one immutable epoch of the shared social dimension: the
-// graph, the landmark tables computed on exactly that graph, and the
-// contraction hierarchy tagged with the epoch it was built at. Consumers
+// graph and the landmark tables computed on exactly that graph. Consumers
 // embed it (by reference) into their own Snapshots, so a reader holding an
 // Index snapshot sees one consistent social world.
 type SocialSnapshot struct {
-	g         *graph.Graph
-	lm        *landmark.Set
-	hier      *ch.CH // nil when the substrate owns no hierarchy
-	hierEpoch uint64 // social epoch hier was built/repaired at
-	epoch     uint64 // social graph version (+1 per effective edge batch)
+	g     *graph.Graph
+	lm    *landmark.Set
+	epoch uint64 // social graph version (+1 per effective edge batch)
 }
 
 // Graph returns this epoch's social graph.
@@ -57,18 +54,21 @@ func (s *SocialSnapshot) Epoch() uint64 { return s.epoch }
 
 // Social is the shared substrate. One writer mutex serializes edge batches,
 // rebuild installs and consumer attachment; readers go through the published
-// atomic snapshot and never lock. It is the single owner of the landmark and
-// CH rebuild loops — a sharded engine runs ONE of each, not S.
+// atomic snapshot and never lock. It is the single owner of the landmark
+// rebuild loop — a sharded engine runs ONE, not S.
 type Social struct {
 	lm *landmark.Set // construction-time landmark set
 
 	// Mutable social state (ov/dyn nil when dynamic maintenance is
 	// unsupported: the substrate then publishes the static construction
 	// graph and rejects edge churn).
-	ov    *graph.Overlay
-	dyn   *landmark.Dynamic
-	g0    *graph.Graph
-	chDyn *ch.Dynamic
+	ov  *graph.Overlay
+	dyn *landmark.Dynamic
+	g0  *graph.Graph
+	// hier is the contraction hierarchy of the construction graph (nil
+	// without Config.BuildCH). Immutable and never rebuilt: it answers exact
+	// distances only while the social epoch is still 0.
+	hier *ch.CH
 
 	// labels is the immutable per-user label bitmask slice (nil when the
 	// world is unlabeled); consumers build per-cell masks from it.
@@ -94,25 +94,20 @@ type Social struct {
 	// consumer; installed via Index.SetOpLog on the fronting index.
 	oplogFn func([]Op)
 
-	// Asynchronous rebuild machinery, moved wholesale from the per-index
-	// implementation: at most one landmark loop and one CH loop at a time,
+	// Asynchronous landmark rebuild machinery: at most one loop at a time,
 	// re-kicked by ApplyEdges while debt remains, with the rate-limited
 	// forced-install fallback bounding starvation under sustained churn.
-	rebuildActive    atomic.Bool
-	rebuildPending   atomic.Bool
-	chRebuildActive  atomic.Bool
-	chRebuildPending atomic.Bool
+	rebuildActive  atomic.Bool
+	rebuildPending atomic.Bool
 
 	forcedEvery      time.Duration
 	lmLastForced     time.Time
-	chLastForced     time.Time
 	lmForcedInstalls int64
-	chForcedInstalls int64
 
 	closed atomic.Bool
 	bg     sync.WaitGroup
 
-	// testBeforeInstall, when non-nil, runs in the rebuild loops after the
+	// testBeforeInstall, when non-nil, runs in the rebuild loop after the
 	// lock-free recompute and before the install takes the writer lock —
 	// tests set it (before any concurrent use) to deterministically make an
 	// install attempt lose the epoch race.
@@ -133,13 +128,19 @@ func NewSocialSubstrate(lm *landmark.Set, g *graph.Graph, cfg Config) (*Social, 
 	s := &Social{
 		lm:          lm,
 		g0:          g,
-		chDyn:       cfg.CH,
 		labels:      cfg.Labels,
 		fof:         fof.New(g),
 		forcedEvery: cfg.ForcedInstallInterval,
 	}
 	if s.forcedEvery == 0 {
 		s.forcedEvery = 2 * time.Second
+	}
+	if cfg.BuildCH {
+		hier, err := ch.Build(g, ch.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("aggindex: contraction hierarchy: %w", err)
+		}
+		s.hier = hier
 	}
 	s.ov = graph.NewOverlay(g)
 	if dyn, err := landmark.NewDynamic(lm, cfg.RepairBudget); err == nil {
@@ -183,6 +184,11 @@ func (s *Social) Landmarks() *landmark.Set { return s.lm }
 // SupportsEdgeChurn reports whether the substrate can ingest edge ops.
 func (s *Social) SupportsEdgeChurn() bool { return s.ov != nil && s.dyn != nil }
 
+// Hierarchy returns the contraction hierarchy built over the construction
+// graph (nil without Config.BuildCH). It is exact only for snapshots whose
+// social epoch is 0; callers gate on that.
+func (s *Social) Hierarchy() *ch.CH { return s.hier }
+
 // Labels returns the per-user label bitmasks (nil when unlabeled). Read-only.
 func (s *Social) Labels() []uint64 { return s.labels }
 
@@ -201,9 +207,6 @@ func (s *Social) publishLocked() *SocialSnapshot {
 	if s.dyn != nil {
 		sn.lm = s.dyn.Commit()
 	}
-	if s.chDyn != nil {
-		sn.hier, sn.hierEpoch = s.chDyn.Current()
-	}
 	s.published.Store(sn)
 	return sn
 }
@@ -214,8 +217,7 @@ func (s *Social) publishLocked() *SocialSnapshot {
 // and republishes before the next social mutation can land. dirty lists the
 // vertices whose landmark distances changed (each consumer re-derives only
 // the leaf cells locating them); allLeaves forces a full summary sweep
-// (after whole-table installs); both zero means a CH-only change (consumers
-// just republish to attach the new hierarchy).
+// (after whole-table installs).
 func (s *Social) notifyLocked(sn *SocialSnapshot, dirty []graph.VertexID, allLeaves bool) {
 	now := time.Now()
 	for _, ix := range s.consumers {
@@ -231,9 +233,9 @@ func (s *Social) attach(ix *Index) {
 }
 
 // ApplyEdges applies a batch of edge ops to the shared social world exactly
-// once — overlay patch, incremental landmark repair, in-place CH repair —
-// then publishes the next social epoch and synchronously notifies every
-// attached index so each republishes summaries consistent with it. Location
+// once — overlay patch, incremental landmark repair — then publishes the next
+// social epoch and synchronously notifies every attached index so each
+// republishes summaries consistent with it. Location
 // ops in the batch are ignored (callers split batches). Safe for concurrent
 // use; batches serialize on the substrate writer lock. On a substrate
 // without edge-churn support this is a no-op.
@@ -248,33 +250,17 @@ func (s *Social) ApplyEdges(ops []Op) {
 		s.oplogFn(ops)
 	}
 	var dirty []graph.VertexID
-	var chChanges []ch.EdgeChange
 	effective := false
 	for _, op := range ops {
 		if op.Kind != OpEdgeUpsert && op.Kind != OpEdgeRemove {
 			continue
 		}
-		var change ch.EdgeChange
 		var changed bool
-		dirty, change, changed = s.applyEdge(op, dirty)
-		if changed && s.chDyn != nil {
-			chChanges = append(chChanges, change)
-		}
+		dirty, changed = s.applyEdge(op, dirty)
 		effective = effective || changed
 	}
 	if effective {
-		prev := s.epoch
 		s.epoch++
-		if s.chDyn != nil {
-			// In-place hierarchy repair: only worth attempting when the
-			// hierarchy was current before this batch (a lagging one misses
-			// intermediate changes and is already on the rebuild path), and
-			// only possible for decrease-only batches within the cone budget
-			// — Repair itself enforces both and reports failure otherwise.
-			if _, built := s.chDyn.Current(); built == prev {
-				s.chDyn.Repair(s.ov.Working(), chChanges, s.epoch)
-			}
-		}
 		if s.ov.PatchedCount() >= s.compactAt {
 			s.ov.Compact()
 		}
@@ -297,40 +283,29 @@ func (s *Social) ApplyEdges(ops []Op) {
 		s.notifyLocked(sn, dirty, false)
 	}
 	disabled := s.dyn.View().NumDisabled() > 0
-	chStale := false
-	if s.chDyn != nil {
-		_, built := s.chDyn.Current()
-		chStale = built != s.epoch
-	}
 	s.mu.Unlock()
 	if disabled {
 		s.kickRebuild()
-	}
-	if chStale {
-		s.kickCHRebuild()
 	}
 }
 
 // applyEdge performs one edge op on the overlay and repairs the landmark
 // tables, accumulating the vertices whose landmark distances changed.
-// Reports the effective change (for hierarchy repair) and whether the op
-// actually changed the graph. Caller holds mu.
-func (s *Social) applyEdge(op Op, dirty []graph.VertexID) ([]graph.VertexID, ch.EdgeChange, bool) {
+// Reports whether the op actually changed the graph. Caller holds mu.
+func (s *Social) applyEdge(op Op, dirty []graph.VertexID) ([]graph.VertexID, bool) {
 	u, v := op.U, op.V
 	oldW, had := s.ov.EdgeWeight(u, v)
-	change := ch.EdgeChange{U: u, V: v, OldW: oldW, HadOld: had}
 	switch op.Kind {
 	case OpEdgeUpsert:
-		change.NewW, change.HasNew = op.W, true
 		if had && oldW == op.W {
 			s.edgeNoops++
-			return dirty, change, false
+			return dirty, false
 		}
 		if _, err := s.ov.SetEdge(u, v, op.W); err != nil {
 			// Malformed ops are rejected upstream; a failure here means a
 			// caller bypassed validation — count and skip.
 			s.edgeNoops++
-			return dirty, change, false
+			return dirty, false
 		}
 		if had {
 			s.edgeReweights++
@@ -341,20 +316,20 @@ func (s *Social) applyEdge(op Op, dirty []graph.VertexID) ([]graph.VertexID, ch.
 		// snapshot containing this edge is published after this write, so a
 		// query on it can never see a floor above the edge's weight.
 		s.fof.ObserveUpsert(u, v, op.W)
-		return append(dirty, s.dyn.EdgeChanged(s.ov.Working(), u, v, oldW, had, op.W, true)...), change, true
+		return append(dirty, s.dyn.EdgeChanged(s.ov.Working(), u, v, oldW, had, op.W, true)...), true
 	case OpEdgeRemove:
 		if !had {
 			s.edgeNoops++
-			return dirty, change, false
+			return dirty, false
 		}
 		if _, err := s.ov.RemoveEdge(u, v); err != nil {
 			s.edgeNoops++
-			return dirty, change, false
+			return dirty, false
 		}
 		s.edgeRemoves++
-		return append(dirty, s.dyn.EdgeChanged(s.ov.Working(), u, v, oldW, true, 0, false)...), change, true
+		return append(dirty, s.dyn.EdgeChanged(s.ov.Working(), u, v, oldW, true, 0, false)...), true
 	}
-	return dirty, change, false
+	return dirty, false
 }
 
 // kickRebuild starts the asynchronous landmark rebuild loop, or records the
@@ -391,8 +366,8 @@ func (s *Social) spawn(fn func()) bool {
 // Close stops the substrate's background maintenance: no further rebuild
 // goroutines start, in-flight ones abort at their next cancellation point,
 // and Close returns only after every one has exited. Queries and synchronous
-// mutation remain valid after Close; stale structures then stay stale until
-// an explicit RebuildDisabledLandmarks/RebuildCH. Idempotent.
+// mutation remain valid after Close; disabled landmarks then stay disabled
+// until an explicit RebuildDisabledLandmarks. Idempotent.
 func (s *Social) Close() {
 	s.mu.Lock()
 	s.closed.Store(true)
@@ -483,125 +458,6 @@ func (s *Social) forceInstallLandmarksLocked() {
 	s.lmLastForced = time.Now()
 }
 
-// kickCHRebuild starts the asynchronous hierarchy rebuild loop, or records
-// the kick for the running loop (same protocol as the landmark rebuild).
-func (s *Social) kickCHRebuild() {
-	if s.chDyn == nil {
-		return
-	}
-	if !s.chRebuildActive.CompareAndSwap(false, true) {
-		s.chRebuildPending.Store(true)
-		return
-	}
-	if !s.spawn(s.chRebuildLoop) {
-		s.chRebuildActive.Store(false)
-	}
-}
-
-// chRebuildLoop restores hierarchy freshness: it contracts the published
-// snapshot's graph from scratch without holding the writer lock, then
-// briefly takes the lock to install, provided the social epoch still matches
-// the graph the build ran on. Like the landmark loop, the 8th consecutive
-// stale attempt escalates to a rate-limited forced install under the writer
-// lock, bounding how long the *-CH variants stay refused under sustained
-// churn.
-func (s *Social) chRebuildLoop() {
-	stop := func() bool { return s.closed.Load() }
-	for {
-		for attempts := 0; attempts < 8; {
-			if s.closed.Load() {
-				s.chRebuildActive.Store(false)
-				return
-			}
-			sn := s.Snapshot()
-			if sn.hier != nil && sn.hierEpoch == sn.epoch {
-				break
-			}
-			target := sn.epoch
-			h, err := s.chDyn.BuildFresh(sn.g, stop)
-			if err != nil { // interrupted: substrate shutting down
-				s.chRebuildActive.Store(false)
-				return
-			}
-			if s.testBeforeInstall != nil {
-				s.testBeforeInstall()
-			}
-			s.mu.Lock()
-			if s.epoch == target {
-				s.chDyn.Install(h, target)
-				nsn := s.publishLocked()
-				s.notifyLocked(nsn, nil, false)
-				attempts = 0
-			} else {
-				attempts++
-				if attempts >= 8 {
-					s.forceInstallCHLocked()
-				}
-			}
-			s.mu.Unlock()
-		}
-		s.chRebuildActive.Store(false)
-		if !s.chRebuildPending.Swap(false) {
-			return
-		}
-		sn := s.Snapshot()
-		if (sn.hier != nil && sn.hierEpoch == sn.epoch) ||
-			!s.chRebuildActive.CompareAndSwap(false, true) {
-			return
-		}
-	}
-}
-
-// forceInstallCHLocked contracts the current working graph under the writer
-// lock the caller already holds and installs the result at the current
-// social epoch. Writers stall for one full build — the rate limiter keeps
-// that bounded-frequency, and shutdown interrupts the build mid-contraction.
-func (s *Social) forceInstallCHLocked() {
-	if s.forcedEvery < 0 || time.Since(s.chLastForced) < s.forcedEvery {
-		return
-	}
-	if _, built := s.chDyn.Current(); built == s.epoch || s.ov == nil {
-		return
-	}
-	h, err := s.chDyn.BuildFresh(s.ov.Freeze(), func() bool { return s.closed.Load() })
-	if err != nil {
-		return
-	}
-	s.chDyn.Install(h, s.epoch)
-	sn := s.publishLocked()
-	s.notifyLocked(sn, nil, false)
-	s.chForcedInstalls++
-	s.chLastForced = time.Now()
-}
-
-// RebuildCH synchronously re-contracts the current working graph and
-// installs the fresh hierarchy (published to every consumer as one social
-// epoch), making the *-CH variants serve again immediately. It blocks
-// concurrent writers for one full build but never blocks readers. Reports
-// whether a rebuild was needed and ran.
-func (s *Social) RebuildCH() bool {
-	if s.chDyn == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, built := s.chDyn.Current(); built == s.epoch {
-		return false
-	}
-	g := s.g0
-	if s.ov != nil {
-		g = s.ov.Freeze()
-	}
-	h, err := s.chDyn.BuildFresh(g, nil)
-	if err != nil {
-		return false
-	}
-	s.chDyn.Install(h, s.epoch)
-	sn := s.publishLocked()
-	s.notifyLocked(sn, nil, false)
-	return true
-}
-
 // RebuildDisabledLandmarks synchronously recomputes every disabled landmark
 // against the current working graph and publishes the result to every
 // consumer as one social epoch. It blocks concurrent writers for the
@@ -649,12 +505,6 @@ func (s *Social) Stats() SocialStats {
 		st.DisabledLandmarks = s.dyn.View().NumDisabled()
 		st.LandmarkRepairs, st.RepairedVertices, st.LandmarkDisables, st.LandmarkRebuilds = s.dyn.Stats()
 		st.LandmarkForcedInstalls = s.lmForcedInstalls
-	}
-	if s.chDyn != nil {
-		st.CHBuilt = true
-		_, st.CHBuiltEpoch = s.chDyn.Current()
-		st.CHRepairs, st.CHRecontracted, st.CHRepairFallbacks, st.CHRebuilds = s.chDyn.Stats()
-		st.CHForcedInstalls = s.chForcedInstalls
 	}
 	return st
 }

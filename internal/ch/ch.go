@@ -20,16 +20,11 @@
 package ch
 
 import (
-	"errors"
 	"fmt"
 
 	"ssrq/internal/graph"
 	"ssrq/internal/pqueue"
 )
-
-// ErrInterrupted is returned by BuildInterruptible when the stop callback
-// fired before preprocessing finished.
-var ErrInterrupted = errors.New("ch: build interrupted")
 
 type edge struct {
 	to graph.VertexID
@@ -53,44 +48,17 @@ func DefaultOptions() Options {
 
 // CH is a built hierarchy. It is immutable and safe for concurrent queries.
 type CH struct {
-	n         int
 	rank      []int32
-	coreRank  int32
 	upOff     []int32
 	upTgt     []graph.VertexID
 	upW       []float64
 	shortcuts int
 	coreSize  int
-
-	// rec is the repair record Dynamic replays incremental re-contractions
-	// against. Its memory cost is one shortcut list mirror (~Shortcuts()
-	// entries) plus the contraction order; hierarchies produced by repair or
-	// rebuild keep carrying it so every generation stays repairable.
-	rec *repairRecord
-}
-
-// repairRecord captures what a bounded repair needs to replay the build: the
-// contraction order, which vertices stayed in the core, and — per contracted
-// vertex — the shortcuts its contraction inserted (the part of the build that
-// cannot be reconstructed from the upward CSR, whose rows only keep each
-// vertex's *own* contraction-time adjacency).
-type repairRecord struct {
-	order []graph.VertexID // contracted vertices in ascending rank
-	core  []bool
-	sc    [][]shortcut // indexed by vertex; nil for core vertices
 }
 
 // Build contracts g into a hierarchy. Zero option fields take defaults;
 // negative values are rejected.
 func Build(g *graph.Graph, opts Options) (*CH, error) {
-	return BuildInterruptible(g, opts, nil)
-}
-
-// BuildInterruptible is Build with a cooperative cancellation hook: stop is
-// polled once per contraction step and a true return aborts preprocessing
-// with ErrInterrupted. Background rebuilds use it so an
-// index shutdown never has to wait out a full contraction of a large graph.
-func BuildInterruptible(g *graph.Graph, opts Options, stop func() bool) (*CH, error) {
 	if opts.WitnessSettleLimit == 0 {
 		opts.WitnessSettleLimit = DefaultOptions().WitnessSettleLimit
 	}
@@ -124,7 +92,6 @@ func BuildInterruptible(g *graph.Graph, opts Options, stop func() bool) (*CH, er
 		degCap:     opts.MaxContractDegree,
 		wDist:      make([]float64, n),
 		wMark:      make([]uint32, n),
-		scRec:      make([][]shortcut, n),
 	}
 
 	pq := pqueue.NewIndexedHeap(n)
@@ -134,9 +101,6 @@ func BuildInterruptible(g *graph.Graph, opts Options, stop func() bool) (*CH, er
 
 	next := int32(0)
 	for {
-		if stop != nil && stop() {
-			return nil, ErrInterrupted
-		}
 		v, _, ok := pq.PopMin()
 		if !ok {
 			break
@@ -154,8 +118,6 @@ func BuildInterruptible(g *graph.Graph, opts Options, stop func() bool) (*CH, er
 			continue
 		}
 		b.contract(v, sc)
-		b.order = append(b.order, v)
-		b.scRec[v] = sc
 		b.rank[v] = next
 		next++
 	}
@@ -168,7 +130,7 @@ func BuildInterruptible(g *graph.Graph, opts Options, stop func() bool) (*CH, er
 			coreSize++
 		}
 	}
-	return b.finish(coreRank, coreSize)
+	return b.finish(coreSize), nil
 }
 
 // builder carries contraction state.
@@ -182,8 +144,6 @@ type builder struct {
 	settleCap  int
 	degCap     int
 	shortcuts  int
-	order      []graph.VertexID // contraction order (repair record)
-	scRec      [][]shortcut     // per-vertex shortcuts added (repair record)
 
 	// Witness-search scratch: epoch-stamped distance labels + a lazy heap.
 	wDist  []float64
@@ -323,12 +283,9 @@ func (b *builder) addOrImprove(u, v graph.VertexID, w float64) {
 // finish converts the contracted adjacency into the upward CSR. An edge
 // (v → u) is upward when rank[u] > rank[v], or when both endpoints sit on
 // the core plateau (so queries may traverse the core in both directions).
-func (b *builder) finish(coreRank int32, coreSize int) (*CH, error) {
+func (b *builder) finish(coreSize int) *CH {
 	n := len(b.adj)
-	c := &CH{
-		n: n, rank: b.rank, coreRank: coreRank, shortcuts: b.shortcuts, coreSize: coreSize,
-		rec: &repairRecord{order: b.order, core: b.core, sc: b.scRec},
-	}
+	c := &CH{rank: b.rank, shortcuts: b.shortcuts, coreSize: coreSize}
 	isUp := func(v int, e edge) bool {
 		return b.rank[e.to] > b.rank[v] || (b.core[v] && b.core[e.to])
 	}
@@ -357,7 +314,7 @@ func (b *builder) finish(coreRank int32, coreSize int) (*CH, error) {
 			}
 		}
 	}
-	return c, nil
+	return c
 }
 
 // Shortcuts reports how many shortcut edges preprocessing added.

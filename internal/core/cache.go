@@ -121,7 +121,16 @@ func (e *Engine) runAISCache(sn *aggindex.Snapshot, q graph.VertexID, qpt spatia
 	g := sn.Grid()
 	list, complete := e.cache.get(sn.SocialGraph(), sn.SocialEpoch(), q)
 	labels := e.ds.Labels
+	// The scan reads the fan-out's shared threshold but publishes into it only
+	// once conclusive. An inconclusive scan is discarded, and a kth value it
+	// had published would outlive it as a threshold the fallback must
+	// re-derive from lower-bound keys — which round a few ulps differently
+	// from the cached distance, so the fallback would prune the very user the
+	// threshold came from.
 	r := p.top.reset(prm.K, bound)
+	r.quiet = true
+	// A list holding the whole component makes any scan exact.
+	conclusive := complete
 	for _, cn := range list {
 		st.CacheHits++
 		if prm.Filter != 0 {
@@ -134,7 +143,8 @@ func (e *Engine) runAISCache(sn *aggindex.Snapshot, q graph.VertexID, qpt spatia
 				// list (ascending social distance), so θ below stays valid.
 				st.LabelSkips++
 				if theta := prm.Alpha * cn.P; theta >= r.Fk() {
-					return r.Sorted()
+					conclusive = true
+					break
 				}
 				continue
 			}
@@ -142,11 +152,12 @@ func (e *Engine) runAISCache(sn *aggindex.Snapshot, q graph.VertexID, qpt spatia
 		d := spatialDist(g, qpt, cn.V)
 		r.Consider(Entry{ID: cn.V, F: combine(prm.Alpha, cn.P, d), P: cn.P, D: d})
 		if theta := prm.Alpha * cn.P; theta >= r.Fk() {
-			return r.Sorted()
+			conclusive = true
+			break
 		}
 	}
-	if complete {
-		// The whole component was in the list: the scan above was exact.
+	if conclusive {
+		r.publish()
 		return r.Sorted()
 	}
 	st.FellBack = true

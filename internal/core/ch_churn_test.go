@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -9,118 +8,18 @@ import (
 	"time"
 )
 
-// TestChurnInterleavedCHEquivalence is the *-CH churn-equivalence property:
-// random interleaved edge batches (inserts, reweights, removals, through both
-// the sync and async paths), then Flush + synchronous rebuild settle — after
-// which SFA-CH/SPA-CH/TSA-CH must equal a from-scratch oracle on the mutated
-// graph. Trials alternate repair budgets so both the in-place repair path and
-// the rebuild fallback are exercised.
-func TestChurnInterleavedCHEquivalence(t *testing.T) {
-	trials := 6
-	if testing.Short() {
-		trials = 2
-	}
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(7100 + trial)))
-			n := 30 + rng.Intn(70)
-			ds := mkDataset(t, rng, n, 0.15*rng.Float64(), false)
-			opts := Options{
-				BuildCH: true,
-				Seed:    int64(trial),
-			}
-			switch trial % 3 {
-			case 1:
-				opts.CHRepairBudget = 2 // tiny cone: repairs mostly fall back
-			case 2:
-				opts.CHRepairBudget = -1 // repair disabled: rebuild-only path
-			}
-			e := mkEngine(t, ds, opts)
-			defer e.Close()
-			model := seedModel(ds)
-			users := locatedUsers(ds)
-			prm := Params{K: 5, Alpha: 0.3}
-
-			for round := 0; round < 5; round++ {
-				insertOnly := round%2 == 0 // alternate repairable and not
-				for op := 0; op < 2+rng.Intn(12); op++ {
-					u, v := rng.Int31n(int32(n)), rng.Int31n(int32(n))
-					if u == v {
-						continue
-					}
-					k := mkEdgeKey(u, v)
-					var err error
-					if insertOnly || rng.Intn(3) != 0 {
-						w := model[k]
-						if w == 0 || !insertOnly {
-							w = 0.05 + rng.Float64()
-						} else {
-							w *= 0.3 + 0.7*rng.Float64() // repairable decrease
-						}
-						if rng.Intn(2) == 0 {
-							err = e.AddFriendAsync(u, v, w)
-						} else {
-							err = e.AddFriend(u, v, w)
-						}
-						model[k] = w
-					} else {
-						if rng.Intn(2) == 0 {
-							err = e.RemoveFriendAsync(u, v)
-						} else {
-							err = e.RemoveFriend(u, v)
-						}
-						delete(model, k)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				e.Flush()
-				e.RebuildLandmarks()
-				e.RebuildCH()
-				sn := e.Snapshot()
-				if !sn.HierarchyFresh() {
-					t.Fatalf("round %d: hierarchy stale after rebuild settle (built %d, social %d)",
-						round, sn.HierarchyEpoch(), sn.SocialEpoch())
-				}
-				for probe := 0; probe < 3; probe++ {
-					q := users[rng.Intn(len(users))]
-					want := oracleTopK(e, model, q, prm)
-					for _, algo := range []Algorithm{SFACH, SPACH, TSACH} {
-						got, err := e.Query(algo, q, prm)
-						if err != nil {
-							t.Fatalf("round %d: %v refused after settle: %v", round, algo, err)
-						}
-						sameRanking(t, fmt.Sprintf("round %d %v", round, algo), got, want)
-					}
-				}
-			}
-			st := e.SocialStats()
-			if trial%3 == 0 && st.CHRepairs == 0 {
-				t.Error("insert-heavy trial with default budget never took the in-place repair path")
-			}
-			if trial%3 == 2 && st.CHRepairs != 0 {
-				t.Errorf("repair disabled but CHRepairs = %d", st.CHRepairs)
-			}
-		})
-	}
-}
-
 // TestCloseMidRebuildStopsBackgroundWork is the -race shutdown regression:
-// Close must wait for (or cancel) in-flight landmark and CH background
-// rebuilds, so no goroutine outlives it, concurrently with churn still being
-// enqueued. Run under -race this also proves Close never races the rebuild
-// loops' installs.
+// Close must wait for (or cancel) an in-flight background landmark rebuild,
+// so no goroutine outlives it, concurrently with churn still being enqueued.
+// Run under -race this also proves Close never races the rebuild loop's
+// installs.
 func TestCloseMidRebuildStopsBackgroundWork(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		before := runtime.NumGoroutine()
 		rng := rand.New(rand.NewSource(int64(6200 + round)))
 		ds := mkDataset(t, rng, 150, 0, false)
 		e := mkEngine(t, ds, Options{
-			BuildCH:              true,
 			LandmarkRepairBudget: 1, // every removal disables: rebuilds always in flight
-			CHRepairBudget:       -1,
 		})
 		// Kick churn from two goroutines (sync + async paths) and Close in
 		// the middle of it.
@@ -152,7 +51,7 @@ func TestCloseMidRebuildStopsBackgroundWork(t *testing.T) {
 		if _, err := e.Query(AIS, locatedUsers(ds)[0], Params{K: 3, Alpha: 0.5}); err != nil {
 			t.Fatalf("post-Close query: %v", err)
 		}
-		// Close waited for the rebuild loops, so the goroutine count must
+		// Close waited for the rebuild loop, so the goroutine count must
 		// settle back (generous retries absorb unrelated runtime goroutines).
 		deadline := time.Now().Add(10 * time.Second)
 		for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
@@ -171,10 +70,7 @@ func TestCloseMidRebuildStopsBackgroundWork(t *testing.T) {
 // restore every landmark WITHOUT any synchronous rebuild call. Whether a
 // forced install actually fires here is scheduler-dependent; the
 // deterministic forced-install coverage lives in the aggindex tests
-// (TestForcedInstallBoundsLandmarkStarvation) via the install-race seam, and
-// background *CH* rebuild convergence is covered end-to-end in
-// httpapi.TestCHVariantsOverHTTP (a full contraction is too slow under -race
-// to bound here).
+// (TestForcedInstallBoundsLandmarkStarvation) via the install-race seam.
 func TestSustainedChurnLandmarkRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := 400

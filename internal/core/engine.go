@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -62,6 +63,10 @@ var algoNames = map[Algorithm]string{
 	SFACH: "SFA-CH", SPACH: "SPA-CH", TSACH: "TSA-CH", BruteForce: "Brute",
 }
 
+// ErrStaleHierarchy is what the *-CH variants return once the social graph
+// has moved past the epoch their contraction hierarchy was built on.
+var ErrStaleHierarchy = errors.New("core: contraction hierarchy is stale")
+
 func (a Algorithm) String() string {
 	if n, ok := algoNames[a]; ok {
 		return n
@@ -82,12 +87,11 @@ type Options struct {
 	LandmarkStrategy landmark.Strategy
 	// Seed drives randomized preprocessing choices.
 	Seed int64
-	// BuildCH additionally builds a contraction hierarchy so the *-CH
-	// variants can run. Expensive on large social graphs (which is the
-	// point of Fig. 8).
+	// BuildCH additionally contracts the construction graph into a
+	// hierarchy so the *-CH variants can run. Expensive on large social
+	// graphs (which is the point of Fig. 8), built once and never maintained:
+	// the variants serve only until the first effective edge update.
 	BuildCH bool
-	// CHWitnessLimit bounds CH witness searches (default 120).
-	CHWitnessLimit int
 	// CacheT is the t of §5.4: how many socially-nearest users the
 	// pre-computation list holds per query user (default 1000).
 	CacheT int
@@ -108,19 +112,10 @@ type Options struct {
 	// OverlayCompactThreshold is the edge-overlay delta size that triggers
 	// folding the delta back into a pure CSR (default max(1024, n/8)).
 	OverlayCompactThreshold int
-	// CHRepairBudget caps how many vertices one in-place contraction-
-	// hierarchy repair may re-contract (witness-search work, the dominant
-	// super-linear build cost) after a decrease-only edge batch before
-	// deferring to the background full rebuild (default 512). Each repair
-	// additionally pays a linear O(n+m+shortcuts) replay pass under the
-	// writer lock — roughly one landmark Dijkstra; set a negative budget to
-	// disable in-place repair and route every churn epoch to the background
-	// rebuild instead. Only meaningful with BuildCH.
-	CHRepairBudget int
 	// ForcedInstallInterval rate-limits the install-under-writer-lock
-	// fallback that bounds landmark/CH rebuild starvation under sustained
-	// churn: at most one forced install event per structure per interval
-	// (default 2s; negative disables forced installs).
+	// fallback that bounds landmark rebuild starvation under sustained
+	// churn: at most one forced install event per interval (default 2s;
+	// negative disables forced installs).
 	ForcedInstallInterval time.Duration
 	// RebalanceThreshold is the occupancy imbalance (max shard population
 	// over mean) past which the sharded engine re-cuts its Z-order partition
@@ -152,9 +147,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.NumLandmarks == 0 {
 		o.NumLandmarks = 8
-	}
-	if o.CHWitnessLimit == 0 {
-		o.CHWitnessLimit = 120
 	}
 	if o.CacheT == 0 {
 		o.CacheT = 1000
@@ -205,10 +197,17 @@ type Engine struct {
 	agg   *aggindex.Index
 	cache *socialCache
 	opts  Options
-	// fof is the friends-of-friends bound index owned by the social
-	// substrate (nil only for engines without one); queries arm a pooled
-	// Scratch from it for the 2-hop exact / weight-floor lower bound.
+	// sub is the social substrate the engine consumes; ownsSub marks the
+	// NewEngine case, where Close must tear it down too (engines attached to
+	// a shared substrate never close it).
+	sub     *aggindex.Social
+	ownsSub bool
+	// fof is the substrate's friends-of-friends bound index; queries arm a
+	// pooled Scratch from it for the 2-hop exact / weight-floor lower bound.
 	fof *fof.Index
+	// hier is the substrate's contraction hierarchy of the construction graph
+	// (nil without Options.BuildCH); see chReady.
+	hier *ch.CH
 
 	pools sync.Pool // *queryPools, reused across queries
 
@@ -240,74 +239,53 @@ type queryPools struct {
 	fof      fof.Scratch            // friends-of-friends exact-2-hop bound scratch
 }
 
-// NewEngine builds all indexes over the dataset.
-func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
+// NewSubstrate builds the social substrate over the dataset's friendship
+// graph the way every engine flavour needs it: landmarks selected once, the
+// edge overlay and dynamic tables, and — with Options.BuildCH — the
+// contraction hierarchy. NewEngine owns one privately; the sharded engine
+// shares one across its shards.
+func NewSubstrate(ds *dataset.Dataset, opts Options) (*aggindex.Social, error) {
 	opts.setDefaults()
 	if ds == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
-	n := ds.NumUsers()
-	m := opts.NumLandmarks
-	if m > n {
-		m = n
-	}
+	m := min(opts.NumLandmarks, ds.NumUsers())
 	lm, err := landmark.Select(ds.G, m, opts.LandmarkStrategy, opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: selecting landmarks: %w", err)
 	}
-	layout, err := spatial.NewLayout(ds.PaddedBounds(), opts.GridS, opts.GridLevels)
-	if err != nil {
-		return nil, fmt.Errorf("core: grid layout: %w", err)
-	}
-	grid, err := spatial.NewGrid(layout, ds.Pts, ds.Located)
-	if err != nil {
-		return nil, fmt.Errorf("core: grid: %w", err)
-	}
-	cfg := aggindex.Config{
+	sub, err := aggindex.NewSocialSubstrate(lm, ds.G, aggindex.Config{
 		RepairBudget:          opts.LandmarkRepairBudget,
 		CompactThreshold:      opts.OverlayCompactThreshold,
+		BuildCH:               opts.BuildCH,
 		ForcedInstallInterval: opts.ForcedInstallInterval,
 		Labels:                ds.Labels,
-	}
-	if opts.BuildCH {
-		// The hierarchy is built against the construction graph (social epoch
-		// 0) and handed to the aggregate index, which owns its survival under
-		// churn: in-place repair for decrease-only batches, background
-		// rebuilds otherwise, published per-epoch through the Snapshot.
-		chd, err := ch.NewDynamic(ds.G, ch.Options{WitnessSettleLimit: opts.CHWitnessLimit}, opts.CHRepairBudget)
-		if err != nil {
-			return nil, fmt.Errorf("core: contraction hierarchy: %w", err)
-		}
-		cfg.CH = chd
-	}
-	agg, err := aggindex.NewSocial(grid, lm, ds.G, cfg)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: aggregate index: %w", err)
+		return nil, fmt.Errorf("core: social substrate: %w", err)
 	}
-	e := &Engine{
-		ds:    ds,
-		lm:    lm,
-		grid:  grid,
-		agg:   agg,
-		cache: newSocialCache(opts.CacheT),
-		opts:  opts,
+	return sub, nil
+}
+
+// NewEngine builds all indexes over the dataset: a private social substrate
+// and the spatial side on top of it.
+func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
+	sub, err := NewSubstrate(ds, opts)
+	if err != nil {
+		return nil, err
 	}
-	if sub := agg.Substrate(); sub != nil {
-		e.fof = sub.FoF()
+	e, err := NewEngineWithSubstrate(ds, opts, sub)
+	if err != nil {
+		sub.Close()
+		return nil, err
 	}
-	e.pools.New = func() any {
-		return &queryPools{
-			rev: graph.NewAStarPool(n),
-			fwd: graph.NewAStarPool(n),
-			nn:  spatial.NewNNIterator(),
-		}
-	}
+	e.ownsSub = true
 	return e, nil
 }
 
 // NewEngineWithSubstrate builds an engine whose social dimension — graph
-// overlay, landmark tables, contraction hierarchy and their maintenance
-// loops — comes from an existing shared substrate instead of being built
+// overlay, landmark tables, contraction hierarchy and the landmark
+// maintenance loop — comes from an existing substrate instead of being built
 // and owned privately. The engine owns only its spatial side (grid + AIS
 // summaries over ds, typically a spatial restriction of the substrate's
 // population). The sharded engine attaches S of these to one substrate, so
@@ -341,7 +319,9 @@ func NewEngineWithSubstrate(ds *dataset.Dataset, opts Options, sub *aggindex.Soc
 		agg:   agg,
 		cache: newSocialCache(opts.CacheT),
 		opts:  opts,
+		sub:   sub,
 		fof:   sub.FoF(),
+		hier:  sub.Hierarchy(),
 	}
 	n := ds.NumUsers()
 	e.pools.New = func() any {
@@ -557,20 +537,18 @@ func (e *Engine) QueryOn(sn *aggindex.Snapshot, algo Algorithm, q graph.VertexID
 }
 
 // chReady gates the contraction-hierarchy variants: they need a built
-// hierarchy, and it must have been built (or repaired) at exactly the
-// snapshot's social epoch — a hierarchy from another epoch describes a
-// different graph and would be silently inexact. Between a churn batch and
-// the repair/rebuild that catches the hierarchy up, the variants are refused
-// with both epochs, so callers can tell transient staleness (rebuild racing
-// churn, retry after RebuildCH or the background loop settles) from a
-// missing hierarchy.
+// hierarchy, and the snapshot must still be at social epoch 0 — the
+// hierarchy contracts the construction graph and is never maintained, so
+// against any later graph it would be silently inexact. After the first
+// effective edge update the variants are refused for good, with both epochs
+// in the error so callers can tell that from a missing hierarchy.
 func (e *Engine) chReady(sn *aggindex.Snapshot, algo Algorithm) error {
-	if sn.Hierarchy() == nil {
+	if e.hier == nil {
 		return fmt.Errorf("core: %v requires Options.BuildCH", algo)
 	}
-	if !sn.HierarchyFresh() {
-		return fmt.Errorf("core: %v unavailable: contraction hierarchy built at social epoch %d, snapshot at social epoch %d (rebuild pending)",
-			algo, sn.HierarchyEpoch(), sn.SocialEpoch())
+	if sn.SocialEpoch() != 0 {
+		return fmt.Errorf("%w: %v unavailable, hierarchy built at social epoch 0, snapshot at social epoch %d",
+			ErrStaleHierarchy, algo, sn.SocialEpoch())
 	}
 	return nil
 }
@@ -591,13 +569,6 @@ func (e *Engine) SupportsEdgeChurn() bool { return e.agg.SupportsEdgeChurn() }
 // synchronous form gives tests and operators a determinism knob). Returns
 // how many landmarks were rebuilt.
 func (e *Engine) RebuildLandmarks() int { return e.agg.RebuildDisabledLandmarks() }
-
-// RebuildCH synchronously re-contracts the current social graph and installs
-// the fresh hierarchy, making the *-CH variants serve again immediately (the
-// background rebuild normally handles this; the synchronous form gives tests
-// and operators a determinism knob). Reports whether a rebuild was needed
-// and ran; false also when the engine was built without BuildCH.
-func (e *Engine) RebuildCH() bool { return e.agg.RebuildCH() }
 
 // AddFriend inserts (or reweights) the undirected friendship (u,v) with
 // normalized weight w and publishes the change as one epoch before
@@ -661,9 +632,9 @@ func (e *Engine) NumLocated() int { return e.agg.Snapshot().Grid().NumLocated() 
 // LiveSocialGraph returns the social graph of the latest published epoch.
 func (e *Engine) LiveSocialGraph() *graph.Graph { return e.agg.Snapshot().SocialGraph() }
 
-// FoFIndex returns the friends-of-friends bound index (nil for engines
-// without a social substrate). Its floors are monotone non-increasing, so
-// bounds derived from them stay admissible against any published snapshot.
+// FoFIndex returns the friends-of-friends bound index. Its floors are monotone
+// non-increasing, so bounds derived from them stay admissible against any
+// published snapshot.
 func (e *Engine) FoFIndex() *fof.Index { return e.fof }
 
 // SpatialKNN returns the k spatially-nearest located users to q, excluding q

@@ -118,9 +118,12 @@ func (r *Result) IDSet() map[int32]bool {
 // topK structs are pooled (see queryPools): reset re-arms one in place and
 // reuses the entries storage, so the serving path allocates nothing here.
 type topK struct {
-	k       int
-	shared  *SharedBound // live external f_k ceiling (nil when unbounded)
-	entries []Entry      // ascending (F, ID)
+	k      int
+	shared *SharedBound // live external f_k ceiling (nil when unbounded)
+	// quiet suspends publishing to the shared bound (it is still read): for
+	// an interim result that may yet be discarded. See runAISCache.
+	quiet   bool
+	entries []Entry // ascending (F, ID)
 }
 
 func newTopK(k int) *topK {
@@ -132,6 +135,7 @@ func newTopK(k int) *topK {
 func (t *topK) reset(k int, shared *SharedBound) *topK {
 	t.k = k
 	t.shared = shared
+	t.quiet = false
 	if cap(t.entries) < k {
 		t.entries = make([]Entry, 0, k)
 	} else {
@@ -194,10 +198,17 @@ func (t *topK) Consider(e Entry) bool {
 	t.entries = append(t.entries, Entry{})
 	copy(t.entries[pos+1:], t.entries[pos:])
 	t.entries[pos] = e
+	if !t.quiet {
+		t.publish()
+	}
+	return true
+}
+
+// publish tightens the shared bound to this result's kth value, if it has one.
+func (t *topK) publish() {
 	if t.shared != nil && len(t.entries) == t.k {
 		t.shared.Tighten(t.entries[t.k-1].F)
 	}
-	return true
 }
 
 // Sorted returns the final entries (ascending F, ID). The slice is owned by

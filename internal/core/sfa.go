@@ -20,7 +20,6 @@ import (
 // lose to one shared incremental Dijkstra.
 func (e *Engine) runSFA(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, bound *SharedBound, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
 	g := sn.Grid()
-	hier := sn.Hierarchy() // chReady guaranteed it fresh when useCH
 	labels := e.ds.Labels
 	it := &p.soc
 	it.Reset(sn.SocialGraph(), q)
@@ -47,7 +46,7 @@ func (e *Engine) runSFA(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 			}
 		}
 		if useCH {
-			p, _ = hier.Dist(q, v)
+			p, _ = e.hier.Dist(q, v)
 			st.CHQueries++
 		}
 		d := spatialDist(g, qpt, v)

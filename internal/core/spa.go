@@ -21,7 +21,6 @@ func (e *Engine) runSPA(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 	nn.Reset(g, qpt)
 	r := p.top.reset(prm.K, bound)
 
-	hier := sn.Hierarchy() // chReady guaranteed it fresh when useCH
 	var fwd *graph.DijkstraIterator
 	if !useCH {
 		fwd = &p.soc
@@ -56,7 +55,7 @@ func (e *Engine) runSPA(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 		var pd float64
 		if useCH {
 			st.CHQueries++
-			pd, _ = hier.Dist(q, u)
+			pd, _ = e.hier.Dist(q, u)
 		} else {
 			for {
 				if sd, settled := fwd.SettledDist(u); settled {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"ssrq/internal/aggindex"
-	"ssrq/internal/ch"
 	"ssrq/internal/fof"
 	"ssrq/internal/graph"
 	"ssrq/internal/pqueue"
@@ -256,7 +255,7 @@ func (e *Engine) runTSA(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 	}
 
 	if cfg.useCH {
-		e.tsaPhase2CH(sn.Hierarchy(), q, prm, st, r, t.cand, t.tp)
+		e.tsaPhase2CH(q, prm, st, r, t.cand, t.tp)
 	} else {
 		e.tsaPhase2Social(q, prm, st, r, t.cand, t.soc, t.tp, t.socDone)
 	}
@@ -290,7 +289,7 @@ func (e *Engine) tsaPhase2Social(q graph.VertexID, prm Params, st *Stats, r *top
 // cheapest-Euclidean-first with independent CH point-to-point queries, no
 // social stream continuation. t_p stays frozen at its phase-1 value, so θ′
 // grows only through t′_d.
-func (e *Engine) tsaPhase2CH(hier *ch.CH, q graph.VertexID, prm Params, st *Stats, r *topK,
+func (e *Engine) tsaPhase2CH(q graph.VertexID, prm Params, st *Stats, r *topK,
 	cand *candidateSet, tp float64) {
 	for {
 		u, d, ok := cand.PopMinD()
@@ -301,7 +300,7 @@ func (e *Engine) tsaPhase2CH(hier *ch.CH, q graph.VertexID, prm Params, st *Stat
 			return
 		}
 		st.CHQueries++
-		p, _ := hier.Dist(q, u)
+		p, _ := e.hier.Dist(q, u)
 		r.Consider(Entry{ID: u, F: combine(prm.Alpha, p, d), P: p, D: d})
 	}
 }

@@ -250,17 +250,19 @@ func (e *Engine) Flush() {
 }
 
 // Close drains and applies any queued updates, stops the update pipeline,
-// then stops the index's background maintenance: in-flight landmark/CH
-// rebuilds abort at their next cancellation point and Close waits for their
-// goroutines to exit, so tests and servers shut down without leaks.
-// Idempotent. Updates enqueued concurrently with Close may be dropped;
-// queries remain valid after Close (stale structures then stay stale until
-// an explicit RebuildLandmarks/RebuildCH).
+// then — for an engine that owns its substrate — stops the background
+// landmark maintenance: an in-flight rebuild aborts at its next cancellation
+// point and Close waits for its goroutine to exit, so tests and servers shut
+// down without leaks. Idempotent. Updates enqueued concurrently with Close
+// may be dropped; queries remain valid after Close (disabled landmarks then
+// stay disabled until an explicit RebuildLandmarks).
 func (e *Engine) Close() {
 	if u := e.loadUpdater(); u != nil {
 		u.close()
 	}
-	e.agg.Close()
+	if e.ownsSub {
+		e.sub.Close()
+	}
 }
 
 // loadUpdater returns the pipeline if it ever started, without starting it.

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,19 +14,15 @@ import (
 // RunSocialChurn measures query latency under sustained *social* churn: for
 // each edge-update rate, a background churner adds/removes/reweights
 // friendships through the asynchronous pipeline while a querier runs the AIS
-// workload against lock-free snapshots — and, alongside it, the TSA-CH
-// workload, whose contraction hierarchy is repaired in place for insertions
-// and rebuilt in the background otherwise (stale epochs are counted as
-// refusals, not failures). Each cell reports latency percentiles for both
-// plus the social maintenance counters (epochs, incremental landmark
-// repairs, disabled landmarks, CH refusals). The experiment ends with a
-// post-churn correctness audit: AIS *and every CH variant* against an
-// independently rebuilt brute-force oracle on the mutated graph — after the
-// rebuilds settle the CH variants must serve with zero stale-hierarchy
-// refusals — plus sampled landmark-bound admissibility checks
-// (LowerBound ≤ true distance ≤ UpperBound).
+// workload against lock-free snapshots. Each cell reports latency
+// percentiles plus the social maintenance counters (epochs, incremental
+// landmark repairs, disabled landmarks). The experiment ends with a
+// post-churn correctness audit: AIS against the brute-force oracle on the
+// mutated graph, plus sampled landmark-bound admissibility checks
+// (LowerBound ≤ true distance ≤ UpperBound) against exact distances on an
+// independently rebuilt graph.
 func (s *Suite) RunSocialChurn() error {
-	e, err := s.Engine("gowalla", DefaultS, true)
+	e, err := s.Engine("gowalla", DefaultS, false)
 	if err != nil {
 		return err
 	}
@@ -51,10 +46,9 @@ func (s *Suite) RunSocialChurn() error {
 	wLo, wHi := edgeWeightRange(ds.G)
 
 	tbl := &Table{
-		Title: fmt.Sprintf("Query latency under social churn — AIS + TSA-CH, k=%d, α=%.1f, %d queries/cell",
+		Title: fmt.Sprintf("Query latency under social churn — AIS, k=%d, α=%.1f, %d queries/cell",
 			DefaultK, DefaultAlpha, queries),
 		Columns: []string{"edge rate/s", "p50 (ms)", "p95 (ms)", "p99 (ms)", "queries/s",
-			"CH p50 (ms)", "CH p95 (ms)", "CH p99 (ms)", "CH refused",
 			"edge ops", "social epochs", "lm repairs", "lm disabled"},
 	}
 	for _, rate := range rates {
@@ -71,58 +65,41 @@ func (s *Suite) RunSocialChurn() error {
 		tbl.AddRow(rateLabel,
 			ms(cell.lat.P50), ms(cell.lat.P95), ms(cell.lat.P99),
 			fmt.Sprintf("%.0f", cell.qps),
-			ms(cell.latCH.P50), ms(cell.latCH.P95), ms(cell.latCH.P99), fmt.Sprint(cell.chRefusals),
 			fmt.Sprint(cell.edgeOps), fmt.Sprint(cell.socialEpochs),
 			fmt.Sprint(cell.repairs), fmt.Sprint(cell.disabled))
 		s.record(Measurement{
 			Dataset: ds.Name, Algo: core.AIS, X: rate,
 			Runtime: cell.lat.P95, Queries: cell.lat.N,
 		})
-		if cell.latCH.N > 0 {
-			s.record(Measurement{
-				Dataset: ds.Name, Algo: core.TSACH, X: rate,
-				Runtime: cell.latCH.P95, Queries: cell.latCH.N,
-			})
-		}
 	}
 	tbl.Fprint(s.Out)
 
 	// Post-churn audit. Let the world settle first: Flush drains the update
-	// pipeline, then the synchronous rebuilds restore any disabled landmarks
-	// and a stale hierarchy (the background loops normally handle both; the
-	// sync forms make the audit deterministic). From here on the CH variants
-	// must serve with zero stale-hierarchy refusals.
+	// pipeline, then the synchronous rebuild restores any disabled landmarks
+	// (the background loop normally does; the sync form makes the audit
+	// deterministic).
 	e.Flush()
 	rebuilt := e.RebuildLandmarks()
-	chRebuilt := e.RebuildCH()
 	sn := e.Snapshot()
-	if !sn.HierarchyFresh() {
-		return fmt.Errorf("exp: socialchurn: hierarchy still stale after rebuild settle (built %d, social %d)",
-			sn.HierarchyEpoch(), sn.SocialEpoch())
-	}
 	socG := sn.SocialGraph()
 	rng := rand.New(rand.NewSource(s.Seed + 99))
 	prm := core.Params{K: DefaultK, Alpha: DefaultAlpha}
-	chAlgos := []core.Algorithm{core.SFACH, core.SPACH, core.TSACH}
 	for probe := 0; probe < 3; probe++ {
 		q := queryable[rng.Intn(len(queryable))]
 		want, err := e.Query(core.BruteForce, q, prm)
 		if err != nil {
 			return err
 		}
-		checked := append([]core.Algorithm{core.AIS}, chAlgos...)
-		for _, algo := range checked {
-			got, err := e.Query(algo, q, prm)
-			if err != nil {
-				return fmt.Errorf("exp: socialchurn: %v refused after rebuild settle: %w", algo, err)
-			}
-			if len(got.Entries) != len(want.Entries) {
-				return fmt.Errorf("exp: socialchurn: post-churn %v/brute size mismatch for user %d", algo, q)
-			}
-			for i := range got.Entries {
-				if diff := got.Entries[i].F - want.Entries[i].F; diff > 1e-9 || diff < -1e-9 {
-					return fmt.Errorf("exp: socialchurn: post-churn %v/brute rank %d mismatch for user %d", algo, i, q)
-				}
+		got, err := e.Query(core.AIS, q, prm)
+		if err != nil {
+			return err
+		}
+		if len(got.Entries) != len(want.Entries) {
+			return fmt.Errorf("exp: socialchurn: post-churn AIS/brute size mismatch for user %d", q)
+		}
+		for i := range got.Entries {
+			if diff := got.Entries[i].F - want.Entries[i].F; diff > 1e-9 || diff < -1e-9 {
+				return fmt.Errorf("exp: socialchurn: post-churn AIS/brute rank %d mismatch for user %d", i, q)
 			}
 		}
 		// Independent oracle: exact distances on a graph rebuilt from the
@@ -138,18 +115,15 @@ func (s *Suite) RunSocialChurn() error {
 			}
 		}
 	}
-	st := e.SocialStats()
-	fmt.Fprintf(s.Out, "post-churn brute-force equivalence (AIS + CH variants, zero refusals) + landmark admissibility: ok "+
-		"(%d landmarks rebuilt, CH rebuilt=%v, %d in-place CH repairs, %d forced installs, social epoch %d)\n",
-		rebuilt, chRebuilt, st.CHRepairs, st.LandmarkForcedInstalls+st.CHForcedInstalls, sn.SocialEpoch())
+	fmt.Fprintf(s.Out, "post-churn brute-force equivalence + landmark admissibility: ok "+
+		"(%d landmarks rebuilt, %d forced installs, social epoch %d)\n",
+		rebuilt, e.SocialStats().LandmarkForcedInstalls, sn.SocialEpoch())
 	return nil
 }
 
 // socialChurnCell is one measured edge-rate cell.
 type socialChurnCell struct {
 	lat          latencySummary
-	latCH        latencySummary // TSA-CH latencies over served (fresh) epochs
-	chRefusals   int64          // TSA-CH attempts refused on a stale hierarchy
 	qps          float64
 	edgeOps      int64
 	socialEpochs uint64
@@ -159,9 +133,7 @@ type socialChurnCell struct {
 
 // runSocialChurnCell runs one cell: a churner goroutine mutating edges at
 // `rate` ops/sec (0 = none, negative = unthrottled) while one querier
-// answers `queries` AIS queries, timed individually, each followed by a
-// TSA-CH probe — served and timed when the published hierarchy matches the
-// snapshot's social epoch, counted as a refusal while it trails churn.
+// answers `queries` AIS queries, timed individually.
 func (s *Suite) runSocialChurnCell(e *core.Engine, queryable []graph.VertexID,
 	n int, wLo, wHi float64, queries int, rate float64) (socialChurnCell, error) {
 	startSocial := e.UpdateStats().SocialEpoch
@@ -229,9 +201,7 @@ func (s *Suite) runSocialChurnCell(e *core.Engine, queryable []graph.VertexID,
 	}
 	prm := core.Params{K: DefaultK, Alpha: DefaultAlpha}
 	lat := make([]time.Duration, 0, queries)
-	latCH := make([]time.Duration, 0, queries)
-	var aisTime time.Duration // AIS-only wall time: CH probes must not dilute queries/s
-	var chRefusals int64
+	var aisTime time.Duration
 	qrng := rand.New(rand.NewSource(s.Seed + 17))
 	// Run at least `queries` queries, continuing (up to a bound) until the
 	// churner has produced a meaningful number of ops mid-flight.
@@ -251,19 +221,6 @@ func (s *Suite) runSocialChurnCell(e *core.Engine, queryable []graph.VertexID,
 		d := time.Since(start)
 		lat = append(lat, d)
 		aisTime += d
-		// CH probe: a stale-hierarchy refusal is expected behavior mid-churn
-		// (the rebuild is racing the churner); anything else is a failure.
-		start = time.Now()
-		if _, err := e.Query(core.TSACH, q, prm); err != nil {
-			if !strings.Contains(err.Error(), "contraction hierarchy") {
-				close(stop)
-				wg.Wait()
-				return socialChurnCell{}, fmt.Errorf("exp: socialchurn CH query: %w", err)
-			}
-			chRefusals++
-		} else {
-			latCH = append(latCH, time.Since(start))
-		}
 	}
 	queries = len(lat)
 	close(stop)
@@ -275,8 +232,6 @@ func (s *Suite) runSocialChurnCell(e *core.Engine, queryable []graph.VertexID,
 	st := e.SocialStats()
 	return socialChurnCell{
 		lat:          summarizeLatencies(lat),
-		latCH:        summarizeLatencies(latCH),
-		chRefusals:   chRefusals,
 		qps:          float64(queries) / aisTime.Seconds(),
 		edgeOps:      opsDone.Load(),
 		socialEpochs: e.UpdateStats().SocialEpoch - startSocial,

@@ -82,7 +82,6 @@ var algoByName = map[string]ssrq.Algorithm{
 	"TSA-NL":  ssrq.TSANoLandmark,
 	"AIS-BID": ssrq.AISBID, "AIS-": ssrq.AISMinus, "AIS": ssrq.AIS,
 	"AIS-CACHE": ssrq.AISCache, "BRUTE": ssrq.BruteForce,
-	"SFA-CH": ssrq.SFACH, "SPA-CH": ssrq.SPACH, "TSA-CH": ssrq.TSACH,
 }
 
 // queryResponse is the wire form of a ranked result.
@@ -573,14 +572,6 @@ type statsResponse struct {
 	LandmarkRebuilds       int64  `json:"landmark_rebuilds"`
 	LandmarkForcedInstalls int64  `json:"landmark_forced_installs"`
 
-	CHBuilt          bool   `json:"ch_built"`
-	CHBuiltEpoch     uint64 `json:"ch_built_epoch"`
-	CHFresh          bool   `json:"ch_fresh"`
-	CHRepairs        int64  `json:"ch_repairs"`
-	CHRepairFallback int64  `json:"ch_repair_fallbacks"`
-	CHRebuilds       int64  `json:"ch_rebuilds"`
-	CHForcedInstalls int64  `json:"ch_forced_installs"`
-
 	// Sharding section (absent on monolithic engines): fan-out pruning
 	// counters, elastic-rebalance counters, plus one entry per shard.
 	NumShards     int             `json:"num_shards,omitempty"`
@@ -640,14 +631,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		LandmarkRepairs:        ss.LandmarkRepairs,
 		LandmarkRebuilds:       ss.LandmarkRebuilds,
 		LandmarkForcedInstalls: ss.LandmarkForcedInstalls,
-
-		CHBuilt:          ss.CHBuilt,
-		CHBuiltEpoch:     ss.CHBuiltEpoch,
-		CHFresh:          ss.CHBuilt && ss.CHBuiltEpoch == ss.SocialEpoch,
-		CHRepairs:        ss.CHRepairs,
-		CHRepairFallback: ss.CHRepairFallbacks,
-		CHRebuilds:       ss.CHRebuilds,
-		CHForcedInstalls: ss.CHForcedInstalls,
 	}
 	if shards := s.eng.ShardStats(); shards != nil {
 		fs := s.eng.FanoutStats()

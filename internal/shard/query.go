@@ -14,7 +14,8 @@ import (
 // shardOutcome records how a fan-out treated one shard; per-query outcomes
 // are accumulated locally and committed to the engine counters only when the
 // whole query succeeds, so FanoutStats never over-reports under churn (an
-// errored shard visit — e.g. a stale-CH refusal — counts as nothing).
+// errored shard visit — e.g. a *-CH refusal past social epoch 0 — counts as
+// nothing).
 type shardOutcome int8
 
 const (
@@ -37,15 +38,17 @@ const (
 // against the progress of siblings that already ran without doing any work. A
 // k-way merge combines the per-shard lists.
 //
-// Each shard executes against its own published snapshot, so a fan-out
-// observes one consistent epoch per shard (not one global epoch — the
-// cross-shard view is only as consistent as independently-published indexes
-// can be, and the merge deduplicates the one anomaly that can cause, a
-// mid-relocation user visible twice). Once the engine is quiescent (Flush),
-// results are exactly the monolithic engine's, ID tiebreaks included: the
-// shared threshold only ever holds some shard's fully-evaluated kth score (an
-// upper bound on the merged kth), it abandons only strictly-worse candidates,
-// and the merge comparator is the engines' own (F, ID) order.
+// Each shard executes against its own published snapshot, all S of them
+// taken up front at one migration-consistent point (see acquire), so a
+// fan-out observes one consistent epoch per shard and a rebalance drain can
+// never hide a user from it. That is still not one global epoch: a user whose
+// own cross-shard *move* is mid-flight can be transiently absent from — or
+// visible twice in — other users' fan-outs (the merge deduplicates the
+// latter). Once no move is in flight (Flush), rebalancing or not, results are
+// exactly the monolithic engine's, ID tiebreaks included: the shared
+// threshold only ever holds some shard's fully-evaluated kth score (an upper
+// bound on the merged kth), it abandons only strictly-worse candidates, and
+// the merge comparator is the engines' own (F, ID) order.
 func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) (*core.Result, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err
@@ -53,10 +56,11 @@ func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) 
 	if q < 0 || int(q) >= se.ds.NumUsers() {
 		return nil, fmt.Errorf("shard: query user %d out of range [0,%d)", q, se.ds.NumUsers())
 	}
-	home, hsn := se.locateHome(q, true)
+	home, sns := se.acquire(q)
 	if home < 0 {
 		return nil, fmt.Errorf("shard: query user %d has no known location", q)
 	}
+	hsn := sns[home]
 	qpt := hsn.Grid().Point(q)
 
 	// The live global threshold. The home-shard search publishes its kth
@@ -83,7 +87,7 @@ func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) 
 		if s == home {
 			continue
 		}
-		sn := se.shards[s].Snapshot()
+		sn := sns[s]
 		if sn.Grid().NumLocated() == 0 {
 			outcomes[s] = outEmpty
 			continue
@@ -162,42 +166,79 @@ func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) 
 	}, nil
 }
 
-// locateHome finds the shard whose published snapshot locates q, preferring
-// the owner map (the common case) and falling back to a scan for the
-// transient window where a routed move has not yet been applied. A
-// cross-shard move is a remove on one pipeline and an insert on another, so
-// there is a window where *no* snapshot locates a continuously-located
-// mover. With flushPending, when the owner map says a shard should hold q
-// but its snapshot does not yet, the destination pipeline is drained once
-// so a *query* for q never spuriously errors with "no known location" —
-// query paths opt into that bounded wait, while plain reads
-// (UserLocation) stay non-blocking and may transiently miss a
-// mid-relocation user. (Third parties mid-relocation can likewise be
-// transiently absent from — or, in the inverse interleaving, duplicated
-// across — other users' fan-outs; the merge deduplicates the latter.)
-// Returns (-1, nil) when no shard locates the user. q must be in range.
-func (se *Engine) locateHome(q graph.VertexID, flushPending bool) (int, *aggindex.Snapshot) {
-	if o := se.owner[q].Load(); o >= 0 {
-		sn := se.shards[o].Snapshot()
-		if sn.Grid().Located(q) {
-			return int(o), sn
-		}
-		if flushPending {
-			// Routed but not yet applied: drain the destination pipeline and
-			// re-read. Rare (only mid-relocation queriers), bounded.
-			se.shards[o].Flush()
-			if sn = se.shards[o].Snapshot(); sn.Grid().Located(q) {
-				return int(o), sn
+// acquire loads every shard's published snapshot at one migration-consistent
+// point and names the shard whose snapshot locates q (-1 when none does).
+//
+// A rebalance inserts a drained cell's users into the new owner before
+// removing them from the old one, so they are visible in at least one shard
+// at every instant — but not across two instants: a destination snapshot
+// loaded before the insert plus a source snapshot loaded after the remove
+// would hold them nowhere. migrateCellLocked bumps migrateSeq exactly once
+// between its two publishes, so a load pass bracketed by two equal reads of it
+// holds every migrated user in the pre-remove source or the post-insert
+// destination (both, transiently — the merge dedupes). The pass is S atomic
+// loads and retries only while a drain is publishing; the searches run after
+// it.
+//
+// A cross-shard async *move* of q itself is a remove on one pipeline and an
+// insert on another, so a continuously located q can be in no snapshot for a
+// moment. The router holds q's stripe across both enqueues and the owner-map
+// store, so under that stripe owner[q] is final and the last op routed to the
+// owner's pipeline for q is its insert: draining that pipeline publishes q
+// there. The stripe stays held through the drain and the reload (the order
+// synchronous batches already take: stripe, then Flush) so that q's next
+// move cannot be routed — and its removal drained by this very Flush — in
+// between. A bounded wait only mid-relocation queriers pay, so a query never
+// spuriously fails with "no known location". (Flushing whatever owner[q] said
+// *before* the router finished drained the wrong pipeline.)
+func (se *Engine) acquire(q graph.VertexID) (int, []*aggindex.Snapshot) {
+	sns := make([]*aggindex.Snapshot, len(se.shards))
+	se.loadSnapshots(sns)
+	if home := se.homeIn(sns, q); home >= 0 {
+		return home, sns
+	}
+	se.seam(seamHomeFallback)
+	mu := se.lockFor(int32(q))
+	mu.Lock() // waits out a route in flight, and keeps the next one out
+	defer mu.Unlock()
+	o := se.owner[q].Load()
+	if o < 0 {
+		return -1, nil
+	}
+	se.shards[o].Flush()
+	se.loadSnapshots(sns)
+	return se.homeIn(sns, q), sns
+}
+
+// loadSnapshots fills sns with one migration-consistent pass (see acquire).
+func (se *Engine) loadSnapshots(sns []*aggindex.Snapshot) {
+	for {
+		seq := se.migrateSeq.Load()
+		for s, sh := range se.shards {
+			sns[s] = sh.Snapshot()
+			if s == 0 {
+				se.seam(seamFirstSnapshot)
 			}
 		}
-	}
-	for s := range se.shards {
-		sn := se.shards[s].Snapshot()
-		if sn.Grid().Located(q) {
-			return s, sn
+		if se.migrateSeq.Load() == seq {
+			return
 		}
 	}
-	return -1, nil
+}
+
+// homeIn returns the shard among sns that locates q, preferring the owner map
+// (when q is visible twice mid-relocation, the owner is the newer location);
+// -1 when none does. q must be in range.
+func (se *Engine) homeIn(sns []*aggindex.Snapshot, q graph.VertexID) int {
+	if o := se.owner[q].Load(); o >= 0 && sns[o].Grid().Located(q) {
+		return int(o)
+	}
+	for s, sn := range sns {
+		if sn.Grid().Located(q) {
+			return s
+		}
+	}
+	return -1
 }
 
 // shardMatchesFilter reports whether any occupied top-level cell of the
@@ -265,21 +306,21 @@ func (se *Engine) Precompute(users []graph.VertexID) {
 }
 
 // SpatialKNN returns the k spatially-nearest located users to q across all
-// shards (pure one-domain query): per-shard KNN against each published
-// snapshot, merged by ascending (distance, ID).
+// shards (pure one-domain query): per-shard KNN against one
+// migration-consistent set of published snapshots (see acquire), merged by
+// ascending (distance, ID).
 func (se *Engine) SpatialKNN(q int32, k int) ([]spatial.Neighbor, error) {
 	if q < 0 || int(q) >= se.ds.NumUsers() {
 		return nil, fmt.Errorf("shard: user %d out of range [0,%d)", q, se.ds.NumUsers())
 	}
-	home, hsn := se.locateHome(q, true)
+	home, sns := se.acquire(graph.VertexID(q))
 	if home < 0 {
 		return nil, fmt.Errorf("shard: user %d has no known location", q)
 	}
-	qpt := hsn.Grid().Point(q)
+	qpt := sns[home].Grid().Point(q)
 	var all []spatial.Neighbor
-	for _, sh := range se.shards {
-		g := sh.Snapshot().Grid()
-		all = append(all, g.KNN(qpt, k, func(id int32) bool { return id == q })...)
+	for _, sn := range sns {
+		all = append(all, sn.Grid().KNN(qpt, k, func(id int32) bool { return id == q })...)
 	}
 	sortNeighbors(all)
 	out := make([]spatial.Neighbor, 0, k)

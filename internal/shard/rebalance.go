@@ -17,7 +17,8 @@ import (
 // cell whose owner changed is drained to its new shard through the ordinary
 // synchronous update pipeline.
 //
-// The migration protocol keeps queries lock-free and exact throughout:
+// The migration protocol keeps queries lock-free and — a re-cut never changes
+// the world — exact throughout:
 //
 //  1. Cells move in small batches (Options.RebalanceDrainBatch) under all
 //     routing stripes, so the owner map and the per-cell routing are frozen
@@ -30,9 +31,13 @@ import (
 //     identically (same coordinates, same shared social snapshot). The
 //     reverse order would make users transiently invisible, which is a
 //     wrong answer.
-//  3. Each drained user goes through Snapshot()-published epochs on both
-//     shards, so a query always sees either the old epoch (user in the old
-//     shard), the overlap, or the new epoch — never a torn state.
+//  3. "Visible in at least one shard" holds at every instant, but a query
+//     loads S snapshots at S instants: the new owner's from before the
+//     insert plus the old owner's from after the remove would hold the user
+//     nowhere. migrateSeq is bumped once between the two publishes and every
+//     query brackets its snapshot loads with it, reloading on a change
+//     (query.go, acquire) — so a query always sees the old epoch (user in the
+//     old shard), the overlap, or the new epoch, never neither.
 //
 // Close composes with an in-flight rebalance by setting closed under all
 // stripes: the drain loop re-checks closed at every batch boundary (under
@@ -238,6 +243,10 @@ func (se *Engine) migrateCellLocked(c, newS int32) bool {
 	for _, id := range users {
 		se.owner[id].Store(newS)
 	}
+	// One bump between the two publishes: a query whose snapshot loads
+	// straddle it could hold the new owner from before the insert and the
+	// old one from after the remove, so it reloads (see acquire).
+	se.migrateSeq.Add(1)
 	if err := se.shards[oldS].ApplyUpdates(removes); err != nil {
 		return false
 	}

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -279,5 +281,242 @@ func TestRebalanceQueryStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameEntries(t, "post-stress AIS", got.Entries, want.Entries)
+	}
+}
+
+// farCornerSkewedEngine builds a 4-shard engine with the automatic trigger
+// off and drifts three quarters of the population into the corner at the END
+// of the Z-order curve. The last shard then holds nearly everyone, so an
+// explicit Rebalance re-cuts the hotspot across all four shards and users
+// migrate INTO the low-numbered shards — the direction a query's snapshot
+// loads (shard 0 first) can lose. Quiescent on return: no mover runs after it.
+func farCornerSkewedEngine(t *testing.T, drainBatch int) (*Engine, []graph.VertexID) {
+	t.Helper()
+	ds := clusteredDataset(t, 300, 71)
+	se, err := New(ds, 4, core.Options{
+		GridS: 5, GridLevels: 2, NumLandmarks: 3, CacheT: 20, Seed: 71,
+		RebalanceThreshold: -1, RebalanceDrainBatch: drainBatch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := locatedUsers(ds)
+	rng := rand.New(rand.NewSource(711))
+	b := ds.Bounds()
+	for i, u := range users {
+		if i%4 == 0 {
+			continue // stays home: the low shards keep a few query users
+		}
+		to := spatial.Point{
+			X: b.MaxX - (0.02+0.08*rng.Float64())*b.Width(),
+			Y: b.MaxY - (0.02+0.08*rng.Float64())*b.Height(),
+		}
+		if err := se.MoveUser(int32(u), to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return se, users
+}
+
+func entriesEqual(got, want []core.Entry) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID || math.Abs(got[i].F-want[i].F) > 1e-12 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestQueryExactAcrossRebalanceDrain is the deterministic regression for the
+// transient inexactness behind TestCrashRecoveryAsyncChurn/sharded: a query
+// that took shard 0's snapshot, then had a whole re-cut drain run (insert into
+// the new owner, remove from the old), then took the other shards' snapshots
+// saw every user that migrated into shard 0 in NO snapshot and silently
+// dropped them from the top-k — on every algorithm, since the loss is in
+// snapshot acquisition, not in any search. A re-cut never changes the world,
+// so the mid-drain answer must equal the pre-drain brute-force answer.
+func TestQueryExactAcrossRebalanceDrain(t *testing.T) {
+	// Socially weighted, so the hotspot crowd (the users that migrate)
+	// reaches the top-k of a query user who stayed home on shard 0.
+	prm := core.Params{K: 10, Alpha: 0.9}
+	for _, algo := range []core.Algorithm{core.SFA, core.SPA, core.TSA, core.TSAQC,
+		core.AIS, core.AISCache, core.BruteForce} {
+		algo := algo
+		t.Run(algo.String(), func(t *testing.T) {
+			se, users := farCornerSkewedEngine(t, 4) // fresh per algorithm: the drain runs once
+			defer se.Close()
+			q := graph.VertexID(-1)
+			for _, u := range users {
+				if se.ShardOfUser(int32(u)) == 0 {
+					q = u
+					break
+				}
+			}
+			if q < 0 {
+				t.Fatal("fixture: no query user left on shard 0")
+			}
+			want, err := se.Query(core.BruteForce, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := make(map[int32]int, len(want.Entries))
+			for _, e := range want.Entries {
+				before[e.ID] = se.ShardOfUser(e.ID)
+			}
+
+			drained := false
+			se.testSeam = func(p seamPoint) {
+				if p != seamFirstSnapshot || drained {
+					return
+				}
+				drained = true
+				if se.Rebalance() == 0 {
+					t.Error("fixture: the mid-query re-cut moved nothing")
+				}
+			}
+			got, err := se.Query(algo, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !drained {
+				t.Fatal("seam never fired")
+			}
+			// The fixture proves something only if the drain moved a member of
+			// the true answer into the shard whose snapshot was already taken.
+			into0 := 0
+			for id, s := range before {
+				if s != 0 && se.ShardOfUser(id) == 0 {
+					into0++
+				}
+			}
+			if into0 == 0 {
+				t.Fatal("fixture: no top-k member migrated into shard 0 mid-query")
+			}
+			sameEntries(t, "mid-drain "+algo.String(), got.Entries, want.Entries)
+		})
+	}
+}
+
+// TestRebalanceDrainAnswersStayExact races queriers against one forced re-cut
+// with no movers: the world never changes, so every answer served before,
+// during and after the drain must equal the pre-drain brute-force answer —
+// the "exact throughout" claim TestRebalanceQueryStress (which has movers,
+// and so can only count errors) never checked.
+func TestRebalanceDrainAnswersStayExact(t *testing.T) {
+	se, users := farCornerSkewedEngine(t, 1)
+	defer se.Close()
+	algos := []core.Algorithm{core.SFA, core.SPA, core.TSA, core.TSAQC, core.AIS, core.AISCache, core.BruteForce}
+	prm := core.Params{K: 10, Alpha: 0.5}
+	rng := rand.New(rand.NewSource(712))
+	qs := make([]graph.VertexID, 12)
+	want := make([][]core.Entry, len(qs))
+	for i := range qs {
+		qs[i] = users[rng.Intn(len(users))]
+		res, err := se.Query(core.BruteForce, qs[i], prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Entries
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var served atomic.Int64
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				qi, algo := i%len(qs), algos[(i/len(qs))%len(algos)]
+				got, err := se.Query(algo, qs[qi], prm)
+				if err != nil {
+					t.Errorf("%v(q=%d) during drain: %v", algo, qs[qi], err)
+					return
+				}
+				if !entriesEqual(got.Entries, want[qi]) {
+					t.Errorf("%v(q=%d) during drain:\n got:  %+v\n want: %+v", algo, qs[qi], got.Entries, want[qi])
+					return
+				}
+				served.Add(1)
+			}
+		}(w)
+	}
+	for served.Load() < 3 && !t.Failed() {
+		runtime.Gosched() // queriers are up before the drain starts
+	}
+	if se.Rebalance() == 0 {
+		t.Error("fixture: the forced re-cut moved nothing")
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestQueryDuringCrossShardAsyncMove is the deterministic regression for the
+// spurious "no known location" of a continuously located query user: its
+// async cross-shard move is parked between the two enqueues — removal
+// published on the old owner, owner map not yet repointed, insert not yet
+// enqueued — while the user queries. The query must wait the route out and
+// answer from the new owner, not flush the old pipeline and give up.
+func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
+	ds := clusteredDataset(t, 200, 41)
+	se, err := New(ds, 4, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 3, Seed: 41, RebalanceThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	users := locatedUsers(ds)
+	q := users[0]
+	old := se.ShardOfUser(int32(q))
+	var to spatial.Point
+	found := false
+	for _, u := range users {
+		if se.ShardOfUser(int32(u)) != old {
+			to, found = ds.Pts[u], true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("fixture: every user on one shard")
+	}
+
+	prm := core.Params{K: 5, Alpha: 0.5}
+	atFallback := make(chan struct{})
+	var once sync.Once
+	done := make(chan error, 1)
+	se.testSeam = func(p seamPoint) {
+		switch p {
+		case seamBetweenEnqueues: // on the router, q's stripe held
+			se.shards[old].Flush()
+			go func() {
+				_, err := se.Query(core.AIS, q, prm)
+				done <- err
+			}()
+			// Park until the querier is about to wait on the stripe this
+			// goroutine holds (or, without that wait, has already answered).
+			select {
+			case <-atFallback:
+			case err := <-done:
+				done <- err
+			}
+		case seamHomeFallback:
+			once.Do(func() { close(atFallback) })
+		}
+	}
+	if err := se.MoveUserAsync(int32(q), to); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("query by a continuously located user mid-move: %v", err)
+	}
+	if s := se.ShardOfUser(int32(q)); s == old {
+		t.Fatal("fixture: the move did not cross shards")
 	}
 }

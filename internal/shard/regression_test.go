@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -117,8 +119,8 @@ func TestFanoutFellBackPropagates(t *testing.T) {
 
 // TestFanoutCountersCountOnlySuccess: FanoutStats counters must move only
 // when a query succeeds end-to-end. The fan-out used to bump queries and
-// shardsQueried before the home shard could refuse (stale CH under churn),
-// and counted an errored fan-out shard as queried.
+// shardsQueried before the home shard could refuse (a *-CH variant past
+// social epoch 0), and counted an errored fan-out shard as queried.
 func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	ds := clusteredDataset(t, 150, 19)
 	opts := core.Options{GridS: 3, GridLevels: 2, NumLandmarks: 3, Seed: 19, BuildCH: true}
@@ -126,13 +128,13 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se.Close() // suppress background CH rebuilds so staleness is deterministic
+	defer se.Close()
 
 	users := locatedUsers(ds)
 	q := users[0]
 	// k exceeds any single shard's located count, so no shard ever fills its
 	// interim result, the shared threshold stays +Inf, and every non-empty
-	// shard is visited — including the stale ones that will refuse below.
+	// shard is visited.
 	prm := core.Params{K: 60, Alpha: 0.4}
 
 	diff := func(a, b FanoutStats) FanoutStats {
@@ -145,7 +147,7 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 		}
 	}
 
-	// Fresh hierarchies: one successful query commits exactly one fan-out
+	// Social epoch 0: one successful query commits exactly one fan-out
 	// visiting all three shards.
 	fs0 := se.FanoutStats()
 	if _, err := se.Query(core.TSACH, q, prm); err != nil {
@@ -156,8 +158,8 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 		t.Fatalf("successful query committed %+v, want 1 query / 1 fanout / 3 shards queried", d)
 	}
 
-	// An edge removal staleness-refuses every shard's hierarchy (removals
-	// cannot be repaired in place, and Close suppressed the rebuild).
+	// An effective edge op ends the hierarchy's validity on every shard at
+	// once (one shared substrate, one social epoch).
 	nbrs, _ := se.LiveSocialGraph().Neighbors(q)
 	if len(nbrs) == 0 {
 		t.Fatal("query user has no neighbors to remove")
@@ -165,38 +167,52 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	if err := se.RemoveFriend(int32(q), nbrs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.Query(core.TSACH, q, prm); err == nil {
-		t.Fatal("TSA-CH served on stale shard hierarchies")
+	if _, err := se.Query(core.TSACH, q, prm); !errors.Is(err, core.ErrStaleHierarchy) {
+		t.Fatalf("TSA-CH past social epoch 0: err = %v, want ErrStaleHierarchy", err)
 	}
 	if d := diff(fs1, se.FanoutStats()); d != (FanoutStats{}) {
 		t.Fatalf("home-shard refusal still committed counters: %+v", d)
 	}
 
-	// A second refusal must also commit nothing (repeatability: the stale
-	// state is stable until an explicit rebuild, and every errored attempt
-	// stays invisible to the counters).
+	// A second refusal must also commit nothing: every errored attempt stays
+	// invisible to the counters.
 	if _, err := se.Query(core.TSACH, q, prm); err == nil {
 		t.Fatal("TSA-CH served again on stale hierarchy")
 	}
 	if d := diff(fs1, se.FanoutStats()); d != (FanoutStats{}) {
 		t.Fatalf("repeated refusal still committed counters: %+v", d)
 	}
+}
 
-	// Rebuild the shared hierarchy — one rebuild catches every shard up
-	// (staleness is uniform under the shared substrate; there is no
-	// per-shard divergence to exercise anymore). A per-shard handle routes
-	// to the same substrate, so it must agree there is nothing further.
-	if !se.RebuildCH() {
-		t.Fatal("RebuildCH found nothing to rebuild")
+// TestAISCacheFallbackExactUnderFanout: an AISCache scan that fills its
+// interim result and then proves inconclusive used to leave that result's kth
+// score behind in the fan-out's shared threshold. The fallback re-derives
+// every user from lower-bound keys, and a tight landmark bound rounds an ulp
+// ABOVE the cached exact distance — so against a threshold taken from the
+// scan's own kth member the fallback pruned exactly that member, and the
+// sharded engine (the only caller passing a threshold) answered inexactly at
+// full quiescence. The hotspot fixture packs most of each short cached list
+// into one shard, which is what fills the scan.
+func TestAISCacheFallbackExactUnderFanout(t *testing.T) {
+	se, users := farCornerSkewedEngine(t, 4)
+	defer se.Close()
+	prm := core.Params{K: 10, Alpha: 0.5}
+	fellBack := 0
+	for _, q := range users {
+		want, err := se.Query(core.BruteForce, q, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := se.Query(core.AISCache, q, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats.FellBack {
+			fellBack++
+		}
+		sameEntries(t, fmt.Sprintf("AIS-Cache q=%d", q), got.Entries, want.Entries)
 	}
-	home := se.ShardOfUser(int32(q))
-	if se.shards[home].RebuildCH() {
-		t.Fatal("per-shard RebuildCH rebuilt again after the shared rebuild")
-	}
-	if _, err := se.Query(core.TSACH, q, prm); err != nil {
-		t.Fatal(err)
-	}
-	if d := diff(fs1, se.FanoutStats()); d.Queries != 1 || d.Fanouts != 1 || d.ShardsQueried != 3 {
-		t.Fatalf("recovered query committed %+v, want 1 query / 1 fanout / 3 shards queried", d)
+	if fellBack == 0 {
+		t.Fatal("fixture: no query fell back")
 	}
 }

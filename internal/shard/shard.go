@@ -16,9 +16,9 @@
 //     their new owners through the ordinary update pipelines while queries
 //     keep serving lock-free (see rebalance.go).
 //   - The social dimension is SHARED: one aggindex.Social substrate owns the
-//     friendship graph overlay, the landmark tables, the contraction
-//     hierarchy and their maintenance loops, and every shard's aggregate
-//     index consumes its epoch-tagged snapshots. Sharing (rather than the
+//     friendship graph overlay, the landmark tables and their maintenance
+//     loop (plus the static contraction hierarchy), and every shard's
+//     aggregate index consumes its epoch-tagged snapshots. Sharing (rather than the
 //     per-shard replication of earlier revisions) is what keeps social
 //     distances exact at O(1) edge-op cost: shortest paths route through
 //     arbitrary vertices, so the graph cannot be partitioned — but it also
@@ -52,11 +52,9 @@ import (
 	"sync/atomic"
 
 	"ssrq/internal/aggindex"
-	"ssrq/internal/ch"
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
 	"ssrq/internal/fof"
-	"ssrq/internal/landmark"
 	"ssrq/internal/spatial"
 )
 
@@ -104,8 +102,12 @@ type Engine struct {
 
 	// Rebalance machinery (see rebalance.go). rebalanceMu serializes
 	// re-cuts; bg tracks the auto-kicked goroutine so Close can wait it out.
-	rebalanceMu   sync.Mutex
-	bg            sync.WaitGroup
+	rebalanceMu sync.Mutex
+	bg          sync.WaitGroup
+	// migrateSeq is bumped once per drained cell, between publishing its
+	// users into the new owner and removing them from the old one; queries
+	// bracket their snapshot loads with it (see acquire).
+	migrateSeq    atomic.Uint64
 	opsSinceCheck atomic.Int64
 	rebalances    atomic.Int64
 	cellsMoved    atomic.Int64
@@ -119,6 +121,33 @@ type Engine struct {
 	shardsPruned  atomic.Int64
 	shardsEmpty   atomic.Int64
 	prunedBy      []atomic.Int64
+
+	// testSeam, when non-nil, runs at the named points of the query and
+	// routing paths — tests set it (before any concurrent use) to force the
+	// interleavings that are otherwise a scheduling lottery.
+	testSeam func(seamPoint)
+}
+
+// seamPoint names where Engine.testSeam fires.
+type seamPoint int
+
+const (
+	// seamFirstSnapshot: loadSnapshots holds shard 0's snapshot and has yet
+	// to load the others.
+	seamFirstSnapshot seamPoint = iota
+	// seamBetweenEnqueues: routeAsyncLocked, under the user's stripe, has
+	// enqueued a cross-shard move's removal on the old owner but neither
+	// repointed the owner map nor enqueued the insert.
+	seamBetweenEnqueues
+	// seamHomeFallback: acquire found the query user in no snapshot and is
+	// about to wait out its route.
+	seamHomeFallback
+)
+
+func (se *Engine) seam(p seamPoint) {
+	if se.testSeam != nil {
+		se.testSeam(p)
+	}
 }
 
 // New partitions the dataset across numShards spatially-contiguous shards:
@@ -150,31 +179,10 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 
 	// The social substrate is built once, whatever the shard count: one
 	// landmark selection, one overlay, optionally one contraction hierarchy,
-	// one set of maintenance loops.
-	m := opts.NumLandmarks
-	if n := ds.NumUsers(); m > n {
-		m = n
-	}
-	lm, err := landmark.Select(ds.G, m, opts.LandmarkStrategy, opts.Seed)
+	// one landmark maintenance loop.
+	sub, err := core.NewSubstrate(ds, opts)
 	if err != nil {
-		return nil, fmt.Errorf("shard: selecting landmarks: %w", err)
-	}
-	cfg := aggindex.Config{
-		RepairBudget:          opts.LandmarkRepairBudget,
-		CompactThreshold:      opts.OverlayCompactThreshold,
-		ForcedInstallInterval: opts.ForcedInstallInterval,
-		Labels:                ds.Labels,
-	}
-	if opts.BuildCH {
-		chd, err := ch.NewDynamic(ds.G, ch.Options{WitnessSettleLimit: opts.CHWitnessLimit}, opts.CHRepairBudget)
-		if err != nil {
-			return nil, fmt.Errorf("shard: contraction hierarchy: %w", err)
-		}
-		cfg.CH = chd
-	}
-	sub, err := aggindex.NewSocialSubstrate(lm, ds.G, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("shard: social substrate: %w", err)
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 
 	se := &Engine{

@@ -54,7 +54,7 @@ func (se *Engine) ShardStats() []ShardStat {
 
 // FanoutStats counts the fan-out pruning behaviour across all queries. All
 // counters commit only when a query succeeds end-to-end: a query aborted by
-// any shard error (e.g. a stale-CH refusal under churn) contributes nothing,
+// any shard error (e.g. a *-CH refusal past social epoch 0) contributes nothing,
 // so the counters never over-report shard visits.
 type FanoutStats struct {
 	// Queries is the successful query count; Fanouts how many ran on more
@@ -106,8 +106,8 @@ func (se *Engine) UpdateStats() core.UpdateStats {
 }
 
 // SocialStats reports the social dimension straight from the shared
-// substrate: one graph, one set of landmark tables, one hierarchy and one
-// set of maintenance counters, whatever the shard count. (The replicated
+// substrate: one graph, one set of landmark tables and one set of
+// maintenance counters, whatever the shard count. (The replicated
 // design this replaced had to sum maintenance work across shards and
 // re-align per-shard epochs; the substrate removes the ambiguity along with
 // the S× work.)
@@ -122,21 +122,26 @@ func (se *Engine) SupportsEdgeChurn() bool { return se.sub.SupportsEdgeChurn() }
 // Returns how many landmarks were rebuilt.
 func (se *Engine) RebuildLandmarks() int { return se.sub.RebuildDisabledLandmarks() }
 
-// RebuildCH synchronously re-contracts the shared hierarchy when stale;
-// reports whether a rebuild ran.
-func (se *Engine) RebuildCH() bool { return se.sub.RebuildCH() }
-
 // UserLocation returns a user's current (normalized) coordinates from the
-// owning shard's published snapshot; ok is false when unlocated.
+// owning shard's published snapshot (the common case), else from whichever
+// shard's snapshot locates them; ok is false when unlocated. A non-blocking
+// single-user read: it may transiently miss a user whose cross-shard move is
+// mid-flight (queries wait that out instead, see acquire).
 func (se *Engine) UserLocation(id int32) (spatial.Point, bool) {
 	if id < 0 || int(id) >= se.ds.NumUsers() {
 		return spatial.Point{}, false
 	}
-	home, hsn := se.locateHome(graph.VertexID(id), false)
-	if home < 0 {
-		return spatial.Point{}, false
+	if o := se.owner[id].Load(); o >= 0 {
+		if g := se.shards[o].Snapshot().Grid(); g.Located(id) {
+			return g.Point(id), true
+		}
 	}
-	return hsn.Grid().Point(id), true
+	for _, sh := range se.shards {
+		if g := sh.Snapshot().Grid(); g.Located(id) {
+			return g.Point(id), true
+		}
+	}
+	return spatial.Point{}, false
 }
 
 // NumLocated sums the shards' located-user counts.

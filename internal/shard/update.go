@@ -118,6 +118,7 @@ func (se *Engine) routeAsyncLocked(op core.Update) error {
 		if err := se.shards[old].RemoveUserLocationAsync(op.ID); err != nil {
 			return err
 		}
+		se.seam(seamBetweenEnqueues)
 	}
 	se.owner[op.ID].Store(dst)
 	return se.shards[dst].MoveUserAsync(op.ID, op.To)
@@ -302,9 +303,9 @@ func (se *Engine) Flush() {
 // closing the shards, so in-flight async routes finish (and drain) before
 // shutdown and later ones are refused whole — see enqueueRouted; a running
 // rebalance observes closed at its next drain batch and aborts. Idempotent;
-// queries and synchronous mutation keep working afterwards (stale structures
-// then stay stale until an explicit RebuildLandmarks/RebuildCH, exactly like
-// the monolithic engine).
+// queries and synchronous mutation keep working afterwards (disabled
+// landmarks then stay disabled until an explicit RebuildLandmarks, exactly
+// like the monolithic engine).
 func (se *Engine) Close() {
 	se.lockAllStripes()
 	se.closed.Store(true)

@@ -63,7 +63,7 @@ type Engine struct {
 	// blocks on an in-flight round.
 	touched      map[int32]struct{}
 	touchedSpare map[int32]struct{}
-	// socialChanged is set by any social sync (edge op, landmark or CH
+	// socialChanged is set by any social sync (edge op or landmark
 	// install): social scores have no per-user delta set, so the next
 	// round re-evaluates every subscriber.
 	socialChanged bool

@@ -181,6 +181,8 @@ type Log struct {
 	// many further bytes reach the file, then the log behaves as if the
 	// process died (writes vanish, fsync is refused).
 	writeBudget atomic.Int64
+	// testBeforeCkptInstall: see TestingBeforeCheckpointInstall.
+	testBeforeCkptInstall func()
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -432,6 +434,9 @@ func (l *Log) WriteCheckpoint(seq uint64, recs []oplog.Record) error {
 	if err := writeFileSync(tmp, buf); err != nil {
 		return err
 	}
+	if l.testBeforeCkptInstall != nil {
+		l.testBeforeCkptInstall()
+	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, ckptName(seq))); err != nil {
 		return fmt.Errorf("wal: install checkpoint: %w", err)
 	}
@@ -623,6 +628,14 @@ func (l *Log) Bootstrap() ([]oplog.Record, uint64, error) {
 // flight is torn mid-record and every later write vanishes.
 func (l *Log) TestingLimitBytes(n int64) {
 	l.writeBudget.Store(n)
+}
+
+// TestingBeforeCheckpointInstall makes WriteCheckpoint call fn between
+// writing its temp file and renaming it into place — the window in which two
+// cuts at one sequence, sharing the temp name, collide. Set before any
+// concurrent use.
+func (l *Log) TestingBeforeCheckpointInstall(fn func()) {
+	l.testBeforeCkptInstall = fn
 }
 
 // Crashed reports whether the crash seam has tripped.

@@ -78,6 +78,11 @@ const (
 	BruteForce    = core.BruteForce
 )
 
+// ErrStaleHierarchy is returned (wrapped, with the epochs) by SFACH, SPACH and
+// TSACH once a friendship update has moved the social graph past the
+// construction graph their contraction hierarchy was built on.
+var ErrStaleHierarchy = core.ErrStaleHierarchy
+
 // Result is a completed query: entries sorted by ascending ranking value,
 // plus execution statistics (pop counts per search structure).
 type Result = core.Result
@@ -271,8 +276,11 @@ type Options struct {
 	LandmarkStrategy int
 	// Seed drives randomized preprocessing.
 	Seed int64
-	// BuildCH additionally builds a contraction hierarchy, enabling the
-	// SFACH/SPACH/TSACH comparison variants. Expensive on large graphs.
+	// BuildCH additionally contracts the construction-time friendship graph
+	// into a hierarchy, enabling the SFACH/SPACH/TSACH comparison variants of
+	// the paper's Fig. 8. Expensive on large graphs, built once and never
+	// maintained: after the first effective friendship update those three
+	// variants return ErrStaleHierarchy for the engine's lifetime.
 	BuildCH bool
 	// CacheT is the §5.4 pre-computed list length for AISCache (default 1000).
 	CacheT int
@@ -291,27 +299,20 @@ type Options struct {
 	// modified adjacency) that triggers compaction back into a flat CSR
 	// (default max(1024, n/8)).
 	OverlayCompactThreshold int
-	// CHRepairBudget caps how many vertices one in-place contraction-
-	// hierarchy repair may re-contract after a batch of friendship
-	// insertions/strengthenings before deferring to the background full
-	// rebuild (default 512). The budget bounds the witness-search work; each
-	// repair also pays a linear replay pass (~one landmark Dijkstra) under
-	// the writer lock, so very large deployments may prefer a negative value
-	// (disables in-place repair, every churn epoch rebuilds in the
-	// background). Only meaningful with BuildCH.
-	CHRepairBudget int
 	// ForcedInstallInterval rate-limits the install-under-writer-lock
-	// fallback that bounds landmark/CH rebuild starvation under sustained
+	// fallback that bounds landmark rebuild starvation under sustained
 	// churn (default 2s; negative disables forced installs).
 	ForcedInstallInterval time.Duration
 	// Shards spatially partitions the engine: users are split across this
 	// many spatially-contiguous shards (space-filling-curve assignment of
-	// grid regions), each owning its own complete index and update pipeline.
-	// Queries fan out in parallel with bound-based shard pruning and a k-way
-	// merge; results are exactly the unsharded engine's. 0 or 1 selects the
-	// single monolithic index. The social graph is replicated per shard
-	// (edge updates broadcast), so sharding scales the spatial dimension and
-	// query parallelism, at a memory/edge-churn cost linear in Shards.
+	// grid regions), each owning its own grid, aggregate index and update
+	// pipeline. Queries fan out in parallel with bound-based shard pruning
+	// and a k-way merge; results are exactly the unsharded engine's. 0 or 1
+	// selects the single monolithic index. The social dimension (friendship
+	// graph, landmark tables, their maintenance) is shared, not replicated:
+	// one substrate serves every shard and an edge update applies once, so
+	// sharding scales the spatial dimension and query parallelism at a
+	// social memory and edge-churn cost independent of Shards.
 	Shards int
 	// Durability, when non-nil, journals every world mutation to a
 	// write-ahead log in Durability.Dir and recovers state from it on
@@ -340,7 +341,6 @@ type engineAPI interface {
 	SocialStats() core.SocialStats
 	SupportsEdgeChurn() bool
 	RebuildLandmarks() int
-	RebuildCH() bool
 	Precompute(users []graph.VertexID)
 	UpdateStats() core.UpdateStats
 	UserLocation(id int32) (spatial.Point, bool)
@@ -380,7 +380,8 @@ type Engine struct {
 	log         *wal.Log
 	recovered   *RecoveryInfo
 	ckptEvery   int64
-	ckptBusy    atomic.Bool
+	ckptMu      sync.Mutex  // serializes checkpoint cuts, explicit and background
+	ckptBusy    atomic.Bool // a background cut is queued or running: skip, don't queue another
 	opsSince    atomic.Int64
 	walWG       sync.WaitGroup
 	walClosed   atomic.Bool
@@ -409,7 +410,6 @@ func NewEngine(d *Dataset, opts *Options) (*Engine, error) {
 		UpdateMaxBatch:          o.UpdateMaxBatch,
 		LandmarkRepairBudget:    o.LandmarkRepairBudget,
 		OverlayCompactThreshold: o.OverlayCompactThreshold,
-		CHRepairBudget:          o.CHRepairBudget,
 		ForcedInstallInterval:   o.ForcedInstallInterval,
 	}
 	var (
@@ -798,14 +798,6 @@ func (e *Engine) SupportsEdgeChurn() bool { return e.eng.SupportsEdgeChurn() }
 // churn disabled (the background rebuilder normally handles this). Returns
 // how many landmarks were rebuilt.
 func (e *Engine) RebuildLandmarks() int { return e.eng.RebuildLandmarks() }
-
-// RebuildCH synchronously re-contracts the current social graph so the
-// SFACH/SPACH/TSACH variants serve again immediately after churn (the
-// background rebuilder normally handles this; friendship insertions and
-// strengthenings are even repaired in place with no refusal window at all).
-// Reports whether a rebuild was needed and ran; always false on engines
-// built without Options.BuildCH.
-func (e *Engine) RebuildCH() bool { return e.eng.RebuildCH() }
 
 // Precompute materializes §5.4 social-distance lists for the given query
 // users so AISCache answers without a cold build.

@@ -1,6 +1,7 @@
 package ssrq
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -108,12 +109,11 @@ func TestEngineNilDataset(t *testing.T) {
 	}
 }
 
+// TestEngineOptionsRespected: Options.BuildCH through the public API, on both
+// engine flavours — the Fig. 8 variants equal brute force on the construction
+// graph and return ErrStaleHierarchy after the first friendship update.
 func TestEngineOptionsRespected(t *testing.T) {
 	ds, _ := Synthesize("gowalla", 300, 3)
-	eng, err := NewEngine(ds, &Options{GridS: 5, GridLevels: 1, NumLandmarks: 3, BuildCH: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var q UserID
 	for v := 0; v < ds.NumUsers(); v++ {
 		if ds.Located(UserID(v)) {
@@ -121,8 +121,33 @@ func TestEngineOptionsRespected(t *testing.T) {
 			break
 		}
 	}
-	if _, err := eng.TopKWith(SFACH, q, 5, 0.5); err != nil {
-		t.Fatalf("CH variant should work with BuildCH: %v", err)
+	for _, shards := range []int{0, 3} {
+		eng, err := NewEngine(ds, &Options{GridS: 5, GridLevels: 1, NumLandmarks: 3, BuildCH: true, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.TopKWith(BruteForce, q, 5, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []Algorithm{SFACH, SPACH, TSACH} {
+			got, err := eng.TopKWith(algo, q, 5, 0.5)
+			if err != nil {
+				t.Fatalf("shards=%d: %v should work with BuildCH: %v", shards, algo, err)
+			}
+			for i := range want.Entries {
+				if i >= len(got.Entries) || got.Entries[i].ID != want.Entries[i].ID {
+					t.Fatalf("shards=%d %v: got %v, want %v", shards, algo, got.IDs(), want.IDs())
+				}
+			}
+		}
+		if err := eng.AddFriend(q, (q+1)%UserID(ds.NumUsers()), 123.5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.TopKWith(SFACH, q, 5, 0.5); !errors.Is(err, ErrStaleHierarchy) {
+			t.Fatalf("shards=%d: SFACH after a friendship update: err = %v, want ErrStaleHierarchy", shards, err)
+		}
+		eng.Close()
 	}
 }
 
