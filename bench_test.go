@@ -1,5 +1,5 @@
 // Benchmarks mirroring every table and figure of the paper's evaluation
-// (§6), plus ablations for the design choices called out in DESIGN.md.
+// (§6), plus ablations over the system parameters of Table 3.
 // These run at a small fixed scale so `go test -bench=.` stays minutes-
 // bounded; cmd/ssrq-bench runs the full parameter sweeps at configurable
 // scales and prints paper-style tables.
@@ -17,8 +17,8 @@ import (
 	"ssrq/internal/gen"
 	"ssrq/internal/graph"
 	"ssrq/internal/landmark"
-	"ssrq/internal/spatial"
 	"ssrq/internal/shard"
+	"ssrq/internal/spatial"
 )
 
 const (
@@ -291,20 +291,7 @@ func BenchmarkFig14bScalability(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices from DESIGN.md §4) ---
-
-// BenchmarkAblationFwdEvery varies GraphDist's forward/reverse balance
-// (Algorithm 3 alternates 1:1; larger values starve the shared forward
-// search — see the delayed-evaluation discussion in EXPERIMENTS.md).
-func BenchmarkAblationFwdEvery(b *testing.B) {
-	for _, fe := range []int{1, 2, 4} {
-		fe := fe
-		be := getEngine(b, "gowalla", func(o *core.Options) { o.FwdEvery = fe })
-		b.Run(fmt.Sprintf("fwdEvery=%d", fe), func(b *testing.B) {
-			benchQueries(b, be, core.AIS, exp.DefaultK, exp.DefaultAlpha)
-		})
-	}
-}
+// --- Ablations (Table 3's system parameters; GraphDist's own ablation is in EXPERIMENTS.md) ---
 
 // BenchmarkAblationLandmarkCount varies M (the paper fine-tuned M=8).
 func BenchmarkAblationLandmarkCount(b *testing.B) {

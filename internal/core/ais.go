@@ -14,7 +14,9 @@ type aisConfig struct {
 	// a fresh bidirectional ALT search per evaluation.
 	sharing bool
 	// delayed enables the §5.3 delayed evaluation strategy (only meaningful
-	// with sharing, which provides the β bound).
+	// with sharing, which provides the β bound): candidates the forward
+	// frontier has overtaken are pushed back instead of evaluated, and an
+	// evaluation itself is floored by β and capped by f_k (see graphDist).
 	delayed bool
 }
 
@@ -54,7 +56,7 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 	var fb *freshBidirectional
 	if cfg.sharing {
 		gd = &p.gd
-		gd.reset(soc, lm, q, &p.soc, p.rev, lm.HeuristicToVector(qvec), st, e.opts.FwdEvery)
+		gd.reset(soc, lm, q, &p.soc, p.rev, lm.HeuristicToVector(qvec), st, alpha, cfg.delayed)
 	} else {
 		fb = &freshBidirectional{
 			g: soc, lm: lm, q: q, hToQ: lm.HeuristicToVector(qvec),
@@ -167,7 +169,10 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 			}
 			var pd float64
 			if gd != nil {
-				pd = gd.dist(u)
+				var exact bool
+				if pd, exact = gd.dist(u, d, r.Fk()); !exact {
+					continue // p(q,u) ≥ pd already puts f(u) at or past f_k
+				}
 			} else {
 				pd = fb.dist(u)
 			}

@@ -221,7 +221,7 @@ func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 
 // TestRandomizedEquivalenceProperty is the property-style sweep: across
 // random seeds, dataset shapes, engine options (grid granularity/levels,
-// landmark count and strategy, forward-search throttle, cache size) and
+// landmark count and strategy, cache size) and
 // query parameters (k, α), every Algorithm variant must return the same
 // f-score ranking as BruteForce. CH variants join whenever the trial builds
 // a hierarchy. This is the contract the serving layer leans on: algorithm
@@ -238,16 +238,17 @@ func TestRandomizedEquivalenceProperty(t *testing.T) {
 			n := 25 + rng.Intn(100)
 			buildCH := trial%3 == 0
 			ds := mkDataset(t, rng, n, 0.25*rng.Float64(), trial%4 == 3)
-			e := mkEngine(t, ds, Options{
+			opts := Options{
 				GridS:            2 + rng.Intn(6),
 				GridLevels:       1 + rng.Intn(3),
 				NumLandmarks:     2 + rng.Intn(10),
 				LandmarkStrategy: landmark.Strategy(rng.Intn(3)),
-				FwdEvery:         1 + rng.Intn(4),
-				CacheT:           2 + rng.Intn(50),
 				BuildCH:          buildCH,
 				Seed:             int64(trial),
-			})
+			}
+			rng.Intn(4) // a deleted option's draw, kept so every later draw (cache size, queries) stays put
+			opts.CacheT = 2 + rng.Intn(50)
+			e := mkEngine(t, ds, opts)
 			algos := allNonCHAlgorithms
 			if buildCH {
 				algos = append(append([]Algorithm{}, algos...), SFACH, SPACH, TSACH)

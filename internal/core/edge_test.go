@@ -203,10 +203,13 @@ func TestGraphDistMatchesDijkstraProperty(t *testing.T) {
 		want := ds.G.DistancesFrom(q)
 		var st Stats
 		pools := e.getPools()
-		gd := newGraphDist(ds.G, e.lm, q, pools.rev, &st)
+		gd := newGraphDist(ds.G, e.lm, q, pools.rev, &st, 0.3, trial%4 < 2)
 		for probe := 0; probe < 40; probe++ {
 			v := graph.VertexID(rng.Intn(ds.NumUsers()))
-			got := gd.dist(v)
+			got, exact := gd.dist(v, 0, math.Inf(1))
+			if !exact {
+				t.Fatalf("trial %d: dist(%d→%d) stopped at a threshold it was not given", trial, q, v)
+			}
 			if math.Abs(got-want[v]) > 1e-9 && !(math.IsInf(got, 1) && math.IsInf(want[v], 1)) {
 				t.Fatalf("trial %d: dist(%d→%d) = %v, want %v", trial, q, v, got, want[v])
 			}
@@ -223,10 +226,10 @@ func TestGraphDistBetaMonotone(t *testing.T) {
 	var st Stats
 	pools := e.getPools()
 	defer e.putPools(pools)
-	gd := newGraphDist(ds.G, e.lm, q, pools.rev, &st)
+	gd := newGraphDist(ds.G, e.lm, q, pools.rev, &st, 0.3, true)
 	prev := gd.beta()
 	for probe := 0; probe < 30; probe++ {
-		gd.dist(graph.VertexID(rng.Intn(100)))
+		gd.dist(graph.VertexID(rng.Intn(100)), 0, math.Inf(1))
 		if b := gd.beta(); b < prev {
 			t.Fatalf("beta decreased: %v -> %v", prev, b)
 		} else {

@@ -95,10 +95,6 @@ type Options struct {
 	// CacheT is the t of §5.4: how many socially-nearest users the
 	// pre-computation list holds per query user (default 1000).
 	CacheT int
-	// FwdEvery throttles GraphDist's shared forward search: one forward
-	// pop per FwdEvery reverse pops (default 1 = Algorithm 3's strict
-	// alternation). See the graphdist ablation benchmark.
-	FwdEvery int
 	// UpdateQueueCap bounds the asynchronous update queue fed by
 	// MoveUserAsync; a full queue applies backpressure (default 4096).
 	UpdateQueueCap int
@@ -150,9 +146,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.CacheT == 0 {
 		o.CacheT = 1000
-	}
-	if o.FwdEvery == 0 {
-		o.FwdEvery = 1
 	}
 	if o.UpdateQueueCap == 0 {
 		o.UpdateQueueCap = 4096

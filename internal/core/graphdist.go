@@ -1,13 +1,15 @@
 package core
 
 import (
+	"math"
+
 	"ssrq/internal/graph"
 	"ssrq/internal/landmark"
 )
 
 // graphDist is the §5.2 distance submodule of AIS (Algorithm 3): repeated
-// exact social-distance computations from the fixed query vertex to varying
-// targets, with both computation-sharing optimizations:
+// social-distance evaluations from the fixed query vertex to varying targets,
+// with both computation-sharing optimizations:
 //
 //   - forward-heap caching: the forward search is a single plain Dijkstra
 //     whose heap and settled set persist across calls (plain, not A*,
@@ -16,9 +18,14 @@ import (
 //     lying on a previously reconstructed shortest path (table T), answer
 //     without any search.
 //
-// The reverse search is a landmark A* from the target toward the query
-// vertex. Its head key certifies termination (see the correctness argument
-// in DESIGN.md §4 — the same stopping rule as Algorithm 3 line 7).
+// An evaluation is a landmark A* from the target toward the forward search's
+// settled set B — frozen for the duration, every member at exact distance ≤
+// the forward head key β, every other vertex at ≥ β — and it stops as soon as
+// the caller's question is answered: the exact distance, or the proof that
+// the target cannot enter the interim result. The forward search grows
+// between evaluations, by as many pops as the evaluation just spent
+// (Algorithm 3's 1:1 alternation, amortised). DESIGN.md §4 has the exactness
+// argument.
 type graphDist struct {
 	g        *graph.Graph
 	lm       *landmark.Set
@@ -28,18 +35,16 @@ type graphDist struct {
 	hToQ     graph.Heuristic
 	pathDist map[graph.VertexID]float64 // table T: distance-from-q of path members
 	st       *Stats
-	// fwdEvery throttles how often the shared forward search advances: one
-	// forward pop per fwdEvery reverse pops. Algorithm 3 alternates 1:1;
-	// a larger value spends less on speculative forward growth (the
-	// reverse searches are landmark-guided and cheap) at the price of a
-	// slower-growing β for delayed evaluation. See the gdfwd ablation bench.
-	fwdEvery int
-	iter     int
+	alpha    float64
+	// bounded applies the §5.3 bound inside an evaluation: β floors the
+	// reverse heuristic and f_k caps the search. Off (Fig. 10's AIS⁻) the
+	// same search runs with β ≡ 0 and no cap.
+	bounded bool
 }
 
-func newGraphDist(g *graph.Graph, lm *landmark.Set, q graph.VertexID, revPool *graph.AStarPool, st *Stats) *graphDist {
+func newGraphDist(g *graph.Graph, lm *landmark.Set, q graph.VertexID, revPool *graph.AStarPool, st *Stats, alpha float64, bounded bool) *graphDist {
 	gd := &graphDist{}
-	gd.reset(g, lm, q, &graph.DijkstraIterator{}, revPool, lm.HeuristicTo(q), st, 1)
+	gd.reset(g, lm, q, &graph.DijkstraIterator{}, revPool, lm.HeuristicTo(q), st, alpha, bounded)
 	return gd
 }
 
@@ -48,7 +53,7 @@ func newGraphDist(g *graph.Graph, lm *landmark.Set, q graph.VertexID, revPool *g
 // iterator. fwd is re-armed from q; hToQ must estimate distances to q against
 // lm's epoch.
 func (gd *graphDist) reset(g *graph.Graph, lm *landmark.Set, q graph.VertexID,
-	fwd *graph.DijkstraIterator, revPool *graph.AStarPool, hToQ graph.Heuristic, st *Stats, fwdEvery int) {
+	fwd *graph.DijkstraIterator, revPool *graph.AStarPool, hToQ graph.Heuristic, st *Stats, alpha float64, bounded bool) {
 	fwd.Reset(g, q)
 	gd.g = g
 	gd.lm = lm
@@ -62,19 +67,32 @@ func (gd *graphDist) reset(g *graph.Graph, lm *landmark.Set, q graph.VertexID,
 		clear(gd.pathDist)
 	}
 	gd.st = st
-	gd.fwdEvery = fwdEvery
-	gd.iter = 0
+	gd.alpha = alpha
+	gd.bounded = bounded
 	// Settle the source immediately so reverse searches can always meet a
 	// non-empty forward tree.
-	if _, _, ok := gd.fwd.Next(); ok {
-		st.SocialPops++
+	gd.advance(1)
+}
+
+// advance grants the shared forward search up to n more pops.
+func (gd *graphDist) advance(n int) {
+	for ; n > 0; n-- {
+		if _, _, ok := gd.fwd.Next(); !ok {
+			return
+		}
+		gd.st.SocialPops++
 	}
 }
 
-// beta is the §5.3 bound: the distance of the last vertex settled by the
-// shared forward search, lower-bounding p(v_q, v) for every vertex the
-// forward search has not visited.
-func (gd *graphDist) beta() float64 { return gd.fwd.LastKey() }
+// beta is the §5.3 bound: the key at the head of the shared forward search,
+// lower-bounding p(v_q, v) for every vertex the forward search has not
+// settled (+Inf once it has settled q's whole component).
+func (gd *graphDist) beta() float64 {
+	if key, ok := gd.fwd.HeadKey(); ok {
+		return key
+	}
+	return graph.Infinity
+}
 
 // known returns the exact distance when it is available for free — from the
 // forward settled set or the path table T.
@@ -88,86 +106,89 @@ func (gd *graphDist) known(v graph.VertexID) (float64, bool) {
 	return 0, false
 }
 
-// dist computes the exact social distance p(v_q, v) — Algorithm 3.
-func (gd *graphDist) dist(v graph.VertexID) float64 {
+// socialThreshold returns τ, the smallest social distance that keeps a
+// candidate at spatial distance d out of an interim result whose kth value is
+// fk: the smallest float with combine(alpha, τ, d) >= fk, +Inf when there is
+// none. It is defined through combine itself, not algebra, so that "p ≥ τ"
+// and the main loop's own `key >= r.Fk()` test are one decision, ties and
+// rounding included. The algebraic solution lands within a few ulps of fk in
+// f-space (many more in p-space when alpha is small), so it is bracketed by
+// doubling steps and bisected; combine is monotone in p, which bounds both.
+func socialThreshold(alpha, d, fk float64) float64 {
+	hi := (fk - (1-alpha)*d) / alpha
+	if math.IsInf(hi, 0) || math.IsNaN(hi) {
+		return graph.Infinity // interim result not full yet (or nothing to solve for)
+	}
+	lo := hi
+	for step := math.Abs(hi)*0x1p-52 + math.SmallestNonzeroFloat64; combine(alpha, hi, d) < fk; step *= 2 {
+		hi += step
+	}
+	for step := math.Abs(lo)*0x1p-52 + math.SmallestNonzeroFloat64; combine(alpha, lo, d) >= fk; step *= 2 {
+		lo -= step
+	}
+	for {
+		mid := lo + (hi-lo)/2
+		if !(lo < mid && mid < hi) {
+			return hi
+		}
+		if combine(alpha, mid, d) >= fk {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+}
+
+// dist evaluates the social distance p(v_q, v) of a candidate at spatial
+// distance d against the live kth value fk — Algorithm 3, stopped at the
+// threshold instead of the truth. exact reports which answer p is: the exact
+// distance, or (exact false) a threshold τ with p(v_q, v) ≥ τ and therefore
+// f(v) ≥ fk, so the candidate can be discarded unevaluated.
+func (gd *graphDist) dist(v graph.VertexID, d, fk float64) (p float64, exact bool) {
 	gd.st.GraphDistCalls++
 	if v == gd.q {
-		return 0
+		return 0, true
 	}
-	if d, ok := gd.known(v); ok {
-		return d
+	if p, ok := gd.known(v); ok {
+		return p, true
 	}
-	if gd.fwd.Exhausted() {
+	beta := gd.beta()
+	if math.IsInf(beta, 1) {
 		// The query's component is fully settled and v is not in it.
-		return graph.Infinity
+		return graph.Infinity, true
+	}
+	tau := graph.Infinity
+	if gd.bounded {
+		tau = socialThreshold(gd.alpha, d, fk)
+	} else {
+		beta = 0
 	}
 
-	rev := gd.revPool.NewSearch(gd.g, v, gd.hToQ)
 	// A realized landmark detour (q→landmark→v) seeds the best-known
 	// distance, letting many reverse searches certify termination after a
-	// handful of pops (an ALT-style strengthening of Algorithm 3; exactness
-	// argument in DESIGN.md §4: at termination minDist equals the true
-	// distance whenever any path of length minDist exists, and the landmark
-	// detour is such a path).
-	minDist := gd.lm.UpperBound(gd.q, v)
-	meet := graph.VertexID(-1)
-
-	for {
-		// Either frontier's head key certifies optimality (both searches
-		// settle exact distances: forward is plain Dijkstra, reverse uses a
-		// consistent landmark heuristic).
-		revKey, revOK := rev.HeadKey()
-		if !revOK {
-			break // reverse frontier exhausted
-		}
-		if minDist <= revKey {
-			break
-		}
-		if fwdKey, ok := gd.fwd.HeadKey(); ok && minDist <= fwdKey {
-			break
-		}
-		// Forward step (shared Dijkstra), throttled by fwdEvery.
-		gd.iter++
-		if gd.iter%gd.fwdEvery == 0 {
-			if vf, df, ok := gd.fwd.Next(); ok {
-				gd.st.SocialPops++
-				if dr, settled := rev.SettledDist(vf); settled {
-					if d := df + dr; d < minDist {
-						minDist, meet = d, vf
-					}
-				}
-			}
-		}
-		// Reverse step (landmark A*).
-		vr, dr, ok := rev.Pop()
-		if !ok {
-			break
-		}
-		gd.st.SocialPops++
-		gd.st.ReversePops++
-		if df, settled := gd.fwd.SettledDist(vr); settled {
-			if d := df + dr; d < minDist {
-				minDist, meet = d, vr
-			}
-			// Algorithm 3 line 18: no need to push vr's neighbors — any
-			// continuation through vr is dominated by this meeting path.
-		} else {
-			rev.Expand(vr)
-		}
-	}
-
-	if meet >= 0 {
+	// handful of pops (an ALT-style strengthening of Algorithm 3).
+	rev := gd.revPool.NewSearch(gd.g, v, gd.hToQ)
+	p, meet := rev.RunToBall(gd.fwd, beta, gd.lm.UpperBound(gd.q, v), tau)
+	pops := rev.Pops()
+	gd.st.SocialPops += pops
+	gd.st.ReversePops += pops
+	exact = p < tau || math.IsInf(tau, 1)
+	if !exact {
+		gd.st.BoundedStops++
+		p = tau
+	} else if meet >= 0 {
 		// Distance caching: record the reverse portion of the shortest path
 		// in T. (The forward portion is already covered by the forward
 		// settled set.) By prefix optimality, every vertex x on the path has
-		// p(v_q, x) = minDist − g_rev(x).
+		// p(v_q, x) = p − g_rev(x).
 		for x := meet; x >= 0; x = rev.ParentOf(x) {
 			if gx, ok := rev.LabelDist(x); ok {
-				gd.pathDist[x] = minDist - gx
+				gd.pathDist[x] = p - gx
 			}
 		}
 	}
-	return minDist
+	gd.advance(pops)
+	return p, exact
 }
 
 // freshBidirectional is the unshared evaluator of AIS-BID: a fresh

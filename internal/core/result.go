@@ -27,6 +27,7 @@ type Stats struct {
 	IndexCellPops  int // cells popped from the AIS heap
 	Reinserts      int // delayed-evaluation push-backs (§5.3)
 	GraphDistCalls int // exact social-distance evaluations
+	BoundedStops   int // evaluations GraphDist ended at the f_k threshold, without an exact distance
 	CHQueries      int // contraction-hierarchy point-to-point queries
 	CacheHits      int // §5.4 pre-computed list hits
 	// LabelCellPrunes counts grid cells a filtered query discarded outright
@@ -62,6 +63,7 @@ func (s *Stats) Add(o Stats) {
 	s.IndexCellPops += o.IndexCellPops
 	s.Reinserts += o.Reinserts
 	s.GraphDistCalls += o.GraphDistCalls
+	s.BoundedStops += o.BoundedStops
 	s.CHQueries += o.CHQueries
 	s.CacheHits += o.CacheHits
 	s.LabelCellPrunes += o.LabelCellPrunes

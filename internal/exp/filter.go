@@ -111,7 +111,7 @@ func (s *Suite) RunFilter() error {
 			f2(float64(c.prunes)/nq), f2(float64(c.skips)/nq), f2(float64(c.fofUp)/nq))
 		s.record(Measurement{
 			Dataset: ds.Name, Algo: algo,
-			Runtime: c.total / time.Duration(checked),
+			Runtime:  c.total / time.Duration(checked),
 			PopRatio: c.pop / nq, Queries: checked,
 			Extra: map[string]float64{
 				"label_cell_prunes_per_q": float64(c.prunes) / nq,

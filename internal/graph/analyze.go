@@ -61,7 +61,7 @@ func (g *Graph) LargestComponent() []VertexID {
 // start with the classic double-sweep: Dijkstra from start to find the
 // farthest vertex a, then Dijkstra from a; the largest finite distance seen
 // is returned. Used as the social-proximity normalization constant
-// (DESIGN.md §4) — an exact diameter is infeasible at social-network scale.
+// (DESIGN.md §3) — an exact diameter is infeasible at social-network scale.
 func (g *Graph) EstimateDiameter(start VertexID) float64 {
 	farthest := func(src VertexID) (VertexID, float64) {
 		dist := g.DistancesFrom(src)

@@ -102,6 +102,73 @@ func (s *AStarSearch) Expand(v VertexID) {
 	}
 }
 
+// RunToBall drives a search just started by NewSearch toward the settled set
+// B ("ball") of a paused Dijkstra expansion from the goal vertex, and answers
+// one question: is the source–goal distance below limit, and if so, what is it
+// exactly? ball must stay frozen for the duration of the call, the search's
+// heuristic must be a consistent lower bound on the distance to ball's source,
+// floor must lower-bound that distance for every vertex outside B (the ball's
+// head key does; 0 always does), and best must be the length of some real
+// source–goal path, or Infinity.
+//
+// Members of B are never queued: relaxing an edge (x, y) with y ∈ B closes a
+// real path of length g(x) + w + dist_B(y), which tightens best. Everywhere
+// else the search is A* under π(x) = max(h(x), floor) — consistent on V∖B as
+// a max of consistent functions, and across the boundary because floor ≤
+// dist(x) ≤ w + dist_B(y) — so popped labels are exact. It ends once the head
+// key reaches min(best, limit) or the queue empties, and it drops every push
+// whose key already does; bounds only fall, so every undiscovered path runs
+// through a queued or dropped vertex whose key is ≥ the final min(best, limit).
+// Hence the returned dist is exact when dist < limit, and otherwise the true
+// distance is ≥ limit. meet is the last vertex outside B on the path that
+// realises dist (-1 when dist is still the caller's best): its parent chain
+// back to the source is a shortest path. DESIGN.md §4 has the full argument.
+func (s *AStarSearch) RunToBall(ball *DijkstraIterator, floor, best, limit float64) (dist float64, meet VertexID) {
+	p := s.p
+	meet = -1
+	bound := min(best, limit)
+	if _, hs, _ := p.heap.PeekMin(); max(hs, floor) >= bound {
+		return best, meet // answered without settling a vertex
+	}
+	for {
+		x, key, ok := p.heap.PeekMin()
+		if !ok || key >= bound {
+			return best, meet
+		}
+		p.heap.PopMin()
+		p.settled[x] = p.epoch
+		s.pops++
+		gx := p.dist[x]
+		nbrs, ws := s.g.Neighbors(x)
+		for i, y := range nbrs {
+			nd := gx + ws[i]
+			if ball.settled[y] {
+				if d := nd + ball.dist[y]; d < best {
+					best, meet = d, x
+					bound = min(best, limit)
+				}
+				continue
+			}
+			// The floor alone often disqualifies y, before any of its labels
+			// or its landmark vector is touched.
+			if nd+floor >= bound {
+				continue
+			}
+			if p.settled[y] == p.epoch || (p.mark[y] == p.epoch && nd >= p.dist[y]) {
+				continue
+			}
+			k := nd + max(s.h(y), floor)
+			if k >= bound {
+				continue
+			}
+			p.dist[y] = nd
+			p.parent[y] = x
+			p.mark[y] = p.epoch
+			p.heap.PushOrDecrease(y, k)
+		}
+	}
+}
+
 // Next is Pop followed by Expand.
 func (s *AStarSearch) Next() (v VertexID, dist float64, ok bool) {
 	v, dist, ok = s.Pop()

@@ -103,9 +103,11 @@ type queryEntry struct {
 
 type queryStats struct {
 	SocialPops      int  `json:"social_pops"`
+	ReversePops     int  `json:"reverse_pops,omitempty"`
 	SpatialPops     int  `json:"spatial_pops"`
 	IndexUserPops   int  `json:"index_user_pops"`
 	DistCalls       int  `json:"dist_calls"`
+	BoundedStops    int  `json:"bounded_stops,omitempty"`
 	LabelCellPrunes int  `json:"label_cell_prunes,omitempty"`
 	LabelSkips      int  `json:"label_skips,omitempty"`
 	FoFTightened    int  `json:"fof_tightened,omitempty"`
@@ -200,9 +202,11 @@ func toQueryResponse(q int32, k int, alpha float64, algo ssrq.Algorithm, res *ss
 		Entries: make([]queryEntry, len(res.Entries)),
 		Stats: queryStats{
 			SocialPops:      res.Stats.SocialPops,
+			ReversePops:     res.Stats.ReversePops,
 			SpatialPops:     res.Stats.SpatialPops,
 			IndexUserPops:   res.Stats.IndexUserPops,
 			DistCalls:       res.Stats.GraphDistCalls,
+			BoundedStops:    res.Stats.BoundedStops,
 			LabelCellPrunes: res.Stats.LabelCellPrunes,
 			LabelSkips:      res.Stats.LabelSkips,
 			FoFTightened:    res.Stats.FoFTightened,

@@ -268,8 +268,8 @@ func TestSSEBadRequests(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/subscribe", http.StatusBadRequest},                 // missing user
-		{"/subscribe?user=999999", http.StatusNotFound},       // out of range
+		{"/subscribe", http.StatusBadRequest},           // missing user
+		{"/subscribe?user=999999", http.StatusNotFound}, // out of range
 		{"/subscribe?user=0&alpha=1.5", http.StatusBadRequest},
 		{"/subscribe?user=0&alpha=NaN", http.StatusBadRequest},
 		{"/subscribe?user=0&k=0", http.StatusBadRequest},

@@ -263,26 +263,26 @@ func (s *Set) LowerBound(u, v graph.VertexID) float64 {
 }
 
 // boundVecs computes max over enabled j of |a_j − b_j| with the
-// component-mismatch rule.
+// component-mismatch rule, which IEEE arithmetic supplies by itself: a
+// landmark reaching exactly one of the two vertices gives |±Inf| = +Inf, which
+// wins the max; one reaching neither gives Inf − Inf = NaN, which never
+// compares greater and so carries no information.
 func boundVecs(a, b []float64, disabled uint64) float64 {
+	b = b[:len(a)]
 	best := 0.0
-	for j := range a {
+	if disabled == 0 {
+		for j, da := range a {
+			if d := math.Abs(da - b[j]); d > best {
+				best = d
+			}
+		}
+		return best
+	}
+	for j, da := range a {
 		if disabled&(1<<uint(j)) != 0 {
 			continue
 		}
-		da, db := a[j], b[j]
-		aInf, bInf := math.IsInf(da, 1), math.IsInf(db, 1)
-		if aInf || bInf {
-			if aInf != bInf {
-				return graph.Infinity
-			}
-			continue // both unreachable from this landmark: no information
-		}
-		d := da - db
-		if d < 0 {
-			d = -d
-		}
-		if d > best {
+		if d := math.Abs(da - b[j]); d > best {
 			best = d
 		}
 	}

@@ -229,3 +229,88 @@ func TestUpperBoundViaLandmarkEquality(t *testing.T) {
 		t.Fatalf("UpperBound(0,2) = %v, want 2", got)
 	}
 }
+
+// boundVecsRef is the bound rule spelled out case by case (the
+// implementation before it leaned on IEEE arithmetic), kept as the reference
+// boundVecs is pinned against.
+func boundVecsRef(a, b []float64, disabled uint64) float64 {
+	best := 0.0
+	for j := range a {
+		if disabled&(1<<uint(j)) != 0 {
+			continue
+		}
+		da, db := a[j], b[j]
+		aInf, bInf := math.IsInf(da, 1), math.IsInf(db, 1)
+		if aInf || bInf {
+			if aInf != bInf {
+				return graph.Infinity
+			}
+			continue // both unreachable from this landmark: no information
+		}
+		d := da - db
+		if d < 0 {
+			d = -d
+		}
+		if d > best {
+			best = d
+		}
+	}
+	return best
+}
+
+func TestBoundVecsMatchesCaseByCaseRule(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		name string
+		a, b []float64
+	}{
+		{"finite", []float64{1, 5, 2.5, 0}, []float64{4, 5, 0.5, 7}},
+		{"equal", []float64{3, 3}, []float64{3, 3}},
+		{"one-sided Inf in a", []float64{1, inf, 2}, []float64{4, 6, 1}},
+		{"one-sided Inf in b", []float64{1, 6, 2}, []float64{4, inf, 1}},
+		{"one-sided Inf last", []float64{1, 6, 2}, []float64{4, 2, inf}},
+		{"two-sided Inf", []float64{1, inf, 2}, []float64{4, inf, 1}},
+		{"all two-sided Inf", []float64{inf, inf}, []float64{inf, inf}},
+		{"mixed", []float64{inf, 2, inf, 9}, []float64{inf, 3, 1, 9}},
+		{"mixed, mismatch first", []float64{inf, 2, inf}, []float64{1, 3, inf}},
+		{"single", []float64{2}, []float64{0.5}},
+		{"empty", nil, nil},
+	}
+	for _, c := range cases {
+		all := uint64(1)<<uint(len(c.a)) - 1
+		// Every subset of disabled landmarks, from none to all of them, plus
+		// stray high bits beyond M.
+		for mask := uint64(0); mask <= all; mask++ {
+			for _, disabled := range []uint64{mask, mask | 1<<40} {
+				got, want := boundVecs(c.a, c.b, disabled), boundVecsRef(c.a, c.b, disabled)
+				if got != want || math.IsNaN(got) {
+					t.Errorf("%s, disabled %b: boundVecs = %v, want %v", c.name, disabled, got, want)
+				}
+				if rev := boundVecs(c.b, c.a, disabled); rev != got {
+					t.Errorf("%s, disabled %b: not symmetric: %v vs %v", c.name, disabled, rev, got)
+				}
+			}
+		}
+	}
+	// Random vectors with Inf sprinkled in, at the serving M.
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		a, b := make([]float64, 8), make([]float64, 8)
+		for j := range a {
+			a[j], b[j] = rng.Float64()*10, rng.Float64()*10
+			if rng.Intn(6) == 0 {
+				a[j] = inf
+			}
+			if rng.Intn(6) == 0 {
+				b[j] = inf
+			}
+		}
+		disabled := uint64(0)
+		if i%2 == 1 {
+			disabled = uint64(rng.Intn(256))
+		}
+		if got, want := boundVecs(a, b, disabled), boundVecsRef(a, b, disabled); got != want {
+			t.Fatalf("a=%v b=%v disabled %b: boundVecs = %v, want %v", a, b, disabled, got, want)
+		}
+	}
+}

@@ -5,20 +5,34 @@ package pqueue
 // position table, which makes it the right queue for Dijkstra and A* over
 // graphs with contiguous vertex IDs.
 //
-// Ties are broken by ascending item ID so traversal order is deterministic.
+// Keys live in the heap slots, next to the ids they order, so a sift compares
+// neighbouring memory instead of chasing a per-id key array; only the
+// position table is indexed by id. Ties are broken by ascending item ID, so
+// (key, id) is a total order and the pop sequence is a function of the
+// operations alone, not of the heap's internal shape.
 // The zero value is not usable; construct with NewIndexedHeap.
 type IndexedHeap struct {
-	ids  []int32   // heap array of item ids
-	keys []float64 // key per item id (indexed by id, not heap slot)
-	pos  []int32   // heap slot per item id; -1 when absent
+	slots []slot
+	pos   []int32 // heap slot per item id; -1 when absent
+}
+
+type slot struct {
+	key float64
+	id  int32
+}
+
+func (a slot) less(b slot) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.id < b.id
 }
 
 // NewIndexedHeap returns an indexed heap for item IDs in [0, n).
 func NewIndexedHeap(n int) *IndexedHeap {
 	h := &IndexedHeap{
-		ids:  make([]int32, 0, 64),
-		keys: make([]float64, n),
-		pos:  make([]int32, n),
+		slots: make([]slot, 0, 64),
+		pos:   make([]int32, n),
 	}
 	for i := range h.pos {
 		h.pos[i] = -1
@@ -27,14 +41,14 @@ func NewIndexedHeap(n int) *IndexedHeap {
 }
 
 // Len reports the number of queued items.
-func (h *IndexedHeap) Len() int { return len(h.ids) }
+func (h *IndexedHeap) Len() int { return len(h.slots) }
 
 // Reset empties the heap, keeping capacity. It runs in O(queued items).
 func (h *IndexedHeap) Reset() {
-	for _, id := range h.ids {
-		h.pos[id] = -1
+	for _, s := range h.slots {
+		h.pos[s.id] = -1
 	}
-	h.ids = h.ids[:0]
+	h.slots = h.slots[:0]
 }
 
 // Contains reports whether the item is currently queued.
@@ -42,23 +56,20 @@ func (h *IndexedHeap) Contains(id int32) bool { return h.pos[id] >= 0 }
 
 // Key returns the current key of a queued item. It must only be called when
 // Contains(id) is true.
-func (h *IndexedHeap) Key(id int32) float64 { return h.keys[id] }
+func (h *IndexedHeap) Key(id int32) float64 { return h.slots[h.pos[id]].key }
 
 // PushOrDecrease inserts the item with the given key, or lowers its key if it
 // is already queued with a larger one. It reports whether the heap changed.
 func (h *IndexedHeap) PushOrDecrease(id int32, key float64) bool {
 	if p := h.pos[id]; p >= 0 {
-		if key >= h.keys[id] {
+		if key >= h.slots[p].key {
 			return false
 		}
-		h.keys[id] = key
-		h.up(int(p))
+		h.up(int(p), slot{key, id})
 		return true
 	}
-	h.keys[id] = key
-	h.pos[id] = int32(len(h.ids))
-	h.ids = append(h.ids, id)
-	h.up(len(h.ids) - 1)
+	h.slots = append(h.slots, slot{})
+	h.up(len(h.slots)-1, slot{key, id})
 	return true
 }
 
@@ -66,89 +77,81 @@ func (h *IndexedHeap) PushOrDecrease(id int32, key float64) bool {
 // (CH's lazy priority re-evaluation needs key increases too).
 func (h *IndexedHeap) PushOrUpdate(id int32, key float64) {
 	if p := h.pos[id]; p >= 0 {
-		old := h.keys[id]
-		h.keys[id] = key
-		if key < old {
-			h.up(int(p))
+		if old := h.slots[p].key; key < old {
+			h.up(int(p), slot{key, id})
 		} else if key > old {
-			h.down(int(p))
+			h.down(int(p), slot{key, id})
 		}
 		return
 	}
-	h.keys[id] = key
-	h.pos[id] = int32(len(h.ids))
-	h.ids = append(h.ids, id)
-	h.up(len(h.ids) - 1)
+	h.slots = append(h.slots, slot{})
+	h.up(len(h.slots)-1, slot{key, id})
 }
 
 // PopMin removes and returns the item with the smallest key. ok is false when
 // the heap is empty.
 func (h *IndexedHeap) PopMin() (id int32, key float64, ok bool) {
-	if len(h.ids) == 0 {
+	if len(h.slots) == 0 {
 		return 0, 0, false
 	}
-	id = h.ids[0]
-	key = h.keys[id]
-	last := len(h.ids) - 1
-	h.ids[0] = h.ids[last]
-	h.pos[h.ids[0]] = 0
-	h.ids = h.ids[:last]
-	h.pos[id] = -1
+	top := h.slots[0]
+	last := len(h.slots) - 1
+	moved := h.slots[last]
+	h.slots = h.slots[:last]
+	h.pos[top.id] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(0, moved)
 	}
-	return id, key, true
+	return top.id, top.key, true
 }
 
 // PeekMin returns the smallest-key item without removing it.
 func (h *IndexedHeap) PeekMin() (id int32, key float64, ok bool) {
-	if len(h.ids) == 0 {
+	if len(h.slots) == 0 {
 		return 0, 0, false
 	}
-	return h.ids[0], h.keys[h.ids[0]], true
+	return h.slots[0].id, h.slots[0].key, true
 }
 
-func (h *IndexedHeap) less(i, j int) bool {
-	a, b := h.ids[i], h.ids[j]
-	ka, kb := h.keys[a], h.keys[b]
-	if ka != kb {
-		return ka < kb
-	}
-	return a < b
-}
-
-func (h *IndexedHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.pos[h.ids[i]] = int32(i)
-	h.pos[h.ids[j]] = int32(j)
-}
-
-func (h *IndexedHeap) up(i int) {
+// up places s at or above the hole at slot i: parents that order after s
+// slide down into the hole, then s is written once.
+func (h *IndexedHeap) up(i int, s slot) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := h.slots[parent]
+		if !s.less(p) {
 			break
 		}
-		h.swap(i, parent)
+		h.slots[i] = p
+		h.pos[p.id] = int32(i)
 		i = parent
 	}
+	h.slots[i] = s
+	h.pos[s.id] = int32(i)
 }
 
-func (h *IndexedHeap) down(i int) {
-	n := len(h.ids)
+// down places s at or below the hole at slot i: the smaller child slides up
+// into the hole while it orders before s, then s is written once.
+func (h *IndexedHeap) down(i int, s slot) {
+	n := len(h.slots)
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && h.less(right, left) {
-			smallest = right
+		c := h.slots[child]
+		if right := child + 1; right < n {
+			if r := h.slots[right]; r.less(c) {
+				child, c = right, r
+			}
 		}
-		if !h.less(smallest, i) {
-			return
+		if !c.less(s) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		h.slots[i] = c
+		h.pos[c.id] = int32(i)
+		i = child
 	}
+	h.slots[i] = s
+	h.pos[s.id] = int32(i)
 }

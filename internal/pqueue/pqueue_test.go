@@ -221,3 +221,75 @@ func TestIndexedHeapKeyAccessor(t *testing.T) {
 		t.Fatalf("Key = %v, want 1.25", got)
 	}
 }
+
+// refIndexed is the by-definition indexed priority queue: a map and a linear
+// scan for the (key, id) minimum.
+type refIndexed map[int32]float64
+
+func (r refIndexed) popMin() (id int32, key float64, ok bool) {
+	for i, k := range r {
+		if !ok || k < key || (k == key && i < id) {
+			id, key, ok = i, k, true
+		}
+	}
+	delete(r, id)
+	return id, key, ok
+}
+
+// TestIndexedHeapMatchesReferenceUnderRandomOps drives the heap and the
+// reference through the same random mix of every mutating operation, with
+// keys drawn from a handful of values so ties are the common case: every
+// return value, and therefore every pop sequence, must be identical.
+func TestIndexedHeapMatchesReferenceUnderRandomOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(150)
+		h, ref := NewIndexedHeap(n), refIndexed{}
+		for step := 0; step < 40*n; step++ {
+			id, key := int32(rng.Intn(n)), float64(rng.Intn(8))
+			switch op := rng.Intn(100); {
+			case op < 40:
+				old, queued := ref[id]
+				want := !queued || key < old
+				if want {
+					ref[id] = key
+				}
+				if got := h.PushOrDecrease(id, key); got != want {
+					t.Fatalf("trial %d step %d: PushOrDecrease(%d,%v) = %v, want %v", trial, step, id, key, got, want)
+				}
+			case op < 60:
+				ref[id] = key
+				h.PushOrUpdate(id, key)
+			case op < 99:
+				wid, wkey, wok := ref.popMin()
+				gid, gkey, gok := h.PeekMin()
+				if gid != wid && gok || gkey != wkey || gok != wok {
+					t.Fatalf("trial %d step %d: PeekMin = (%d,%v,%v), want (%d,%v,%v)", trial, step, gid, gkey, gok, wid, wkey, wok)
+				}
+				gid, gkey, gok = h.PopMin()
+				if gid != wid || gkey != wkey || gok != wok {
+					t.Fatalf("trial %d step %d: PopMin = (%d,%v,%v), want (%d,%v,%v)", trial, step, gid, gkey, gok, wid, wkey, wok)
+				}
+			default:
+				clear(ref)
+				h.Reset()
+			}
+			if h.Len() != len(ref) {
+				t.Fatalf("trial %d step %d: Len = %d, want %d", trial, step, h.Len(), len(ref))
+			}
+			if k, queued := ref[id]; queued != h.Contains(id) || (queued && h.Key(id) != k) {
+				t.Fatalf("trial %d step %d: item %d queued=%v, want queued=%v with key %v", trial, step, id, h.Contains(id), queued, k)
+			}
+		}
+		// Drain: the remaining pop sequence is the sorted (key, id) order.
+		for len(ref) > 0 {
+			wid, wkey, _ := ref.popMin()
+			if gid, gkey, gok := h.PopMin(); !gok || gid != wid || gkey != wkey {
+				t.Fatalf("trial %d drain: PopMin = (%d,%v,%v), want (%d,%v)", trial, gid, gkey, gok, wid, wkey)
+			}
+		}
+		if _, _, ok := h.PopMin(); ok {
+			t.Fatalf("trial %d: heap outlived the reference", trial)
+		}
+	}
+}
