@@ -22,10 +22,11 @@ import (
 // settled set B — frozen for the duration, every member at exact distance ≤
 // the forward head key β, every other vertex at ≥ β — and it stops as soon as
 // the caller's question is answered: the exact distance, or the proof that
-// the target cannot enter the interim result. The forward search grows
-// between evaluations, by as many pops as the evaluation just spent
-// (Algorithm 3's 1:1 alternation, amortised). DESIGN.md §4 has the exactness
-// argument.
+// the target cannot enter the interim result. It runs in rounds: a round may
+// settle no more vertices than the forward search has so far, the forward
+// search then grows by as many pops as the round spent (Algorithm 3's 1:1
+// alternation, amortised), and a round that ran out of budget is restarted
+// against the bigger ball. DESIGN.md §4 has the exactness argument.
 type graphDist struct {
 	g        *graph.Graph
 	lm       *landmark.Set
@@ -40,7 +41,15 @@ type graphDist struct {
 	// reverse heuristic and f_k caps the search. Off (Fig. 10's AIS⁻) the
 	// same search runs with β ≡ 0 and no cap.
 	bounded bool
+	// firstRound is a round's budget while the forward search is still
+	// smaller than that: always firstRoundPops outside tests.
+	firstRound int
 }
+
+// firstRoundPops keeps the rounds of a query's first evaluations from being
+// one or two pops long. It is not a knob: pops per query are the same to
+// three digits from 4 to 256 (EXPERIMENTS.md).
+const firstRoundPops = 16
 
 func newGraphDist(g *graph.Graph, lm *landmark.Set, q graph.VertexID, revPool *graph.AStarPool, st *Stats, alpha float64, bounded bool) *graphDist {
 	gd := &graphDist{}
@@ -69,6 +78,7 @@ func (gd *graphDist) reset(g *graph.Graph, lm *landmark.Set, q graph.VertexID,
 	gd.st = st
 	gd.alpha = alpha
 	gd.bounded = bounded
+	gd.firstRound = firstRoundPops
 	// Settle the source immediately so reverse searches can always meet a
 	// non-empty forward tree.
 	gd.advance(1)
@@ -152,43 +162,58 @@ func (gd *graphDist) dist(v graph.VertexID, d, fk float64) (p float64, exact boo
 	if p, ok := gd.known(v); ok {
 		return p, true
 	}
-	beta := gd.beta()
-	if math.IsInf(beta, 1) {
-		// The query's component is fully settled and v is not in it.
-		return graph.Infinity, true
-	}
 	tau := graph.Infinity
 	if gd.bounded {
 		tau = socialThreshold(gd.alpha, d, fk)
-	} else {
-		beta = 0
 	}
-
 	// A realized landmark detour (q→landmark→v) seeds the best-known
-	// distance, letting many reverse searches certify termination after a
-	// handful of pops (an ALT-style strengthening of Algorithm 3).
-	rev := gd.revPool.NewSearch(gd.g, v, gd.hToQ)
-	p, meet := rev.RunToBall(gd.fwd, beta, gd.lm.UpperBound(gd.q, v), tau)
-	pops := rev.Pops()
-	gd.st.SocialPops += pops
-	gd.st.ReversePops += pops
-	exact = p < tau || math.IsInf(tau, 1)
-	if !exact {
-		gd.st.BoundedStops++
-		p = tau
-	} else if meet >= 0 {
-		// Distance caching: record the reverse portion of the shortest path
-		// in T. (The forward portion is already covered by the forward
-		// settled set.) By prefix optimality, every vertex x on the path has
-		// p(v_q, x) = p − g_rev(x).
-		for x := meet; x >= 0; x = rev.ParentOf(x) {
-			if gx, ok := rev.LabelDist(x); ok {
-				gd.pathDist[x] = p - gx
+	// distance μ, letting many reverse searches certify termination after a
+	// handful of pops (an ALT-style strengthening of Algorithm 3). μ is the
+	// length of a real path whichever round found it, so it carries over.
+	mu := gd.lm.UpperBound(gd.q, v)
+	for {
+		beta := gd.beta()
+		if math.IsInf(beta, 1) {
+			// The query's component is fully settled and v is not in it.
+			return graph.Infinity, true
+		}
+		if !gd.bounded {
+			beta = 0
+		}
+		rev := gd.revPool.NewSearch(gd.g, v, gd.hToQ)
+		var meet graph.VertexID
+		var answered bool
+		mu, meet, answered = rev.RunToBall(gd.fwd, beta, mu, tau, max(gd.firstRound, gd.fwd.Pops()))
+		pops := rev.Pops()
+		gd.st.SocialPops += pops
+		gd.st.ReversePops += pops
+		gd.advance(pops)
+		if answered {
+			if mu >= tau && !math.IsInf(tau, 1) {
+				gd.st.BoundedStops++
+				return tau, false
 			}
+			if meet >= 0 {
+				// Distance caching: record the reverse portion of the
+				// shortest path in T. (The forward portion is already covered
+				// by the forward settled set.) By prefix optimality, every
+				// vertex x on the path has p(v_q, x) = p − g_rev(x).
+				for x := meet; x >= 0; x = rev.ParentOf(x) {
+					if gx, ok := rev.LabelDist(x); ok {
+						gd.pathDist[x] = mu - gx
+					}
+				}
+			}
+			return mu, true
+		}
+		// Out of budget against a ball this small. The forward search has
+		// just caught up (the ball at least doubled) and may have swallowed v
+		// itself; if not, ask again.
+		gd.st.GraphDistRestarts++
+		if p, ok := gd.fwd.SettledDist(v); ok {
+			return p, true
 		}
 	}
-	gd.advance(pops)
-	return p, exact
 }
 
 // freshBidirectional is the unshared evaluator of AIS-BID: a fresh

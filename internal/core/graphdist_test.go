@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ssrq/internal/gen"
@@ -284,11 +285,198 @@ func TestPaperOrderingAsPopCounts(t *testing.T) {
 	aisBID, aisFew, aisMinusFew := meanPops(AISBID, queries/4), meanPops(AIS, queries/4), meanPops(AISMinus, queries/4)
 	t.Logf("mean pops/query: AIS %.0f  TSA %.0f  SFA %.0f  AIS⁻ %.0f | first %d queries: AIS-BID %.0f  AIS⁻ %.0f  AIS %.0f",
 		ais, tsa, sfa, aisMinus, queries/4, aisBID, aisMinusFew, aisFew)
+	// Before evaluations ran in rounds this was 1 739.85 (logged as 1740);
+	// with them it is 1 647. Counts repeat exactly, so the ceiling is tight.
+	if ais >= 1700 {
+		t.Errorf("AIS mean pops/query = %.0f, want below 1700: the first evaluation is flooding again", ais)
+	}
 	if !(ais < tsa && tsa < sfa) {
 		t.Errorf("Fig. 8 ordering lost: want AIS < TSA < SFA, got %.0f, %.0f, %.0f", ais, tsa, sfa)
 	}
 	if !(aisMinus > ais && aisBID > aisMinusFew && aisMinusFew > aisFew) {
 		t.Errorf("Fig. 10 ordering lost: want AIS-BID > AIS⁻ > AIS, got %.0f > %.0f > %.0f (AIS⁻ %.0f vs AIS %.0f on all queries)",
 			aisBID, aisMinusFew, aisFew, aisMinus, ais)
+	}
+}
+
+// lastRound replays the budget rule from outside for one dist call that began
+// with the forward search at fwd pops, was restarted restarts times and
+// settled spent reverse vertices in all: every round but the last ran out of
+// budget — that is why it was restarted — so it spent its whole grant and the
+// forward search then grew by as much. It returns what is left for the last
+// round, and that round's grant.
+func lastRound(first, fwd, restarts, spent int) (pops, grant int) {
+	for ; restarts > 0; restarts-- {
+		g := max(first, fwd)
+		spent -= g
+		fwd += g
+	}
+	return spent, max(first, fwd)
+}
+
+// TestGraphDistRoundsStayBalanced is the regression for the first-evaluation
+// flood, as counts: on the fixture of TestPaperOrderingAsPopCounts no round
+// of any evaluation settles more reverse vertices than the forward search had
+// settled when the round began (or the first-round constant), and the two
+// sides stay one pop apart after every call. Candidates arrive in ascending
+// spatial distance, which makes the loop below an exact SSRQ algorithm whose
+// first evaluation faces a ball holding only q.
+func TestGraphDistRoundsStayBalanced(t *testing.T) {
+	ds, err := gen.GowallaPreset.Dataset(5000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(ds, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sn := e.Snapshot()
+	grid := sn.Grid()
+	users := locatedUsers(ds)
+	const queries, k, alpha = 40, 30, 0.3
+	pool := graph.NewAStarPool(ds.NumUsers())
+	type cand struct {
+		v graph.VertexID
+		d float64
+	}
+	cands := make([]cand, 0, len(users))
+	var total Stats
+	worstFirst := 0
+	for i := 0; i < queries; i++ {
+		q := users[i*len(users)/queries]
+		cands = cands[:0]
+		for _, v := range users {
+			if v != q {
+				cands = append(cands, cand{v, grid.Point(v).Dist(grid.Point(q))})
+			}
+		}
+		sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
+		var st Stats
+		gd := newGraphDist(sn.SocialGraph(), sn.Landmarks(), q, pool, &st, alpha, true)
+		r := newTopK(k)
+		for j, c := range cands {
+			if combine(alpha, 0, c.d) >= r.Fk() {
+				break
+			}
+			fwd, rev, restarts := gd.fwd.Pops(), st.ReversePops, st.GraphDistRestarts
+			p, exact := gd.dist(c.v, c.d, r.Fk())
+			spent := st.ReversePops - rev
+			if pops, grant := lastRound(firstRoundPops, fwd, st.GraphDistRestarts-restarts, spent); pops < 0 || pops > grant {
+				t.Fatalf("query %d, evaluation %d: %d reverse pops in %d rounds from a forward ball of %d: the last round spent %d of a grant of %d",
+					q, j, spent, st.GraphDistRestarts-restarts+1, fwd, pops, grant)
+			}
+			if gd.fwd.Pops() != st.ReversePops+1 && !math.IsInf(gd.beta(), 1) {
+				t.Fatalf("query %d, evaluation %d: %d forward pops against %d reverse pops", q, j, gd.fwd.Pops(), st.ReversePops)
+			}
+			if j == 0 {
+				worstFirst = max(worstFirst, spent)
+			}
+			if exact {
+				r.Consider(Entry{ID: c.v, F: combine(alpha, p, c.d), P: p, D: c.d})
+			}
+		}
+		total.Add(st)
+	}
+	t.Logf("%d queries: %d evaluations, %d restarts, %d reverse pops; the costliest first evaluation spent %d",
+		queries, total.GraphDistCalls, total.GraphDistRestarts, total.ReversePops, worstFirst)
+	if total.GraphDistRestarts == 0 {
+		t.Error("no evaluation was ever restarted: the fixture no longer exercises the rounds")
+	}
+}
+
+// TestGraphDistRoundEdgeCases forces one-pop first rounds, so that nearly
+// every evaluation is restarted several times, on graphs with two components
+// and sick landmarks, and holds every answer against a reference Dijkstra.
+func TestGraphDistRoundEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var swallowed, exhausted, carried, tableWrites, boundedStops int
+	for trial := 0; trial < 30; trial++ {
+		n := 40 + rng.Intn(100)
+		var g *graph.Graph
+		var lm *landmark.Set
+		switch trial % 3 {
+		case 0: // every landmark disabled: nothing steers or seeds the reverse search
+			g, lm = churnedWorld(t, rng, n, 3, 1, 40, 0)
+		case 1: // half of them rebuilt
+			g, lm = churnedWorld(t, rng, n, 6, 1, 40, 3)
+		case 2: // healthy landmarks, two components
+			ds := mkDataset(t, rng, n, 0, true)
+			var err error
+			if lm, err = landmark.Select(ds.G, 2+rng.Intn(4), landmark.Farthest, int64(trial)); err != nil {
+				t.Fatal(err)
+			}
+			g = ds.G
+		}
+		pool := graph.NewAStarPool(n)
+		for _, q := range []graph.VertexID{graph.VertexID(rng.Intn(n / 2)), graph.VertexID(n/2 + rng.Intn(n-n/2))} {
+			truth := g.Dijkstra(q).Dist
+			alpha := 0.05 + 0.9*rng.Float64()
+			bounded := rng.Intn(4) > 0 // one in four runs as AIS⁻
+			var st Stats
+			gd := newGraphDist(g, lm, q, pool, &st, alpha, bounded)
+			gd.firstRound = 1
+			for probe := 0; probe < 25; probe++ {
+				v := graph.VertexID(rng.Intn(n))
+				d := rng.Float64()
+				f := combine(alpha, truth[v], d)
+				fk := math.Inf(1)
+				if math.IsInf(f, 1) {
+					if rng.Intn(2) == 0 {
+						fk = 1 + rng.Float64()*4
+					}
+				} else if c := rng.Intn(4); c > 0 {
+					fk = f * []float64{0, 0.6, 1, 1.5}[c]
+				}
+				_, wasKnown := gd.known(v)
+				fwd, rev, restarts, table := gd.fwd.Pops(), st.ReversePops, st.GraphDistRestarts, len(gd.pathDist)
+				got, exact := gd.dist(v, d, fk)
+				restarts = st.GraphDistRestarts - restarts
+				last, grant := lastRound(1, fwd, restarts, st.ReversePops-rev)
+				if last < 0 || last > grant {
+					t.Fatalf("trial %d: %d restarts from a forward ball of %d spent %d reverse pops", trial, restarts, fwd, st.ReversePops-rev)
+				}
+				switch {
+				case exact:
+					if math.Abs(got-truth[v]) > distTol && !(math.IsInf(got, 1) && math.IsInf(truth[v], 1)) {
+						t.Fatalf("trial %d: dist(%d→%d) = %v after %d restarts, want %v", trial, q, v, got, restarts, truth[v])
+					}
+				case !bounded:
+					t.Fatalf("trial %d: unbounded GraphDist stopped at a threshold (v=%d fk=%v)", trial, v, fk)
+				default: // (e)
+					if truth[v] < got-distTol {
+						t.Fatalf("trial %d: dist(%d→%d) claims ≥ %v after %d restarts, truth %v", trial, q, v, got, restarts, truth[v])
+					}
+					if restarts > 0 {
+						boundedStops++
+					}
+				}
+				for x, px := range gd.pathDist { // (d)
+					if math.Abs(px-truth[x]) > distTol {
+						t.Fatalf("trial %d: path table holds p(%d)=%v, truth %v (after v=%d, %d restarts)", trial, x, px, truth[x], v, restarts)
+					}
+				}
+				if restarts == 0 || wasKnown {
+					continue
+				}
+				// A call whose last round is empty ended between two rounds.
+				switch between := last == 0; {
+				case between && exact && gd.fwd.Settled(v): // (a)
+					swallowed++
+				case between && exact && math.IsInf(got, 1) && math.IsInf(gd.beta(), 1): // (b)
+					exhausted++
+				case exact && !math.IsInf(got, 1): // (c)
+					carried++
+					if len(gd.pathDist) > table {
+						tableWrites++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("restarted evaluations: %d swallowed by the ball, %d ended by an exhausted component, %d answered by a later round (%d wrote to T), %d bounded stops",
+		swallowed, exhausted, carried, tableWrites, boundedStops)
+	if swallowed == 0 || exhausted == 0 || carried == 0 || tableWrites == 0 || boundedStops == 0 {
+		t.Error("a round edge case was never exercised")
 	}
 }

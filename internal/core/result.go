@@ -30,6 +30,10 @@ type Stats struct {
 	BoundedStops   int // evaluations GraphDist ended at the f_k threshold, without an exact distance
 	CHQueries      int // contraction-hierarchy point-to-point queries
 	CacheHits      int // §5.4 pre-computed list hits
+	// GraphDistRestarts counts GraphDist rounds after an evaluation's first:
+	// reverse searches that ran out of budget and were started over once the
+	// forward search had caught up.
+	GraphDistRestarts int
 	// LabelCellPrunes counts grid cells a filtered query discarded outright
 	// because the cell's OR'd label mask missed the filter; LabelSkips
 	// counts individual users rejected at admission by the filter.
@@ -64,6 +68,7 @@ func (s *Stats) Add(o Stats) {
 	s.Reinserts += o.Reinserts
 	s.GraphDistCalls += o.GraphDistCalls
 	s.BoundedStops += o.BoundedStops
+	s.GraphDistRestarts += o.GraphDistRestarts
 	s.CHQueries += o.CHQueries
 	s.CacheHits += o.CacheHits
 	s.LabelCellPrunes += o.LabelCellPrunes

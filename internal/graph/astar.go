@@ -119,22 +119,32 @@ func (s *AStarSearch) Expand(v VertexID) {
 // key reaches min(best, limit) or the queue empties, and it drops every push
 // whose key already does; bounds only fall, so every undiscovered path runs
 // through a queued or dropped vertex whose key is ≥ the final min(best, limit).
-// Hence the returned dist is exact when dist < limit, and otherwise the true
-// distance is ≥ limit. meet is the last vertex outside B on the path that
-// realises dist (-1 when dist is still the caller's best): its parent chain
-// back to the source is a shortest path. DESIGN.md §4 has the full argument.
-func (s *AStarSearch) RunToBall(ball *DijkstraIterator, floor, best, limit float64) (dist float64, meet VertexID) {
+// Hence, when answered, the returned dist is exact when dist < limit, and
+// otherwise the true distance is ≥ limit. meet is the last vertex outside B
+// on the path that realises dist (-1 when dist is still the caller's best):
+// its parent chain back to the source is a shortest path.
+//
+// The search settles at most budget vertices. If the question is still open
+// then, answered is false and dist is only what best always is — the length
+// of a real path, or Infinity — which the caller may carry into a new search
+// against a larger ball. DESIGN.md §4 has the full argument.
+func (s *AStarSearch) RunToBall(ball *DijkstraIterator, floor, best, limit float64, budget int) (dist float64, meet VertexID, answered bool) {
 	p := s.p
 	meet = -1
 	bound := min(best, limit)
 	if _, hs, _ := p.heap.PeekMin(); max(hs, floor) >= bound {
-		return best, meet // answered without settling a vertex
+		return best, meet, true // answered without settling a vertex
 	}
+	inBall := ball.settledStamp()
 	for {
 		x, key, ok := p.heap.PeekMin()
 		if !ok || key >= bound {
-			return best, meet
+			return best, meet, true
 		}
+		if budget <= 0 {
+			return best, meet, false
+		}
+		budget--
 		p.heap.PopMin()
 		p.settled[x] = p.epoch
 		s.pops++
@@ -142,7 +152,7 @@ func (s *AStarSearch) RunToBall(ball *DijkstraIterator, floor, best, limit float
 		nbrs, ws := s.g.Neighbors(x)
 		for i, y := range nbrs {
 			nd := gx + ws[i]
-			if ball.settled[y] {
+			if ball.state[y] == inBall {
 				if d := nd + ball.dist[y]; d < best {
 					best, meet = d, x
 					bound = min(best, limit)

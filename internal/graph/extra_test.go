@@ -145,3 +145,72 @@ func TestEstimateDiameterDisconnected(t *testing.T) {
 		t.Fatalf("component diameter = %v, want 3", d)
 	}
 }
+
+// TestIteratorResetStartsClean reuses one iterator across sources, graphs of
+// different sizes and abandoned runs: Reset only moves to a new generation,
+// so nothing a previous run labelled may be visible to the next.
+func TestIteratorResetStartsClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	it := &DijkstraIterator{}
+	for round := 0; round < 40; round++ {
+		n := 20 + rng.Intn(60)
+		g := randomGraph(rng, n, rng.Intn(2*n))
+		src := VertexID(rng.Intn(n))
+		it.Reset(g, src)
+		for v := 0; v < n; v++ {
+			if v := VertexID(v); v != src && (it.Settled(v) || it.TentativeDist(v) != Infinity || it.ParentOf(v) != -1 || it.HopsOf(v) != -1) {
+				t.Fatalf("round %d: vertex %d carries a label into a fresh run", round, v)
+			}
+		}
+		sp := g.Dijkstra(src)
+		stop := rng.Intn(n + 1) // most runs are abandoned part-way
+		for i := 0; i < stop; i++ {
+			v, d, ok := it.Next()
+			if !ok {
+				break
+			}
+			if !almostEq(d, sp.Dist[v]) || it.HopsOf(v) != sp.Hops[v] || it.ParentOf(v) != sp.Parent[v] {
+				t.Fatalf("round %d: settled %d at %v (%d hops, parent %d), want %v (%d hops, parent %d)",
+					round, v, d, it.HopsOf(v), it.ParentOf(v), sp.Dist[v], sp.Hops[v], sp.Parent[v])
+			}
+		}
+	}
+}
+
+// TestRunToBallBudget pins the budget contract: an unanswered search settled
+// exactly its budget and reports the length of a real path (or Infinity); an
+// answered one reports the distance; and more budget never un-answers.
+func TestRunToBallBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 60; trial++ {
+		n := 30 + rng.Intn(50)
+		g := randomGraph(rng, n, rng.Intn(2*n))
+		goal, src := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+		truth := g.Dijkstra(goal).Dist
+		ball := NewDijkstraIterator(g, goal)
+		for i := rng.Intn(n/2) + 1; i > 0; i-- {
+			ball.Next()
+		}
+		if ball.Settled(src) {
+			continue
+		}
+		floor, _ := ball.HeadKey()
+		pool := NewAStarPool(n)
+		wasAnswered := false
+		for budget := 0; budget <= n; budget++ {
+			s := pool.NewSearch(g, src, ZeroHeuristic)
+			got, _, answered := s.RunToBall(ball, floor, Infinity, Infinity, budget)
+			switch {
+			case answered && !almostEq(got, truth[src]):
+				t.Fatalf("trial %d budget %d: answered %v, want %v", trial, budget, got, truth[src])
+			case !answered && (s.Pops() != budget || got < truth[src]-1e-9 || wasAnswered):
+				t.Fatalf("trial %d budget %d: unanswered after %d pops with best %v (truth %v, answered with less: %v)",
+					trial, budget, s.Pops(), got, truth[src], wasAnswered)
+			}
+			wasAnswered = answered
+		}
+		if !wasAnswered {
+			t.Fatalf("trial %d: a budget of n did not answer", trial)
+		}
+	}
+}

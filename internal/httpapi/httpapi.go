@@ -108,6 +108,7 @@ type queryStats struct {
 	IndexUserPops   int  `json:"index_user_pops"`
 	DistCalls       int  `json:"dist_calls"`
 	BoundedStops    int  `json:"bounded_stops,omitempty"`
+	Restarts        int  `json:"graphdist_restarts,omitempty"`
 	LabelCellPrunes int  `json:"label_cell_prunes,omitempty"`
 	LabelSkips      int  `json:"label_skips,omitempty"`
 	FoFTightened    int  `json:"fof_tightened,omitempty"`
@@ -207,6 +208,7 @@ func toQueryResponse(q int32, k int, alpha float64, algo ssrq.Algorithm, res *ss
 			IndexUserPops:   res.Stats.IndexUserPops,
 			DistCalls:       res.Stats.GraphDistCalls,
 			BoundedStops:    res.Stats.BoundedStops,
+			Restarts:        res.Stats.GraphDistRestarts,
 			LabelCellPrunes: res.Stats.LabelCellPrunes,
 			LabelSkips:      res.Stats.LabelSkips,
 			FoFTightened:    res.Stats.FoFTightened,

@@ -76,24 +76,26 @@ func TestQueryHappyPath(t *testing.T) {
 // does not.
 func TestQueryStatsCarryGraphDistCounters(t *testing.T) {
 	s, _, _ := mkServer(t)
-	var reverse, bounded int
+	var reverse, bounded, restarts int
 	for q := 0; q < 20; q++ {
 		rec := do(t, s, "GET", fmt.Sprintf("/query?q=%d&k=5&alpha=0.3&algo=AIS", q), nil)
 		var resp queryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if resp.Stats.ReversePops > resp.Stats.SocialPops || resp.Stats.BoundedStops > resp.Stats.DistCalls {
+		if resp.Stats.ReversePops > resp.Stats.SocialPops || resp.Stats.BoundedStops > resp.Stats.DistCalls ||
+			resp.Stats.Restarts > resp.Stats.ReversePops {
 			t.Fatalf("q=%d: counters exceed their totals: %+v", q, resp.Stats)
 		}
 		reverse += resp.Stats.ReversePops
 		bounded += resp.Stats.BoundedStops
+		restarts += resp.Stats.Restarts
 	}
-	if reverse == 0 || bounded == 0 {
-		t.Fatalf("20 AIS queries reported reverse_pops=%d bounded_stops=%d", reverse, bounded)
+	if reverse == 0 || bounded == 0 || restarts == 0 {
+		t.Fatalf("20 AIS queries reported reverse_pops=%d bounded_stops=%d graphdist_restarts=%d", reverse, bounded, restarts)
 	}
 	rec := do(t, s, "GET", "/query?q=0&k=5&alpha=0.3&algo=brute", nil)
-	for _, key := range []string{"reverse_pops", "bounded_stops"} {
+	for _, key := range []string{"reverse_pops", "bounded_stops", "graphdist_restarts"} {
 		if strings.Contains(rec.Body.String(), key) {
 			t.Errorf("brute-force response carries %q: %s", key, rec.Body)
 		}
