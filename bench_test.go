@@ -390,7 +390,7 @@ func BenchmarkQueriesUnderConcurrentMovers(b *testing.B) {
 						default:
 							id := int32(i % n)
 							p := be.ds.Pts[id] // construction-time coords; stable under moves
-							if err := be.eng.MoveUserAsync(id, spatial.Point{X: 1 - p.X, Y: 1 - p.Y}); err != nil {
+							if err := be.eng.Enqueue(core.Update{ID: id, To: spatial.Point{X: 1 - p.X, Y: 1 - p.Y}}); err != nil {
 								return
 							}
 							i += movers
@@ -417,7 +417,7 @@ func BenchmarkQueriesUnderConcurrentMovers(b *testing.B) {
 // at several shard counts. The home shard runs first and seeds the shared
 // fan-out threshold; remote shards are pruned when their Lemma-2 admission
 // bound cannot beat it, and the survivors tighten the same threshold
-// concurrently. S=1 is the monolith baseline the fan-out overhead is read
+// concurrently. S=1 — no fan-out — is the baseline the overhead is read
 // against.
 func BenchmarkShardedQuery(b *testing.B) {
 	ds, err := gen.GowallaPreset.Dataset(benchSizes["gowalla"], benchSeed)
@@ -477,7 +477,7 @@ func BenchmarkLocationUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id := int32(i % be.ds.NumUsers())
 		p := pts[id]
-		if err := be.eng.MoveUser(id, spatial.Point{X: 1 - p.X, Y: 1 - p.Y}); err != nil {
+		if err := be.eng.ApplyUpdates([]core.Update{{ID: id, To: spatial.Point{X: 1 - p.X, Y: 1 - p.Y}}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -525,7 +525,7 @@ func BenchmarkEdgeUpdateSingle(b *testing.B) {
 		if i%2 == 0 {
 			err = be.eng.AddFriend(u, v, 0.1)
 		} else {
-			err = be.eng.RemoveFriend(u, v)
+			err = be.eng.ApplyUpdates([]core.Update{{Kind: core.OpEdgeRemove, U: u, V: v}})
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -589,9 +589,9 @@ func BenchmarkQueriesUnderEdgeChurn(b *testing.B) {
 			v := (u + 1 + int32(i)%83) % n
 			if u != v {
 				if i%3 == 0 {
-					_ = be.eng.RemoveFriendAsync(u, v)
+					_ = be.eng.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: v})
 				} else {
-					_ = be.eng.AddFriendAsync(u, v, 0.1)
+					_ = be.eng.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: 0.1})
 				}
 			}
 			i++

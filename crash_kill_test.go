@@ -37,6 +37,9 @@ func TestCrashKill9Differential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
+	// The subtest names are pinned by the tier-1 floor list and predate the
+	// single engine: "monolith" is the default shard count (one shard),
+	// "sharded" several — one implementation either way.
 	for _, tc := range []struct {
 		name   string
 		shards int

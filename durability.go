@@ -1,23 +1,27 @@
 package ssrq
 
 // Durability and crash recovery. With Options.Durability set, every world
-// mutation — synchronous or asynchronous moves/removals and edge ops, in
-// both the monolithic and sharded engines — is journaled as a canonical
-// oplog.Record at the layer where its application order is authoritative
-// (the aggregate index / social substrate writer locks for the monolith,
-// the routing stripes for the sharded engine), before it mutates state.
-// Records hold normalized values, so replay bypasses the root API's
-// raw→normalized conversion and feeds the internal ApplyUpdates directly —
-// the exact path live traffic trusts.
+// mutation — synchronous or asynchronous moves/removals and edge ops, for any
+// shard count — is journaled as a canonical oplog.Record at the one layer
+// where its application order is authoritative: the routing stripes of
+// internal/shard. A record is appended when its op is routed and the log is
+// committed (flushed, and fsynced under fsync=batch) under the applying
+// shard's writer lock before the batch containing the op mutates anything,
+// so nothing is visible before it is durable (DESIGN.md §5). Records hold
+// normalized values, so replay bypasses the root API's raw→normalized
+// conversion and feeds the internal ApplyUpdates directly — the exact path
+// live traffic trusts.
 //
 // Checkpoints piggyback on the epoch design: published snapshots are
 // immutable, so serializing one costs queries nothing. A checkpoint is the
 // state DIFF against the construction dataset, expressed as ordinary
-// records, applied through the same path on recovery. The protocol is
+// records, applied through the same path on recovery. The cut
+// (shard.Engine.Checkpoint) is
 //
 //	S := log.LastSeq()     // note the position first
+//	cycle every stripe     // all ops ≤ S enqueued or applied
 //	engine.Flush()         // drain async pipelines: all ops ≤ S applied
-//	diff := ExportDiff()   // capture published state (≥ S)
+//	diff := exportDiff()   // capture published state (≥ S)
 //	WriteCheckpoint(S, diff)
 //
 // and is correct with traffic still flowing because records are absolute
@@ -28,7 +32,6 @@ import (
 	"fmt"
 	"time"
 
-	"ssrq/internal/core"
 	"ssrq/internal/oplog"
 	"ssrq/internal/wal"
 )
@@ -100,8 +103,8 @@ func OpenOrRecover(d *Dataset, opts *Options) (*Engine, *RecoveryInfo, error) {
 const replayChunk = 4096
 
 // attachDurability opens (and recovers from) the WAL, replays it into the
-// freshly built engine, and installs the write-ahead hook. Called from
-// NewEngine before the engine is visible to anyone.
+// freshly built engine, and attaches the log as the engine's journal. Called
+// from NewEngine before the engine is visible to anyone.
 func (e *Engine) attachDurability(d DurabilityOptions) error {
 	if d.Dir == "" {
 		return fmt.Errorf("ssrq: Durability.Dir is required")
@@ -137,7 +140,7 @@ func (e *Engine) attachDurability(d DurabilityOptions) error {
 		Elapsed:        time.Since(start),
 	}
 	// Replay is applied; from here on every mutation is journaled first.
-	e.eng.SetOpLog(e.logWrite)
+	e.eng.AttachLog(log, e.noteJournaled)
 	return nil
 }
 
@@ -161,18 +164,14 @@ func (e *Engine) applyRecords(recs []oplog.Record) error {
 	return nil
 }
 
-// logWrite is the installed write-ahead hook: it runs under the mutation
-// layer's ordering lock, so append order is exactly application order.
-// Append failures are counted in the WAL's stats (the mutation itself has
-// already been accepted; refusing it here would desynchronize the layers).
-func (e *Engine) logWrite(ops []core.Update) {
-	if _, _, err := e.log.Append(oplog.FromOps(ops)); err != nil {
-		return // counted by the log; surfaces via DurabilityStats
-	}
+// noteJournaled counts journaled ops towards the next background checkpoint.
+// It runs under the journaling op's routing stripes, so it only ever hands
+// the cut to a goroutine.
+func (e *Engine) noteJournaled(n int) {
 	if e.ckptEvery <= 0 || e.walClosed.Load() {
 		return
 	}
-	if e.opsSince.Add(int64(len(ops))) < e.ckptEvery {
+	if e.opsSince.Add(int64(n)) < e.ckptEvery {
 		return
 	}
 	if !e.ckptBusy.CompareAndSwap(false, true) {
@@ -195,37 +194,15 @@ func (e *Engine) logWrite(ops []core.Update) {
 // Checkpoint serializes the current published state as a state-diff
 // checkpoint at the current log position and prunes the WAL history it
 // supersedes (unless KeepSegments). Queries are unaffected — the state
-// read is an immutable epoch snapshot. Safe concurrently with traffic.
-//
-// Correctness of the cut: recovery applies the checkpoint then replays the
-// tail from s+1, so the export MUST reflect every op with seq ≤ s (ops > s
-// leaking into the export are harmless — records are absolute writes and
-// the tail re-asserts them). Seqs are assigned by the write-ahead hook
-// under the mutation layer's ordering locks, but the hook fires BEFORE the
-// op is applied and published — reading LastSeq alone could name an op
-// still mid-application whose effect the export would then miss, silently
-// losing it on recovery. MutationBarrier cycles those ordering locks, so
-// every op journaled at or before s has, on return, finished applying
-// (monolith) or at least been enqueued on its shard pipelines (sharded);
-// Flush then drains the async pipelines through to publication, and the
-// export snapshot covers everything ≤ s. No-op error when the engine is
-// not durable.
-//
-// Cuts are serialized: the checkpoint's temp file is named after s alone, so
-// an explicit call racing the background cut (or another explicit call) at
-// the same log position would write and rename one shared temp path, and the
-// loser's rename fails on a file the winner already moved.
+// read is an immutable epoch snapshot. Safe concurrently with traffic and
+// with other cuts, which serialize; see shard.Engine.Checkpoint for why the
+// cut covers every sequence at or below the position it records. An error
+// when the engine is not durable.
 func (e *Engine) Checkpoint() error {
 	if e.log == nil {
 		return fmt.Errorf("ssrq: engine has no durability configured")
 	}
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
-	s := e.log.LastSeq()
-	e.eng.MutationBarrier()
-	e.eng.Flush()
-	diff := e.eng.ExportDiff()
-	return e.log.WriteCheckpoint(s, oplog.FromOps(diff))
+	return e.eng.Checkpoint()
 }
 
 // DurabilityStats is the durable engine's log state (see /stats).

@@ -145,8 +145,11 @@ func requireSameResults(t *testing.T, got, want *Engine, seed int64) {
 // TestCrashRecoveryDifferentialSync drives synchronous ops (one WAL record
 // each), tears the log mid-record at an arbitrary byte, recovers, and
 // compares against a twin that applied exactly the recovered prefix of the
-// driver stream — monolithic and sharded.
+// driver stream — at one shard and at several.
 func TestCrashRecoveryDifferentialSync(t *testing.T) {
+	// The subtest names are pinned by the tier-1 floor list and predate the
+	// single engine: "monolith" is the default shard count (one shard),
+	// "sharded" several — one implementation either way.
 	for _, tc := range []struct {
 		name   string
 		shards int
@@ -224,7 +227,7 @@ func TestCrashRecoveryAsyncChurn(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
-	}{{"monolith", 0}, {"sharded", 3}} {
+	}{{"monolith", 0}, {"sharded", 3}} { // names: see TestCrashRecoveryDifferentialSync
 		t.Run(tc.name, func(t *testing.T) {
 			ds, err := Synthesize("gowalla", 400, 43)
 			if err != nil {

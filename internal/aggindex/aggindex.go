@@ -23,9 +23,9 @@
 //
 // The social dimension — the mutable edge overlay and the dynamic landmark
 // tables — lives in a Social substrate (see substrate.go) that an Index
-// *consumes* rather than owns. NewShared attaches to an existing substrate:
-// the monolithic engine's private one, or the one a sharded deployment's S
-// spatial indexes all run over as ONE social world. Every edge op is applied
+// *consumes* rather than owns. NewShared attaches to an existing substrate —
+// the one an engine's S ≥ 1 per-shard spatial indexes all run over as ONE
+// social world. Every edge op is applied
 // once, and the substrate synchronously pushes each new social epoch into
 // every consumer, which re-derives exactly the cell summaries the op
 // invalidated and republishes. Every published Snapshot therefore still pairs
@@ -290,12 +290,11 @@ type Index struct {
 	notifyMoved  []int32
 	notifySocial bool
 
-	// oplogFn, when set, receives every location batch under mu immediately
-	// before it is applied — the write-ahead hook for the durability layer.
-	// Batches arrive post-coalesce (this is where the async updater lands),
-	// so the logged stream is exactly the applied stream, in application
-	// order. Single consumer; must be cheap and must not call back in.
-	oplogFn func([]Op)
+	// commit, when set, runs under mu immediately before a location batch
+	// mutates anything — the durability layer's pre-apply barrier (see
+	// SetCommitBarrier). It carries no records: the journal is written where
+	// the op order is decided, above the index.
+	commit func()
 }
 
 // EpochDelta describes what one published epoch changed: the users whose
@@ -319,35 +318,16 @@ func (ix *Index) SetNotify(fn func(EpochDelta)) {
 	ix.mu.Unlock()
 }
 
-// SetOpLog installs the write-ahead hook: fn receives every location batch
-// under the writer lock right before it mutates the grid, and — when this
-// index fronts a social substrate — every edge batch under the substrate's
-// writer lock likewise (single consumer each; nil detaches). Only the
-// monolithic engine hooks here; the sharded engine logs at its routing
-// layer, where the per-user order is authoritative across shards.
-func (ix *Index) SetOpLog(fn func([]Op)) {
+// SetCommitBarrier installs fn to run under the writer lock right before
+// every location batch mutates the grid (single consumer; nil detaches). A
+// durable engine journals each op when it routes it and makes the journal
+// durable here, so no batch becomes visible before its records are; the
+// substrate has the same barrier for edge batches (Social.SetCommitBarrier).
+// Must not call back into the index.
+func (ix *Index) SetCommitBarrier(fn func()) {
 	ix.mu.Lock()
-	ix.oplogFn = fn
+	ix.commit = fn
 	ix.mu.Unlock()
-	if ix.sub != nil {
-		ix.sub.SetOpLog(fn)
-	}
-}
-
-// MutationBarrier returns once every mutation that had already reached the
-// op-log hook when the call began has finished applying and publishing.
-// Ops are journaled under the same writer locks that apply them (ix.mu for
-// location batches, the substrate lock for edge batches), so cycling those
-// locks is a complete barrier: any op journaled before the call either
-// released its lock — fully published — or holds it and we wait. The
-// checkpointer relies on this to make the exported state cover every
-// sequence number at or below the position it records.
-func (ix *Index) MutationBarrier() {
-	ix.mu.Lock()
-	ix.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-	if ix.sub != nil {
-		ix.sub.MutationBarrier()
-	}
 }
 
 // Config tunes the social substrate built by NewSocialSubstrate.
@@ -670,8 +650,8 @@ func (ix *Index) Apply(ops []Op) {
 		return
 	}
 	ix.mu.Lock()
-	if ix.oplogFn != nil {
-		ix.oplogFn(locs)
+	if ix.commit != nil {
+		ix.commit()
 	}
 	for _, op := range locs {
 		ix.applyOne(op)

@@ -89,10 +89,9 @@ type Social struct {
 	// Edge-op counters (mu-guarded; exposed via Stats).
 	edgeAdds, edgeRemoves, edgeReweights, edgeNoops int64
 
-	// oplogFn, when set, receives every edge batch under mu before it is
-	// applied — the write-ahead hook for the durability layer. Single
-	// consumer; installed via Index.SetOpLog on the fronting index.
-	oplogFn func([]Op)
+	// commit, when set, runs under mu before an edge batch is applied — the
+	// durability layer's pre-apply barrier (see Index.SetCommitBarrier).
+	commit func()
 
 	// Asynchronous landmark rebuild machinery: at most one loop at a time,
 	// re-kicked by ApplyEdges while debt remains, with the rate-limited
@@ -160,21 +159,12 @@ func NewSocialSubstrate(lm *landmark.Set, g *graph.Graph, cfg Config) (*Social, 
 // Snapshot returns the latest published social epoch (lock-free).
 func (s *Social) Snapshot() *SocialSnapshot { return s.published.Load() }
 
-// SetOpLog installs the write-ahead hook for edge batches (single
-// consumer; nil detaches). See Index.SetOpLog.
-func (s *Social) SetOpLog(fn func([]Op)) {
+// SetCommitBarrier installs the pre-apply barrier for edge batches (single
+// consumer; nil detaches). See Index.SetCommitBarrier.
+func (s *Social) SetCommitBarrier(fn func()) {
 	s.mu.Lock()
-	s.oplogFn = fn
+	s.commit = fn
 	s.mu.Unlock()
-}
-
-// MutationBarrier waits out any edge batch that is mid-application: edge
-// ops journal and publish under s.mu, so cycling it guarantees every batch
-// that had reached the op-log hook before the call is published on return.
-// See Index.MutationBarrier.
-func (s *Social) MutationBarrier() {
-	s.mu.Lock()
-	s.mu.Unlock() //nolint:staticcheck // empty critical section is the point
 }
 
 // Landmarks returns the construction-time landmark set (live tables come
@@ -244,10 +234,8 @@ func (s *Social) ApplyEdges(ops []Op) {
 		return
 	}
 	s.mu.Lock()
-	if s.oplogFn != nil {
-		// Callers pass edge-only batches (Index.Apply splits kinds); log
-		// before applying so the durable order is the application order.
-		s.oplogFn(ops)
+	if s.commit != nil {
+		s.commit()
 	}
 	var dirty []graph.VertexID
 	effective := false

@@ -91,7 +91,7 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 			st.LabelCellPrunes++
 			continue
 		}
-		dLow := layout.CellRect(0, idx).MinDist(qpt)
+		dLow := layout.CellMinDist(0, idx, qpt)
 		if key := combine(alpha, p.cellLow[idx], dLow); finite(key) {
 			h.Push(key, aisTie(0, idx), aisItem{0, idx})
 		}
@@ -117,7 +117,7 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 					continue
 				}
 				pLow := sn.SocialLowerBound(level+1, c, qvec)
-				dLow := layout.CellRect(level+1, c).MinDist(qpt)
+				dLow := layout.CellMinDist(level+1, c, qpt)
 				if key := combine(alpha, pLow, dLow); finite(key) {
 					h.Push(key, aisTie(int16(level+1), c), aisItem{int16(level + 1), c})
 				}

@@ -67,7 +67,7 @@ func TestEdgeOpAllocBudget(t *testing.T) {
 	ds := mkDataset(t, rng, 600, 0.1, false)
 	e := mkEngine(t, ds, Options{Seed: 272})
 	defer e.Close()
-	if !e.SupportsEdgeChurn() {
+	if !e.AggIndex().SupportsEdgeChurn() {
 		t.Skip("engine built without edge churn support")
 	}
 

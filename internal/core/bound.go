@@ -17,7 +17,7 @@ import (
 // an upper bound on the merged result's kth value — the merged set contains
 // those k users. Consumers apply the bound with *strict* semantics (see
 // topK.Fk): entries tying the bound are still reported, so ID tiebreaks
-// survive and the merged result stays bit-identical to the monolith's.
+// survive and the merged result stays bit-identical to a single index's.
 //
 // The zero value is unusable; construct with NewSharedBound. All methods are
 // safe for concurrent use: the float is stored as its IEEE-754 bits in an

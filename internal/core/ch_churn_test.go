@@ -38,7 +38,7 @@ func TestCloseMidRebuildStopsBackgroundWork(t *testing.T) {
 					if i%2 == 0 {
 						_ = e.AddFriend(u, v, 0.1+rng.Float64())
 					} else {
-						_ = e.RemoveFriendAsync(u, v) // may fail after Close: fine
+						_ = removeFriendAsync(e, u, v) // may fail after Close: fine
 					}
 				}
 			}()
@@ -102,7 +102,7 @@ func TestSustainedChurnLandmarkRecovery(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					_ = e.AddFriend(u, v, 0.1+rng.Float64())
 				} else {
-					_ = e.RemoveFriend(u, v)
+					_ = removeFriend(e, u, v)
 				}
 			}
 		}()

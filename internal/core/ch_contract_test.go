@@ -14,7 +14,7 @@ import (
 )
 
 // TestChurnInterleavedCHEquivalence is the *-CH contract as a property, on
-// the monolithic engine and on 3 shards. The hierarchy contracts the
+// the single-index reference (a bare core.Engine) and on 3 shards. The hierarchy contracts the
 // construction graph and is never maintained, so SFA-CH/SPA-CH/TSA-CH equal a
 // from-scratch oracle while the social epoch is 0 — at construction and
 // through random interleaved location churn (sync and async) mixed with edge
@@ -49,7 +49,7 @@ func TestChurnInterleavedCHEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s3.Close()
-			engines := map[string]queryEngine{"mono": mono, "shard-3": s3}
+			engines := map[string]queryEngine{"single-index": mono, "S=3": s3}
 			apply := func(up core.Update) {
 				t.Helper()
 				for _, e := range engines {
@@ -84,7 +84,7 @@ func TestChurnInterleavedCHEquivalence(t *testing.T) {
 						apply(core.Update{ID: id, To: to})
 					default:
 						for _, e := range engines {
-							if err := e.MoveUserAsync(id, to); err != nil {
+							if err := moveUserAsync(e, id, to); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -98,11 +98,11 @@ func TestChurnInterleavedCHEquivalence(t *testing.T) {
 				}
 				for probe := 0; probe < 3; probe++ {
 					q := users[rng.Intn(len(users))]
-					if _, ok := mono.UserLocation(int32(q)); !ok {
+					if _, ok := userLocation(mono, int32(q)); !ok {
 						continue
 					}
 					prm := core.Params{K: 1 + rng.Intn(8), Alpha: 0.05 + 0.9*rng.Float64()}
-					want := oracleEntries(n, model, mono.UserLocation, q, prm)
+					want := oracleEntries(n, model, locator(mono), q, prm)
 					for name, e := range engines {
 						for _, algo := range chAlgos {
 							got, err := e.Query(algo, q, prm)
@@ -117,7 +117,7 @@ func TestChurnInterleavedCHEquivalence(t *testing.T) {
 
 			q := graph.VertexID(-1)
 			for _, u := range users {
-				if _, ok := mono.UserLocation(int32(u)); ok {
+				if _, ok := userLocation(mono, int32(u)); ok {
 					q = u
 					break
 				}

@@ -90,9 +90,9 @@ func TestConcurrentQueryMoveStress(t *testing.T) {
 				u := movable[mrng.Intn(len(movable))]
 				switch mrng.Intn(4) {
 				case 0:
-					e.RemoveUserLocation(int32(u)) //errok random churn over valid users; cannot fail
+					removeUserLocation(e, int32(u)) //errok random churn over valid users; cannot fail
 				default:
-					e.MoveUser(int32(u), spatial.Point{X: mrng.Float64(), Y: mrng.Float64()}) //errok finite in-range coords; cannot fail
+					moveUser(e, int32(u), spatial.Point{X: mrng.Float64(), Y: mrng.Float64()}) //errok finite in-range coords; cannot fail
 				}
 				movesDone.Add(1)
 			}
@@ -175,7 +175,7 @@ func TestConcurrentBatchesAndMoves(t *testing.T) {
 				return
 			default:
 				u := users[len(users)/2+mrng.Intn(len(users)/2)]
-				e.MoveUser(int32(u), spatial.Point{X: mrng.Float64(), Y: mrng.Float64()}) //errok finite in-range coords; cannot fail
+				moveUser(e, int32(u), spatial.Point{X: mrng.Float64(), Y: mrng.Float64()}) //errok finite in-range coords; cannot fail
 			}
 		}
 	}()

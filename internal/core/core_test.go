@@ -480,7 +480,7 @@ func TestMoveUserChangesResults(t *testing.T) {
 	if outsider < 0 {
 		t.Skip("no outsider available")
 	}
-	if err := e.MoveUser(outsider, e.ds.Pts[q]); err != nil {
+	if err := moveUser(e, outsider, e.ds.Pts[q]); err != nil {
 		t.Fatal(err)
 	}
 	after, err := e.Query(AIS, q, prm)
@@ -512,7 +512,7 @@ func TestRemoveLocationExcludesUser(t *testing.T) {
 		t.Skip("empty result")
 	}
 	victim := before.Entries[0].ID
-	if err := e.RemoveUserLocation(victim); err != nil {
+	if err := removeUserLocation(e, victim); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := e.Query(AIS, q, prm)
@@ -521,6 +521,49 @@ func TestRemoveLocationExcludesUser(t *testing.T) {
 	}
 	want, _ := e.Query(BruteForce, q, prm)
 	sameRanking(t, "AIS-after-remove", after, want)
+}
+
+// TestMovesOffTheGridStayExact: the grid clamps a point outside the
+// construction-time bounds into a border cell, so every cell-level spatial
+// bound must treat border cells as running outward without limit
+// (Layout.CellMinDist). Measured against the cell's own rectangle the bound
+// overestimates the distance to such a user, and every search driven by cell
+// bounds loses them — identically in both twins of a differential test, so
+// only a by-definition oracle sees it.
+func TestMovesOffTheGridStayExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	ds := mkDataset(t, rng, 200, 0.1, false)
+	e := mkEngine(t, ds, Options{})
+	b := ds.Bounds()
+	users := locatedUsers(ds)
+	// A third of the population leaves the bounding box, on every side and
+	// past every corner, by up to its own width.
+	for i, u := range users {
+		if i%3 != 0 {
+			continue
+		}
+		dx := (rng.Float64()*3 - 1) * b.Width()
+		dy := (rng.Float64()*3 - 1) * b.Height()
+		if err := moveUser(e, u, spatial.Point{X: b.MinX + dx, Y: b.MinY + dy}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range users[:40] {
+		for _, alpha := range []float64{0.1, 0.4, 0.8} {
+			prm := Params{K: 8, Alpha: alpha}
+			want, err := e.Query(BruteForce, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range allNonCHAlgorithms {
+				got, err := e.Query(algo, q, prm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRanking(t, fmt.Sprintf("%v q=%d α=%.1f", algo, q, alpha), got, want)
+			}
+		}
+	}
 }
 
 func TestResultAccessors(t *testing.T) {

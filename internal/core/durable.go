@@ -6,54 +6,13 @@ import (
 	"ssrq/internal/spatial"
 )
 
-// SetOpLog installs the durability layer's write-ahead hook: fn receives
-// every applied update batch (location batches under the index writer lock,
-// edge batches under the substrate writer lock) in application order.
-// Because the hook sits at Index.Apply — after the async updater's
-// coalescing — the logged stream is exactly what mutated the world. Single
-// consumer; nil detaches. Replay must NOT go through a hooked engine's
-// async path only; use ApplyUpdates, which funnels into the same Apply.
-func (e *Engine) SetOpLog(fn func(ops []Update)) {
-	e.agg.SetOpLog(fn)
-}
-
-// MutationBarrier returns once every mutation that had reached the op-log
-// hook when the call began is applied and published; combined with Flush it
-// lets the checkpointer export a state that provably covers every journaled
-// sequence number it claims. See aggindex.Index.MutationBarrier.
-func (e *Engine) MutationBarrier() {
-	e.agg.MutationBarrier()
-}
-
-// ExportDiff returns the update batch that transforms a freshly built
-// engine over the same construction dataset into this engine's currently
-// published state — the checkpoint payload. Callers wanting a consistent
-// cut against the op-log should Flush() first (drain the async pipeline)
-// after noting the log position; overlap past that position is harmless
-// because updates are absolute writes.
-func (e *Engine) ExportDiff() []Update {
-	sn := e.agg.Snapshot()
-	g := sn.Grid()
-	locate := func(id int32) (spatial.Point, bool) {
-		if !g.Located(id) {
-			return spatial.Point{}, false
-		}
-		return g.Point(id), true
-	}
-	var cur *graph.Graph
-	if e.SupportsEdgeChurn() {
-		cur = sn.SocialGraph()
-	}
-	return StateDiff(e.ds, locate, cur)
-}
-
 // StateDiff computes the updates that carry a fresh engine over ds to the
 // state described by locate (per-user current position, false = unlocated)
 // and cur (current social graph; nil = unchanged from construction):
 // moves for users whose position changed or appeared, removals for users
 // located at construction but not now, edge upserts for new or reweighted
-// edges, and edge removals for construction edges now absent. Shared by
-// the monolithic and sharded engines' checkpoint exports.
+// edges, and edge removals for construction edges now absent — the
+// checkpoint payload (see shard.Engine.Checkpoint).
 func StateDiff(ds *dataset.Dataset, locate func(id int32) (spatial.Point, bool), cur *graph.Graph) []Update {
 	n := ds.NumUsers()
 	var out []Update

@@ -95,8 +95,8 @@ type Options struct {
 	// CacheT is the t of §5.4: how many socially-nearest users the
 	// pre-computation list holds per query user (default 1000).
 	CacheT int
-	// UpdateQueueCap bounds the asynchronous update queue fed by
-	// MoveUserAsync; a full queue applies backpressure (default 4096).
+	// UpdateQueueCap bounds the asynchronous update queue fed by Enqueue; a
+	// full queue applies backpressure (default 4096).
 	UpdateQueueCap int
 	// UpdateMaxBatch caps how many queued updates the updater coalesces
 	// into one published epoch (default 256).
@@ -113,28 +113,13 @@ type Options struct {
 	// churn: at most one forced install event per interval (default 2s;
 	// negative disables forced installs).
 	ForcedInstallInterval time.Duration
-	// RebalanceThreshold is the occupancy imbalance (max shard population
-	// over mean) past which the sharded engine re-cuts its Z-order partition
-	// online (default 1.6; negative disables automatic rebalancing). Ignored
-	// by monolithic engines.
-	RebalanceThreshold float64
-	// RebalanceDrainBatch is how many leaf cells one rebalance pass migrates
-	// per stripe-lock acquisition (default 8); smaller batches shorten each
-	// writer stall, larger ones finish the re-cut sooner. Ignored by
-	// monolithic engines.
-	RebalanceDrainBatch int
 }
 
 // WithDefaults returns a copy with every zero field replaced by its default.
-// Compositions that must agree with an engine's derived geometry (the
-// sharded engine's partition layout, for one) resolve the options the same
-// way NewEngine will before deriving anything from them.
+// Compositions that must agree with an engine's derived geometry (the routed
+// engine's partition layout, for one) resolve the options the same way the
+// constructors here do before deriving anything from them.
 func (o Options) WithDefaults() Options {
-	o.setDefaults()
-	return o
-}
-
-func (o *Options) setDefaults() {
 	if o.GridS == 0 {
 		o.GridS = 10
 	}
@@ -153,12 +138,7 @@ func (o *Options) setDefaults() {
 	if o.UpdateMaxBatch == 0 {
 		o.UpdateMaxBatch = 256
 	}
-	if o.RebalanceThreshold == 0 {
-		o.RebalanceThreshold = 1.6
-	}
-	if o.RebalanceDrainBatch == 0 {
-		o.RebalanceDrainBatch = 8
-	}
+	return o
 }
 
 // Update is one world update routed through the engine: a location op — a
@@ -180,9 +160,14 @@ const (
 // published atomically as one immutable snapshot) with a single atomic
 // pointer read and runs entirely against it, so location updates never block
 // queries and every query observes one consistent version of the world.
-// Updates go through the synchronous MoveUser/ApplyUpdates (one published
-// epoch per call) or the asynchronous MoveUserAsync pipeline, which
-// coalesces queued moves into batched epochs (see Updater).
+// Updates go through the synchronous ApplyUpdates (one published epoch per
+// call) or the asynchronous Enqueue pipeline, which coalesces queued updates
+// into batched epochs (see Updater).
+//
+// An Engine is one spatial index over a social substrate: the per-shard worker
+// of the routed shard.Engine the public API serves from, and — on its own,
+// over the whole dataset — the single-index reference the differential tests
+// and the benchmark's layer probes compare against.
 type Engine struct {
 	ds    *dataset.Dataset
 	lm    *landmark.Set
@@ -238,7 +223,7 @@ type queryPools struct {
 // contraction hierarchy. NewEngine owns one privately; the sharded engine
 // shares one across its shards.
 func NewSubstrate(ds *dataset.Dataset, opts Options) (*aggindex.Social, error) {
-	opts.setDefaults()
+	opts = opts.WithDefaults()
 	if ds == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
@@ -286,7 +271,7 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 // op applies once. Closing the engine never closes the substrate; the
 // substrate's owner outlives and tears it down.
 func NewEngineWithSubstrate(ds *dataset.Dataset, opts Options, sub *aggindex.Social) (*Engine, error) {
-	opts.setDefaults()
+	opts = opts.WithDefaults()
 	if ds == nil {
 		return nil, fmt.Errorf("core: nil dataset")
 	}
@@ -343,12 +328,6 @@ func (e *Engine) Grid() *spatial.Grid { return e.grid }
 // AggIndex returns the AIS aggregate index.
 func (e *Engine) AggIndex() *aggindex.Index { return e.agg }
 
-// OnEpoch installs the epoch-delta callback (single consumer; nil
-// detaches). The callback runs on the publishing goroutine under the
-// index writer lock — it must be cheap and must not call back into the
-// engine. See aggindex.SetNotify.
-func (e *Engine) OnEpoch(fn func(aggindex.EpochDelta)) { e.agg.SetNotify(fn) }
-
 // Snapshot returns the current index epoch: grid membership, coordinates
 // and AIS summaries as one immutable, lock-free view.
 func (e *Engine) Snapshot() *aggindex.Snapshot { return e.agg.Snapshot() }
@@ -391,31 +370,6 @@ func (e *Engine) ValidateUpdate(u Update) error {
 	default:
 		return fmt.Errorf("core: unknown update kind %d", u.Kind)
 	}
-}
-
-// MoveUser relocates a user (normalized coordinates), maintaining both the
-// plain grid and the AIS summaries, and publishes the change as one epoch
-// before returning (read-your-writes). Never blocks queries. For sustained
-// churn prefer MoveUserAsync or ApplyUpdates, which amortize the per-epoch
-// copy-on-write cost across a batch.
-func (e *Engine) MoveUser(id int32, to spatial.Point) error {
-	u := Update{ID: id, To: to}
-	if err := e.ValidateUpdate(u); err != nil {
-		return err
-	}
-	e.agg.Apply([]Update{u})
-	return nil
-}
-
-// RemoveUserLocation drops a user's location and publishes the change as
-// one epoch. Never blocks queries.
-func (e *Engine) RemoveUserLocation(id int32) error {
-	u := Update{ID: id, Remove: true}
-	if err := e.ValidateUpdate(u); err != nil {
-		return err
-	}
-	e.agg.Apply([]Update{u})
-	return nil
 }
 
 // ApplyUpdates validates and applies a batch of updates as a single
@@ -553,10 +507,6 @@ type SocialStats = aggindex.SocialStats
 // SocialStats reports the social dimension's counters.
 func (e *Engine) SocialStats() SocialStats { return e.agg.SocialStats() }
 
-// SupportsEdgeChurn reports whether the engine accepts edge updates (false
-// when the landmark count exceeds what dynamic maintenance supports).
-func (e *Engine) SupportsEdgeChurn() bool { return e.agg.SupportsEdgeChurn() }
-
 // RebuildLandmarks synchronously restores any landmarks disabled by
 // over-budget repairs (normally the background rebuild handles this; the
 // synchronous form gives tests and operators a determinism knob). Returns
@@ -577,68 +527,14 @@ func (e *Engine) AddFriend(u, v int32, w float64) error {
 	return nil
 }
 
-// RemoveFriend deletes the undirected friendship (u,v) (a no-op when
-// absent) and publishes the change as one epoch. Never blocks queries.
-func (e *Engine) RemoveFriend(u, v int32) error {
-	op := Update{Kind: aggindex.OpEdgeRemove, U: u, V: v}
-	if err := e.ValidateUpdate(op); err != nil {
-		return err
-	}
-	e.agg.Apply([]Update{op})
-	return nil
-}
-
-// AddFriendAsync enqueues an edge upsert on the update pipeline (shared
-// with location updates: one stream, one Flush barrier). Redundant ops for
-// the same unordered pair coalesce to the newest.
-func (e *Engine) AddFriendAsync(u, v int32, w float64) error {
-	op := Update{Kind: aggindex.OpEdgeUpsert, U: u, V: v, W: w}
-	if err := e.ValidateUpdate(op); err != nil {
-		return err
-	}
-	return e.ensureUpdater().enqueue(op)
-}
-
-// RemoveFriendAsync enqueues an edge removal on the update pipeline.
-func (e *Engine) RemoveFriendAsync(u, v int32) error {
-	op := Update{Kind: aggindex.OpEdgeRemove, U: u, V: v}
-	if err := e.ValidateUpdate(op); err != nil {
-		return err
-	}
-	return e.ensureUpdater().enqueue(op)
-}
-
-// UserLocation returns a user's current (normalized) coordinates as of the
-// latest published epoch; ok is false when unknown or out of range.
-func (e *Engine) UserLocation(id int32) (spatial.Point, bool) {
-	g := e.agg.Snapshot().Grid()
-	if id < 0 || int(id) >= g.NumUsers() || !g.Located(id) {
-		return spatial.Point{}, false
-	}
-	return g.Point(id), true
-}
-
 // NumLocated returns how many users have an indexed location in the latest
 // published epoch.
 func (e *Engine) NumLocated() int { return e.agg.Snapshot().Grid().NumLocated() }
-
-// LiveSocialGraph returns the social graph of the latest published epoch.
-func (e *Engine) LiveSocialGraph() *graph.Graph { return e.agg.Snapshot().SocialGraph() }
 
 // FoFIndex returns the friends-of-friends bound index. Its floors are monotone
 // non-increasing, so bounds derived from them stay admissible against any
 // published snapshot.
 func (e *Engine) FoFIndex() *fof.Index { return e.fof }
-
-// SpatialKNN returns the k spatially-nearest located users to q, excluding q
-// itself (a pure one-domain query). Lock-free against the latest epoch.
-func (e *Engine) SpatialKNN(q int32, k int) ([]spatial.Neighbor, error) {
-	g := e.agg.Snapshot().Grid()
-	if q < 0 || int(q) >= g.NumUsers() || !g.Located(q) {
-		return nil, fmt.Errorf("core: user %d has no known location", q)
-	}
-	return g.KNN(g.Point(q), k, func(id int32) bool { return id == q }), nil
-}
 
 func (e *Engine) getPools() *queryPools  { return e.pools.Get().(*queryPools) }
 func (e *Engine) putPools(p *queryPools) { e.pools.Put(p) }

@@ -1,5 +1,5 @@
 // Differential equivalence for attribute-filtered queries: one randomized
-// interleaved stream of moves and edge ops replays into a monolithic engine,
+// interleaved stream of moves and edge ops replays into the single-index reference (a bare core.Engine),
 // a 1-shard engine and an 8-shard engine built over a labeled dataset; after
 // every Flush all three must agree — for several filters per probe — with an
 // independent brute oracle that applies the filter by definition (skip every
@@ -116,7 +116,7 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 			}
 			defer s8.Close()
 			engines := []queryEngine{mono, s1, s8}
-			names := []string{"mono", "shard-1", "shard-8"}
+			names := []string{"single-index", "S=1", "S=8"}
 
 			model := seedEdgeModel(ds)
 			users := locatedIDs(ds)
@@ -136,7 +136,7 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 						}
 						w := 0.05 + rng.Float64()
 						for _, e := range engines {
-							if err := e.AddFriendAsync(u, v, w); err != nil {
+							if err := addFriendAsync(e, u, v, w); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -147,7 +147,7 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 							continue
 						}
 						for _, e := range engines {
-							if err := e.RemoveFriendAsync(u, v); err != nil {
+							if err := removeFriendAsync(e, u, v); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -155,7 +155,7 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 					case 3: // location removal
 						id := int32(users[rng.Intn(len(users))])
 						for _, e := range engines {
-							if err := e.RemoveUserLocationAsync(id); err != nil {
+							if err := removeUserLocationAsync(e, id); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -163,7 +163,7 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 						id := int32(users[rng.Intn(len(users))])
 						to := spatial.Point{X: b.MinX + rng.Float64()*b.Width(), Y: b.MinY + rng.Float64()*b.Height()}
 						for _, e := range engines {
-							if err := e.MoveUserAsync(id, to); err != nil {
+							if err := moveUserAsync(e, id, to); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -175,12 +175,12 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 
 				for probe := 0; probe < 3; probe++ {
 					q := users[rng.Intn(len(users))]
-					if _, ok := mono.UserLocation(int32(q)); !ok {
+					if _, ok := userLocation(mono, int32(q)); !ok {
 						continue
 					}
 					for _, filter := range filters {
 						prm := core.Params{K: 1 + rng.Intn(10), Alpha: 0.05 + 0.9*rng.Float64(), Filter: filter}
-						want := filteredOracleEntries(n, model, mono.UserLocation, ds.Labels, q, prm)
+						want := filteredOracleEntries(n, model, locator(mono), ds.Labels, q, prm)
 						if filter == 1<<62 && len(want) != 0 {
 							t.Fatalf("oracle found users carrying the reserved probe label")
 						}
@@ -210,7 +210,7 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 								if err != nil {
 									t.Fatal(err)
 								}
-								assertExactMatch(t, fmt.Sprintf("round %d %s vs mono q=%d filter=%#x", round, names[ei], q, filter), got.Entries, ref.Entries)
+								assertExactMatch(t, fmt.Sprintf("round %d %s vs single-index q=%d filter=%#x", round, names[ei], q, filter), got.Entries, ref.Entries)
 							}
 						}
 					}

@@ -1,11 +1,11 @@
 // Metamorphic and differential test harness for the SSRQ engines. It lives
-// in package core_test (not core) so it can drive the monolithic
-// core.Engine and the spatially-partitioned shard.Engine through one
-// interface and hold them to identical behaviour — the correctness story of
-// the sharded fan-out is exactly this file.
+// in package core_test (not core) so it can drive a bare core.Engine — the
+// single-index reference, no routing layer — and the routed shard.Engine the
+// public API serves from through one interface and hold them to identical
+// behaviour: the correctness story of the fan-out is exactly this file.
 //
-// Three property families run against every algorithm and both engine
-// flavors, under interleaved location/edge churn:
+// Three property families run against every algorithm, the reference and the
+// routed engine, under interleaved location/edge churn:
 //
 //   - k-prefix: the top-k result is a prefix of the top-(k+1) result.
 //   - α-consistency ("λ-monotonicity"): reported scores decompose as
@@ -18,7 +18,7 @@
 //     a mid-relocation user visible in two shards).
 //
 // The differential churn test replays one randomized interleaved op stream
-// into a monolithic engine, a 1-shard engine and an 8-shard engine, and
+// into the single-index reference, a 1-shard engine and an 8-shard engine, and
 // requires all three to agree exactly (IDs and scores) after every Flush —
 // and to match a brute-force oracle rebuilt from scratch on an independently
 // maintained edge model.
@@ -45,20 +45,30 @@ type queryEngine interface {
 	Query(algo core.Algorithm, q graph.VertexID, prm core.Params) (*core.Result, error)
 	QueryBatch(queries []core.BatchQuery, workers int) []core.BatchResult
 	ApplyUpdates(ops []core.Update) error
-	MoveUserAsync(id int32, to spatial.Point) error
-	RemoveUserLocationAsync(id int32) error
-	AddFriendAsync(u, v int32, w float64) error
-	RemoveFriendAsync(u, v int32) error
+	Enqueue(op core.Update) error
 	Flush()
 	Close()
 	RebuildLandmarks() int
-	UserLocation(id int32) (spatial.Point, bool)
 }
 
 var (
 	_ queryEngine = (*core.Engine)(nil)
 	_ queryEngine = (*shard.Engine)(nil)
 )
+
+// userLocation reads a user's position from the single-index reference's
+// published snapshot.
+func userLocation(e *core.Engine, id int32) (spatial.Point, bool) {
+	g := e.Snapshot().Grid()
+	if !g.Located(id) {
+		return spatial.Point{}, false
+	}
+	return g.Point(id), true
+}
+
+func locator(e *core.Engine) func(int32) (spatial.Point, bool) {
+	return func(id int32) (spatial.Point, bool) { return userLocation(e, id) }
+}
 
 // metaAlgorithms are the churn-serving algorithms the properties cover.
 var metaAlgorithms = []core.Algorithm{
@@ -235,7 +245,7 @@ func TestMetamorphicProperties(t *testing.T) {
 	engines := []struct {
 		name string
 		e    queryEngine
-	}{{"mono", mono}, {"sharded-4", sharded}}
+	}{{"single-index", mono}, {"S=4", sharded}}
 
 	users := locatedIDs(ds)
 	b := ds.Bounds()
@@ -256,7 +266,7 @@ func TestMetamorphicProperties(t *testing.T) {
 					}
 					w := 0.05 + rng.Float64()
 					for _, eng := range engines {
-						if err := eng.e.AddFriendAsync(u, v, w); err != nil {
+						if err := addFriendAsync(eng.e, u, v, w); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -266,7 +276,7 @@ func TestMetamorphicProperties(t *testing.T) {
 						continue
 					}
 					for _, eng := range engines {
-						if err := eng.e.RemoveFriendAsync(u, v); err != nil {
+						if err := removeFriendAsync(eng.e, u, v); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -274,7 +284,7 @@ func TestMetamorphicProperties(t *testing.T) {
 					id := int32(users[rng.Intn(len(users))])
 					to := spatial.Point{X: b.MinX + rng.Float64()*b.Width(), Y: b.MinY + rng.Float64()*b.Height()}
 					for _, eng := range engines {
-						if err := eng.e.MoveUserAsync(id, to); err != nil {
+						if err := moveUserAsync(eng.e, id, to); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -286,7 +296,7 @@ func TestMetamorphicProperties(t *testing.T) {
 		}
 		for probe := 0; probe < 2; probe++ {
 			q := users[rng.Intn(len(users))]
-			if _, ok := mono.UserLocation(int32(q)); !ok {
+			if _, ok := userLocation(mono, int32(q)); !ok {
 				continue
 			}
 			k := 3 + rng.Intn(10)
@@ -374,8 +384,8 @@ func oracleEntries(n int, model map[edgeKey]float64, locate func(int32) (spatial
 }
 
 // TestDifferentialShardChurnEquivalence extends the core package's
-// TestRandomizedSocialChurnEquivalence across engine flavors: one randomized
-// interleaved stream of moves and edge ops replays into a monolithic engine,
+// TestRandomizedSocialChurnEquivalence across shard counts: one randomized
+// interleaved stream of moves and edge ops replays into the single-index reference (a bare core.Engine),
 // a 1-shard engine and an 8-shard engine; after every Flush all three must
 // agree exactly — IDs included — with each other and with the independent
 // brute-force oracle.
@@ -416,7 +426,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 			}
 			defer s8.Close()
 			engines := []queryEngine{mono, s1, s8}
-			names := []string{"mono", "shard-1", "shard-8"}
+			names := []string{"single-index", "S=1", "S=8"}
 
 			model := seedEdgeModel(ds)
 			users := locatedIDs(ds)
@@ -437,7 +447,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 							if sync {
 								err = e.ApplyUpdates([]core.Update{{Kind: core.OpEdgeUpsert, U: u, V: v, W: w}})
 							} else {
-								err = e.AddFriendAsync(u, v, w)
+								err = addFriendAsync(e, u, v, w)
 							}
 							if err != nil {
 								t.Fatal(err)
@@ -454,7 +464,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 							if sync {
 								err = e.ApplyUpdates([]core.Update{{Kind: core.OpEdgeRemove, U: u, V: v}})
 							} else {
-								err = e.RemoveFriendAsync(u, v)
+								err = removeFriendAsync(e, u, v)
 							}
 							if err != nil {
 								t.Fatal(err)
@@ -464,7 +474,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 					case 3: // location removal
 						id := int32(users[rng.Intn(len(users))])
 						for _, e := range engines {
-							if err := e.RemoveUserLocationAsync(id); err != nil {
+							if err := removeUserLocationAsync(e, id); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -476,7 +486,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 							if sync {
 								err = e.ApplyUpdates([]core.Update{{ID: id, To: to}})
 							} else {
-								err = e.MoveUserAsync(id, to)
+								err = moveUserAsync(e, id, to)
 							}
 							if err != nil {
 								t.Fatal(err)
@@ -490,11 +500,11 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 
 				for probe := 0; probe < 3; probe++ {
 					q := users[rng.Intn(len(users))]
-					if _, ok := mono.UserLocation(int32(q)); !ok {
+					if _, ok := userLocation(mono, int32(q)); !ok {
 						continue
 					}
 					prm := core.Params{K: 1 + rng.Intn(12), Alpha: 0.05 + 0.9*rng.Float64()}
-					want := oracleEntries(n, model, mono.UserLocation, q, prm)
+					want := oracleEntries(n, model, locator(mono), q, prm)
 					for ei, e := range engines {
 						for _, algo := range []core.Algorithm{core.AIS, core.TSA, core.SFA, core.SPA, core.BruteForce} {
 							got, err := e.Query(algo, q, prm)
@@ -503,8 +513,8 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 							}
 							assertOracleMatch(t, fmt.Sprintf("round %d %s %v q=%d k=%d α=%.3f", round, names[ei], algo, q, prm.K, prm.Alpha), got.Entries, want)
 						}
-						// Cross-flavor exactness on the flagship: sharded
-						// results must equal the monolith's bit for bit.
+						// Exactness against the reference on the flagship: routed
+						// results must equal the single index's bit for bit.
 						if ei > 0 {
 							ref, err := engines[0].Query(core.AIS, q, prm)
 							if err != nil {
@@ -514,7 +524,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							assertExactMatch(t, fmt.Sprintf("round %d %s vs mono q=%d", round, names[ei], q), got.Entries, ref.Entries)
+							assertExactMatch(t, fmt.Sprintf("round %d %s vs single-index q=%d", round, names[ei], q), got.Entries, ref.Entries)
 						}
 					}
 				}
@@ -524,9 +534,9 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 				e.RebuildLandmarks()
 			}
 			q := users[rng.Intn(len(users))]
-			if _, ok := mono.UserLocation(int32(q)); ok {
+			if _, ok := userLocation(mono, int32(q)); ok {
 				prm := core.Params{K: 10, Alpha: 0.3}
-				want := oracleEntries(n, model, mono.UserLocation, q, prm)
+				want := oracleEntries(n, model, locator(mono), q, prm)
 				for ei, e := range engines {
 					got, err := e.Query(core.AIS, q, prm)
 					if err != nil {
@@ -606,7 +616,7 @@ func TestQueryBatchClampsBothFlavors(t *testing.T) {
 	for _, eng := range []struct {
 		name string
 		e    queryEngine
-	}{{"mono", mono}, {"sharded-4", sharded}} {
+	}{{"single-index", mono}, {"S=4", sharded}} {
 		for _, workers := range []int{-7, 0, 1, 2, len(batch), len(batch) + 50, 1 << 20} {
 			out := eng.e.QueryBatch(batch, workers)
 			if len(out) != len(batch) {
@@ -634,4 +644,24 @@ func TestQueryBatchClampsBothFlavors(t *testing.T) {
 			t.Fatalf("%s: single-query batch with negative workers misbehaved", eng.name)
 		}
 	}
+}
+
+// Single-op forms of Enqueue, the asynchronous mutation entry point.
+
+type enqueuer interface{ Enqueue(op core.Update) error }
+
+func moveUserAsync(e enqueuer, id int32, to spatial.Point) error {
+	return e.Enqueue(core.Update{ID: id, To: to})
+}
+
+func removeUserLocationAsync(e enqueuer, id int32) error {
+	return e.Enqueue(core.Update{ID: id, Remove: true})
+}
+
+func addFriendAsync(e enqueuer, u, v int32, w float64) error {
+	return e.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: w})
+}
+
+func removeFriendAsync(e enqueuer, u, v int32) error {
+	return e.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: v})
 }

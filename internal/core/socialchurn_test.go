@@ -112,7 +112,7 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 						w := 0.05 + rng.Float64()
 						var err error
 						if rng.Intn(2) == 0 {
-							err = e.AddFriendAsync(u, v, w)
+							err = addFriendAsync(e, u, v, w)
 						} else {
 							err = e.AddFriend(u, v, w)
 						}
@@ -127,9 +127,9 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 						}
 						var err error
 						if rng.Intn(2) == 0 {
-							err = e.RemoveFriendAsync(u, v)
+							err = removeFriendAsync(e, u, v)
 						} else {
-							err = e.RemoveFriend(u, v)
+							err = removeFriend(e, u, v)
 						}
 						if err != nil {
 							t.Fatal(err)
@@ -137,7 +137,7 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 						delete(model, mkEdgeKey(u, v))
 					case 3: // move
 						id := int32(users[rng.Intn(len(users))])
-						if err := e.MoveUserAsync(id, spatial.Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
+						if err := moveUserAsync(e, id, spatial.Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
 							t.Fatal(err)
 						}
 					case 4: // mid-churn query: any snapshot is a valid world
@@ -254,9 +254,9 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 				}
 				var err error
 				if erng.Intn(3) == 0 {
-					err = e.RemoveFriendAsync(u, v)
+					err = removeFriendAsync(e, u, v)
 				} else {
-					err = e.AddFriendAsync(u, v, 0.05+erng.Float64())
+					err = addFriendAsync(e, u, v, 0.05+erng.Float64())
 				}
 				if err != nil {
 					errCh <- err
@@ -275,9 +275,9 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 				u := movable[mrng.Intn(len(movable))]
 				var err error
 				if mrng.Intn(5) == 0 {
-					err = e.RemoveUserLocationAsync(int32(u))
+					err = removeUserLocationAsync(e, int32(u))
 				} else {
-					err = e.MoveUserAsync(int32(u), spatial.Point{X: mrng.Float64(), Y: mrng.Float64()})
+					err = moveUserAsync(e, int32(u), spatial.Point{X: mrng.Float64(), Y: mrng.Float64()})
 				}
 				if err != nil {
 					errCh <- err
@@ -385,13 +385,13 @@ func TestEdgeUpdateValidation(t *testing.T) {
 			t.Fatalf("weight %v accepted", w)
 		}
 	}
-	if err := e.AddFriendAsync(2, 2, 1); err == nil {
+	if err := addFriendAsync(e, 2, 2, 1); err == nil {
 		t.Fatal("async self-loop accepted")
 	}
-	if err := e.RemoveFriendAsync(0, 99); err == nil {
+	if err := removeFriendAsync(e, 0, 99); err == nil {
 		t.Fatal("async out-of-range accepted")
 	}
-	if err := e.RemoveFriend(0, 1); err != nil {
+	if err := removeFriend(e, 0, 1); err != nil {
 		t.Fatalf("valid removal rejected: %v", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ssrq/internal/aggindex"
-	"ssrq/internal/spatial"
 )
 
 // Updater is the engine's asynchronous update-ingestion pipeline: a single
@@ -17,8 +16,7 @@ import (
 // copy-on-write duplication and the upward summary propagation are paid once
 // per batch instead of once per move.
 //
-// The updater starts lazily on the first MoveUserAsync/RemoveUserAsync call
-// and runs until Engine.Close. Flush is the read-your-writes barrier: it
+// The updater starts lazily on the first Enqueue and runs until Engine.Close. Flush is the read-your-writes barrier: it
 // returns once every update enqueued before the call is applied and
 // published.
 type Updater struct {
@@ -216,35 +214,25 @@ func (e *Engine) ensureUpdater() *Updater {
 	return e.updater.Load()
 }
 
-// MoveUserAsync enqueues a relocation (normalized coordinates) on the
-// update pipeline and returns immediately (blocking only when the queue is
-// full for backpressure). The move becomes visible when the updater
-// publishes the epoch containing it; call Flush for a read-your-writes
-// barrier.
-func (e *Engine) MoveUserAsync(id int32, to spatial.Point) error {
-	u := Update{ID: id, To: to}
-	if err := e.ValidateUpdate(u); err != nil {
+// Enqueue validates one update — a move, a location removal or an edge op,
+// normalized — and queues it on the update pipeline, returning immediately
+// (blocking only when the queue is full, for backpressure). Locations and
+// edges share the one stream and the one Flush barrier; redundant updates of
+// the same user or unordered pair coalesce to the newest. The update becomes
+// visible when the updater publishes the epoch containing it.
+func (e *Engine) Enqueue(op Update) error {
+	if err := e.ValidateUpdate(op); err != nil {
 		return err
 	}
-	return e.ensureUpdater().enqueue(u)
-}
-
-// RemoveUserLocationAsync enqueues a location removal on the update
-// pipeline.
-func (e *Engine) RemoveUserLocationAsync(id int32) error {
-	u := Update{ID: id, Remove: true}
-	if err := e.ValidateUpdate(u); err != nil {
-		return err
-	}
-	return e.ensureUpdater().enqueue(u)
+	return e.ensureUpdater().enqueue(op)
 }
 
 // Flush blocks until every update enqueued (by any goroutine) before the
-// call has been applied and published — the barrier that gives
-// MoveUserAsync read-your-writes semantics. A no-op when the pipeline never
+// call has been applied and published — the barrier that gives Enqueue
+// read-your-writes semantics. A no-op when the pipeline never
 // started.
 func (e *Engine) Flush() {
-	if u := e.loadUpdater(); u != nil {
+	if u := e.updater.Load(); u != nil {
 		u.flush()
 	}
 }
@@ -257,16 +245,13 @@ func (e *Engine) Flush() {
 // may be dropped; queries remain valid after Close (disabled landmarks then
 // stay disabled until an explicit RebuildLandmarks).
 func (e *Engine) Close() {
-	if u := e.loadUpdater(); u != nil {
+	if u := e.updater.Load(); u != nil {
 		u.close()
 	}
 	if e.ownsSub {
 		e.sub.Close()
 	}
 }
-
-// loadUpdater returns the pipeline if it ever started, without starting it.
-func (e *Engine) loadUpdater() *Updater { return e.updater.Load() }
 
 // UpdateStats reports the state of the epoch/update pipeline, the numbers
 // the HTTP /stats endpoint and the churn experiment surface.
@@ -297,7 +282,7 @@ func (e *Engine) UpdateStats() UpdateStats {
 		SocialEpoch: sn.SocialEpoch(),
 		SnapshotAge: time.Since(sn.PublishedAt()),
 	}
-	if u := e.loadUpdater(); u != nil {
+	if u := e.updater.Load(); u != nil {
 		st.PendingUpdates = u.pending.Load()
 		st.AppliedUpdates = u.applied.Load()
 		st.AppliedBatches = u.batches.Load()

@@ -59,9 +59,9 @@ func TestSnapshotStressAsyncMovers(t *testing.T) {
 				u := movable[mrng.Intn(len(movable))]
 				var err error
 				if mrng.Intn(5) == 0 {
-					err = e.RemoveUserLocationAsync(int32(u))
+					err = removeUserLocationAsync(e, int32(u))
 				} else {
-					err = e.MoveUserAsync(int32(u), spatial.Point{X: mrng.Float64(), Y: mrng.Float64()})
+					err = moveUserAsync(e, int32(u), spatial.Point{X: mrng.Float64(), Y: mrng.Float64()})
 				}
 				if err != nil {
 					errCh <- err
@@ -137,7 +137,7 @@ func TestFlushReadYourWrites(t *testing.T) {
 	e := mkEngine(t, ds, Options{})
 	defer e.Close()
 	target := spatial.Point{X: 0.123, Y: 0.456}
-	if err := e.MoveUserAsync(42, target); err != nil {
+	if err := moveUserAsync(e, 42, target); err != nil {
 		t.Fatal(err)
 	}
 	e.Flush()
@@ -145,7 +145,7 @@ func TestFlushReadYourWrites(t *testing.T) {
 	if !g.Located(42) || g.Point(42) != target {
 		t.Fatalf("flushed move invisible: located=%v point=%v", g.Located(42), g.Point(42))
 	}
-	if err := e.RemoveUserLocationAsync(42); err != nil {
+	if err := removeUserLocationAsync(e, 42); err != nil {
 		t.Fatal(err)
 	}
 	e.Flush()
@@ -164,7 +164,7 @@ func TestUpdaterCoalescing(t *testing.T) {
 	var last spatial.Point
 	for i := 0; i < 500; i++ {
 		last = spatial.Point{X: rng.Float64(), Y: rng.Float64()}
-		if err := e.MoveUserAsync(7, last); err != nil {
+		if err := moveUserAsync(e, 7, last); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,23 +221,23 @@ func TestUpdateValidation(t *testing.T) {
 		{X: 0, Y: math.Inf(-1)},
 	}
 	for _, p := range bad {
-		if err := e.MoveUser(3, p); err == nil {
+		if err := moveUser(e, 3, p); err == nil {
 			t.Fatalf("MoveUser accepted %v", p)
 		}
-		if err := e.MoveUserAsync(3, p); err == nil {
+		if err := moveUserAsync(e, 3, p); err == nil {
 			t.Fatalf("MoveUserAsync accepted %v", p)
 		}
 		if err := e.ApplyUpdates([]Update{{ID: 3, To: p}}); err == nil {
 			t.Fatalf("ApplyUpdates accepted %v", p)
 		}
 	}
-	if err := e.MoveUser(-1, spatial.Point{}); err == nil {
+	if err := moveUser(e, -1, spatial.Point{}); err == nil {
 		t.Fatal("negative user accepted")
 	}
-	if err := e.MoveUser(40, spatial.Point{}); err == nil {
+	if err := moveUser(e, 40, spatial.Point{}); err == nil {
 		t.Fatal("out-of-range user accepted")
 	}
-	if err := e.RemoveUserLocation(99); err == nil {
+	if err := removeUserLocation(e, 99); err == nil {
 		t.Fatal("out-of-range removal accepted")
 	}
 	e.Flush()
@@ -262,12 +262,12 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	ds := mkDataset(t, rng, 30, 0, false)
 	e := mkEngine(t, ds, Options{})
-	if err := e.MoveUserAsync(3, spatial.Point{X: 0.1, Y: 0.1}); err != nil {
+	if err := moveUserAsync(e, 3, spatial.Point{X: 0.1, Y: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close()
-	if err := e.MoveUserAsync(4, spatial.Point{X: 0.2, Y: 0.2}); err == nil {
+	if err := moveUserAsync(e, 4, spatial.Point{X: 0.2, Y: 0.2}); err == nil {
 		t.Fatal("enqueue after Close accepted")
 	}
 	// Queries still work after Close.
@@ -290,7 +290,7 @@ func TestFlushCloseRace(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
-					if err := e.MoveUserAsync(int32((g*7+i)%30), spatial.Point{X: 0.5, Y: 0.5}); err != nil {
+					if err := moveUserAsync(e, int32((g*7+i)%30), spatial.Point{X: 0.5, Y: 0.5}); err != nil {
 						return // closed mid-stream: expected
 					}
 					if i%10 == 0 {

@@ -174,10 +174,10 @@ func (s *Suite) runChurnCell(e *core.Engine, mode churnMode, queryable, movable 
 				var err error
 				if mode == churnRWMutex {
 					mu.Lock()
-					err = e.MoveUser(id, to)
+					err = e.ApplyUpdates([]core.Update{{ID: id, To: to}})
 					mu.Unlock()
 				} else {
-					err = e.MoveUserAsync(id, to)
+					err = e.Enqueue(core.Update{ID: id, To: to})
 				}
 				if err != nil {
 					moveErr.Store(err)

@@ -81,7 +81,7 @@ func (s *Suite) RunShard() error {
 				X: bounds.MinX + rng.Float64()*bounds.Width(),
 				Y: bounds.MinY + rng.Float64()*bounds.Height(),
 			}
-			if err := eng.MoveUserAsync(id, to); err != nil {
+			if err := eng.Enqueue(core.Update{ID: id, To: to}); err != nil {
 				eng.Close()
 				return fmt.Errorf("exp: shard: S=%d move: %w", S, err)
 			}

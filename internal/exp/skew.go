@@ -139,7 +139,7 @@ func (s *Suite) runSkewCell(eng *shard.Engine, S int, users, movers []graph.Vert
 			if !ok {
 				continue
 			}
-			if err := eng.MoveUserAsync(id, mig.Next(from)); err != nil {
+			if err := eng.Enqueue(core.Update{ID: id, To: mig.Next(from)}); err != nil {
 				return fmt.Errorf("exp: shard-skew: S=%d move: %w", S, err)
 			}
 		}
@@ -175,7 +175,7 @@ func (s *Suite) runSkewCell(eng *shard.Engine, S int, users, movers []graph.Vert
 			if !ok {
 				continue
 			}
-			if err := eng.MoveUserAsync(id, mig.Next(from)); err != nil {
+			if err := eng.Enqueue(core.Update{ID: id, To: mig.Next(from)}); err != nil {
 				return fmt.Errorf("exp: shard-skew: S=%d move: %w", S, err)
 			}
 		}

@@ -172,7 +172,7 @@ func (s *Suite) runSocialChurnCell(e *core.Engine, queryable []graph.VertexID,
 					if u == v {
 						continue
 					}
-					err = e.AddFriendAsync(u, v, wLo+rng.Float64()*(wHi-wLo))
+					err = e.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: wLo + rng.Float64()*(wHi-wLo)})
 				} else {
 					// Remove a random incident edge from the latest snapshot.
 					u := graph.VertexID(rng.Int31n(int32(n)))
@@ -180,7 +180,7 @@ func (s *Suite) runSocialChurnCell(e *core.Engine, queryable []graph.VertexID,
 					if len(nbrs) == 0 {
 						continue
 					}
-					err = e.RemoveFriendAsync(u, nbrs[rng.Intn(len(nbrs))])
+					err = e.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: nbrs[rng.Intn(len(nbrs))]})
 				}
 				if err != nil {
 					churnErr.Store(err)

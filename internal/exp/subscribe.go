@@ -34,7 +34,7 @@ import (
 //   - no evaluations ran at all (the delta stream is dead), or
 //   - goroutines leak after Close() with live SSE streams attached.
 //
-// Runs at S=1 (monolithic) and S=8 (sharded per-shard invalidation).
+// Runs at S=1 and S=8 (per-shard invalidation).
 func (s *Suite) RunSubscribe() error {
 	ids, err := s.Dataset("gowalla")
 	if err != nil {

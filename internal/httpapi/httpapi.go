@@ -578,9 +578,11 @@ type statsResponse struct {
 	LandmarkRebuilds       int64  `json:"landmark_rebuilds"`
 	LandmarkForcedInstalls int64  `json:"landmark_forced_installs"`
 
-	// Sharding section (absent on monolithic engines): fan-out pruning
-	// counters, elastic-rebalance counters, plus one entry per shard.
-	NumShards     int             `json:"num_shards,omitempty"`
+	// Sharding section, one shape at every shard count (num_shards ≥ 1, one
+	// shards entry each): fan-out pruning counters, elastic-rebalance
+	// counters, per-shard state. With one shard the pruning and rebalance
+	// counters stay zero and are omitted.
+	NumShards     int             `json:"num_shards"`
 	ShardsQueried int64           `json:"shards_queried,omitempty"`
 	ShardsPruned  int64           `json:"shards_pruned,omitempty"`
 	ShardsEmpty   int64           `json:"shards_empty,omitempty"`
@@ -588,7 +590,7 @@ type statsResponse struct {
 	CellsMoved    int64           `json:"rebalance_cells_moved,omitempty"`
 	UsersMoved    int64           `json:"rebalance_users_moved,omitempty"`
 	Imbalance     float64         `json:"imbalance,omitempty"`
-	Shards        []shardStatJSON `json:"shards,omitempty"`
+	Shards        []shardStatJSON `json:"shards"`
 
 	// Durability section (absent on non-durable engines): WAL positions,
 	// fsync policy, checkpoint counters, last-recovery cost.
@@ -638,30 +640,29 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		LandmarkRebuilds:       ss.LandmarkRebuilds,
 		LandmarkForcedInstalls: ss.LandmarkForcedInstalls,
 	}
-	if shards := s.eng.ShardStats(); shards != nil {
-		fs := s.eng.FanoutStats()
-		rs := s.eng.RebalanceStats()
-		resp.NumShards = s.eng.NumShards()
-		resp.ShardsQueried = fs.ShardsQueried
-		resp.ShardsPruned = fs.ShardsPruned
-		resp.ShardsEmpty = fs.ShardsEmpty
-		resp.Rebalances = rs.Rebalances
-		resp.CellsMoved = rs.CellsMoved
-		resp.UsersMoved = rs.UsersMoved
-		resp.Imbalance = s.eng.Imbalance()
-		resp.Shards = make([]shardStatJSON, len(shards))
-		for i, st := range shards {
-			resp.Shards[i] = shardStatJSON{
-				Shard:             st.Shard,
-				Cells:             st.Cells,
-				NumLocated:        st.NumLocated,
-				Epoch:             st.Epoch,
-				SocialEpoch:       st.SocialEpoch,
-				PendingUpdates:    st.PendingUpdates,
-				AppliedBatches:    st.AppliedBatches,
-				DisabledLandmarks: st.DisabledLandmarks,
-				PrunedQueries:     st.PrunedQueries,
-			}
+	fs := s.eng.FanoutStats()
+	rs := s.eng.RebalanceStats()
+	shards := s.eng.ShardStats()
+	resp.NumShards = len(shards)
+	resp.ShardsQueried = fs.ShardsQueried
+	resp.ShardsPruned = fs.ShardsPruned
+	resp.ShardsEmpty = fs.ShardsEmpty
+	resp.Rebalances = rs.Rebalances
+	resp.CellsMoved = rs.CellsMoved
+	resp.UsersMoved = rs.UsersMoved
+	resp.Imbalance = s.eng.Imbalance()
+	resp.Shards = make([]shardStatJSON, len(shards))
+	for i, st := range shards {
+		resp.Shards[i] = shardStatJSON{
+			Shard:             st.Shard,
+			Cells:             st.Cells,
+			NumLocated:        st.NumLocated,
+			Epoch:             st.Epoch,
+			SocialEpoch:       st.SocialEpoch,
+			PendingUpdates:    st.PendingUpdates,
+			AppliedBatches:    st.AppliedBatches,
+			DisabledLandmarks: st.DisabledLandmarks,
+			PrunedQueries:     st.PrunedQueries,
 		}
 	}
 	resp.Durability = s.eng.DurabilityStats()

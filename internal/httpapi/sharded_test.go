@@ -125,21 +125,34 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMonolithStatsOmitShardSection: the sharding fields must be absent on
-// an unsharded engine's /stats.
-func TestMonolithStatsOmitShardSection(t *testing.T) {
+// TestStatsShardSectionAtOneShard: /stats has one shape at every shard count.
+// The default engine reports num_shards 1, one shards entry holding every
+// located user and imbalance 1; with nothing to fan out to or re-cut, the
+// pruning and rebalance counters are zero and omitted.
+func TestStatsShardSectionAtOneShard(t *testing.T) {
 	s, _, _ := mkServer(t)
+	do(t, s, "GET", "/query?q=1&k=3&alpha=0.3", nil)
 	rec := do(t, s, "GET", "/stats", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats = %d", rec.Code)
+	}
+	var st statsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.NumShards != 1 || len(st.Shards) != 1 || st.Imbalance != 1 {
+		t.Fatalf("num_shards %d, %d shards entries, imbalance %v", st.NumShards, len(st.Shards), st.Imbalance)
+	}
+	if sh := st.Shards[0]; sh.Shard != 0 || sh.NumLocated != st.NumLocated || sh.Cells == 0 {
+		t.Fatalf("shards[0] = %+v, want all %d located users", sh, st.NumLocated)
 	}
 	var raw map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"num_shards", "shards", "shards_queried", "shards_pruned", "rebalances", "imbalance"} {
+	for _, key := range []string{"shards_pruned", "shards_empty", "rebalances", "rebalance_cells_moved"} {
 		if _, present := raw[key]; present {
-			t.Fatalf("monolithic /stats leaks %q", key)
+			t.Fatalf("one-shard /stats reports %q", key)
 		}
 	}
 }

@@ -185,12 +185,13 @@ func TestSSEClientDisconnect(t *testing.T) {
 }
 
 // TestSSETeardownOnClose: Engine.Close with live SSE clients must
-// terminate every stream and leak no goroutines — on both engine flavors.
+// terminate every stream and leak no goroutines — at one shard and at several.
 func TestSSETeardownOnClose(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts *ssrq.Options
 	}{
+		// Names pinned by the tier-1 floor list: "monolithic" is one shard.
 		{"monolithic", nil},
 		{"sharded", &ssrq.Options{Shards: 4}},
 	} {

@@ -45,7 +45,7 @@ const (
 // own cross-shard *move* is mid-flight can be transiently absent from — or
 // visible twice in — other users' fan-outs (the merge deduplicates the
 // latter). Once no move is in flight (Flush), rebalancing or not, results are
-// exactly the monolithic engine's, ID tiebreaks included: the shared
+// exactly a single index's, ID tiebreaks included: the shared
 // threshold only ever holds some shard's fully-evaluated kth score (an upper
 // bound on the merged kth), it abandons only strictly-worse candidates, and
 // the merge comparator is the engines' own (F, ID) order.
@@ -198,7 +198,7 @@ func (se *Engine) acquire(q graph.VertexID) (int, []*aggindex.Snapshot) {
 		return home, sns
 	}
 	se.seam(seamHomeFallback)
-	mu := se.lockFor(int32(q))
+	mu := &se.locks[stripeOf(int32(q))]
 	mu.Lock() // waits out a route in flight, and keeps the next one out
 	defer mu.Unlock()
 	o := se.owner[q].Load()
@@ -280,7 +280,7 @@ func shardLowerBound(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Point,
 		if g.CountAt(0, idx) == 0 {
 			continue
 		}
-		d := layout.CellRect(0, idx).MinDist(qpt)
+		d := layout.CellMinDist(0, idx, qpt)
 		if f := alpha*lows[idx] + (1-alpha)*d; f < best {
 			best = f
 		}

@@ -12,7 +12,7 @@ import (
 // few cells and unbalances the cut: one shard's grid absorbs most of the
 // update and query load while the rest idle. The engine therefore watches
 // its own occupancy imbalance (max shard population over mean) on the
-// update path and, past Options.RebalanceThreshold, re-cuts the curve
+// update path and, past rebalanceThreshold, re-cuts the curve
 // ONLINE: cutCurve runs again over live per-cell occupancy, and every leaf
 // cell whose owner changed is drained to its new shard through the ordinary
 // synchronous update pipeline.
@@ -20,7 +20,7 @@ import (
 // The migration protocol keeps queries lock-free and — a re-cut never changes
 // the world — exact throughout:
 //
-//  1. Cells move in small batches (Options.RebalanceDrainBatch) under all
+//  1. Cells move in small batches (rebalanceDrainBatch) under all
 //     routing stripes, so the owner map and the per-cell routing are frozen
 //     per batch while async traffic flows freely between batches.
 //  2. Per cell, ownership flips first (cellShard.Store), the two pipelines
@@ -49,6 +49,16 @@ import (
 // snapshot header, so it is kept off the per-op fast path).
 const rebalanceCheckEvery = 512
 
+const (
+	// rebalanceThreshold is the occupancy imbalance (max shard population
+	// over mean) past which the partition is re-cut.
+	rebalanceThreshold = 1.6
+	// rebalanceDrainBatch is how many leaf cells one pass migrates per
+	// all-stripe acquisition: smaller shortens each writer stall, larger
+	// finishes the re-cut sooner.
+	rebalanceDrainBatch = 8
+)
+
 // RebalanceStats is a point-in-time view of the elastic partition.
 type RebalanceStats struct {
 	// Rebalances counts completed re-cuts that moved at least one cell.
@@ -59,7 +69,7 @@ type RebalanceStats struct {
 	// LastImbalance is the max/mean shard occupancy measured at the end of
 	// the most recent re-cut (0 until one has run).
 	LastImbalance float64
-	// Threshold / DrainBatch echo the engine's rebalance knobs.
+	// Threshold / DrainBatch echo the rebalance constants.
 	Threshold  float64
 	DrainBatch int
 }
@@ -71,8 +81,8 @@ func (se *Engine) RebalanceStats() RebalanceStats {
 		CellsMoved:    se.cellsMoved.Load(),
 		UsersMoved:    se.usersMoved.Load(),
 		LastImbalance: math.Float64frombits(se.lastImbalance.Load()),
-		Threshold:     se.opts.RebalanceThreshold,
-		DrainBatch:    se.opts.RebalanceDrainBatch,
+		Threshold:     se.rebalanceThreshold,
+		DrainBatch:    se.drainBatch,
 	}
 }
 
@@ -112,7 +122,7 @@ func (se *Engine) Imbalance() float64 {
 // flight — a second trigger while one runs is simply dropped, the next
 // check re-fires if skew persists).
 func (se *Engine) noteUpdates(n int) {
-	if se.opts.RebalanceThreshold <= 0 || len(se.shards) < 2 {
+	if se.rebalanceThreshold <= 0 || len(se.shards) < 2 {
 		return
 	}
 	c := se.opsSinceCheck.Add(int64(n))
@@ -120,7 +130,7 @@ func (se *Engine) noteUpdates(n int) {
 		return
 	}
 	se.opsSinceCheck.Add(-c)
-	if se.closed.Load() || se.Imbalance() < se.opts.RebalanceThreshold {
+	if se.closed.Load() || se.Imbalance() < se.rebalanceThreshold {
 		return
 	}
 	if !se.rebalanceMu.TryLock() {
@@ -172,16 +182,9 @@ func (se *Engine) rebalance() int {
 		return 0
 	}
 
-	batch := se.opts.RebalanceDrainBatch
-	if batch < 1 {
-		batch = 1
-	}
 	moved := 0
 	for len(moving) > 0 {
-		n := batch
-		if n > len(moving) {
-			n = len(moving)
-		}
+		n := min(max(se.drainBatch, 1), len(moving))
 		se.lockAllStripes()
 		if se.closed.Load() {
 			se.unlockAllStripes()

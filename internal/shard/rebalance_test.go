@@ -27,7 +27,7 @@ func skewStream(t *testing.T, rng *rand.Rand, se *Engine, users []graph.VertexID
 			X: b.MinX + (0.02+0.08*rng.Float64())*b.Width(),
 			Y: b.MinY + (0.02+0.08*rng.Float64())*b.Height(),
 		}
-		if err := se.MoveUserAsync(id, to); err != nil {
+		if err := moveUserAsync(se, id, to); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,12 +39,13 @@ func skewStream(t *testing.T, rng *rand.Rand, se *Engine, users []graph.VertexID
 // the imbalance back down — without losing a single located user.
 func TestRebalanceRestoresBalance(t *testing.T) {
 	ds := clusteredDataset(t, 400, 61)
-	opts := core.Options{GridS: 5, GridLevels: 2, NumLandmarks: 3, Seed: 61, RebalanceThreshold: -1}
+	opts := core.Options{GridS: 5, GridLevels: 2, NumLandmarks: 3, Seed: 61}
 	se, err := New(ds, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer se.Close()
+	se.rebalanceThreshold = -1
 
 	users := locatedUsers(ds)
 	before := se.NumLocated()
@@ -89,14 +90,15 @@ func TestRebalanceRestoresBalance(t *testing.T) {
 }
 
 // TestElasticDifferentialEquivalence replays one interleaved move+edge
-// stream into a monolithic engine and a 4-shard elastic engine, forcing a
+// stream into a bare core.Engine (the single-index reference) and a 4-shard
+// elastic engine, forcing a
 // full split/merge re-cut mid-stream; after every Flush the sharded answers
-// must agree exactly — IDs included — with the monolith across algorithms.
+// must agree exactly — IDs included — with the reference across algorithms.
 func TestElasticDifferentialEquivalence(t *testing.T) {
 	ds := clusteredDataset(t, 300, 23)
 	opts := core.Options{
 		GridS: 4, GridLevels: 2, NumLandmarks: 4, CacheT: 20, Seed: 23,
-		UpdateMaxBatch: 8, RebalanceThreshold: -1, // explicit re-cut only
+		UpdateMaxBatch: 8,
 	}
 	mono, err := core.NewEngine(ds, opts)
 	if err != nil {
@@ -107,6 +109,7 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	se.rebalanceThreshold = -1 // explicit re-cut only
 	defer se.Close()
 
 	rng := rand.New(rand.NewSource(233))
@@ -123,10 +126,10 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 					continue
 				}
 				w := 0.05 + rng.Float64()
-				if err := mono.AddFriendAsync(u, v, w); err != nil {
+				if err := addFriendAsync(mono, u, v, w); err != nil {
 					t.Fatal(err)
 				}
-				if err := se.AddFriendAsync(u, v, w); err != nil {
+				if err := addFriendAsync(se, u, v, w); err != nil {
 					t.Fatal(err)
 				}
 			case 1: // edge removal
@@ -134,10 +137,10 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 				if u == v {
 					continue
 				}
-				if err := mono.RemoveFriendAsync(u, v); err != nil {
+				if err := removeFriendAsync(mono, u, v); err != nil {
 					t.Fatal(err)
 				}
-				if err := se.RemoveFriendAsync(u, v); err != nil {
+				if err := removeFriendAsync(se, u, v); err != nil {
 					t.Fatal(err)
 				}
 			default: // move
@@ -151,10 +154,10 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 				} else {
 					to = spatial.Point{X: b.MinX + rng.Float64()*b.Width(), Y: b.MinY + rng.Float64()*b.Height()}
 				}
-				if err := mono.MoveUserAsync(id, to); err != nil {
+				if err := moveUserAsync(mono, id, to); err != nil {
 					t.Fatal(err)
 				}
-				if err := se.MoveUserAsync(id, to); err != nil {
+				if err := moveUserAsync(se, id, to); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -204,13 +207,14 @@ func TestRebalanceQueryStress(t *testing.T) {
 	ds := clusteredDataset(t, 250, 31)
 	opts := core.Options{
 		GridS: 5, GridLevels: 2, NumLandmarks: 3, Seed: 31,
-		UpdateMaxBatch: 16, RebalanceThreshold: 1.25, RebalanceDrainBatch: 2,
+		UpdateMaxBatch: 16,
 	}
 	se, err := New(ds, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer se.Close()
+	se.rebalanceThreshold, se.drainBatch = 1.25, 2
 
 	users := locatedUsers(ds)
 	prm := core.Params{K: 5, Alpha: 0.5}
@@ -295,11 +299,11 @@ func farCornerSkewedEngine(t *testing.T, drainBatch int) (*Engine, []graph.Verte
 	ds := clusteredDataset(t, 300, 71)
 	se, err := New(ds, 4, core.Options{
 		GridS: 5, GridLevels: 2, NumLandmarks: 3, CacheT: 20, Seed: 71,
-		RebalanceThreshold: -1, RebalanceDrainBatch: drainBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	se.rebalanceThreshold, se.drainBatch = -1, drainBatch
 	users := locatedUsers(ds)
 	rng := rand.New(rand.NewSource(711))
 	b := ds.Bounds()
@@ -311,7 +315,7 @@ func farCornerSkewedEngine(t *testing.T, drainBatch int) (*Engine, []graph.Verte
 			X: b.MaxX - (0.02+0.08*rng.Float64())*b.Width(),
 			Y: b.MaxY - (0.02+0.08*rng.Float64())*b.Height(),
 		}
-		if err := se.MoveUser(int32(u), to); err != nil {
+		if err := moveUser(se, int32(u), to); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -467,11 +471,12 @@ func TestRebalanceDrainAnswersStayExact(t *testing.T) {
 // answer from the new owner, not flush the old pipeline and give up.
 func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 	ds := clusteredDataset(t, 200, 41)
-	se, err := New(ds, 4, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 3, Seed: 41, RebalanceThreshold: -1})
+	se, err := New(ds, 4, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 3, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer se.Close()
+	se.rebalanceThreshold = -1
 	users := locatedUsers(ds)
 	q := users[0]
 	old := se.ShardOfUser(int32(q))
@@ -510,7 +515,7 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 			once.Do(func() { close(atFallback) })
 		}
 	}
-	if err := se.MoveUserAsync(int32(q), to); err != nil {
+	if err := moveUserAsync(se, int32(q), to); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {

@@ -164,7 +164,7 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	if len(nbrs) == 0 {
 		t.Fatal("query user has no neighbors to remove")
 	}
-	if err := se.RemoveFriend(int32(q), nbrs[0]); err != nil {
+	if err := removeFriend(se, int32(q), nbrs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := se.Query(core.TSACH, q, prm); !errors.Is(err, core.ErrStaleHierarchy) {

@@ -36,13 +36,15 @@
 // distance-dependent migration is what unbalances a frozen partition —
 // hence the online re-cut.
 //
-// Equivalence with the monolithic engine is exact, not approximate: the
-// per-shard searches run the unmodified paper algorithms against their own
-// snapshots (core.Engine.QueryOn threads the owner shard's query location
-// through), the seed bound is applied strictly so ID tiebreaks survive, and
-// the metamorphic/differential harness in internal/core asserts
-// sharded == unsharded == brute under interleaved churn — including across
-// a forced mid-stream rebalance.
+// Equivalence with a single index over the whole dataset is exact, not
+// approximate: the per-shard searches run the unmodified paper algorithms
+// against their own snapshots (core.Engine.QueryOn threads the owner shard's
+// query location through), the seed bound is applied strictly so ID
+// tiebreaks survive, and the metamorphic/differential harness in
+// internal/core asserts S shards == a bare core.Engine == brute under
+// interleaved churn — including across a forced mid-stream rebalance. S = 1
+// is that same cut with no boundary, which is why it is the engine's default
+// rather than a second implementation.
 package shard
 
 import (
@@ -56,16 +58,16 @@ import (
 	"ssrq/internal/dataset"
 	"ssrq/internal/fof"
 	"ssrq/internal/spatial"
+	"ssrq/internal/wal"
 )
 
 // MaxShards bounds the shard count; fan-out spawns one goroutine per
 // unpruned shard, so the cap keeps a single query's parallelism sane.
 const MaxShards = 64
 
-// Engine is the sharded composition. It satisfies the same query/update
-// surface as core.Engine (the root ssrq package programs against the shared
-// subset), so callers choose between one monolithic index and S partitioned
-// ones with a constructor argument.
+// Engine is the routed composition over S ≥ 1 per-shard core.Engine workers —
+// the one engine the root ssrq package serves from. S = 1 is the same code
+// with no boundary to cross: one shard, one snapshot per query, no fan-out.
 type Engine struct {
 	ds     *dataset.Dataset
 	layout *spatial.Layout
@@ -77,7 +79,6 @@ type Engine struct {
 	cellShard []atomic.Int32
 	sub       *aggindex.Social // shared social substrate, owned by this engine
 	shards    []*core.Engine
-	opts      core.Options
 
 	// owner[id] is the shard whose grid currently locates the user (-1 when
 	// unlocated). Routing decisions for one user serialize on a striped lock
@@ -92,18 +93,21 @@ type Engine struct {
 	// entirely. No half-delivered multi-shard op can straddle Close.
 	closed atomic.Bool
 
-	// oplogFn is the durability layer's write-ahead hook (see durable.go).
-	// The sharded engine logs at this routing layer — under the op's
-	// stripe, where the per-user order is authoritative — not at the
-	// per-shard indexes, whose independent pipelines may publish a
-	// cross-shard move's remove/insert halves in either order. Atomic so a
-	// promoted follower can attach a log while serving.
-	oplogFn atomic.Pointer[func([]core.Update)]
+	// log is the journal every routed op is appended to (nil when not
+	// durable), appended its per-append callback, ckptMu the checkpoint-cut
+	// serializer; see durable.go. Set once by AttachLog, read under stripes.
+	log      *wal.Log
+	appended func(n int)
+	ckptMu   sync.Mutex
 
 	// Rebalance machinery (see rebalance.go). rebalanceMu serializes
 	// re-cuts; bg tracks the auto-kicked goroutine so Close can wait it out.
-	rebalanceMu sync.Mutex
-	bg          sync.WaitGroup
+	// rebalanceThreshold and drainBatch start at the package constants;
+	// in-package tests overwrite them before any traffic.
+	rebalanceMu        sync.Mutex
+	bg                 sync.WaitGroup
+	rebalanceThreshold float64
+	drainBatch         int
 	// migrateSeq is bumped once per drained cell, between publishing its
 	// users into the new owner and removing them from the old one; queries
 	// bracket their snapshot loads with it (see acquire).
@@ -159,7 +163,7 @@ func (se *Engine) seam(p seamPoint) {
 // and stay spatially contiguous along the curve; sustained skew re-cuts it
 // online (rebalance.go). Every shard shares the parent dataset's graph,
 // coordinates, normalization and bounds (dataset.Restrict), so per-shard
-// scores are identical to the monolithic engine's.
+// scores are identical to a single index's.
 func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("shard: nil dataset")
@@ -190,9 +194,11 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 		layout:    layout,
 		cellShard: make([]atomic.Int32, numCells),
 		sub:       sub,
-		opts:      opts,
 		owner:     make([]atomic.Int32, ds.NumUsers()),
 		prunedBy:  make([]atomic.Int64, numShards),
+
+		rebalanceThreshold: rebalanceThreshold,
+		drainBatch:         rebalanceDrainBatch,
 	}
 	for c, s := range partition(layout, ds, numShards) {
 		se.cellShard[c].Store(s)
@@ -337,9 +343,6 @@ func (se *Engine) NumShards() int { return len(se.shards) }
 // locations come from the owning shard's snapshot).
 func (se *Engine) Dataset() *dataset.Dataset { return se.ds }
 
-// Options returns the per-shard engine options (defaults resolved).
-func (se *Engine) Options() core.Options { return se.opts }
-
 // Substrate returns the shared social substrate all shards consume.
 func (se *Engine) Substrate() *aggindex.Social { return se.sub }
 
@@ -374,25 +377,19 @@ func (se *Engine) ShardOfUser(id int32) int {
 // introspection for stats and tests; moves under rebalance).
 func (se *Engine) CellShard(idx int32) int { return int(se.cellShard[idx].Load()) }
 
-// lockFor returns the routing lock stripe for a user.
-func (se *Engine) lockFor(id int32) *sync.Mutex {
-	return &se.locks[int(id)&(len(se.locks)-1)]
-}
-
-// stripeOf returns the stripe index lockFor would lock.
+// stripeOf returns the routing stripe of a user's location ops.
 func stripeOf(id int32) int { return int(id) & 63 }
 
-// stripeOfEdge returns the stripe index lockForEdge would lock.
-func stripeOfEdge(u, v int32) int {
+// stripeOfOp returns the routing stripe an op serializes on: its user's for a
+// location op, its unordered pair's for an edge op — concurrent writers of
+// one edge share a stripe, so the substrate receives their ops in one order.
+func stripeOfOp(op core.Update) int {
+	if op.Kind == core.OpLocation {
+		return stripeOf(op.ID)
+	}
+	u, v := op.U, op.V
 	if u > v {
 		u, v = v, u
 	}
 	return int(u^v*31) & 63
-}
-
-// lockForEdge returns the routing lock stripe for an unordered user pair —
-// concurrent writers of one edge serialize on it so the substrate receives
-// their ops in one order.
-func (se *Engine) lockForEdge(u, v int32) *sync.Mutex {
-	return &se.locks[stripeOfEdge(u, v)]
 }

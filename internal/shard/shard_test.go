@@ -63,7 +63,8 @@ func sameEntries(t *testing.T, label string, got, want []core.Entry) {
 }
 
 // TestShardedMatchesUnshardedStatic: on a quiescent engine every algorithm
-// must return exactly the monolithic result for every shard count.
+// must return exactly the single-index reference's result for every shard
+// count.
 func TestShardedMatchesUnshardedStatic(t *testing.T) {
 	ds := clusteredDataset(t, 400, 11)
 	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, CacheT: 30, Seed: 11}
@@ -129,7 +130,7 @@ func TestShardedCHVariants(t *testing.T) {
 	if len(nbrs) == 0 {
 		t.Fatal("query user has no neighbors to remove")
 	}
-	if err := se.RemoveFriend(int32(users[0]), nbrs[0]); err != nil {
+	if err := removeFriend(se, int32(users[0]), nbrs[0]); err != nil {
 		t.Fatal(err)
 	}
 	for _, algo := range chAlgos {
@@ -141,7 +142,7 @@ func TestShardedCHVariants(t *testing.T) {
 
 // TestCrossShardRouting: moves that cross shard boundaries relocate
 // ownership, never duplicate a user, and keep sharded results equal to a
-// monolithic engine replaying the same ops.
+// bare core.Engine (the single-index reference) replaying the same ops.
 func TestCrossShardRouting(t *testing.T) {
 	ds := clusteredDataset(t, 300, 17)
 	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 17, UpdateMaxBatch: 8}
@@ -164,10 +165,10 @@ func TestCrossShardRouting(t *testing.T) {
 			id := int32(users[rng.Intn(len(users))])
 			switch rng.Intn(10) {
 			case 0:
-				if err := se.RemoveUserLocationAsync(id); err != nil {
+				if err := removeUserLocationAsync(se, id); err != nil {
 					t.Fatal(err)
 				}
-				if err := mono.RemoveUserLocationAsync(id); err != nil {
+				if err := removeUserLocationAsync(mono, id); err != nil {
 					t.Fatal(err)
 				}
 			default:
@@ -175,10 +176,10 @@ func TestCrossShardRouting(t *testing.T) {
 					X: b.MinX + rng.Float64()*b.Width(),
 					Y: b.MinY + rng.Float64()*b.Height(),
 				}
-				if err := se.MoveUserAsync(id, to); err != nil {
+				if err := moveUserAsync(se, id, to); err != nil {
 					t.Fatal(err)
 				}
-				if err := mono.MoveUserAsync(id, to); err != nil {
+				if err := moveUserAsync(mono, id, to); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -187,7 +188,7 @@ func TestCrossShardRouting(t *testing.T) {
 		mono.Flush()
 
 		if got, want := se.NumLocated(), mono.NumLocated(); got != want {
-			t.Fatalf("round %d: sharded locates %d users, monolith %d", round, got, want)
+			t.Fatalf("round %d: sharded locates %d users, reference %d", round, got, want)
 		}
 		// Ownership invariant: every user is located in exactly the shard the
 		// owner map names, and nowhere else.
@@ -208,7 +209,7 @@ func TestCrossShardRouting(t *testing.T) {
 		}
 		for probe := 0; probe < 3; probe++ {
 			q := users[rng.Intn(len(users))]
-			if _, ok := mono.UserLocation(int32(q)); !ok {
+			if !mono.Snapshot().Grid().Located(int32(q)) {
 				continue
 			}
 			prm := core.Params{K: 8, Alpha: 0.3}
@@ -254,7 +255,7 @@ func TestShardPruning(t *testing.T) {
 }
 
 // TestShardedQueryBatchClamps: workers <= 0 and workers > len(queries) must
-// clamp on the sharded engine exactly like the monolithic one.
+// clamp on the routed engine exactly like core.Engine.QueryBatch.
 func TestShardedQueryBatchClamps(t *testing.T) {
 	ds := clusteredDataset(t, 120, 31)
 	se, err := New(ds, 2, core.Options{GridS: 3, GridLevels: 1, NumLandmarks: 3, Seed: 31})
@@ -310,10 +311,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := se.Query(core.AIS, graph.VertexID(ds.NumUsers()), core.Params{K: 3, Alpha: 0.5}); err == nil {
 		t.Fatal("out-of-range query user accepted")
 	}
-	if err := se.MoveUser(5, spatial.Point{X: math.NaN(), Y: 0}); err == nil {
+	if err := moveUser(se, 5, spatial.Point{X: math.NaN(), Y: 0}); err == nil {
 		t.Fatal("NaN move accepted")
 	}
-	if err := se.AddFriend(3, 3, 1); err == nil {
+	if err := addFriend(se, 3, 3, 1); err == nil {
 		t.Fatal("self-loop accepted")
 	}
 }
@@ -373,9 +374,9 @@ func TestConcurrentEdgeBroadcastConvergence(t *testing.T) {
 				}
 				var err error
 				if rng.Intn(4) == 0 {
-					err = se.RemoveFriendAsync(u, v)
+					err = removeFriendAsync(se, u, v)
 				} else {
-					err = se.AddFriendAsync(u, v, 0.05+rng.Float64())
+					err = addFriendAsync(se, u, v, 0.05+rng.Float64())
 				}
 				if err != nil {
 					errCh <- err
@@ -392,9 +393,9 @@ func TestConcurrentEdgeBroadcastConvergence(t *testing.T) {
 	se.Flush()
 
 	// Every shard's published graph must agree edge for edge.
-	ref := se.shards[0].LiveSocialGraph()
+	ref := se.shards[0].Snapshot().SocialGraph()
 	for s := 1; s < se.NumShards(); s++ {
-		g := se.shards[s].LiveSocialGraph()
+		g := se.shards[s].Snapshot().SocialGraph()
 		if g.NumEdges() != ref.NumEdges() {
 			t.Fatalf("shard %d has %d edges, shard 0 has %d", s, g.NumEdges(), ref.NumEdges())
 		}
@@ -408,4 +409,38 @@ func TestConcurrentEdgeBroadcastConvergence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Single-op forms of ApplyUpdates, the one synchronous mutation entry point.
+
+func moveUser(se *Engine, id int32, to spatial.Point) error {
+	return se.ApplyUpdates([]core.Update{{ID: id, To: to}})
+}
+
+func addFriend(se *Engine, u, v int32, w float64) error {
+	return se.ApplyUpdates([]core.Update{{Kind: core.OpEdgeUpsert, U: u, V: v, W: w}})
+}
+
+func removeFriend(se *Engine, u, v int32) error {
+	return se.ApplyUpdates([]core.Update{{Kind: core.OpEdgeRemove, U: u, V: v}})
+}
+
+// Single-op forms of Enqueue, the asynchronous mutation entry point.
+
+type enqueuer interface{ Enqueue(op core.Update) error }
+
+func moveUserAsync(e enqueuer, id int32, to spatial.Point) error {
+	return e.Enqueue(core.Update{ID: id, To: to})
+}
+
+func removeUserLocationAsync(e enqueuer, id int32) error {
+	return e.Enqueue(core.Update{ID: id, Remove: true})
+}
+
+func addFriendAsync(e enqueuer, u, v int32, w float64) error {
+	return e.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: w})
+}
+
+func removeFriendAsync(e enqueuer, u, v int32) error {
+	return e.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: v})
 }

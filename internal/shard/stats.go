@@ -58,7 +58,7 @@ func (se *Engine) ShardStats() []ShardStat {
 // so the counters never over-report shard visits.
 type FanoutStats struct {
 	// Queries is the successful query count; Fanouts how many ran on more
-	// than one shard's engine (always Queries on a multi-shard engine).
+	// than one shard's engine (Queries when S ≥ 2, 0 when S = 1).
 	Queries int64
 	Fanouts int64
 	// ShardsQueried / ShardsPruned / ShardsEmpty partition the per-query
@@ -84,8 +84,9 @@ func (se *Engine) FanoutStats() FanoutStats {
 // UpdateStats aggregates the shards' pipeline state: epochs and op counters
 // sum (each shard publishes independently), the snapshot age is the oldest
 // shard's (the staleness bound a reader can observe), and the social epoch
-// is the furthest shard's (edge batches broadcast, so shards differ only by
-// in-flight batches).
+// is the furthest shard's (the substrate applies an edge batch once and
+// syncs every shard to it before returning, so shards differ only while one
+// such sync is in flight).
 func (se *Engine) UpdateStats() core.UpdateStats {
 	var agg core.UpdateStats
 	for _, sh := range se.shards {

@@ -37,11 +37,11 @@ func TestSharedSubstrateIdentity(t *testing.T) {
 		}
 	}
 	check("construction")
-	if err := se.AddFriend(1, 2, 0.25); err != nil {
+	if err := addFriend(se, 1, 2, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	check("after sync edge op")
-	if err := se.RemoveFriend(1, 2); err != nil {
+	if err := removeFriend(se, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	check("after sync edge removal")
@@ -59,12 +59,12 @@ func BenchmarkEdgeOpSharded(b *testing.B) {
 			ds := clusteredDataset(b, 1000, 97)
 			se, err := New(ds, S, core.Options{
 				GridS: 5, GridLevels: 2, NumLandmarks: 4, Seed: 97,
-				RebalanceThreshold: -1,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer se.Close()
+			se.rebalanceThreshold = -1
 			// A rotating pair set keeps every op an effective reweight (never
 			// a no-op, never unbounded overlay growth).
 			const pairs = 64
@@ -76,7 +76,7 @@ func BenchmarkEdgeOpSharded(b *testing.B) {
 				// Alternate per full pair cycle, so every op changes the
 				// weight it finds (an effective reweight, never a no-op).
 				w := 0.25 + float64((i/pairs)&1)*0.5
-				if err := se.AddFriend(u, v, w); err != nil {
+				if err := addFriend(se, u, v, w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"ssrq/internal/core"
-	"ssrq/internal/spatial"
 )
 
 // Update routing. Location ops go to the shard owning the target region; a
@@ -51,56 +50,43 @@ func (se *Engine) validate(op core.Update) error {
 	return se.shards[0].ValidateUpdate(op)
 }
 
-// enqueueRouted routes one already-validated op onto the owning shard's
-// asynchronous pipeline. The closed re-check under the stripe makes async
-// routing atomic with respect to Close: Close sets the flag and closes the
-// shards while holding every stripe, so a route either completes before
-// the barrier (and Close's drain applies it) or observes closed and touches
-// nothing — a multi-shard op can never half-land.
-func (se *Engine) enqueueRouted(op core.Update) error {
-	if op.Kind != core.OpLocation {
-		// Concurrent writers of the same edge serialize on the pair's stripe,
-		// so shard 0's pipeline — and through it the shared substrate —
-		// receives their ops in one order (last write wins deterministically).
-		mu := se.lockForEdge(op.U, op.V)
-		mu.Lock()
-		defer mu.Unlock()
-		if se.closed.Load() {
-			return fmt.Errorf("shard: engine closed")
-		}
-		var err error
-		if op.Kind == core.OpEdgeRemove {
-			err = se.shards[0].RemoveFriendAsync(op.U, op.V)
-		} else {
-			err = se.shards[0].AddFriendAsync(op.U, op.V, op.W)
-		}
-		if err == nil {
-			// Still under the pair's stripe: the logged order is the
-			// pipeline (= application) order for this edge.
-			se.logOps([]core.Update{op})
-		}
+// Enqueue validates one update — a move, a location removal or an edge op,
+// normalized — journals it and queues it on the owning shard's pipeline (an
+// edge op on shard 0's, which applies it once to the shared substrate),
+// returning without waiting for it to be published; Flush is the barrier.
+//
+// Journal, then route, both under the op's stripe: the record is buffered
+// before any pipeline can see the op, so the commit barrier ahead of the
+// batch that applies it covers it (durable.go). The closed re-check under the
+// stripe makes async routing atomic with respect to Close: Close sets the
+// flag and closes the shards while holding every stripe, so a route either
+// completes before the barrier (and Close's drain applies it) or observes
+// closed and touches nothing — a multi-shard op can never half-land, and no
+// journaled op is dropped.
+func (se *Engine) Enqueue(op core.Update) error {
+	if err := se.validate(op); err != nil {
 		return err
 	}
-	mu := se.lockFor(op.ID)
+	mu := &se.locks[stripeOfOp(op)]
 	mu.Lock()
+	defer mu.Unlock()
 	if se.closed.Load() {
-		mu.Unlock()
 		return fmt.Errorf("shard: engine closed")
 	}
-	err := se.routeAsyncLocked(op)
-	if err == nil {
-		// Log the single logical op under the user's stripe; replay
-		// re-derives the cross-shard remove+insert split itself. (The
-		// split halves must not be logged: the two shards' pipelines
-		// publish independently, so their application order across shards
-		// is not the routing order — the stripe-held logical stream is.)
-		se.logOps([]core.Update{op})
+	// The journal carries the single logical op; replay re-derives a
+	// cross-shard move's remove+insert split itself. (The split halves must
+	// not be logged: the two shards' pipelines publish independently, so
+	// their application order across shards is not the routing order — the
+	// stripe-held logical stream is.)
+	se.journal([]core.Update{op})
+	if op.Kind != core.OpLocation {
+		return se.shards[0].Enqueue(op)
 	}
-	mu.Unlock()
-	if err == nil {
-		se.noteUpdates(1)
+	if err := se.routeAsyncLocked(op); err != nil {
+		return err
 	}
-	return err
+	se.noteUpdates(1)
+	return nil
 }
 
 // routeAsyncLocked enqueues one location op; caller holds the user's stripe.
@@ -111,17 +97,17 @@ func (se *Engine) routeAsyncLocked(op core.Update) error {
 			return nil // already unlocated: nothing owns the user
 		}
 		se.owner[op.ID].Store(-1)
-		return se.shards[old].RemoveUserLocationAsync(op.ID)
+		return se.shards[old].Enqueue(op)
 	}
 	dst := se.shardOfPoint(op.To)
 	if old >= 0 && old != dst {
-		if err := se.shards[old].RemoveUserLocationAsync(op.ID); err != nil {
+		if err := se.shards[old].Enqueue(core.Update{ID: op.ID, Remove: true}); err != nil {
 			return err
 		}
 		se.seam(seamBetweenEnqueues)
 	}
 	se.owner[op.ID].Store(dst)
-	return se.shards[dst].MoveUserAsync(op.ID, op.To)
+	return se.shards[dst].Enqueue(op)
 }
 
 // routeInto routes one already-validated op into per-shard batches, updating
@@ -152,11 +138,7 @@ func (se *Engine) routeInto(per [][]core.Update, op core.Update) {
 func (se *Engine) stripeMaskOf(ops []core.Update) uint64 {
 	var mask uint64
 	for _, op := range ops {
-		if op.Kind == core.OpLocation {
-			mask |= 1 << uint(stripeOf(op.ID))
-		} else {
-			mask |= 1 << uint(stripeOfEdge(op.U, op.V))
-		}
+		mask |= 1 << uint(stripeOfOp(op))
 	}
 	return mask
 }
@@ -196,8 +178,8 @@ func (se *Engine) unlockAllStripes() {
 // shard's share as one published epoch per shard before returning
 // (read-your-writes). Only the routing stripes the batch actually touches
 // are held — concurrent async traffic for other users keeps flowing. On a
-// validation error nothing is applied. Works after Close, like the
-// monolithic engine's synchronous path.
+// validation error nothing is applied. Works after Close (the log, sealed by
+// then, no longer records it).
 func (se *Engine) ApplyUpdates(ops []core.Update) error {
 	for _, op := range ops {
 		if err := se.validate(op); err != nil {
@@ -208,9 +190,11 @@ func (se *Engine) ApplyUpdates(ops []core.Update) error {
 	se.lockStripes(mask)
 	defer se.unlockStripes(mask)
 	// Under the batch's stripes async routing for these users is frozen and
-	// the per-shard pipelines are about to be flushed, so logging here puts
-	// the batch at its true position in every touched user's op order.
-	se.logOps(ops)
+	// the per-shard pipelines are about to be flushed, so journaling here puts
+	// the batch at its true position in every touched user's op order — and
+	// it is durable before anything below applies.
+	se.journal(ops)
+	se.commitLog()
 	per := make([][]core.Update, len(se.shards))
 	for _, op := range ops {
 		se.routeInto(per, op)
@@ -231,81 +215,26 @@ func (se *Engine) ApplyUpdates(ops []core.Update) error {
 	return nil
 }
 
-// MoveUser relocates a user synchronously (normalized coordinates).
-func (se *Engine) MoveUser(id int32, to spatial.Point) error {
-	return se.ApplyUpdates([]core.Update{{ID: id, To: to}})
-}
-
-// RemoveUserLocation drops a user's location synchronously.
-func (se *Engine) RemoveUserLocation(id int32) error {
-	return se.ApplyUpdates([]core.Update{{ID: id, Remove: true}})
-}
-
-// MoveUserAsync enqueues a relocation on the owning shard's pipeline.
-func (se *Engine) MoveUserAsync(id int32, to spatial.Point) error {
-	op := core.Update{ID: id, To: to}
-	if err := se.validate(op); err != nil {
-		return err
-	}
-	return se.enqueueRouted(op)
-}
-
-// RemoveUserLocationAsync enqueues a location removal.
-func (se *Engine) RemoveUserLocationAsync(id int32) error {
-	op := core.Update{ID: id, Remove: true}
-	if err := se.validate(op); err != nil {
-		return err
-	}
-	return se.enqueueRouted(op)
-}
-
-// AddFriend inserts (or reweights) a friendship in the shared substrate,
-// synchronously — every shard's next snapshot carries the new social epoch.
-func (se *Engine) AddFriend(u, v int32, w float64) error {
-	return se.ApplyUpdates([]core.Update{{Kind: core.OpEdgeUpsert, U: u, V: v, W: w}})
-}
-
-// RemoveFriend deletes a friendship from the shared substrate.
-func (se *Engine) RemoveFriend(u, v int32) error {
-	return se.ApplyUpdates([]core.Update{{Kind: core.OpEdgeRemove, U: u, V: v}})
-}
-
-// AddFriendAsync enqueues a friendship upsert (applied once, via shard 0).
-func (se *Engine) AddFriendAsync(u, v int32, w float64) error {
-	op := core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: w}
-	if err := se.validate(op); err != nil {
-		return err
-	}
-	return se.enqueueRouted(op)
-}
-
-// RemoveFriendAsync enqueues a friendship removal (applied once, via shard 0).
-func (se *Engine) RemoveFriendAsync(u, v int32) error {
-	op := core.Update{Kind: core.OpEdgeRemove, U: u, V: v}
-	if err := se.validate(op); err != nil {
-		return err
-	}
-	return se.enqueueRouted(op)
-}
-
 // Flush blocks until every update enqueued before the call has been applied
 // and published by its shard — the read-your-writes barrier across the whole
-// partitioned engine.
+// engine — and its record is durable under the log's fsync policy (the
+// trailing commit covers records whose op needed no shard, e.g. the removal
+// of an already unlocated user).
 func (se *Engine) Flush() {
 	for _, sh := range se.shards {
 		sh.Flush()
 	}
+	se.commitLog()
 }
 
 // Close drains and stops every shard's update pipeline, waits out any
 // in-flight rebalance, and stops the shared substrate's background
 // maintenance. It holds every routing stripe while setting closed and
 // closing the shards, so in-flight async routes finish (and drain) before
-// shutdown and later ones are refused whole — see enqueueRouted; a running
+// shutdown and later ones are refused whole — see Enqueue; a running
 // rebalance observes closed at its next drain batch and aborts. Idempotent;
 // queries and synchronous mutation keep working afterwards (disabled
-// landmarks then stay disabled until an explicit RebuildLandmarks, exactly
-// like the monolithic engine).
+// landmarks then stay disabled until an explicit RebuildLandmarks).
 func (se *Engine) Close() {
 	se.lockAllStripes()
 	se.closed.Store(true)

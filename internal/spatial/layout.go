@@ -1,6 +1,9 @@
 package spatial
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Layout is the pure geometry of a multi-level regular grid: L stored
 // levels over a bounding rectangle, where level ℓ (0 = coarsest stored,
@@ -81,6 +84,31 @@ func (l *Layout) CellRect(level int, idx int32) Rect {
 		MaxX: l.Bounds.MinX + float64(ix+1)*w,
 		MaxY: l.Bounds.MinY + float64(iy+1)*h,
 	}
+}
+
+// CellMinDist returns a lower bound on the distance from p to every point
+// CellIndex files under cell idx — the paper's dˇ(u_q, C). Points outside
+// the bounds clamp into the border cells, so a border cell's region runs
+// outward without limit: measuring against its CellRect alone would
+// overestimate the distance to a user who moved off the construction-time
+// bounds, and a search pruning on that bound would lose them.
+func (l *Layout) CellMinDist(level int, idx int32, p Point) float64 {
+	r := l.CellRect(level, idx)
+	dim := l.dims[level]
+	ix, iy := int(idx)%dim, int(idx)/dim
+	if ix == 0 {
+		r.MinX = math.Inf(-1)
+	}
+	if ix == dim-1 {
+		r.MaxX = math.Inf(1)
+	}
+	if iy == 0 {
+		r.MinY = math.Inf(-1)
+	}
+	if iy == dim-1 {
+		r.MaxY = math.Inf(1)
+	}
+	return r.MinDist(p)
 }
 
 // ParentIndex maps a cell at level ≥ 1 to its parent at level−1.

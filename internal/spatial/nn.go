@@ -62,8 +62,7 @@ func (it *NNIterator) Reset(s *Snapshot, q Point) {
 		if s.counts[top][idx] == 0 {
 			continue
 		}
-		r := s.layout.CellRect(top, idx)
-		it.heap.Push(r.MinDist(q), nnTie(int16(top), idx), nnItem{int16(top), idx})
+		it.heap.Push(s.layout.CellMinDist(top, idx, q), nnTie(int16(top), idx), nnItem{int16(top), idx})
 	}
 }
 
@@ -99,8 +98,7 @@ func (it *NNIterator) Next() (id int32, dist float64, ok bool) {
 			if it.s.counts[level+1][c] == 0 {
 				continue
 			}
-			r := it.s.layout.CellRect(level+1, c)
-			it.heap.Push(r.MinDist(it.q), nnTie(int16(level+1), c), nnItem{int16(level + 1), c})
+			it.heap.Push(it.s.layout.CellMinDist(level+1, c, it.q), nnTie(int16(level+1), c), nnItem{int16(level + 1), c})
 		}
 	}
 }

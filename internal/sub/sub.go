@@ -38,8 +38,8 @@ import (
 // ErrClosed is returned by Subscribe after the engine has been closed.
 var ErrClosed = errors.New("sub: engine closed")
 
-// Source is the engine surface the subscription layer consumes. Both
-// core.Engine and shard.Engine satisfy it; locations and scores are in
+// Source is the engine surface the subscription layer consumes.
+// shard.Engine satisfies it at any shard count; locations and scores are in
 // the engine's normalized units.
 type Source interface {
 	Query(algo core.Algorithm, q graph.VertexID, prm core.Params) (*core.Result, error)

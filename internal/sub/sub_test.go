@@ -19,13 +19,10 @@ import (
 )
 
 // world is the full engine surface the harness drives: sub.Source plus the
-// update pipeline. Both core.Engine and shard.Engine satisfy it.
+// update pipeline, i.e. shard.Engine at any shard count.
 type world interface {
 	sub.Source
-	MoveUserAsync(id int32, to spatial.Point) error
-	RemoveUserLocationAsync(id int32) error
-	AddFriendAsync(u, v int32, w float64) error
-	RemoveFriendAsync(u, v int32) error
+	Enqueue(op core.Update) error
 	Flush()
 	Close()
 }
@@ -170,19 +167,19 @@ func runDifferential(t *testing.T, src world, ds *dataset.Dataset, seed int64) {
 			case 0:
 				u, v := users[rng.Intn(len(users))], users[rng.Intn(len(users))]
 				if u != v {
-					if err := src.AddFriendAsync(int32(u), int32(v), 0.3+rng.Float64()); err != nil {
+					if err := addFriendAsync(src, int32(u), int32(v), 0.3+rng.Float64()); err != nil {
 						t.Fatal(err)
 					}
 				}
 			case 1:
 				u, v := users[rng.Intn(len(users))], users[rng.Intn(len(users))]
 				if u != v {
-					if err := src.RemoveFriendAsync(int32(u), int32(v)); err != nil {
+					if err := removeFriendAsync(src, int32(u), int32(v)); err != nil {
 						t.Fatal(err)
 					}
 				}
 			case 2:
-				if err := src.RemoveUserLocationAsync(int32(pick)); err != nil {
+				if err := removeUserLocationAsync(src, int32(pick)); err != nil {
 					t.Fatal(err)
 				}
 			default:
@@ -196,7 +193,7 @@ func runDifferential(t *testing.T, src world, ds *dataset.Dataset, seed int64) {
 				} else {
 					to = spatial.Point{X: bounds.MinX + rng.Float64()*w, Y: bounds.MinY + rng.Float64()*h}
 				}
-				if err := src.MoveUserAsync(int32(pick), to); err != nil {
+				if err := moveUserAsync(src, int32(pick), to); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -230,9 +227,9 @@ func runDifferential(t *testing.T, src world, ds *dataset.Dataset, seed int64) {
 	t.Logf("stats: %+v (skip rate %.2f)", st, float64(st.Skips)/float64(st.Skips+st.Evals))
 }
 
-func TestDifferentialMonolithic(t *testing.T) {
+func TestDifferentialOneShard(t *testing.T) {
 	ds := newDataset(t, 400, 21)
-	eng, err := core.NewEngine(ds, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 21})
+	eng, err := shard.New(ds, 1, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +285,7 @@ func TestSkipSoundnessProvably(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(ds, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 3})
+	eng, err := shard.New(ds, 1, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +318,7 @@ func TestSkipSoundnessProvably(t *testing.T) {
 		if !bnds.Contains(to) {
 			to = cur
 		}
-		if err := eng.MoveUser(id, to); err != nil {
+		if err := eng.ApplyUpdates([]core.Update{{ID: id, To: to}}); err != nil {
 			t.Fatal(err)
 		}
 		e.Sync()
@@ -383,7 +380,7 @@ func TestSubscribersAcrossRebalance(t *testing.T) {
 				X: bounds.MinX + rng.Float64()*w/4,
 				Y: bounds.MinY + rng.Float64()*h/4,
 			}
-			if err := eng.MoveUserAsync(int32(id), to); err != nil {
+			if err := moveUserAsync(eng, int32(id), to); err != nil {
 				t.Error(err)
 				return
 			}
@@ -424,7 +421,7 @@ func TestSubscribersAcrossRebalance(t *testing.T) {
 func TestCloseSettlesGoroutines(t *testing.T) {
 	ds := newDataset(t, 200, 41)
 	before := runtime.NumGoroutine()
-	eng, err := core.NewEngine(ds, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 41})
+	eng, err := shard.New(ds, 1, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +445,7 @@ func TestCloseSettlesGoroutines(t *testing.T) {
 	bounds := ds.Bounds()
 	for i := 0; i < 64; i++ {
 		id := users[i%len(users)]
-		if err := eng.MoveUserAsync(int32(id), spatial.Point{X: bounds.MinX, Y: bounds.MinY}); err != nil {
+		if err := moveUserAsync(eng, int32(id), spatial.Point{X: bounds.MinX, Y: bounds.MinY}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -471,7 +468,7 @@ func TestCloseSettlesGoroutines(t *testing.T) {
 // and starts serving once located.
 func TestSubscribeUnlocatedUser(t *testing.T) {
 	ds := newDataset(t, 200, 51)
-	eng, err := core.NewEngine(ds, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 51})
+	eng, err := shard.New(ds, 1, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +494,7 @@ func TestSubscribeUnlocatedUser(t *testing.T) {
 		t.Fatalf("unlocated subscriber got %d entries", len(got))
 	}
 	bounds := ds.Bounds()
-	if err := eng.MoveUser(uq, spatial.Point{X: (bounds.MinX + bounds.MaxX) / 2, Y: (bounds.MinY + bounds.MaxY) / 2}); err != nil {
+	if err := eng.ApplyUpdates([]core.Update{{ID: uq, To: spatial.Point{X: (bounds.MinX + bounds.MaxX) / 2, Y: (bounds.MinY + bounds.MaxY) / 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	e.Sync()
@@ -510,4 +507,24 @@ func TestSubscribeUnlocatedUser(t *testing.T) {
 	if len(d.Added) != len(want) || len(d.Removed) != 0 {
 		t.Fatalf("expected a pure-added delta, got %+v", d)
 	}
+}
+
+// Single-op forms of Enqueue, the asynchronous mutation entry point.
+
+type enqueuer interface{ Enqueue(op core.Update) error }
+
+func moveUserAsync(e enqueuer, id int32, to spatial.Point) error {
+	return e.Enqueue(core.Update{ID: id, To: to})
+}
+
+func removeUserLocationAsync(e enqueuer, id int32) error {
+	return e.Enqueue(core.Update{ID: id, Remove: true})
+}
+
+func addFriendAsync(e enqueuer, u, v int32, w float64) error {
+	return e.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: w})
+}
+
+func removeFriendAsync(e enqueuer, u, v int32) error {
+	return e.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: v})
 }

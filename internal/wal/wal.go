@@ -14,12 +14,14 @@
 //	                                  rebuild the state diff vs the
 //	                                  construction dataset
 //
-// Appends are serialized and assign sequence numbers; a batch is one
-// buffered write to the OS, so a crashed process (whose page cache
-// survives) loses at most the batch being written when it died — always a
-// suffix. Fsync policy decides what a power loss can take: per-batch group
-// commit (concurrent appenders share one fsync), interval (a background
-// syncer), or off. Checkpoints are written tmp→fsync→rename and prune the
+// Appends are serialized and assign sequence numbers. Stage only encodes
+// into the log's write buffer; Commit hands everything buffered to the OS
+// and applies the fsync policy (Append is the two back to back), so a
+// crashed process (whose page cache survives) loses at most what was
+// buffered or being written when it died — always a suffix. Fsync policy
+// decides what a power loss can take: group commit on every Commit
+// (concurrent committers share one fsync), interval (a background syncer),
+// or off. Checkpoints are written tmp→fsync→rename and prune the
 // segments they cover; recovery loads the newest valid checkpoint and
 // replays the remaining tail, truncating a torn or corrupt final segment
 // tail at the last clean record boundary.
@@ -47,12 +49,12 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncBatch fsyncs before an append returns; concurrent appenders
-	// share one fsync (group commit).
+	// FsyncBatch fsyncs before a Commit (or Append) returns; concurrent
+	// committers share one fsync (group commit).
 	FsyncBatch FsyncPolicy = iota
 	// FsyncInterval fsyncs on a background timer (Options.FsyncInterval).
 	FsyncInterval
-	// FsyncOff never fsyncs. Data still reaches the OS per append, so it
+	// FsyncOff never fsyncs. Data still reaches the OS per Commit, so it
 	// survives process death (kill -9); only power loss can take it.
 	FsyncOff
 )
@@ -176,6 +178,7 @@ type Log struct {
 	ckptSeq      atomic.Uint64
 	checkpoints  atomic.Int64
 	appendErrors atomic.Int64
+	fsyncs       atomic.Int64 // segment fsyncs issued (commits, rotations, Close)
 
 	// writeBudget is the crash-test seam: once non-negative, at most that
 	// many further bytes reach the file, then the log behaves as if the
@@ -248,23 +251,34 @@ func (l *Log) syncLoop() {
 		case <-l.stopSync:
 			return
 		case <-t.C:
-			if err := l.maybeSync(l.written.Load()); err != nil {
+			if err := l.Sync(); err != nil {
 				l.appendErrors.Add(1)
 			}
 		}
 	}
 }
 
-// Append assigns sequence numbers to recs (mutating their Seq fields),
-// writes them as one buffered batch, and applies the fsync policy. It
-// returns the first and last assigned sequence.
+// Append is Stage followed by Commit: on return the records are with the
+// OS and, under FsyncBatch, fsynced.
 func (l *Log) Append(recs []oplog.Record) (first, last uint64, err error) {
+	if first, last, err = l.Stage(recs); err != nil || len(recs) == 0 {
+		return first, last, err
+	}
+	return first, last, l.Commit()
+}
+
+// Stage assigns sequence numbers to recs (mutating their Seq fields) and
+// encodes them into the log's write buffer, returning the first and last
+// assigned sequence. No syscall in the common case (a full buffer spills, a
+// full segment rotates): the records reach the OS, and become durable under
+// the fsync policy, at the next Commit.
+func (l *Log) Stage(recs []oplog.Record) (first, last uint64, err error) {
 	if len(recs) == 0 {
 		return 0, 0, nil
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return 0, 0, ErrClosed
 	}
 	first = l.nextSeq
@@ -276,35 +290,52 @@ func (l *Log) Append(recs []oplog.Record) (first, last uint64, err error) {
 	}
 	last = l.nextSeq - 1
 	if !l.crashed && l.activeBytes >= l.opts.SegmentMaxBytes {
-		if rerr := l.rotateLocked(first); rerr != nil {
-			l.appendErrors.Add(1)
-			l.mu.Unlock()
-			return first, last, rerr
-		}
+		err = l.rotateLocked(first)
 	}
-	werr := l.writeLocked(l.buf)
-	if werr == nil && !l.crashed {
-		if werr = l.w.Flush(); werr == nil {
-			l.written.Store(last)
-		}
+	if err == nil {
+		err = l.writeLocked(l.buf)
 	}
-	l.mu.Unlock()
-	if werr != nil {
+	if err != nil {
 		l.appendErrors.Add(1)
-		return first, last, werr
 	}
-	switch l.opts.Fsync {
-	case FsyncBatch:
-		if serr := l.maybeSync(last); serr != nil {
-			l.appendErrors.Add(1)
-			return first, last, serr
+	return first, last, err
+}
+
+// Commit hands every buffered record to the OS and applies the fsync policy
+// up to the newest of them: FsyncBatch fsyncs (sharing the fsync with
+// concurrent committers), FsyncInterval leaves that to the background
+// syncer, FsyncOff counts OS-resident as durable. A no-op when nothing was
+// buffered since the last Commit.
+func (l *Log) Commit() error {
+	target, err := l.flush()
+	if err == nil && l.opts.Fsync == FsyncBatch {
+		err = l.maybeSync(target)
+	}
+	if err != nil {
+		l.appendErrors.Add(1)
+		return err
+	}
+	if l.opts.Fsync == FsyncOff {
+		// Process-crash durable only (the records reached the OS); power
+		// loss may take them, which is the policy's contract.
+		advance(&l.synced, target)
+	}
+	return nil
+}
+
+// flush drains the write buffer to the OS and returns the newest sequence
+// known to be there. A closed log has nothing buffered (Close flushed it and
+// Stage refuses since), so there it is a no-op.
+func (l *Log) flush() (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.closed && !l.crashed && l.w != nil {
+		if err := l.w.Flush(); err != nil {
+			return l.written.Load(), err
 		}
-	case FsyncOff:
-		// Process-crash durable only (the batch reached the OS); power
-		// loss may take it, which is the policy's contract.
-		advance(&l.synced, l.written.Load())
+		l.written.Store(l.nextSeq - 1)
 	}
-	return first, last, nil
+	return l.written.Load(), nil
 }
 
 // writeLocked writes b through the buffered writer, honoring the crash
@@ -357,11 +388,17 @@ func (l *Log) maybeSync(target uint64) error {
 		// Crashed (seam) or the write itself failed; nothing to promise.
 		return nil
 	}
-	if err := f.Sync(); err != nil {
+	if err := l.syncFile(f); err != nil {
 		return err
 	}
 	advance(&l.synced, w)
 	return nil
+}
+
+// syncFile fsyncs a segment file and counts it (Stats.Fsyncs).
+func (l *Log) syncFile(f *os.File) error {
+	l.fsyncs.Add(1)
+	return f.Sync()
 }
 
 func advance(a *atomic.Uint64, v uint64) {
@@ -397,7 +434,7 @@ func (l *Log) rotateLocked(first uint64) error {
 		if err := l.w.Flush(); err != nil {
 			return err
 		}
-		if err := l.f.Sync(); err != nil {
+		if err := l.syncFile(l.f); err != nil {
 			return err
 		}
 		if err := l.f.Close(); err != nil {
@@ -503,9 +540,14 @@ func (l *Log) pruneLocked(seq uint64) error {
 	return syncDir(l.dir)
 }
 
-// Sync forces everything appended so far durable regardless of policy.
+// Sync forces everything appended so far — buffered records included —
+// durable regardless of policy.
 func (l *Log) Sync() error {
-	return l.maybeSync(l.written.Load())
+	target, err := l.flush()
+	if err != nil {
+		return err
+	}
+	return l.maybeSync(target)
 }
 
 // Close flushes, fsyncs, and closes the log. Further appends fail.
@@ -522,10 +564,11 @@ func (l *Log) Close() error {
 	if l.f != nil && !l.crashed {
 		if ferr := l.w.Flush(); ferr != nil {
 			err = ferr
-		} else if serr := l.f.Sync(); serr != nil {
+		} else if serr := l.syncFile(l.f); serr != nil {
 			err = serr
 		} else {
-			advance(&l.synced, l.written.Load())
+			l.written.Store(l.nextSeq - 1)
+			advance(&l.synced, l.nextSeq-1)
 		}
 		if cerr := l.f.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -572,7 +615,10 @@ type Stats struct {
 	Segments      int    `json:"segments"`
 	SizeBytes     int64  `json:"size_bytes"`
 	AppendErrors  int64  `json:"append_errors"`
-	Fsync         string `json:"fsync"`
+	// Fsyncs counts fsyncs of log segments (group commits, rotations, the
+	// final seal) — not checkpoint files.
+	Fsyncs int64  `json:"fsyncs"`
+	Fsync  string `json:"fsync"`
 }
 
 // Stats reports the current durability counters.
@@ -584,6 +630,7 @@ func (l *Log) Stats() Stats {
 		CheckpointSeq: l.CheckpointSeq(),
 		Checkpoints:   l.checkpoints.Load(),
 		AppendErrors:  l.appendErrors.Load(),
+		Fsyncs:        l.fsyncs.Load(),
 		Fsync:         l.opts.Fsync.String(),
 	}
 	if entries, err := os.ReadDir(l.dir); err == nil {
@@ -605,9 +652,10 @@ func (l *Log) Stats() Stats {
 // predates the retained history (the caller must re-bootstrap from a
 // checkpoint).
 func (l *Log) ReadFrom(from uint64, max int) ([]oplog.Record, uint64, error) {
-	// Appends flush to the OS under mu per batch, so a directory read
-	// observes record-aligned data (plus possibly a torn in-flight batch,
-	// which the reader stops cleanly at).
+	// Commits flush to the OS under mu, so a directory read observes
+	// record-aligned data (plus possibly a torn in-flight or spilled batch,
+	// which the reader stops cleanly at). Records buffered but not yet
+	// committed are not readable.
 	return ReadDirFrom(l.dir, from, max)
 }
 

@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ssrq/internal/aggindex"
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
 	"ssrq/internal/gen"
@@ -303,54 +302,23 @@ type Options struct {
 	// fallback that bounds landmark rebuild starvation under sustained
 	// churn (default 2s; negative disables forced installs).
 	ForcedInstallInterval time.Duration
-	// Shards spatially partitions the engine: users are split across this
-	// many spatially-contiguous shards (space-filling-curve assignment of
-	// grid regions), each owning its own grid, aggregate index and update
-	// pipeline. Queries fan out in parallel with bound-based shard pruning
-	// and a k-way merge; results are exactly the unsharded engine's. 0 or 1
-	// selects the single monolithic index. The social dimension (friendship
-	// graph, landmark tables, their maintenance) is shared, not replicated:
-	// one substrate serves every shard and an edge update applies once, so
-	// sharding scales the spatial dimension and query parallelism at a
-	// social memory and edge-churn cost independent of Shards.
+	// Shards is how many spatially-contiguous shards the users are split
+	// across (space-filling-curve assignment of grid regions), each owning
+	// its own grid, aggregate index and update pipeline. It is a count, not
+	// a mode: 0 or 1 is the same engine with one shard and nothing to fan
+	// out to. With more, queries fan out in parallel with bound-based shard
+	// pruning and a k-way merge, and results are exactly the one-shard
+	// engine's. The social dimension (friendship graph, landmark tables,
+	// their maintenance) is shared, not replicated: one substrate serves
+	// every shard and an edge update applies once, so sharding scales the
+	// spatial dimension and query parallelism at a social memory and
+	// edge-churn cost independent of Shards.
 	Shards int
 	// Durability, when non-nil, journals every world mutation to a
 	// write-ahead log in Durability.Dir and recovers state from it on
 	// startup (newest checkpoint + tail replay). See DurabilityOptions
 	// and OpenOrRecover in durability.go.
 	Durability *DurabilityOptions
-}
-
-// engineAPI is the query/update surface shared by the monolithic
-// core.Engine and the spatially-partitioned shard.Engine; the root Engine
-// programs exclusively against it, so the two are interchangeable behind
-// Options.Shards.
-type engineAPI interface {
-	Query(algo core.Algorithm, q graph.VertexID, prm core.Params) (*core.Result, error)
-	QueryBatch(queries []core.BatchQuery, workers int) []core.BatchResult
-	ApplyUpdates(ops []core.Update) error
-	MoveUserAsync(id int32, to spatial.Point) error
-	RemoveUserLocationAsync(id int32) error
-	RemoveUserLocation(id int32) error
-	AddFriend(u, v int32, w float64) error
-	RemoveFriend(u, v int32) error
-	AddFriendAsync(u, v int32, w float64) error
-	RemoveFriendAsync(u, v int32) error
-	Flush()
-	Close()
-	SocialStats() core.SocialStats
-	SupportsEdgeChurn() bool
-	RebuildLandmarks() int
-	Precompute(users []graph.VertexID)
-	UpdateStats() core.UpdateStats
-	UserLocation(id int32) (spatial.Point, bool)
-	NumLocated() int
-	LiveSocialGraph() *graph.Graph
-	SpatialKNN(q int32, k int) ([]spatial.Neighbor, error)
-	OnEpoch(fn func(aggindex.EpochDelta))
-	SetOpLog(fn func(ops []core.Update))
-	MutationBarrier()
-	ExportDiff() []core.Update
 }
 
 // Engine answers SSRQ queries over one dataset. The engine is safe for
@@ -362,12 +330,13 @@ type engineAPI interface {
 // new epoch before returning) or asynchronous (MoveUserAsync feeds a
 // batching pipeline; Flush is the read-your-writes barrier).
 //
-// With Options.Shards ≥ 2 the engine is spatially partitioned: each shard
-// owns a complete index over its region's users, queries fan out in
-// parallel with bound-based shard pruning, and updates route to the owning
-// shard — same API, same results, S-way write and query scaling.
+// The engine is always the routed one (internal/shard) over Options.Shards
+// spatial shards, one by default: each shard owns a complete index over its
+// region's users, queries fan out in parallel with bound-based shard pruning,
+// and updates route to the owning shard — same API, same results, S-way write
+// and query scaling.
 type Engine struct {
-	eng engineAPI
+	eng *shard.Engine
 	d   *Dataset
 
 	// subs is the continuous-subscription layer, created lazily on the
@@ -380,7 +349,6 @@ type Engine struct {
 	log         *wal.Log
 	recovered   *RecoveryInfo
 	ckptEvery   int64
-	ckptMu      sync.Mutex  // serializes checkpoint cuts, explicit and background
 	ckptBusy    atomic.Bool // a background cut is queued or running: skip, don't queue another
 	opsSince    atomic.Int64
 	walWG       sync.WaitGroup
@@ -412,15 +380,7 @@ func NewEngine(d *Dataset, opts *Options) (*Engine, error) {
 		OverlayCompactThreshold: o.OverlayCompactThreshold,
 		ForcedInstallInterval:   o.ForcedInstallInterval,
 	}
-	var (
-		eng engineAPI
-		err error
-	)
-	if o.Shards >= 2 {
-		eng, err = shard.New(d.ds, o.Shards, copts)
-	} else {
-		eng, err = core.NewEngine(d.ds, copts)
-	}
+	eng, err := shard.New(d.ds, max(1, o.Shards), copts)
 	if err != nil {
 		return nil, err
 	}
@@ -434,59 +394,33 @@ func NewEngine(d *Dataset, opts *Options) (*Engine, error) {
 	return e, nil
 }
 
-// NumShards returns the number of spatial shards (1 for the monolithic
-// engine).
-func (e *Engine) NumShards() int {
-	if se, ok := e.eng.(*shard.Engine); ok {
-		return se.NumShards()
-	}
-	return 1
-}
+// NumShards returns the number of spatial shards (at least 1).
+func (e *Engine) NumShards() int { return e.eng.NumShards() }
 
 // ShardStat is one shard's live state (see ShardStats).
 type ShardStat = shard.ShardStat
 
-// FanoutStats counts the sharded engine's fan-out pruning behaviour.
+// FanoutStats counts the engine's fan-out pruning behaviour.
 type FanoutStats = shard.FanoutStats
 
-// ShardStats returns a point-in-time view of every shard, nil for the
-// monolithic engine.
-func (e *Engine) ShardStats() []ShardStat {
-	if se, ok := e.eng.(*shard.Engine); ok {
-		return se.ShardStats()
-	}
-	return nil
-}
+// ShardStats returns a point-in-time view of every shard.
+func (e *Engine) ShardStats() []ShardStat { return e.eng.ShardStats() }
 
-// FanoutStats returns the sharded engine's accumulated fan-out counters
-// (zero value for the monolithic engine).
-func (e *Engine) FanoutStats() FanoutStats {
-	if se, ok := e.eng.(*shard.Engine); ok {
-		return se.FanoutStats()
-	}
-	return FanoutStats{}
-}
+// FanoutStats returns the accumulated fan-out counters (with one shard there
+// is nothing to fan out to: every query counts one shard queried, none
+// pruned).
+func (e *Engine) FanoutStats() FanoutStats { return e.eng.FanoutStats() }
 
-// RebalanceStats counts the sharded engine's elastic re-cuts.
+// RebalanceStats counts the engine's elastic re-cuts.
 type RebalanceStats = shard.RebalanceStats
 
-// RebalanceStats returns the sharded engine's rebalance counters (zero value
-// for the monolithic engine, whose single partition never moves).
-func (e *Engine) RebalanceStats() RebalanceStats {
-	if se, ok := e.eng.(*shard.Engine); ok {
-		return se.RebalanceStats()
-	}
-	return RebalanceStats{}
-}
+// RebalanceStats returns the rebalance counters (all zero with one shard,
+// whose single partition never moves).
+func (e *Engine) RebalanceStats() RebalanceStats { return e.eng.RebalanceStats() }
 
-// Imbalance reports the sharded engine's current occupancy imbalance
-// (max/mean located users per shard; 1 for the monolithic engine).
-func (e *Engine) Imbalance() float64 {
-	if se, ok := e.eng.(*shard.Engine); ok {
-		return se.Imbalance()
-	}
-	return 1
-}
+// Imbalance reports the current occupancy imbalance (max/mean located users
+// per shard; 1 with one shard).
+func (e *Engine) Imbalance() float64 { return e.eng.Imbalance() }
 
 // Dataset returns the engine's dataset.
 func (e *Engine) Dataset() *Dataset { return e.d }
@@ -600,14 +534,13 @@ func (e *Engine) MoveUser(id UserID, to Point) error {
 // queued updates in amortized batches. Call Flush for a read-your-writes
 // barrier. Rejects out-of-range users and NaN/±Inf coordinates immediately.
 func (e *Engine) MoveUserAsync(id UserID, to Point) error {
-	u := e.normalize(Update{ID: id, To: to})
-	return e.eng.MoveUserAsync(u.ID, u.To)
+	return e.eng.Enqueue(e.normalize(Update{ID: id, To: to}))
 }
 
 // RemoveUserLocationAsync enqueues a location removal on the update
 // pipeline.
 func (e *Engine) RemoveUserLocationAsync(id UserID) error {
-	return e.eng.RemoveUserLocationAsync(id)
+	return e.eng.Enqueue(core.Update{ID: id, Remove: true})
 }
 
 // ApplyUpdates validates and applies a batch of raw-coordinate updates as a
@@ -722,7 +655,9 @@ func (e *Engine) SubscriptionStats() SubscriptionStats {
 
 // RemoveUserLocation marks the user's whereabouts unknown; he/she becomes
 // "infinitely far away" and leaves all spatial structures.
-func (e *Engine) RemoveUserLocation(id UserID) error { return e.eng.RemoveUserLocation(id) }
+func (e *Engine) RemoveUserLocation(id UserID) error {
+	return e.eng.ApplyUpdates([]core.Update{{ID: id, Remove: true}})
+}
 
 // EdgeUpdate is one bulk friendship update in raw weight units: an upsert
 // (Remove false — insert the edge or change its weight) or a deletion
@@ -752,23 +687,27 @@ func (e *Engine) normalizeEdge(u EdgeUpdate) core.Update {
 // the AIS summaries move together as one published epoch, so queries never
 // observe a half-applied edge. Never blocks queries.
 func (e *Engine) AddFriend(u, v UserID, w float64) error {
-	return e.eng.AddFriend(u, v, w/e.d.ds.Norms.Social)
+	return e.ApplyEdgeUpdates([]EdgeUpdate{{U: u, V: v, Weight: w}})
 }
 
 // RemoveFriend deletes the undirected friendship (u, v); a no-op when the
 // edge is absent. Never blocks queries.
-func (e *Engine) RemoveFriend(u, v UserID) error { return e.eng.RemoveFriend(u, v) }
+func (e *Engine) RemoveFriend(u, v UserID) error {
+	return e.ApplyEdgeUpdates([]EdgeUpdate{{U: u, V: v, Remove: true}})
+}
 
 // AddFriendAsync enqueues a friendship upsert (raw weight) on the engine's
 // batching update pipeline — the same pipeline as MoveUserAsync, so one
 // Flush is the read-your-writes barrier for both dimensions. Redundant
 // updates for the same pair coalesce to the newest.
 func (e *Engine) AddFriendAsync(u, v UserID, w float64) error {
-	return e.eng.AddFriendAsync(u, v, w/e.d.ds.Norms.Social)
+	return e.eng.Enqueue(e.normalizeEdge(EdgeUpdate{U: u, V: v, Weight: w}))
 }
 
 // RemoveFriendAsync enqueues a friendship removal on the update pipeline.
-func (e *Engine) RemoveFriendAsync(u, v UserID) error { return e.eng.RemoveFriendAsync(u, v) }
+func (e *Engine) RemoveFriendAsync(u, v UserID) error {
+	return e.eng.Enqueue(e.normalizeEdge(EdgeUpdate{U: u, V: v, Remove: true}))
+}
 
 // ApplyEdgeUpdates validates and applies a batch of raw-weight edge updates
 // as a single published epoch. On a validation error nothing is applied.
@@ -810,7 +749,7 @@ func (e *Engine) Precompute(users []UserID) { e.eng.Precompute(users) }
 func (e *Engine) SpatialKNN(q UserID, k int) ([]Entry, error) {
 	nbrs, err := e.eng.SpatialKNN(q, k)
 	if err != nil {
-		return nil, fmt.Errorf("ssrq: user %d has no known location", q)
+		return nil, fmt.Errorf("ssrq: %w", err)
 	}
 	out := make([]Entry, len(nbrs))
 	for i, nb := range nbrs {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -353,27 +354,30 @@ func TestMoveUserRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestShardedEngineRootAPI: Options.Shards selects the partitioned engine
-// behind the same root API — identical results, working update routing, and
-// the shard introspection surface.
+// TestShardedEngineRootAPI: Options.Shards is a shard count behind one root
+// API — one shape of introspection at every count, identical results, working
+// update routing.
 func TestShardedEngineRootAPI(t *testing.T) {
 	ds, err := Synthesize("gowalla", 500, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := NewEngine(ds, &Options{Seed: 5})
+	one, err := NewEngine(ds, &Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mono.Close()
+	defer one.Close()
 	sharded, err := NewEngine(ds, &Options{Seed: 5, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sharded.Close()
 
-	if mono.NumShards() != 1 || mono.ShardStats() != nil {
-		t.Fatalf("monolith reports shards: %d %v", mono.NumShards(), mono.ShardStats())
+	// The default is one shard, reported like any other count: one ShardStat
+	// holding every located user, balanced by definition, nothing to prune.
+	if st := one.ShardStats(); one.NumShards() != 1 || len(st) != 1 ||
+		st[0].NumLocated != one.DatasetStats().NumLocated || one.Imbalance() != 1 {
+		t.Fatalf("default engine: %d shards, stats %+v, imbalance %v", one.NumShards(), st, one.Imbalance())
 	}
 	if sharded.NumShards() != 4 || len(sharded.ShardStats()) != 4 {
 		t.Fatalf("sharded engine reports %d shards, %d stats", sharded.NumShards(), len(sharded.ShardStats()))
@@ -386,7 +390,7 @@ func TestShardedEngineRootAPI(t *testing.T) {
 			break
 		}
 	}
-	want, err := mono.TopK(q, 10, 0.3)
+	want, err := one.TopK(q, 10, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,15 +399,18 @@ func TestShardedEngineRootAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got.Entries) != len(want.Entries) {
-		t.Fatalf("sharded %d entries, mono %d", len(got.Entries), len(want.Entries))
+		t.Fatalf("S=4 %d entries, S=1 %d", len(got.Entries), len(want.Entries))
 	}
 	for i := range got.Entries {
 		if got.Entries[i].ID != want.Entries[i].ID {
-			t.Fatalf("rank %d: sharded id=%d, mono id=%d", i, got.Entries[i].ID, want.Entries[i].ID)
+			t.Fatalf("rank %d: S=4 id=%d, S=1 id=%d", i, got.Entries[i].ID, want.Entries[i].ID)
 		}
 	}
-	if fs := sharded.FanoutStats(); fs.Queries == 0 {
+	if fs := sharded.FanoutStats(); fs.Queries == 0 || fs.Fanouts == 0 {
 		t.Fatalf("fan-out counters dead: %+v", fs)
+	}
+	if fs := one.FanoutStats(); fs.Queries != 1 || fs.ShardsQueried != 1 || fs.Fanouts != 0 || fs.ShardsPruned != 0 {
+		t.Fatalf("one shard fanned out: %+v", fs)
 	}
 
 	// Raw-coordinate updates route through the sharded engine identically.
@@ -430,6 +437,42 @@ func TestShardedEngineRootAPI(t *testing.T) {
 	}
 }
 
+// TestSpatialKNNErrorsKeepTheirCause: the root wraps the engine's error
+// instead of rewriting every failure into "no known location".
+func TestSpatialKNNErrorsKeepTheirCause(t *testing.T) {
+	ds, err := Synthesize("twitter", 100, 5) // all located
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.RemoveUserLocation(7); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q    UserID
+		want string
+	}{
+		{-1, "out of range"},
+		{100, "out of range"},
+		{7, "no known location"},
+	} {
+		_, err := eng.SpatialKNN(tc.q, 3)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "ssrq: ") {
+			t.Fatalf("SpatialKNN(%d): %v, want an ssrq error naming %q", tc.q, err, tc.want)
+		}
+		if errors.Unwrap(err) == nil {
+			t.Fatalf("SpatialKNN(%d): %v does not wrap the engine's error", tc.q, err)
+		}
+	}
+	if nbrs, err := eng.SpatialKNN(8, 3); err != nil || len(nbrs) != 3 {
+		t.Fatalf("SpatialKNN(8): %v %v", nbrs, err)
+	}
+}
+
 func TestSubscribeRootAPI(t *testing.T) {
 	ds, err := Synthesize("twitter", 300, 7) // all located
 	if err != nil {
@@ -439,6 +482,7 @@ func TestSubscribeRootAPI(t *testing.T) {
 		name string
 		opts *Options
 	}{
+		// Names pinned by the tier-1 floor list: "monolithic" is one shard.
 		{"monolithic", nil},
 		{"sharded", &Options{Shards: 4}},
 	} {
