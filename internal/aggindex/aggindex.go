@@ -16,10 +16,11 @@
 // one addition: grid membership and social summaries are published together
 // as a single Snapshot through one atomic pointer, so a reader can never
 // pair new membership with stale summaries (which would break the Lemma 2
-// bounds). Writers apply batches of updates copy-on-write and defer the
-// upward summary propagation to the end of the batch, amortizing both the
-// array duplication and the propagateUp recomputation across all moves of
-// the batch before a single Publish installs the next epoch.
+// bounds). Writers apply batches of updates copy-on-write per page of cells
+// (an epoch duplicates the pages it writes and the spines pointing at them,
+// nothing proportional to the grid) and carry leaf changes upward once per
+// batch, level by level with §5.1's widen-or-recompute rule, before a single
+// Publish installs the next epoch.
 //
 // The social dimension — the mutable edge overlay and the dynamic landmark
 // tables — lives in a Social substrate (see substrate.go) that an Index
@@ -36,6 +37,7 @@ package aggindex
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,12 +81,11 @@ type Op struct {
 // bounds against a single consistent version.
 type Snapshot struct {
 	g           *spatial.Snapshot
-	soc         *graph.Graph  // nil for indexes built without a social graph
-	lm          *landmark.Set // landmark epoch the summaries were computed on
-	minSum      [][]float64   // [level][cell*m + j]
-	maxSum      [][]float64
-	labelSum    [][]uint64 // [level][cell]: OR of member label masks (nil when unlabeled)
-	labels      []uint64   // immutable per-user label bitmasks (nil when unlabeled)
+	soc         *graph.Graph   // nil for indexes built without a social graph
+	lm          *landmark.Set  // landmark epoch the summaries were computed on
+	sums        [][]*[]float64 // [level][page]: one row per cell, see row
+	labelSums   [][]*labelPage // [level][page]: OR of member label masks (nil when unlabeled)
+	labels      []uint64       // immutable per-user label bitmasks (nil when unlabeled)
 	m           int
 	disabledLm  uint64 // landmarks excluded from bounds in this epoch
 	epoch       uint64
@@ -120,19 +121,10 @@ func (s *Snapshot) PublishedAt() time.Time { return s.publishedAt }
 // Masks are maintained beside the min/max summaries and published in the
 // same snapshot, so they always describe exactly this epoch's membership.
 func (s *Snapshot) CellLabelMask(level int, idx int32) uint64 {
-	if s.labelSum == nil {
+	if s.labelSums == nil {
 		return 0
 	}
-	return s.labelSum[level][idx]
-}
-
-// LabelMasks returns one level's cell label masks indexed by cell (nil when
-// the index is unlabeled). Read-only.
-func (s *Snapshot) LabelMasks(level int) []uint64 {
-	if s.labelSum == nil {
-		return nil
-	}
-	return s.labelSum[level]
+	return s.labelSums[level][idx>>sumPageShift][idx&sumPageMask]
 }
 
 // UserLabels returns user u's label bitmask (0 when the index is unlabeled).
@@ -149,47 +141,45 @@ func (s *Snapshot) HasLabels() bool { return s.labels != nil }
 // MinSummary returns m̌[j] for the cell, the minimum graph distance between
 // any member user and landmark j (+Inf for an empty cell).
 func (s *Snapshot) MinSummary(level int, idx int32, j int) float64 {
-	return s.minSum[level][int(idx)*s.m+j]
+	return row(s.sums[level], idx, s.m)[j]
 }
 
 // MaxSummary returns m̂[j] for the cell (−Inf for an empty cell).
 func (s *Snapshot) MaxSummary(level int, idx int32, j int) float64 {
-	return s.maxSum[level][int(idx)*s.m+j]
+	return row(s.sums[level], idx, s.m)[s.m+j]
 }
 
 // SocialLowerBound evaluates Lemma 2: a lower bound on the graph distance
 // between the query vertex (whose landmark vector is qvec) and every user in
 // the cell. Empty cells return +Inf.
 func (s *Snapshot) SocialLowerBound(level int, idx int32, qvec []float64) float64 {
-	return lemma2(s.minSum[level], s.maxSum[level], int(idx)*s.m, s.m, s.disabledLm, qvec)
+	return lemma2(row(s.sums[level], idx, s.m), s.m, s.disabledLm, qvec)
 }
 
 // SocialLowerBoundsInto evaluates Lemma 2 for every cell of one level in a
-// single flat pass over the summary arrays, appending one bound per cell into
-// dst (resized to the level's cell count). Equivalent to calling
-// SocialLowerBound per cell — the two share the per-cell kernel — but keeps
-// the summary rows hot in cache and lets pooled callers (AIS seeding, the
-// sharded fan-out's admission bound) evaluate a whole level without any
+// single pass over the summary pages, appending one bound per cell into dst
+// (resized to the level's cell count). Equivalent to calling
+// SocialLowerBound per cell — the two share the per-cell kernel — but walks
+// the rows page by page in cell order and lets pooled callers (AIS seeding,
+// the sharded fan-out's admission bound) evaluate a whole level without any
 // per-cell call or allocation.
 func (s *Snapshot) SocialLowerBoundsInto(level int, qvec []float64, dst []float64) []float64 {
-	mins := s.minSum[level]
-	maxs := s.maxSum[level]
-	n := len(mins) / s.m
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	} else {
-		dst = dst[:n]
-	}
-	for idx := 0; idx < n; idx++ {
-		dst[idx] = lemma2(mins, maxs, idx*s.m, s.m, s.disabledLm, qvec)
+	w := 2 * s.m
+	dst = slices.Grow(dst[:0], s.g.Layout().NumCells(level))
+	for _, pg := range s.sums[level] {
+		rows := *pg
+		for base := 0; base < len(rows); base += w {
+			dst = append(dst, lemma2(rows[base:base+w], s.m, s.disabledLm, qvec))
+		}
 	}
 	return dst
 }
 
-// lemma2 is the per-cell Lemma-2 kernel over one cell's summary row
-// (mins/maxs[base : base+m]) — shared by the single-cell and batched entry
-// points so they cannot diverge.
-func lemma2(mins, maxs []float64, base, m int, disabled uint64, qvec []float64) float64 {
+// lemma2 is the per-cell Lemma-2 kernel over one cell's summary row (see
+// row) — shared by the single-cell and batched entry points so they cannot
+// diverge.
+func lemma2(r []float64, m int, disabled uint64, qvec []float64) float64 {
+	mins, maxs := r[:m], r[m:2*m]
 	best := 0.0
 	for j := 0; j < m; j++ {
 		if disabled&(1<<uint(j)) != 0 {
@@ -198,7 +188,7 @@ func lemma2(mins, maxs []float64, base, m int, disabled uint64, qvec []float64) 
 			continue
 		}
 		mq := qvec[j]
-		lo, hi := mins[base+j], maxs[base+j]
+		lo, hi := mins[j], maxs[j]
 		switch {
 		case mq < lo:
 			if math.IsInf(lo, 1) {
@@ -252,31 +242,25 @@ type Index struct {
 	// never be paired across epochs.
 	social *SocialSnapshot
 
-	// Working summaries for the epoch under construction. A level whose
-	// sumStamp differs from epoch is still shared with the published
-	// snapshot and must be duplicated before its first write of the batch.
-	minSum   [][]float64
-	maxSum   [][]float64
-	sumStamp []uint64
-	// labels is the immutable per-user label bitmask slice (nil for an
-	// unlabeled dataset); labelSum mirrors minSum/maxSum with one OR'd mask
-	// per cell, copy-on-write per level via labelStamp, published in the
-	// same snapshot as the min/max summaries so filtered pruning never
-	// pairs new membership with stale masks.
-	labels     []uint64
-	labelSum   [][]uint64
-	labelStamp []uint64
-	epoch      uint64
-	// sumsTouched records whether any summary level was written since the
-	// last publish; when false the next snapshot can alias the previous
-	// one's (immutable) outer arrays instead of re-copying them — the common
-	// case for a consumer syncing a social epoch none of whose dirty
-	// vertices live in its grid.
-	sumsTouched bool
+	// Working summaries for the epoch under construction, copy-on-write per
+	// page of cells (see cowLevels). labels is the immutable per-user label
+	// bitmask slice (nil for an unlabeled dataset); labelSums then holds one
+	// OR'd mask per cell beside the min/max rows, published in the same
+	// snapshot so filtered pruning never pairs new membership with stale
+	// masks.
+	sums      cowLevels[*[]float64]
+	labels    []uint64
+	labelSums cowLevels[*labelPage]
+	epoch     uint64 // of the next snapshot to publish
 
-	// dirtyLeaves collects leaves whose summaries changed during the current
-	// batch; upward propagation runs once over them before Publish.
-	dirtyLeaves map[int32]struct{}
+	// dirty[l] collects the level-l cells whose summaries changed during the
+	// current batch; redo[l] the internal level-l cells whose summaries must
+	// be re-derived from their children. propagateDirty drains both, level by
+	// level, before Publish.
+	dirty, redo []cellSet
+	// acc and kids are the recompute scratch: one row and one child list.
+	acc  []float64
+	kids []int32
 	// syncSeen is socialSync's reusable leaf-dedup scratch.
 	syncSeen map[int32]struct{}
 
@@ -384,30 +368,37 @@ func build(grid *spatial.Grid, lm *landmark.Set, sub *Social) (*Index, error) {
 		return nil, fmt.Errorf("aggindex: nil grid or landmark set")
 	}
 	ix := &Index{
-		grid:        grid,
-		lm:          lm,
-		m:           lm.M(),
-		sub:         sub,
-		dirtyLeaves: make(map[int32]struct{}),
+		grid: grid,
+		lm:   lm,
+		m:    lm.M(),
+		sub:  sub,
+		acc:  make([]float64, 2*lm.M()),
 	}
 	if sub != nil {
 		ix.labels = sub.labels
 	}
 	layout := grid.Layout()
-	ix.sumStamp = make([]uint64, layout.Levels)
-	ix.labelStamp = make([]uint64, layout.Levels)
+	ix.sums.dup = func(p *[]float64) *[]float64 { cp := slices.Clone(*p); return &cp }
+	ix.labelSums.dup = func(p *labelPage) *labelPage { cp := *p; return &cp }
 	for l := 0; l < layout.Levels; l++ {
-		size := layout.NumCells(l) * ix.m
-		mins := make([]float64, size)
-		maxs := make([]float64, size)
-		for i := range mins {
-			mins[i] = math.Inf(1)
-			maxs[i] = math.Inf(-1)
+		cells := layout.NumCells(l)
+		var rows []*[]float64
+		var masks []*labelPage
+		for lo := 0; lo < cells; lo += sumPageCells {
+			pg := make([]float64, 2*ix.m*min(sumPageCells, cells-lo))
+			for base := 0; base < len(pg); base += 2 * ix.m {
+				emptyRow(pg[base:base+2*ix.m], ix.m)
+			}
+			rows = append(rows, &pg)
+			masks = append(masks, new(labelPage))
 		}
-		ix.minSum = append(ix.minSum, mins)
-		ix.maxSum = append(ix.maxSum, maxs)
+		ix.sums.spines = append(ix.sums.spines, rows)
 		if ix.labels != nil {
-			ix.labelSum = append(ix.labelSum, make([]uint64, layout.NumCells(l)))
+			ix.labelSums.spines = append(ix.labelSums.spines, masks)
+		}
+		ix.dirty = append(ix.dirty, newCellSet(cells))
+		if l < layout.LeafLevel() {
+			ix.redo = append(ix.redo, newCellSet(cells))
 		}
 	}
 	if sub == nil {
@@ -475,43 +466,41 @@ func (ix *Index) Layout() *spatial.Layout { return ix.grid.Layout() }
 // MinSummary returns the working-state m̌[j] (writer-side view; readers use
 // Snapshot().MinSummary).
 func (ix *Index) MinSummary(level int, idx int32, j int) float64 {
-	return ix.minSum[level][int(idx)*ix.m+j]
+	return ix.row(level, idx)[j]
 }
 
 // MaxSummary returns the working-state m̂[j] (writer-side view).
 func (ix *Index) MaxSummary(level int, idx int32, j int) float64 {
-	return ix.maxSum[level][int(idx)*ix.m+j]
+	return ix.row(level, idx)[ix.m+j]
 }
 
 // SocialLowerBound evaluates Lemma 2 against the working state (writer-side
 // view; readers use Snapshot().SocialLowerBound).
 func (ix *Index) SocialLowerBound(level int, idx int32, qvec []float64) float64 {
-	s := Snapshot{minSum: ix.minSum, maxSum: ix.maxSum, m: ix.m, disabledLm: ix.lmView().DisabledMask()}
-	return s.SocialLowerBound(level, idx, qvec)
+	return lemma2(ix.row(level, idx), ix.m, ix.lmView().DisabledMask(), qvec)
 }
 
-// writableSums duplicates one level's summary arrays on first write per
-// epoch, so the published snapshot keeps its own copies.
-func (ix *Index) writableSums(level int) (mins, maxs []float64) {
-	ix.sumsTouched = true
-	if ix.sumStamp[level] != ix.epoch {
-		ix.minSum[level] = append([]float64(nil), ix.minSum[level]...)
-		ix.maxSum[level] = append([]float64(nil), ix.maxSum[level]...)
-		ix.sumStamp[level] = ix.epoch
-	}
-	return ix.minSum[level], ix.maxSum[level]
+// row returns the cell's working summary row (read-only).
+func (ix *Index) row(level int, idx int32) []float64 {
+	return row(ix.sums.spines[level], idx, ix.m)
 }
 
-// writableLabels is writableSums for the per-cell label masks: duplicate one
-// level's mask array on first write per epoch so the published snapshot
-// keeps its own copy. Only called on labeled indexes.
-func (ix *Index) writableLabels(level int) []uint64 {
-	ix.sumsTouched = true
-	if ix.labelStamp[level] != ix.epoch {
-		ix.labelSum[level] = append([]uint64(nil), ix.labelSum[level]...)
-		ix.labelStamp[level] = ix.epoch
-	}
-	return ix.labelSum[level]
+// writableRow returns the cell's working summary row for writing, its page
+// duplicated first if the published snapshot still shares it.
+func (ix *Index) writableRow(level int, idx int32) []float64 {
+	pg := *ix.sums.writable(level, idx>>sumPageShift)
+	base := int(idx&sumPageMask) * 2 * ix.m
+	return pg[base : base+2*ix.m]
+}
+
+// mask returns the cell's working label mask (labeled indexes only).
+func (ix *Index) mask(level int, idx int32) uint64 {
+	return ix.labelSums.spines[level][idx>>sumPageShift][idx&sumPageMask]
+}
+
+// setMask writes the cell's label mask, copy-on-write like writableRow.
+func (ix *Index) setMask(level int, idx int32, m uint64) {
+	ix.labelSums.writable(level, idx>>sumPageShift)[idx&sumPageMask] = m
 }
 
 // publishLocked installs the working state as the next epoch. Caller holds
@@ -524,25 +513,15 @@ func (ix *Index) publishLocked() { ix.publishLockedAt(time.Now()) }
 func (ix *Index) publishLockedAt(now time.Time) {
 	s := &Snapshot{
 		g:           ix.grid.Publish(),
+		sums:        ix.sums.publish(),
+		labels:      ix.labels,
 		m:           ix.m,
 		epoch:       ix.epoch,
 		publishedAt: now,
 	}
-	if prev := ix.published.Load(); prev != nil && !ix.sumsTouched {
-		// No summary write since the last publish: the previous snapshot's
-		// outer arrays still describe exactly the current rows, and both are
-		// immutable, so alias them instead of copying.
-		s.minSum, s.maxSum = prev.minSum, prev.maxSum
-		s.labelSum = prev.labelSum
-	} else {
-		s.minSum = append([][]float64(nil), ix.minSum...)
-		s.maxSum = append([][]float64(nil), ix.maxSum...)
-		if ix.labelSum != nil {
-			s.labelSum = append([][]uint64(nil), ix.labelSum...)
-		}
+	if ix.labels != nil {
+		s.labelSums = ix.labelSums.publish()
 	}
-	s.labels = ix.labels
-	ix.sumsTouched = false
 	if soc := ix.social; soc != nil {
 		s.soc = soc.g
 		s.lm = soc.lm
@@ -597,7 +576,7 @@ func (ix *Index) socialSync(sn *SocialSnapshot, dirty []graph.VertexID, allLeave
 			}
 			ix.syncSeen[leaf] = struct{}{}
 			if ix.recomputeLeaf(leaf) {
-				ix.dirtyLeaves[leaf] = struct{}{}
+				ix.touchLeaf(leaf)
 			}
 		}
 		clear(ix.syncSeen)
@@ -707,156 +686,6 @@ func (ix *Index) RemoveLocation(id int32) {
 	ix.Apply([]Op{{ID: id, Remove: true}})
 }
 
-// recomputeLeaf rebuilds the summary of a leaf cell from its members,
-// against the current landmark tables.
-func (ix *Index) recomputeLeaf(idx int32) bool {
-	base := int(idx) * ix.m
-	leaf := ix.grid.Layout().LeafLevel()
-	lm := ix.lmView()
-	changed := false
-	var mins, maxs []float64
-	for j := 0; j < ix.m; j++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, u := range ix.grid.CellUsers(idx) {
-			d := lm.Dist(j, u)
-			if d < lo {
-				lo = d
-			}
-			if d > hi {
-				hi = d
-			}
-		}
-		if ix.minSum[leaf][base+j] != lo || ix.maxSum[leaf][base+j] != hi {
-			if mins == nil {
-				mins, maxs = ix.writableSums(leaf)
-			}
-			mins[base+j] = lo
-			maxs[base+j] = hi
-			changed = true
-		}
-	}
-	if ix.labels != nil {
-		var mask uint64
-		for _, u := range ix.grid.CellUsers(idx) {
-			mask |= ix.labels[u]
-		}
-		if ix.labelSum[leaf][idx] != mask {
-			ix.writableLabels(leaf)[idx] = mask
-			changed = true
-		}
-	}
-	return changed
-}
-
-// recomputeFromChildren rebuilds an internal cell's summary as the
-// element-wise min/max over its s×s children; reports whether it changed.
-func (ix *Index) recomputeFromChildren(level int, idx int32) bool {
-	layout := ix.grid.Layout()
-	kids := layout.ChildIndices(level, idx, nil)
-	base := int(idx) * ix.m
-	changed := false
-	var mins, maxs []float64
-	for j := 0; j < ix.m; j++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, c := range kids {
-			cb := int(c) * ix.m
-			if v := ix.minSum[level+1][cb+j]; v < lo {
-				lo = v
-			}
-			if v := ix.maxSum[level+1][cb+j]; v > hi {
-				hi = v
-			}
-		}
-		if ix.minSum[level][base+j] != lo || ix.maxSum[level][base+j] != hi {
-			if mins == nil {
-				mins, maxs = ix.writableSums(level)
-			}
-			mins[base+j] = lo
-			maxs[base+j] = hi
-			changed = true
-		}
-	}
-	if ix.labels != nil {
-		var mask uint64
-		for _, c := range kids {
-			mask |= ix.labelSum[level+1][c]
-		}
-		if ix.labelSum[level][idx] != mask {
-			ix.writableLabels(level)[idx] = mask
-			changed = true
-		}
-	}
-	return changed
-}
-
-// propagateDirty recomputes ancestors of every leaf the batch touched,
-// level by level with per-cell deduplication, stopping each chain as soon as
-// a recomputation reports no change. Running this once per batch instead of
-// once per move is what amortizes propagateUp across the batch.
-func (ix *Index) propagateDirty() {
-	if len(ix.dirtyLeaves) == 0 {
-		return
-	}
-	layout := ix.grid.Layout()
-	cur := ix.dirtyLeaves
-	for l := layout.LeafLevel(); l > 0 && len(cur) > 0; l-- {
-		seen := make(map[int32]bool, len(cur))
-		for idx := range cur {
-			parent := layout.ParentIndex(l, idx)
-			if _, done := seen[parent]; done {
-				continue
-			}
-			seen[parent] = ix.recomputeFromChildren(l-1, parent)
-		}
-		next := make(map[int32]struct{}, len(seen))
-		for parent, changed := range seen {
-			if changed {
-				next[parent] = struct{}{}
-			}
-		}
-		cur = next
-	}
-	clear(ix.dirtyLeaves)
-}
-
-// onInsert widens summaries for a user that joined a leaf cell. Widening is
-// cheap: compare the mover's landmark vector against m̌/m̂ (§5.1).
-func (ix *Index) onInsert(leaf int32, id int32) {
-	base := int(leaf) * ix.m
-	l := ix.grid.Layout().LeafLevel()
-	lm := ix.lmView()
-	changed := false
-	var mins, maxs []float64
-	for j := 0; j < ix.m; j++ {
-		d := lm.Dist(j, id)
-		if d < ix.minSum[l][base+j] {
-			if mins == nil {
-				mins, maxs = ix.writableSums(l)
-			}
-			mins[base+j] = d
-			changed = true
-		}
-		if d > ix.maxSum[l][base+j] {
-			if mins == nil {
-				mins, maxs = ix.writableSums(l)
-			}
-			maxs[base+j] = d
-			changed = true
-		}
-	}
-	if ix.labels != nil {
-		if lbl := ix.labels[id]; lbl != 0 {
-			if old := ix.labelSum[l][leaf]; old|lbl != old {
-				ix.writableLabels(l)[leaf] = old | lbl
-				changed = true
-			}
-		}
-	}
-	if changed {
-		ix.dirtyLeaves[leaf] = struct{}{}
-	}
-}
-
 // RebuildDisabledLandmarks synchronously restores disabled landmark tables
 // through the substrate; see Social.RebuildDisabledLandmarks. Returns how
 // many landmarks it restored.
@@ -865,19 +694,6 @@ func (ix *Index) RebuildDisabledLandmarks() int {
 		return 0
 	}
 	return ix.sub.RebuildDisabledLandmarks()
-}
-
-// recomputeAllLeavesLocked re-derives every leaf summary against the current
-// landmark tables (after one or more full-table installs), marking changed
-// leaves for upward propagation. Caller holds mu and publishes afterwards.
-func (ix *Index) recomputeAllLeavesLocked() {
-	layout := ix.grid.Layout()
-	leaf := layout.LeafLevel()
-	for idx := int32(0); idx < int32(layout.NumCells(leaf)); idx++ {
-		if ix.recomputeLeaf(idx) {
-			ix.dirtyLeaves[idx] = struct{}{}
-		}
-	}
 }
 
 // SocialStats is a point-in-time view of the social dimension: overlay
@@ -913,28 +729,4 @@ func (ix *Index) SocialStats() SocialStats {
 		return SocialStats{}
 	}
 	return ix.sub.Stats()
-}
-
-// onRemove narrows summaries after a user left a leaf cell. Only components
-// the mover was responsible for are recomputed over the remaining members.
-func (ix *Index) onRemove(leaf int32, id int32) {
-	base := int(leaf) * ix.m
-	l := ix.grid.Layout().LeafLevel()
-	lm := ix.lmView()
-	// A labeled leaver may have been the only carrier of its label bits in
-	// the cell; recomputeLeaf re-derives the mask over the remaining members
-	// (narrowing on removal can't be decided locally, same as min/max).
-	responsible := ix.labels != nil && ix.labels[id] != 0
-	for j := 0; !responsible && j < ix.m; j++ {
-		d := lm.Dist(j, id)
-		if d == ix.minSum[l][base+j] || d == ix.maxSum[l][base+j] {
-			responsible = true
-		}
-	}
-	if !responsible {
-		return
-	}
-	if ix.recomputeLeaf(leaf) {
-		ix.dirtyLeaves[leaf] = struct{}{}
-	}
 }

@@ -1,0 +1,304 @@
+package aggindex
+
+import (
+	"math"
+	"slices"
+)
+
+// Summary storage. A cell's summary is one row of 2m floats — m̌[0..m) then
+// m̂[0..m) — and a level's rows are packed sumPageCells cells to a page (label
+// masks likewise, one uint64 per cell). Pages and the per-level spines of
+// page pointers are copy-on-write across epochs: an epoch duplicates the
+// pages it writes and the spine of each level it writes, so a move costs a
+// few hundred bytes per touched page instead of a whole level. The page size
+// is measured (TestEpochByteBudget), like the grid's.
+const (
+	sumPageShift = 2
+	sumPageCells = 1 << sumPageShift
+	sumPageMask  = sumPageCells - 1
+)
+
+type labelPage [sumPageCells]uint64
+
+// row returns cell idx's row within one level's pages.
+func row(pages []*[]float64, idx int32, m int) []float64 {
+	base := int(idx&sumPageMask) * 2 * m
+	return (*pages[idx>>sumPageShift])[base : base+2*m]
+}
+
+// emptyRow resets r to the summary of an empty cell: (+Inf, −Inf).
+func emptyRow(r []float64, m int) {
+	for j := 0; j < m; j++ {
+		r[j], r[m+j] = math.Inf(1), math.Inf(-1)
+	}
+}
+
+// widen stretches row r to cover one member's landmark vector.
+func widen(r, vec []float64) {
+	m := len(vec)
+	for j, d := range vec {
+		if d < r[j] {
+			r[j] = d
+		}
+		if d > r[m+j] {
+			r[m+j] = d
+		}
+	}
+}
+
+// merge stretches row r to cover another row.
+func merge(r, o []float64) {
+	m := len(r) / 2
+	for j := 0; j < m; j++ {
+		if o[j] < r[j] {
+			r[j] = o[j]
+		}
+		if o[m+j] > r[m+j] {
+			r[m+j] = o[m+j]
+		}
+	}
+}
+
+// cowLevels is one paged array per grid level, copy-on-write across epochs:
+// spines[level][page] is shared with the published snapshot until the
+// writer's first write of an epoch to that level duplicates the spine, and
+// to that page the page. Whatever the working spines no longer share with the
+// published ones was duplicated in this epoch and is private to it.
+type cowLevels[P comparable] struct {
+	spines [][]P // working
+	pub    [][]P // the published snapshot's (nil before the first publish)
+	dup    func(P) P
+}
+
+// publish returns the working spines for a snapshot, from then on shared.
+func (c *cowLevels[P]) publish() [][]P {
+	c.pub = slices.Clone(c.spines)
+	return c.pub
+}
+
+// writable returns page pg of level for writing, duplicating the spine and
+// the page first while the published snapshot still shares them.
+func (c *cowLevels[P]) writable(level int, pg int32) P {
+	if c.pub != nil {
+		if &c.spines[level][0] == &c.pub[level][0] {
+			c.spines[level] = slices.Clone(c.spines[level])
+		}
+		if c.spines[level][pg] == c.pub[level][pg] {
+			c.spines[level][pg] = c.dup(c.spines[level][pg])
+		}
+	}
+	return c.spines[level][pg]
+}
+
+// cellSet is a duplicate-free list of one level's cells.
+type cellSet struct {
+	cells []int32
+	in    []bool
+}
+
+func newCellSet(n int) cellSet { return cellSet{in: make([]bool, n)} }
+
+func (s *cellSet) add(idx int32) {
+	if !s.in[idx] {
+		s.in[idx] = true
+		s.cells = append(s.cells, idx)
+	}
+}
+
+func (s *cellSet) has(idx int32) bool { return s.in[idx] }
+
+func (s *cellSet) reset() {
+	for _, c := range s.cells {
+		s.in[c] = false
+	}
+	s.cells = s.cells[:0]
+}
+
+// touchLeaf queues a leaf whose summary changed for upward propagation.
+func (ix *Index) touchLeaf(idx int32) { ix.dirty[ix.grid.Layout().LeafLevel()].add(idx) }
+
+// storeRow writes the scratch row ix.acc as the cell's summary; reports
+// whether that changed anything.
+func (ix *Index) storeRow(level int, idx int32) bool {
+	if slices.Equal(ix.row(level, idx), ix.acc) {
+		return false
+	}
+	copy(ix.writableRow(level, idx), ix.acc)
+	return true
+}
+
+// storeMask writes the cell's label mask; reports whether it changed.
+func (ix *Index) storeMask(level int, idx int32, mask uint64) bool {
+	if ix.mask(level, idx) == mask {
+		return false
+	}
+	ix.setMask(level, idx, mask)
+	return true
+}
+
+// recomputeLeaf rebuilds a leaf's summary from its members against the
+// current landmark tables, one member vector at a time; reports whether it
+// changed.
+func (ix *Index) recomputeLeaf(idx int32) bool {
+	lm := ix.lmView()
+	users := ix.grid.CellUsers(idx)
+	emptyRow(ix.acc, ix.m)
+	for _, u := range users {
+		widen(ix.acc, lm.VertexRow(u))
+	}
+	leaf := ix.grid.Layout().LeafLevel()
+	changed := ix.storeRow(leaf, idx)
+	if ix.labels != nil {
+		var mask uint64
+		for _, u := range users {
+			mask |= ix.labels[u]
+		}
+		changed = ix.storeMask(leaf, idx, mask) || changed
+	}
+	return changed
+}
+
+// recomputeFromChildren rebuilds an internal cell's summary as the
+// element-wise min/max over its s×s children, one child row at a time;
+// reports whether it changed.
+func (ix *Index) recomputeFromChildren(level int, idx int32) bool {
+	ix.kids = ix.grid.Layout().ChildIndices(level, idx, ix.kids[:0])
+	emptyRow(ix.acc, ix.m)
+	var mask uint64
+	for _, c := range ix.kids {
+		merge(ix.acc, ix.row(level+1, c))
+		if ix.labels != nil {
+			mask |= ix.mask(level+1, c)
+		}
+	}
+	changed := ix.storeRow(level, idx)
+	if ix.labels != nil {
+		changed = ix.storeMask(level, idx, mask) || changed
+	}
+	return changed
+}
+
+// recomputeAllLeavesLocked re-derives every leaf summary against the current
+// landmark tables (after one or more full-table installs), queueing changed
+// leaves for upward propagation. Caller holds mu and publishes afterwards.
+func (ix *Index) recomputeAllLeavesLocked() {
+	layout := ix.grid.Layout()
+	for idx := int32(0); idx < int32(layout.NumCells(layout.LeafLevel())); idx++ {
+		if ix.recomputeLeaf(idx) {
+			ix.touchLeaf(idx)
+		}
+	}
+}
+
+// onInsert widens summaries for a user that joined a leaf cell. Widening is
+// cheap: compare the mover's landmark vector against m̌/m̂ (§5.1).
+func (ix *Index) onInsert(leaf int32, id int32) {
+	l := ix.grid.Layout().LeafLevel()
+	vec := ix.lmView().VertexRow(id)
+	r := ix.row(l, leaf)
+	for j, d := range vec {
+		if d < r[j] || d > r[ix.m+j] {
+			widen(ix.writableRow(l, leaf), vec)
+			ix.touchLeaf(leaf)
+			break
+		}
+	}
+	if ix.labels != nil {
+		if old := ix.mask(l, leaf); old|ix.labels[id] != old {
+			ix.setMask(l, leaf, old|ix.labels[id])
+			ix.touchLeaf(leaf)
+		}
+	}
+}
+
+// onRemove narrows summaries after a user left a leaf cell. Only a leaver
+// that held some component's extreme can narrow it, and then the leaf is
+// re-derived over the remaining members.
+func (ix *Index) onRemove(leaf int32, id int32) {
+	l := ix.grid.Layout().LeafLevel()
+	// A labeled leaver may have been the only carrier of its label bits in
+	// the cell; narrowing on removal can't be decided locally, same as
+	// min/max.
+	responsible := ix.labels != nil && ix.labels[id] != 0
+	if !responsible {
+		r := ix.row(l, leaf)
+		for j, d := range ix.lmView().VertexRow(id) {
+			if d == r[j] || d == r[ix.m+j] {
+				responsible = true
+				break
+			}
+		}
+	}
+	if responsible && ix.recomputeLeaf(leaf) {
+		ix.touchLeaf(leaf)
+	}
+}
+
+// propagateDirty carries the batch's changed cells up the levels with §5.1's
+// rule, one level at a time, instead of re-deriving every touched parent
+// from its s² children. A parent's published row is the element-wise min/max
+// of its children's published rows, so for each component of m̌ (m̂ is
+// symmetric) and each changed child:
+//
+//   - a child that narrowed (new > old) while holding the parent's value
+//     (old == parent's) may have been its only holder: the parent is
+//     re-derived from all its children once the level is done;
+//   - otherwise the parent's new value is min(parent's, the child's new
+//     value) — widening in O(M). Unchanged children still bound it by their
+//     old values, and a holder that did not narrow still attains it.
+//
+// The child's pre-batch row is read from the published snapshot, which the
+// batch never writes (every write goes to a duplicated page). A parent
+// already widened below the old extreme needs no re-derivation: its new
+// value is the smallest changed child's, which the widening recorded.
+func (ix *Index) propagateDirty() {
+	prev := ix.published.Load()
+	layout := ix.grid.Layout()
+	for l := layout.LeafLevel(); l > 0; l-- {
+		for _, c := range ix.dirty[l].cells {
+			ix.carryUp(prev, l, c, layout.ParentIndex(l, c))
+		}
+		ix.dirty[l].reset()
+		for _, p := range ix.redo[l-1].cells {
+			if ix.recomputeFromChildren(l-1, p) {
+				ix.dirty[l-1].add(p)
+			}
+		}
+		ix.redo[l-1].reset()
+	}
+	ix.dirty[0].reset()
+}
+
+// carryUp applies one changed level-l cell c to its parent p (see
+// propagateDirty).
+func (ix *Index) carryUp(prev *Snapshot, l int, c, p int32) {
+	redo := &ix.redo[l-1]
+	if redo.has(p) {
+		return // re-derived from every child anyway
+	}
+	m := ix.m
+	cur, old, par := ix.row(l, c), row(prev.sums[l], c, m), ix.row(l-1, p)
+	grows := false
+	for j := 0; j < m; j++ {
+		if (cur[j] > old[j] && old[j] == par[j]) || (cur[m+j] < old[m+j] && old[m+j] == par[m+j]) {
+			redo.add(p)
+			return
+		}
+		grows = grows || cur[j] < par[j] || cur[m+j] > par[m+j]
+	}
+	if ix.labels != nil {
+		cm, pm := ix.mask(l, c), ix.mask(l-1, p)
+		if prev.CellLabelMask(l, c)&^cm != 0 {
+			redo.add(p) // the child lost label bits another child may not carry
+			return
+		}
+		if cm&^pm != 0 {
+			ix.setMask(l-1, p, pm|cm)
+			ix.dirty[l-1].add(p)
+		}
+	}
+	if grows {
+		merge(ix.writableRow(l-1, p), cur)
+		ix.dirty[l-1].add(p)
+	}
+}

@@ -191,6 +191,9 @@ type Engine struct {
 
 	upOnce  sync.Once
 	updater atomic.Pointer[Updater]
+	// syncApplied / syncBatches count the ops and epochs of synchronous
+	// ApplyUpdates calls; UpdateStats adds them to the updater's counters.
+	syncApplied, syncBatches atomic.Int64
 }
 
 // queryPools are the per-query scratch structures, checked out once per
@@ -382,6 +385,8 @@ func (e *Engine) ApplyUpdates(ops []Update) error {
 		}
 	}
 	e.agg.Apply(ops)
+	e.syncApplied.Add(int64(len(ops)))
+	e.syncBatches.Add(1)
 	return nil
 }
 
@@ -519,12 +524,7 @@ func (e *Engine) RebuildLandmarks() int { return e.agg.RebuildDisabledLandmarks(
 // all move together, so queries never observe a half-applied edge. Never
 // blocks queries.
 func (e *Engine) AddFriend(u, v int32, w float64) error {
-	op := Update{Kind: aggindex.OpEdgeUpsert, U: u, V: v, W: w}
-	if err := e.ValidateUpdate(op); err != nil {
-		return err
-	}
-	e.agg.Apply([]Update{op})
-	return nil
+	return e.ApplyUpdates([]Update{{Kind: aggindex.OpEdgeUpsert, U: u, V: v, W: w}})
 }
 
 // NumLocated returns how many users have an indexed location in the latest

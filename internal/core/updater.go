@@ -265,9 +265,11 @@ type UpdateStats struct {
 	SnapshotAge time.Duration
 	// PendingUpdates counts async updates enqueued but not yet published.
 	PendingUpdates int64
-	// AppliedUpdates counts async updates applied (pre-coalescing).
+	// AppliedUpdates counts updates applied: async ones (pre-coalescing) and
+	// those of synchronous ApplyUpdates batches.
 	AppliedUpdates int64
-	// AppliedBatches counts epochs published by the updater.
+	// AppliedBatches counts the batches that published them: the updater's
+	// epochs plus one per synchronous ApplyUpdates call.
 	AppliedBatches int64
 	// CoalescedUpdates counts updates absorbed by a newer update for the
 	// same user before reaching the index.
@@ -281,11 +283,14 @@ func (e *Engine) UpdateStats() UpdateStats {
 		Epoch:       sn.Epoch(),
 		SocialEpoch: sn.SocialEpoch(),
 		SnapshotAge: time.Since(sn.PublishedAt()),
+
+		AppliedUpdates: e.syncApplied.Load(),
+		AppliedBatches: e.syncBatches.Load(),
 	}
 	if u := e.updater.Load(); u != nil {
 		st.PendingUpdates = u.pending.Load()
-		st.AppliedUpdates = u.applied.Load()
-		st.AppliedBatches = u.batches.Load()
+		st.AppliedUpdates += u.applied.Load()
+		st.AppliedBatches += u.batches.Load()
 		st.CoalescedUpdates = u.coalesced.Load()
 	}
 	return st

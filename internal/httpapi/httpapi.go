@@ -4,9 +4,10 @@
 // (queries are lock-free against the latest published epoch; updates build
 // the next epoch copy-on-write), so handlers call it directly with no
 // server-side locking. /batch fans a request out over the engine's
-// worker-pool batch path; /moves feeds the engine's batching update
-// pipeline; /stats reports the epoch number, pending-update depth and
-// snapshot age alongside the dataset statistics.
+// worker-pool batch path; /moves and /edges feed the engine's batching
+// update pipeline, or with flush apply as one synchronous batch; /stats
+// reports the epoch number, pending-update depth and snapshot age alongside
+// the dataset statistics.
 package httpapi
 
 import (
@@ -369,8 +370,9 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 }
 
 // movesRequest is a bulk location-update batch. Each item is a move, or a
-// location removal when Remove is set. With Flush true the request returns
-// only after every update in it is applied and published (read-your-writes);
+// location removal when Remove is set. With Flush true the batch is applied
+// synchronously and the request returns only after it — and every update
+// enqueued before it — is applied and published (read-your-writes);
 // otherwise updates are enqueued on the engine's batching pipeline and the
 // response is 202 Accepted.
 type movesRequest struct {
@@ -420,6 +422,25 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	resp := movesResponse{Accepted: len(req.Moves)}
+	if req.Flush {
+		// One request, one synchronous batch: one journal append and commit,
+		// one epoch per touched shard. The engine drains earlier async ops
+		// for these users first, and the trailing Flush covers everyone
+		// else's, so flush keeps its read-your-writes meaning.
+		ups := make([]ssrq.Update, len(req.Moves))
+		for i, m := range req.Moves {
+			ups[i] = ssrq.Update{ID: m.ID, To: ssrq.Point{X: m.X, Y: m.Y}, Remove: m.Remove}
+		}
+		if err := s.eng.ApplyUpdates(ups); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		s.eng.Flush()
+		resp.Epoch = s.eng.UpdateStats().Epoch
+		writeJSON(w, resp)
+		return
+	}
 	for _, m := range req.Moves {
 		var err error
 		if m.Remove {
@@ -432,21 +453,15 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp := movesResponse{Accepted: len(req.Moves)}
-	if req.Flush {
-		s.eng.Flush()
-		resp.Epoch = s.eng.UpdateStats().Epoch
-		writeJSON(w, resp)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
 // edgesRequest is a bulk social-edge update batch: friendship upserts
-// (insert or reweight) and removals. With Flush true the request returns
-// only after every update is applied and published (read-your-writes);
+// (insert or reweight) and removals. With Flush true the batch is applied
+// synchronously and the request returns only after it — and every update
+// enqueued before it — is applied and published (read-your-writes);
 // otherwise updates are enqueued on the engine's batching pipeline and the
 // response is 202 Accepted.
 type edgesRequest struct {
@@ -507,6 +522,24 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	resp := edgesResponse{Accepted: len(req.Edges)}
+	if req.Flush {
+		// As for /moves: one social epoch, one landmark-repair pass and one
+		// subscription round for the whole request.
+		ups := make([]ssrq.EdgeUpdate, len(req.Edges))
+		for i, e := range req.Edges {
+			ups[i] = ssrq.EdgeUpdate{U: e.U, V: e.V, Weight: e.W, Remove: e.Remove}
+		}
+		if err := s.eng.ApplyEdgeUpdates(ups); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		s.eng.Flush()
+		us := s.eng.UpdateStats()
+		resp.Epoch, resp.SocialEpoch = us.Epoch, us.SocialEpoch
+		writeJSON(w, resp)
+		return
+	}
 	for _, e := range req.Edges {
 		var err error
 		if e.Remove {
@@ -518,14 +551,6 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusServiceUnavailable, err)
 			return
 		}
-	}
-	resp := edgesResponse{Accepted: len(req.Edges)}
-	if req.Flush {
-		s.eng.Flush()
-		us := s.eng.UpdateStats()
-		resp.Epoch, resp.SocialEpoch = us.Epoch, us.SocialEpoch
-		writeJSON(w, resp)
-		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)

@@ -244,6 +244,11 @@ func (s *Set) VertexVector(v graph.VertexID) []float64 {
 	return append([]float64(nil), s.vec(v)...)
 }
 
+// VertexRow returns the landmark-distance vector of v without copying: it
+// aliases the set's storage and must not be modified — the form for index
+// maintenance loops that read one vector per member.
+func (s *Set) VertexRow(v graph.VertexID) []float64 { return s.vec(v) }
+
 // AppendVertexVector appends the landmark-distance vector of v to dst and
 // returns the extended slice — the allocation-free form of VertexVector for
 // pooled query scratch.

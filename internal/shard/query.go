@@ -249,13 +249,9 @@ func (se *Engine) homeIn(sns []*aggindex.Snapshot, q graph.VertexID) int {
 // index (nil masks) holds only unlabeled users, which never match a nonzero
 // filter.
 func shardMatchesFilter(sn *aggindex.Snapshot, filter uint64) bool {
-	masks := sn.LabelMasks(0)
-	if masks == nil {
-		return false
-	}
 	g := sn.Grid()
-	for idx, m := range masks {
-		if m&filter != 0 && g.CountAt(0, int32(idx)) != 0 {
+	for idx := int32(0); idx < int32(g.Layout().NumCells(0)); idx++ {
+		if sn.CellLabelMask(0, idx)&filter != 0 && g.CountAt(0, idx) != 0 {
 			return true
 		}
 	}

@@ -18,7 +18,9 @@ type ShardStat struct {
 	// Epoch / SocialEpoch are the shard's published index versions.
 	Epoch       uint64
 	SocialEpoch uint64
-	// PendingUpdates / AppliedBatches describe the shard's updater pipeline.
+	// PendingUpdates / AppliedBatches describe the shard's update pipeline:
+	// queued async ops, and epochs published by the updater or by synchronous
+	// batches (routed writes, replay and rebalance migrations alike).
 	PendingUpdates int64
 	AppliedBatches int64
 	// DisabledLandmarks is the shard's current landmark-maintenance debt.

@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -15,9 +16,9 @@ import (
 // through an atomic pointer: readers call Snapshot() once and traverse the
 // returned epoch freely — no lock, no blocking, one consistent view for the
 // whole logical operation. Mutations (Move/SetLocated/RemoveLocation) build
-// the next epoch copy-on-write: only the touched leaf buckets, per-user
-// pages and count arrays are duplicated, everything else is shared with the
-// published snapshot. Nothing a reader can observe changes until Publish
+// the next epoch copy-on-write: only the touched user pages, leaf buckets,
+// bucket pages and count pages are duplicated, everything else is shared with
+// the published snapshot. Nothing a reader can observe changes until Publish
 // atomically installs the new epoch.
 //
 // The mutating methods and Publish are writer-side and must be serialized
@@ -29,15 +30,10 @@ type Grid struct {
 	layout    *Layout
 	published atomic.Pointer[Snapshot]
 
-	// Writer state: the epoch under construction. work is nil when no
-	// unpublished mutation exists. The stamp arrays record which constituent
-	// objects have already been duplicated for the current working epoch —
-	// an object is safe to mutate in place iff its stamp equals epoch.
-	work        *Snapshot
-	epoch       uint64
-	pageStamp   []uint64 // per per-user page (pts+located+bucketOf together)
-	bucketStamp []uint64 // per leaf cell bucket
-	countStamp  []uint64 // per count level
+	// Writer state: the epoch under construction and the published epoch it
+	// derives from. work is nil when no unpublished mutation exists. A page or
+	// bucket of work is safe to mutate in place iff base does not share it.
+	work, base *Snapshot
 }
 
 // NewGrid indexes the users whose located flag is set. pts and located are
@@ -49,40 +45,22 @@ func NewGrid(layout *Layout, pts []Point, located []bool) (*Grid, error) {
 		return nil, fmt.Errorf("spatial: %d points but %d located flags", len(pts), len(located))
 	}
 	n := len(pts)
-	pages := numPages(n)
 	w := &Snapshot{
-		layout:   layout,
-		n:        n,
-		pts:      make([][]Point, pages),
-		located:  make([][]bool, pages),
-		bucketOf: make([][]int32, pages),
-		leaves:   make([][]int32, layout.NumCells(layout.LeafLevel())),
+		layout: layout,
+		n:      n,
+		users:  newPages[userPage](n, userPageSize),
+		leaves: newPages[cellPage[[]int32]](layout.NumCells(layout.LeafLevel()), cellPageSize),
 	}
-	for p := 0; p < pages; p++ {
-		lo := p * pageSize
-		hi := min(lo+pageSize, n)
-		w.pts[p] = make([]Point, hi-lo)
-		copy(w.pts[p], pts[lo:hi])
-		w.located[p] = make([]bool, hi-lo)
-		copy(w.located[p], located[lo:hi])
-		b := make([]int32, hi-lo)
-		for i := range b {
-			b[i] = -1
-		}
-		w.bucketOf[p] = b
+	for id := range pts {
+		pg := w.users[id>>userPageShift]
+		pg.pts[id&userPageMask], pg.leaf[id&userPageMask] = pts[id], -1
 	}
-	for l := 0; l < layout.Levels; l++ {
-		w.counts = append(w.counts, make([]int32, layout.NumCells(l)))
+	for l := 0; l < layout.LeafLevel(); l++ {
+		w.counts = append(w.counts, newPages[cellPage[int32]](layout.NumCells(l), cellPageSize))
 	}
-	g := &Grid{
-		layout:      layout,
-		work:        w,
-		pageStamp:   make([]uint64, pages),
-		bucketStamp: make([]uint64, len(w.leaves)),
-		countStamp:  make([]uint64, layout.Levels),
-	}
-	// Construction runs at epoch 0 with all stamps already 0, so the
-	// insert loop mutates the fresh arrays in place.
+	// Nothing is published yet: against an empty base every page is private,
+	// so the insert loop mutates the fresh pages in place.
+	g := &Grid{layout: layout, work: w, base: &Snapshot{counts: make([][]*cellPage[int32], len(w.counts))}}
 	for id := 0; id < n; id++ {
 		if located[id] {
 			g.insert(int32(id))
@@ -118,53 +96,39 @@ func (g *Grid) view() *Snapshot {
 	return g.published.Load()
 }
 
-// ensureWork opens the next working epoch if none exists, sharing every
-// constituent array with the published snapshot (only the cheap spines are
-// duplicated eagerly; pages, buckets and count levels copy on first touch).
+// ensureWork opens the next working epoch if none exists. Only the spines of
+// page pointers are duplicated; pages and buckets copy on first touch.
 func (g *Grid) ensureWork() *Snapshot {
 	if g.work == nil {
 		pub := g.published.Load()
 		w := *pub
 		w.epoch = pub.epoch + 1
-		w.pts = append([][]Point(nil), pub.pts...)
-		w.located = append([][]bool(nil), pub.located...)
-		w.bucketOf = append([][]int32(nil), pub.bucketOf...)
-		w.leaves = append([][]int32(nil), pub.leaves...)
-		w.counts = append([][]int32(nil), pub.counts...)
-		g.work = &w
-		g.epoch = w.epoch
+		w.users = slices.Clone(pub.users)
+		w.leaves = slices.Clone(pub.leaves)
+		w.counts = make([][]*cellPage[int32], len(pub.counts))
+		for l, c := range pub.counts {
+			w.counts[l] = slices.Clone(c)
+		}
+		g.work, g.base = &w, pub
 	}
 	return g.work
 }
 
-// writablePage duplicates the per-user page holding id (points, located
-// flags and leaf assignments travel together) on first touch per epoch.
-func (g *Grid) writablePage(w *Snapshot, id int32) int32 {
-	pg := id >> pageShift
-	if g.pageStamp[pg] != g.epoch {
-		w.pts[pg] = append([]Point(nil), w.pts[pg]...)
-		w.located[pg] = append([]bool(nil), w.located[pg]...)
-		w.bucketOf[pg] = append([]int32(nil), w.bucketOf[pg]...)
-		g.pageStamp[pg] = g.epoch
-	}
-	return pg
+// writableUsers returns the page holding id in the working epoch for
+// writing; id's entries sit at id&userPageMask.
+func (g *Grid) writableUsers(w *Snapshot, id int32) *userPage {
+	return writablePage(w.users, g.base.users, id>>userPageShift)
 }
 
-// writableBucket duplicates a leaf bucket on first touch per epoch.
-func (g *Grid) writableBucket(w *Snapshot, leaf int32) {
-	if g.bucketStamp[leaf] != g.epoch {
-		w.leaves[leaf] = append([]int32(nil), w.leaves[leaf]...)
-		g.bucketStamp[leaf] = g.epoch
+// writableBucket returns a leaf's bucket slot in the working epoch with the
+// bucket itself duplicated (one spare slot for the insert that usually
+// follows) while the published epoch still shares it.
+func (g *Grid) writableBucket(w *Snapshot, leaf int32) *[]int32 {
+	b := &writablePage(w.leaves, g.base.leaves, leaf>>cellPageShift)[leaf&cellPageMask]
+	if g.base.leaves != nil && sameArray(*b, g.base.CellUsers(leaf)) {
+		*b = append(make([]int32, 0, len(*b)+1), *b...)
 	}
-}
-
-// writableCounts duplicates one level's count array on first touch per epoch.
-func (g *Grid) writableCounts(w *Snapshot, level int) []int32 {
-	if g.countStamp[level] != g.epoch {
-		w.counts[level] = append([]int32(nil), w.counts[level]...)
-		g.countStamp[level] = g.epoch
-	}
-	return w.counts[level]
+	return b
 }
 
 // Layout returns the grid geometry.
@@ -183,7 +147,7 @@ func (g *Grid) Located(id int32) bool { return g.view().Located(id) }
 
 // CellUsers returns the members of a leaf cell (do not modify). Writer-side
 // view.
-func (g *Grid) CellUsers(leafIdx int32) []int32 { return g.view().leaves[leafIdx] }
+func (g *Grid) CellUsers(leafIdx int32) []int32 { return g.view().CellUsers(leafIdx) }
 
 // LeafOf returns the leaf cell currently holding the user, or -1 when the
 // user has no location. Index layers that maintain per-cell aggregates (the
@@ -192,55 +156,53 @@ func (g *Grid) LeafOf(id int32) int32 { return g.view().LeafOf(id) }
 
 // CountAt returns the number of located users under a cell. Writer-side
 // view.
-func (g *Grid) CountAt(level int, idx int32) int32 { return g.view().counts[level][idx] }
+func (g *Grid) CountAt(level int, idx int32) int32 { return g.view().CountAt(level, idx) }
 
 func (g *Grid) insert(id int32) {
 	w := g.work
-	leaf := g.layout.CellIndex(g.layout.LeafLevel(), w.Point(id))
-	g.writableBucket(w, leaf)
-	w.leaves[leaf] = append(w.leaves[leaf], id)
-	pg := g.writablePage(w, id)
-	w.bucketOf[pg][id&pageMask] = leaf
+	u := g.writableUsers(w, id)
+	leaf := g.layout.CellIndex(g.layout.LeafLevel(), u.pts[id&userPageMask])
+	b := g.writableBucket(w, leaf)
+	*b = append(*b, id)
+	u.leaf[id&userPageMask] = leaf
 	g.adjustCounts(leaf, +1)
 	w.numLocated++
 }
 
 func (g *Grid) remove(id int32) {
 	w := g.work
-	leaf := w.LeafOf(id)
-	g.writableBucket(w, leaf)
-	bucket := w.leaves[leaf]
-	for i, u := range bucket {
-		if u == id {
+	u := g.writableUsers(w, id)
+	leaf := u.leaf[id&userPageMask]
+	b := g.writableBucket(w, leaf)
+	bucket := *b
+	for i, v := range bucket {
+		if v == id {
 			bucket[i] = bucket[len(bucket)-1]
-			w.leaves[leaf] = bucket[:len(bucket)-1]
+			*b = bucket[:len(bucket)-1]
 			break
 		}
 	}
-	pg := g.writablePage(w, id)
-	w.bucketOf[pg][id&pageMask] = -1
+	u.leaf[id&userPageMask] = -1
 	g.adjustCounts(leaf, -1)
 	w.numLocated--
 }
 
-// adjustCounts propagates an occupancy delta from a leaf up every level.
+// adjustCounts propagates an occupancy delta from a leaf up every level
+// above it (the leaf's own count is its bucket length).
 func (g *Grid) adjustCounts(leaf int32, delta int32) {
 	idx := leaf
-	for l := g.layout.LeafLevel(); ; l-- {
-		g.writableCounts(g.work, l)[idx] += delta
-		if l == 0 {
-			break
-		}
+	for l := g.layout.LeafLevel(); l > 0; l-- {
 		idx = g.layout.ParentIndex(l, idx)
+		writablePage(g.work.counts[l-1], g.base.counts[l-1], idx>>cellPageShift)[idx&cellPageMask] += delta
 	}
 }
 
 // Move relocates a user. Updates are handled as the paper describes: a
 // deletion from the old cell and an insertion into the new one. A move that
-// stays within the same leaf cell rewrites only the user's coordinate page
-// in the working epoch — membership, counts and any aggregate summaries
-// stacked on top are untouched, and readers of the published snapshot see
-// the old coordinates until the next Publish. Writer-side.
+// stays within the same leaf cell rewrites only the user's page in the
+// working epoch — membership, counts and any aggregate summaries stacked on
+// top are untouched, and readers of the published snapshot see the old
+// coordinates until the next Publish. Writer-side.
 func (g *Grid) Move(id int32, to Point) {
 	w := g.ensureWork()
 	if !w.Located(id) {
@@ -249,8 +211,7 @@ func (g *Grid) Move(id int32, to Point) {
 	}
 	oldLeaf := w.LeafOf(id)
 	newLeaf := g.layout.CellIndex(g.layout.LeafLevel(), to)
-	pg := g.writablePage(w, id)
-	w.pts[pg][id&pageMask] = to
+	g.writableUsers(w, id).pts[id&userPageMask] = to
 	if oldLeaf == newLeaf {
 		return
 	}
@@ -265,9 +226,7 @@ func (g *Grid) SetLocated(id int32, p Point) {
 		g.Move(id, p)
 		return
 	}
-	pg := g.writablePage(w, id)
-	w.pts[pg][id&pageMask] = p
-	w.located[pg][id&pageMask] = true
+	g.writableUsers(w, id).pts[id&userPageMask] = p
 	g.insert(id)
 }
 
@@ -279,6 +238,4 @@ func (g *Grid) RemoveLocation(id int32) {
 		return
 	}
 	g.remove(id)
-	pg := g.writablePage(w, id)
-	w.located[pg][id&pageMask] = false
 }

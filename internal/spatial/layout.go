@@ -3,6 +3,7 @@ package spatial
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Layout is the pure geometry of a multi-level regular grid: L stored
@@ -120,8 +121,9 @@ func (l *Layout) ParentIndex(level int, idx int32) int32 {
 }
 
 // ChildIndices appends the s×s child cell indices (at level+1) of cell idx
-// to dst and returns it.
+// to dst and returns it, growing dst at most once.
 func (l *Layout) ChildIndices(level int, idx int32, dst []int32) []int32 {
+	dst = slices.Grow(dst, l.S*l.S)
 	dim := l.dims[level]
 	ix, iy := int(idx)%dim, int(idx)/dim
 	cdim := l.dims[level+1]

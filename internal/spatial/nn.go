@@ -59,7 +59,7 @@ func (it *NNIterator) Reset(s *Snapshot, q Point) {
 	it.cellPops = 0
 	top := 0
 	for idx := int32(0); idx < int32(s.layout.NumCells(top)); idx++ {
-		if s.counts[top][idx] == 0 {
+		if s.CountAt(top, idx) == 0 {
 			continue
 		}
 		it.heap.Push(s.layout.CellMinDist(top, idx, q), nnTie(int16(top), idx), nnItem{int16(top), idx})
@@ -87,7 +87,7 @@ func (it *NNIterator) Next() (id int32, dist float64, ok bool) {
 		it.cellPops++
 		level := int(item.level)
 		if level == it.s.layout.LeafLevel() {
-			for _, u := range it.s.leaves[item.idx] {
+			for _, u := range it.s.CellUsers(item.idx) {
 				d := it.s.Point(u).Dist(it.q)
 				it.heap.Push(d, nnTie(userLevel, u), nnItem{userLevel, u})
 			}
@@ -95,7 +95,7 @@ func (it *NNIterator) Next() (id int32, dist float64, ok bool) {
 		}
 		it.childBuf = it.s.layout.ChildIndices(level, item.idx, it.childBuf[:0])
 		for _, c := range it.childBuf {
-			if it.s.counts[level+1][c] == 0 {
+			if it.s.CountAt(level+1, c) == 0 {
 				continue
 			}
 			it.heap.Push(it.s.layout.CellMinDist(level+1, c, it.q), nnTie(int16(level+1), c), nnItem{int16(level + 1), c})

@@ -2,14 +2,60 @@ package spatial
 
 import "math"
 
-// Per-user state (points, located flags, leaf assignments) is stored in
-// fixed-size pages so an epoch that moves a handful of users copies a few
-// kilobytes, not arrays proportional to the whole population.
+// Every array of a Snapshot is paged: per-user state in pages of 16 users,
+// per-cell state (leaf buckets, occupancy counts) in pages of 8 cells. The
+// writer duplicates a page on its first write of an epoch and each spine of
+// page pointers once per epoch, so an epoch copies the pages its moved users
+// and touched cells live in plus the spines — a few hundred bytes per touched
+// page, nothing proportional to the population or the grid. The sizes are
+// measured (TestEpochByteBudget): smaller pages copy less per touch but make
+// the spines every epoch copies longer.
 const (
-	pageShift = 10
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
+	userPageShift = 4
+	userPageSize  = 1 << userPageShift
+	userPageMask  = userPageSize - 1
+	cellPageShift = 3
+	cellPageSize  = 1 << cellPageShift
+	cellPageMask  = cellPageSize - 1
 )
+
+// userPage holds a page of users' coordinates and leaf cells; a user is
+// located iff its leaf is not -1.
+type userPage struct {
+	pts  [userPageSize]Point
+	leaf [userPageSize]int32
+}
+
+type cellPage[T any] [cellPageSize]T
+
+// newPages returns a spine of n/per zeroed pages (rounded up).
+func newPages[P any](n, per int) []*P {
+	spine := make([]*P, (n+per-1)/per)
+	for i := range spine {
+		spine[i] = new(P)
+	}
+	return spine
+}
+
+// writablePage returns page pg of the working epoch's spine for writing,
+// duplicating it first while it is still the page of base, the published
+// epoch's spine the working one was cloned from (nil before anything is
+// published). A page the working spine does not share with base was
+// duplicated earlier in this epoch and is private to it.
+func writablePage[P any](work, base []*P, pg int32) *P {
+	if base != nil && work[pg] == base[pg] {
+		cp := *work[pg]
+		work[pg] = &cp
+	}
+	return work[pg]
+}
+
+// sameArray reports whether two buckets share a backing array. Buckets always
+// start at their array's first element, so comparing those suffices; one with
+// no capacity shares nothing, since appending to it allocates.
+func sameArray(a, b []int32) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}
 
 // Snapshot is one immutable epoch of grid state: the complete query-visible
 // view — per-user coordinates and located flags, leaf membership, and the
@@ -24,13 +70,11 @@ type Snapshot struct {
 	epoch  uint64
 	n      int
 
-	// Per-user pages: pts[id>>pageShift][id&pageMask].
-	pts      [][]Point
-	located  [][]bool
-	bucketOf [][]int32
-
-	leaves     [][]int32 // leaf cell index -> member user IDs
-	counts     [][]int32 // [level][cell] -> located users underneath
+	users  []*userPage
+	leaves []*cellPage[[]int32] // leaf cell index -> member user IDs
+	// counts[level] holds the located users under each cell of the levels
+	// above the leaf; a leaf's count is the length of its bucket.
+	counts     [][]*cellPage[int32]
 	numLocated int
 }
 
@@ -49,20 +93,27 @@ func (s *Snapshot) NumLocated() int { return s.numLocated }
 
 // Point returns the location of a user in this epoch (meaningless when not
 // located).
-func (s *Snapshot) Point(id int32) Point { return s.pts[id>>pageShift][id&pageMask] }
+func (s *Snapshot) Point(id int32) Point { return s.users[id>>userPageShift].pts[id&userPageMask] }
 
 // Located reports whether the user has a known location in this epoch.
-func (s *Snapshot) Located(id int32) bool { return s.located[id>>pageShift][id&pageMask] }
+func (s *Snapshot) Located(id int32) bool { return s.LeafOf(id) >= 0 }
 
 // LeafOf returns the leaf cell holding the user in this epoch, or -1 when
 // the user has no location.
-func (s *Snapshot) LeafOf(id int32) int32 { return s.bucketOf[id>>pageShift][id&pageMask] }
+func (s *Snapshot) LeafOf(id int32) int32 { return s.users[id>>userPageShift].leaf[id&userPageMask] }
 
 // CellUsers returns the members of a leaf cell (do not modify).
-func (s *Snapshot) CellUsers(leafIdx int32) []int32 { return s.leaves[leafIdx] }
+func (s *Snapshot) CellUsers(leafIdx int32) []int32 {
+	return s.leaves[leafIdx>>cellPageShift][leafIdx&cellPageMask]
+}
 
 // CountAt returns the number of located users under a cell.
-func (s *Snapshot) CountAt(level int, idx int32) int32 { return s.counts[level][idx] }
+func (s *Snapshot) CountAt(level int, idx int32) int32 {
+	if level == s.layout.LeafLevel() {
+		return int32(len(s.CellUsers(idx)))
+	}
+	return s.counts[level][idx>>cellPageShift][idx&cellPageMask]
+}
 
 // EuclideanDist returns the distance between two users' locations in this
 // epoch, +Inf when either lacks a location (the paper's convention for
@@ -73,6 +124,3 @@ func (s *Snapshot) EuclideanDist(a, b int32) float64 {
 	}
 	return s.Point(a).Dist(s.Point(b))
 }
-
-// numPages returns how many pages cover n per-user slots.
-func numPages(n int) int { return (n + pageSize - 1) / pageSize }
