@@ -81,13 +81,12 @@ type Op struct {
 // bounds against a single consistent version.
 type Snapshot struct {
 	g           *spatial.Snapshot
-	soc         *graph.Graph   // nil for indexes built without a social graph
+	soc         *graph.Graph   // social graph of the substrate epoch paired in
 	lm          *landmark.Set  // landmark epoch the summaries were computed on
 	sums        [][]*[]float64 // [level][page]: one row per cell, see row
 	labelSums   [][]*labelPage // [level][page]: OR of member label masks (nil when unlabeled)
 	labels      []uint64       // immutable per-user label bitmasks (nil when unlabeled)
 	m           int
-	disabledLm  uint64 // landmarks excluded from bounds in this epoch
 	epoch       uint64
 	socialEpoch uint64
 	publishedAt time.Time
@@ -96,8 +95,7 @@ type Snapshot struct {
 // Grid returns the spatial snapshot this epoch pairs the summaries with.
 func (s *Snapshot) Grid() *spatial.Snapshot { return s.g }
 
-// SocialGraph returns this epoch's social graph (nil when the index was
-// built with New rather than NewShared).
+// SocialGraph returns this epoch's social graph.
 func (s *Snapshot) SocialGraph() *graph.Graph { return s.soc }
 
 // Landmarks returns this epoch's landmark set — the tables every summary in
@@ -153,7 +151,7 @@ func (s *Snapshot) MaxSummary(level int, idx int32, j int) float64 {
 // between the query vertex (whose landmark vector is qvec) and every user in
 // the cell. Empty cells return +Inf.
 func (s *Snapshot) SocialLowerBound(level int, idx int32, qvec []float64) float64 {
-	return lemma2(row(s.sums[level], idx, s.m), s.m, s.disabledLm, qvec)
+	return lemma2(row(s.sums[level], idx, s.m), s.m, qvec)
 }
 
 // SocialLowerBoundsInto evaluates Lemma 2 for every cell of one level in a
@@ -169,7 +167,7 @@ func (s *Snapshot) SocialLowerBoundsInto(level int, qvec []float64, dst []float6
 	for _, pg := range s.sums[level] {
 		rows := *pg
 		for base := 0; base < len(rows); base += w {
-			dst = append(dst, lemma2(rows[base:base+w], s.m, s.disabledLm, qvec))
+			dst = append(dst, lemma2(rows[base:base+w], s.m, qvec))
 		}
 	}
 	return dst
@@ -178,15 +176,10 @@ func (s *Snapshot) SocialLowerBoundsInto(level int, qvec []float64, dst []float6
 // lemma2 is the per-cell Lemma-2 kernel over one cell's summary row (see
 // row) — shared by the single-cell and batched entry points so they cannot
 // diverge.
-func lemma2(r []float64, m int, disabled uint64, qvec []float64) float64 {
+func lemma2(r []float64, m int, qvec []float64) float64 {
 	mins, maxs := r[:m], r[m:2*m]
 	best := 0.0
 	for j := 0; j < m; j++ {
-		if disabled&(1<<uint(j)) != 0 {
-			// Landmark table stale under edge churn: its summaries carry no
-			// information until the rebuild re-enables it.
-			continue
-		}
 		mq := qvec[j]
 		lo, hi := mins[j], maxs[j]
 		switch {
@@ -225,12 +218,9 @@ func lemma2(r []float64, m int, disabled uint64, qvec []float64) float64 {
 // index (this one included) to the new social epoch.
 type Index struct {
 	grid *spatial.Grid
-	lm   *landmark.Set // construction-time set; live tables come from social
+	m    int
 
-	m int
-
-	// Social substrate this index consumes (nil for static indexes built
-	// with New). The index never closes it; the substrate's owner does.
+	// sub is the social substrate this index consumes.
 	sub *Social
 
 	mu        sync.Mutex // writer side: guards everything below and grid mutation
@@ -316,9 +306,6 @@ func (ix *Index) SetCommitBarrier(fn func()) {
 
 // Config tunes the social substrate built by NewSocialSubstrate.
 type Config struct {
-	// RepairBudget caps per-landmark per-op incremental repair work before
-	// the landmark is disabled and rebuilt asynchronously (default 256).
-	RepairBudget int
 	// CompactThreshold is the overlay delta size (patched vertices) that
 	// triggers folding the delta back into a pure CSR (default
 	// max(1024, n/8)).
@@ -327,11 +314,6 @@ type Config struct {
 	// hierarchy (Social.Hierarchy). It is built once and never maintained:
 	// exact for social epoch 0 only.
 	BuildCH bool
-	// ForcedInstallInterval rate-limits the install-under-writer-lock
-	// fallback that bounds landmark rebuild starvation: at most one forced
-	// install event per interval. 0 selects the 2s default; negative disables
-	// forced installs (pure optimistic rebuilds).
-	ForcedInstallInterval time.Duration
 	// Labels is the per-user attribute bitmask slice (nil = unlabeled).
 	// Like the graph topology it is fixed for the substrate's lifetime; the
 	// substrate and every attached index read it without copying. Indexes
@@ -340,42 +322,24 @@ type Config struct {
 	Labels []uint64
 }
 
-// New builds a static aggregate index over an existing grid and landmark
-// set: location updates only, no social churn (Snapshot.SocialGraph is nil).
-// The grid must not be mutated behind the index's back afterwards: the index
-// becomes the grid's single writer.
-func New(grid *spatial.Grid, lm *landmark.Set) (*Index, error) {
-	if lm == nil {
-		return nil, fmt.Errorf("aggindex: nil grid or landmark set")
-	}
-	return build(grid, lm, nil)
-}
-
 // NewShared builds an aggregate index that consumes an existing social
 // substrate: the index owns only its grid and summaries, while graph and
 // landmark tables come from (and are maintained by) sub. Any number of
 // indexes may share one substrate — the sharded engine attaches S of them, so
-// the social dimension is stored and maintained once instead of S times.
+// the social dimension is stored and maintained once instead of S times. The
+// grid must not be mutated behind the index's back afterwards: the index
+// becomes the grid's single writer.
 func NewShared(grid *spatial.Grid, sub *Social) (*Index, error) {
-	if sub == nil {
-		return nil, fmt.Errorf("aggindex: nil social substrate")
+	if grid == nil || sub == nil {
+		return nil, fmt.Errorf("aggindex: nil grid or social substrate")
 	}
-	return build(grid, sub.Landmarks(), sub)
-}
-
-func build(grid *spatial.Grid, lm *landmark.Set, sub *Social) (*Index, error) {
-	if grid == nil || lm == nil {
-		return nil, fmt.Errorf("aggindex: nil grid or landmark set")
-	}
+	m := sub.Landmarks().M()
 	ix := &Index{
-		grid: grid,
-		lm:   lm,
-		m:    lm.M(),
-		sub:  sub,
-		acc:  make([]float64, 2*lm.M()),
-	}
-	if sub != nil {
-		ix.labels = sub.labels
+		grid:   grid,
+		m:      m,
+		sub:    sub,
+		acc:    make([]float64, 2*m),
+		labels: sub.labels,
 	}
 	layout := grid.Layout()
 	ix.sums.dup = func(p *[]float64) *[]float64 { cp := slices.Clone(*p); return &cp }
@@ -400,11 +364,6 @@ func build(grid *spatial.Grid, lm *landmark.Set, sub *Social) (*Index, error) {
 		if l < layout.LeafLevel() {
 			ix.redo = append(ix.redo, newCellSet(cells))
 		}
-	}
-	if sub == nil {
-		ix.buildSummaries()
-		ix.publishLocked()
-		return ix, nil
 	}
 	// Attach under the substrate's writer lock: the summaries are computed
 	// against the substrate's current epoch and registration is atomic with
@@ -444,21 +403,7 @@ func (ix *Index) Grid() *spatial.Grid { return ix.grid }
 
 // Landmarks returns the landmark set the summaries are built on
 // (writer-side view; concurrent readers should use Snapshot().Landmarks).
-func (ix *Index) Landmarks() *landmark.Set { return ix.lmView() }
-
-// lmView returns the landmark tables the writer must compute against right
-// now: the cached social epoch's committed set when a substrate is attached,
-// else the static construction set.
-func (ix *Index) lmView() *landmark.Set {
-	if ix.social != nil {
-		return ix.social.lm
-	}
-	return ix.lm
-}
-
-// SupportsEdgeChurn reports whether the index can ingest edge ops (built
-// over a substrate whose landmark count the dynamic layer supports).
-func (ix *Index) SupportsEdgeChurn() bool { return ix.sub != nil && ix.sub.SupportsEdgeChurn() }
+func (ix *Index) Landmarks() *landmark.Set { return ix.social.lm }
 
 // Layout returns the grid geometry.
 func (ix *Index) Layout() *spatial.Layout { return ix.grid.Layout() }
@@ -477,7 +422,7 @@ func (ix *Index) MaxSummary(level int, idx int32, j int) float64 {
 // SocialLowerBound evaluates Lemma 2 against the working state (writer-side
 // view; readers use Snapshot().SocialLowerBound).
 func (ix *Index) SocialLowerBound(level int, idx int32, qvec []float64) float64 {
-	return lemma2(ix.row(level, idx), ix.m, ix.lmView().DisabledMask(), qvec)
+	return lemma2(ix.row(level, idx), ix.m, qvec)
 }
 
 // row returns the cell's working summary row (read-only).
@@ -513,23 +458,18 @@ func (ix *Index) publishLocked() { ix.publishLockedAt(time.Now()) }
 func (ix *Index) publishLockedAt(now time.Time) {
 	s := &Snapshot{
 		g:           ix.grid.Publish(),
+		soc:         ix.social.g,
+		lm:          ix.social.lm,
 		sums:        ix.sums.publish(),
 		labels:      ix.labels,
 		m:           ix.m,
 		epoch:       ix.epoch,
+		socialEpoch: ix.social.epoch,
 		publishedAt: now,
 	}
 	if ix.labels != nil {
 		s.labelSums = ix.labelSums.publish()
 	}
-	if soc := ix.social; soc != nil {
-		s.soc = soc.g
-		s.lm = soc.lm
-		s.socialEpoch = soc.epoch
-	} else {
-		s.lm = ix.lm
-	}
-	s.disabledLm = s.lm.DisabledMask()
 	ix.published.Store(s)
 	ix.epoch++
 	if ix.notify != nil && (len(ix.notifyMoved) > 0 || ix.notifySocial) {
@@ -548,39 +488,32 @@ func (ix *Index) publishLockedAt(now time.Time) {
 // epoch, re-derive the summaries it invalidated in this index's grid, and
 // republish — all under mu, while the caller still holds the substrate
 // writer lock, so the published Snapshot pairs the new graph and tables with
-// summaries recomputed against exactly them. dirty lists vertices whose
-// landmark distances changed; allLeaves forces a full sweep (whole-table
-// installs).
-func (ix *Index) socialSync(sn *SocialSnapshot, dirty []graph.VertexID, allLeaves bool, now time.Time) {
+// summaries recomputed against exactly them. dirty lists, without
+// duplicates, the vertices whose landmark distances changed.
+func (ix *Index) socialSync(sn *SocialSnapshot, dirty []graph.VertexID, now time.Time) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.notifySocial = true
 	ix.social = sn
-	switch {
-	case allLeaves:
-		ix.recomputeAllLeavesLocked()
-	case len(dirty) > 0:
-		// The vertex list is heavily duplicated (one entry per landmark
-		// repair per op) and most vertices live in other consumers' grids,
-		// so dedupe to this grid's unique leaves and recompute each once.
-		if ix.syncSeen == nil {
-			ix.syncSeen = make(map[int32]struct{}, len(dirty))
-		}
-		for _, v := range dirty {
-			leaf := ix.grid.LeafOf(v)
-			if leaf < 0 {
-				continue
-			}
-			if _, done := ix.syncSeen[leaf]; done {
-				continue
-			}
-			ix.syncSeen[leaf] = struct{}{}
-			if ix.recomputeLeaf(leaf) {
-				ix.touchLeaf(leaf)
-			}
-		}
-		clear(ix.syncSeen)
+	// Several dirty vertices share a leaf, and most live in other consumers'
+	// grids, so dedupe to this grid's unique leaves and recompute each once.
+	if len(dirty) > 0 && ix.syncSeen == nil {
+		ix.syncSeen = make(map[int32]struct{}, len(dirty))
 	}
+	for _, v := range dirty {
+		leaf := ix.grid.LeafOf(v)
+		if leaf < 0 {
+			continue
+		}
+		if _, done := ix.syncSeen[leaf]; done {
+			continue
+		}
+		ix.syncSeen[leaf] = struct{}{}
+		if ix.recomputeLeaf(leaf) {
+			ix.touchLeaf(leaf)
+		}
+	}
+	clear(ix.syncSeen)
 	ix.propagateDirty()
 	ix.publishLockedAt(now)
 }
@@ -589,9 +522,7 @@ func (ix *Index) socialSync(sn *SocialSnapshot, dirty []graph.VertexID, allLeave
 // grid membership and summaries and publish as one epoch; edge ops are
 // forwarded to the social substrate, which applies them once and syncs every
 // consumer (this index included) to the resulting social epoch. Safe
-// concurrently with readers; concurrent Apply calls serialize. Edge ops on
-// an index without edge-churn support are silently skipped (callers gate on
-// SupportsEdgeChurn).
+// concurrently with readers; concurrent Apply calls serialize.
 func (ix *Index) Apply(ops []Op) {
 	if len(ops) == 0 {
 		return
@@ -622,7 +553,7 @@ func (ix *Index) Apply(ops []Op) {
 			}
 		}
 	}
-	if len(edges) > 0 && ix.sub != nil {
+	if len(edges) > 0 {
 		ix.sub.ApplyEdges(edges)
 	}
 	if len(locs) == 0 {
@@ -686,18 +617,8 @@ func (ix *Index) RemoveLocation(id int32) {
 	ix.Apply([]Op{{ID: id, Remove: true}})
 }
 
-// RebuildDisabledLandmarks synchronously restores disabled landmark tables
-// through the substrate; see Social.RebuildDisabledLandmarks. Returns how
-// many landmarks it restored.
-func (ix *Index) RebuildDisabledLandmarks() int {
-	if ix.sub == nil {
-		return 0
-	}
-	return ix.sub.RebuildDisabledLandmarks()
-}
-
 // SocialStats is a point-in-time view of the social dimension: overlay
-// shape, edge-op counters and landmark maintenance health.
+// shape, edge-op counters and landmark maintenance work.
 type SocialStats struct {
 	// SocialEpoch is the social graph version (+1 per batch with edge ops).
 	SocialEpoch uint64
@@ -709,24 +630,16 @@ type SocialStats struct {
 	Compactions int64
 	// EdgeAdds/EdgeRemoves/EdgeReweights/EdgeNoops count effective ops.
 	EdgeAdds, EdgeRemoves, EdgeReweights, EdgeNoops int64
-	// DisabledLandmarks is how many landmarks currently sit out of bounds
-	// awaiting rebuild.
-	DisabledLandmarks int
-	// LandmarkRepairs counts incremental repairs completed within budget;
-	// RepairedVertices the table entries they rewrote; LandmarkDisables
-	// budget overruns; LandmarkRebuilds full tables installed.
-	LandmarkRepairs, RepairedVertices, LandmarkDisables, LandmarkRebuilds int64
-	// LandmarkForcedInstalls counts landmark tables recomputed and installed
-	// under the writer lock after the asynchronous rebuild lost the install
-	// race 8 times in a row (the rate-limited anti-starvation fallback).
-	LandmarkForcedInstalls int64
+	// LandmarkRepairs counts incremental repairs run to completion;
+	// RepairedVertices the table entries they rewrote; LandmarkRebuilds the
+	// tables recomputed at the end of a batch whose repairs rewrote more than
+	// one table's worth of entries for that landmark.
+	LandmarkRepairs, RepairedVertices, LandmarkRebuilds int64
+	// LandmarkDisables and LandmarkForcedInstalls are always zero: no
+	// landmark is ever disabled or installed out of band. They remain because
+	// the benchmark harness reads them.
+	LandmarkDisables, LandmarkForcedInstalls int64
 }
 
-// SocialStats reports the social dimension's counters (zero value for
-// static indexes).
-func (ix *Index) SocialStats() SocialStats {
-	if ix.sub == nil {
-		return SocialStats{}
-	}
-	return ix.sub.Stats()
-}
+// SocialStats reports the social dimension's counters.
+func (ix *Index) SocialStats() SocialStats { return ix.sub.Stats() }

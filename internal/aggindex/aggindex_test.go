@@ -19,6 +19,20 @@ type fixture struct {
 	located []bool
 }
 
+// index builds an index over grid and a fresh substrate on g and lm.
+func index(t *testing.T, g *graph.Graph, lm *landmark.Set, grid *spatial.Grid, cfg Config) *Index {
+	t.Helper()
+	sub, err := NewSocialSubstrate(lm, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewShared(grid, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func mkFixture(t *testing.T, rng *rand.Rand, n, m, s, levels int, unlocated float64, disconnect bool) *fixture {
 	t.Helper()
 	b := graph.NewBuilder(n)
@@ -64,11 +78,7 @@ func mkFixture(t *testing.T, rng *rand.Rand, n, m, s, levels int, unlocated floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := New(grid, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{g: g, lm: lm, grid: grid, ix: ix, pts: pts, located: located}
+	return &fixture{g: g, lm: lm, grid: grid, ix: index(t, g, lm, grid, Config{}), pts: pts, located: located}
 }
 
 // verifyInvariants checks that every cell's summary exactly brackets its
@@ -116,7 +126,7 @@ func verifyInvariants(t *testing.T, f *fixture) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil); err == nil {
+	if _, err := NewShared(nil, nil); err == nil {
 		t.Fatal("nil arguments accepted")
 	}
 }
@@ -196,10 +206,7 @@ func TestPaperExampleFigure4(t *testing.T) {
 	located := []bool{true, true, true, true, true}
 	layout, _ := spatial.NewLayout(spatial.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 4, 1)
 	grid, _ := spatial.NewGrid(layout, pts, located)
-	ix, err := New(grid, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := index(t, g, lm, grid, Config{})
 	leafIdx := layout.CellIndex(0, pts[1])
 	if got := ix.MinSummary(0, leafIdx, 0); got != 1 {
 		t.Fatalf("m̌ = %v, want 1", got)

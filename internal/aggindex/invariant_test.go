@@ -118,9 +118,9 @@ func verifyStructure(t *testing.T, sn *Snapshot, labels []uint64) {
 
 // TestPagedEpochsStayExactAndIsolated drives two indexes over one labeled
 // substrate with seeded random batches — moves, removals, re-locations,
-// moves off the construction-time grid, edge churn under a repair budget
-// small enough to disable landmarks, synchronous rebuilds — and after every
-// batch checks (a) each index's new epoch against a full recompute at every
+// moves off the construction-time grid, edge churn repaired in place, and
+// edge batches large enough that landmark tables are recomputed at the end of
+// the batch — and after every batch checks (a) each index's new epoch against a full recompute at every
 // level, and (b) that the epochs published before the batch are
 // bit-identical to deep copies taken then: page sharing never leaks a write
 // into a published epoch.
@@ -134,11 +134,10 @@ func TestPagedEpochsStayExactAndIsolated(t *testing.T) {
 			labels[i] = 1<<uint(rng.Intn(8)) | 1<<uint(rng.Intn(8))
 		}
 	}
-	sub, err := NewSocialSubstrate(f.lm, f.g, Config{RepairBudget: 8, Labels: labels})
+	sub, err := NewSocialSubstrate(f.lm, f.g, Config{Labels: labels})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()
 	// Two consumers, each locating half of the users.
 	var ixs []*Index
 	for half := 0; half < 2; half++ {
@@ -179,14 +178,14 @@ func TestPagedEpochsStayExactAndIsolated(t *testing.T) {
 					ops = append(ops, Op{ID: id, To: point()})
 				}
 			}
-			if h == 0 && round%2 == 0 {
+			switch {
+			case h == 0 && round%7 == 6:
+				ops = append(ops, randomEdgeOps(rng, n, 2*n)...)
+			case h == 0 && round%2 == 0:
 				ops = append(ops, randomEdgeOps(rng, n, 1+rng.Intn(6))...)
 			}
 			rng.Shuffle(len(ops), func(a, b int) { ops[a], ops[b] = ops[b], ops[a] })
 			ix.Apply(ops)
-		}
-		if round%7 == 6 {
-			ixs[0].RebuildDisabledLandmarks()
 		}
 		for h, ix := range ixs {
 			if got := copySnapshot(pre[h]); !reflect.DeepEqual(got, copies[h]) {
@@ -195,7 +194,7 @@ func TestPagedEpochsStayExactAndIsolated(t *testing.T) {
 			verifyStructure(t, ix.Snapshot(), labels)
 		}
 	}
-	if st := ixs[0].SocialStats(); st.LandmarkDisables == 0 || st.EdgeAdds == 0 {
-		t.Fatalf("churn too gentle to exercise repair and disable: %+v", st)
+	if st := ixs[0].SocialStats(); st.LandmarkRebuilds == 0 || st.LandmarkRepairs == 0 {
+		t.Fatalf("churn too gentle to exercise repair and recompute: %+v", st)
 	}
 }

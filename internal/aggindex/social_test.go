@@ -3,37 +3,23 @@ package aggindex
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"ssrq/internal/graph"
 	"ssrq/internal/spatial"
 )
 
-// mkSocialFixture builds an index with its own social substrate over a
-// random geo-social world; tests stop background work via f.ix.sub.Close().
+// mkSocialFixture builds an index with its own social substrate, configured
+// by cfg, over a random geo-social world.
 func mkSocialFixture(t *testing.T, rng *rand.Rand, n, m, s, levels int, cfg Config) *fixture {
 	t.Helper()
 	f := mkFixture(t, rng, n, m, s, levels, 0.15, false)
-	layout, err := spatial.NewLayout(spatial.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, s, levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := spatial.NewGrid(layout, f.pts, f.located)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := NewSocialSubstrate(f.lm, f.g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := NewShared(grid, sub)
+	grid, err := spatial.NewGrid(f.grid.Layout(), f.pts, f.located)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.grid = grid
-	f.ix = ix
+	f.ix = index(t, f.g, f.lm, grid, cfg)
 	return f
 }
 
@@ -55,8 +41,8 @@ func randomEdgeOps(rng *rand.Rand, n, count int) []Op {
 }
 
 // verifySocialInvariants checks every cell summary exactly brackets its
-// members against the *published* landmark tables, and that enabled
-// landmark tables are exact on the published graph.
+// members against the *published* landmark tables, and that every landmark
+// table is exact on the published graph.
 func verifySocialInvariants(t *testing.T, f *fixture) {
 	t.Helper()
 	sn := f.ix.Snapshot()
@@ -65,11 +51,7 @@ func verifySocialInvariants(t *testing.T, f *fixture) {
 	layout := f.grid.Layout()
 	leaf := layout.LeafLevel()
 
-	// Enabled landmark tables must be exact shortest-path distances.
 	for j, lmv := range lm.Vertices() {
-		if !lm.Enabled(j) {
-			continue
-		}
 		want := g.DistancesFrom(lmv)
 		for v := 0; v < g.NumVertices(); v++ {
 			if got := lm.Dist(j, graph.VertexID(v)); got != want[v] {
@@ -103,13 +85,19 @@ func verifySocialInvariants(t *testing.T, f *fixture) {
 
 // TestSocialApplyMaintainsSummaries is the joint-consistency proof: after
 // batches mixing edge ops and moves, every published epoch pairs graph,
-// landmark tables and summaries that agree with each other exactly.
+// landmark tables and summaries that agree with each other exactly — both
+// when every table is repaired in place and when a batch large enough to
+// make a landmark's repairs rewrite more than n entries recomputes it.
 func TestSocialApplyMaintainsSummaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	f := mkSocialFixture(t, rng, 150, 4, 4, 2, Config{RepairBudget: 1 << 30})
+	f := mkFixture(t, rng, 150, 4, 4, 2, 0.15, false)
 	n := 150
 	for round := 0; round < 12; round++ {
-		ops := randomEdgeOps(rng, n, 5+rng.Intn(10))
+		count := 5 + rng.Intn(10)
+		if round%4 == 3 {
+			count = 2 * n
+		}
+		ops := randomEdgeOps(rng, n, count)
 		// Mix in location ops: moves and removals share the batch.
 		for i := 0; i < 4; i++ {
 			id := rng.Int31n(int32(n))
@@ -123,15 +111,18 @@ func TestSocialApplyMaintainsSummaries(t *testing.T) {
 		f.ix.Apply(ops)
 		verifySocialInvariants(t, f)
 	}
+	if f.ix.SocialStats().LandmarkRebuilds == 0 {
+		t.Fatal("no batch recomputed a landmark table")
+	}
 }
 
 // TestSocialSnapshotIsolation pins epoch immutability across the social
 // dimension: an old snapshot's graph, landmark tables and summaries must
-// stay bit-stable while later batches mutate and rebuild.
+// stay bit-stable while later batches repair and recompute the tables.
 func TestSocialSnapshotIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 120
-	f := mkSocialFixture(t, rng, n, 3, 4, 2, Config{RepairBudget: 6})
+	f := mkFixture(t, rng, n, 3, 4, 2, 0.15, false)
 
 	f.ix.Apply(randomEdgeOps(rng, n, 10))
 	old := f.ix.Snapshot()
@@ -148,18 +139,16 @@ func TestSocialSnapshotIsolation(t *testing.T) {
 			oldSums = append(oldSums, old.MinSummary(leaf, idx, j), old.MaxSummary(leaf, idx, j))
 		}
 	}
-	oldMask := old.Landmarks().DisabledMask()
 
 	for round := 0; round < 10; round++ {
-		f.ix.Apply(randomEdgeOps(rng, n, 20))
+		f.ix.Apply(randomEdgeOps(rng, n, 20+round*round*4))
 	}
-	f.ix.RebuildDisabledLandmarks()
+	if f.ix.SocialStats().LandmarkRebuilds == 0 {
+		t.Fatal("no batch recomputed a landmark table")
+	}
 
 	if old.SocialGraph().NumEdges() != oldEdges {
 		t.Fatal("old snapshot's edge count changed")
-	}
-	if old.Landmarks().DisabledMask() != oldMask {
-		t.Fatal("old snapshot's disabled mask changed")
 	}
 	for j := range oldDist {
 		for v, want := range oldDist[j] {
@@ -179,40 +168,21 @@ func TestSocialSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestRebuildRestoresDisabledLandmarks drives churn with a tiny budget until
-// landmarks disable, then checks the synchronous rebuild restores exactness
-// and the re-derived summaries.
-func TestRebuildRestoresDisabledLandmarks(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	const n = 150
-	f := mkSocialFixture(t, rng, n, 4, 4, 2, Config{RepairBudget: 2})
-	for round := 0; round < 20 && f.ix.SocialStats().DisabledLandmarks == 0; round++ {
-		f.ix.Apply(randomEdgeOps(rng, n, 15))
-	}
-	if f.ix.SocialStats().DisabledLandmarks == 0 {
-		t.Skip("tiny budget never disabled a landmark on this seed")
-	}
-	rebuilt := f.ix.RebuildDisabledLandmarks()
-	if rebuilt == 0 {
-		t.Fatal("RebuildDisabledLandmarks rebuilt nothing")
-	}
-	if got := f.ix.SocialStats().DisabledLandmarks; got != 0 {
-		t.Fatalf("%d landmarks still disabled after rebuild", got)
-	}
-	verifySocialInvariants(t, f)
-}
-
 // TestSocialLowerBoundAdmissibleUnderChurn samples the Lemma-2 cell bound
-// against true distances on the published epoch, with landmarks disabling
-// mid-run.
+// against true distances on the published epoch, alternating batches the
+// repairs finish in place with batches that recompute landmark tables.
 func TestSocialLowerBoundAdmissibleUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 150
-	f := mkSocialFixture(t, rng, n, 4, 4, 2, Config{RepairBudget: 10})
+	f := mkFixture(t, rng, n, 4, 4, 2, 0.15, false)
 	layout := f.grid.Layout()
 	leaf := layout.LeafLevel()
 	for round := 0; round < 8; round++ {
-		f.ix.Apply(randomEdgeOps(rng, n, 12))
+		count := 12
+		if round%2 == 1 {
+			count = 2 * n
+		}
+		f.ix.Apply(randomEdgeOps(rng, n, count))
 		sn := f.ix.Snapshot()
 		lm := sn.Landmarks()
 		g := sn.SocialGraph()
@@ -223,11 +193,14 @@ func TestSocialLowerBoundAdmissibleUnderChurn(t *testing.T) {
 			bound := sn.SocialLowerBound(leaf, idx, qvec)
 			for _, u := range sn.Grid().CellUsers(idx) {
 				if bound > dist[u]+1e-9 {
-					t.Fatalf("round %d: cell %d bound %v > true %v for member %d (disabled=%d)",
-						round, idx, bound, dist[u], u, lm.NumDisabled())
+					t.Fatalf("round %d: cell %d bound %v > true %v for member %d",
+						round, idx, bound, dist[u], u)
 				}
 			}
 		}
+	}
+	if f.ix.SocialStats().LandmarkRebuilds == 0 {
+		t.Fatal("no batch recomputed a landmark table")
 	}
 }
 
@@ -237,7 +210,7 @@ func TestSocialLowerBoundAdmissibleUnderChurn(t *testing.T) {
 func TestEdgeOpCountersAndCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const n = 100
-	f := mkSocialFixture(t, rng, n, 3, 4, 2, Config{RepairBudget: 1 << 30, CompactThreshold: 8})
+	f := mkSocialFixture(t, rng, n, 3, 4, 2, Config{CompactThreshold: 8})
 	// Pick three pairs guaranteed absent from the generated graph.
 	g0 := f.ix.Snapshot().SocialGraph()
 	var pairs [][2]int32
@@ -272,117 +245,4 @@ func TestEdgeOpCountersAndCompaction(t *testing.T) {
 		t.Fatalf("no compaction at threshold 8 (patched=%d)", st.PatchedVertices)
 	}
 	verifySocialInvariants(t, f)
-}
-
-// TestStaticIndexRejectsEdgeOps: a New-built index must skip edge ops
-// harmlessly and report no churn support.
-func TestStaticIndexRejectsEdgeOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	f := mkFixture(t, rng, 80, 3, 4, 2, 0.1, false)
-	if f.ix.SupportsEdgeChurn() {
-		t.Fatal("static index claims edge churn support")
-	}
-	f.ix.Apply([]Op{{Kind: OpEdgeUpsert, U: 0, V: 1, W: 1}})
-	if f.ix.SocialStats().SocialEpoch != 0 {
-		t.Fatal("static index advanced social epoch")
-	}
-}
-
-// TestForcedInstallBoundsLandmarkStarvation deterministically reproduces the
-// install-starvation regime: the testBeforeInstall seam applies one edge op
-// between every rebuild recompute and its install attempt, so the optimistic
-// path loses the epoch race every single time. After the 8th consecutive
-// loss the loop must fall back to the forced install under the writer lock
-// (rate limit effectively off), restore every landmark, and count the event
-// — the disabled window is bounded instead of starving forever.
-func TestForcedInstallBoundsLandmarkStarvation(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	f := mkSocialFixture(t, rng, 80, 3, 4, 2, Config{
-		RepairBudget:          1, // effective ops disable landmarks immediately
-		ForcedInstallInterval: time.Nanosecond,
-	})
-	defer f.ix.sub.Close()
-	churn := rand.New(rand.NewSource(99))
-	f.ix.sub.testBeforeInstall = func() {
-		u := churn.Int31n(80)
-		v := churn.Int31n(80)
-		if u == v {
-			v = (v + 1) % 80
-		}
-		f.ix.Apply([]Op{{Kind: OpEdgeUpsert, U: u, V: v, W: 0.1 + churn.Float64()}})
-	}
-	// Disable at least one landmark to kick the rebuild loop.
-	f.ix.Apply(randomEdgeOps(rng, 80, 6))
-	deadline := time.Now().Add(20 * time.Second)
-	for f.ix.SocialStats().LandmarkForcedInstalls == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	st := f.ix.SocialStats()
-	if st.LandmarkForcedInstalls == 0 {
-		t.Fatal("permanently lost install race never escalated to a forced install")
-	}
-	// The forced install restored every landmark in one event; with the seam
-	// no optimistic install can ever have succeeded.
-	if st.LandmarkRebuilds != st.LandmarkForcedInstalls {
-		t.Fatalf("optimistic installs slipped through the seam: rebuilds=%d forced=%d",
-			st.LandmarkRebuilds, st.LandmarkForcedInstalls)
-	}
-	verifySocialInvariants(t, f)
-}
-
-// TestForcedInstallRateLimited: the first exhaustion may force immediately
-// (a starving system should not wait out the interval before its first
-// relief), but with a long interval every later exhaustion must give up (old
-// behavior) instead of forcing again — the fallback is one event per
-// interval.
-func TestForcedInstallRateLimited(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	f := mkSocialFixture(t, rng, 60, 3, 4, 2, Config{
-		RepairBudget:          1,
-		ForcedInstallInterval: time.Hour,
-	})
-	defer f.ix.sub.Close()
-	churn := rand.New(rand.NewSource(77))
-	var seamCalls atomic.Int64
-	f.ix.sub.testBeforeInstall = func() {
-		seamCalls.Add(1)
-		u := churn.Int31n(60)
-		v := churn.Int31n(60)
-		if u == v {
-			v = (v + 1) % 60
-		}
-		f.ix.Apply([]Op{{Kind: OpEdgeUpsert, U: u, V: v, W: 0.1 + churn.Float64()}})
-	}
-	f.ix.Apply(randomEdgeOps(rng, 60, 6))
-	deadline := time.Now().Add(20 * time.Second)
-	for f.ix.SocialStats().LandmarkForcedInstalls == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	first := f.ix.SocialStats().LandmarkForcedInstalls
-	if first == 0 {
-		t.Fatal("first exhaustion never forced an install")
-	}
-	// Two more exhaustion rounds (the seam loses every race, so 8 calls = one
-	// round): the hour-long interval must block any further forced event.
-	// External churn keeps disabling landmarks and re-kicking the loop, which
-	// would otherwise (correctly) exit after the forced install restored all.
-	target := seamCalls.Load() + 16
-	for seamCalls.Load() < target && time.Now().Before(deadline) {
-		f.ix.Apply(randomEdgeOps(rng, 60, 2))
-		time.Sleep(time.Millisecond)
-	}
-	if seamCalls.Load() < target {
-		t.Fatal("rebuild loop stopped attempting")
-	}
-	f.ix.sub.Close() // drain the loop before reading counters race-free
-	if got := f.ix.SocialStats().LandmarkForcedInstalls; got != first {
-		t.Fatalf("forced installs grew %d -> %d within the interval", first, got)
-	}
-	// The window is closed by the synchronous rebuild instead.
-	if f.ix.RebuildDisabledLandmarks() == 0 {
-		t.Fatal("no landmarks left to rebuild — seam never disabled any")
-	}
-	if got := f.ix.SocialStats().DisabledLandmarks; got != 0 {
-		t.Fatalf("%d landmarks disabled after sync rebuild", got)
-	}
 }

@@ -140,7 +140,7 @@ func (ix *Index) storeMask(level int, idx int32, mask uint64) bool {
 // current landmark tables, one member vector at a time; reports whether it
 // changed.
 func (ix *Index) recomputeLeaf(idx int32) bool {
-	lm := ix.lmView()
+	lm := ix.social.lm
 	users := ix.grid.CellUsers(idx)
 	emptyRow(ix.acc, ix.m)
 	for _, u := range users {
@@ -178,23 +178,11 @@ func (ix *Index) recomputeFromChildren(level int, idx int32) bool {
 	return changed
 }
 
-// recomputeAllLeavesLocked re-derives every leaf summary against the current
-// landmark tables (after one or more full-table installs), queueing changed
-// leaves for upward propagation. Caller holds mu and publishes afterwards.
-func (ix *Index) recomputeAllLeavesLocked() {
-	layout := ix.grid.Layout()
-	for idx := int32(0); idx < int32(layout.NumCells(layout.LeafLevel())); idx++ {
-		if ix.recomputeLeaf(idx) {
-			ix.touchLeaf(idx)
-		}
-	}
-}
-
 // onInsert widens summaries for a user that joined a leaf cell. Widening is
 // cheap: compare the mover's landmark vector against m̌/m̂ (§5.1).
 func (ix *Index) onInsert(leaf int32, id int32) {
 	l := ix.grid.Layout().LeafLevel()
-	vec := ix.lmView().VertexRow(id)
+	vec := ix.social.lm.VertexRow(id)
 	r := ix.row(l, leaf)
 	for j, d := range vec {
 		if d < r[j] || d > r[ix.m+j] {
@@ -222,7 +210,7 @@ func (ix *Index) onRemove(leaf int32, id int32) {
 	responsible := ix.labels != nil && ix.labels[id] != 0
 	if !responsible {
 		r := ix.row(l, leaf)
-		for j, d := range ix.lmView().VertexRow(id) {
+		for j, d := range ix.social.lm.VertexRow(id) {
 			if d == r[j] || d == r[ix.m+j] {
 				responsible = true
 				break

@@ -8,7 +8,7 @@ import (
 
 // StateDiff computes the updates that carry a fresh engine over ds to the
 // state described by locate (per-user current position, false = unlocated)
-// and cur (current social graph; nil = unchanged from construction):
+// and cur (the current social graph):
 // moves for users whose position changed or appeared, removals for users
 // located at construction but not now, edge upserts for new or reweighted
 // edges, and edge removals for construction edges now absent — the
@@ -25,9 +25,6 @@ func StateDiff(ds *dataset.Dataset, locate func(id int32) (spatial.Point, bool),
 		case !ok && ds.Located[i]:
 			out = append(out, Update{ID: id, Remove: true})
 		}
-	}
-	if cur == nil {
-		return out
 	}
 	base := ds.G
 	for u := 0; u < n; u++ {

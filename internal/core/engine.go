@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ssrq/internal/aggindex"
 	"ssrq/internal/ch"
@@ -101,18 +100,9 @@ type Options struct {
 	// UpdateMaxBatch caps how many queued updates the updater coalesces
 	// into one published epoch (default 256).
 	UpdateMaxBatch int
-	// LandmarkRepairBudget caps the per-landmark per-edge-op incremental
-	// table repair work before the landmark is disabled and rebuilt
-	// asynchronously (default 256).
-	LandmarkRepairBudget int
 	// OverlayCompactThreshold is the edge-overlay delta size that triggers
 	// folding the delta back into a pure CSR (default max(1024, n/8)).
 	OverlayCompactThreshold int
-	// ForcedInstallInterval rate-limits the install-under-writer-lock
-	// fallback that bounds landmark rebuild starvation under sustained
-	// churn: at most one forced install event per interval (default 2s;
-	// negative disables forced installs).
-	ForcedInstallInterval time.Duration
 }
 
 // WithDefaults returns a copy with every zero field replaced by its default.
@@ -175,11 +165,6 @@ type Engine struct {
 	agg   *aggindex.Index
 	cache *socialCache
 	opts  Options
-	// sub is the social substrate the engine consumes; ownsSub marks the
-	// NewEngine case, where Close must tear it down too (engines attached to
-	// a shared substrate never close it).
-	sub     *aggindex.Social
-	ownsSub bool
 	// fof is the substrate's friends-of-friends bound index; queries arm a
 	// pooled Scratch from it for the 2-hop exact / weight-floor lower bound.
 	fof *fof.Index
@@ -236,11 +221,9 @@ func NewSubstrate(ds *dataset.Dataset, opts Options) (*aggindex.Social, error) {
 		return nil, fmt.Errorf("core: selecting landmarks: %w", err)
 	}
 	sub, err := aggindex.NewSocialSubstrate(lm, ds.G, aggindex.Config{
-		RepairBudget:          opts.LandmarkRepairBudget,
-		CompactThreshold:      opts.OverlayCompactThreshold,
-		BuildCH:               opts.BuildCH,
-		ForcedInstallInterval: opts.ForcedInstallInterval,
-		Labels:                ds.Labels,
+		CompactThreshold: opts.OverlayCompactThreshold,
+		BuildCH:          opts.BuildCH,
+		Labels:           ds.Labels,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: social substrate: %w", err)
@@ -255,24 +238,16 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := NewEngineWithSubstrate(ds, opts, sub)
-	if err != nil {
-		sub.Close()
-		return nil, err
-	}
-	e.ownsSub = true
-	return e, nil
+	return NewEngineWithSubstrate(ds, opts, sub)
 }
 
 // NewEngineWithSubstrate builds an engine whose social dimension — graph
-// overlay, landmark tables, contraction hierarchy and the landmark
-// maintenance loop — comes from an existing substrate instead of being built
-// and owned privately. The engine owns only its spatial side (grid + AIS
-// summaries over ds, typically a spatial restriction of the substrate's
-// population). The sharded engine attaches S of these to one substrate, so
-// the social structures are stored once instead of S times and every edge
-// op applies once. Closing the engine never closes the substrate; the
-// substrate's owner outlives and tears it down.
+// overlay, landmark tables and contraction hierarchy — comes from an
+// existing substrate instead of being built privately. The engine owns only
+// its spatial side (grid + AIS summaries over ds, typically a spatial
+// restriction of the substrate's population). The sharded engine attaches S
+// of these to one substrate, so the social structures are stored once
+// instead of S times and every edge op applies once.
 func NewEngineWithSubstrate(ds *dataset.Dataset, opts Options, sub *aggindex.Social) (*Engine, error) {
 	opts = opts.WithDefaults()
 	if ds == nil {
@@ -300,7 +275,6 @@ func NewEngineWithSubstrate(ds *dataset.Dataset, opts Options, sub *aggindex.Soc
 		agg:   agg,
 		cache: newSocialCache(opts.CacheT),
 		opts:  opts,
-		sub:   sub,
 		fof:   sub.FoF(),
 		hier:  sub.Hierarchy(),
 	}
@@ -321,7 +295,7 @@ func NewEngineWithSubstrate(ds *dataset.Dataset, opts Options, sub *aggindex.Soc
 func (e *Engine) Dataset() *dataset.Dataset { return e.ds }
 
 // Landmarks returns the landmark set of the latest published epoch (tables
-// track edge churn; disabled landmarks are excluded from bounds).
+// track edge churn and are exact on that epoch's graph).
 func (e *Engine) Landmarks() *landmark.Set { return e.agg.Snapshot().Landmarks() }
 
 // Grid returns the spatial grid index (writer-side handle; concurrent
@@ -341,8 +315,7 @@ func (e *Engine) Options() Options { return e.opts }
 // ValidateUpdate rejects malformed updates before they can reach the index:
 // out-of-range users, non-finite coordinates (a NaN point would silently
 // corrupt grid membership via CellIndex clamping), and malformed edge ops
-// (self-loops, non-positive or non-finite weights, or edge churn on an
-// engine whose landmark count exceeds dynamic-maintenance support).
+// (self-loops, non-positive or non-finite weights).
 // Exported so compositions that route updates across engines (the sharded
 // engine) can reject a whole batch before any routing decision is made.
 func (e *Engine) ValidateUpdate(u Update) error {
@@ -357,9 +330,6 @@ func (e *Engine) ValidateUpdate(u Update) error {
 		}
 		return nil
 	case aggindex.OpEdgeUpsert, aggindex.OpEdgeRemove:
-		if !e.agg.SupportsEdgeChurn() {
-			return fmt.Errorf("core: edge churn unsupported with %d landmarks (max 64)", e.opts.NumLandmarks)
-		}
 		if u.U < 0 || int(u.U) >= n || u.V < 0 || int(u.V) >= n {
 			return fmt.Errorf("core: edge (%d,%d) out of range [0,%d)", u.U, u.V, n)
 		}
@@ -506,17 +476,11 @@ func (e *Engine) chReady(sn *aggindex.Snapshot, algo Algorithm) error {
 }
 
 // SocialStats is a point-in-time view of the social dimension: edge counts,
-// overlay shape and landmark-maintenance health.
+// overlay shape and landmark-maintenance work.
 type SocialStats = aggindex.SocialStats
 
 // SocialStats reports the social dimension's counters.
 func (e *Engine) SocialStats() SocialStats { return e.agg.SocialStats() }
-
-// RebuildLandmarks synchronously restores any landmarks disabled by
-// over-budget repairs (normally the background rebuild handles this; the
-// synchronous form gives tests and operators a determinism knob). Returns
-// how many landmarks were rebuilt.
-func (e *Engine) RebuildLandmarks() int { return e.agg.RebuildDisabledLandmarks() }
 
 // AddFriend inserts (or reweights) the undirected friendship (u,v) with
 // normalized weight w and publishes the change as one epoch before

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -18,11 +19,13 @@ const distTol = 1e-12
 
 // churnedWorld is a social graph as the serving path sees it after edge
 // churn: overlay-patched rows, a removed bridge that leaves half the vertices
-// unreachable from the other half, and a landmark set repaired under the
-// given budget. A small budget disables landmarks (the bridge removal alone
-// overruns it); the first reinstall of those are then rebuilt, as the
-// background rebuild would.
-func churnedWorld(t *testing.T, rng *rand.Rand, n, m, budget, steps, reinstall int) (*graph.Graph, *landmark.Set) {
+// unreachable from the other half, and m landmarks chosen by strategy on the
+// bridged graph, their tables maintained through the churn as one batch. The
+// first landmark's user then drops every tie. The tables stay exact; the
+// churn only makes them weak. With m = 1 the one landmark reaches nobody
+// else, so every query runs with a heuristic of zero, and one across the
+// removed bridge searches its whole component out.
+func churnedWorld(t *testing.T, rng *rand.Rand, n, m int, strategy landmark.Strategy, steps int) (*graph.Graph, *landmark.Set) {
 	t.Helper()
 	half := n / 2
 	b := graph.NewBuilder(n)
@@ -49,14 +52,11 @@ func churnedWorld(t *testing.T, rng *rand.Rand, n, m, budget, steps, reinstall i
 	_ = b.AddEdge(bridgeU, bridgeV, 0.5)
 	base := b.MustBuild()
 
-	lm, err := landmark.Select(base, m, landmark.Farthest, rng.Int63())
+	lm, err := landmark.Select(base, m, strategy, rng.Int63())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := landmark.NewDynamic(lm, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dyn := landmark.NewDynamic(lm)
 	o := graph.NewOverlay(base)
 	change := func(u, v graph.VertexID, w float64, remove bool) {
 		oldW, had := o.EdgeWeight(u, v)
@@ -82,54 +82,65 @@ func churnedWorld(t *testing.T, rng *rand.Rand, n, m, budget, steps, reinstall i
 		change(u, v, 0.05+rng.Float64()*2, had && rng.Intn(2) == 0)
 	}
 	change(bridgeU, bridgeV, 0, true)
+	loner := lm.Vertices()[0]
+	nbrs, _ := o.Working().Neighbors(loner)
+	for _, y := range slices.Clone(nbrs) {
+		change(loner, y, 0, true)
+	}
 	g := o.Freeze()
-	for j, v := range dyn.View().Vertices()[:reinstall] {
-		if !dyn.View().Enabled(j) {
-			dyn.InstallTable(j, g.DistancesFrom(v))
+	lm, _ = dyn.Commit(g, nil)
+	return g, lm
+}
+
+// blind reports whether no landmark reaches q, so that every landmark bound
+// between q and a vertex of its component is zero.
+func blind(lm *landmark.Set, q graph.VertexID) bool {
+	for j := 0; j < lm.M(); j++ {
+		if lm.Dist(j, q) < graph.Infinity {
+			return false
 		}
 	}
-	return g, dyn.Commit()
+	return true
 }
 
 // TestGraphDistThresholdDifferential is the differential test of the
-// stopping rule: whatever the graph, the landmark health, the size of the
-// forward ball when the evaluation starts and the threshold the caller
-// passes, dist returns the exact distance or a threshold the exact distance
-// provably reaches — and the path table it leaves behind holds only exact
-// values.
+// stopping rule: whatever the graph, the strength of the landmark set, the
+// size of the forward ball when the evaluation starts and the threshold the
+// caller passes, dist returns the exact distance or a threshold the exact
+// distance provably reaches — and the path table it leaves behind holds only
+// exact values.
 func TestGraphDistThresholdDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2016))
-	seenDisabled := map[string]int{}
-	var exactCalls, boundedCalls, zeroPopStops int
+	var exactCalls, boundedCalls, zeroPopStops, blindTrials int
 	for trial := 0; trial < 24; trial++ {
 		n := 40 + rng.Intn(100)
 		var g *graph.Graph
 		var lm *landmark.Set
 		switch trial % 4 {
-		case 0: // static random graph, possibly disconnected, every landmark healthy
+		case 0: // static random graph, possibly disconnected
 			ds := mkDataset(t, rng, n, 0, trial%8 == 4)
 			var err error
 			if lm, err = landmark.Select(ds.G, 2+rng.Intn(6), landmark.Strategy(rng.Intn(3)), int64(trial)); err != nil {
 				t.Fatal(err)
 			}
 			g = ds.G
-		case 1: // churned, every landmark repaired
-			g, lm = churnedWorld(t, rng, n, 4, 1<<30, 40, 0)
-		case 2: // churned, every landmark disabled, half of them rebuilt
-			g, lm = churnedWorld(t, rng, n, 6, 1, 40, 3)
-		case 3: // churned, every landmark disabled
-			g, lm = churnedWorld(t, rng, n, 3, 1, 60, 0)
-		}
-		switch lm.NumDisabled() {
-		case 0:
-			seenDisabled["none"]++
-		case lm.M():
-			seenDisabled["all"]++
-		default:
-			seenDisabled["some"]++
+		case 1: // churned, a strong set
+			g, lm = churnedWorld(t, rng, n, 8, landmark.Farthest, 40)
+		case 2: // churned, a weak set
+			g, lm = churnedWorld(t, rng, n, 2, landmark.Random, 40)
+		case 3: // churned, one landmark
+			g, lm = churnedWorld(t, rng, n, 1, landmark.Random, 60)
 		}
 
 		q := graph.VertexID(rng.Intn(n))
+		if trial%8 == 3 { // from the side the landmark cannot see
+			for !blind(lm, q) {
+				q = graph.VertexID(rng.Intn(n))
+			}
+		}
+		if blind(lm, q) {
+			blindTrials++
+		}
 		truth := g.DistancesFrom(q)
 		component := 0
 		for _, p := range truth {
@@ -210,10 +221,8 @@ func TestGraphDistThresholdDifferential(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []string{"none", "some", "all"} {
-		if seenDisabled[kind] == 0 {
-			t.Errorf("no trial ran with %s of its landmarks disabled: %v", kind, seenDisabled)
-		}
+	if blindTrials == 0 {
+		t.Error("no trial ran with a zero heuristic")
 	}
 	if exactCalls == 0 || boundedCalls == 0 || zeroPopStops == 0 {
 		t.Errorf("coverage: %d exact answers, %d bounded stops, %d of them without a pop", exactCalls, boundedCalls, zeroPopStops)
@@ -387,20 +396,21 @@ func TestGraphDistRoundsStayBalanced(t *testing.T) {
 
 // TestGraphDistRoundEdgeCases forces one-pop first rounds, so that nearly
 // every evaluation is restarted several times, on graphs with two components
-// and sick landmarks, and holds every answer against a reference Dijkstra.
+// and weak landmark sets, and holds every answer against a reference
+// Dijkstra.
 func TestGraphDistRoundEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	var swallowed, exhausted, carried, tableWrites, boundedStops int
+	var swallowed, exhausted, carried, tableWrites, boundedStops, blindQueries int
 	for trial := 0; trial < 30; trial++ {
 		n := 40 + rng.Intn(100)
 		var g *graph.Graph
 		var lm *landmark.Set
 		switch trial % 3 {
-		case 0: // every landmark disabled: nothing steers or seeds the reverse search
-			g, lm = churnedWorld(t, rng, n, 3, 1, 40, 0)
-		case 1: // half of them rebuilt
-			g, lm = churnedWorld(t, rng, n, 6, 1, 40, 3)
-		case 2: // healthy landmarks, two components
+		case 0: // one landmark: on the far side nothing steers or seeds the reverse search
+			g, lm = churnedWorld(t, rng, n, 1, landmark.Random, 40)
+		case 1: // a few random landmarks
+			g, lm = churnedWorld(t, rng, n, []int{2, 8}[trial/3%2], landmark.Random, 40)
+		case 2: // farthest landmarks, two components
 			ds := mkDataset(t, rng, n, 0, true)
 			var err error
 			if lm, err = landmark.Select(ds.G, 2+rng.Intn(4), landmark.Farthest, int64(trial)); err != nil {
@@ -410,6 +420,9 @@ func TestGraphDistRoundEdgeCases(t *testing.T) {
 		}
 		pool := graph.NewAStarPool(n)
 		for _, q := range []graph.VertexID{graph.VertexID(rng.Intn(n / 2)), graph.VertexID(n/2 + rng.Intn(n-n/2))} {
+			if blind(lm, q) {
+				blindQueries++
+			}
 			truth := g.Dijkstra(q).Dist
 			alpha := 0.05 + 0.9*rng.Float64()
 			bounded := rng.Intn(4) > 0 // one in four runs as AIS⁻
@@ -474,9 +487,9 @@ func TestGraphDistRoundEdgeCases(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("restarted evaluations: %d swallowed by the ball, %d ended by an exhausted component, %d answered by a later round (%d wrote to T), %d bounded stops",
-		swallowed, exhausted, carried, tableWrites, boundedStops)
-	if swallowed == 0 || exhausted == 0 || carried == 0 || tableWrites == 0 || boundedStops == 0 {
+	t.Logf("restarted evaluations: %d swallowed by the ball, %d ended by an exhausted component, %d answered by a later round (%d wrote to T), %d bounded stops; %d queries with a zero heuristic",
+		swallowed, exhausted, carried, tableWrites, boundedStops, blindQueries)
+	if swallowed == 0 || exhausted == 0 || carried == 0 || tableWrites == 0 || boundedStops == 0 || blindQueries == 0 {
 		t.Error("a round edge case was never exercised")
 	}
 }

@@ -48,7 +48,6 @@ type queryEngine interface {
 	Enqueue(op core.Update) error
 	Flush()
 	Close()
-	RebuildLandmarks() int
 }
 
 var (
@@ -400,15 +399,10 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7000 + trial)))
 			n := 80 + rng.Intn(120)
 			ds := clusteredDS(t, n, int64(trial))
-			budget := 1 << 30
-			if trial%2 == 1 {
-				budget = 4 // force the disable+rebuild landmark path
-			}
 			opts := core.Options{
 				GridS: 3 + rng.Intn(3), GridLevels: 1 + rng.Intn(2),
 				NumLandmarks: 2 + rng.Intn(5), CacheT: 4 + rng.Intn(30),
-				Seed: int64(trial), LandmarkRepairBudget: budget,
-				UpdateMaxBatch: 1 + rng.Intn(32),
+				Seed: int64(trial), UpdateMaxBatch: 1 + rng.Intn(32),
 			}
 			mono, err := core.NewEngine(ds, opts)
 			if err != nil {
@@ -529,10 +523,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 					}
 				}
 			}
-			// Post-churn: restore landmarks everywhere, final exact sweep.
-			for _, e := range engines {
-				e.RebuildLandmarks()
-			}
+			// Post-churn: final exact sweep.
 			q := users[rng.Intn(len(users))]
 			if _, ok := userLocation(mono, int32(q)); ok {
 				prm := core.Params{K: 10, Alpha: 0.3}
@@ -542,7 +533,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertOracleMatch(t, "post-rebuild "+names[ei], got.Entries, want)
+					assertOracleMatch(t, "post-churn "+names[ei], got.Entries, want)
 				}
 			}
 		})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ssrq/internal/dataset"
+	"ssrq/internal/gen"
 	"ssrq/internal/graph"
 	"ssrq/internal/spatial"
 )
@@ -81,20 +82,13 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(9000 + trial)))
 			n := 30 + rng.Intn(90)
 			ds := mkDataset(t, rng, n, 0.2*rng.Float64(), trial%3 == 2)
-			// Small repair budgets on some trials force the disable+rebuild
-			// path; huge ones keep every landmark on the incremental path.
-			budget := 1 << 30
-			if trial%2 == 1 {
-				budget = 4
-			}
 			e := mkEngine(t, ds, Options{
-				GridS:                3 + rng.Intn(4),
-				GridLevels:           1 + rng.Intn(2),
-				NumLandmarks:         2 + rng.Intn(6),
-				CacheT:               4 + rng.Intn(40),
-				Seed:                 int64(trial),
-				LandmarkRepairBudget: budget,
-				UpdateMaxBatch:       1 + rng.Intn(64),
+				GridS:          3 + rng.Intn(4),
+				GridLevels:     1 + rng.Intn(2),
+				NumLandmarks:   2 + rng.Intn(6),
+				CacheT:         4 + rng.Intn(40),
+				Seed:           int64(trial),
+				UpdateMaxBatch: 1 + rng.Intn(64),
 			})
 			defer e.Close()
 			model := seedModel(ds)
@@ -177,18 +171,13 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 						lo := lm.LowerBound(q, graph.VertexID(v))
 						hi := lm.UpperBound(q, graph.VertexID(v))
 						if lo > dist[v]+1e-9 {
-							t.Fatalf("round %d: LowerBound(%d,%d)=%v > true %v (disabled=%d)", round, q, v, lo, dist[v], lm.NumDisabled())
+							t.Fatalf("round %d: LowerBound(%d,%d)=%v > true %v", round, q, v, lo, dist[v])
 						}
 						if hi < dist[v]-1e-9 {
 							t.Fatalf("round %d: UpperBound(%d,%d)=%v < true %v", round, q, v, hi, dist[v])
 						}
 					}
 				}
-			}
-			// Final: restore disabled landmarks and re-verify everything.
-			e.RebuildLandmarks()
-			if got := e.SocialStats().DisabledLandmarks; got != 0 {
-				t.Fatalf("%d landmarks disabled after RebuildLandmarks", got)
 			}
 			q := users[rng.Intn(len(users))]
 			if e.Snapshot().Grid().Located(q) {
@@ -198,7 +187,7 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameRanking(t, "post-rebuild AIS", got, want)
+				sameRanking(t, "final AIS", got, want)
 			}
 		})
 	}
@@ -215,7 +204,7 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	const n = 160
 	ds := mkDataset(t, rng, n, 0, false)
-	e := mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, CacheT: 20, LandmarkRepairBudget: 16})
+	e := mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, CacheT: 20})
 	defer e.Close()
 
 	var movable, queryable []graph.VertexID
@@ -347,7 +336,6 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 
 	// Quiesce and verify exact agreement on the mutated world.
 	e.Flush()
-	e.RebuildLandmarks()
 	prm := Params{K: 10, Alpha: 0.3}
 	for probe := 0; probe < 4; probe++ {
 		q := queryable[rng.Intn(len(queryable))]
@@ -396,20 +384,122 @@ func TestEdgeUpdateValidation(t *testing.T) {
 	}
 }
 
-// TestEdgeChurnRejectedBeyondLandmarkCap: engines with more than 64
-// landmarks still build and answer queries, but refuse edge churn instead of
-// silently serving stale landmark tables.
-func TestEdgeChurnRejectedBeyondLandmarkCap(t *testing.T) {
+// TestEdgeChurnBeyondSixtyFourLandmarks: an engine with more landmarks than
+// a 64-bit mask holds takes edge churn like any other and stays equal to an
+// oracle built from scratch on the mutated graph.
+func TestEdgeChurnBeyondSixtyFourLandmarks(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	ds := mkDataset(t, rng, 120, 0, false)
-	e := mkEngine(t, ds, Options{NumLandmarks: 70})
+	const n = 120
+	ds := mkDataset(t, rng, n, 0, false)
+	e := mkEngine(t, ds, Options{NumLandmarks: 65})
 	defer e.Close()
-	if err := e.AddFriend(0, 1, 0.5); err == nil {
-		t.Fatal("edge churn accepted with 70 landmarks")
+	if m := e.Landmarks().M(); m != 65 {
+		t.Fatalf("%d landmarks, want 65", m)
 	}
-	q := locatedUsers(ds)[0]
-	if _, err := e.Query(AIS, q, Params{K: 5, Alpha: 0.5}); err != nil {
-		t.Fatalf("query failed on 70-landmark engine: %v", err)
+	model := seedModel(ds)
+	users := locatedUsers(ds)
+	for round := 0; round < 4; round++ {
+		var ops []Update
+		for len(ops) < 1+40*round {
+			u, v := rng.Int31n(n), rng.Int31n(n)
+			if u == v {
+				continue
+			}
+			if rng.Intn(3) == 0 {
+				ops = append(ops, Update{Kind: OpEdgeRemove, U: u, V: v})
+				delete(model, mkEdgeKey(u, v))
+				continue
+			}
+			w := 0.05 + rng.Float64()
+			ops = append(ops, Update{Kind: OpEdgeUpsert, U: u, V: v, W: w})
+			model[mkEdgeKey(u, v)] = w
+		}
+		if err := e.ApplyUpdates(ops); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for probe := 0; probe < 3; probe++ {
+			q := users[rng.Intn(len(users))]
+			prm := Params{K: 1 + rng.Intn(10), Alpha: 0.05 + 0.9*rng.Float64()}
+			want := oracleTopK(e, model, q, prm)
+			for _, algo := range allNonCHAlgorithms {
+				got, err := e.Query(algo, q, prm)
+				if err != nil {
+					t.Fatalf("round %d %v (q=%d): %v", round, algo, q, err)
+				}
+				sameRanking(t, fmt.Sprintf("round %d %v (q=%d)", round, algo, q), got, want)
+			}
+		}
+	}
+}
+
+// TestLandmarkTablesExactEveryEpoch pins the invariant every landmark bound
+// rests on: after every ApplyUpdates, every column of the published landmark
+// set equals a fresh Dijkstra on the published graph. The churn is the
+// benchmark's edge traffic — a user befriends a friend of a friend at the
+// intermediate tie's weight, jittered (or reweights that tie when the walk
+// returns) — plus removals of existing ties, in batches of 1, of 16, and
+// one batch large enough that some landmark's repairs rewrite more than n
+// entries and it is recomputed at the end of the batch.
+func TestLandmarkTablesExactEveryEpoch(t *testing.T) {
+	ds, err := gen.GowallaPreset.Dataset(5000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mkEngine(t, ds, Options{Seed: 42})
+	defer e.Close()
+	rng := rand.New(rand.NewSource(26))
+	n := ds.NumUsers()
+	batch := func(size int) []Update {
+		g := e.Snapshot().SocialGraph()
+		ops := make([]Update, 0, size)
+		for len(ops) < size {
+			u := graph.VertexID(rng.Intn(n))
+			nb, ws := g.Neighbors(u)
+			if len(nb) == 0 {
+				continue
+			}
+			j := rng.Intn(len(nb))
+			if rng.Intn(4) == 0 {
+				ops = append(ops, Update{Kind: OpEdgeRemove, U: u, V: nb[j]})
+				continue
+			}
+			mid, w := nb[j], ws[j]
+			nb2, _ := g.Neighbors(mid)
+			v := nb2[rng.Intn(len(nb2))]
+			if v == u {
+				v = mid
+			}
+			ops = append(ops, Update{Kind: OpEdgeUpsert, U: u, V: v, W: w * (0.5 + rng.Float64())})
+		}
+		return ops
+	}
+	check := func(step string) {
+		t.Helper()
+		sn := e.Snapshot()
+		lm, g := sn.Landmarks(), sn.SocialGraph()
+		for j, lmv := range lm.Vertices() {
+			for v, want := range g.DistancesFrom(lmv) {
+				if got := lm.Dist(j, graph.VertexID(v)); got != want {
+					t.Fatalf("%s: landmark %d dist to %d = %v, want %v", step, j, v, got, want)
+				}
+			}
+		}
+	}
+	for i, size := range []int{1, 1, 1, 1, 1, 1, 1, 1, 16, 16, 16, 16, 16, 16, 16, 16} {
+		if err := e.ApplyUpdates(batch(size)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("batch %d of %d ops", i, size))
+	}
+	if st := e.SocialStats(); st.LandmarkRebuilds != 0 || st.LandmarkRepairs == 0 {
+		t.Fatalf("small batches should repair every table in place: %+v", st)
+	}
+	if err := e.ApplyUpdates(batch(n)); err != nil {
+		t.Fatal(err)
+	}
+	check(fmt.Sprintf("batch of %d ops", n))
+	if st := e.SocialStats(); st.LandmarkRebuilds == 0 {
+		t.Fatalf("a %d-op batch recomputed no table: %+v", n, st)
 	}
 }
 

@@ -237,19 +237,12 @@ func (e *Engine) Flush() {
 	}
 }
 
-// Close drains and applies any queued updates, stops the update pipeline,
-// then — for an engine that owns its substrate — stops the background
-// landmark maintenance: an in-flight rebuild aborts at its next cancellation
-// point and Close waits for its goroutine to exit, so tests and servers shut
-// down without leaks. Idempotent. Updates enqueued concurrently with Close
-// may be dropped; queries remain valid after Close (disabled landmarks then
-// stay disabled until an explicit RebuildLandmarks).
+// Close drains and applies any queued updates and stops the update
+// pipeline. Idempotent. Updates enqueued concurrently with Close may be
+// dropped; queries and synchronous updates remain valid after Close.
 func (e *Engine) Close() {
 	if u := e.updater.Load(); u != nil {
 		u.close()
-	}
-	if e.ownsSub {
-		e.sub.Close()
 	}
 }
 

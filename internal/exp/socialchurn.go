@@ -16,11 +16,11 @@ import (
 // friendships through the asynchronous pipeline while a querier runs the AIS
 // workload against lock-free snapshots. Each cell reports latency
 // percentiles plus the social maintenance counters (epochs, incremental
-// landmark repairs, disabled landmarks). The experiment ends with a
-// post-churn correctness audit: AIS against the brute-force oracle on the
-// mutated graph, plus sampled landmark-bound admissibility checks
-// (LowerBound ≤ true distance ≤ UpperBound) against exact distances on an
-// independently rebuilt graph.
+// landmark repairs). The experiment ends with a post-churn correctness
+// audit: AIS against the brute-force oracle on the mutated graph, every
+// landmark table against a fresh Dijkstra on an independently rebuilt graph,
+// and sampled landmark-bound admissibility checks (LowerBound ≤ true
+// distance ≤ UpperBound) against exact distances on that graph.
 func (s *Suite) RunSocialChurn() error {
 	e, err := s.Engine("gowalla", DefaultS, false)
 	if err != nil {
@@ -49,7 +49,7 @@ func (s *Suite) RunSocialChurn() error {
 		Title: fmt.Sprintf("Query latency under social churn — AIS, k=%d, α=%.1f, %d queries/cell",
 			DefaultK, DefaultAlpha, queries),
 		Columns: []string{"edge rate/s", "p50 (ms)", "p95 (ms)", "p99 (ms)", "queries/s",
-			"edge ops", "social epochs", "lm repairs", "lm disabled"},
+			"edge ops", "social epochs", "lm repairs"},
 	}
 	for _, rate := range rates {
 		cell, err := s.runSocialChurnCell(e, queryable, n, wLo, wHi, queries, rate)
@@ -66,7 +66,7 @@ func (s *Suite) RunSocialChurn() error {
 			ms(cell.lat.P50), ms(cell.lat.P95), ms(cell.lat.P99),
 			fmt.Sprintf("%.0f", cell.qps),
 			fmt.Sprint(cell.edgeOps), fmt.Sprint(cell.socialEpochs),
-			fmt.Sprint(cell.repairs), fmt.Sprint(cell.disabled))
+			fmt.Sprint(cell.repairs))
 		s.record(Measurement{
 			Dataset: ds.Name, Algo: core.AIS, X: rate,
 			Runtime: cell.lat.P95, Queries: cell.lat.N,
@@ -74,14 +74,22 @@ func (s *Suite) RunSocialChurn() error {
 	}
 	tbl.Fprint(s.Out)
 
-	// Post-churn audit. Let the world settle first: Flush drains the update
-	// pipeline, then the synchronous rebuild restores any disabled landmarks
-	// (the background loop normally does; the sync form makes the audit
-	// deterministic).
+	// Post-churn audit, once Flush has drained the update pipeline. Every
+	// published landmark table must already be exact on an independently
+	// rebuilt graph — catching any drift between the overlay's merged view
+	// and the true mutated topology, or a table that left its batch
+	// partly repaired.
 	e.Flush()
-	rebuilt := e.RebuildLandmarks()
 	sn := e.Snapshot()
-	socG := sn.SocialGraph()
+	oracle := rebuildGraph(sn.SocialGraph())
+	lm := sn.Landmarks()
+	for j, lmv := range lm.Vertices() {
+		for v, want := range oracle.DistancesFrom(lmv) {
+			if got := lm.Dist(j, graph.VertexID(v)); got != want {
+				return fmt.Errorf("exp: socialchurn: landmark %d distance to %d is %v, a fresh Dijkstra gives %v", j, v, got, want)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(s.Seed + 99))
 	prm := core.Params{K: DefaultK, Alpha: DefaultAlpha}
 	for probe := 0; probe < 3; probe++ {
@@ -102,11 +110,7 @@ func (s *Suite) RunSocialChurn() error {
 				return fmt.Errorf("exp: socialchurn: post-churn AIS/brute rank %d mismatch for user %d", i, q)
 			}
 		}
-		// Independent oracle: exact distances on a graph rebuilt from the
-		// snapshot's edges — catches any drift between the overlay's merged
-		// view and the true mutated topology.
-		dist := rebuildGraph(socG).DistancesFrom(q)
-		lm := sn.Landmarks()
+		dist := oracle.DistancesFrom(q)
 		for v := 0; v < n; v += 1 + n/64 {
 			lo := lm.LowerBound(q, graph.VertexID(v))
 			hi := lm.UpperBound(q, graph.VertexID(v))
@@ -116,8 +120,8 @@ func (s *Suite) RunSocialChurn() error {
 		}
 	}
 	fmt.Fprintf(s.Out, "post-churn brute-force equivalence + landmark admissibility: ok "+
-		"(%d landmarks rebuilt, %d forced installs, social epoch %d)\n",
-		rebuilt, e.SocialStats().LandmarkForcedInstalls, sn.SocialEpoch())
+		"(%d landmark tables exact, %d recomputed at batch end, social epoch %d)\n",
+		lm.M(), e.SocialStats().LandmarkRebuilds, sn.SocialEpoch())
 	return nil
 }
 
@@ -128,7 +132,6 @@ type socialChurnCell struct {
 	edgeOps      int64
 	socialEpochs uint64
 	repairs      int64
-	disabled     int
 }
 
 // runSocialChurnCell runs one cell: a churner goroutine mutating edges at
@@ -236,7 +239,6 @@ func (s *Suite) runSocialChurnCell(e *core.Engine, queryable []graph.VertexID,
 		edgeOps:      opsDone.Load(),
 		socialEpochs: e.UpdateStats().SocialEpoch - startSocial,
 		repairs:      st.LandmarkRepairs - startRepairs,
-		disabled:     st.DisabledLandmarks,
 	}, nil
 }
 

@@ -113,7 +113,10 @@ func TestEdgesValidation(t *testing.T) {
 	}
 }
 
-func TestEdgesUnsupportedConfigIs501(t *testing.T) {
+// TestEdgesAcceptedBeyondSixtyFourLandmarks: no landmark count makes edge
+// churn unsupported; an engine with more landmarks than a 64-bit mask holds
+// applies /edges like any other and keeps answering queries.
+func TestEdgesAcceptedBeyondSixtyFourLandmarks(t *testing.T) {
 	ds, err := ssrq.Synthesize("twitter", 200, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -122,12 +125,15 @@ func TestEdgesUnsupportedConfigIs501(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	s := New(eng)
-	rec := do(t, s, "POST", "/edges", edgesRequest{Edges: []edgeItem{{U: 0, V: 1, W: 1}}})
-	if rec.Code != http.StatusNotImplemented {
-		t.Fatalf("unsupported edge churn = %d, want 501: %s", rec.Code, rec.Body)
+	rec := do(t, s, "POST", "/edges", edgesRequest{Edges: []edgeItem{{U: 0, V: 1, W: 1}, {U: 2, V: 3, Remove: true}}, Flush: true})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("edges on a 70-landmark engine = %d: %s", rec.Code, rec.Body)
 	}
-	// Queries keep working on the same engine.
+	if st := statsOf(t, s); st.SocialEpoch != 1 {
+		t.Fatalf("social epoch %d after one effective batch, want 1", st.SocialEpoch)
+	}
 	qrec := do(t, s, "GET", "/query?q=0&k=3", nil)
 	if qrec.Code != http.StatusOK {
 		t.Fatalf("query on 70-landmark engine = %d", qrec.Code)

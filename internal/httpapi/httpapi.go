@@ -499,12 +499,6 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%d edges exceeds limit %d", len(req.Edges), maxEdges))
 		return
 	}
-	// Edge churn can be permanently unsupported (landmark count beyond the
-	// dynamic-maintenance cap): a non-retryable condition, not a 503.
-	if !s.eng.SupportsEdgeChurn() {
-		httpError(w, http.StatusNotImplemented, fmt.Errorf("edge churn unsupported by this engine's configuration"))
-		return
-	}
 	// Validate everything before enqueuing anything, so a bad item rejects
 	// the whole request instead of applying a prefix.
 	n := s.eng.Dataset().NumUsers()
@@ -592,16 +586,14 @@ type statsResponse struct {
 	AppliedBatches   int64  `json:"applied_batches"`
 	CoalescedUpdates int64  `json:"coalesced_updates"`
 
-	SocialEpoch            uint64 `json:"social_epoch"`
-	EdgeAdds               int64  `json:"edge_adds"`
-	EdgeRemoves            int64  `json:"edge_removes"`
-	EdgeReweights          int64  `json:"edge_reweights"`
-	PatchedVertices        int    `json:"patched_vertices"`
-	Compactions            int64  `json:"compactions"`
-	DisabledLandmarks      int    `json:"disabled_landmarks"`
-	LandmarkRepairs        int64  `json:"landmark_repairs"`
-	LandmarkRebuilds       int64  `json:"landmark_rebuilds"`
-	LandmarkForcedInstalls int64  `json:"landmark_forced_installs"`
+	SocialEpoch      uint64 `json:"social_epoch"`
+	EdgeAdds         int64  `json:"edge_adds"`
+	EdgeRemoves      int64  `json:"edge_removes"`
+	EdgeReweights    int64  `json:"edge_reweights"`
+	PatchedVertices  int    `json:"patched_vertices"`
+	Compactions      int64  `json:"compactions"`
+	LandmarkRepairs  int64  `json:"landmark_repairs"`
+	LandmarkRebuilds int64  `json:"landmark_rebuilds"`
 
 	// Sharding section, one shape at every shard count (num_shards ≥ 1, one
 	// shards entry each): fan-out pruning counters, elastic-rebalance
@@ -631,15 +623,14 @@ type statsResponse struct {
 
 // shardStatJSON is the wire form of one shard's live state.
 type shardStatJSON struct {
-	Shard             int    `json:"shard"`
-	Cells             int    `json:"cells"`
-	NumLocated        int    `json:"num_located"`
-	Epoch             uint64 `json:"epoch"`
-	SocialEpoch       uint64 `json:"social_epoch"`
-	PendingUpdates    int64  `json:"pending_updates"`
-	AppliedBatches    int64  `json:"applied_batches"`
-	DisabledLandmarks int    `json:"disabled_landmarks"`
-	PrunedQueries     int64  `json:"pruned_queries"`
+	Shard          int    `json:"shard"`
+	Cells          int    `json:"cells"`
+	NumLocated     int    `json:"num_located"`
+	Epoch          uint64 `json:"epoch"`
+	SocialEpoch    uint64 `json:"social_epoch"`
+	PendingUpdates int64  `json:"pending_updates"`
+	AppliedBatches int64  `json:"applied_batches"`
+	PrunedQueries  int64  `json:"pruned_queries"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -654,16 +645,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		AppliedBatches:   us.AppliedBatches,
 		CoalescedUpdates: us.CoalescedUpdates,
 
-		SocialEpoch:            ss.SocialEpoch,
-		EdgeAdds:               ss.EdgeAdds,
-		EdgeRemoves:            ss.EdgeRemoves,
-		EdgeReweights:          ss.EdgeReweights,
-		PatchedVertices:        ss.PatchedVertices,
-		Compactions:            ss.Compactions,
-		DisabledLandmarks:      ss.DisabledLandmarks,
-		LandmarkRepairs:        ss.LandmarkRepairs,
-		LandmarkRebuilds:       ss.LandmarkRebuilds,
-		LandmarkForcedInstalls: ss.LandmarkForcedInstalls,
+		SocialEpoch:      ss.SocialEpoch,
+		EdgeAdds:         ss.EdgeAdds,
+		EdgeRemoves:      ss.EdgeRemoves,
+		EdgeReweights:    ss.EdgeReweights,
+		PatchedVertices:  ss.PatchedVertices,
+		Compactions:      ss.Compactions,
+		LandmarkRepairs:  ss.LandmarkRepairs,
+		LandmarkRebuilds: ss.LandmarkRebuilds,
 	}
 	fs := s.eng.FanoutStats()
 	rs := s.eng.RebalanceStats()
@@ -679,15 +668,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.Shards = make([]shardStatJSON, len(shards))
 	for i, st := range shards {
 		resp.Shards[i] = shardStatJSON{
-			Shard:             st.Shard,
-			Cells:             st.Cells,
-			NumLocated:        st.NumLocated,
-			Epoch:             st.Epoch,
-			SocialEpoch:       st.SocialEpoch,
-			PendingUpdates:    st.PendingUpdates,
-			AppliedBatches:    st.AppliedBatches,
-			DisabledLandmarks: st.DisabledLandmarks,
-			PrunedQueries:     st.PrunedQueries,
+			Shard:          st.Shard,
+			Cells:          st.Cells,
+			NumLocated:     st.NumLocated,
+			Epoch:          st.Epoch,
+			SocialEpoch:    st.SocialEpoch,
+			PendingUpdates: st.PendingUpdates,
+			AppliedBatches: st.AppliedBatches,
+			PrunedQueries:  st.PrunedQueries,
 		}
 	}
 	resp.Durability = s.eng.DurabilityStats()

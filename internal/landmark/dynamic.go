@@ -1,7 +1,6 @@
 package landmark
 
 import (
-	"fmt"
 	"math"
 
 	"ssrq/internal/graph"
@@ -9,18 +8,17 @@ import (
 )
 
 // Dynamic maintains landmark distance tables under edge churn. It is the
-// single-writer companion of an immutable Set lineage: BeginBatch opens an
-// epoch (a copy-on-write clone of the last committed Set), EdgeChanged
-// repairs the affected tables incrementally, and Commit freezes the epoch
-// for publication.
+// single-writer companion of an immutable Set lineage: the first
+// EdgeChanged of a batch opens an epoch (a copy-on-write clone of the last
+// committed Set), every EdgeChanged repairs the affected tables
+// incrementally, and Commit finishes the epoch on the batch's final graph and
+// freezes it for publication.
 //
-// Repair strategy per landmark and edge op:
+// Repair strategy per landmark and edge op, each run to completion:
 //
 //   - weight decrease / insertion: distances can only shrink. The repair is
 //     the standard incremental-SSSP decrease propagation — seed the changed
-//     endpoints, settle improvements in Dijkstra order. Run to completion it
-//     is exact; past the budget the landmark is disabled instead (a partial
-//     run would leave a mix of old and new values, unusable for bounds).
+//     endpoints, settle improvements in Dijkstra order.
 //
 //   - weight increase / deletion: distances can only grow. Following
 //     Ramalingam–Reps, phase 1 identifies the *affected set* — vertices all
@@ -29,14 +27,15 @@ import (
 //     tight neighbor outside the affected set, which is sound because every
 //     potential support has a strictly smaller distance and is therefore
 //     classified first); phase 2 re-runs Dijkstra restricted to the affected
-//     set, seeded from its unaffected boundary. Past the budget the landmark
-//     is disabled with its table untouched (phase 1 only reads).
+//     set, seeded from its unaffected boundary.
 //
-// The invariant bounds correctness rests on: at every committed epoch, each
-// *enabled* landmark's table holds exact shortest-path distances on that
-// epoch's graph. Disabled landmarks contribute nothing to any bound (they
-// only loosen pruning, never break it) until InstallTable restores them from
-// an asynchronous full rebuild.
+// The invariant bounds rest on: every table of every Set Commit returns holds
+// exact shortest-path distances on the graph Commit was given. A batch never
+// publishes a partly repaired table. Instead, a landmark whose repairs in
+// the open batch have rewritten more than n entries — one table's worth —
+// stops repairing for the rest of the batch, and Commit recomputes it with
+// one Dijkstra. Each landmark therefore costs a batch at most about two full
+// Dijkstras, however many ops the batch holds.
 type Dynamic struct {
 	cur  *Set // last committed epoch (immutable)
 	work *Set // epoch under construction; nil between batches
@@ -45,63 +44,73 @@ type Dynamic struct {
 	pageStamp  []uint64 // epoch that last duplicated each page
 	outerStamp uint64   // epoch that last duplicated the outer page slice
 
-	budget int
-	heap   *pqueue.IndexedHeap // scratch, reused across repairs
+	heap *pqueue.IndexedHeap // scratch, reused across repairs
+	// spent[j] counts the entries landmark j's repairs rewrote in the open
+	// batch; past n the landmark is stale until Commit recomputes it.
+	spent []int
+	// mark is increaseRepair's scratch, allocated by the first one (an engine
+	// that never sees a removal or a weight increase never needs it): mark[v]
+	// is gen<<1 once the current repair has visited v and gen<<1|1 once it
+	// has found v affected; any other value is left over from an earlier
+	// repair.
+	mark     []uint32
+	gen      uint32
+	affected []graph.VertexID
 
 	// Counters (writer-side; read via Stats under the owner's lock).
-	repairs  int64 // incremental repairs that completed within budget
-	repaired int64 // vertices whose distance a repair rewrote
-	disables int64 // budget overruns that disabled a landmark
-	installs int64 // full tables installed by rebuilds
+	repairs  int64 // incremental repairs run to completion
+	repaired int64 // table entries those repairs rewrote
+	rebuilds int64 // stale landmarks recomputed by Commit
 }
 
-// NewDynamic wraps a freshly built Set for dynamic maintenance. budget caps
-// the per-landmark, per-op repair work (vertices touched) before the
-// landmark is disabled and handed to the rebuild path; <= 0 selects the
-// default of 256.
-func NewDynamic(s *Set, budget int) (*Dynamic, error) {
-	if s.m > maxDynamic {
-		return nil, fmt.Errorf("landmark: dynamic maintenance supports at most %d landmarks, got %d", maxDynamic, s.m)
-	}
-	if budget <= 0 {
-		budget = 256
-	}
+// NewDynamic wraps a freshly built Set for dynamic maintenance.
+func NewDynamic(s *Set) *Dynamic {
 	return &Dynamic{
 		cur:       s,
 		pageStamp: make([]uint64, len(s.pages)),
-		budget:    budget,
 		heap:      pqueue.NewIndexedHeap(s.n),
-	}, nil
-}
-
-// View returns the current state: the working epoch during a batch,
-// otherwise the last committed Set.
-func (d *Dynamic) View() *Set {
-	if d.work != nil {
-		return d.work
+		spent:     make([]int, s.m),
 	}
-	return d.cur
 }
 
-// BeginBatch opens an epoch (idempotent within a batch) and returns the
-// working Set the batch mutates copy-on-write.
-func (d *Dynamic) BeginBatch() *Set {
+// beginBatch opens an epoch, the working Set the batch mutates
+// copy-on-write; idempotent within a batch.
+func (d *Dynamic) beginBatch() {
 	if d.work == nil {
 		cp := *d.cur
 		d.work = &cp
 		d.epoch++
+		clear(d.spent)
 	}
-	return d.work
 }
 
-// Commit freezes the working epoch as the new current Set and returns it.
-// Without an open batch it returns the current Set unchanged.
-func (d *Dynamic) Commit() *Set {
-	if d.work != nil {
-		d.cur = d.work
-		d.work = nil
+// Commit finishes the open batch on g, the batch's final graph: every
+// landmark that went stale is recomputed with one Dijkstra, and the vertices
+// whose distance to it differs from the last committed table are appended to
+// dirty. It then freezes the working epoch as the new current Set and returns
+// both. Without an open batch it returns the current Set and dirty unchanged.
+func (d *Dynamic) Commit(g *graph.Graph, dirty []graph.VertexID) (*Set, []graph.VertexID) {
+	if d.work == nil {
+		return d.cur, dirty
 	}
-	return d.cur
+	for j, spent := range d.spent {
+		if spent <= d.work.n {
+			continue
+		}
+		for v, dist := range g.DistancesFrom(d.work.vertices[j]) {
+			x := graph.VertexID(v)
+			if dist != d.cur.vec(x)[j] {
+				dirty = append(dirty, x)
+			}
+			if dist != d.dist(j, x) {
+				d.setDist(j, x, dist)
+			}
+		}
+		d.rebuilds++
+	}
+	d.cur = d.work
+	d.work = nil
+	return d.cur, dirty
 }
 
 // writablePage duplicates page p on its first write of the epoch (and the
@@ -125,31 +134,24 @@ func (d *Dynamic) setDist(j int, v graph.VertexID, dist float64) {
 	page[int(v&pageMask)*d.work.m+j] = dist
 }
 
-// disable excludes landmark j from all bounds in the working epoch.
-func (d *Dynamic) disable(j int) {
-	d.work.disabled |= 1 << uint(j)
-	d.disables++
+// Stats reports the repair counters.
+func (d *Dynamic) Stats() (repairs, repaired, rebuilds int64) {
+	return d.repairs, d.repaired, d.rebuilds
 }
 
-// Stats reports the repair counters and current disabled count.
-func (d *Dynamic) Stats() (repairs, repaired, disables, installs int64) {
-	return d.repairs, d.repaired, d.disables, d.installs
-}
-
-// EdgeChanged repairs every enabled landmark table after one edge mutation
-// on g (the post-change graph): an insertion (hadOld false), a deletion
-// (hasNew false) or a reweight. It returns the vertices whose distance to
-// some landmark changed — the caller recomputes the social summaries of
-// their cells. Landmarks whose repair exceeds the budget are disabled and
-// reported by View().DisabledMask() for asynchronous rebuild.
+// EdgeChanged repairs every landmark table after one edge mutation on g (the
+// post-change graph): an insertion (hadOld false), a deletion (hasNew false)
+// or a reweight. It returns the vertices whose distance to some landmark
+// changed — the caller recomputes the social summaries of their cells.
+// Landmarks gone stale in this batch are skipped; Commit recomputes them.
 func (d *Dynamic) EdgeChanged(g *graph.Graph, u, v graph.VertexID, oldW float64, hadOld bool, newW float64, hasNew bool) []graph.VertexID {
 	if !hadOld && !hasNew {
 		return nil
 	}
-	d.BeginBatch()
+	d.beginBatch()
 	var dirty []graph.VertexID
-	for j := 0; j < d.work.m; j++ {
-		if !d.work.Enabled(j) {
+	for j, spent := range d.spent {
+		if spent > d.work.n {
 			continue
 		}
 		switch {
@@ -168,7 +170,6 @@ func (d *Dynamic) dist(j int, v graph.VertexID) float64 { return d.work.vec(v)[j
 
 // decreaseRepair propagates the improvement introduced by edge (u,v,w) —
 // newly inserted or reweighted downwards — through landmark j's table.
-// Exact when it completes; disables j on budget overrun.
 func (d *Dynamic) decreaseRepair(g *graph.Graph, j int, u, v graph.VertexID, w float64, dirty []graph.VertexID) []graph.VertexID {
 	h := d.heap
 	h.Reset()
@@ -181,7 +182,6 @@ func (d *Dynamic) decreaseRepair(g *graph.Graph, j int, u, v graph.VertexID, w f
 	if h.Len() == 0 {
 		return dirty
 	}
-	settled := 0
 	for {
 		x, dx, ok := h.PopMin()
 		if !ok {
@@ -190,12 +190,9 @@ func (d *Dynamic) decreaseRepair(g *graph.Graph, j int, u, v graph.VertexID, w f
 		if dx >= d.dist(j, x) {
 			continue
 		}
-		settled++
-		if settled > d.budget {
-			// Partial decrease repairs leave the table mixed (some entries
-			// already lowered, some stale): unusable for bounds either way,
-			// so disable and let the rebuild path restore it.
-			d.disable(j)
+		if d.spent[j]++; d.spent[j] > d.work.n {
+			// Stale: the rest of the batch skips j and Commit recomputes it,
+			// so the half-lowered table never publishes.
 			return dirty
 		}
 		d.setDist(j, x, dx)
@@ -228,6 +225,17 @@ func (d *Dynamic) increaseRepair(g *graph.Graph, j int, u, v graph.VertexID, old
 		return dirty
 	}
 
+	if d.mark == nil {
+		d.mark = make([]uint32, d.work.n)
+	}
+	d.gen++
+	if d.gen == 1<<31 { // gen<<1 would wrap: flush the stale stamps
+		clear(d.mark)
+		d.gen = 1
+	}
+	visited, affected := d.gen<<1, d.gen<<1|1
+	isAffected := func(x graph.VertexID) bool { return d.mark[x] == affected }
+
 	// Phase 1: collect the affected set in ascending-distance order. A
 	// candidate keeps its distance iff it still has a tight neighbor outside
 	// the affected set; every potential support has strictly smaller
@@ -236,24 +244,22 @@ func (d *Dynamic) increaseRepair(g *graph.Graph, j int, u, v graph.VertexID, old
 	h := d.heap
 	h.Reset()
 	h.PushOrDecrease(start, d.dist(j, start))
-	affected := make(map[graph.VertexID]bool, 16)
-	visited := make(map[graph.VertexID]bool, 16)
-	var affectedList []graph.VertexID
+	list := d.affected[:0]
 	for {
 		z, _, ok := h.PopMin()
 		if !ok {
 			break
 		}
-		if visited[z] {
+		if d.mark[z]>>1 == d.gen {
 			continue
 		}
-		visited[z] = true
+		d.mark[z] = visited
 		dz := d.dist(j, z)
 		supported := dz == 0 // the landmark itself needs no predecessor
 		nbrs, ws := g.Neighbors(z)
 		if !supported {
 			for i, y := range nbrs {
-				if d.dist(j, y)+ws[i] == dz && !affected[y] {
+				if d.dist(j, y)+ws[i] == dz && !isAffected(y) {
 					supported = true
 					break
 				}
@@ -262,22 +268,20 @@ func (d *Dynamic) increaseRepair(g *graph.Graph, j int, u, v graph.VertexID, old
 		if supported {
 			continue
 		}
-		affected[z] = true
-		affectedList = append(affectedList, z)
-		if len(affectedList) > d.budget {
-			// Table untouched so far (phase 1 only reads): the old exact
-			// distances are still stored but may now under-estimate, so the
-			// landmark must sit out of bounds until rebuilt.
-			d.disable(j)
-			return dirty
-		}
+		d.mark[z] = affected
+		list = append(list, z)
 		for i, t := range nbrs {
-			if dz+ws[i] == d.dist(j, t) && !visited[t] {
+			if dz+ws[i] == d.dist(j, t) && d.mark[t]>>1 != d.gen {
 				h.PushOrDecrease(t, d.dist(j, t))
 			}
 		}
 	}
-	if len(affectedList) == 0 {
+	d.affected = list
+	if len(list) == 0 {
+		return dirty
+	}
+	if d.spent[j] += len(list); d.spent[j] > d.work.n {
+		// Stale: phase 1 only read, and Commit recomputes j.
 		return dirty
 	}
 
@@ -285,16 +289,16 @@ func (d *Dynamic) increaseRepair(g *graph.Graph, j int, u, v graph.VertexID, old
 	// unaffected boundary. Unreached vertices stay +Inf (the op disconnected
 	// them from the landmark).
 	h.Reset()
-	for _, x := range affectedList {
+	for _, x := range list {
 		d.setDist(j, x, graph.Infinity)
 		d.repaired++
 		dirty = append(dirty, x)
 	}
-	for _, x := range affectedList {
+	for _, x := range list {
 		best := graph.Infinity
 		nbrs, ws := g.Neighbors(x)
 		for i, y := range nbrs {
-			if !affected[y] {
+			if !isAffected(y) {
 				if cand := d.dist(j, y) + ws[i]; cand < best {
 					best = cand
 				}
@@ -315,7 +319,7 @@ func (d *Dynamic) increaseRepair(g *graph.Graph, j int, u, v graph.VertexID, old
 		d.setDist(j, x, dx)
 		nbrs, ws := g.Neighbors(x)
 		for i, t := range nbrs {
-			if affected[t] {
+			if isAffected(t) {
 				if nd := dx + ws[i]; nd < d.dist(j, t) {
 					h.PushOrDecrease(t, nd)
 				}
@@ -324,16 +328,4 @@ func (d *Dynamic) increaseRepair(g *graph.Graph, j int, u, v graph.VertexID, old
 	}
 	d.repairs++
 	return dirty
-}
-
-// InstallTable replaces landmark j's full table (freshly computed by a
-// rebuild against the current graph) and re-enables it. The caller must
-// guarantee table matches the graph of the epoch being built.
-func (d *Dynamic) InstallTable(j int, table []float64) {
-	d.BeginBatch()
-	for v := 0; v < d.work.n; v++ {
-		d.setDist(j, graph.VertexID(v), table[v])
-	}
-	d.work.disabled &^= 1 << uint(j)
-	d.installs++
 }

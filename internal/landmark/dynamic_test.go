@@ -51,11 +51,11 @@ func churnStep(t *testing.T, rng *rand.Rand, o *graph.Overlay, d *Dynamic, n int
 	}
 }
 
-// TestIncrementalRepairStaysExact is the core property of the tentpole:
-// after arbitrary interleaved inserts/removes/reweights, every *enabled*
-// landmark's table must equal a fresh Dijkstra on the mutated graph, bit for
-// bit. A huge budget keeps every landmark enabled so the repair paths are
-// fully exercised.
+// TestIncrementalRepairStaysExact is the core property of dynamic
+// maintenance: after arbitrary interleaved inserts/removes/reweights, one op
+// per batch, every landmark's table must equal a fresh Dijkstra on the
+// mutated graph, bit for bit. A single op never rewrites more than n entries,
+// so every table here is repaired in place, never recomputed.
 func TestIncrementalRepairStaysExact(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -76,18 +76,12 @@ func TestIncrementalRepairStaysExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDynamic(s, 1<<30)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := NewDynamic(s)
 		o := graph.NewOverlay(g)
 
 		for step := 0; step < 60; step++ {
 			cur := churnStep(t, rng, o, d, n)
-			set := d.Commit()
-			if set.NumDisabled() != 0 {
-				t.Fatalf("trial %d step %d: landmark disabled despite unbounded budget", trial, step)
-			}
+			set, _ := d.Commit(cur, nil)
 			for j, lmv := range set.Vertices() {
 				want := cur.DistancesFrom(lmv)
 				for v := 0; v < n; v++ {
@@ -98,74 +92,87 @@ func TestIncrementalRepairStaysExact(t *testing.T) {
 				}
 			}
 		}
+		if _, _, rebuilds := d.Stats(); rebuilds != 0 {
+			t.Fatalf("trial %d: %d single-op batches recomputed a table", trial, rebuilds)
+		}
 	}
 }
 
-// TestRepairBudgetDisablesAndInstallRestores drives churn with a tiny
-// budget: landmarks must get disabled (never silently stale), disabled
-// landmarks must drop out of every bound, and InstallTable must restore
-// exactness.
-func TestRepairBudgetDisablesAndInstallRestores(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	const n = 80
+// TestStaleLandmarksRecomputedAtCommit drives batches of many ops, enough for
+// a landmark's repairs to rewrite more than n entries, so it goes stale
+// mid-batch and stops repairing: no landmark's repairs settle more than 2n
+// vertices in a batch. Commit must hand back exact tables all the same, and
+// the dirty list (repairs plus Commit's diff) must name every vertex whose
+// distance to some landmark differs from the previous epoch's.
+func TestStaleLandmarksRecomputedAtCommit(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	const n = 60
 	b := graph.NewBuilder(n)
 	for v := 1; v < n; v++ {
 		_ = b.AddEdge(graph.VertexID(rng.Intn(v)), graph.VertexID(v), 0.5+rng.Float64())
 	}
 	g := b.MustBuild()
-	s, err := Select(g, 4, Farthest, 3)
+	s, err := Select(g, 4, Farthest, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(s, 2) // absurdly small: almost everything overruns
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDynamic(s)
 	o := graph.NewOverlay(g)
-	for step := 0; step < 40 && d.View().NumDisabled() < 4; step++ {
-		churnStep(t, rng, o, d, n)
-	}
-	set := d.Commit()
-	if set.NumDisabled() == 0 {
-		t.Fatal("tiny budget never disabled a landmark")
-	}
-
-	// Disabled landmarks must contribute nothing: with all disabled, bounds
-	// degenerate to the trivial 0/+Inf.
-	if set.NumDisabled() == set.M() {
-		if lo := set.LowerBound(0, 5); lo != 0 {
-			t.Fatalf("all-disabled LowerBound = %v, want 0", lo)
+	prev := s
+	for batch := 0; batch < 12; batch++ {
+		var dirty []graph.VertexID
+		for op := 0; op < 4*n; op++ {
+			u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+			if u == v {
+				continue
+			}
+			oldW, had := o.EdgeWeight(u, v)
+			if had && rng.Intn(2) == 0 {
+				if _, err := o.RemoveEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+				dirty = append(dirty, d.EdgeChanged(o.Working(), u, v, oldW, true, 0, false)...)
+				continue
+			}
+			w := 0.05 + rng.Float64()*2
+			if _, err := o.SetEdge(u, v, w); err != nil {
+				t.Fatal(err)
+			}
+			dirty = append(dirty, d.EdgeChanged(o.Working(), u, v, oldW, had, w, true)...)
 		}
-		if hi := set.UpperBound(0, 5); hi != graph.Infinity {
-			t.Fatalf("all-disabled UpperBound = %v, want +Inf", hi)
-		}
-	}
-
-	// Install fresh tables: everything re-enabled and exact again.
-	cur := o.Working()
-	for j, lmv := range set.Vertices() {
-		if !set.Enabled(j) {
-			d.InstallTable(j, cur.DistancesFrom(lmv))
-		}
-	}
-	set = d.Commit()
-	if set.NumDisabled() != 0 {
-		t.Fatalf("%d landmarks still disabled after install", set.NumDisabled())
-	}
-	for j, lmv := range set.Vertices() {
-		want := cur.DistancesFrom(lmv)
-		for v := 0; v < n; v++ {
-			if got := set.Dist(j, graph.VertexID(v)); got != want[v] {
-				t.Fatalf("landmark %d dist to %d = %v, want %v after install", j, v, got, want[v])
+		for j, spent := range d.spent {
+			if spent > 2*n {
+				t.Fatalf("batch %d: landmark %d's repairs settled %d vertices, more than 2n", batch, j, spent)
 			}
 		}
+		cur := o.Working()
+		set, dirty := d.Commit(cur, dirty)
+		inDirty := make(map[graph.VertexID]bool, len(dirty))
+		for _, v := range dirty {
+			inDirty[v] = true
+		}
+		for j, lmv := range set.Vertices() {
+			want := cur.DistancesFrom(lmv)
+			for v := 0; v < n; v++ {
+				x := graph.VertexID(v)
+				if got := set.Dist(j, x); got != want[v] {
+					t.Fatalf("batch %d: landmark %d dist to %d = %v, want %v", batch, j, v, got, want[v])
+				}
+				if set.Dist(j, x) != prev.Dist(j, x) && !inDirty[x] {
+					t.Fatalf("batch %d: vertex %d moved for landmark %d but is not dirty", batch, v, j)
+				}
+			}
+		}
+		prev = set
+	}
+	if _, _, rebuilds := d.Stats(); rebuilds == 0 {
+		t.Fatal("no batch drove a landmark past n rewritten entries")
 	}
 }
 
 // TestBoundsAdmissibleUnderChurn samples LowerBound ≤ true ≤ UpperBound on
-// mutated graphs with a moderate budget — the admissibility the paper's
-// Lemma-2 pruning and the A* heuristic rest on, under the exact conditions
-// (partial disables, repairs, reconnections) production would see.
+// mutated graphs — the admissibility the paper's Lemma-2 pruning and the A*
+// heuristic rest on, through repairs, disconnections and reconnections.
 func TestBoundsAdmissibleUnderChurn(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
@@ -179,14 +186,11 @@ func TestBoundsAdmissibleUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDynamic(s, 8) // small enough to disable sometimes
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := NewDynamic(s)
 		o := graph.NewOverlay(g)
 		for step := 0; step < 50; step++ {
 			cur := churnStep(t, rng, o, d, n)
-			set := d.Commit()
+			set, _ := d.Commit(cur, nil)
 			src := graph.VertexID(rng.Intn(n))
 			dist := cur.DistancesFrom(src)
 			h := set.HeuristicTo(src)
@@ -194,8 +198,8 @@ func TestBoundsAdmissibleUnderChurn(t *testing.T) {
 				lo := set.LowerBound(src, graph.VertexID(v))
 				hi := set.UpperBound(src, graph.VertexID(v))
 				if lo > dist[v]+1e-9 {
-					t.Fatalf("trial %d step %d: LowerBound(%d,%d) = %v > true %v (disabled=%d)",
-						trial, step, src, v, lo, dist[v], set.NumDisabled())
+					t.Fatalf("trial %d step %d: LowerBound(%d,%d) = %v > true %v",
+						trial, step, src, v, lo, dist[v])
 				}
 				if hi < dist[v]-1e-9 {
 					t.Fatalf("trial %d step %d: UpperBound(%d,%d) = %v < true %v",
@@ -223,56 +227,26 @@ func TestCommittedEpochsAreImmutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(s, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDynamic(s)
 	o := graph.NewOverlay(g)
 
-	churnStep(t, rng, o, d, n)
-	frozen := d.Commit()
+	frozen, _ := d.Commit(churnStep(t, rng, o, d, n), nil)
 	var want []float64
 	for j := 0; j < frozen.M(); j++ {
 		want = append(want, frozen.Table(j)...)
 	}
-	wantMask := frozen.DisabledMask()
 
 	for step := 0; step < 30; step++ {
-		churnStep(t, rng, o, d, n)
-		d.Commit()
+		d.Commit(churnStep(t, rng, o, d, n), nil)
 	}
 	var got []float64
 	for j := 0; j < frozen.M(); j++ {
 		got = append(got, frozen.Table(j)...)
 	}
-	if frozen.DisabledMask() != wantMask {
-		t.Fatal("frozen epoch's disabled mask changed")
-	}
 	for i := range want {
 		if want[i] != got[i] && !(math.IsNaN(want[i]) && math.IsNaN(got[i])) {
 			t.Fatalf("frozen epoch entry %d changed: %v -> %v", i, want[i], got[i])
 		}
-	}
-}
-
-// TestNewDynamicRejectsTooManyLandmarks pins the 64-landmark cap of the
-// bitmask representation.
-func TestNewDynamicRejectsTooManyLandmarks(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g := buildChain(70)
-	s, err := Select(g, 65, Random, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDynamic(s, 0); err == nil {
-		t.Fatal("65 landmarks accepted")
-	}
-	s2, err := Select(g, 64, Random, rng.Int63())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDynamic(s2, 0); err != nil {
-		t.Fatalf("64 landmarks rejected: %v", err)
 	}
 }
 
@@ -282,6 +256,36 @@ func buildChain(n int) *graph.Graph {
 		_ = b.AddEdge(graph.VertexID(v), graph.VertexID(v+1), 1)
 	}
 	return b.MustBuild()
+}
+
+// TestNewDynamicBeyondSixtyFourLandmarks: a set with more landmarks than a
+// 64-bit mask holds is maintained like any other — every column is repaired
+// to an exact Dijkstra after each op.
+func TestNewDynamicBeyondSixtyFourLandmarks(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const n = 70
+	g := buildChain(n)
+	s, err := Select(g, 65, Random, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDynamic(s)
+	o := graph.NewOverlay(g)
+	for step := 0; step < 40; step++ {
+		cur := churnStep(t, rng, o, d, n)
+		set, _ := d.Commit(cur, nil)
+		if set.M() != 65 {
+			t.Fatalf("step %d: %d landmarks, want 65", step, set.M())
+		}
+		for j, lmv := range set.Vertices() {
+			want := cur.DistancesFrom(lmv)
+			for v := 0; v < n; v++ {
+				if got := set.Dist(j, graph.VertexID(v)); got != want[v] {
+					t.Fatalf("step %d: landmark %d dist to %d = %v, want %v", step, j, v, got, want[v])
+				}
+			}
+		}
+	}
 }
 
 // TestDisconnectionAndReconnection exercises the +Inf transitions: removing
@@ -295,10 +299,7 @@ func TestDisconnectionAndReconnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	lmv := s.Vertices()[0]
-	d, err := NewDynamic(s, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDynamic(s)
 	o := graph.NewOverlay(g)
 
 	// Cut the chain between 4 and 5.
@@ -306,7 +307,7 @@ func TestDisconnectionAndReconnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.EdgeChanged(o.Working(), 4, 5, 1, true, 0, false)
-	set := d.Commit()
+	set, _ := d.Commit(o.Working(), nil)
 	want := o.Working().DistancesFrom(lmv)
 	sawInf := false
 	for v := 0; v < n; v++ {
@@ -327,7 +328,7 @@ func TestDisconnectionAndReconnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.EdgeChanged(o.Working(), 4, 5, 0, false, 0.25, true)
-	set = d.Commit()
+	set, _ = d.Commit(o.Working(), nil)
 	want = o.Working().DistancesFrom(lmv)
 	for v := 0; v < n; v++ {
 		if got := set.Dist(0, graph.VertexID(v)); got != want[v] {

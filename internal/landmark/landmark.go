@@ -11,17 +11,15 @@
 // contiguously inside a fixed-size page, so the hot bound computations stay
 // cache-friendly while the dynamic maintenance layer (dynamic.go) can
 // copy-on-write individual pages per epoch instead of whole tables. A Set is
-// immutable once published and safe for unlimited concurrent reads; under
-// edge churn, landmarks whose tables could not be repaired within budget are
-// *disabled* (excluded from every bound via a bitmask) until an asynchronous
-// rebuild restores them — bounds from enabled landmarks are always computed
-// from exact distances, which is what keeps Lemma-2 pruning admissible.
+// immutable once published and safe for unlimited concurrent reads. Every
+// table of every Set the maintenance layer commits holds exact distances on
+// the graph it was committed for, which is what keeps the bounds below and
+// Lemma-2 pruning admissible under edge churn.
 package landmark
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 
 	"ssrq/internal/graph"
@@ -34,10 +32,6 @@ const (
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
 )
-
-// maxDynamic is the largest landmark count the dynamic maintenance layer
-// supports (the disabled set is a uint64 bitmask). The paper's tuned M is 8.
-const maxDynamic = 64
 
 // Strategy selects which vertices become landmarks.
 type Strategy int
@@ -69,15 +63,12 @@ func (s Strategy) String() string {
 
 // Set holds M landmarks and their distance tables in paged vertex-major
 // form; unreachable vertices hold +Inf. Set is immutable after construction
-// and safe for concurrent reads. disabled is the bitmask of landmarks
-// excluded from all bounds (stale tables under edge churn, see dynamic.go);
-// it is 0 for statically-built sets.
+// and safe for concurrent reads.
 type Set struct {
 	vertices []graph.VertexID
 	m        int
 	n        int
 	pages    [][]float64
-	disabled uint64
 }
 
 // Select chooses m landmarks on g using the given strategy and computes
@@ -214,20 +205,8 @@ func (s *Set) NumVertices() int { return s.n }
 func (s *Set) Vertices() []graph.VertexID { return s.vertices }
 
 // Dist returns the distance between the j-th landmark and vertex v
-// (the paper's m_vj), +Inf when unreachable. Note: Dist reports the stored
-// table value even for disabled landmarks (callers evaluating bounds must
-// honor DisabledMask; the bound methods below do).
+// (the paper's m_vj), +Inf when unreachable.
 func (s *Set) Dist(j int, v graph.VertexID) float64 { return s.vec(v)[j] }
-
-// Enabled reports whether landmark j participates in bounds.
-func (s *Set) Enabled(j int) bool { return s.disabled&(1<<uint(j)) == 0 }
-
-// DisabledMask returns the bitmask of disabled landmarks (bit j set =
-// landmark j excluded from bounds until rebuilt).
-func (s *Set) DisabledMask() uint64 { return s.disabled }
-
-// NumDisabled returns how many landmarks are currently disabled.
-func (s *Set) NumDisabled() int { return bits.OnesCount64(s.disabled) }
 
 // Table returns the full distance table of the j-th landmark as a fresh
 // slice.
@@ -257,36 +236,25 @@ func (s *Set) AppendVertexVector(dst []float64, v graph.VertexID) []float64 {
 }
 
 // LowerBound returns the tightest triangle-inequality lower bound on the
-// graph distance p(u, v) over the enabled landmarks: max_j |m_uj − m_vj|.
-// When some enabled landmark reaches exactly one of the two vertices they
-// provably lie in different components and the bound is +Inf.
+// graph distance p(u, v): max_j |m_uj − m_vj|. When some landmark reaches
+// exactly one of the two vertices they provably lie in different components
+// and the bound is +Inf.
 func (s *Set) LowerBound(u, v graph.VertexID) float64 {
 	if u == v {
 		return 0
 	}
-	return boundVecs(s.vec(u), s.vec(v), s.disabled)
+	return boundVecs(s.vec(u), s.vec(v))
 }
 
-// boundVecs computes max over enabled j of |a_j − b_j| with the
-// component-mismatch rule, which IEEE arithmetic supplies by itself: a
-// landmark reaching exactly one of the two vertices gives |±Inf| = +Inf, which
-// wins the max; one reaching neither gives Inf − Inf = NaN, which never
-// compares greater and so carries no information.
-func boundVecs(a, b []float64, disabled uint64) float64 {
+// boundVecs computes max over j of |a_j − b_j| with the component-mismatch
+// rule, which IEEE arithmetic supplies by itself: a landmark reaching exactly
+// one of the two vertices gives |±Inf| = +Inf, which wins the max; one
+// reaching neither gives Inf − Inf = NaN, which never compares greater and so
+// carries no information.
+func boundVecs(a, b []float64) float64 {
 	b = b[:len(a)]
 	best := 0.0
-	if disabled == 0 {
-		for j, da := range a {
-			if d := math.Abs(da - b[j]); d > best {
-				best = d
-			}
-		}
-		return best
-	}
 	for j, da := range a {
-		if disabled&(1<<uint(j)) != 0 {
-			continue
-		}
 		if d := math.Abs(da - b[j]); d > best {
 			best = d
 		}
@@ -294,20 +262,16 @@ func boundVecs(a, b []float64, disabled uint64) float64 {
 	return best
 }
 
-// UpperBound returns min over enabled j of (m_uj + m_vj), an upper bound on
-// p(u, v) via the best landmark detour; +Inf when no enabled landmark
-// reaches both.
+// UpperBound returns min over j of (m_uj + m_vj), an upper bound on p(u, v)
+// via the best landmark detour; +Inf when no landmark reaches both.
 func (s *Set) UpperBound(u, v graph.VertexID) float64 {
 	if u == v {
 		return 0
 	}
 	vu, vv := s.vec(u), s.vec(v)
 	best := graph.Infinity
-	for j := 0; j < s.m; j++ {
-		if s.disabled&(1<<uint(j)) != 0 {
-			continue
-		}
-		if d := vu[j] + vv[j]; d < best {
+	for j, du := range vu {
+		if d := du + vv[j]; d < best {
 			best = d
 		}
 	}
@@ -328,8 +292,7 @@ func (s *Set) HeuristicTo(target graph.VertexID) graph.Heuristic {
 // allocation. tv must have been produced by VertexVector/AppendVertexVector
 // against this Set and is retained by the returned heuristic.
 func (s *Set) HeuristicToVector(tv []float64) graph.Heuristic {
-	disabled := s.disabled
 	return func(v graph.VertexID) float64 {
-		return boundVecs(s.vec(v), tv, disabled)
+		return boundVecs(s.vec(v), tv)
 	}
 }

@@ -233,12 +233,9 @@ func TestUpperBoundViaLandmarkEquality(t *testing.T) {
 // boundVecsRef is the bound rule spelled out case by case (the
 // implementation before it leaned on IEEE arithmetic), kept as the reference
 // boundVecs is pinned against.
-func boundVecsRef(a, b []float64, disabled uint64) float64 {
+func boundVecsRef(a, b []float64) float64 {
 	best := 0.0
 	for j := range a {
-		if disabled&(1<<uint(j)) != 0 {
-			continue
-		}
 		da, db := a[j], b[j]
 		aInf, bInf := math.IsInf(da, 1), math.IsInf(db, 1)
 		if aInf || bInf {
@@ -277,18 +274,15 @@ func TestBoundVecsMatchesCaseByCaseRule(t *testing.T) {
 		{"empty", nil, nil},
 	}
 	for _, c := range cases {
-		all := uint64(1)<<uint(len(c.a)) - 1
-		// Every subset of disabled landmarks, from none to all of them, plus
-		// stray high bits beyond M.
-		for mask := uint64(0); mask <= all; mask++ {
-			for _, disabled := range []uint64{mask, mask | 1<<40} {
-				got, want := boundVecs(c.a, c.b, disabled), boundVecsRef(c.a, c.b, disabled)
-				if got != want || math.IsNaN(got) {
-					t.Errorf("%s, disabled %b: boundVecs = %v, want %v", c.name, disabled, got, want)
-				}
-				if rev := boundVecs(c.b, c.a, disabled); rev != got {
-					t.Errorf("%s, disabled %b: not symmetric: %v vs %v", c.name, disabled, rev, got)
-				}
+		// Every prefix, from no landmark to all of them.
+		for m := 0; m <= len(c.a); m++ {
+			a, b := c.a[:m], c.b[:m]
+			got, want := boundVecs(a, b), boundVecsRef(a, b)
+			if got != want || math.IsNaN(got) {
+				t.Errorf("%s, first %d: boundVecs = %v, want %v", c.name, m, got, want)
+			}
+			if rev := boundVecs(b, a); rev != got {
+				t.Errorf("%s, first %d: not symmetric: %v vs %v", c.name, m, rev, got)
 			}
 		}
 	}
@@ -305,12 +299,8 @@ func TestBoundVecsMatchesCaseByCaseRule(t *testing.T) {
 				b[j] = inf
 			}
 		}
-		disabled := uint64(0)
-		if i%2 == 1 {
-			disabled = uint64(rng.Intn(256))
-		}
-		if got, want := boundVecs(a, b, disabled), boundVecsRef(a, b, disabled); got != want {
-			t.Fatalf("a=%v b=%v disabled %b: boundVecs = %v, want %v", a, b, disabled, got, want)
+		if got, want := boundVecs(a, b), boundVecsRef(a, b); got != want {
+			t.Fatalf("a=%v b=%v: boundVecs = %v, want %v", a, b, got, want)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ssrq/internal/core"
-	"ssrq/internal/graph"
 	"ssrq/internal/oplog"
 	"ssrq/internal/spatial"
 	"ssrq/internal/wal"
@@ -120,9 +119,5 @@ func (se *Engine) exportDiff() []core.Update {
 		}
 		return grids[s].Point(id), true
 	}
-	var cur *graph.Graph
-	if se.SupportsEdgeChurn() {
-		cur = se.sub.Snapshot().Graph()
-	}
-	return core.StateDiff(se.ds, locate, cur)
+	return core.StateDiff(se.ds, locate, se.sub.Snapshot().Graph())
 }

@@ -182,8 +182,8 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 	}
 
 	// The social substrate is built once, whatever the shard count: one
-	// landmark selection, one overlay, optionally one contraction hierarchy,
-	// one landmark maintenance loop.
+	// landmark selection, one overlay and one set of maintained landmark
+	// tables, optionally one contraction hierarchy.
 	sub, err := core.NewSubstrate(ds, opts)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
@@ -253,7 +253,6 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 					sh.Close()
 				}
 			}
-			sub.Close()
 			return nil, errs[s]
 		}
 	}

@@ -23,8 +23,6 @@ type ShardStat struct {
 	// batches (routed writes, replay and rebalance migrations alike).
 	PendingUpdates int64
 	AppliedBatches int64
-	// DisabledLandmarks is the shard's current landmark-maintenance debt.
-	DisabledLandmarks int
 	// PrunedQueries counts fan-outs that skipped this shard by bound.
 	PrunedQueries int64
 }
@@ -40,15 +38,14 @@ func (se *Engine) ShardStats() []ShardStat {
 	for s, sh := range se.shards {
 		us := sh.UpdateStats()
 		out[s] = ShardStat{
-			Shard:             s,
-			Cells:             cells[s],
-			NumLocated:        sh.NumLocated(),
-			Epoch:             us.Epoch,
-			SocialEpoch:       us.SocialEpoch,
-			PendingUpdates:    us.PendingUpdates,
-			AppliedBatches:    us.AppliedBatches,
-			DisabledLandmarks: sh.SocialStats().DisabledLandmarks,
-			PrunedQueries:     se.prunedBy[s].Load(),
+			Shard:          s,
+			Cells:          cells[s],
+			NumLocated:     sh.NumLocated(),
+			Epoch:          us.Epoch,
+			SocialEpoch:    us.SocialEpoch,
+			PendingUpdates: us.PendingUpdates,
+			AppliedBatches: us.AppliedBatches,
+			PrunedQueries:  se.prunedBy[s].Load(),
 		}
 	}
 	return out
@@ -115,15 +112,6 @@ func (se *Engine) UpdateStats() core.UpdateStats {
 // re-align per-shard epochs; the substrate removes the ambiguity along with
 // the S× work.)
 func (se *Engine) SocialStats() core.SocialStats { return se.sub.Stats() }
-
-// SupportsEdgeChurn reports whether the shared substrate accepts edge
-// updates (uniform across shards by construction).
-func (se *Engine) SupportsEdgeChurn() bool { return se.sub.SupportsEdgeChurn() }
-
-// RebuildLandmarks synchronously restores disabled landmarks in the shared
-// substrate; every shard's next snapshot carries the restored tables.
-// Returns how many landmarks were rebuilt.
-func (se *Engine) RebuildLandmarks() int { return se.sub.RebuildDisabledLandmarks() }
 
 // UserLocation returns a user's current (normalized) coordinates from the
 // owning shard's published snapshot (the common case), else from whichever

@@ -227,14 +227,12 @@ func (se *Engine) Flush() {
 	se.commitLog()
 }
 
-// Close drains and stops every shard's update pipeline, waits out any
-// in-flight rebalance, and stops the shared substrate's background
-// maintenance. It holds every routing stripe while setting closed and
-// closing the shards, so in-flight async routes finish (and drain) before
-// shutdown and later ones are refused whole — see Enqueue; a running
+// Close drains and stops every shard's update pipeline and waits out any
+// in-flight rebalance. It holds every routing stripe while setting closed
+// and closing the shards, so in-flight async routes finish (and drain)
+// before shutdown and later ones are refused whole — see Enqueue; a running
 // rebalance observes closed at its next drain batch and aborts. Idempotent;
-// queries and synchronous mutation keep working afterwards (disabled
-// landmarks then stay disabled until an explicit RebuildLandmarks).
+// queries and synchronous mutation keep working afterwards.
 func (se *Engine) Close() {
 	se.lockAllStripes()
 	se.closed.Store(true)
@@ -243,5 +241,4 @@ func (se *Engine) Close() {
 	}
 	se.unlockAllStripes()
 	se.bg.Wait()
-	se.sub.Close()
 }

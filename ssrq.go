@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
@@ -283,25 +282,17 @@ type Options struct {
 	BuildCH bool
 	// CacheT is the §5.4 pre-computed list length for AISCache (default 1000).
 	CacheT int
-	// UpdateQueueCap bounds the MoveUserAsync queue; a full queue applies
-	// backpressure (default 4096).
+	// UpdateQueueCap bounds each shard's asynchronous update queue, which
+	// MoveUserAsync and the other *Async methods feed; a full queue applies
+	// backpressure (default 4096 per shard).
 	UpdateQueueCap int
 	// UpdateMaxBatch caps how many queued updates the asynchronous updater
 	// coalesces into one published epoch (default 256).
 	UpdateMaxBatch int
-	// LandmarkRepairBudget caps the per-landmark per-edge-update incremental
-	// table repair before the landmark is disabled and rebuilt in the
-	// background (default 256). Larger values repair more churn in place;
-	// smaller values shed work to the asynchronous rebuild sooner.
-	LandmarkRepairBudget int
 	// OverlayCompactThreshold is the edge-overlay delta size (vertices with
 	// modified adjacency) that triggers compaction back into a flat CSR
 	// (default max(1024, n/8)).
 	OverlayCompactThreshold int
-	// ForcedInstallInterval rate-limits the install-under-writer-lock
-	// fallback that bounds landmark rebuild starvation under sustained
-	// churn (default 2s; negative disables forced installs).
-	ForcedInstallInterval time.Duration
 	// Shards is how many spatially-contiguous shards the users are split
 	// across (space-filling-curve assignment of grid regions), each owning
 	// its own grid, aggregate index and update pipeline. It is a count, not
@@ -376,9 +367,7 @@ func NewEngine(d *Dataset, opts *Options) (*Engine, error) {
 		CacheT:                  o.CacheT,
 		UpdateQueueCap:          o.UpdateQueueCap,
 		UpdateMaxBatch:          o.UpdateMaxBatch,
-		LandmarkRepairBudget:    o.LandmarkRepairBudget,
 		OverlayCompactThreshold: o.OverlayCompactThreshold,
-		ForcedInstallInterval:   o.ForcedInstallInterval,
 	}
 	eng, err := shard.New(d.ds, max(1, o.Shards), copts)
 	if err != nil {
@@ -653,7 +642,7 @@ func (e *Engine) SubscriptionStats() SubscriptionStats {
 	return subs.Stats()
 }
 
-// RemoveUserLocation marks the user's whereabouts unknown; he/she becomes
+// RemoveUserLocation marks the user's whereabouts unknown; the user becomes
 // "infinitely far away" and leaves all spatial structures.
 func (e *Engine) RemoveUserLocation(id UserID) error {
 	return e.eng.ApplyUpdates([]core.Update{{ID: id, Remove: true}})
@@ -720,23 +709,12 @@ func (e *Engine) ApplyEdgeUpdates(ups []EdgeUpdate) error {
 }
 
 // SocialStats is a point-in-time view of the dynamic social graph: edge
-// counts, overlay/compaction state and landmark maintenance health
-// (incremental repairs, disabled landmarks awaiting rebuild, completed
-// rebuilds).
+// counts, overlay/compaction state and landmark maintenance work
+// (incremental repairs, and tables recomputed at the end of a large batch).
 type SocialStats = core.SocialStats
 
 // SocialStats reports the social dimension's counters.
 func (e *Engine) SocialStats() SocialStats { return e.eng.SocialStats() }
-
-// SupportsEdgeChurn reports whether this engine accepts friendship updates.
-// False only when Options.NumLandmarks exceeds the dynamic-maintenance cap
-// of 64 — a permanent property of the engine's configuration.
-func (e *Engine) SupportsEdgeChurn() bool { return e.eng.SupportsEdgeChurn() }
-
-// RebuildLandmarks synchronously restores any landmark tables that edge
-// churn disabled (the background rebuilder normally handles this). Returns
-// how many landmarks were rebuilt.
-func (e *Engine) RebuildLandmarks() int { return e.eng.RebuildLandmarks() }
 
 // Precompute materializes §5.4 social-distance lists for the given query
 // users so AISCache answers without a cold build.
