@@ -98,10 +98,6 @@ func OpenOrRecover(d *Dataset, opts *Options) (*Engine, *RecoveryInfo, error) {
 	return e, e.recovered, nil
 }
 
-// replayChunk bounds one replay batch: large enough to amortize per-epoch
-// publish costs, small enough to keep peak memory and epoch latency flat.
-const replayChunk = 4096
-
 // attachDurability opens (and recovers from) the WAL, replays it into the
 // freshly built engine, and attaches the log as the engine's journal. Called
 // from NewEngine before the engine is visible to anyone.
@@ -122,11 +118,18 @@ func (e *Engine) attachDurability(d DurabilityOptions) error {
 	if err != nil {
 		return err
 	}
+	// Each phase replays as one batch: one epoch, and a landmark table the
+	// phase rewrites wholesale is recomputed once at the end of the batch
+	// instead of repaired op by op (DESIGN.md §7.3). Memory stays bounded
+	// without chunking. A checkpoint is a state diff, at most one record per
+	// user plus one per changed edge, and the tail holds about
+	// CheckpointEveryOps records when background checkpoints are on; wal.Open
+	// has already loaded both.
 	start := time.Now()
-	if err := e.applyRecords(rec.CheckpointRecords); err != nil {
+	if err := e.ApplyWALRecords(rec.CheckpointRecords); err != nil {
 		return e.recoverFailed(log, fmt.Errorf("ssrq: apply checkpoint: %w", err))
 	}
-	if err := e.applyRecords(rec.TailRecords); err != nil {
+	if err := e.ApplyWALRecords(rec.TailRecords); err != nil {
 		return e.recoverFailed(log, fmt.Errorf("ssrq: replay tail: %w", err))
 	}
 	e.log = log
@@ -149,19 +152,6 @@ func (e *Engine) recoverFailed(log *wal.Log, err error) error {
 		return fmt.Errorf("%w (and closing WAL: %v)", err, cerr)
 	}
 	return err
-}
-
-// applyRecords replays records through the engine's internal (normalized)
-// update path in bounded chunks, preserving order.
-func (e *Engine) applyRecords(recs []oplog.Record) error {
-	for len(recs) > 0 {
-		n := min(replayChunk, len(recs))
-		if err := e.eng.ApplyUpdates(oplog.Ops(recs[:n])); err != nil {
-			return err
-		}
-		recs = recs[n:]
-	}
-	return nil
 }
 
 // noteJournaled counts journaled ops towards the next background checkpoint.
@@ -255,11 +245,14 @@ func (e *Engine) WALBootstrap() ([]oplog.Record, uint64, error) {
 }
 
 // ApplyWALRecords applies already-normalized journal records through the
-// internal update path, in order — how a follower (or a differential-test
-// twin) consumes another engine's WAL. Valid on any engine; a durable
+// internal update path as one batch, in order — how recovery, a follower (or
+// a differential-test twin) consumes a WAL. Valid on any engine; a durable
 // engine journals the applied records into its own log like any mutation.
 func (e *Engine) ApplyWALRecords(recs []oplog.Record) error {
-	return e.applyRecords(recs)
+	if len(recs) == 0 {
+		return nil
+	}
+	return e.eng.ApplyUpdates(oplog.Ops(recs))
 }
 
 // WALLastSeq returns the newest journaled sequence (0 when non-durable).

@@ -361,6 +361,55 @@ func TestCheckpointRecoveryEquivalence(t *testing.T) {
 	requireSameResults(t, rec, twin, 23)
 }
 
+// TestRecoveryAppliesCheckpointAsOneBatch pins that restart replays a
+// checkpoint as one batch: a checkpoint of more than 4 096 edge ops advances
+// the social epoch exactly once, so a landmark table it rewrites wholesale is
+// recomputed once at the end of the batch instead of repaired op by op across
+// several epochs.
+func TestRecoveryAppliesCheckpointAsOneBatch(t *testing.T) {
+	ds, err := Synthesize("gowalla", 1000, 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &Options{Durability: &DurabilityOptions{Dir: t.TempDir(), Fsync: "off"}}
+	eng, err := NewEngine(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	// 5 000 distinct pairs: new edges and reweights of existing ones alike
+	// differ from the construction graph, so each is one checkpoint record.
+	rnd := rand.New(rand.NewSource(47))
+	n := ds.NumUsers()
+	var ups []EdgeUpdate
+	for u := 0; u < n; u++ {
+		for d := 1; d <= 5; d++ {
+			ups = append(ups, EdgeUpdate{U: UserID(u), V: UserID((u + d) % n), Weight: 0.1 + rnd.Float64()})
+		}
+	}
+	if err := eng.ApplyEdgeUpdates(ups); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+
+	rec, info, err := OpenOrRecover(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if info.CheckpointOps <= 4096 || info.ReplayedOps != 0 {
+		t.Fatalf("recovered %d checkpoint ops + %d tail ops, want > 4096 + 0",
+			info.CheckpointOps, info.ReplayedOps)
+	}
+	if got := rec.UpdateStats().SocialEpoch; got != 1 {
+		t.Fatalf("checkpoint replay published %d social epochs, want 1", got)
+	}
+	requireSameWorld(t, rec, eng)
+}
+
 // TestCheckpointCutsSerialize is the regression for the checkpoint temp-path
 // collision: two cuts at one log position share the temp file name, so when
 // an explicit Checkpoint raced the background cut (or another explicit one)

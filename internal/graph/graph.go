@@ -14,8 +14,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -38,6 +40,12 @@ type adjRow struct {
 // optional sparse patch layer of replacement adjacency rows (the frozen form
 // of an Overlay delta). patched is nil for pure CSR graphs, so the static
 // fast path pays only a nil check.
+//
+// Row invariant, for CSR rows and patched rows alike: a row is sorted by
+// target and holds each neighbour once, parallel edges having been collapsed
+// to their minimum weight. EdgeWeight's binary search, the overlay's row
+// patches (upsertInRow, removeFromRow) and Compact, which copies rows
+// verbatim into a fresh CSR, all rely on it.
 type Graph struct {
 	offsets []int32 // len n+1; adjacency of v is targets[offsets[v]:offsets[v+1]]
 	targets []VertexID
@@ -178,54 +186,72 @@ func (b *Builder) AddEdge(u, v VertexID, w float64) error {
 func (b *Builder) HasEdges() bool { return len(b.us) > 0 }
 
 // Build finalizes the graph. The builder must not be reused afterwards.
+//
+// Rows are laid out by a counting sort on the source vertex: one pass sizes
+// every row, one pass scatters both halves of each edge into its row, and
+// only the rows themselves (a vertex's degree, not 2m) are comparison-sorted.
 func (b *Builder) Build() (*Graph, error) {
 	if b.built {
 		return nil, fmt.Errorf("graph: Build called twice")
 	}
 	b.built = true
 
-	type half struct {
-		from, to VertexID
-		w        float64
+	offsets := make([]int32, b.n+1)
+	for i, u := range b.us {
+		offsets[u+1]++
+		offsets[b.vs[i]+1]++
 	}
-	halves := make([]half, 0, 2*len(b.us))
-	for i := range b.us {
-		halves = append(halves,
-			half{b.us[i], b.vs[i], b.ws[i]},
-			half{b.vs[i], b.us[i], b.ws[i]})
+	for v := range b.n {
+		offsets[v+1] += offsets[v]
 	}
-	sort.Slice(halves, func(i, j int) bool {
-		if halves[i].from != halves[j].from {
-			return halves[i].from < halves[j].from
-		}
-		if halves[i].to != halves[j].to {
-			return halves[i].to < halves[j].to
-		}
-		return halves[i].w < halves[j].w
-	})
 
-	// Deduplicate keeping the smallest weight (it sorts first).
-	dedup := halves[:0]
-	for _, h := range halves {
-		if n := len(dedup); n > 0 && dedup[n-1].from == h.from && dedup[n-1].to == h.to {
-			continue
-		}
-		dedup = append(dedup, h)
+	type arc struct {
+		to VertexID
+		w  float64
 	}
+	arcs := make([]arc, offsets[b.n])
+	fill := slices.Clone(offsets[:b.n])
+	for i, u := range b.us {
+		v, w := b.vs[i], b.ws[i]
+		arcs[fill[u]] = arc{v, w}
+		fill[u]++
+		arcs[fill[v]] = arc{u, w}
+		fill[v]++
+	}
+
+	// Sort each row by (target, weight) and keep its first arc per target —
+	// the lightest — compacting the rows leftwards in place. Row v is read
+	// from its original offsets before offsets[v] is rewritten to its
+	// compacted start.
+	kept := int32(0)
+	for v := range b.n {
+		row := arcs[offsets[v]:offsets[v+1]]
+		slices.SortFunc(row, func(x, y arc) int {
+			if c := cmp.Compare(x.to, y.to); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.w, y.w)
+		})
+		offsets[v] = kept
+		for _, a := range row {
+			if kept > offsets[v] && arcs[kept-1].to == a.to {
+				continue
+			}
+			arcs[kept] = a
+			kept++
+		}
+	}
+	offsets[b.n] = kept
 
 	g := &Graph{
-		offsets: make([]int32, b.n+1),
-		targets: make([]VertexID, len(dedup)),
-		weights: make([]float64, len(dedup)),
-		numEdge: len(dedup) / 2,
+		offsets: offsets,
+		targets: make([]VertexID, kept),
+		weights: make([]float64, kept),
+		numEdge: int(kept) / 2,
 	}
-	for i, h := range dedup {
-		g.offsets[h.from+1]++
-		g.targets[i] = h.to
-		g.weights[i] = h.w
-	}
-	for v := 0; v < b.n; v++ {
-		g.offsets[v+1] += g.offsets[v]
+	for i, a := range arcs[:kept] {
+		g.targets[i] = a.to
+		g.weights[i] = a.w
 	}
 	return g, nil
 }
