@@ -77,6 +77,17 @@ func getEngine(b *testing.B, preset string, mutate func(*core.Options)) *benchEn
 	return be
 }
 
+// queue puts a core.Updater in front of the cached engine — the batching
+// async path without routing — until the benchmark ends.
+func (be *benchEngine) queue(b *testing.B) *core.Updater {
+	o := be.eng.Options()
+	up := core.NewUpdater(func(_, batch []core.Update) {
+		_ = be.eng.ApplyUpdates(batch) // valid by construction
+	}, o.UpdateQueueCap, o.UpdateMaxBatch)
+	b.Cleanup(up.Close)
+	return up
+}
+
 // benchQueries runs the query workload round-robin for b.N iterations.
 func benchQueries(b *testing.B, be *benchEngine, algo core.Algorithm, k int, alpha float64) {
 	b.Helper()
@@ -364,13 +375,14 @@ func BenchmarkBatchThroughput(b *testing.B) {
 }
 
 // BenchmarkQueriesUnderConcurrentMovers measures query throughput while
-// background goroutines continuously relocate users through the batching
-// update pipeline — the live-updates workload the epoch/snapshot design
+// background goroutines continuously relocate users through a batching
+// update queue — the live-updates workload the epoch/snapshot design
 // exists for. Queries are lock-free against published epochs, so on
 // multi-core hosts the movers= series stay close to movers=0 instead of
 // serializing behind the writers.
 func BenchmarkQueriesUnderConcurrentMovers(b *testing.B) {
 	be := getEngine(b, "twitter", nil) // all users located
+	up := be.queue(b)
 	prm := core.Params{K: exp.DefaultK, Alpha: exp.DefaultAlpha}
 	n := be.ds.NumUsers()
 	for _, movers := range []int{0, 1, 2} {
@@ -390,7 +402,7 @@ func BenchmarkQueriesUnderConcurrentMovers(b *testing.B) {
 						default:
 							id := int32(i % n)
 							p := be.ds.Pts[id] // construction-time coords; stable under moves
-							if err := be.eng.Enqueue(core.Update{ID: id, To: spatial.Point{X: 1 - p.X, Y: 1 - p.Y}}); err != nil {
+							if err := up.Enqueue(core.Update{ID: id, To: spatial.Point{X: 1 - p.X, Y: 1 - p.Y}}); err != nil {
 								return
 							}
 							i += movers
@@ -408,7 +420,7 @@ func BenchmarkQueriesUnderConcurrentMovers(b *testing.B) {
 			b.StopTimer()
 			close(stop)
 			wg.Wait()
-			be.eng.Flush()
+			up.Flush()
 		})
 	}
 }
@@ -569,10 +581,11 @@ func BenchmarkEdgeUpdateBatched(b *testing.B) {
 }
 
 // BenchmarkQueriesUnderEdgeChurn measures AIS latency while a background
-// goroutine churns friendships through the async pipeline — the query path
+// goroutine churns friendships through a batching update queue — the query path
 // must stay lock-free regardless of social write pressure.
 func BenchmarkQueriesUnderEdgeChurn(b *testing.B) {
 	be := getEngine(b, "gowalla", func(o *core.Options) { o.Seed = 2 })
+	up := be.queue(b)
 	n := int32(be.ds.NumUsers())
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -590,9 +603,9 @@ func BenchmarkQueriesUnderEdgeChurn(b *testing.B) {
 			v := (u + 1 + int32(i)%83) % n
 			if u != v {
 				if i%3 == 0 {
-					_ = be.eng.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: v})
+					_ = up.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: v})
 				} else {
-					_ = be.eng.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: 0.1})
+					_ = up.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: 0.1})
 				}
 			}
 			i++
@@ -609,5 +622,5 @@ func BenchmarkQueriesUnderEdgeChurn(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	wg.Wait()
-	be.eng.Flush()
+	up.Flush()
 }

@@ -89,7 +89,7 @@ func parseFlags(args []string, stderr io.Writer) (*serverConfig, error) {
 	fs.Int64Var(&cfg.seed, "seed", 42, "seed for synthesis and preprocessing")
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.parallel, "parallel", 0, "default worker count for POST /batch (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.shards, "shards", 1, "number of spatial shards the users are split across (parallel fan-out queries, per-shard update pipelines, one /stats entry each); 1 = one shard, no fan-out")
+	fs.IntVar(&cfg.shards, "shards", 1, "number of spatial shards the users are split across (parallel fan-out queries, one /stats entry each); 1 = one shard, no fan-out")
 	fs.StringVar(&cfg.walDir, "wal-dir", "", "journal every mutation to a write-ahead log in this directory and recover from it on start (empty = not durable)")
 	fs.StringVar(&cfg.fsync, "fsync", "batch", "WAL commit policy: batch (group-committed fsync before a write returns), interval, or off")
 	fs.Int64Var(&cfg.ckptEvery, "checkpoint-every", 100000, "write a background WAL checkpoint after this many journaled ops (0 = never)")

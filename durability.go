@@ -4,13 +4,12 @@ package ssrq
 // mutation — synchronous or asynchronous moves/removals and edge ops, for any
 // shard count — is journaled as a canonical oplog.Record at the one layer
 // where its application order is authoritative: the routing stripes of
-// internal/shard. A record is appended when its op is routed and the log is
-// committed (flushed, and fsynced under fsync=batch) under the applying
-// shard's writer lock before the batch containing the op mutates anything,
-// so nothing is visible before it is durable (DESIGN.md §5). Records hold
-// normalized values, so replay bypasses the root API's raw→normalized
-// conversion and feeds the internal ApplyUpdates directly — the exact path
-// live traffic trusts.
+// internal/shard. A record is appended when its batch applies: staged, then
+// committed (flushed, and fsynced under fsync=batch), then applied, all under
+// the batch's stripes, so nothing is visible before it is durable (DESIGN.md
+// §5). Records hold normalized values, so replay bypasses the root API's
+// raw→normalized conversion and feeds the internal ApplyUpdates directly —
+// the exact path live traffic trusts.
 //
 // Checkpoints piggyback on the epoch design: published snapshots are
 // immutable, so serializing one costs queries nothing. A checkpoint is the
@@ -19,8 +18,7 @@ package ssrq
 // (shard.Engine.Checkpoint) is
 //
 //	S := log.LastSeq()     // note the position first
-//	cycle every stripe     // all ops ≤ S enqueued or applied
-//	engine.Flush()         // drain async pipelines: all ops ≤ S applied
+//	cycle every stripe     // all ops ≤ S committed and applied
 //	diff := exportDiff()   // capture published state (≥ S)
 //	WriteCheckpoint(S, diff)
 //

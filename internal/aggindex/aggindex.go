@@ -263,12 +263,6 @@ type Index struct {
 	notify       func(EpochDelta)
 	notifyMoved  []int32
 	notifySocial bool
-
-	// commit, when set, runs under mu immediately before a location batch
-	// mutates anything — the durability layer's pre-apply barrier (see
-	// SetCommitBarrier). It carries no records: the journal is written where
-	// the op order is decided, above the index.
-	commit func()
 }
 
 // EpochDelta describes what one published epoch changed: the users whose
@@ -289,18 +283,6 @@ type EpochDelta struct {
 func (ix *Index) SetNotify(fn func(EpochDelta)) {
 	ix.mu.Lock()
 	ix.notify = fn
-	ix.mu.Unlock()
-}
-
-// SetCommitBarrier installs fn to run under the writer lock right before
-// every location batch mutates the grid (single consumer; nil detaches). A
-// durable engine journals each op when it routes it and makes the journal
-// durable here, so no batch becomes visible before its records are; the
-// substrate has the same barrier for edge batches (Social.SetCommitBarrier).
-// Must not call back into the index.
-func (ix *Index) SetCommitBarrier(fn func()) {
-	ix.mu.Lock()
-	ix.commit = fn
 	ix.mu.Unlock()
 }
 
@@ -560,9 +542,6 @@ func (ix *Index) Apply(ops []Op) {
 		return
 	}
 	ix.mu.Lock()
-	if ix.commit != nil {
-		ix.commit()
-	}
 	for _, op := range locs {
 		ix.applyOne(op)
 		if ix.notify != nil {

@@ -84,10 +84,6 @@ type Social struct {
 
 	// Edge-op counters (mu-guarded; exposed via Stats).
 	edgeAdds, edgeRemoves, edgeReweights, edgeNoops int64
-
-	// commit, when set, runs under mu before an edge batch is applied — the
-	// durability layer's pre-apply barrier (see Index.SetCommitBarrier).
-	commit func()
 }
 
 // NewSocialSubstrate builds the shared substrate over a friendship graph and
@@ -123,14 +119,6 @@ func NewSocialSubstrate(lm *landmark.Set, g *graph.Graph, cfg Config) (*Social, 
 
 // Snapshot returns the latest published social epoch (lock-free).
 func (s *Social) Snapshot() *SocialSnapshot { return s.published.Load() }
-
-// SetCommitBarrier installs the pre-apply barrier for edge batches (single
-// consumer; nil detaches). See Index.SetCommitBarrier.
-func (s *Social) SetCommitBarrier(fn func()) {
-	s.mu.Lock()
-	s.commit = fn
-	s.mu.Unlock()
-}
 
 // Landmarks returns the construction-time landmark set (live tables come
 // from Snapshot().Landmarks()).
@@ -170,9 +158,6 @@ func (s *Social) ApplyEdges(ops []Op) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.commit != nil {
-		s.commit()
-	}
 	var dirty []graph.VertexID
 	effective := false
 	for _, op := range ops {

@@ -35,7 +35,6 @@ func TestQueryAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
 	ds := mkDataset(t, rng, 600, 0.1, false)
 	e := mkEngine(t, ds, Options{Seed: 271})
-	defer e.Close()
 	users := locatedUsers(ds)
 	prm := Params{K: 10, Alpha: 0.5}
 
@@ -67,7 +66,6 @@ func TestEdgeOpAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(272))
 	ds := mkDataset(t, rng, 600, 0.1, false)
 	e := mkEngine(t, ds, Options{Seed: 272})
-	defer e.Close()
 
 	// Warm the apply path's amortized growth (dirty-vertex scratch, overlay
 	// delta) before measuring, with the same rotating reweight pattern the

@@ -43,13 +43,12 @@ func TestChurnInterleavedCHEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer mono.Close()
 			s3, err := shard.New(ds, 3, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s3.Close()
-			engines := map[string]queryEngine{"single-index": mono, "S=3": s3}
+			engines := map[string]queryEngine{"single-index": syncRef{mono}, "S=3": s3}
 			apply := func(up core.Update) {
 				t.Helper()
 				for _, e := range engines {

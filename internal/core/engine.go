@@ -94,11 +94,11 @@ type Options struct {
 	// CacheT is the t of §5.4: how many socially-nearest users the
 	// pre-computation list holds per query user (default 1000).
 	CacheT int
-	// UpdateQueueCap bounds the asynchronous update queue fed by Enqueue; a
-	// full queue applies backpressure (default 4096).
+	// UpdateQueueCap bounds the routed engine's one asynchronous update
+	// queue (its Updater); a full queue applies backpressure (default 4096).
 	UpdateQueueCap int
 	// UpdateMaxBatch caps how many queued updates the updater coalesces
-	// into one published epoch (default 256).
+	// into one applied batch (default 256).
 	UpdateMaxBatch int
 	// OverlayCompactThreshold is the edge-overlay delta size that triggers
 	// folding the delta back into a pure CSR (default max(1024, n/8)).
@@ -150,9 +150,8 @@ const (
 // published atomically as one immutable snapshot) with a single atomic
 // pointer read and runs entirely against it, so location updates never block
 // queries and every query observes one consistent version of the world.
-// Updates go through the synchronous ApplyUpdates (one published epoch per
-// call) or the asynchronous Enqueue pipeline, which coalesces queued updates
-// into batched epochs (see Updater).
+// Updates go through ApplyUpdates, one published epoch per call; an Updater
+// in front of it queues and coalesces them into batched epochs.
 //
 // An Engine is one spatial index over a social substrate: the per-shard worker
 // of the routed shard.Engine the public API serves from, and — on its own,
@@ -174,11 +173,8 @@ type Engine struct {
 
 	pools sync.Pool // *queryPools, reused across queries
 
-	upOnce  sync.Once
-	updater atomic.Pointer[Updater]
-	// syncApplied / syncBatches count the ops and epochs of synchronous
-	// ApplyUpdates calls; UpdateStats adds them to the updater's counters.
-	syncApplied, syncBatches atomic.Int64
+	// applied / batches count the ops and epochs of ApplyUpdates calls.
+	applied, batches atomic.Int64
 }
 
 // queryPools are the per-query scratch structures, checked out once per
@@ -355,10 +351,14 @@ func (e *Engine) ApplyUpdates(ops []Update) error {
 		}
 	}
 	e.agg.Apply(ops)
-	e.syncApplied.Add(int64(len(ops)))
-	e.syncBatches.Add(1)
+	e.applied.Add(int64(len(ops)))
+	e.batches.Add(1)
 	return nil
 }
+
+// Close is a no-op: the engine runs no goroutine of its own. It remains for
+// callers that close every engine they build.
+func (e *Engine) Close() {}
 
 // Query answers an SSRQ for query user q. Lock-free and safe for unlimited
 // concurrency: the query loads the published index epoch once and executes

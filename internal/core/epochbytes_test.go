@@ -30,7 +30,6 @@ func TestEpochByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	located := locatedUsers(ds)
 	rng := rand.New(rand.NewSource(42))
 	moves := func(n int) []Update {

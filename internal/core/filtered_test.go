@@ -104,7 +104,6 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer mono.Close()
 			s1, err := shard.New(ds, 1, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -115,7 +114,7 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s8.Close()
-			engines := []queryEngine{mono, s1, s8}
+			engines := []queryEngine{syncRef{mono}, s1, s8}
 			names := []string{"single-index", "S=1", "S=8"}
 
 			model := seedEdgeModel(ds)

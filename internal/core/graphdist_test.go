@@ -271,7 +271,6 @@ func TestPaperOrderingAsPopCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	users := locatedUsers(ds)
 	prm := Params{K: 30, Alpha: 0.3}
 	const queries = 40
@@ -339,7 +338,6 @@ func TestGraphDistRoundsStayBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	sn := e.Snapshot()
 	grid := sn.Grid()
 	users := locatedUsers(ds)

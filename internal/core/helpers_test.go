@@ -2,8 +2,7 @@ package core
 
 import "ssrq/internal/spatial"
 
-// Single-op forms of ApplyUpdates and Enqueue, the synchronous and the
-// asynchronous mutation entry point.
+// Single-op forms of ApplyUpdates, the engine's one mutation entry point.
 
 func moveUser(e *Engine, id int32, to spatial.Point) error {
 	return e.ApplyUpdates([]Update{{ID: id, To: to}})
@@ -17,18 +16,44 @@ func removeFriend(e *Engine, u, v int32) error {
 	return e.ApplyUpdates([]Update{{Kind: OpEdgeRemove, U: u, V: v}})
 }
 
-func moveUserAsync(e *Engine, id int32, to spatial.Point) error {
+// asyncEngine is an Engine behind an Updater that applies each coalesced
+// batch to the engine's index as one epoch: the asynchronous path without
+// the routing layer. Its counters are the Updater's (a.up.Stats()).
+type asyncEngine struct {
+	*Engine
+	up *Updater
+}
+
+func newAsync(e *Engine) *asyncEngine {
+	apply := func(_, batch []Update) { e.agg.Apply(batch) }
+	return &asyncEngine{Engine: e, up: NewUpdater(apply, e.opts.UpdateQueueCap, e.opts.UpdateMaxBatch)}
+}
+
+// Enqueue validates op, then queues it.
+func (a *asyncEngine) Enqueue(op Update) error {
+	if err := a.ValidateUpdate(op); err != nil {
+		return err
+	}
+	return a.up.Enqueue(op)
+}
+
+func (a *asyncEngine) Flush() { a.up.Flush() }
+func (a *asyncEngine) Close() { a.up.Close() }
+
+// Single-op forms of Enqueue.
+
+func moveUserAsync(e *asyncEngine, id int32, to spatial.Point) error {
 	return e.Enqueue(Update{ID: id, To: to})
 }
 
-func removeUserLocationAsync(e *Engine, id int32) error {
+func removeUserLocationAsync(e *asyncEngine, id int32) error {
 	return e.Enqueue(Update{ID: id, Remove: true})
 }
 
-func addFriendAsync(e *Engine, u, v int32, w float64) error {
+func addFriendAsync(e *asyncEngine, u, v int32, w float64) error {
 	return e.Enqueue(Update{Kind: OpEdgeUpsert, U: u, V: v, W: w})
 }
 
-func removeFriendAsync(e *Engine, u, v int32) error {
+func removeFriendAsync(e *asyncEngine, u, v int32) error {
 	return e.Enqueue(Update{Kind: OpEdgeRemove, U: u, V: v})
 }

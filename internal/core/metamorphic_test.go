@@ -39,21 +39,27 @@ import (
 	"ssrq/internal/spatial"
 )
 
-// queryEngine is the shared surface the harness drives; core.Engine and
-// shard.Engine both satisfy it.
+// queryEngine is the shared surface the harness drives; shard.Engine and the
+// single-index reference behind syncRef both satisfy it.
 type queryEngine interface {
 	Query(algo core.Algorithm, q graph.VertexID, prm core.Params) (*core.Result, error)
 	QueryBatch(queries []core.BatchQuery, workers int) []core.BatchResult
 	ApplyUpdates(ops []core.Update) error
 	Enqueue(op core.Update) error
 	Flush()
-	Close()
 }
 
 var (
-	_ queryEngine = (*core.Engine)(nil)
+	_ queryEngine = syncRef{}
 	_ queryEngine = (*shard.Engine)(nil)
 )
+
+// syncRef gives the single-index reference the routed engine's Enqueue and
+// Flush: every op applies as it arrives, so Flush has nothing to wait for.
+type syncRef struct{ *core.Engine }
+
+func (r syncRef) Enqueue(op core.Update) error { return r.ApplyUpdates([]core.Update{op}) }
+func (r syncRef) Flush()                       {}
 
 // userLocation reads a user's position from the single-index reference's
 // published snapshot.
@@ -235,7 +241,6 @@ func TestMetamorphicProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mono.Close()
 	sharded, err := shard.New(ds, 4, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +249,7 @@ func TestMetamorphicProperties(t *testing.T) {
 	engines := []struct {
 		name string
 		e    queryEngine
-	}{{"single-index", mono}, {"S=4", sharded}}
+	}{{"single-index", syncRef{mono}}, {"S=4", sharded}}
 
 	users := locatedIDs(ds)
 	b := ds.Bounds()
@@ -408,7 +413,6 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer mono.Close()
 			s1, err := shard.New(ds, 1, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -419,7 +423,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s8.Close()
-			engines := []queryEngine{mono, s1, s8}
+			engines := []queryEngine{syncRef{mono}, s1, s8}
 			names := []string{"single-index", "S=1", "S=8"}
 
 			model := seedEdgeModel(ds)
@@ -589,7 +593,6 @@ func TestQueryBatchClampsBothFlavors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mono.Close()
 	sharded, err := shard.New(ds, 4, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -607,7 +610,7 @@ func TestQueryBatchClampsBothFlavors(t *testing.T) {
 	for _, eng := range []struct {
 		name string
 		e    queryEngine
-	}{{"single-index", mono}, {"S=4", sharded}} {
+	}{{"single-index", syncRef{mono}}, {"S=4", sharded}} {
 		for _, workers := range []int{-7, 0, 1, 2, len(batch), len(batch) + 50, 1 << 20} {
 			out := eng.e.QueryBatch(batch, workers)
 			if len(out) != len(batch) {

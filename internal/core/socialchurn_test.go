@@ -82,14 +82,14 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(9000 + trial)))
 			n := 30 + rng.Intn(90)
 			ds := mkDataset(t, rng, n, 0.2*rng.Float64(), trial%3 == 2)
-			e := mkEngine(t, ds, Options{
+			e := newAsync(mkEngine(t, ds, Options{
 				GridS:          3 + rng.Intn(4),
 				GridLevels:     1 + rng.Intn(2),
 				NumLandmarks:   2 + rng.Intn(6),
 				CacheT:         4 + rng.Intn(40),
 				Seed:           int64(trial),
 				UpdateMaxBatch: 1 + rng.Intn(64),
-			})
+			}))
 			defer e.Close()
 			model := seedModel(ds)
 			users := locatedUsers(ds)
@@ -123,7 +123,7 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 						if rng.Intn(2) == 0 {
 							err = removeFriendAsync(e, u, v)
 						} else {
-							err = removeFriend(e, u, v)
+							err = removeFriend(e.Engine, u, v)
 						}
 						if err != nil {
 							t.Fatal(err)
@@ -155,7 +155,7 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 						continue
 					}
 					prm := Params{K: 1 + rng.Intn(12), Alpha: 0.05 + 0.9*rng.Float64()}
-					want := oracleTopK(e, model, q, prm)
+					want := oracleTopK(e.Engine, model, q, prm)
 					for _, algo := range allNonCHAlgorithms {
 						got, err := e.Query(algo, q, prm)
 						if err != nil {
@@ -182,7 +182,7 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 			q := users[rng.Intn(len(users))]
 			if e.Snapshot().Grid().Located(q) {
 				prm := Params{K: 10, Alpha: 0.3}
-				want := oracleTopK(e, model, q, prm)
+				want := oracleTopK(e.Engine, model, q, prm)
 				got, err := e.Query(AIS, q, prm)
 				if err != nil {
 					t.Fatal(err)
@@ -204,7 +204,7 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	const n = 160
 	ds := mkDataset(t, rng, n, 0, false)
-	e := mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, CacheT: 20})
+	e := newAsync(mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, CacheT: 20}))
 	defer e.Close()
 
 	var movable, queryable []graph.VertexID
@@ -357,7 +357,7 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 func TestEdgeUpdateValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ds := mkDataset(t, rng, 30, 0, false)
-	e := mkEngine(t, ds, Options{})
+	e := newAsync(mkEngine(t, ds, Options{}))
 	defer e.Close()
 	if err := e.AddFriend(-1, 2, 1); err == nil {
 		t.Fatal("negative user accepted")
@@ -379,7 +379,7 @@ func TestEdgeUpdateValidation(t *testing.T) {
 	if err := removeFriendAsync(e, 0, 99); err == nil {
 		t.Fatal("async out-of-range accepted")
 	}
-	if err := removeFriend(e, 0, 1); err != nil {
+	if err := removeFriend(e.Engine, 0, 1); err != nil {
 		t.Fatalf("valid removal rejected: %v", err)
 	}
 }
@@ -392,7 +392,6 @@ func TestEdgeChurnBeyondSixtyFourLandmarks(t *testing.T) {
 	const n = 120
 	ds := mkDataset(t, rng, n, 0, false)
 	e := mkEngine(t, ds, Options{NumLandmarks: 65})
-	defer e.Close()
 	if m := e.Landmarks().M(); m != 65 {
 		t.Fatalf("%d landmarks, want 65", m)
 	}
@@ -446,7 +445,6 @@ func TestLandmarkTablesExactEveryEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mkEngine(t, ds, Options{Seed: 42})
-	defer e.Close()
 	rng := rand.New(rand.NewSource(26))
 	n := ds.NumUsers()
 	batch := func(size int) []Update {
@@ -509,7 +507,6 @@ func TestAISCacheInvalidatedByEdgeChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ds := mkDataset(t, rng, 60, 0, false)
 	e := mkEngine(t, ds, Options{CacheT: 100000}) // complete lists, no fallback
-	defer e.Close()
 	q := locatedUsers(ds)[0]
 	prm := Params{K: 8, Alpha: 0.6}
 	if _, err := e.Query(AISCache, q, prm); err != nil { // populate cache
@@ -535,7 +532,7 @@ func TestAISCacheInvalidatedByEdgeChurn(t *testing.T) {
 }
 
 // TestUpdaterCoalescesEdgeOps checks last-write-wins per unordered pair
-// through the async pipeline.
+// in the Updater's coalescing.
 func TestUpdaterCoalescesEdgeOps(t *testing.T) {
 	ops := []Update{
 		{Kind: OpEdgeUpsert, U: 1, V: 2, W: 5},

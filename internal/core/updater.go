@@ -4,23 +4,21 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"ssrq/internal/aggindex"
 )
 
-// Updater is the engine's asynchronous update-ingestion pipeline: a single
-// goroutine that drains a bounded queue of location updates, coalesces
-// redundant moves of the same user (last write wins), and applies them in
-// batches of at most Options.UpdateMaxBatch, publishing one index epoch per
-// batch. Batching is what makes the snapshot design cheap under churn — the
-// copy-on-write duplication and the upward summary propagation are paid once
-// per batch instead of once per move.
+// Updater is an asynchronous update queue over an apply function: a single
+// goroutine drains a bounded queue of updates, coalesces redundant ones
+// (last write wins per user or unordered pair) and hands them to apply in
+// batches of at most maxBatch. Batching is what makes the snapshot design
+// cheap under churn — the copy-on-write duplication and the upward summary
+// propagation are paid once per batch instead of once per move.
 //
-// The updater starts lazily on the first Enqueue and runs until Engine.Close. Flush is the read-your-writes barrier: it
-// returns once every update enqueued before the call is applied and
-// published.
+// The routed engine runs one, lazily, over its synchronous batch apply; the
+// Updater itself knows nothing about indexes, routing or journals. Flush is
+// the read-your-writes barrier: it returns once every update enqueued before
+// the call has been through apply.
 type Updater struct {
-	agg      applier
+	apply    func(accepted, batch []Update)
 	ch       chan updateMsg
 	done     chan struct{}
 	closed   atomic.Bool
@@ -28,12 +26,9 @@ type Updater struct {
 
 	pending   atomic.Int64 // enqueued but not yet applied
 	applied   atomic.Int64 // ops applied (before coalescing)
-	batches   atomic.Int64 // epochs published by the updater
-	coalesced atomic.Int64 // ops absorbed by a newer op for the same user
+	batches   atomic.Int64 // batches handed to apply
+	coalesced atomic.Int64 // ops absorbed by a newer op for the same key
 }
-
-// applier is the slice of aggindex.Index the updater needs (test seam).
-type applier interface{ Apply(ops []Update) }
 
 type updateMsg struct {
 	op    Update
@@ -41,9 +36,14 @@ type updateMsg struct {
 	quit  bool          // terminate after applying pending
 }
 
-func newUpdater(agg applier, queueCap, maxBatch int) *Updater {
+// NewUpdater starts the queue's goroutine. apply receives each batch twice:
+// accepted holds every dequeued op in queue order, batch the same ops
+// coalesced to the newest per key (first-seen order). A caller that journals
+// records accepted — one record per op it acknowledged — and applies batch.
+// apply runs on the updater's goroutine only, one batch at a time.
+func NewUpdater(apply func(accepted, batch []Update), queueCap, maxBatch int) *Updater {
 	u := &Updater{
-		agg:      agg,
+		apply:    apply,
 		ch:       make(chan updateMsg, queueCap),
 		done:     make(chan struct{}),
 		maxBatch: maxBatch,
@@ -52,12 +52,12 @@ func newUpdater(agg applier, queueCap, maxBatch int) *Updater {
 	return u
 }
 
-// enqueue queues one update, blocking for backpressure when the queue is
-// full. A concurrent close never strands the sender: once the loop exits,
-// the done channel unblocks it with an error.
-func (u *Updater) enqueue(op Update) error {
+// Enqueue queues one update, blocking for backpressure when the queue is
+// full. The op is not validated here. A concurrent Close never strands the
+// sender: once the loop exits, the done channel unblocks it with an error.
+func (u *Updater) Enqueue(op Update) error {
 	if u.closed.Load() {
-		return fmt.Errorf("core: engine closed")
+		return fmt.Errorf("core: updater closed")
 	}
 	u.pending.Add(1)
 	select {
@@ -65,14 +65,14 @@ func (u *Updater) enqueue(op Update) error {
 		return nil
 	case <-u.done:
 		u.pending.Add(-1)
-		return fmt.Errorf("core: engine closed")
+		return fmt.Errorf("core: updater closed")
 	}
 }
 
-// flush blocks until every previously enqueued update is applied and
-// published. Returns (without the barrier) if the pipeline shuts down
-// concurrently — after Close there is nothing left to wait for.
-func (u *Updater) flush() {
+// Flush blocks until every previously enqueued update has been applied.
+// Returns (without the barrier) if the queue shuts down concurrently — after
+// Close there is nothing left to wait for.
+func (u *Updater) Flush() {
 	if u.closed.Load() {
 		return
 	}
@@ -88,14 +88,28 @@ func (u *Updater) flush() {
 	}
 }
 
-// close drains and applies whatever is queued, then stops the goroutine.
-func (u *Updater) close() {
+// Close applies whatever is queued, then stops the goroutine. Idempotent.
+// An Enqueue racing Close may fail or be dropped; callers that must not drop
+// an accepted op serialize their sends against Close themselves.
+func (u *Updater) Close() {
 	if u.closed.Swap(true) {
 		<-u.done
 		return
 	}
 	u.ch <- updateMsg{quit: true}
 	<-u.done
+}
+
+// Stats reports the queue's counters: PendingUpdates, AppliedUpdates (before
+// coalescing), AppliedBatches and CoalescedUpdates. The epoch fields are
+// left zero; they belong to whatever apply publishes into.
+func (u *Updater) Stats() UpdateStats {
+	return UpdateStats{
+		PendingUpdates:   u.pending.Load(),
+		AppliedUpdates:   u.applied.Load(),
+		AppliedBatches:   u.batches.Load(),
+		CoalescedUpdates: u.coalesced.Load(),
+	}
 }
 
 func (u *Updater) loop() {
@@ -106,7 +120,7 @@ func (u *Updater) loop() {
 			return
 		}
 		ops := coalesceUpdates(buf)
-		u.agg.Apply(ops)
+		u.apply(buf, ops)
 		u.applied.Add(int64(len(buf)))
 		u.coalesced.Add(int64(len(buf) - len(ops)))
 		u.batches.Add(1)
@@ -176,7 +190,7 @@ type coalesceKey struct {
 }
 
 func keyOf(op Update) coalesceKey {
-	if op.Kind == aggindex.OpLocation {
+	if op.Kind == OpLocation {
 		return coalesceKey{a: op.ID}
 	}
 	a, b := op.U, op.V
@@ -206,46 +220,6 @@ func coalesceUpdates(buf []Update) []Update {
 	return out
 }
 
-// ensureUpdater starts the pipeline on first use.
-func (e *Engine) ensureUpdater() *Updater {
-	e.upOnce.Do(func() {
-		e.updater.Store(newUpdater(e.agg, e.opts.UpdateQueueCap, e.opts.UpdateMaxBatch))
-	})
-	return e.updater.Load()
-}
-
-// Enqueue validates one update — a move, a location removal or an edge op,
-// normalized — and queues it on the update pipeline, returning immediately
-// (blocking only when the queue is full, for backpressure). Locations and
-// edges share the one stream and the one Flush barrier; redundant updates of
-// the same user or unordered pair coalesce to the newest. The update becomes
-// visible when the updater publishes the epoch containing it.
-func (e *Engine) Enqueue(op Update) error {
-	if err := e.ValidateUpdate(op); err != nil {
-		return err
-	}
-	return e.ensureUpdater().enqueue(op)
-}
-
-// Flush blocks until every update enqueued (by any goroutine) before the
-// call has been applied and published — the barrier that gives Enqueue
-// read-your-writes semantics. A no-op when the pipeline never
-// started.
-func (e *Engine) Flush() {
-	if u := e.updater.Load(); u != nil {
-		u.flush()
-	}
-}
-
-// Close drains and applies any queued updates and stops the update
-// pipeline. Idempotent. Updates enqueued concurrently with Close may be
-// dropped; queries and synchronous updates remain valid after Close.
-func (e *Engine) Close() {
-	if u := e.updater.Load(); u != nil {
-		u.close()
-	}
-}
-
 // UpdateStats reports the state of the epoch/update pipeline, the numbers
 // the HTTP /stats endpoint and the churn experiment surface.
 type UpdateStats struct {
@@ -256,35 +230,29 @@ type UpdateStats struct {
 	SocialEpoch uint64
 	// SnapshotAge is how long ago the current epoch was published.
 	SnapshotAge time.Duration
-	// PendingUpdates counts async updates enqueued but not yet published.
+	// PendingUpdates counts async updates enqueued but not yet applied.
 	PendingUpdates int64
-	// AppliedUpdates counts updates applied: async ones (pre-coalescing) and
-	// those of synchronous ApplyUpdates batches.
+	// AppliedUpdates counts updates applied: an engine's count is what its
+	// index applied, an Updater's the ops it dequeued, before coalescing.
 	AppliedUpdates int64
-	// AppliedBatches counts the batches that published them: the updater's
-	// epochs plus one per synchronous ApplyUpdates call.
+	// AppliedBatches counts the batches that applied them: one per
+	// ApplyUpdates call on an engine, one per apply call on an Updater.
 	AppliedBatches int64
 	// CoalescedUpdates counts updates absorbed by a newer update for the
-	// same user before reaching the index.
+	// same user or pair before reaching the index.
 	CoalescedUpdates int64
 }
 
-// UpdateStats returns a point-in-time view of the update pipeline.
+// UpdateStats returns a point-in-time view of the engine's epochs and of
+// the batches ApplyUpdates has applied.
 func (e *Engine) UpdateStats() UpdateStats {
 	sn := e.agg.Snapshot()
-	st := UpdateStats{
+	return UpdateStats{
 		Epoch:       sn.Epoch(),
 		SocialEpoch: sn.SocialEpoch(),
 		SnapshotAge: time.Since(sn.PublishedAt()),
 
-		AppliedUpdates: e.syncApplied.Load(),
-		AppliedBatches: e.syncBatches.Load(),
+		AppliedUpdates: e.applied.Load(),
+		AppliedBatches: e.batches.Load(),
 	}
-	if u := e.updater.Load(); u != nil {
-		st.PendingUpdates = u.pending.Load()
-		st.AppliedUpdates += u.applied.Load()
-		st.AppliedBatches += u.batches.Load()
-		st.CoalescedUpdates = u.coalesced.Load()
-	}
-	return st
 }

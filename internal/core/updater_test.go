@@ -15,17 +15,16 @@ import (
 
 // TestSnapshotStressAsyncMovers is the -race synchronization proof for the
 // lock-free query path: queriers run QueryBatch and single queries with no
-// lock whatsoever while movers push sustained churn through the batching
-// update pipeline (MoveUserAsync / RemoveUserLocationAsync). Every
-// mid-flight result must be a valid top-k set against *some* published
-// epoch, and after a Flush barrier the index must agree exactly with brute
-// force — concurrent batched maintenance never corrupted membership or
-// summaries.
+// lock whatsoever while movers push sustained churn through an Updater over
+// the engine. Every mid-flight result must be a valid top-k set against
+// *some* published epoch, and after a Flush barrier the index must agree
+// exactly with brute force — concurrent batched maintenance never corrupted
+// membership or summaries.
 func TestSnapshotStressAsyncMovers(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const n = 220
 	ds := mkDataset(t, rng, n, 0, false) // everyone located
-	e := mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, CacheT: 20, UpdateMaxBatch: 16})
+	e := newAsync(mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, CacheT: 20, UpdateMaxBatch: 16}))
 	defer e.Close()
 
 	// Movers touch only the upper half of the ID space; queriers query only
@@ -105,7 +104,7 @@ func TestSnapshotStressAsyncMovers(t *testing.T) {
 	// Barrier, then post-churn integrity: every algorithm must agree exactly
 	// with brute force on the mutated index.
 	e.Flush()
-	st := e.UpdateStats()
+	st := e.up.Stats()
 	if st.AppliedUpdates != movesDone.Load() {
 		t.Fatalf("flush barrier incomplete: applied %d of %d", st.AppliedUpdates, movesDone.Load())
 	}
@@ -134,7 +133,7 @@ func TestSnapshotStressAsyncMovers(t *testing.T) {
 func TestFlushReadYourWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	ds := mkDataset(t, rng, 80, 0, false)
-	e := mkEngine(t, ds, Options{})
+	e := newAsync(mkEngine(t, ds, Options{}))
 	defer e.Close()
 	target := spatial.Point{X: 0.123, Y: 0.456}
 	if err := moveUserAsync(e, 42, target); err != nil {
@@ -155,29 +154,39 @@ func TestFlushReadYourWrites(t *testing.T) {
 }
 
 // TestUpdaterCoalescing: many queued moves of one user collapse into few
-// applied ops, and the last write wins.
+// applied ops, the last write wins, and apply sees every accepted op beside
+// the coalesced batch.
 func TestUpdaterCoalescing(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	ds := mkDataset(t, rng, 60, 0, false)
-	e := mkEngine(t, ds, Options{UpdateMaxBatch: 64})
-	defer e.Close()
+	eng := mkEngine(t, ds, Options{})
+	var accepted, applied int
+	up := NewUpdater(func(acc, batch []Update) {
+		accepted += len(acc)
+		applied += len(batch)
+		eng.agg.Apply(batch)
+	}, eng.opts.UpdateQueueCap, 64)
+	defer up.Close()
 	var last spatial.Point
 	for i := 0; i < 500; i++ {
 		last = spatial.Point{X: rng.Float64(), Y: rng.Float64()}
-		if err := moveUserAsync(e, 7, last); err != nil {
+		if err := up.Enqueue(Update{ID: 7, To: last}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.Flush()
-	if got := e.Snapshot().Grid().Point(7); got != last {
+	up.Flush()
+	if got := eng.Snapshot().Grid().Point(7); got != last {
 		t.Fatalf("final position %v, want last write %v", got, last)
 	}
-	st := e.UpdateStats()
+	st := up.Stats()
 	if st.CoalescedUpdates == 0 {
 		t.Fatalf("no coalescing across 500 same-user moves: %+v", st)
 	}
 	if st.PendingUpdates != 0 {
 		t.Fatalf("pending %d after flush", st.PendingUpdates)
+	}
+	if accepted != 500 || int64(applied) != 500-st.CoalescedUpdates {
+		t.Fatalf("apply saw %d accepted and %d coalesced ops, want 500 and %d", accepted, applied, 500-st.CoalescedUpdates)
 	}
 }
 
@@ -211,7 +220,7 @@ func TestCoalesceUpdatesUnit(t *testing.T) {
 func TestUpdateValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ds := mkDataset(t, rng, 40, 0, false)
-	e := mkEngine(t, ds, Options{})
+	e := newAsync(mkEngine(t, ds, Options{}))
 	defer e.Close()
 	old := e.Snapshot()
 	bad := []spatial.Point{
@@ -221,7 +230,7 @@ func TestUpdateValidation(t *testing.T) {
 		{X: 0, Y: math.Inf(-1)},
 	}
 	for _, p := range bad {
-		if err := moveUser(e, 3, p); err == nil {
+		if err := moveUser(e.Engine, 3, p); err == nil {
 			t.Fatalf("MoveUser accepted %v", p)
 		}
 		if err := moveUserAsync(e, 3, p); err == nil {
@@ -231,13 +240,13 @@ func TestUpdateValidation(t *testing.T) {
 			t.Fatalf("ApplyUpdates accepted %v", p)
 		}
 	}
-	if err := moveUser(e, -1, spatial.Point{}); err == nil {
+	if err := moveUser(e.Engine, -1, spatial.Point{}); err == nil {
 		t.Fatal("negative user accepted")
 	}
-	if err := moveUser(e, 40, spatial.Point{}); err == nil {
+	if err := moveUser(e.Engine, 40, spatial.Point{}); err == nil {
 		t.Fatal("out-of-range user accepted")
 	}
-	if err := removeUserLocation(e, 99); err == nil {
+	if err := removeUserLocation(e.Engine, 99); err == nil {
 		t.Fatal("out-of-range removal accepted")
 	}
 	e.Flush()
@@ -256,17 +265,20 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
-// TestEngineCloseIdempotent: Close is safe to call twice and async updates
-// after Close fail cleanly.
+// TestEngineCloseIdempotent: an Updater's Close is safe to call twice,
+// enqueues after Close fail cleanly, and the engine keeps serving.
 func TestEngineCloseIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	ds := mkDataset(t, rng, 30, 0, false)
-	e := mkEngine(t, ds, Options{})
+	e := newAsync(mkEngine(t, ds, Options{}))
 	if err := moveUserAsync(e, 3, spatial.Point{X: 0.1, Y: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close()
+	if got := e.Snapshot().Grid().Point(3); got != (spatial.Point{X: 0.1, Y: 0.1}) {
+		t.Fatalf("Close did not drain the queued move: user 3 at %v", got)
+	}
 	if err := moveUserAsync(e, 4, spatial.Point{X: 0.2, Y: 0.2}); err == nil {
 		t.Fatal("enqueue after Close accepted")
 	}
@@ -283,7 +295,7 @@ func TestFlushCloseRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 20; trial++ {
 		ds := mkDataset(t, rng, 30, 0, false)
-		e := mkEngine(t, ds, Options{UpdateQueueCap: 2, UpdateMaxBatch: 4})
+		e := newAsync(mkEngine(t, ds, Options{UpdateQueueCap: 2, UpdateMaxBatch: 4}))
 		var wg sync.WaitGroup
 		for g := 0; g < 3; g++ {
 			wg.Add(1)

@@ -9,6 +9,7 @@ import (
 
 	"ssrq/internal/core"
 	"ssrq/internal/graph"
+	"ssrq/internal/shard"
 	"ssrq/internal/spatial"
 )
 
@@ -17,7 +18,7 @@ type churnMode int
 
 const (
 	// churnSnapshot is the engine's native path: lock-free queries against
-	// published epochs, moves batched through the asynchronous updater.
+	// published epochs, moves batched through the asynchronous queue.
 	churnSnapshot churnMode = iota
 	// churnRWMutex emulates the pre-epoch design at the workload level: an
 	// external RWMutex serializes queries (read side) against synchronous
@@ -39,16 +40,19 @@ func (m churnMode) String() string {
 // experiment reports the latency percentiles for both the snapshot engine
 // and the RWMutex baseline. Every cell ends with a brute-force equivalence
 // probe on the post-churn index, so the baseline rows double as a
-// correctness check of the concurrent maintenance.
+// correctness check of the concurrent maintenance. The engine is the one the
+// server runs — the routed engine, here with one shard — so the async cells
+// go through its one update queue.
 func (s *Suite) RunChurn() error {
-	e, err := s.Engine("twitter", DefaultS, false) // all users located
+	ds, err := s.Dataset("twitter") // all users located
 	if err != nil {
 		return err
 	}
-	ds, err := s.Dataset("twitter")
+	e, err := shard.New(ds, 1, EngineOptions(DefaultS, false, 1, s.Seed))
 	if err != nil {
 		return err
 	}
+	defer e.Close()
 	n := ds.NumUsers()
 	// Movers touch only the upper half of the ID space; queries draw from
 	// the lower half, so a query user never loses its location mid-cell.
@@ -134,7 +138,7 @@ type churnCell struct {
 
 // runChurnCell runs one cell: `movers` goroutines churning locations while
 // one querier answers `queries` AIS queries, timed individually.
-func (s *Suite) runChurnCell(e *core.Engine, mode churnMode, queryable, movable []graph.VertexID,
+func (s *Suite) runChurnCell(e *shard.Engine, mode churnMode, queryable, movable []graph.VertexID,
 	bounds spatial.Rect, queries, movers int) (churnCell, error) {
 	var mu sync.RWMutex // used only by churnRWMutex
 	startEpoch := e.UpdateStats().Epoch
@@ -215,7 +219,7 @@ func (s *Suite) runChurnCell(e *core.Engine, mode churnMode, queryable, movable 
 	if err, ok := moveErr.Load().(error); ok && err != nil {
 		return churnCell{}, fmt.Errorf("exp: churn mover: %w", err)
 	}
-	e.Flush() // drain the async pipeline so the next cell starts quiescent
+	e.Flush() // drain the async queue so the next cell starts quiescent
 	return churnCell{
 		lat:    summarizeLatencies(lat),
 		qps:    float64(queries) / elapsed.Seconds(),

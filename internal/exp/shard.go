@@ -15,7 +15,7 @@ import (
 // RunShard measures the spatially-partitioned engine: for every shard count
 // in s.ShardCounts (default 1, 2, 4, 8) it builds a sharded engine over the
 // geo-clustered gowalla substitute, measures AIS query latency percentiles,
-// then drives a location-churn burst through the per-shard update pipelines
+// then drives a location-churn burst through the engine's update queue
 // and reports epoch throughput alongside the fan-out pruning counters
 // (shards skipped because their best-possible Lemma-2 score could not beat
 // the running kth score).
@@ -70,7 +70,7 @@ func (s *Suite) RunShard() error {
 			lat = append(lat, time.Since(start))
 		}
 
-		// Churn burst through the per-shard pipelines: identical ops per cell
+		// Churn burst through the update queue: identical ops per cell
 		// (the rng is reseeded), so every cell converges to the same world.
 		rng := rand.New(rand.NewSource(s.Seed + 271))
 		epoch0 := eng.UpdateStats().Epoch

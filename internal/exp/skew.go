@@ -162,7 +162,7 @@ func (s *Suite) runSkewCell(eng *shard.Engine, S int, users, movers []graph.Vert
 		}
 	}
 	// The automatic trigger samples *applied* occupancy every few hundred
-	// routed ops, so when the enqueue loop outruns the shard pipelines (e.g.
+	// routed ops, so when the enqueue loop outruns the update queue (e.g.
 	// under the race detector) the skew only becomes observable after the
 	// final flush — with no further traffic to sample it. Keep the already-
 	// skewed population drifting in flushed rounds until the trigger fires;

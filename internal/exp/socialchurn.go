@@ -9,27 +9,31 @@ import (
 
 	"ssrq/internal/core"
 	"ssrq/internal/graph"
+	"ssrq/internal/shard"
 )
 
 // RunSocialChurn measures query latency under sustained *social* churn: for
 // each edge-update rate, a background churner adds/removes/reweights
-// friendships through the asynchronous pipeline while a querier runs the AIS
+// friendships through the asynchronous queue while a querier runs the AIS
 // workload against lock-free snapshots. Each cell reports latency
 // percentiles plus the social maintenance counters (epochs, incremental
 // landmark repairs). The experiment ends with a post-churn correctness
 // audit: AIS against the brute-force oracle on the mutated graph, every
 // landmark table against a fresh Dijkstra on an independently rebuilt graph,
 // and sampled landmark-bound admissibility checks (LowerBound ≤ true
-// distance ≤ UpperBound) against exact distances on that graph.
+// distance ≤ UpperBound) against exact distances on that graph. Like
+// RunChurn it drives the server's engine — routed, one shard — and so its
+// one update queue.
 func (s *Suite) RunSocialChurn() error {
-	e, err := s.Engine("gowalla", DefaultS, false)
-	if err != nil {
-		return err
-	}
 	ds, err := s.Dataset("gowalla")
 	if err != nil {
 		return err
 	}
+	e, err := shard.New(ds, 1, EngineOptions(DefaultS, false, 1, s.Seed))
+	if err != nil {
+		return err
+	}
+	defer e.Close()
 	n := ds.NumUsers()
 	queryable := QueryUsers(ds, s.Scale.NumQueries*2, s.Seed)
 	if len(queryable) == 0 {
@@ -74,14 +78,14 @@ func (s *Suite) RunSocialChurn() error {
 	}
 	tbl.Fprint(s.Out)
 
-	// Post-churn audit, once Flush has drained the update pipeline. Every
+	// Post-churn audit, once Flush has drained the update queue. Every
 	// published landmark table must already be exact on an independently
 	// rebuilt graph — catching any drift between the overlay's merged view
 	// and the true mutated topology, or a table that left its batch
 	// partly repaired.
 	e.Flush()
-	sn := e.Snapshot()
-	oracle := rebuildGraph(sn.SocialGraph())
+	sn := e.Substrate().Snapshot()
+	oracle := rebuildGraph(sn.Graph())
 	lm := sn.Landmarks()
 	for j, lmv := range lm.Vertices() {
 		for v, want := range oracle.DistancesFrom(lmv) {
@@ -121,7 +125,7 @@ func (s *Suite) RunSocialChurn() error {
 	}
 	fmt.Fprintf(s.Out, "post-churn brute-force equivalence + landmark admissibility: ok "+
 		"(%d landmark tables exact, %d recomputed at batch end, social epoch %d)\n",
-		lm.M(), e.SocialStats().LandmarkRebuilds, sn.SocialEpoch())
+		lm.M(), e.SocialStats().LandmarkRebuilds, sn.Epoch())
 	return nil
 }
 
@@ -137,7 +141,7 @@ type socialChurnCell struct {
 // runSocialChurnCell runs one cell: a churner goroutine mutating edges at
 // `rate` ops/sec (0 = none, negative = unthrottled) while one querier
 // answers `queries` AIS queries, timed individually.
-func (s *Suite) runSocialChurnCell(e *core.Engine, queryable []graph.VertexID,
+func (s *Suite) runSocialChurnCell(e *shard.Engine, queryable []graph.VertexID,
 	n int, wLo, wHi float64, queries int, rate float64) (socialChurnCell, error) {
 	startSocial := e.UpdateStats().SocialEpoch
 	startRepairs := e.SocialStats().LandmarkRepairs
@@ -179,7 +183,7 @@ func (s *Suite) runSocialChurnCell(e *core.Engine, queryable []graph.VertexID,
 				} else {
 					// Remove a random incident edge from the latest snapshot.
 					u := graph.VertexID(rng.Int31n(int32(n)))
-					nbrs, _ := e.Snapshot().SocialGraph().Neighbors(u)
+					nbrs, _ := e.LiveSocialGraph().Neighbors(u)
 					if len(nbrs) == 0 {
 						continue
 					}

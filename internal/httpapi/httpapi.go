@@ -425,9 +425,9 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 	resp := movesResponse{Accepted: len(req.Moves)}
 	if req.Flush {
 		// One request, one synchronous batch: one journal append and commit,
-		// one epoch per touched shard. The engine drains earlier async ops
-		// for these users first, and the trailing Flush covers everyone
-		// else's, so flush keeps its read-your-writes meaning.
+		// one epoch per touched shard. The engine applies every earlier
+		// async op first, and the trailing Flush covers ops queued while
+		// this one applied, so flush keeps its read-your-writes meaning.
 		ups := make([]ssrq.Update, len(req.Moves))
 		for i, m := range req.Moves {
 			ups[i] = ssrq.Update{ID: m.ID, To: ssrq.Point{X: m.X, Y: m.Y}, Remove: m.Remove}
@@ -628,7 +628,6 @@ type shardStatJSON struct {
 	NumLocated     int    `json:"num_located"`
 	Epoch          uint64 `json:"epoch"`
 	SocialEpoch    uint64 `json:"social_epoch"`
-	PendingUpdates int64  `json:"pending_updates"`
 	AppliedBatches int64  `json:"applied_batches"`
 	PrunedQueries  int64  `json:"pruned_queries"`
 }
@@ -673,7 +672,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			NumLocated:     st.NumLocated,
 			Epoch:          st.Epoch,
 			SocialEpoch:    st.SocialEpoch,
-			PendingUpdates: st.PendingUpdates,
 			AppliedBatches: st.AppliedBatches,
 			PrunedQueries:  st.PrunedQueries,
 		}

@@ -155,4 +155,12 @@ func TestStatsShardSectionAtOneShard(t *testing.T) {
 			t.Fatalf("one-shard /stats reports %q", key)
 		}
 	}
+	// The engine has one update queue: its depth is a top-level key, not a
+	// per-shard one.
+	if _, present := raw["pending_updates"]; !present {
+		t.Fatal("/stats lacks the top-level pending_updates")
+	}
+	if _, present := raw["shards"].([]any)[0].(map[string]any)["pending_updates"]; present {
+		t.Fatal("/stats still reports pending_updates per shard")
+	}
 }

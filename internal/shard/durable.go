@@ -10,42 +10,32 @@ import (
 )
 
 // Durability: the one journal point. A record is appended at the ROUTING
-// layer, under the op's stripe, where the per-user op order is authoritative
-// for any shard count — a cross-shard move is routed as remove@old +
-// insert@new onto two independent pipelines that may publish in either
-// order, so only the stripe held while both are enqueued defines the user's
-// op order. The log therefore carries the single logical op and replay
-// re-derives the split. Rebalance migrations are never journaled (they apply
-// through the per-shard engines directly): they move shard placement, not
-// world state, and replaying their remove halves would delete users.
+// layer, inside apply (update.go), under the batch's stripes, where the
+// per-user op order is authoritative for any shard count: the log carries
+// the single logical op of a cross-shard move and replay re-derives the
+// remove@old + insert@new split. Rebalance migrations are never journaled
+// (they apply through the per-shard engines directly): they move shard
+// placement, not world state, and replaying their remove halves would delete
+// users.
 //
-// Appending and committing are separate steps. Routing an asynchronous op
-// only buffers its record (sequence assigned, no syscall); the log is
-// committed — handed to the OS and, under fsync=batch, fsynced up to the
-// newest buffered sequence — by the commit barrier every shard's index and
-// the shared substrate run under their writer lock before a batch mutates
-// anything. An op's record is buffered before the op is enqueued, so the
-// commit preceding its batch covers it: nothing is visible before it is
-// durable, and a flushed N-op batch costs O(shards) fsyncs, not N.
-// Synchronous batches append and commit under their stripes before they
-// apply.
+// apply stages a batch's records (sequence assigned, buffered, no syscall),
+// commits them — hands them to the OS and, under fsync=batch, fsyncs — and
+// only then routes and applies the batch, all under the same stripes.
+// Nothing is visible before it is durable, and a queued batch of N ops costs
+// one commit, not N.
 
-// AttachLog makes l the engine's journal: from here on every routed op is
-// appended to it, and it is committed before any batch mutates a shard or the
+// AttachLog makes l the engine's journal: from here on every applied batch
+// is appended to it and committed before it mutates a shard or the
 // substrate. appended, when non-nil, is told how many records each append
-// carried (under the appending op's stripes — it must be cheap). Call once,
-// before the engine takes traffic.
+// carried (under the appending batch's stripes — it must be cheap). Call
+// once, before the engine takes traffic.
 func (se *Engine) AttachLog(l *wal.Log, appended func(n int)) {
 	se.lockAllStripes()
 	se.log, se.appended = l, appended
 	se.unlockAllStripes()
-	for _, sh := range se.shards {
-		sh.AggIndex().SetCommitBarrier(se.commitLog)
-	}
-	se.sub.SetCommitBarrier(se.commitLog)
 }
 
-// journal appends ops to the log in routing order; the caller holds their
+// journal appends ops to the log in accepted order; the caller holds their
 // stripes. Append failures are counted in the log's stats — the ops have
 // already been accepted, and refusing them here would desynchronize the
 // layers.
@@ -62,7 +52,7 @@ func (se *Engine) journal(ops []core.Update) {
 }
 
 // commitLog makes every record journaled so far durable under the log's fsync
-// policy — the barrier installed on every writer lock, and Flush's last step.
+// policy — apply's step between staging and applying, and Flush's last step.
 func (se *Engine) commitLog() {
 	if se.log == nil {
 		return
@@ -78,11 +68,10 @@ func (se *Engine) commitLog() {
 //
 // Recovery applies the checkpoint then replays the tail from s+1, so the
 // export must reflect every op with seq ≤ s (ops > s leaking in are harmless —
-// records are absolute writes and the tail re-asserts them). A sequence is
-// assigned under the op's stripe before the op is enqueued (async) or applied
-// (sync), so cycling every stripe after reading s leaves each op ≤ s at least
-// enqueued on its shard pipelines, Flush drains them through to publication,
-// and the export covers them.
+// records are absolute writes and the tail re-asserts them). An op's
+// sequence is assigned, committed and applied under its batch's stripes, so
+// cycling every stripe after reading s leaves each op ≤ s durable and
+// published, and the export covers them.
 //
 // Cuts are serialized: the checkpoint's temp file is named after s alone, so
 // two cuts at one log position would write and rename one shared path.
@@ -97,7 +86,6 @@ func (se *Engine) Checkpoint() error {
 		se.locks[i].Lock()
 		se.locks[i].Unlock() //nolint:staticcheck // empty critical section is the point
 	}
-	se.Flush()
 	return se.log.WriteCheckpoint(s, oplog.FromOps(se.exportDiff()))
 }
 

@@ -42,7 +42,7 @@ const (
 // taken up front at one migration-consistent point (see acquire), so a
 // fan-out observes one consistent epoch per shard and a rebalance drain can
 // never hide a user from it. That is still not one global epoch: a user whose
-// own cross-shard *move* is mid-flight can be transiently absent from — or
+// own cross-shard *move* is mid-apply can be transiently absent from — or
 // visible twice in — other users' fan-outs (the merge deduplicates the
 // latter). Once no move is in flight (Flush), rebalancing or not, results are
 // exactly a single index's, ID tiebreaks included: the shared
@@ -180,17 +180,14 @@ func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) 
 // loads and retries only while a drain is publishing; the searches run after
 // it.
 //
-// A cross-shard async *move* of q itself is a remove on one pipeline and an
-// insert on another, so a continuously located q can be in no snapshot for a
-// moment. The router holds q's stripe across both enqueues and the owner-map
-// store, so under that stripe owner[q] is final and the last op routed to the
-// owner's pipeline for q is its insert: draining that pipeline publishes q
-// there. The stripe stays held through the drain and the reload (the order
-// synchronous batches already take: stripe, then Flush) so that q's next
-// move cannot be routed — and its removal drained by this very Flush — in
-// between. A bounded wait only mid-relocation queriers pay, so a query never
-// spuriously fails with "no known location". (Flushing whatever owner[q] said
-// *before* the router finished drained the wrong pipeline.)
+// A cross-shard *move* of q itself is a remove on one shard and an insert on
+// another, applied one after the other, so a continuously located q can be
+// in no snapshot for a moment. The batch holds q's stripe from routing until
+// both halves are published, so once this query holds that stripe owner[q]
+// is final and its shard has published q. The stripe stays held through the
+// reload so that q's next move cannot remove q in between. A bounded wait
+// only mid-relocation queriers pay, so a query never spuriously fails with
+// "no known location".
 func (se *Engine) acquire(q graph.VertexID) (int, []*aggindex.Snapshot) {
 	sns := make([]*aggindex.Snapshot, len(se.shards))
 	se.loadSnapshots(sns)
@@ -199,13 +196,11 @@ func (se *Engine) acquire(q graph.VertexID) (int, []*aggindex.Snapshot) {
 	}
 	se.seam(seamHomeFallback)
 	mu := &se.locks[stripeOf(int32(q))]
-	mu.Lock() // waits out a route in flight, and keeps the next one out
+	mu.Lock() // waits out an apply in flight, and keeps the next one out
 	defer mu.Unlock()
-	o := se.owner[q].Load()
-	if o < 0 {
+	if se.owner[q].Load() < 0 {
 		return -1, nil
 	}
-	se.shards[o].Flush()
 	se.loadSnapshots(sns)
 	return se.homeIn(sns, q), sns
 }

@@ -14,17 +14,18 @@ import (
 // its own occupancy imbalance (max shard population over mean) on the
 // update path and, past rebalanceThreshold, re-cuts the curve
 // ONLINE: cutCurve runs again over live per-cell occupancy, and every leaf
-// cell whose owner changed is drained to its new shard through the ordinary
-// synchronous update pipeline.
+// cell whose owner changed is drained to its new shard through the shards'
+// ordinary synchronous batch apply.
 //
 // The migration protocol keeps queries lock-free and — a re-cut never changes
 // the world — exact throughout:
 //
 //  1. Cells move in small batches (rebalanceDrainBatch) under all
 //     routing stripes, so the owner map and the per-cell routing are frozen
-//     per batch while async traffic flows freely between batches.
-//  2. Per cell, ownership flips first (cellShard.Store), the two pipelines
-//     are flushed, and the cell's users are INSERTED into the new shard
+//     per batch — and, since every write applies under its stripes, no write
+//     is in flight — while traffic flows freely between batches.
+//  2. Per cell, ownership flips first (cellShard.Store), and the cell's
+//     users are INSERTED into the new shard
 //     before being REMOVED from the old one. Between the insert and the
 //     remove a user is visible in both shards — harmless, because the
 //     fan-out merge dedupes by ID and both shards score the user
@@ -158,8 +159,8 @@ func (se *Engine) Rebalance() int {
 // rebalance is the re-cut + drain loop. Caller holds rebalanceMu.
 func (se *Engine) rebalance() int {
 	// Live occupancy per leaf cell, summed over the shards' published
-	// snapshots. Cells may keep moving while we look (queries and async
-	// routing are not paused); the cut only has to be good, not perfect —
+	// snapshots. Cells may keep moving while we look (queries and writes
+	// are not paused); the cut only has to be good, not perfect —
 	// residual skew re-triggers the next check.
 	leaf := se.layout.LeafLevel()
 	numCells := se.layout.NumCells(leaf)
@@ -205,22 +206,18 @@ func (se *Engine) rebalance() int {
 	return moved
 }
 
-// migrateCellLocked re-owns one leaf cell: flip routing, drain both
-// pipelines, then insert-before-remove every resident user. Caller holds
-// every routing stripe, so the owner map is frozen and the flushed old-shard
-// snapshot is the authoritative residency list.
+// migrateCellLocked re-owns one leaf cell: flip routing, then
+// insert-before-remove every resident user. Caller holds every routing
+// stripe, so the owner map is frozen, no write is mid-apply, and the old
+// shard's published snapshot is the authoritative residency list.
 func (se *Engine) migrateCellLocked(c, newS int32) bool {
 	oldS := se.cellShard[c].Load()
 	if oldS == newS {
 		return false
 	}
-	// New routing first: any async op that enqueues after the stripes drop
-	// already targets the new owner.
+	// New routing first: any op routed after the stripes drop already
+	// targets the new owner.
 	se.cellShard[c].Store(newS)
-	// Drain ops routed to the old owner before the flip so its snapshot
-	// holds the users' settled locations.
-	se.shards[oldS].Flush()
-	se.shards[newS].Flush()
 
 	g := se.shards[oldS].Snapshot().Grid()
 	users := g.CellUsers(c)

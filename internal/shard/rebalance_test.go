@@ -90,8 +90,8 @@ func TestRebalanceRestoresBalance(t *testing.T) {
 }
 
 // TestElasticDifferentialEquivalence replays one interleaved move+edge
-// stream into a bare core.Engine (the single-index reference) and a 4-shard
-// elastic engine, forcing a
+// stream into a bare core.Engine (the single-index reference, synchronously)
+// and a 4-shard elastic engine (through its queue), forcing a
 // full split/merge re-cut mid-stream; after every Flush the sharded answers
 // must agree exactly — IDs included — with the reference across algorithms.
 func TestElasticDifferentialEquivalence(t *testing.T) {
@@ -104,7 +104,6 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mono.Close()
 	se, err := New(ds, 4, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -117,49 +116,39 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 	b := ds.Bounds()
 	n := int32(ds.NumUsers())
 
+	// The reference applies each op synchronously; the routed engine queues it.
 	stream := func(ops int, hotspot bool) {
 		for i := 0; i < ops; i++ {
+			var op core.Update
 			switch rng.Intn(4) {
 			case 0: // edge upsert
 				u, v := rng.Int31n(n), rng.Int31n(n)
 				if u == v {
 					continue
 				}
-				w := 0.05 + rng.Float64()
-				if err := addFriendAsync(mono, u, v, w); err != nil {
-					t.Fatal(err)
-				}
-				if err := addFriendAsync(se, u, v, w); err != nil {
-					t.Fatal(err)
-				}
+				op = core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: 0.05 + rng.Float64()}
 			case 1: // edge removal
 				u, v := rng.Int31n(n), rng.Int31n(n)
 				if u == v {
 					continue
 				}
-				if err := removeFriendAsync(mono, u, v); err != nil {
-					t.Fatal(err)
-				}
-				if err := removeFriendAsync(se, u, v); err != nil {
-					t.Fatal(err)
-				}
+				op = core.Update{Kind: core.OpEdgeRemove, U: u, V: v}
 			default: // move
-				id := int32(users[rng.Intn(len(users))])
-				var to spatial.Point
+				op.ID = int32(users[rng.Intn(len(users))])
 				if hotspot {
-					to = spatial.Point{
+					op.To = spatial.Point{
 						X: b.MinX + (0.02+0.08*rng.Float64())*b.Width(),
 						Y: b.MinY + (0.02+0.08*rng.Float64())*b.Height(),
 					}
 				} else {
-					to = spatial.Point{X: b.MinX + rng.Float64()*b.Width(), Y: b.MinY + rng.Float64()*b.Height()}
+					op.To = spatial.Point{X: b.MinX + rng.Float64()*b.Width(), Y: b.MinY + rng.Float64()*b.Height()}
 				}
-				if err := moveUserAsync(mono, id, to); err != nil {
-					t.Fatal(err)
-				}
-				if err := moveUserAsync(se, id, to); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := mono.ApplyUpdates([]core.Update{op}); err != nil {
+				t.Fatal(err)
+			}
+			if err := se.Enqueue(op); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -167,7 +156,6 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 	prm := core.Params{K: 8, Alpha: 0.5}
 	check := func(label string) {
 		t.Helper()
-		mono.Flush()
 		se.Flush()
 		for qi := 0; qi < 6; qi++ {
 			q := users[rng.Intn(len(users))]
@@ -465,10 +453,10 @@ func TestRebalanceDrainAnswersStayExact(t *testing.T) {
 
 // TestQueryDuringCrossShardAsyncMove is the deterministic regression for the
 // spurious "no known location" of a continuously located query user: its
-// async cross-shard move is parked between the two enqueues — removal
-// published on the old owner, owner map not yet repointed, insert not yet
-// enqueued — while the user queries. The query must wait the route out and
-// answer from the new owner, not flush the old pipeline and give up.
+// async cross-shard move is parked between the two shards' applies of its
+// routed batch — removal published on the old owner, insert not yet applied
+// on the new one, the user's stripe held — while the user queries. The query
+// must wait the apply out and answer from the new owner, not give up.
 func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 	ds := clusteredDataset(t, 200, 41)
 	se, err := New(ds, 4, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 3, Seed: 41})
@@ -477,42 +465,53 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 	}
 	defer se.Close()
 	se.rebalanceThreshold = -1
+	// Shards apply their shares in index order, so moving q to a higher
+	// shard publishes its removal first.
 	users := locatedUsers(ds)
-	q := users[0]
-	old := se.ShardOfUser(int32(q))
+	var q graph.VertexID
 	var to spatial.Point
 	found := false
 	for _, u := range users {
-		if se.ShardOfUser(int32(u)) != old {
-			to, found = ds.Pts[u], true
+		for _, w := range users {
+			if se.ShardOfUser(int32(w)) > se.ShardOfUser(int32(u)) {
+				q, to, found = u, ds.Pts[w], true
+				break
+			}
+		}
+		if found {
 			break
 		}
 	}
 	if !found {
 		t.Fatal("fixture: every user on one shard")
 	}
+	old := se.ShardOfUser(int32(q))
 
 	prm := core.Params{K: 5, Alpha: 0.5}
 	atFallback := make(chan struct{})
-	var once sync.Once
+	var fallbackOnce, parkOnce sync.Once
 	done := make(chan error, 1)
 	se.testSeam = func(p seamPoint) {
 		switch p {
-		case seamBetweenEnqueues: // on the router, q's stripe held
-			se.shards[old].Flush()
-			go func() {
-				_, err := se.Query(core.AIS, q, prm)
-				done <- err
-			}()
-			// Park until the querier is about to wait on the stripe this
-			// goroutine holds (or, without that wait, has already answered).
-			select {
-			case <-atFallback:
-			case err := <-done:
-				done <- err
-			}
+		case seamBetweenShardApplies: // on the updater, q's stripe held
+			parkOnce.Do(func() {
+				if se.shards[old].Snapshot().Grid().Located(int32(q)) {
+					t.Error("fixture: the old shard still locates q between the applies")
+				}
+				go func() {
+					_, err := se.Query(core.AIS, q, prm)
+					done <- err
+				}()
+				// Park until the querier is about to wait on the stripe this
+				// goroutine holds (or, without that wait, has already answered).
+				select {
+				case <-atFallback:
+				case err := <-done:
+					done <- err
+				}
+			})
 		case seamHomeFallback:
-			once.Do(func() { close(atFallback) })
+			fallbackOnce.Do(func() { close(atFallback) })
 		}
 	}
 	if err := moveUserAsync(se, int32(q), to); err != nil {
@@ -520,6 +519,11 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("query by a continuously located user mid-move: %v", err)
+	}
+	select {
+	case <-atFallback:
+	default:
+		t.Fatal("fixture: the query found q without waiting out the apply")
 	}
 	if s := se.ShardOfUser(int32(q)); s == old {
 		t.Fatal("fixture: the move did not cross shards")

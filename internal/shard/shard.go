@@ -1,10 +1,12 @@
 // Package shard implements the spatially-partitioned SSRQ engine: users are
 // split across S spatially-contiguous shards by a space-filling-curve
 // assignment of grid leaf cells, and every shard owns an independent spatial
-// side — its own grid, AIS aggregate index, updater pipeline and epochs —
-// built over a Restrict'ed view of one shared dataset. Queries fan out in
-// parallel and are combined by a k-way merge; updates route to the shard
-// owning the user's current location.
+// side — its own grid, AIS aggregate index and epochs — built over a
+// Restrict'ed view of one shared dataset. Queries fan out in parallel and are
+// combined by a k-way merge; updates route to the shard owning the user's
+// current location. Every write takes one path (update.go): a batch, whether
+// a synchronous call or one drained from the engine's single async queue, is
+// staged, committed, routed and applied under its routing stripes.
 //
 // The decomposition trades the two dimensions differently:
 //
@@ -13,8 +15,8 @@
 //     publication scale out across shards instead of contending on one
 //     writer lock. The partition is ELASTIC: occupancy imbalance past a
 //     threshold re-cuts the Z-order curve online, draining leaf cells to
-//     their new owners through the ordinary update pipelines while queries
-//     keep serving lock-free (see rebalance.go).
+//     their new owners through the shards' ordinary batch apply while
+//     queries keep serving lock-free (see rebalance.go).
 //   - The social dimension is SHARED: one aggindex.Social substrate owns the
 //     friendship graph overlay, the landmark tables and their maintenance
 //     loop (plus the static contraction hierarchy), and every shard's
@@ -81,16 +83,21 @@ type Engine struct {
 	shards    []*core.Engine
 
 	// owner[id] is the shard whose grid currently locates the user (-1 when
-	// unlocated). Routing decisions for one user serialize on a striped lock
-	// so a cross-shard move's remove+insert pair is enqueued atomically with
-	// the owner update; the per-shard FIFO pipelines then preserve that
-	// order through to application.
+	// unlocated). Every batch is staged, routed and applied under the
+	// striped locks of the users and pairs it touches, so a cross-shard
+	// move's remove+insert pair lands before anyone else can route that user.
 	owner []atomic.Int32
 	locks [64]sync.Mutex
-	// closed refuses new async routing; it is set and the shards are closed
-	// under all stripes, so an async op is either fully routed before the
-	// shards close (and drained — state stays convergent) or refused
-	// entirely. No half-delivered multi-shard op can straddle Close.
+
+	// up is the engine's one asynchronous update queue, started by the first
+	// Enqueue (upOnce); its apply is the same function as ApplyUpdates'.
+	// upMu guards Enqueue's closed check and send — never a stripe, which the
+	// queue's apply needs — and Close write-locks it before draining, so
+	// every op Enqueue accepted is applied. closed is set under upMu and all
+	// stripes: it refuses new Enqueues and stops rebalancing.
+	up     atomic.Pointer[core.Updater]
+	upOnce sync.Once
+	upMu   sync.RWMutex
 	closed atomic.Bool
 
 	// log is the journal every routed op is appended to (nil when not
@@ -139,10 +146,9 @@ const (
 	// seamFirstSnapshot: loadSnapshots holds shard 0's snapshot and has yet
 	// to load the others.
 	seamFirstSnapshot seamPoint = iota
-	// seamBetweenEnqueues: routeAsyncLocked, under the user's stripe, has
-	// enqueued a cross-shard move's removal on the old owner but neither
-	// repointed the owner map nor enqueued the insert.
-	seamBetweenEnqueues
+	// seamBetweenShardApplies: apply, under the batch's stripes, has applied
+	// one shard's share of a routed batch and is about to apply the next.
+	seamBetweenShardApplies
 	// seamHomeFallback: acquire found the query user in no snapshot and is
 	// about to wait out its route.
 	seamHomeFallback
@@ -245,15 +251,9 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 		}(s)
 	}
 	wg.Wait()
-	for s, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			// Release the shards that did build before failing out.
-			for _, sh := range se.shards {
-				if sh != nil {
-					sh.Close()
-				}
-			}
-			return nil, errs[s]
+			return nil, err
 		}
 	}
 	return se, nil

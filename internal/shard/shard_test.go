@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
@@ -72,7 +74,6 @@ func TestShardedMatchesUnshardedStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mono.Close()
 	users := locatedUsers(ds)
 	algos := []core.Algorithm{core.SFA, core.SPA, core.TSA, core.TSAQC, core.TSANoLandmark,
 		core.AISBID, core.AISMinus, core.AIS, core.AISCache, core.BruteForce}
@@ -140,52 +141,52 @@ func TestShardedCHVariants(t *testing.T) {
 	}
 }
 
-// TestCrossShardRouting: moves that cross shard boundaries relocate
+// TestCrossShardRouting: async moves that cross shard boundaries relocate
 // ownership, never duplicate a user, and keep sharded results equal to a
-// bare core.Engine (the single-index reference) replaying the same ops.
+// bare core.Engine (the single-index reference) applying the same ops
+// synchronously. However many shards the moves touch, they queue once: the
+// routed engine runs its one updater goroutine and, after Close, none.
 func TestCrossShardRouting(t *testing.T) {
+	idle := runtime.NumGoroutine()
 	ds := clusteredDataset(t, 300, 17)
 	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 17, UpdateMaxBatch: 8}
 	mono, err := core.NewEngine(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mono.Close()
 	se, err := New(ds, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer se.Close()
+	se.rebalanceThreshold = -1 // no background re-cut goroutine to count
 
 	rng := rand.New(rand.NewSource(23))
 	users := locatedUsers(ds)
 	b := ds.Bounds()
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 40; i++ {
-			id := int32(users[rng.Intn(len(users))])
-			switch rng.Intn(10) {
-			case 0:
-				if err := removeUserLocationAsync(se, id); err != nil {
-					t.Fatal(err)
-				}
-				if err := removeUserLocationAsync(mono, id); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				to := spatial.Point{
+			op := core.Update{ID: int32(users[rng.Intn(len(users))])}
+			if rng.Intn(10) == 0 {
+				op.Remove = true
+			} else {
+				op.To = spatial.Point{
 					X: b.MinX + rng.Float64()*b.Width(),
 					Y: b.MinY + rng.Float64()*b.Height(),
 				}
-				if err := moveUserAsync(se, id, to); err != nil {
-					t.Fatal(err)
-				}
-				if err := moveUserAsync(mono, id, to); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := se.Enqueue(op); err != nil {
+				t.Fatal(err)
+			}
+			if err := mono.ApplyUpdates([]core.Update{op}); err != nil {
+				t.Fatal(err)
 			}
 		}
+		if n := settleGoroutines(idle+1) - idle; n > 1 {
+			t.Fatalf("round %d: %d goroutines above idle with async moves queued on %d shards, want at most the one updater",
+				round, n, se.NumShards())
+		}
 		se.Flush()
-		mono.Flush()
 
 		if got, want := se.NumLocated(), mono.NumLocated(); got != want {
 			t.Fatalf("round %d: sharded locates %d users, reference %d", round, got, want)
@@ -224,6 +225,23 @@ func TestCrossShardRouting(t *testing.T) {
 			sameEntries(t, fmt.Sprintf("round %d q=%d", round, q), got.Entries, want.Entries)
 		}
 	}
+	se.Close()
+	if n := settleGoroutines(idle) - idle; n > 0 {
+		t.Fatalf("%d goroutines above idle after Close", n)
+	}
+}
+
+// settleGoroutines waits, for a few seconds at most, until no more than want
+// goroutines run — one that has just finished its work may not have exited
+// yet — and returns the last count.
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }
 
 // TestShardPruning: on a clustered workload with a spatially-dominant

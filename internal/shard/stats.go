@@ -18,10 +18,8 @@ type ShardStat struct {
 	// Epoch / SocialEpoch are the shard's published index versions.
 	Epoch       uint64
 	SocialEpoch uint64
-	// PendingUpdates / AppliedBatches describe the shard's update pipeline:
-	// queued async ops, and epochs published by the updater or by synchronous
-	// batches (routed writes, replay and rebalance migrations alike).
-	PendingUpdates int64
+	// AppliedBatches counts the batches the shard applied — its share of
+	// routed writes, sync or queued, replay and rebalance migrations alike.
 	AppliedBatches int64
 	// PrunedQueries counts fan-outs that skipped this shard by bound.
 	PrunedQueries int64
@@ -43,7 +41,6 @@ func (se *Engine) ShardStats() []ShardStat {
 			NumLocated:     sh.NumLocated(),
 			Epoch:          us.Epoch,
 			SocialEpoch:    us.SocialEpoch,
-			PendingUpdates: us.PendingUpdates,
 			AppliedBatches: us.AppliedBatches,
 			PrunedQueries:  se.prunedBy[s].Load(),
 		}
@@ -80,14 +77,20 @@ func (se *Engine) FanoutStats() FanoutStats {
 	}
 }
 
-// UpdateStats aggregates the shards' pipeline state: epochs and op counters
-// sum (each shard publishes independently), the snapshot age is the oldest
-// shard's (the staleness bound a reader can observe), and the social epoch
-// is the furthest shard's (the substrate applies an edge batch once and
-// syncs every shard to it before returning, so shards differ only while one
-// such sync is in flight).
+// UpdateStats aggregates the shards' epochs and the engine's queue: epochs
+// and applied-op counters sum over the shards (each publishes
+// independently, and a cross-shard move counts on both), the snapshot age is
+// the oldest shard's (the staleness bound a reader can observe), the social
+// epoch is the furthest shard's (the substrate applies an edge batch once
+// and syncs every shard to it before returning, so shards differ only while
+// one such sync is in flight), and the pending and coalesced counts are the
+// queue's.
 func (se *Engine) UpdateStats() core.UpdateStats {
 	var agg core.UpdateStats
+	if u := se.up.Load(); u != nil {
+		qs := u.Stats()
+		agg.PendingUpdates, agg.CoalescedUpdates = qs.PendingUpdates, qs.CoalescedUpdates
+	}
 	for _, sh := range se.shards {
 		us := sh.UpdateStats()
 		agg.Epoch += us.Epoch
@@ -97,10 +100,8 @@ func (se *Engine) UpdateStats() core.UpdateStats {
 		if us.SnapshotAge > agg.SnapshotAge {
 			agg.SnapshotAge = us.SnapshotAge
 		}
-		agg.PendingUpdates += us.PendingUpdates
 		agg.AppliedUpdates += us.AppliedUpdates
 		agg.AppliedBatches += us.AppliedBatches
-		agg.CoalescedUpdates += us.CoalescedUpdates
 	}
 	return agg
 }

@@ -11,32 +11,21 @@ import (
 // move that crosses a shard boundary becomes a removal on the old owner plus
 // an insertion on the new one, with the owner map updated under the user's
 // routing lock so concurrent movers of the same user cannot interleave into
-// a doubly-located state. Edge ops route to shard 0's pipeline only: its
-// aggregate index forwards them to the shared social substrate, which
-// applies each op ONCE and synchronously syncs every shard's summaries to
-// the new social epoch — O(1) in the shard count, where the replicated
-// design this replaced broadcast every edge op S times.
+// a doubly-located state. Edge ops route to shard 0 only: its aggregate index
+// forwards them to the shared social substrate, which applies each op ONCE
+// and synchronously syncs every shard's summaries to the new social epoch —
+// O(1) in the shard count, where the replicated design this replaced
+// broadcast every edge op S times.
 //
-// Ordering is the invariant everything hangs on: for any one user, the
-// per-shard application order must match the routing order, or a
-// remove+insert pair from a cross-shard move could invert and leave the user
-// located twice (or nowhere) permanently. Two mechanisms provide it:
-//
-//   - Asynchronous ops enqueue onto the owning shards' FIFO pipelines while
-//     holding a routing lock — the user's stripe for location ops, the
-//     unordered pair's stripe for edge ops — so the pipeline order per shard
-//     is the routing order, and concurrent writers of one edge cannot reach
-//     the substrate in different orders (which would diverge last-write-wins
-//     outcomes).
-//   - Synchronous batches take the routing locks for exactly the stripes the
-//     batch touches (in index order — no deadlock against single-stripe
-//     async routers or the all-stripe rebalance/Close paths), flush each
-//     shard they are about to write (draining async ops routed earlier for
-//     those users), and only then apply directly. Holding a user's stripe
-//     freezes async routing for that user, so nothing for the batch's users
-//     can slip between the flush and the apply; traffic for untouched users
-//     proceeds concurrently, which is the point — PR 5's all-stripe
-//     acquisition made every sync batch a global writer barrier.
+// Every write takes one path, apply: lock the stripes the batch touches (a
+// location op's user, an edge op's unordered pair; in index order), stage its
+// records, commit them, route it, and apply each shard's share as one epoch,
+// all before the stripes drop. A synchronous ApplyUpdates is one such batch;
+// the engine's single async queue (a core.Updater, started by the first
+// Enqueue) hands its coalesced batches to the same function. Holding a user's
+// stripe therefore means nothing for that user is in flight: no pipeline can
+// hold half of a cross-shard move, and the journal order under the stripe is
+// the application order. Traffic for untouched users proceeds concurrently.
 //
 // Cross-shard atomicity is deliberately out of scope for a partitioned
 // engine: each shard publishes its own epochs, queries are per-shard
@@ -51,63 +40,31 @@ func (se *Engine) validate(op core.Update) error {
 }
 
 // Enqueue validates one update — a move, a location removal or an edge op,
-// normalized — journals it and queues it on the owning shard's pipeline (an
-// edge op on shard 0's, which applies it once to the shared substrate),
-// returning without waiting for it to be published; Flush is the barrier.
+// normalized — and queues it on the engine's update queue, returning
+// without waiting for it to apply; Flush is the barrier. The queue starts on
+// the first call. Its record is journaled when its batch applies.
 //
-// Journal, then route, both under the op's stripe: the record is buffered
-// before any pipeline can see the op, so the commit barrier ahead of the
-// batch that applies it covers it (durable.go). The closed re-check under the
-// stripe makes async routing atomic with respect to Close: Close sets the
-// flag and closes the shards while holding every stripe, so a route either
-// completes before the barrier (and Close's drain applies it) or observes
-// closed and touches nothing — a multi-shard op can never half-land, and no
-// journaled op is dropped.
+// No stripe is held here: the queue's apply takes stripes, so a sender
+// blocked on a full queue under one would deadlock it. The closed check and
+// the send run under upMu's read side instead, and Close write-locks upMu
+// before it drains, so an op is either queued before Close (and applied by
+// its drain) or refused.
 func (se *Engine) Enqueue(op core.Update) error {
 	if err := se.validate(op); err != nil {
 		return err
 	}
-	mu := &se.locks[stripeOfOp(op)]
-	mu.Lock()
-	defer mu.Unlock()
+	se.upMu.RLock()
+	defer se.upMu.RUnlock()
 	if se.closed.Load() {
 		return fmt.Errorf("shard: engine closed")
 	}
-	// The journal carries the single logical op; replay re-derives a
-	// cross-shard move's remove+insert split itself. (The split halves must
-	// not be logged: the two shards' pipelines publish independently, so
-	// their application order across shards is not the routing order — the
-	// stripe-held logical stream is.)
-	se.journal([]core.Update{op})
-	if op.Kind != core.OpLocation {
-		return se.shards[0].Enqueue(op)
-	}
-	if err := se.routeAsyncLocked(op); err != nil {
-		return err
-	}
-	se.noteUpdates(1)
-	return nil
-}
-
-// routeAsyncLocked enqueues one location op; caller holds the user's stripe.
-func (se *Engine) routeAsyncLocked(op core.Update) error {
-	old := se.owner[op.ID].Load()
-	if op.Remove {
-		if old < 0 {
-			return nil // already unlocated: nothing owns the user
-		}
-		se.owner[op.ID].Store(-1)
-		return se.shards[old].Enqueue(op)
-	}
-	dst := se.shardOfPoint(op.To)
-	if old >= 0 && old != dst {
-		if err := se.shards[old].Enqueue(core.Update{ID: op.ID, Remove: true}); err != nil {
-			return err
-		}
-		se.seam(seamBetweenEnqueues)
-	}
-	se.owner[op.ID].Store(dst)
-	return se.shards[dst].Enqueue(op)
+	se.upOnce.Do(func() {
+		o := se.shards[0].Options()
+		se.up.Store(core.NewUpdater(func(accepted, batch []core.Update) {
+			_ = se.apply(accepted, batch) //errok: Enqueue validated every op; shard applies reject only invalid ones
+		}, o.UpdateQueueCap, o.UpdateMaxBatch))
+	})
+	return se.up.Load().Enqueue(op)
 }
 
 // routeInto routes one already-validated op into per-shard batches, updating
@@ -160,8 +117,8 @@ func (se *Engine) unlockStripes(mask uint64) {
 	}
 }
 
-// lockAllStripes / unlockAllStripes freeze asynchronous routing entirely —
-// the rebalance drain and Close barriers.
+// lockAllStripes / unlockAllStripes stop every write — the rebalance drain
+// and Close barriers.
 func (se *Engine) lockAllStripes() {
 	for i := range se.locks {
 		se.locks[i].Lock()
@@ -174,10 +131,10 @@ func (se *Engine) unlockAllStripes() {
 	}
 }
 
-// ApplyUpdates validates the whole batch, routes every op, and applies each
-// shard's share as one published epoch per shard before returning
-// (read-your-writes). Only the routing stripes the batch actually touches
-// are held — concurrent async traffic for other users keeps flowing. On a
+// ApplyUpdates validates the whole batch and applies it as one epoch per
+// touched shard before returning (read-your-writes). Ops queued by Enqueue
+// before the call apply first: the queue is flushed before the batch takes
+// its stripes — never after, since the queue's apply takes stripes too. On a
 // validation error nothing is applied. Works after Close (the log, sealed by
 // then, no longer records it).
 func (se *Engine) ApplyUpdates(ops []core.Update) error {
@@ -186,59 +143,69 @@ func (se *Engine) ApplyUpdates(ops []core.Update) error {
 			return err
 		}
 	}
-	mask := se.stripeMaskOf(ops)
+	if u := se.up.Load(); u != nil {
+		u.Flush()
+	}
+	return se.apply(ops, ops)
+}
+
+// apply is the one write path. accepted is every op as its callers had it
+// accepted, journaled one record each; batch is what is routed and applied —
+// the same ops, or the queue's coalesced form of them (the same end state).
+// The records are staged and committed under the stripes before any shard
+// mutates, so nothing is visible before it is durable.
+func (se *Engine) apply(accepted, batch []core.Update) error {
+	mask := se.stripeMaskOf(accepted)
 	se.lockStripes(mask)
 	defer se.unlockStripes(mask)
-	// Under the batch's stripes async routing for these users is frozen and
-	// the per-shard pipelines are about to be flushed, so journaling here puts
-	// the batch at its true position in every touched user's op order — and
-	// it is durable before anything below applies.
-	se.journal(ops)
+	se.journal(accepted)
 	se.commitLog()
 	per := make([][]core.Update, len(se.shards))
-	for _, op := range ops {
+	for _, op := range batch {
 		se.routeInto(per, op)
 	}
-	for s, batch := range per {
-		if len(batch) == 0 {
+	applied := false
+	for s, ops := range per {
+		if len(ops) == 0 {
 			continue
 		}
-		// Drain async ops routed before this batch so the shard applies this
-		// batch's users in routing order; their stripes are held, so nothing
-		// new for them arrives between the flush and the apply.
-		se.shards[s].Flush()
-		if err := se.shards[s].ApplyUpdates(batch); err != nil {
+		if applied {
+			se.seam(seamBetweenShardApplies)
+		}
+		if err := se.shards[s].ApplyUpdates(ops); err != nil {
 			return err
 		}
+		applied = true
 	}
-	se.noteUpdates(len(ops))
+	se.noteUpdates(len(batch))
 	return nil
 }
 
 // Flush blocks until every update enqueued before the call has been applied
-// and published by its shard — the read-your-writes barrier across the whole
-// engine — and its record is durable under the log's fsync policy (the
-// trailing commit covers records whose op needed no shard, e.g. the removal
-// of an already unlocated user).
+// and published by its shards — the read-your-writes barrier across the
+// whole engine — and its record is durable under the log's fsync policy.
 func (se *Engine) Flush() {
-	for _, sh := range se.shards {
-		sh.Flush()
+	if u := se.up.Load(); u != nil {
+		u.Flush()
 	}
 	se.commitLog()
 }
 
-// Close drains and stops every shard's update pipeline and waits out any
-// in-flight rebalance. It holds every routing stripe while setting closed
-// and closing the shards, so in-flight async routes finish (and drain)
-// before shutdown and later ones are refused whole — see Enqueue; a running
-// rebalance observes closed at its next drain batch and aborts. Idempotent;
+// Close refuses further Enqueues, applies whatever the queue holds, stops
+// it, and waits out any in-flight rebalance. It takes upMu before the
+// stripes: a sender blocked on a full queue holds upMu's read side and
+// waits for the queue's apply, which needs stripes. closed is set under
+// every stripe so a running rebalance observes it at its next drain batch,
+// and an apply never kicks a new one after Close has waited. Idempotent;
 // queries and synchronous mutation keep working afterwards.
 func (se *Engine) Close() {
+	se.upMu.Lock()
 	se.lockAllStripes()
 	se.closed.Store(true)
-	for _, sh := range se.shards {
-		sh.Close()
-	}
 	se.unlockAllStripes()
+	se.upMu.Unlock()
+	if u := se.up.Load(); u != nil {
+		u.Close()
+	}
 	se.bg.Wait()
 }

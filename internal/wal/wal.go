@@ -449,7 +449,7 @@ func (l *Log) rotateLocked(first uint64) error {
 // records to a freshly built engine reaches the logged state as of seq",
 // then rotates and (unless KeepSegments) prunes the segments and older
 // checkpoints it supersedes. Callers must guarantee every record ≤ seq was
-// applied to the state recs describe (flush async pipelines first);
+// applied to the state recs describe;
 // overlap past seq is harmless because records are absolute writes.
 func (l *Log) WriteCheckpoint(seq uint64, recs []oplog.Record) error {
 	l.mu.Lock()

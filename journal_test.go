@@ -11,18 +11,18 @@ import (
 )
 
 // The one durability rule (DESIGN.md §5), pinned from outside: a record is
-// appended when its op is routed and the log is committed under the applying
-// shard's writer lock before the batch mutates anything.
+// appended when its batch applies and the log is committed under the batch's
+// stripes before the batch mutates anything.
 
 // TestFlushedBatchFsyncBudget: a flushed batch of 256 asynchronous moves costs
-// O(shards) fsyncs under fsync=batch — at most two batches per shard, so two
-// commits, plus slack for Flush's trailing commit — and everything it
-// journaled is durable when Flush returns. An engine that fsyncs as it routes
-// each op reads 256 here.
+// a commit per queued batch under fsync=batch, whatever the shard count — at
+// most two batches, so two commits, plus slack for Flush's trailing commit —
+// and everything it journaled is durable when Flush returns. An engine that
+// fsyncs as it routes each op reads 256 here.
 //
-// The epoch callback parks each shard's updater right after its first batch
-// publishes, until every move is enqueued: how the 256 moves split into
-// batches is then fixed, not a race between the router and the updaters.
+// The epoch callback parks the queue's apply right after its first batch
+// publishes on a shard, until every move is enqueued: the rest of the 256
+// moves then fit one batch, not a race between the writer and the queue.
 func TestFlushedBatchFsyncBudget(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
@@ -52,7 +52,7 @@ func TestFlushedBatchFsyncBudget(t *testing.T) {
 			eng.Flush()
 
 			st := eng.DurabilityStats()
-			if got, budget := st.Fsyncs-before, int64(2*shards+2); got > budget {
+			if got, budget := st.Fsyncs-before, int64(3); got > budget {
 				t.Fatalf("%d fsyncs for %d flushed async moves, budget %d", got, moves, budget)
 			} else {
 				t.Logf("%d fsyncs for %d flushed async moves (budget %d)", got, moves, budget)
@@ -134,7 +134,7 @@ func TestDurableBeforeVisible(t *testing.T) {
 				if err := eng.MoveUserAsync(u, pos(i)); err != nil {
 					t.Fatal(err)
 				}
-				runtime.Gosched() // let the updaters and the reader in between moves
+				runtime.Gosched() // let the updater and the reader in between moves
 				if i%40 == 0 {
 					// A deterministic sample besides whatever the reader catches.
 					eng.Flush()

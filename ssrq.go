@@ -282,12 +282,13 @@ type Options struct {
 	BuildCH bool
 	// CacheT is the §5.4 pre-computed list length for AISCache (default 1000).
 	CacheT int
-	// UpdateQueueCap bounds each shard's asynchronous update queue, which
-	// MoveUserAsync and the other *Async methods feed; a full queue applies
-	// backpressure (default 4096 per shard).
+	// UpdateQueueCap bounds the engine's one asynchronous update queue,
+	// which MoveUserAsync and the other *Async methods feed; a full queue
+	// applies backpressure (default 4096, whatever the shard count).
 	UpdateQueueCap int
-	// UpdateMaxBatch caps how many queued updates the asynchronous updater
-	// coalesces into one published epoch (default 256).
+	// UpdateMaxBatch caps how many queued updates the engine's queue
+	// coalesces into one applied batch — one epoch per touched shard
+	// (default 256).
 	UpdateMaxBatch int
 	// OverlayCompactThreshold is the edge-overlay delta size (vertices with
 	// modified adjacency) that triggers compaction back into a flat CSR
@@ -295,7 +296,7 @@ type Options struct {
 	OverlayCompactThreshold int
 	// Shards is how many spatially-contiguous shards the users are split
 	// across (space-filling-curve assignment of grid regions), each owning
-	// its own grid, aggregate index and update pipeline. It is a count, not
+	// its own grid, aggregate index and epochs. It is a count, not
 	// a mode: 0 or 1 is the same engine with one shard and nothing to fan
 	// out to. With more, queries fan out in parallel with bound-based shard
 	// pruning and a k-way merge, and results are exactly the one-shard
@@ -547,7 +548,7 @@ func (e *Engine) ApplyUpdates(ups []Update) error {
 // RemoveUserLocationAsync before the call has been applied and published.
 func (e *Engine) Flush() { e.eng.Flush() }
 
-// Close drains the asynchronous update pipeline and stops it, after first
+// Close drains the asynchronous update queue and stops it, after first
 // tearing down the subscription layer — every live Subscription's notify
 // channel is closed (terminating SSE streams and other consumers) and the
 // in-flight evaluation round is waited out before the underlying engine
