@@ -6,15 +6,15 @@ import (
 	"ssrq/internal/spatial"
 )
 
-// runBrute is the exhaustive reference: one full Dijkstra from the query
-// vertex, then a linear scan scoring every user against the snapshot's
+// runBrute is the exhaustive reference: one full shortest-path sweep from the
+// query vertex, then a linear scan scoring every user against the snapshot's
 // locations. Used for cross-validation and as an honest lower bound on what
 // indexing must beat. The shared bound is deliberately not taken (note the
 // fresh, unbounded topK): brute force always reports its full local top-k, so
 // it stays a bound-free oracle.
 func (e *Engine) runBrute(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats) []Entry {
 	g := sn.Grid()
-	sp := sn.SocialGraph().Dijkstra(q)
+	dist := sn.SocialGraph().DistancesFrom(q)
 	st.SocialPops += e.ds.NumUsers()
 	labels := e.ds.Labels
 	r := newTopK(prm.K)
@@ -33,7 +33,7 @@ func (e *Engine) runBrute(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.P
 				continue
 			}
 		}
-		p := sp.Dist[v]
+		p := dist[v]
 		d := spatialDist(g, qpt, id)
 		r.Consider(Entry{ID: id, F: combine(prm.Alpha, p, d), P: p, D: d})
 	}

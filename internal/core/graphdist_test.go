@@ -421,7 +421,7 @@ func TestGraphDistRoundEdgeCases(t *testing.T) {
 			if blind(lm, q) {
 				blindQueries++
 			}
-			truth := g.Dijkstra(q).Dist
+			truth := g.DistancesFrom(q)
 			alpha := 0.05 + 0.9*rng.Float64()
 			bounded := rng.Intn(4) > 0 // one in four runs as AIS⁻
 			var st Stats

@@ -2,56 +2,51 @@ package graph
 
 import "ssrq/internal/pqueue"
 
-// ShortestPaths holds a full single-source shortest-path tree.
-type ShortestPaths struct {
-	Source VertexID
-	Dist   []float64 // Infinity for unreachable vertices
-	Parent []VertexID
-	Hops   []int32 // edge count along the shortest-path tree; -1 if unreachable
+// DistancesFrom returns the shortest-path distance from source to every
+// vertex, Infinity for unreachable ones.
+//
+// It is the full sweep behind landmark tables and diameter estimates, and it
+// keeps nothing but distances: no parent or hop arrays, and a monotone radix
+// heap with lazy deletion instead of a decrease-key heap. Its output does not
+// depend on the order in which equal keys pop (DESIGN.md §4.10): with
+// positive weights float addition is monotone and never decreases a key, so
+// any label-setting order yields, for every vertex, the minimum over all
+// paths of the path's left-to-right float sum.
+func (g *Graph) DistancesFrom(source VertexID) []float64 {
+	dist, _ := g.sweep(source)
+	return dist
 }
 
-// Dijkstra computes shortest-path distances from source to every vertex.
-func (g *Graph) Dijkstra(source VertexID) *ShortestPaths {
-	n := g.NumVertices()
-	sp := &ShortestPaths{
-		Source: source,
-		Dist:   make([]float64, n),
-		Parent: make([]VertexID, n),
-		Hops:   make([]int32, n),
+// sweep is DistancesFrom's kernel. It also returns how many vertices it
+// expanded: a vertex is pushed only on a strict improvement and a popped key
+// above the vertex's distance is stale, so a correct sweep expands each
+// reachable vertex exactly once — the property the differential tests check
+// beside the distances.
+func (g *Graph) sweep(source VertexID) (dist []float64, expanded int) {
+	dist = make([]float64, g.NumVertices())
+	for i := range dist {
+		dist[i] = Infinity
 	}
-	for i := range sp.Dist {
-		sp.Dist[i] = Infinity
-		sp.Parent[i] = -1
-		sp.Hops[i] = -1
-	}
-	h := pqueue.NewIndexedHeap(n)
-	sp.Dist[source] = 0
-	sp.Hops[source] = 0
-	h.PushOrDecrease(source, 0)
+	dist[source] = 0
+	var h pqueue.Radix
+	h.Push(source, 0)
 	for {
-		v, dv, ok := h.PopMin()
+		v, dv, ok := h.Pop()
 		if !ok {
-			break
+			return dist, expanded
 		}
-		if dv > sp.Dist[v] { // stale entry (cannot happen with decrease-key, kept defensively)
+		if dv > dist[v] {
 			continue
 		}
+		expanded++
 		nbrs, ws := g.Neighbors(v)
 		for i, u := range nbrs {
-			if nd := dv + ws[i]; nd < sp.Dist[u] {
-				sp.Dist[u] = nd
-				sp.Parent[u] = v
-				sp.Hops[u] = sp.Hops[v] + 1
-				h.PushOrDecrease(u, nd)
+			if nd := dv + ws[i]; nd < dist[u] {
+				dist[u] = nd
+				h.Push(u, nd)
 			}
 		}
 	}
-	return sp
-}
-
-// DistancesFrom is Dijkstra returning only the distance slice.
-func (g *Graph) DistancesFrom(source VertexID) []float64 {
-	return g.Dijkstra(source).Dist
 }
 
 // DijkstraTo computes the shortest-path distance between two vertices,
@@ -70,20 +65,4 @@ func (g *Graph) DijkstraTo(source, target VertexID) float64 {
 			return d
 		}
 	}
-}
-
-// PathTo reconstructs the vertex sequence from the tree source to v, or nil
-// if v is unreachable.
-func (sp *ShortestPaths) PathTo(v VertexID) []VertexID {
-	if sp.Dist[v] == Infinity {
-		return nil
-	}
-	var rev []VertexID
-	for x := v; x != -1; x = sp.Parent[x] {
-		rev = append(rev, x)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }

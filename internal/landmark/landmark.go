@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"ssrq/internal/graph"
 )
@@ -179,16 +180,9 @@ func farthestFrom(dist []float64, seed graph.VertexID) graph.VertexID {
 // (+Inf) vertices so that each disconnected component eventually receives a
 // landmark. Ties break by lower vertex ID; chosen landmarks are skipped.
 func argmaxDist(minDist []float64, chosen []graph.VertexID) graph.VertexID {
-	isChosen := make(map[graph.VertexID]bool, len(chosen))
-	for _, c := range chosen {
-		isChosen[c] = true
-	}
 	best, bestD := graph.VertexID(-1), math.Inf(-1)
 	for v, d := range minDist {
-		if isChosen[graph.VertexID(v)] {
-			continue
-		}
-		if d > bestD {
+		if d > bestD && !slices.Contains(chosen, graph.VertexID(v)) {
 			best, bestD = graph.VertexID(v), d
 		}
 	}

@@ -1,11 +1,14 @@
 // Package pqueue provides the priority queues used by every search routine
-// in the repository: a generic binary min-heap with deterministic tie-breaks
-// and a dense indexed heap with decrease-key for Dijkstra-style traversals.
+// in the repository: a generic binary min-heap with deterministic tie-breaks,
+// a dense indexed heap with decrease-key for Dijkstra-style traversals, and a
+// monotone radix heap for full shortest-path sweeps.
 //
-// Both heaps order entries by ascending key and break key ties by ascending
-// tie value. Deterministic tie-breaking is load-bearing: the SSRQ algorithms
-// are cross-validated against each other, which requires that equal-f users
-// are reported in the same order by every algorithm.
+// The two binary heaps order entries by ascending key and break key ties by
+// ascending tie value. Deterministic tie-breaking is load-bearing: the SSRQ
+// algorithms are cross-validated against each other, which requires that
+// equal-f users are reported in the same order by every algorithm. The radix
+// heap has no tie order; it serves only sweeps whose output does not depend
+// on one (graph.DistancesFrom).
 package pqueue
 
 // Entry is a single element of Heap: a payload with its priority key and a
