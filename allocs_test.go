@@ -8,10 +8,10 @@ package ssrq
 
 import "testing"
 
-// routedQueryAllocBudget leaves two allocations of slack over the measured
-// five: the per-shard search's three (the Result, its entries copy, one
-// heuristic closure) plus what routing adds to every query at one shard — the
-// snapshot slice and the shared bound.
+// routedQueryAllocBudget was set at two allocations over the five a routed
+// query made while it also allocated a shared fan-out bound. It measures four
+// now: the search's three (the Result, its entries copy, one heuristic
+// closure) plus the snapshot slice routing adds to every query.
 const routedQueryAllocBudget = 7
 
 // TestRoutedQueryAllocBudget: Engine.Query always goes through the router, so

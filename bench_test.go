@@ -425,12 +425,10 @@ func BenchmarkQueriesUnderConcurrentMovers(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedQuery measures the partitioned engine's fan-out query path
-// at several shard counts. The home shard runs first and seeds the shared
-// fan-out threshold; remote shards are pruned when their Lemma-2 admission
-// bound cannot beat it, and the survivors tighten the same threshold
-// concurrently. S=1 — no fan-out — is the baseline the overhead is read
-// against.
+// BenchmarkShardedQuery measures the partitioned engine's query path at
+// several shard counts: one search over all S snapshots, whose social work is
+// S=1's, so what S adds is the spatial side's extra top cells and snapshot
+// loads. S=1 is the baseline the overhead is read against.
 func BenchmarkShardedQuery(b *testing.B) {
 	ds, err := gen.GowallaPreset.Dataset(benchSizes["gowalla"], benchSeed)
 	if err != nil {
@@ -451,11 +449,6 @@ func BenchmarkShardedQuery(b *testing.B) {
 				if _, err := se.Query(core.AIS, q, prm); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
-			fs := se.FanoutStats()
-			if fs.Fanouts > 0 {
-				b.ReportMetric(float64(fs.ShardsPruned)/float64(fs.Fanouts), "pruned/fanout")
 			}
 		})
 		se.Close()

@@ -12,7 +12,7 @@
 //	ssrq-bench -exp churn -movers 0,2,8          # latency vs mover count
 //	ssrq-bench -exp churn -mrate 500             # throttle movers to 500 moves/s each
 //	ssrq-bench -exp socialchurn -erate 0,500,5000 # latency vs edge-update rate
-//	ssrq-bench -exp shard -shards 1,4,16          # sharded fan-out latency + pruning
+//	ssrq-bench -exp shard -shards 1,4,16          # sharded query latency + social pops
 //	ssrq-bench -exp shard -skew -shards 16        # skewed migration + online rebalance
 //	ssrq-bench -exp subscribe -subs 2000          # standing top-k subscriptions: delta latency + skip rate
 //	ssrq-bench -exp recover                       # WAL churn cost, crash recovery speed, follower tail (self-checking)

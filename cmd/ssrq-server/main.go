@@ -22,10 +22,9 @@
 //	ssrq-server -preset gowalla -n 20000 -parallel 8
 //	ssrq-server -preset gowalla -n 100000 -shards 8   # spatially partitioned
 //
-// -shards N is the number of spatial shards (default 1): with several,
-// queries fan out in parallel across per-region indexes with bound-based
-// shard pruning and updates route to the owning shard; /stats has one entry
-// per shard at every count.
+// -shards N is the number of spatial shards (default 1): with several, a
+// query is one search over every per-region index at once and updates route
+// to the owning shard; /stats has one entry per shard at every count.
 //
 // With -wal-dir the engine is durable: every mutation is journaled to a
 // write-ahead log before it applies, a restart recovers the journaled state
@@ -89,7 +88,7 @@ func parseFlags(args []string, stderr io.Writer) (*serverConfig, error) {
 	fs.Int64Var(&cfg.seed, "seed", 42, "seed for synthesis and preprocessing")
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.parallel, "parallel", 0, "default worker count for POST /batch (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.shards, "shards", 1, "number of spatial shards the users are split across (parallel fan-out queries, one /stats entry each); 1 = one shard, no fan-out")
+	fs.IntVar(&cfg.shards, "shards", 1, "number of spatial shards the users are split across (a query searches them all at once, one /stats entry each); 1 = one shard")
 	fs.StringVar(&cfg.walDir, "wal-dir", "", "journal every mutation to a write-ahead log in this directory and recover from it on start (empty = not durable)")
 	fs.StringVar(&cfg.fsync, "fsync", "batch", "WAL commit policy: batch (group-committed fsync before a write returns), interval, or off")
 	fs.Int64Var(&cfg.ckptEvery, "checkpoint-every", 100000, "write a background WAL checkpoint after this many journaled ops (0 = never)")

@@ -158,9 +158,8 @@ func (s *Snapshot) SocialLowerBound(level int, idx int32, qvec []float64) float6
 // single pass over the summary pages, appending one bound per cell into dst
 // (resized to the level's cell count). Equivalent to calling
 // SocialLowerBound per cell — the two share the per-cell kernel — but walks
-// the rows page by page in cell order and lets pooled callers (AIS seeding,
-// the sharded fan-out's admission bound) evaluate a whole level without any
-// per-cell call or allocation.
+// the rows page by page in cell order and lets pooled callers (AIS seeding)
+// evaluate a whole level without any per-cell call or allocation.
 func (s *Snapshot) SocialLowerBoundsInto(level int, qvec []float64, dst []float64) []float64 {
 	w := 2 * s.m
 	dst = slices.Grow(dst[:0], s.g.Layout().NumCells(level))

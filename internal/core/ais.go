@@ -21,19 +21,22 @@ type aisConfig struct {
 }
 
 // aisItem is one entry of the AIS branch-and-bound heap: an index cell
-// (level ≥ 0) or a user (level == aisUser).
+// (level ≥ 0) or a user (level == aisUser) of the view's snapshot shard.
 type aisItem struct {
 	level int16
+	shard int16
 	idx   int32
 }
 
 const aisUser = int16(-1)
 
-func aisTie(level int16, idx int32) int64 {
+// aisTie orders equal keys: users before cells, users by ID, cells by
+// (level, shard, index).
+func aisTie(level, shard int16, idx int32) int64 {
 	if level == aisUser {
 		return int64(idx)
 	}
-	return (int64(level)+1)<<40 | int64(idx)
+	return (int64(level)+1)<<40 | int64(shard)<<32 | int64(idx)
 }
 
 // runAIS is the Aggregate Index Search (Algorithm 2): a single best-first
@@ -41,15 +44,17 @@ func aisTie(level int16, idx int32) int64 {
 // MINF (Theorem 1). Cells expand to children, leaves to users keyed by their
 // individual landmark bound, and users are evaluated exactly — through the
 // shared GraphDist submodule (with optional delayed evaluation) or, for
-// AIS-BID, a fresh bidirectional search each time. Membership, occupancy
-// and summaries all come from the query's snapshot sn, so the Lemma-2
-// bounds are always evaluated against the membership they were built for.
-func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, bound *SharedBound, prm Params, st *Stats, p *queryPools, cfg aisConfig) []Entry {
-	g := sn.Grid()
-	soc, lm := sn.SocialGraph(), sn.Landmarks()
+// AIS-BID, a fresh bidirectional search each time.
+//
+// Over a view of several snapshots the index is a forest: every snapshot's
+// occupied top cells seed the one heap, and each item carries the snapshot it
+// came from, so membership, occupancy and summaries are always read from the
+// snapshot the Lemma-2 bounds were built for (DESIGN.md §5.6). The social
+// side is one landmark vector, one forward ball and one GraphDist.
+func (e *Engine) runAIS(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, cfg aisConfig) []Entry {
+	soc, lm := sns[0].SocialGraph(), sns[0].Landmarks()
 	p.qvec = lm.AppendVertexVector(p.qvec[:0], q)
 	qvec := p.qvec
-	layout := g.Layout()
 	alpha := prm.Alpha
 
 	var gd *graphDist
@@ -64,7 +69,7 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 		}
 	}
 
-	r := p.top.reset(prm.K, bound)
+	r := p.top.reset(prm.K)
 	h := &p.ais
 	h.Reset()
 
@@ -78,22 +83,26 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 		p.fof.Arm(e.fof, soc, q, fof.DefaultBudget)
 	}
 
-	// Seed the search with the top grid level, its Lemma-2 bounds evaluated
-	// in one flat batch over the summary arrays.
-	p.cellLow = sn.SocialLowerBoundsInto(0, qvec, p.cellLow)
-	for idx := int32(0); idx < int32(layout.NumCells(0)); idx++ {
-		if g.CountAt(0, idx) == 0 {
-			continue
-		}
-		if filter != 0 && sn.CellLabelMask(0, idx)&filter == 0 {
-			// No member of this cell carries a requested label: the whole
-			// subtree is disqualified before any bound arithmetic.
-			st.LabelCellPrunes++
-			continue
-		}
-		dLow := layout.CellMinDist(0, idx, qpt)
-		if key := combine(alpha, p.cellLow[idx], dLow); finite(key) {
-			h.Push(key, aisTie(0, idx), aisItem{0, idx})
+	// Seed the search with every snapshot's top grid level, its Lemma-2
+	// bounds evaluated in one flat batch over the summary arrays.
+	for s, sn := range sns {
+		g, shard := sn.Grid(), int16(s)
+		layout := g.Layout()
+		p.cellLow = sn.SocialLowerBoundsInto(0, qvec, p.cellLow)
+		for idx := int32(0); idx < int32(layout.NumCells(0)); idx++ {
+			if g.CountAt(0, idx) == 0 {
+				continue
+			}
+			if filter != 0 && sn.CellLabelMask(0, idx)&filter == 0 {
+				// No member of this cell carries a requested label: the whole
+				// subtree is disqualified before any bound arithmetic.
+				st.LabelCellPrunes++
+				continue
+			}
+			dLow := layout.CellMinDist(0, idx, qpt)
+			if key := combine(alpha, p.cellLow[idx], dLow); finite(key) {
+				h.Push(key, aisTie(0, shard, idx), aisItem{0, shard, idx})
+			}
 		}
 	}
 
@@ -103,6 +112,10 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 			break
 		}
 		item, _ := h.Pop()
+		shard := item.Value.shard
+		sn := sns[shard]
+		g := sn.Grid()
+		layout := g.Layout()
 		switch {
 		case item.Value.level != aisUser && int(item.Value.level) < layout.LeafLevel():
 			st.IndexCellPops++
@@ -119,7 +132,7 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 				pLow := sn.SocialLowerBound(level+1, c, qvec)
 				dLow := layout.CellMinDist(level+1, c, qpt)
 				if key := combine(alpha, pLow, dLow); finite(key) {
-					h.Push(key, aisTie(int16(level+1), c), aisItem{int16(level + 1), c})
+					h.Push(key, aisTie(int16(level+1), shard, c), aisItem{int16(level + 1), shard, c})
 				}
 			}
 		case item.Value.level != aisUser:
@@ -148,7 +161,7 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 				}
 				d := g.Point(u).Dist(qpt)
 				if key := combine(alpha, pLow, d); finite(key) {
-					h.Push(key, aisTie(aisUser, u), aisItem{aisUser, u})
+					h.Push(key, aisTie(aisUser, shard, u), aisItem{aisUser, shard, u})
 				}
 			}
 		default:
@@ -162,7 +175,7 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 				if _, known := gd.known(u); !known {
 					if key := combine(alpha, gd.beta(), d); key > item.Key {
 						st.Reinserts++
-						h.Push(key, aisTie(aisUser, u), aisItem{aisUser, u})
+						h.Push(key, aisTie(aisUser, shard, u), aisItem{aisUser, shard, u})
 						continue
 					}
 				}

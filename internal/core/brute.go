@@ -7,14 +7,11 @@ import (
 )
 
 // runBrute is the exhaustive reference: one full shortest-path sweep from the
-// query vertex, then a linear scan scoring every user against the snapshot's
+// query vertex, then a linear scan scoring every user against the view's
 // locations. Used for cross-validation and as an honest lower bound on what
-// indexing must beat. The shared bound is deliberately not taken (note the
-// fresh, unbounded topK): brute force always reports its full local top-k, so
-// it stays a bound-free oracle.
-func (e *Engine) runBrute(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats) []Entry {
-	g := sn.Grid()
-	dist := sn.SocialGraph().DistancesFrom(q)
+// indexing must beat.
+func (e *Engine) runBrute(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats) []Entry {
+	dist := sns[0].SocialGraph().DistancesFrom(q)
 	st.SocialPops += e.ds.NumUsers()
 	labels := e.ds.Labels
 	r := newTopK(prm.K)
@@ -34,7 +31,7 @@ func (e *Engine) runBrute(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.P
 			}
 		}
 		p := dist[v]
-		d := spatialDist(g, qpt, id)
+		d := spatialDist(sns, qpt, id)
 		r.Consider(Entry{ID: id, F: combine(prm.Alpha, p, d), P: p, D: d})
 	}
 	return r.Sorted()

@@ -116,19 +116,11 @@ func (e *Engine) ResetCache(t int) {
 // runAISCache answers with the pre-computed list exactly like SFA would —
 // list entries arrive in ascending social distance, so θ = α·p applies — and
 // falls back to full AIS when the list is exhausted inconclusively (§5.4).
-// Spatial distances come from the query's snapshot.
-func (e *Engine) runAISCache(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, bound *SharedBound, prm Params, st *Stats, p *queryPools) []Entry {
-	g := sn.Grid()
-	list, complete := e.cache.get(sn.SocialGraph(), sn.SocialEpoch(), q)
+// Spatial distances come from the query's view.
+func (e *Engine) runAISCache(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools) []Entry {
+	list, complete := e.cache.get(sns[0].SocialGraph(), sns[0].SocialEpoch(), q)
 	labels := e.ds.Labels
-	// The scan reads the fan-out's shared threshold but publishes into it only
-	// once conclusive. An inconclusive scan is discarded, and a kth value it
-	// had published would outlive it as a threshold the fallback must
-	// re-derive from lower-bound keys — which round a few ulps differently
-	// from the cached distance, so the fallback would prune the very user the
-	// threshold came from.
-	r := p.top.reset(prm.K, bound)
-	r.quiet = true
+	r := p.top.reset(prm.K)
 	// A list holding the whole component makes any scan exact.
 	conclusive := complete
 	for _, cn := range list {
@@ -149,7 +141,7 @@ func (e *Engine) runAISCache(sn *aggindex.Snapshot, q graph.VertexID, qpt spatia
 				continue
 			}
 		}
-		d := spatialDist(g, qpt, cn.V)
+		d := spatialDist(sns, qpt, cn.V)
 		r.Consider(Entry{ID: cn.V, F: combine(prm.Alpha, cn.P, d), P: cn.P, D: d})
 		if theta := prm.Alpha * cn.P; theta >= r.Fk() {
 			conclusive = true
@@ -157,12 +149,11 @@ func (e *Engine) runAISCache(sn *aggindex.Snapshot, q graph.VertexID, qpt spatia
 		}
 	}
 	if conclusive {
-		r.publish()
 		return r.Sorted()
 	}
 	st.FellBack = true
 	// The fallback restarts from scratch (runAIS re-arms p.top itself,
 	// discarding the inconclusive scan, exactly as the paper's fallback
 	// recomputes the full answer).
-	return e.runAIS(sn, q, qpt, bound, prm, st, p, aisConfig{sharing: true, delayed: true})
+	return e.runAIS(sns, q, qpt, prm, st, p, aisConfig{sharing: true, delayed: true})
 }

@@ -196,6 +196,8 @@ type queryPools struct {
 	ais      pqueue.Heap[aisItem]   // AIS branch-and-bound heap
 	gd       graphDist              // §5.2 shared-distance submodule
 	childBuf []int32                // grid child-index scratch
+	sns      []*aggindex.Snapshot   // the query's view (copied in by QueryOn)
+	grids    []*spatial.Snapshot    // the view's grids, for the NN stream
 	qvec     []float64              // query landmark vector
 	cellLow  []float64              // batched Lemma-2 bounds, one per top-level cell
 	fof      fof.Scratch            // friends-of-friends exact-2-hop bound scratch
@@ -376,32 +378,28 @@ func (e *Engine) Query(algo Algorithm, q graph.VertexID, prm Params) (*Result, e
 	if !g.Located(q) {
 		return nil, fmt.Errorf("core: query user %d has no known location", q)
 	}
-	return e.QueryOn(sn, algo, q, g.Point(q), nil, prm)
+	sns := [1]*aggindex.Snapshot{sn}
+	return e.QueryOn(sns[:], algo, q, g.Point(q), prm)
 }
 
-// QueryOn answers an SSRQ against an explicit snapshot with an explicit
-// query location and an optional shared bound — the primitive the sharded
-// engine's fan-out is built on. Unlike Query it does not require q to be
-// located in sn's grid: qpt stands in for the query location, so a shard
-// that does not own the query user can still rank its own users against the
-// owner shard's coordinates. Social distances always start from vertex q of
-// sn's social graph, which every shard replicates in full, so they are exact
-// regardless of ownership.
-//
-// bound, when non-nil, is a live ceiling on the final kth ranking value
-// (SharedBound): the search reads it on every termination check — so a
-// concurrent fan-out sibling tightening it mid-flight prunes this search too
-// — and publishes its own kth value back as its interim result fills. Unseen
-// users provably *strictly worse* than the bound are abandoned early; entries
-// tying it are still reported, so a caller merging several QueryOn results
-// under one shared threshold loses nothing to the (F, ID) tiebreak. nil means
-// unbounded.
-func (e *Engine) QueryOn(sn *aggindex.Snapshot, algo Algorithm, q graph.VertexID, qpt spatial.Point, bound *SharedBound, prm Params) (*Result, error) {
+// QueryOn answers an SSRQ against an explicit view and query location — the
+// primitive the sharded engine is built on. The view is one or more
+// snapshots of one layout at one social epoch (DESIGN.md §5.6), read as one
+// forest: the spatial side searches all of their grids at once, and the
+// social side — one forward search, one GraphDist, one landmark vector —
+// runs once over the graph they share. Unlike Query it does not require q to
+// be located in the view: qpt stands in for the query location. A user
+// located in two snapshots (mid-rebalance, or mid cross-shard move) is
+// reported once, with its better entry. The slice is read, not retained.
+func (e *Engine) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.VertexID, qpt spatial.Point, prm Params) (*Result, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err
 	}
-	if q < 0 || int(q) >= sn.Grid().NumUsers() {
-		return nil, fmt.Errorf("core: query user %d out of range [0,%d)", q, sn.Grid().NumUsers())
+	if len(sns) == 0 {
+		return nil, fmt.Errorf("core: empty snapshot view")
+	}
+	if n := sns[0].Grid().NumUsers(); q < 0 || int(q) >= n {
+		return nil, fmt.Errorf("core: query user %d out of range [0,%d)", q, n)
 	}
 	res := &Result{Query: q, Params: prm}
 	st := &res.Stats
@@ -411,43 +409,47 @@ func (e *Engine) QueryOn(sn *aggindex.Snapshot, algo Algorithm, q graph.VertexID
 	// nothing pooled escapes the query.
 	p := e.getPools()
 	defer e.putPools(p)
+	// Search the pooled copy, so the caller's slice — Query's is a stack
+	// array — never escapes to the heap.
+	p.sns = append(p.sns[:0], sns...)
+	sns = p.sns
 	var entries []Entry
 	switch algo {
 	case SFA:
-		entries = e.runSFA(sn, q, qpt, bound, prm, st, p, false)
+		entries = e.runSFA(sns, q, qpt, prm, st, p, false)
 	case SFACH:
-		if err := e.chReady(sn, algo); err != nil {
+		if err := e.chReady(sns[0], algo); err != nil {
 			return nil, err
 		}
-		entries = e.runSFA(sn, q, qpt, bound, prm, st, p, true)
+		entries = e.runSFA(sns, q, qpt, prm, st, p, true)
 	case SPA:
-		entries = e.runSPA(sn, q, qpt, bound, prm, st, p, false)
+		entries = e.runSPA(sns, q, qpt, prm, st, p, false)
 	case SPACH:
-		if err := e.chReady(sn, algo); err != nil {
+		if err := e.chReady(sns[0], algo); err != nil {
 			return nil, err
 		}
-		entries = e.runSPA(sn, q, qpt, bound, prm, st, p, true)
+		entries = e.runSPA(sns, q, qpt, prm, st, p, true)
 	case TSA:
-		entries = e.runTSA(sn, q, qpt, bound, prm, st, p, tsaConfig{prune: true})
+		entries = e.runTSA(sns, q, qpt, prm, st, p, tsaConfig{prune: true})
 	case TSAQC:
-		entries = e.runTSA(sn, q, qpt, bound, prm, st, p, tsaConfig{prune: true, quickCombine: true})
+		entries = e.runTSA(sns, q, qpt, prm, st, p, tsaConfig{prune: true, quickCombine: true})
 	case TSANoLandmark:
-		entries = e.runTSA(sn, q, qpt, bound, prm, st, p, tsaConfig{})
+		entries = e.runTSA(sns, q, qpt, prm, st, p, tsaConfig{})
 	case TSACH:
-		if err := e.chReady(sn, algo); err != nil {
+		if err := e.chReady(sns[0], algo); err != nil {
 			return nil, err
 		}
-		entries = e.runTSA(sn, q, qpt, bound, prm, st, p, tsaConfig{prune: true, useCH: true})
+		entries = e.runTSA(sns, q, qpt, prm, st, p, tsaConfig{prune: true, useCH: true})
 	case AISBID:
-		entries = e.runAIS(sn, q, qpt, bound, prm, st, p, aisConfig{sharing: false, delayed: false})
+		entries = e.runAIS(sns, q, qpt, prm, st, p, aisConfig{sharing: false, delayed: false})
 	case AISMinus:
-		entries = e.runAIS(sn, q, qpt, bound, prm, st, p, aisConfig{sharing: true, delayed: false})
+		entries = e.runAIS(sns, q, qpt, prm, st, p, aisConfig{sharing: true, delayed: false})
 	case AIS:
-		entries = e.runAIS(sn, q, qpt, bound, prm, st, p, aisConfig{sharing: true, delayed: true})
+		entries = e.runAIS(sns, q, qpt, prm, st, p, aisConfig{sharing: true, delayed: true})
 	case AISCache:
-		entries = e.runAISCache(sn, q, qpt, bound, prm, st, p)
+		entries = e.runAISCache(sns, q, qpt, prm, st, p)
 	case BruteForce:
-		entries = e.runBrute(sn, q, qpt, prm, st)
+		entries = e.runBrute(sns, q, qpt, prm, st)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", algo)
 	}
@@ -500,5 +502,10 @@ func (e *Engine) NumLocated() int { return e.agg.Snapshot().Grid().NumLocated() 
 // published snapshot.
 func (e *Engine) FoFIndex() *fof.Index { return e.fof }
 
-func (e *Engine) getPools() *queryPools  { return e.pools.Get().(*queryPools) }
-func (e *Engine) putPools(p *queryPools) { e.pools.Put(p) }
+func (e *Engine) getPools() *queryPools { return e.pools.Get().(*queryPools) }
+func (e *Engine) putPools(p *queryPools) {
+	// Drop the view so a pooled scratch does not pin superseded epochs.
+	clear(p.sns)
+	clear(p.grids)
+	e.pools.Put(p)
+}

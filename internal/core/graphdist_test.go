@@ -348,7 +348,7 @@ func TestGraphDistRoundsStayBalanced(t *testing.T) {
 		d float64
 	}
 	cands := make([]cand, 0, len(users))
-	var total Stats
+	var calls, totalRestarts, reversePops int
 	worstFirst := 0
 	for i := 0; i < queries; i++ {
 		q := users[i*len(users)/queries]
@@ -383,11 +383,11 @@ func TestGraphDistRoundsStayBalanced(t *testing.T) {
 				r.Consider(Entry{ID: c.v, F: combine(alpha, p, c.d), P: p, D: c.d})
 			}
 		}
-		total.Add(st)
+		calls, totalRestarts, reversePops = calls+st.GraphDistCalls, totalRestarts+st.GraphDistRestarts, reversePops+st.ReversePops
 	}
 	t.Logf("%d queries: %d evaluations, %d restarts, %d reverse pops; the costliest first evaluation spent %d",
-		queries, total.GraphDistCalls, total.GraphDistRestarts, total.ReversePops, worstFirst)
-	if total.GraphDistRestarts == 0 {
+		queries, calls, totalRestarts, reversePops, worstFirst)
+	if totalRestarts == 0 {
 		t.Error("no evaluation was ever restarted: the fixture no longer exercises the rounds")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"ssrq/internal/aggindex"
 	"ssrq/internal/spatial"
 )
 
@@ -61,13 +62,27 @@ func combine(alpha, p, d float64) float64 {
 func finite(f float64) bool { return !math.IsInf(f, 1) && !math.IsNaN(f) }
 
 // spatialDist returns the Euclidean distance from the query location qpt to
-// user v's position in the snapshot grid, +Inf when v has no location (the
-// paper's convention). The query location is threaded explicitly rather than
-// read off the grid because in a sharded engine q is located in exactly one
-// shard's grid while the fan-out evaluates every shard's users.
-func spatialDist(g *spatial.Snapshot, qpt spatial.Point, v int32) float64 {
-	if !g.Located(v) {
-		return math.Inf(1)
+// user v's position in whichever snapshot of the view locates v, +Inf when
+// none does (the paper's convention). A user located twice — mid-rebalance or
+// mid cross-shard move — takes the nearer position, the one its better entry
+// holds. The query location is threaded explicitly because in a sharded view
+// q is located in one shard's grid only.
+func spatialDist(sns []*aggindex.Snapshot, qpt spatial.Point, v int32) float64 {
+	d := math.Inf(1)
+	for _, sn := range sns {
+		if g := sn.Grid(); g.Located(v) {
+			d = min(d, g.Point(v).Dist(qpt))
+		}
 	}
-	return g.Point(v).Dist(qpt)
+	return d
+}
+
+// gridsOf fills the pooled grid list with the view's spatial snapshots, the
+// input of the multi-snapshot NN stream.
+func (p *queryPools) gridsOf(sns []*aggindex.Snapshot) []*spatial.Snapshot {
+	p.grids = p.grids[:0]
+	for _, sn := range sns {
+		p.grids = append(p.grids, sn.Grid())
+	}
+	return p.grids
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"ssrq/internal/graph"
@@ -56,30 +57,6 @@ func (s Stats) PopRatio(n int) float64 {
 	return float64(s.Pops()) / float64(n)
 }
 
-// Add accumulates another execution's counters (used by batch aggregation
-// and the sharded engine's fan-out, which reports the work of all shards a
-// query touched as one Stats).
-func (s *Stats) Add(o Stats) {
-	s.SocialPops += o.SocialPops
-	s.ReversePops += o.ReversePops
-	s.SpatialPops += o.SpatialPops
-	s.IndexUserPops += o.IndexUserPops
-	s.IndexCellPops += o.IndexCellPops
-	s.Reinserts += o.Reinserts
-	s.GraphDistCalls += o.GraphDistCalls
-	s.BoundedStops += o.BoundedStops
-	s.GraphDistRestarts += o.GraphDistRestarts
-	s.CHQueries += o.CHQueries
-	s.CacheHits += o.CacheHits
-	s.LabelCellPrunes += o.LabelCellPrunes
-	s.LabelSkips += o.LabelSkips
-	s.FoFTightened += o.FoFTightened
-	// FellBack is a property of the whole execution, not a counter: if any
-	// contributing engine's AISCache list was exhausted inconclusively, the
-	// aggregate fell back.
-	s.FellBack = s.FellBack || o.FellBack
-}
-
 // Result is a completed SSRQ answer, sorted ascending by (F, ID).
 type Result struct {
 	Query   graph.VertexID
@@ -113,36 +90,26 @@ func (r *Result) IDSet() map[int32]bool {
 // an identical interim state. With k ≤ 50 (Table 3) a sorted slice beats a
 // heap.
 //
-// The optional shared bound is the sharded engine's running global
-// threshold: a live external f_k ceiling that Fk reads on every call and
-// that Consider improves whenever this topK's own kth value tightens, so
-// concurrent shard searches prune against each other's progress mid-flight.
-// The bound is applied with *strict* semantics — Fk reports the next
-// representable float above it — because an entry tying the global kth score
-// exactly could still win its ID tiebreak; only entries strictly worse than
-// the bound are safe to abandon.
+// A user holds at most one entry: a view over several snapshots can locate a
+// user twice (a drained cell mid-rebalance, a cross-shard mover mid-apply),
+// so a second entry for an ID already held replaces it only when it is the
+// better (F, ID), the one a single index would report.
 //
 // topK structs are pooled (see queryPools): reset re-arms one in place and
 // reuses the entries storage, so the serving path allocates nothing here.
 type topK struct {
-	k      int
-	shared *SharedBound // live external f_k ceiling (nil when unbounded)
-	// quiet suspends publishing to the shared bound (it is still read): for
-	// an interim result that may yet be discarded. See runAISCache.
-	quiet   bool
+	k       int
 	entries []Entry // ascending (F, ID)
 }
 
 func newTopK(k int) *topK {
-	return new(topK).reset(k, nil)
+	return new(topK).reset(k)
 }
 
-// reset re-arms the interim result for a fresh query with an optional live
-// external threshold, reusing the entry storage.
-func (t *topK) reset(k int, shared *SharedBound) *topK {
+// reset re-arms the interim result for a fresh query, reusing the entry
+// storage.
+func (t *topK) reset(k int) *topK {
 	t.k = k
-	t.shared = shared
-	t.quiet = false
 	if cap(t.entries) < k {
 		t.entries = make([]Entry, 0, k)
 	} else {
@@ -158,64 +125,41 @@ func entryLess(a, b Entry) bool {
 	return a.ID < b.ID
 }
 
-// strictify converts an external kth-value bound into the strict-semantics
-// ceiling Fk reports: the next representable float above it, so entries
-// tying the bound are still admitted and reported.
-func strictify(f float64) float64 {
-	if math.IsInf(f, 1) || math.IsNaN(f) {
+// Fk returns the current k-th ranking value: +Inf while fewer than k entries
+// qualify, so no bound can terminate a search prematurely.
+func (t *topK) Fk() float64 {
+	if len(t.entries) < t.k {
 		return math.Inf(1)
 	}
-	return math.Nextafter(f, math.Inf(1))
-}
-
-// Fk returns the current k-th ranking value: +Inf while fewer than k entries
-// qualify (so no bound can terminate a search prematurely), capped by the
-// live external threshold when one was provided.
-func (t *topK) Fk() float64 {
-	b := math.Inf(1)
-	if t.shared != nil {
-		b = strictify(t.shared.Load())
-	}
-	if len(t.entries) < t.k {
-		return b
-	}
-	if fk := t.entries[len(t.entries)-1].F; fk < b {
-		return fk
-	}
-	return b
+	return t.entries[len(t.entries)-1].F
 }
 
 // Consider offers an entry; it is inserted when it beats the current
-// interim result. Reports whether the entry was admitted. Whenever the
-// interim result is full its kth value is published to the shared threshold:
-// the k entries held are distinct, fully-evaluated users, so their worst F
-// upper-bounds the merged kth value of any fan-out this search is part of.
+// interim result (and any entry already held for the same user). Reports
+// whether the entry was admitted.
 func (t *topK) Consider(e Entry) bool {
 	if !finite(e.F) {
 		return false
 	}
-	if len(t.entries) == t.k {
-		worst := t.entries[len(t.entries)-1]
-		if !entryLess(e, worst) {
+	n := len(t.entries)
+	if n == t.k && !entryLess(e, t.entries[n-1]) {
+		return false
+	}
+	// Only an entry that would be admitted pays the duplicate scan, and
+	// admission already costs an O(k) shift.
+	if i := slices.IndexFunc(t.entries, func(x Entry) bool { return x.ID == e.ID }); i >= 0 {
+		if !entryLess(e, t.entries[i]) {
 			return false
 		}
-		t.entries = t.entries[:len(t.entries)-1]
+		t.entries = slices.Delete(t.entries, i, i+1)
+	} else if n == t.k {
+		t.entries = t.entries[:n-1]
 	}
 	pos := sort.Search(len(t.entries), func(i int) bool { return entryLess(e, t.entries[i]) })
 	t.entries = append(t.entries, Entry{})
 	copy(t.entries[pos+1:], t.entries[pos:])
 	t.entries[pos] = e
-	if !t.quiet {
-		t.publish()
-	}
 	return true
-}
-
-// publish tightens the shared bound to this result's kth value, if it has one.
-func (t *topK) publish() {
-	if t.shared != nil && len(t.entries) == t.k {
-		t.shared.Tighten(t.entries[t.k-1].F)
-	}
 }
 
 // Sorted returns the final entries (ascending F, ID). The slice is owned by

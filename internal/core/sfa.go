@@ -9,8 +9,8 @@ import (
 // runSFA is the Social First Algorithm (§4.1): expand Dijkstra around v_q,
 // evaluate every settled user (Euclidean distance is trivial to attach), and
 // stop once θ = α·p(last settled) can no longer beat f_k. Spatial reads go
-// through the query's snapshot sn, with qpt standing in for the query
-// location (q itself need not be located in sn — see Engine.QueryOn).
+// through the query's view sns, with qpt standing in for the query location
+// (q itself need not be located in it — see Engine.QueryOn).
 //
 // With useCH (the SFA-CH variant of Fig. 8), every social distance is
 // re-derived through a Contraction Hierarchies point-to-point query instead
@@ -18,12 +18,11 @@ import (
 // for its ascending-distance ordering and termination bound. The variant
 // demonstrates the paper's point: on social networks, per-target CH queries
 // lose to one shared incremental Dijkstra.
-func (e *Engine) runSFA(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, bound *SharedBound, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
-	g := sn.Grid()
+func (e *Engine) runSFA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
 	labels := e.ds.Labels
 	it := &p.soc
-	it.Reset(sn.SocialGraph(), q)
-	r := p.top.reset(prm.K, bound)
+	it.Reset(sns[0].SocialGraph(), q)
+	r := p.top.reset(prm.K)
 	for {
 		v, p, ok := it.Next()
 		if !ok {
@@ -49,7 +48,7 @@ func (e *Engine) runSFA(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 			p, _ = e.hier.Dist(q, v)
 			st.CHQueries++
 		}
-		d := spatialDist(g, qpt, v)
+		d := spatialDist(sns, qpt, v)
 		r.Consider(Entry{ID: v, F: combine(prm.Alpha, p, d), P: p, D: d})
 		if theta := prm.Alpha * it.LastKey(); theta >= r.Fk() {
 			break

@@ -7,7 +7,7 @@ import (
 )
 
 // runSPA is the Spatial First Approach (§4.1): stream users by ascending
-// Euclidean distance via the snapshot's incremental NN search and evaluate
+// Euclidean distance via the view's incremental NN search and evaluate
 // each one's social distance, stopping once θ = (1−α)·d(last NN) reaches
 // f_k.
 //
@@ -15,16 +15,15 @@ import (
 // v_q, expanded just far enough to settle each requested target ("shortest
 // paths produced incrementally, all with v_q as source"). SPA-CH replaces it
 // with an independent CH query per target (Fig. 8).
-func (e *Engine) runSPA(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, bound *SharedBound, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
-	g := sn.Grid()
+func (e *Engine) runSPA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
 	nn := p.nn
-	nn.Reset(g, qpt)
-	r := p.top.reset(prm.K, bound)
+	nn.Reset(qpt, p.gridsOf(sns)...)
+	r := p.top.reset(prm.K)
 
 	var fwd *graph.DijkstraIterator
 	if !useCH {
 		fwd = &p.soc
-		fwd.Reset(sn.SocialGraph(), q)
+		fwd.Reset(sns[0].SocialGraph(), q)
 	}
 
 	labels := e.ds.Labels

@@ -92,7 +92,7 @@ func (c *candidateSet) Prune(drop func(u int32, d float64) bool) {
 // allocation per query, while a local struct with methods stays on the
 // caller's stack.
 type tsaRun struct {
-	g      *spatial.Snapshot
+	sns    []*aggindex.Snapshot
 	qpt    spatial.Point
 	q      graph.VertexID
 	alpha  float64
@@ -143,7 +143,7 @@ func (t *tsaRun) advanceSocial() {
 	if t.excluded(v) {
 		return
 	}
-	d := spatialDist(t.g, t.qpt, v)
+	d := spatialDist(t.sns, t.qpt, v)
 	t.r.Consider(Entry{ID: v, F: combine(t.alpha, p, d), P: p, D: d})
 	t.cand.Remove(v)
 }
@@ -183,14 +183,14 @@ func (t *tsaRun) theta() float64 {
 // θ = α·t_p + (1−α)·t_d. Phase 2 resolves the partially-evaluated candidate
 // set Q, by default continuing only the social search (continuing the NN
 // search "would be a waste of computations").
-func (e *Engine) runTSA(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, bound *SharedBound, prm Params, st *Stats, p *queryPools, cfg tsaConfig) []Entry {
-	g := sn.Grid()
-	p.soc.Reset(sn.SocialGraph(), q)
-	p.nn.Reset(g, qpt)
+func (e *Engine) runTSA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, cfg tsaConfig) []Entry {
+	soc := sns[0].SocialGraph()
+	p.soc.Reset(soc, q)
+	p.nn.Reset(qpt, p.gridsOf(sns)...)
 	p.cand.reset()
-	r := p.top.reset(prm.K, bound)
+	r := p.top.reset(prm.K)
 	t := tsaRun{
-		g: g, qpt: qpt, q: q, alpha: prm.Alpha,
+		sns: sns, qpt: qpt, q: q, alpha: prm.Alpha,
 		filter: prm.Filter, labels: e.ds.Labels,
 		soc: &p.soc, nn: p.nn, r: r, cand: &p.cand, st: st,
 	}
@@ -231,14 +231,14 @@ func (e *Engine) runTSA(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 	if cfg.prune {
 		// TSA with landmarks: eliminate candidates whose landmark-derived f
 		// lower bound already misses the interim result. The bound comes
-		// from the query's snapshot, so it is admissible on exactly the
-		// graph this query is searching. A flat loop over the map rather
-		// than candidateSet.Prune: the predicate closure would capture four
+		// from the query's view, so it is admissible on exactly the graph
+		// this query is searching. A flat loop over the map rather than
+		// candidateSet.Prune: the predicate closure would capture four
 		// variables and allocate.
-		lm := sn.Landmarks()
+		lm := sns[0].Landmarks()
 		useFoF := e.fof != nil && t.cand.Len() > 0
 		if useFoF {
-			p.fof.Arm(e.fof, sn.SocialGraph(), q, fof.DefaultBudget)
+			p.fof.Arm(e.fof, soc, q, fof.DefaultBudget)
 		}
 		for u, d := range t.cand.d {
 			lb := lm.LowerBound(q, u)

@@ -77,7 +77,7 @@ func TestRunShard(t *testing.T) {
 		t.Fatalf("RunShard: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
-	if !strings.Contains(out, "Sharded engine") || !strings.Contains(out, "sh pruned") {
+	if !strings.Contains(out, "Sharded engine") || !strings.Contains(out, "social pops/q") {
 		t.Fatalf("missing table:\n%s", out)
 	}
 	if len(s.Measurements) != 2 {

@@ -14,18 +14,16 @@ import (
 
 // RunShard measures the spatially-partitioned engine: for every shard count
 // in s.ShardCounts (default 1, 2, 4, 8) it builds a sharded engine over the
-// geo-clustered gowalla substitute, measures AIS query latency percentiles,
-// then drives a location-churn burst through the engine's update queue
-// and reports epoch throughput alongside the fan-out pruning counters
-// (shards skipped because their best-possible Lemma-2 score could not beat
-// the running kth score).
+// geo-clustered gowalla substitute, measures AIS query latency percentiles
+// and social pops per query, then drives a location-churn burst through the
+// engine's update queue and reports epoch throughput.
 //
-// The cell is self-checking, not just self-reporting: after the churn burst
-// every engine must agree exactly with its own brute-force oracle AND with
-// the S=1 reference results (the same ops were replayed into every cell), and
-// the largest shard count must have pruned at least one shard on this
-// clustered workload — a zero there means the bound machinery regressed, so
-// it fails the run.
+// The cell is self-checking, not just self-reporting: every shard count must
+// do exactly the first cell's social work on the same queries (one search
+// over S snapshots runs the social side once, whatever S is), and after the
+// churn burst every engine must agree exactly with its own brute-force oracle
+// AND with the first cell's results (the same ops were replayed into every
+// cell).
 func (s *Suite) RunShard() error {
 	ds, err := s.Dataset("gowalla")
 	if err != nil {
@@ -47,27 +45,40 @@ func (s *Suite) RunShard() error {
 		Title: fmt.Sprintf("Sharded engine — AIS, k=%d, α=%.1f, %d queries, %d churn moves per cell",
 			prm.K, prm.Alpha, len(users), moves),
 		Columns: []string{"shards", "p50 (ms)", "p95 (ms)", "p99 (ms)", "mean (ms)",
-			"moves/s", "epochs", "sh queried", "sh pruned", "sh empty"},
+			"social pops/q", "moves/s", "epochs", "sh queried", "sh empty"},
 	}
 
-	// reference holds the S=1 post-churn results the other cells must match.
+	// reference holds the first cell's post-churn results the other cells
+	// must match, refPops its social pops per query.
 	var reference []*core.Result
 	var refQueries []graph.VertexID
+	refPops := -1.0
 	for _, S := range counts {
 		eng, err := shard.New(ds, S, EngineOptions(DefaultS, false, 1, s.Seed))
 		if err != nil {
 			return fmt.Errorf("exp: shard: S=%d: %w", S, err)
 		}
 
-		// Query latency over the clustered workload.
+		// Query latency and social work over the clustered workload.
 		lat := make([]time.Duration, 0, len(users))
+		socialPops := 0
 		for _, q := range users {
 			start := time.Now()
-			if _, err := eng.Query(core.AIS, q, prm); err != nil {
+			res, err := eng.Query(core.AIS, q, prm)
+			if err != nil {
 				eng.Close()
 				return fmt.Errorf("exp: shard: S=%d query %d: %w", S, q, err)
 			}
 			lat = append(lat, time.Since(start))
+			socialPops += res.Stats.SocialPops
+		}
+		popsPerQ := float64(socialPops) / float64(len(users))
+		if refPops < 0 {
+			refPops = popsPerQ
+		} else if popsPerQ != refPops {
+			eng.Close()
+			return fmt.Errorf("exp: shard: S=%d did %.2f social pops per query, S=%d %.2f on the same queries — the social search is no longer done once",
+				S, popsPerQ, counts[0], refPops)
 		}
 
 		// Churn burst through the update queue: identical ops per cell
@@ -128,30 +139,24 @@ func (s *Suite) RunShard() error {
 		fs := eng.FanoutStats()
 		sum := summarizeLatencies(lat)
 		tbl.AddRow(fmt.Sprint(S), ms(sum.P50), ms(sum.P95), ms(sum.P99), ms(sum.Mean),
-			fmt.Sprintf("%.0f", float64(moves)/churnSecs), fmt.Sprint(epochs),
-			fmt.Sprint(fs.ShardsQueried), fmt.Sprint(fs.ShardsPruned), fmt.Sprint(fs.ShardsEmpty))
+			fmt.Sprintf("%.1f", popsPerQ), fmt.Sprintf("%.0f", float64(moves)/churnSecs), fmt.Sprint(epochs),
+			fmt.Sprint(fs.ShardsQueried), fmt.Sprint(fs.ShardsEmpty))
 		s.record(Measurement{
 			Dataset: ds.Name, Algo: core.AIS, X: float64(S),
 			Runtime: sum.P95, Queries: sum.N,
 			P50: sum.P50, P95: sum.P95, P99: sum.P99,
 			Extra: map[string]float64{
-				"moves_per_sec":  float64(moves) / churnSecs,
-				"epochs":         float64(epochs),
-				"shards_queried": float64(fs.ShardsQueried),
-				"shards_pruned":  float64(fs.ShardsPruned),
-				"shards_empty":   float64(fs.ShardsEmpty),
+				"moves_per_sec":     float64(moves) / churnSecs,
+				"epochs":            float64(epochs),
+				"social_pops_per_q": popsPerQ,
+				"shards_queried":    float64(fs.ShardsQueried),
+				"shards_empty":      float64(fs.ShardsEmpty),
 			},
 		})
-
-		if S == counts[len(counts)-1] && S > 1 && fs.ShardsPruned == 0 {
-			eng.Close()
-			return fmt.Errorf("exp: shard: S=%d pruned no shards on a clustered workload (queried %d, empty %d) — bound-based shard pruning regressed",
-				S, fs.ShardsQueried, fs.ShardsEmpty)
-		}
 		eng.Close()
 	}
 	tbl.Fprint(s.Out)
-	fmt.Fprintln(s.Out, "post-churn equivalence (per-cell brute oracle + cross-S): ok")
+	fmt.Fprintln(s.Out, "social pops per query equal across S; post-churn equivalence (per-cell brute oracle + cross-S): ok")
 	return nil
 }
 

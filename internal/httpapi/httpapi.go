@@ -596,12 +596,11 @@ type statsResponse struct {
 	LandmarkRebuilds int64  `json:"landmark_rebuilds"`
 
 	// Sharding section, one shape at every shard count (num_shards ≥ 1, one
-	// shards entry each): fan-out pruning counters, elastic-rebalance
-	// counters, per-shard state. With one shard the pruning and rebalance
+	// shards entry each): how queries spanned the shards, elastic-rebalance
+	// counters, per-shard state. With one shard the empty-shard and rebalance
 	// counters stay zero and are omitted.
 	NumShards     int             `json:"num_shards"`
 	ShardsQueried int64           `json:"shards_queried,omitempty"`
-	ShardsPruned  int64           `json:"shards_pruned,omitempty"`
 	ShardsEmpty   int64           `json:"shards_empty,omitempty"`
 	Rebalances    int64           `json:"rebalances,omitempty"`
 	CellsMoved    int64           `json:"rebalance_cells_moved,omitempty"`
@@ -629,7 +628,6 @@ type shardStatJSON struct {
 	Epoch          uint64 `json:"epoch"`
 	SocialEpoch    uint64 `json:"social_epoch"`
 	AppliedBatches int64  `json:"applied_batches"`
-	PrunedQueries  int64  `json:"pruned_queries"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -658,7 +656,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	shards := s.eng.ShardStats()
 	resp.NumShards = len(shards)
 	resp.ShardsQueried = fs.ShardsQueried
-	resp.ShardsPruned = fs.ShardsPruned
 	resp.ShardsEmpty = fs.ShardsEmpty
 	resp.Rebalances = rs.Rebalances
 	resp.CellsMoved = rs.CellsMoved
@@ -673,7 +670,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Epoch:          st.Epoch,
 			SocialEpoch:    st.SocialEpoch,
 			AppliedBatches: st.AppliedBatches,
-			PrunedQueries:  st.PrunedQueries,
 		}
 	}
 	resp.Durability = s.eng.DurabilityStats()

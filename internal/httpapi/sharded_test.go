@@ -127,8 +127,8 @@ func TestShardedServerEndToEnd(t *testing.T) {
 
 // TestStatsShardSectionAtOneShard: /stats has one shape at every shard count.
 // The default engine reports num_shards 1, one shards entry holding every
-// located user and imbalance 1; with nothing to fan out to or re-cut, the
-// pruning and rebalance counters are zero and omitted.
+// located user and imbalance 1; with no empty shard and nothing to re-cut,
+// those counters are zero and omitted.
 func TestStatsShardSectionAtOneShard(t *testing.T) {
 	s, _, _ := mkServer(t)
 	do(t, s, "GET", "/query?q=1&k=3&alpha=0.3", nil)
@@ -150,7 +150,7 @@ func TestStatsShardSectionAtOneShard(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"shards_pruned", "shards_empty", "rebalances", "rebalance_cells_moved"} {
+	for _, key := range []string{"shards_empty", "rebalances", "rebalance_cells_moved"} {
 		if _, present := raw[key]; present {
 			t.Fatalf("one-shard /stats reports %q", key)
 		}

@@ -15,7 +15,11 @@ import (
 //
 // Because the inputs are sorted by exactly the comparator the per-shard topK
 // uses, the merge output equals concatenate-sort-truncate, which the
-// FuzzShardMerge target and the differential harness hold it to.
+// FuzzShardMerge target holds it to.
+//
+// Queries no longer merge per-shard lists — a query is one search over every
+// shard's snapshot (query.go) — so nothing in the engine calls this. It stays
+// for the benchmark's merge-cost probe, which still compiles against it.
 func MergeTopK(k int, lists ...[]core.Entry) []core.Entry {
 	if k <= 0 {
 		return nil

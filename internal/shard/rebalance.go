@@ -28,8 +28,8 @@ import (
 //     users are INSERTED into the new shard
 //     before being REMOVED from the old one. Between the insert and the
 //     remove a user is visible in both shards — harmless, because the
-//     fan-out merge dedupes by ID and both shards score the user
-//     identically (same coordinates, same shared social snapshot). The
+//     query's interim result holds one entry per user and both shards
+//     locate the user identically (same coordinates). The
 //     reverse order would make users transiently invisible, which is a
 //     wrong answer.
 //  3. "Visible in at least one shard" holds at every instant, but a query
@@ -233,7 +233,7 @@ func (se *Engine) migrateCellLocked(c, newS int32) bool {
 	}
 	// Insert into the new owner, repoint routing, then remove from the old:
 	// a concurrent query sees the users in at least one shard at every
-	// instant (both, transiently — MergeTopK dedupes by ID).
+	// instant (both, transiently — a query keeps one entry per user).
 	if err := se.shards[newS].ApplyUpdates(inserts); err != nil {
 		// Validation cannot fail here (coordinates come from a published
 		// snapshot); revert routing defensively if it somehow does.

@@ -12,10 +12,8 @@ import (
 	"ssrq/internal/spatial"
 )
 
-// fellBackDataset builds a 5-user star around the query vertex 0 whose
-// geometry forces the AISCache list scan to terminate cleanly on the home
-// shard while exhausting inconclusively (and falling back to AIS) on the
-// remote shard:
+// fellBackDataset builds a 5-user star around the query vertex 0, cut across
+// two shards:
 //
 //	vertex  social dist from 0   location
 //	1       1  (list rank 1)     at q's point        -> home shard
@@ -23,15 +21,11 @@ import (
 //	3       9  (list rank 3)     at q's point        -> home shard
 //	4       20 (beyond t=3)      far corner          -> remote shard
 //
-// With k=2 and t=3 the home scan admits users 1 and 3 (user 2 is unlocated
-// on the home snapshot, so its F is +Inf) and θ-terminates on the last list
-// entry. The remote scan sees only user 2 located, never fills k with
-// finite scores, and the θ = α·p(3) check ties the shared threshold exactly
-// — strict semantics keep it searching — so the list exhausts with user 4
-// still unseen: inconclusive, FellBack, AIS fallback. The remote shard's
-// admission bound cannot prune it: its cell holds user 2 at social distance
-// p(2), so every landmark's Lemma-2 bound is at most p(2) by the triangle
-// inequality, far below the home kth score α·p(3).
+// With t=3 the AISCache list holds users 1–3. At k=2 the scan θ-terminates on
+// its last entry; at k=4 it exhausts the list inconclusively (user 4 is
+// beyond it) and falls back to AIS. When each shard searched on its own, the
+// remote shard saw only user 2 located, never filled k=2, and fell back while
+// the home shard did not — the case whose flag the old fan-out merge dropped.
 func fellBackDataset(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	b := graph.NewBuilder(5)
@@ -58,10 +52,10 @@ func fellBackDataset(t *testing.T) *dataset.Dataset {
 	return ds
 }
 
-// TestFanoutFellBackPropagates: when a non-home shard's AISCache falls back
-// to AIS, the merged result must report FellBack — Stats.Add used to drop
-// the flag of every added execution, so the fan-out reported fell_back=false
-// whenever the home shard itself terminated cleanly.
+// TestFanoutFellBackPropagates: a sharded AISCache query is one scan of one
+// list over both shards, so whether it falls back — and what it answers — is
+// exactly what the single-index engine does on the same world, both when the
+// scan terminates (k=2) and when it falls back (k=4).
 func TestFanoutFellBackPropagates(t *testing.T) {
 	ds := fellBackDataset(t)
 	opts := core.Options{GridS: 4, GridLevels: 1, NumLandmarks: 3, CacheT: 3, Seed: 7}
@@ -70,57 +64,45 @@ func TestFanoutFellBackPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer se.Close()
+	mono, err := core.NewEngine(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const q = graph.VertexID(0)
-	home := se.ShardOfUser(0)
-	remote := se.ShardOfUser(2)
+	home, remote := se.ShardOfUser(0), se.ShardOfUser(2)
 	if home < 0 || remote < 0 || home == remote {
 		t.Fatalf("partition did not separate query (shard %d) from remote user (shard %d)", home, remote)
 	}
-	prm := core.Params{K: 2, Alpha: 0.9}
-
-	// Establish the scenario shard by shard, replaying the fan-out's own
-	// sequence: home first (seeding the shared threshold), then the remote
-	// shard against it. The regression below is only meaningful while the
-	// home scan terminates cleanly and the remote one falls back.
-	hsn := se.shards[home].Snapshot()
-	qpt := hsn.Grid().Point(0)
-	sb := core.NewSharedBound(math.Inf(1))
-	hres, err := se.shards[home].QueryOn(hsn, core.AISCache, q, qpt, sb, prm)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range []int{2, 4} {
+		prm := core.Params{K: k, Alpha: 0.9}
+		want, err := mono.Query(core.AISCache, q, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Stats.FellBack != (k == 4) {
+			t.Fatalf("k=%d: single index FellBack = %v; the fixture no longer separates the two cases", k, want.Stats.FellBack)
+		}
+		got, err := se.Query(core.AISCache, q, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats.FellBack != want.Stats.FellBack {
+			t.Fatalf("k=%d: sharded FellBack = %v, single index %v", k, got.Stats.FellBack, want.Stats.FellBack)
+		}
+		sameEntries(t, fmt.Sprintf("AIS-Cache k=%d vs single index", k), got.Entries, want.Entries)
+		brute, err := se.Query(core.BruteForce, q, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEntries(t, fmt.Sprintf("AIS-Cache k=%d vs brute", k), got.Entries, brute.Entries)
 	}
-	if hres.Stats.FellBack {
-		t.Fatal("home shard fell back; scenario no longer isolates the merge bug")
-	}
-	rres, err := se.shards[remote].QueryOn(se.shards[remote].Snapshot(), core.AISCache, q, qpt, sb, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rres.Stats.FellBack {
-		t.Fatal("remote shard did not fall back; scenario no longer exercises the merge")
-	}
-
-	// The actual regression: the merged stats must carry the remote flag.
-	got, err := se.Query(core.AISCache, q, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Stats.FellBack {
-		t.Fatal("fan-out merge dropped the remote shard's FellBack flag")
-	}
-	// And the merged answer is still the exact global one.
-	want, err := se.Query(core.BruteForce, q, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameEntries(t, "AIS-Cache with remote fallback", got.Entries, want.Entries)
 }
 
 // TestFanoutCountersCountOnlySuccess: FanoutStats counters must move only
 // when a query succeeds end-to-end. The fan-out used to bump queries and
 // shardsQueried before the home shard could refuse (a *-CH variant past
-// social epoch 0), and counted an errored fan-out shard as queried.
+// social epoch 0), and counted an errored shard as queried.
 func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	ds := clusteredDataset(t, 150, 19)
 	opts := core.Options{GridS: 3, GridLevels: 2, NumLandmarks: 3, Seed: 19, BuildCH: true}
@@ -132,9 +114,6 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 
 	users := locatedUsers(ds)
 	q := users[0]
-	// k exceeds any single shard's located count, so no shard ever fills its
-	// interim result, the shared threshold stays +Inf, and every non-empty
-	// shard is visited.
 	prm := core.Params{K: 60, Alpha: 0.4}
 
 	diff := func(a, b FanoutStats) FanoutStats {
@@ -147,8 +126,8 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 		}
 	}
 
-	// Social epoch 0: one successful query commits exactly one fan-out
-	// visiting all three shards.
+	// Social epoch 0: one successful query commits exactly one query over a
+	// view of all three shards.
 	fs0 := se.FanoutStats()
 	if _, err := se.Query(core.TSACH, q, prm); err != nil {
 		t.Fatal(err)
@@ -171,7 +150,7 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 		t.Fatalf("TSA-CH past social epoch 0: err = %v, want ErrStaleHierarchy", err)
 	}
 	if d := diff(fs1, se.FanoutStats()); d != (FanoutStats{}) {
-		t.Fatalf("home-shard refusal still committed counters: %+v", d)
+		t.Fatalf("refusal still committed counters: %+v", d)
 	}
 
 	// A second refusal must also commit nothing: every errored attempt stays
@@ -214,5 +193,79 @@ func TestAISCacheFallbackExactUnderFanout(t *testing.T) {
 	}
 	if fellBack == 0 {
 		t.Fatal("fixture: no query fell back")
+	}
+}
+
+// TestQueryExactAcrossSocialEpochStraddle: the substrate publishes an edge
+// batch by syncing its shards one at a time, so a query's load pass can take
+// one shard's snapshot before the sync and the others after it. One search
+// over such a view would pair one epoch's graph with another epoch's cell
+// summaries. The query here is parked after loading shard 0's snapshot while
+// an upsert makes a new friend of q's the best-ranked user; once released,
+// its answer must be brute force on the new graph — the load pass has to
+// retry until all snapshots share one social epoch.
+func TestQueryExactAcrossSocialEpochStraddle(t *testing.T) {
+	prm := core.Params{K: 8, Alpha: 0.9}
+	for _, algo := range []core.Algorithm{core.SFA, core.SPA, core.TSA, core.TSAQC,
+		core.AIS, core.AISCache, core.BruteForce} {
+		t.Run(algo.String(), func(t *testing.T) {
+			ds := clusteredDataset(t, 400, 53)
+			se, err := New(ds, 4, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, CacheT: 30, Seed: 53})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer se.Close()
+			users := locatedUsers(ds)
+			q := users[0]
+			before, err := se.Query(core.BruteForce, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The new friend: the spatially nearest user outside the answer.
+			held := before.IDSet()
+			qpt, _ := se.UserLocation(int32(q))
+			u, best := int32(-1), math.Inf(1)
+			for _, v := range users {
+				p, _ := se.UserLocation(int32(v))
+				if d := p.Dist(qpt); v != q && !held[int32(v)] && d < best {
+					u, best = int32(v), d
+				}
+			}
+
+			parked, release := make(chan struct{}), make(chan struct{})
+			fired := false
+			se.testSeam = func(p seamPoint) {
+				if p != seamFirstSnapshot || fired {
+					return
+				}
+				fired = true
+				close(parked)
+				<-release
+			}
+			upserted := make(chan error, 1)
+			go func() {
+				<-parked
+				upserted <- addFriend(se, int32(q), u, 1e-6)
+				close(release)
+			}()
+			got, err := se.Query(algo, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fired {
+				t.Fatal("seam never fired")
+			}
+			if err := <-upserted; err != nil {
+				t.Fatal(err)
+			}
+			want, err := se.Query(core.BruteForce, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.IDSet()[u] {
+				t.Fatalf("fixture: the upsert did not bring user %d into the answer", u)
+			}
+			sameEntries(t, "epoch-straddling "+algo.String(), got.Entries, want.Entries)
+		})
 	}
 }

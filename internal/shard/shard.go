@@ -2,8 +2,8 @@
 // split across S spatially-contiguous shards by a space-filling-curve
 // assignment of grid leaf cells, and every shard owns an independent spatial
 // side — its own grid, AIS aggregate index and epochs — built over a
-// Restrict'ed view of one shared dataset. Queries fan out in parallel and are
-// combined by a k-way merge; updates route to the shard owning the user's
+// Restrict'ed view of one shared dataset. A query is one search over all S
+// shards' snapshots (query.go); updates route to the shard owning the user's
 // current location. Every write takes one path (update.go): a batch, whether
 // a synchronous call or one drained from the engine's single async queue, is
 // staged, committed, routed and applied under its routing stripes.
@@ -29,21 +29,19 @@
 //     before publication, so no shard can pair new membership with stale
 //     Lemma-2 bounds.
 //
-// Urban geo-social graphs are strongly geo-clustered (Herrera-Yagüe et al.,
-// "The anatomy of urban social networks"), which is what makes the spatial
-// cut effective: most of a user's top-k lives in their own shard, and the
-// fan-out prunes remote shards whose best-possible Lemma-2 score cannot beat
-// the running kth score (cf. Elsisy et al. on partial friend-locality
-// knowledge pruning cross-region work). The same literature's
-// distance-dependent migration is what unbalances a frozen partition —
-// hence the online re-cut.
+// Urban social structure does not follow spatial cut lines (Herrera-Yagüe
+// et al., "The anatomy of urban social networks"), so social work cannot be
+// split by shard. A query therefore runs once, as the paper's algorithms over
+// the S grids read as one forest: one social search, every shard's cells in
+// one best-first heap, each bounded against its own shard's summaries. The
+// same literature's distance-dependent migration is what unbalances a frozen
+// partition — hence the online re-cut.
 //
 // Equivalence with a single index over the whole dataset is exact, not
-// approximate: the per-shard searches run the unmodified paper algorithms
-// against their own snapshots (core.Engine.QueryOn threads the owner shard's
-// query location through), the seed bound is applied strictly so ID
-// tiebreaks survive, and the metamorphic/differential harness in
-// internal/core asserts S shards == a bare core.Engine == brute under
+// approximate: the search is the unmodified paper algorithm over a view of
+// snapshots at one social epoch (core.Engine.QueryOn threads the owner
+// shard's query location through), and the metamorphic/differential harness
+// in internal/core asserts S shards == a bare core.Engine == brute under
 // interleaved churn — including across a forced mid-stream rebalance. S = 1
 // is that same cut with no boundary, which is why it is the engine's default
 // rather than a second implementation.
@@ -63,13 +61,13 @@ import (
 	"ssrq/internal/wal"
 )
 
-// MaxShards bounds the shard count; fan-out spawns one goroutine per
-// unpruned shard, so the cap keeps a single query's parallelism sane.
+// MaxShards bounds the shard count, and with it the snapshots one query
+// loads and the top cells it seeds.
 const MaxShards = 64
 
 // Engine is the routed composition over S ≥ 1 per-shard core.Engine workers —
 // the one engine the root ssrq package serves from. S = 1 is the same code
-// with no boundary to cross: one shard, one snapshot per query, no fan-out.
+// with no boundary to cross: one shard, one snapshot per query.
 type Engine struct {
 	ds     *dataset.Dataset
 	layout *spatial.Layout
@@ -77,7 +75,7 @@ type Engine struct {
 	// the engine serves (rebalance re-cuts the curve online), so each is an
 	// atomic: routers and queries load the current owner lock-free, and the
 	// migration protocol tolerates the transient window where a moving
-	// cell's users are visible in two shards (the fan-out merge dedupes).
+	// cell's users are visible in two shards (a query keeps one entry each).
 	cellShard []atomic.Int32
 	sub       *aggindex.Social // shared social substrate, owned by this engine
 	shards    []*core.Engine
@@ -125,13 +123,11 @@ type Engine struct {
 	usersMoved    atomic.Int64
 	lastImbalance atomic.Uint64 // float64 bits
 
-	// Fan-out counters (see FanoutStats).
+	// Query counters (see FanoutStats).
 	queries       atomic.Int64
 	fanouts       atomic.Int64
 	shardsQueried atomic.Int64
-	shardsPruned  atomic.Int64
 	shardsEmpty   atomic.Int64
-	prunedBy      []atomic.Int64
 
 	// testSeam, when non-nil, runs at the named points of the query and
 	// routing paths — tests set it (before any concurrent use) to force the
@@ -201,7 +197,6 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 		cellShard: make([]atomic.Int32, numCells),
 		sub:       sub,
 		owner:     make([]atomic.Int32, ds.NumUsers()),
-		prunedBy:  make([]atomic.Int64, numShards),
 
 		rebalanceThreshold: rebalanceThreshold,
 		drainBatch:         rebalanceDrainBatch,

@@ -244,31 +244,44 @@ func settleGoroutines(want int) int {
 	return n
 }
 
-// TestShardPruning: on a clustered workload with a spatially-dominant
-// ranking, remote shards must be skipped by the Lemma-2 bound.
-func TestShardPruning(t *testing.T) {
-	ds := clusteredDataset(t, 600, 29)
-	se, err := New(ds, 8, core.Options{GridS: 5, GridLevels: 2, NumLandmarks: 4, Seed: 29})
+// TestShardedAISPopsMatchOneIndex is the pop-count gate for one search over
+// S snapshots: on the fixture and queries of core's
+// TestPaperOrderingAsPopCounts (gowalla 5000, k=30, α=0.3, 40 queries), AIS
+// at four shards does exactly the social work of AIS at one — the same
+// forward and reverse pops and the same exact evaluations — because a user's
+// key does not depend on which grid holds it (DESIGN.md §5.6). A fan-out
+// that repeated the social search per shard read about 1.9× here.
+func TestShardedAISPopsMatchOneIndex(t *testing.T) {
+	ds, err := gen.GowallaPreset.Dataset(5000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer se.Close()
 	users := locatedUsers(ds)
-	for _, q := range users[:40] {
-		if _, err := se.Query(core.AIS, q, core.Params{K: 5, Alpha: 0.3}); err != nil {
+	prm := core.Params{K: 30, Alpha: 0.3}
+	const queries = 40
+	work := func(S int) (pops, calls int) {
+		se, err := New(ds, S, core.Options{Seed: 42})
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer se.Close()
+		for i := 0; i < queries; i++ {
+			res, err := se.Query(core.AIS, users[i*len(users)/queries], prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pops += res.Stats.SocialPops
+			calls += res.Stats.GraphDistCalls
+		}
+		return pops, calls
 	}
-	fs := se.FanoutStats()
-	if fs.ShardsPruned == 0 {
-		t.Fatalf("no shards pruned on a clustered workload: %+v", fs)
-	}
-	var perShard int64
-	for _, st := range se.ShardStats() {
-		perShard += st.PrunedQueries
-	}
-	if perShard != fs.ShardsPruned {
-		t.Fatalf("per-shard pruned sum %d != total %d", perShard, fs.ShardsPruned)
+	pops1, calls1 := work(1)
+	pops4, calls4 := work(4)
+	t.Logf("AIS over %d queries: S=1 %d social pops, %d evaluations; S=4 %d social pops, %d evaluations",
+		queries, pops1, calls1, pops4, calls4)
+	if pops4 != pops1 || calls4 != calls1 {
+		t.Errorf("S=4 did %d social pops / %d evaluations, S=1 %d / %d: the social work is no longer done once",
+			pops4, calls4, pops1, calls1)
 	}
 }
 

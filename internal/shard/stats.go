@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"sort"
-
 	"ssrq/internal/core"
 	"ssrq/internal/graph"
 	"ssrq/internal/spatial"
@@ -21,8 +19,6 @@ type ShardStat struct {
 	// AppliedBatches counts the batches the shard applied — its share of
 	// routed writes, sync or queued, replay and rebalance migrations alike.
 	AppliedBatches int64
-	// PrunedQueries counts fan-outs that skipped this shard by bound.
-	PrunedQueries int64
 }
 
 // ShardStats returns a point-in-time view of every shard. Cell ownership is
@@ -42,25 +38,24 @@ func (se *Engine) ShardStats() []ShardStat {
 			Epoch:          us.Epoch,
 			SocialEpoch:    us.SocialEpoch,
 			AppliedBatches: us.AppliedBatches,
-			PrunedQueries:  se.prunedBy[s].Load(),
 		}
 	}
 	return out
 }
 
-// FanoutStats counts the fan-out pruning behaviour across all queries. All
-// counters commit only when a query succeeds end-to-end: a query aborted by
-// any shard error (e.g. a *-CH refusal past social epoch 0) contributes nothing,
-// so the counters never over-report shard visits.
+// FanoutStats counts how queries spanned the shards. All counters commit
+// only when a query succeeds end-to-end: a refused query (e.g. a *-CH variant
+// past social epoch 0) contributes nothing.
 type FanoutStats struct {
-	// Queries is the successful query count; Fanouts how many ran on more
-	// than one shard's engine (Queries when S ≥ 2, 0 when S = 1).
+	// Queries is the successful query count; Fanouts how many searched a view
+	// of more than one shard (Queries when S ≥ 2, 0 when S = 1).
 	Queries int64
 	Fanouts int64
-	// ShardsQueried / ShardsPruned / ShardsEmpty partition the per-query
-	// shard visits: searched successfully, skipped because their
-	// best-possible Lemma-2 score could not beat the live shared threshold
-	// (before launch or at goroutine start), or skipped as empty.
+	// ShardsQueried / ShardsEmpty partition each query's view: shards that
+	// located some user, whose top cells all seed the one search, and empty
+	// ones. ShardsPruned is always 0: one search over S snapshots has no
+	// shard-level admission to skip a shard by. It stays for readers that
+	// still report it.
 	ShardsQueried int64
 	ShardsPruned  int64
 	ShardsEmpty   int64
@@ -72,7 +67,6 @@ func (se *Engine) FanoutStats() FanoutStats {
 		Queries:       se.queries.Load(),
 		Fanouts:       se.fanouts.Load(),
 		ShardsQueried: se.shardsQueried.Load(),
-		ShardsPruned:  se.shardsPruned.Load(),
 		ShardsEmpty:   se.shardsEmpty.Load(),
 	}
 }
@@ -147,14 +141,3 @@ func (se *Engine) NumLocated() int {
 
 // LiveSocialGraph returns the shared substrate's latest published graph.
 func (se *Engine) LiveSocialGraph() *graph.Graph { return se.sub.Snapshot().Graph() }
-
-// sortNeighbors orders by ascending (Dist, ID) — the spatial analogue of
-// the entries' (F, ID) order.
-func sortNeighbors(nbrs []spatial.Neighbor) {
-	sort.Slice(nbrs, func(a, b int) bool {
-		if nbrs[a].Dist != nbrs[b].Dist {
-			return nbrs[a].Dist < nbrs[b].Dist
-		}
-		return nbrs[a].ID < nbrs[b].ID
-	})
-}

@@ -28,8 +28,8 @@ import (
 // the application order. Traffic for untouched users proceeds concurrently.
 //
 // Cross-shard atomicity is deliberately out of scope for a partitioned
-// engine: each shard publishes its own epochs, queries are per-shard
-// snapshot-consistent, and the merge deduplicates the transient window where
+// engine: each shard publishes its own epochs, a query reads one snapshot per
+// shard, and it keeps one entry per user through the transient window where
 // a mid-relocation user is visible in two shards at once.
 
 // validate rejects a malformed update before any routing decision is made.

@@ -7,10 +7,13 @@ import "ssrq/internal/pqueue"
 // queued by MinDist to the query, users by their exact distance. This is the
 // incremental NN search SPA and TSA consume (paper §4.1).
 //
-// The iterator traverses one immutable snapshot, so it is inherently
-// consistent: location updates published after NewNN are invisible to it.
+// The iterator traverses immutable snapshots, so it is inherently
+// consistent: location updates published after Reset are invisible to it.
+// Over several snapshots of one layout (the shards of a partitioned index)
+// it is one search over their forest: every grid's occupied top cells seed
+// the one heap, and a user located in two of them is reported twice.
 type NNIterator struct {
-	s        *Snapshot
+	snaps    []*Snapshot
 	q        Point
 	heap     *pqueue.Heap[nnItem]
 	childBuf []int32
@@ -20,25 +23,26 @@ type NNIterator struct {
 
 type nnItem struct {
 	level int16 // -1 for a user entry
+	snap  int16 // which snapshot the cell (or the user's cell) belongs to
 	idx   int32 // cell index, or user ID for user entries
 }
 
 const userLevel = int16(-1)
 
 // nnTie makes heap order deterministic: equal-key users pop before cells,
-// users order by ID, cells by (level, index).
-func nnTie(level int16, idx int32) int64 {
+// users order by ID, cells by (level, snapshot, index).
+func nnTie(level, snap int16, idx int32) int64 {
 	if level == userLevel {
 		return int64(idx)
 	}
-	return (int64(level)+1)<<40 | int64(idx)
+	return (int64(level)+1)<<40 | int64(snap)<<32 | int64(idx)
 }
 
 // NewNN starts an incremental nearest-neighbor search at q over this
 // snapshot.
 func (s *Snapshot) NewNN(q Point) *NNIterator {
 	it := NewNNIterator()
-	it.Reset(s, q)
+	it.Reset(q, s)
 	return it
 }
 
@@ -48,21 +52,23 @@ func NewNNIterator() *NNIterator {
 	return &NNIterator{heap: pqueue.NewHeap[nnItem](64)}
 }
 
-// Reset re-arms the iterator in place for a fresh search at q over snapshot
-// s, reusing the heap and child-index storage. Query-serving paths pool
-// iterators across queries.
-func (it *NNIterator) Reset(s *Snapshot, q Point) {
-	it.s = s
+// Reset re-arms the iterator in place for a fresh search at q over the
+// given snapshots, which must share one layout, reusing the heap and
+// child-index storage. Query-serving paths pool iterators across queries.
+// The snapshot list is copied, not retained.
+func (it *NNIterator) Reset(q Point, snaps ...*Snapshot) {
+	it.snaps = append(it.snaps[:0], snaps...)
 	it.q = q
 	it.heap.Reset()
 	it.userPops = 0
 	it.cellPops = 0
-	top := 0
-	for idx := int32(0); idx < int32(s.layout.NumCells(top)); idx++ {
-		if s.CountAt(top, idx) == 0 {
-			continue
+	for si, s := range snaps {
+		for idx := int32(0); idx < int32(s.layout.NumCells(0)); idx++ {
+			if s.CountAt(0, idx) == 0 {
+				continue
+			}
+			it.heap.Push(s.layout.CellMinDist(0, idx, q), nnTie(0, int16(si), idx), nnItem{0, int16(si), idx})
 		}
-		it.heap.Push(s.layout.CellMinDist(top, idx, q), nnTie(int16(top), idx), nnItem{int16(top), idx})
 	}
 }
 
@@ -85,20 +91,20 @@ func (it *NNIterator) Next() (id int32, dist float64, ok bool) {
 			return item.idx, e.Key, true
 		}
 		it.cellPops++
-		level := int(item.level)
-		if level == it.s.layout.LeafLevel() {
-			for _, u := range it.s.CellUsers(item.idx) {
-				d := it.s.Point(u).Dist(it.q)
-				it.heap.Push(d, nnTie(userLevel, u), nnItem{userLevel, u})
+		s, level := it.snaps[item.snap], int(item.level)
+		if level == s.layout.LeafLevel() {
+			for _, u := range s.CellUsers(item.idx) {
+				d := s.Point(u).Dist(it.q)
+				it.heap.Push(d, nnTie(userLevel, item.snap, u), nnItem{userLevel, item.snap, u})
 			}
 			continue
 		}
-		it.childBuf = it.s.layout.ChildIndices(level, item.idx, it.childBuf[:0])
+		it.childBuf = s.layout.ChildIndices(level, item.idx, it.childBuf[:0])
 		for _, c := range it.childBuf {
-			if it.s.CountAt(level+1, c) == 0 {
+			if s.CountAt(level+1, c) == 0 {
 				continue
 			}
-			it.heap.Push(it.s.layout.CellMinDist(level+1, c, it.q), nnTie(int16(level+1), c), nnItem{int16(level + 1), c})
+			it.heap.Push(s.layout.CellMinDist(level+1, c, it.q), nnTie(int16(level+1), item.snap, c), nnItem{int16(level + 1), item.snap, c})
 		}
 	}
 }

@@ -297,14 +297,14 @@ type Options struct {
 	// Shards is how many spatially-contiguous shards the users are split
 	// across (space-filling-curve assignment of grid regions), each owning
 	// its own grid, aggregate index and epochs. It is a count, not
-	// a mode: 0 or 1 is the same engine with one shard and nothing to fan
-	// out to. With more, queries fan out in parallel with bound-based shard
-	// pruning and a k-way merge, and results are exactly the one-shard
-	// engine's. The social dimension (friendship graph, landmark tables,
-	// their maintenance) is shared, not replicated: one substrate serves
-	// every shard and an edge update applies once, so sharding scales the
-	// spatial dimension and query parallelism at a social memory and
-	// edge-churn cost independent of Shards.
+	// a mode: 0 or 1 is the same engine with one shard. With more, a query
+	// is still one search, over all shards' snapshots at once, and results
+	// are exactly the one-shard engine's. The social dimension (friendship
+	// graph, landmark tables, their maintenance) is shared, not replicated:
+	// one substrate serves every shard, an edge update applies once, and a
+	// query's social search runs once, so sharding scales the spatial write
+	// path at a social memory, edge-churn and query cost independent of
+	// Shards.
 	Shards int
 	// Durability, when non-nil, journals every world mutation to a
 	// write-ahead log in Durability.Dir and recovers state from it on
@@ -324,9 +324,9 @@ type Options struct {
 //
 // The engine is always the routed one (internal/shard) over Options.Shards
 // spatial shards, one by default: each shard owns a complete index over its
-// region's users, queries fan out in parallel with bound-based shard pruning,
-// and updates route to the owning shard — same API, same results, S-way write
-// and query scaling.
+// region's users, a query is one search over every shard's snapshot, and
+// updates route to the owning shard — same API, same results, S-way spatial
+// write scaling.
 type Engine struct {
 	eng *shard.Engine
 	d   *Dataset
@@ -390,15 +390,14 @@ func (e *Engine) NumShards() int { return e.eng.NumShards() }
 // ShardStat is one shard's live state (see ShardStats).
 type ShardStat = shard.ShardStat
 
-// FanoutStats counts the engine's fan-out pruning behaviour.
+// FanoutStats counts how the engine's queries spanned the shards.
 type FanoutStats = shard.FanoutStats
 
 // ShardStats returns a point-in-time view of every shard.
 func (e *Engine) ShardStats() []ShardStat { return e.eng.ShardStats() }
 
-// FanoutStats returns the accumulated fan-out counters (with one shard there
-// is nothing to fan out to: every query counts one shard queried, none
-// pruned).
+// FanoutStats returns the accumulated query counters (with one shard every
+// query counts one shard queried; ShardsPruned is always 0).
 func (e *Engine) FanoutStats() FanoutStats { return e.eng.FanoutStats() }
 
 // RebalanceStats counts the engine's elastic re-cuts.
