@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"ssrq/internal/ch"
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
 	"ssrq/internal/exp"
@@ -43,7 +44,7 @@ var (
 func getEngine(b *testing.B, preset string, mutate func(*core.Options)) *benchEngine {
 	b.Helper()
 	key := preset
-	opts := exp.EngineOptions(exp.DefaultS, false, 200, benchSeed)
+	opts := exp.EngineOptions(exp.DefaultS, benchSeed)
 	if mutate != nil {
 		mutate(&opts)
 		key = fmt.Sprintf("%s/%+v", preset, opts)
@@ -187,7 +188,12 @@ func BenchmarkFig8RuntimeVsK(b *testing.B) {
 
 // BenchmarkFig8CHVariants adds the contraction-hierarchy comparison curves.
 func BenchmarkFig8CHVariants(b *testing.B) {
-	be := getEngine(b, "gowalla", func(o *core.Options) { o.BuildCH = true })
+	be := getEngine(b, "gowalla", nil)
+	h, err := ch.Build(be.ds.G, ch.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	be.eng.AttachHierarchy(h)
 	for _, algo := range []core.Algorithm{core.SFACH, core.SPACH, core.TSACH} {
 		b.Run(algo.String(), func(b *testing.B) {
 			benchQueries(b, be, algo, exp.DefaultK, exp.DefaultAlpha)
@@ -267,7 +273,7 @@ func BenchmarkFig14aCorrelation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := core.NewEngine(ds, exp.EngineOptions(exp.DefaultS, false, 1, benchSeed))
+		eng, err := core.NewEngine(ds, exp.EngineOptions(exp.DefaultS, benchSeed))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,7 +295,7 @@ func BenchmarkFig14bScalability(b *testing.B) {
 		} else if ds, err = gen.SampledDataset(base.ds, size, benchSeed); err != nil {
 			b.Fatal(err)
 		}
-		eng, err := core.NewEngine(ds, exp.EngineOptions(exp.DefaultS, false, 1, benchSeed))
+		eng, err := core.NewEngine(ds, exp.EngineOptions(exp.DefaultS, benchSeed))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -437,7 +443,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 	users := exp.QueryUsers(ds, benchQueryCnt, benchSeed)
 	prm := core.Params{K: exp.DefaultK, Alpha: exp.DefaultAlpha}
 	for _, S := range []int{1, 2, 4} {
-		se, err := shard.New(ds, S, exp.EngineOptions(exp.DefaultS, false, 1, benchSeed))
+		se, err := shard.New(ds, S, exp.EngineOptions(exp.DefaultS, benchSeed))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -464,7 +470,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.NewEngine(ds, exp.EngineOptions(exp.DefaultS, false, 1, benchSeed)); err != nil {
+		if _, err := core.NewEngine(ds, exp.EngineOptions(exp.DefaultS, benchSeed)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,12 +18,6 @@ import (
 	"ssrq"
 )
 
-var algoByName = map[string]ssrq.Algorithm{
-	"SFA": ssrq.SFA, "SPA": ssrq.SPA, "TSA": ssrq.TSA, "TSA-QC": ssrq.TSAQC,
-	"AIS-BID": ssrq.AISBID, "AIS-": ssrq.AISMinus, "AIS": ssrq.AIS,
-	"AIS-CACHE": ssrq.AISCache, "BRUTE": ssrq.BruteForce,
-}
-
 // run is the whole program minus process concerns: it parses args, answers
 // the query, writes the report to stdout and returns the exit code.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -37,16 +31,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		q      = fs.Int("q", -1, "query user (default: first located user)")
 		k      = fs.Int("k", 10, "result size")
 		alpha  = fs.Float64("alpha", 0.3, "social/spatial preference in (0,1)")
-		algo   = fs.String("algo", "AIS", "algorithm: "+strings.Join(algoNames(), "|"))
+		algo   = fs.String("algo", "AIS", "algorithm: "+algoNames())
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	a, err := ssrq.ParseAlgorithm(*algo)
+	if err != nil {
+		return fail(stderr, err)
+	}
 
-	var (
-		ds  *ssrq.Dataset
-		err error
-	)
+	var ds *ssrq.Dataset
 	if *data != "" {
 		ds, err = ssrq.LoadDataset(*data)
 	} else {
@@ -54,11 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err != nil {
 		return fail(stderr, err)
-	}
-
-	a, ok := algoByName[strings.ToUpper(*algo)]
-	if !ok {
-		return fail(stderr, fmt.Errorf("unknown algorithm %q (%s)", *algo, strings.Join(algoNames(), "|")))
 	}
 
 	eng, err := ssrq.NewEngine(ds, &ssrq.Options{Seed: *seed})
@@ -100,12 +90,13 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func algoNames() []string {
-	names := make([]string, 0, len(algoByName))
-	for n := range algoByName {
-		names = append(names, n)
+// algoNames lists the served algorithms in enum order.
+func algoNames() string {
+	var names []string
+	for _, a := range ssrq.Algorithms() {
+		names = append(names, a.String())
 	}
-	return names
+	return strings.Join(names, "|")
 }
 
 func fail(stderr io.Writer, err error) int {

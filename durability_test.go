@@ -75,7 +75,7 @@ func genCrashOps(d *Dataset, n int, seed int64) []crashOp {
 	return ops
 }
 
-var crashAlgos = []Algorithm{SFA, SPA, TSA, TSAQC, AIS, AISCache, BruteForce}
+var crashAlgos = Algorithms()
 
 // requireSameWorld asserts bit-identical locations and social graphs.
 func requireSameWorld(t *testing.T, got, want *Engine) {

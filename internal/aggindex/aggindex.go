@@ -106,7 +106,7 @@ func (s *Snapshot) Landmarks() *landmark.Set { return s.lm }
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // SocialEpoch returns the social graph version (0 at construction, +1 per
-// batch with an effective edge op). The CH-based variants serve only at 0,
+// batch with an effective edge op). The CH-based variants answer only at 0,
 // the epoch their hierarchy was built on.
 func (s *Snapshot) SocialEpoch() uint64 { return s.socialEpoch }
 
@@ -291,10 +291,6 @@ type Config struct {
 	// triggers folding the delta back into a pure CSR (default
 	// max(1024, n/8)).
 	CompactThreshold int
-	// BuildCH makes the substrate contract the construction graph into a
-	// hierarchy (Social.Hierarchy). It is built once and never maintained:
-	// exact for social epoch 0 only.
-	BuildCH bool
 	// Labels is the per-user attribute bitmask slice (nil = unlabeled).
 	// Like the graph topology it is fixed for the substrate's lifetime; the
 	// substrate and every attached index read it without copying. Indexes

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ssrq/internal/ch"
 	"ssrq/internal/fof"
 	"ssrq/internal/graph"
 	"ssrq/internal/landmark"
@@ -61,11 +60,6 @@ type Social struct {
 	// Mutable social state.
 	ov  *graph.Overlay
 	dyn *landmark.Dynamic
-	// hier is the contraction hierarchy of the construction graph (nil
-	// without Config.BuildCH). Immutable and never rebuilt: it answers exact
-	// distances only while the social epoch is still 0.
-	hier *ch.CH
-
 	// labels is the immutable per-user label bitmask slice (nil when the
 	// world is unlabeled); consumers build per-cell masks from it.
 	labels []uint64
@@ -102,13 +96,6 @@ func NewSocialSubstrate(lm *landmark.Set, g *graph.Graph, cfg Config) (*Social, 
 		labels: cfg.Labels,
 		fof:    fof.New(g),
 	}
-	if cfg.BuildCH {
-		hier, err := ch.Build(g, ch.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("aggindex: contraction hierarchy: %w", err)
-		}
-		s.hier = hier
-	}
 	s.compactAt = cfg.CompactThreshold
 	if s.compactAt <= 0 {
 		s.compactAt = max(1024, g.NumVertices()/8)
@@ -123,11 +110,6 @@ func (s *Social) Snapshot() *SocialSnapshot { return s.published.Load() }
 // Landmarks returns the construction-time landmark set (live tables come
 // from Snapshot().Landmarks()).
 func (s *Social) Landmarks() *landmark.Set { return s.lm }
-
-// Hierarchy returns the contraction hierarchy built over the construction
-// graph (nil without Config.BuildCH). It is exact only for snapshots whose
-// social epoch is 0; callers gate on that.
-func (s *Social) Hierarchy() *ch.CH { return s.hier }
 
 // Labels returns the per-user label bitmasks (nil when unlabeled). Read-only.
 func (s *Social) Labels() []uint64 { return s.labels }

@@ -8,12 +8,19 @@ import (
 	"ssrq/internal/spatial"
 )
 
+// defaultCacheT is the t of §5.4 an engine starts with: how many
+// socially-nearest users each pre-computed list holds. ResetCache changes it
+// (the Fig. 11 sweep).
+const defaultCacheT = 1000
+
 // socialCache implements §5.4's graph-distance pre-computation: for a query
 // user, the t socially-closest users with their exact distances. The paper
 // materializes the lists for every user offline (an all-users build is
 // available via Precompute); queries not covered yet compute their list on
 // first use and memoize it, which yields the same per-query behaviour
-// without the multi-hour cold build.
+// without the multi-hour cold build. The memo is never evicted on a static
+// graph — one list per distinct query user — which is why AIS-Cache is a
+// figure variant of the single-index engine and not served.
 type socialCache struct {
 	t  int
 	mu sync.RWMutex

@@ -7,15 +7,16 @@ import (
 	"strings"
 	"testing"
 
+	"ssrq/internal/ch"
 	"ssrq/internal/core"
 	"ssrq/internal/graph"
-	"ssrq/internal/shard"
 	"ssrq/internal/spatial"
 )
 
 // TestChurnInterleavedCHEquivalence is the *-CH contract as a property, on
-// the single-index reference (a bare core.Engine) and on 3 shards. The hierarchy contracts the
-// construction graph and is never maintained, so SFA-CH/SPA-CH/TSA-CH equal a
+// the single-index engine the Fig. 8 variants run on (a bare core.Engine with
+// a hierarchy attached; the routed engine does not serve them). The hierarchy
+// contracts the construction graph and is never maintained, so SFA-CH/SPA-CH/TSA-CH equal a
 // from-scratch oracle while the social epoch is 0 — at construction and
 // through random interleaved location churn (sync and async) mixed with edge
 // ops that change nothing (removing an absent edge, re-upserting a present
@@ -37,18 +38,18 @@ func TestChurnInterleavedCHEquivalence(t *testing.T) {
 			opts := core.Options{
 				GridS: 3 + rng.Intn(3), GridLevels: 1 + rng.Intn(2),
 				NumLandmarks: 2 + rng.Intn(5), Seed: int64(trial),
-				UpdateMaxBatch: 1 + rng.Intn(32), BuildCH: true,
+				UpdateMaxBatch: 1 + rng.Intn(32),
 			}
 			mono, err := core.NewEngine(ds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s3, err := shard.New(ds, 3, opts)
+			h, err := ch.Build(ds.G, ch.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s3.Close()
-			engines := map[string]queryEngine{"single-index": syncRef{mono}, "S=3": s3}
+			mono.AttachHierarchy(h)
+			engines := map[string]queryEngine{"single-index": syncRef{mono}}
 			apply := func(up core.Update) {
 				t.Helper()
 				for _, e := range engines {
@@ -92,8 +93,8 @@ func TestChurnInterleavedCHEquivalence(t *testing.T) {
 				for _, e := range engines {
 					e.Flush()
 				}
-				if m, s := mono.UpdateStats().SocialEpoch, s3.UpdateStats().SocialEpoch; m != 0 || s != 0 {
-					t.Fatalf("round %d: social epochs %d/%d after no-op edge ops", round, m, s)
+				if m := mono.UpdateStats().SocialEpoch; m != 0 {
+					t.Fatalf("round %d: social epoch %d after no-op edge ops", round, m)
 				}
 				for probe := 0; probe < 3; probe++ {
 					q := users[rng.Intn(len(users))]

@@ -53,7 +53,7 @@ func TestConcurrentQueryMoveStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const n = 200
 	ds := mkDataset(t, rng, n, 0, false) // everyone located
-	e := mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, CacheT: 20})
+	e := withCache(mkEngine(t, ds, Options{GridS: 5, GridLevels: 2}), 20)
 
 	// Movers touch only the upper half of the ID space; queriers query only
 	// the lower half, so a query user never loses its location mid-test.

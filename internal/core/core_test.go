@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ssrq/internal/ch"
 	"ssrq/internal/dataset"
 	"ssrq/internal/graph"
 	"ssrq/internal/landmark"
@@ -72,6 +73,24 @@ func mkEngine(t testing.TB, ds *dataset.Dataset, opts Options) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return e
+}
+
+// withCache sets the engine's §5.4 list length t (AIS-Cache).
+func withCache(e *Engine, t int) *Engine {
+	e.ResetCache(t)
+	return e
+}
+
+// withCH attaches a contraction hierarchy of the dataset's construction
+// graph, enabling the *-CH variants.
+func withCH(t testing.TB, e *Engine) *Engine {
+	t.Helper()
+	h, err := ch.Build(e.Dataset().G, ch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AttachHierarchy(h)
 	return e
 }
 
@@ -157,7 +176,7 @@ func TestEngineValidation(t *testing.T) {
 		}
 	}
 	if _, err := e.Query(SFACH, locatedUsers(ds)[0], Params{K: 3, Alpha: 0.5}); err == nil {
-		t.Fatal("CH variant without BuildCH accepted")
+		t.Fatal("CH variant without an attached hierarchy accepted")
 	}
 	if _, err := e.Query(Algorithm(99), locatedUsers(ds)[0], Params{K: 3, Alpha: 0.5}); err == nil {
 		t.Fatal("unknown algorithm accepted")
@@ -194,12 +213,8 @@ func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		n := 30 + rng.Intn(120)
 		ds := mkDataset(t, rng, n, 0.15*rng.Float64(), trial%3 == 2)
-		e := mkEngine(t, ds, Options{
-			GridS:      3 + rng.Intn(4),
-			GridLevels: 1 + rng.Intn(2),
-			CacheT:     5 + rng.Intn(30),
-			Seed:       int64(trial),
-		})
+		opts := Options{GridS: 3 + rng.Intn(4), GridLevels: 1 + rng.Intn(2), Seed: int64(trial)}
+		e := withCache(mkEngine(t, ds, opts), 5+rng.Intn(30))
 		users := locatedUsers(ds)
 		for probe := 0; probe < 6; probe++ {
 			q := users[rng.Intn(len(users))]
@@ -243,14 +258,13 @@ func TestRandomizedEquivalenceProperty(t *testing.T) {
 				GridLevels:       1 + rng.Intn(3),
 				NumLandmarks:     2 + rng.Intn(10),
 				LandmarkStrategy: landmark.Strategy(rng.Intn(3)),
-				BuildCH:          buildCH,
 				Seed:             int64(trial),
 			}
 			rng.Intn(4) // a deleted option's draw, kept so every later draw (cache size, queries) stays put
-			opts.CacheT = 2 + rng.Intn(50)
-			e := mkEngine(t, ds, opts)
+			e := withCache(mkEngine(t, ds, opts), 2+rng.Intn(50))
 			algos := allNonCHAlgorithms
 			if buildCH {
+				withCH(t, e)
 				algos = append(append([]Algorithm{}, algos...), SFACH, SPACH, TSACH)
 			}
 			users := locatedUsers(ds)
@@ -279,7 +293,7 @@ func TestCHVariantsMatchBruteForce(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		n := 30 + rng.Intn(60)
 		ds := mkDataset(t, rng, n, 0.1, false)
-		e := mkEngine(t, ds, Options{BuildCH: true, Seed: int64(trial)})
+		e := withCH(t, mkEngine(t, ds, Options{Seed: int64(trial)}))
 		users := locatedUsers(ds)
 		for probe := 0; probe < 5; probe++ {
 			q := users[rng.Intn(len(users))]
@@ -378,7 +392,7 @@ func TestAISCacheCompleteAndFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ds := mkDataset(t, rng, 60, 0, false)
 	// Tiny t forces the fallback path.
-	small := mkEngine(t, ds, Options{CacheT: 2})
+	small := withCache(mkEngine(t, ds, Options{}), 2)
 	q := locatedUsers(ds)[0]
 	prm := Params{K: 15, Alpha: 0.5}
 	res, err := small.Query(AISCache, q, prm)
@@ -389,7 +403,7 @@ func TestAISCacheCompleteAndFallback(t *testing.T) {
 		t.Fatal("tiny cache did not fall back")
 	}
 	// Huge t covers the whole component: no fallback.
-	big := mkEngine(t, ds, Options{CacheT: 100000})
+	big := withCache(mkEngine(t, ds, Options{}), 100000)
 	res2, err := big.Query(AISCache, q, prm)
 	if err != nil {
 		t.Fatal(err)

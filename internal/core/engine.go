@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"ssrq/internal/aggindex"
-	"ssrq/internal/ch"
 	"ssrq/internal/dataset"
 	"ssrq/internal/fof"
 	"ssrq/internal/graph"
@@ -17,7 +16,10 @@ import (
 	"ssrq/internal/spatial"
 )
 
-// Algorithm selects the SSRQ processing method.
+// Algorithm selects the SSRQ processing method. A single-index Engine runs
+// every value; the served path (shard.Engine) answers only SFA, SPA, TSA, AIS
+// and BruteForce — the rest are the baselines and ablations of Figs. 8, 10
+// and 11, run where the figures are drawn.
 type Algorithm int
 
 const (
@@ -66,6 +68,15 @@ var algoNames = map[Algorithm]string{
 // has moved past the epoch their contraction hierarchy was built on.
 var ErrStaleHierarchy = errors.New("core: contraction hierarchy is stale")
 
+// Hierarchy answers exact point-to-point social distances on the
+// construction graph — the contract internal/ch's contraction hierarchy
+// meets. SFA-CH, SPA-CH and TSA-CH evaluate through it (Fig. 8).
+type Hierarchy interface {
+	// Dist returns the distance from s to t (+Inf when unreachable) and the
+	// search's pop count.
+	Dist(s, t graph.VertexID) (float64, int)
+}
+
 func (a Algorithm) String() string {
 	if n, ok := algoNames[a]; ok {
 		return n
@@ -86,14 +97,6 @@ type Options struct {
 	LandmarkStrategy landmark.Strategy
 	// Seed drives randomized preprocessing choices.
 	Seed int64
-	// BuildCH additionally contracts the construction graph into a
-	// hierarchy so the *-CH variants can run. Expensive on large social
-	// graphs (which is the point of Fig. 8), built once and never maintained:
-	// the variants serve only until the first effective edge update.
-	BuildCH bool
-	// CacheT is the t of §5.4: how many socially-nearest users the
-	// pre-computation list holds per query user (default 1000).
-	CacheT int
 	// UpdateQueueCap bounds the routed engine's one asynchronous update
 	// queue (its Updater); a full queue applies backpressure (default 4096).
 	UpdateQueueCap int
@@ -118,9 +121,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.NumLandmarks == 0 {
 		o.NumLandmarks = 8
-	}
-	if o.CacheT == 0 {
-		o.CacheT = 1000
 	}
 	if o.UpdateQueueCap == 0 {
 		o.UpdateQueueCap = 4096
@@ -156,7 +156,8 @@ const (
 // An Engine is one spatial index over a social substrate: the per-shard worker
 // of the routed shard.Engine the public API serves from, and — on its own,
 // over the whole dataset — the single-index reference the differential tests
-// and the benchmark's layer probes compare against.
+// and the benchmark's layer probes compare against, and the engine the
+// figure-only variants run on.
 type Engine struct {
 	ds    *dataset.Dataset
 	lm    *landmark.Set
@@ -167,9 +168,9 @@ type Engine struct {
 	// fof is the substrate's friends-of-friends bound index; queries arm a
 	// pooled Scratch from it for the 2-hop exact / weight-floor lower bound.
 	fof *fof.Index
-	// hier is the substrate's contraction hierarchy of the construction graph
-	// (nil without Options.BuildCH); see chReady.
-	hier *ch.CH
+	// hier is the hierarchy the *-CH variants evaluate through (nil until
+	// AttachHierarchy); see chReady.
+	hier Hierarchy
 
 	pools sync.Pool // *queryPools, reused across queries
 
@@ -205,9 +206,8 @@ type queryPools struct {
 
 // NewSubstrate builds the social substrate over the dataset's friendship
 // graph the way every engine flavour needs it: landmarks selected once, the
-// edge overlay and dynamic tables, and — with Options.BuildCH — the
-// contraction hierarchy. NewEngine owns one privately; the sharded engine
-// shares one across its shards.
+// edge overlay and dynamic tables. NewEngine owns one privately; the sharded
+// engine shares one across its shards.
 func NewSubstrate(ds *dataset.Dataset, opts Options) (*aggindex.Social, error) {
 	opts = opts.WithDefaults()
 	if ds == nil {
@@ -220,7 +220,6 @@ func NewSubstrate(ds *dataset.Dataset, opts Options) (*aggindex.Social, error) {
 	}
 	sub, err := aggindex.NewSocialSubstrate(lm, ds.G, aggindex.Config{
 		CompactThreshold: opts.OverlayCompactThreshold,
-		BuildCH:          opts.BuildCH,
 		Labels:           ds.Labels,
 	})
 	if err != nil {
@@ -240,8 +239,8 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 }
 
 // NewEngineWithSubstrate builds an engine whose social dimension — graph
-// overlay, landmark tables and contraction hierarchy — comes from an
-// existing substrate instead of being built privately. The engine owns only
+// overlay and landmark tables — comes from an existing substrate instead of
+// being built privately. The engine owns only
 // its spatial side (grid + AIS summaries over ds, typically a spatial
 // restriction of the substrate's population). The sharded engine attaches S
 // of these to one substrate, so the social structures are stored once
@@ -271,10 +270,9 @@ func NewEngineWithSubstrate(ds *dataset.Dataset, opts Options, sub *aggindex.Soc
 		lm:    sub.Landmarks(),
 		grid:  grid,
 		agg:   agg,
-		cache: newSocialCache(opts.CacheT),
+		cache: newSocialCache(defaultCacheT),
 		opts:  opts,
 		fof:   sub.FoF(),
-		hier:  sub.Hierarchy(),
 	}
 	n := ds.NumUsers()
 	e.pools.New = func() any {
@@ -460,7 +458,12 @@ func (e *Engine) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.Verte
 	return res, nil
 }
 
-// chReady gates the contraction-hierarchy variants: they need a built
+// AttachHierarchy makes the *-CH variants answerable, evaluating through h —
+// typically ch.Build over the dataset's construction graph. Call it before
+// querying; the engine never maintains h (see chReady).
+func (e *Engine) AttachHierarchy(h Hierarchy) { e.hier = h }
+
+// chReady gates the contraction-hierarchy variants: they need an attached
 // hierarchy, and the snapshot must still be at social epoch 0 — the
 // hierarchy contracts the construction graph and is never maintained, so
 // against any later graph it would be silently inexact. After the first
@@ -468,7 +471,7 @@ func (e *Engine) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.Verte
 // in the error so callers can tell that from a missing hierarchy.
 func (e *Engine) chReady(sn *aggindex.Snapshot, algo Algorithm) error {
 	if e.hier == nil {
-		return fmt.Errorf("core: %v requires Options.BuildCH", algo)
+		return fmt.Errorf("core: %v requires an attached hierarchy", algo)
 	}
 	if sn.SocialEpoch() != 0 {
 		return fmt.Errorf("%w: %v unavailable, hierarchy built at social epoch 0, snapshot at social epoch %d",

@@ -97,13 +97,15 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 			ds := labeledClusteredDS(t, n, int64(trial))
 			opts := core.Options{
 				GridS: 3 + rng.Intn(3), GridLevels: 1 + rng.Intn(2),
-				NumLandmarks: 2 + rng.Intn(5), CacheT: 4 + rng.Intn(30),
-				Seed: int64(trial), UpdateMaxBatch: 1 + rng.Intn(32),
+				NumLandmarks: 2 + rng.Intn(5),
 			}
+			cacheT := 4 + rng.Intn(30)
+			opts.Seed, opts.UpdateMaxBatch = int64(trial), 1+rng.Intn(32)
 			mono, err := core.NewEngine(ds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			mono.ResetCache(cacheT)
 			s1, err := shard.New(ds, 1, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -184,7 +186,7 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 							t.Fatalf("oracle found users carrying the reserved probe label")
 						}
 						for ei, e := range engines {
-							for _, algo := range []core.Algorithm{core.AIS, core.AISCache, core.TSA, core.SFA, core.SPA, core.BruteForce} {
+							for _, algo := range servedBy(e, []core.Algorithm{core.AIS, core.AISCache, core.TSA, core.SFA, core.SPA, core.BruteForce}) {
 								got, err := e.Query(algo, q, prm)
 								if err != nil {
 									t.Fatalf("round %d %s %v (q=%d filter=%#x): %v", round, names[ei], algo, q, filter, err)

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -75,10 +76,26 @@ func locator(e *core.Engine) func(int32) (spatial.Point, bool) {
 	return func(id int32) (spatial.Point, bool) { return userLocation(e, id) }
 }
 
-// metaAlgorithms are the churn-serving algorithms the properties cover.
+// metaAlgorithms are the algorithms the properties cover: every one on the
+// single-index reference, the served ones on a routed engine (servedBy).
 var metaAlgorithms = []core.Algorithm{
 	core.SFA, core.SPA, core.TSA, core.TSAQC, core.TSANoLandmark,
 	core.AISBID, core.AISMinus, core.AIS, core.AISCache, core.BruteForce,
+}
+
+// servedBy narrows algos to what e answers: all of them on the single-index
+// reference, shard.Served on a routed engine.
+func servedBy(e queryEngine, algos []core.Algorithm) []core.Algorithm {
+	if _, routed := e.(*shard.Engine); !routed {
+		return algos
+	}
+	var out []core.Algorithm
+	for _, a := range algos {
+		if slices.Contains(shard.Served, a) {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // clusteredDS synthesizes a geo-clustered dataset (the sharding target
@@ -236,11 +253,12 @@ func checkAlphaConsistency(t *testing.T, label string, e queryEngine, algo core.
 // flavors, re-checking after every interleaved churn round.
 func TestMetamorphicProperties(t *testing.T) {
 	ds := clusteredDS(t, 220, 101)
-	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, CacheT: 25, Seed: 101, UpdateMaxBatch: 16}
+	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 101, UpdateMaxBatch: 16}
 	mono, err := core.NewEngine(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mono.ResetCache(25)
 	sharded, err := shard.New(ds, 4, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +324,7 @@ func TestMetamorphicProperties(t *testing.T) {
 			k := 3 + rng.Intn(10)
 			alpha := 0.1 + 0.8*rng.Float64()
 			for _, eng := range engines {
-				for _, algo := range metaAlgorithms {
+				for _, algo := range servedBy(eng.e, metaAlgorithms) {
 					label := fmt.Sprintf("round %d %s %v q=%d", round, eng.name, algo, q)
 					res, err := eng.e.Query(algo, q, core.Params{K: k, Alpha: alpha})
 					if err != nil {
@@ -406,9 +424,10 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 			ds := clusteredDS(t, n, int64(trial))
 			opts := core.Options{
 				GridS: 3 + rng.Intn(3), GridLevels: 1 + rng.Intn(2),
-				NumLandmarks: 2 + rng.Intn(5), CacheT: 4 + rng.Intn(30),
-				Seed: int64(trial), UpdateMaxBatch: 1 + rng.Intn(32),
+				NumLandmarks: 2 + rng.Intn(5),
 			}
+			rng.Intn(30) // a deleted option's draw, kept so every later draw stays put
+			opts.Seed, opts.UpdateMaxBatch = int64(trial), 1+rng.Intn(32)
 			mono, err := core.NewEngine(ds, opts)
 			if err != nil {
 				t.Fatal(err)

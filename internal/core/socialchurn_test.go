@@ -82,14 +82,14 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(9000 + trial)))
 			n := 30 + rng.Intn(90)
 			ds := mkDataset(t, rng, n, 0.2*rng.Float64(), trial%3 == 2)
-			e := newAsync(mkEngine(t, ds, Options{
-				GridS:          3 + rng.Intn(4),
-				GridLevels:     1 + rng.Intn(2),
-				NumLandmarks:   2 + rng.Intn(6),
-				CacheT:         4 + rng.Intn(40),
-				Seed:           int64(trial),
-				UpdateMaxBatch: 1 + rng.Intn(64),
-			}))
+			opts := Options{
+				GridS:        3 + rng.Intn(4),
+				GridLevels:   1 + rng.Intn(2),
+				NumLandmarks: 2 + rng.Intn(6),
+			}
+			cacheT := 4 + rng.Intn(40)
+			opts.Seed, opts.UpdateMaxBatch = int64(trial), 1+rng.Intn(64)
+			e := newAsync(withCache(mkEngine(t, ds, opts), cacheT))
 			defer e.Close()
 			model := seedModel(ds)
 			users := locatedUsers(ds)
@@ -204,7 +204,7 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	const n = 160
 	ds := mkDataset(t, rng, n, 0, false)
-	e := newAsync(mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, CacheT: 20}))
+	e := newAsync(withCache(mkEngine(t, ds, Options{GridS: 5, GridLevels: 2}), 20))
 	defer e.Close()
 
 	var movable, queryable []graph.VertexID
@@ -506,7 +506,7 @@ func TestLandmarkTablesExactEveryEpoch(t *testing.T) {
 func TestAISCacheInvalidatedByEdgeChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ds := mkDataset(t, rng, 60, 0, false)
-	e := mkEngine(t, ds, Options{CacheT: 100000}) // complete lists, no fallback
+	e := withCache(mkEngine(t, ds, Options{}), 100000) // complete lists, no fallback
 	q := locatedUsers(ds)[0]
 	prm := Params{K: 8, Alpha: 0.6}
 	if _, err := e.Query(AISCache, q, prm); err != nil { // populate cache

@@ -24,7 +24,7 @@ func TestSnapshotStressAsyncMovers(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const n = 220
 	ds := mkDataset(t, rng, n, 0, false) // everyone located
-	e := newAsync(mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, CacheT: 20, UpdateMaxBatch: 16}))
+	e := newAsync(withCache(mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, UpdateMaxBatch: 16}), 20))
 	defer e.Close()
 
 	// Movers touch only the upper half of the ID space; queriers query only

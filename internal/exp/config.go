@@ -120,13 +120,11 @@ func QueryUsersFrom(ds *dataset.Dataset, n int, src rand.Source) []graph.VertexI
 }
 
 // EngineOptions returns the standard engine configuration at granularity s.
-func EngineOptions(s int, buildCH bool, cacheT int, seed int64) core.Options {
+func EngineOptions(s int, seed int64) core.Options {
 	return core.Options{
 		GridS:        s,
 		GridLevels:   DefaultLevels,
 		NumLandmarks: DefaultM,
 		Seed:         seed,
-		BuildCH:      buildCH,
-		CacheT:       cacheT,
 	}
 }

@@ -472,7 +472,7 @@ func (s *Suite) RunFig14a() error {
 			if err != nil {
 				return err
 			}
-			e, err := core.NewEngine(ds, EngineOptions(DefaultS, false, 1, s.Seed))
+			e, err := core.NewEngine(ds, EngineOptions(DefaultS, s.Seed))
 			if err != nil {
 				return err
 			}
@@ -528,7 +528,7 @@ func (s *Suite) RunFig14b() error {
 				return err
 			}
 		}
-		e, err := core.NewEngine(ds, EngineOptions(DefaultS, false, 1, s.Seed))
+		e, err := core.NewEngine(ds, EngineOptions(DefaultS, s.Seed))
 		if err != nil {
 			return err
 		}

@@ -54,7 +54,7 @@ func (s *Suite) RunShard() error {
 	var refQueries []graph.VertexID
 	refPops := -1.0
 	for _, S := range counts {
-		eng, err := shard.New(ds, S, EngineOptions(DefaultS, false, 1, s.Seed))
+		eng, err := shard.New(ds, S, EngineOptions(DefaultS, s.Seed))
 		if err != nil {
 			return fmt.Errorf("exp: shard: S=%d: %w", S, err)
 		}

@@ -54,7 +54,7 @@ func (s *Suite) RunShardSkew() error {
 	}
 
 	for _, S := range counts {
-		eng, err := shard.New(ds, S, EngineOptions(DefaultS, false, 1, s.Seed))
+		eng, err := shard.New(ds, S, EngineOptions(DefaultS, s.Seed))
 		if err != nil {
 			return fmt.Errorf("exp: shard-skew: S=%d: %w", S, err)
 		}

@@ -29,7 +29,7 @@ func (s *Suite) RunSocialChurn() error {
 	if err != nil {
 		return err
 	}
-	e, err := shard.New(ds, 1, EngineOptions(DefaultS, false, 1, s.Seed))
+	e, err := shard.New(ds, 1, EngineOptions(DefaultS, s.Seed))
 	if err != nil {
 		return err
 	}

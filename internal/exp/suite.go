@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"ssrq/internal/ch"
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
 	"ssrq/internal/gen"
@@ -91,8 +92,9 @@ func (s *Suite) Dataset(name string) (*dataset.Dataset, error) {
 	return ds, nil
 }
 
-// Engine returns a cached engine for the dataset at grid granularity s
-// (with or without a contraction hierarchy).
+// Engine returns a cached single-index engine for the dataset at grid
+// granularity s — with buildCH, one with a contraction hierarchy of the
+// dataset's graph attached, so the Fig. 8 *-CH variants can run.
 func (s *Suite) Engine(dsName string, gridS int, buildCH bool) (*core.Engine, error) {
 	key := fmt.Sprintf("%s/s=%d/ch=%v", dsName, gridS, buildCH)
 	if e, ok := s.engines[key]; ok {
@@ -102,22 +104,19 @@ func (s *Suite) Engine(dsName string, gridS int, buildCH bool) (*core.Engine, er
 	if err != nil {
 		return nil, err
 	}
-	e, err := core.NewEngine(ds, EngineOptions(gridS, buildCH, maxT(s.Scale.TValues), s.Seed))
+	e, err := core.NewEngine(ds, EngineOptions(gridS, s.Seed))
 	if err != nil {
 		return nil, err
 	}
+	if buildCH {
+		h, err := ch.Build(ds.G, ch.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("exp: contraction hierarchy: %w", err)
+		}
+		e.AttachHierarchy(h)
+	}
 	s.engines[key] = e
 	return e, nil
-}
-
-func maxT(ts []int) int {
-	best := 1
-	for _, t := range ts {
-		if t > best {
-			best = t
-		}
-	}
-	return best
 }
 
 func (s *Suite) record(ms ...Measurement) {

@@ -78,13 +78,6 @@ func (s *Server) SetHeartbeat(d time.Duration) { s.heartbeat = d }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-var algoByName = map[string]ssrq.Algorithm{
-	"SFA": ssrq.SFA, "SPA": ssrq.SPA, "TSA": ssrq.TSA, "TSA-QC": ssrq.TSAQC,
-	"TSA-NL":  ssrq.TSANoLandmark,
-	"AIS-BID": ssrq.AISBID, "AIS-": ssrq.AISMinus, "AIS": ssrq.AIS,
-	"AIS-CACHE": ssrq.AISCache, "BRUTE": ssrq.BruteForce,
-}
-
 // queryResponse is the wire form of a ranked result.
 type queryResponse struct {
 	Query   int32        `json:"query"`
@@ -103,17 +96,16 @@ type queryEntry struct {
 }
 
 type queryStats struct {
-	SocialPops      int  `json:"social_pops"`
-	ReversePops     int  `json:"reverse_pops,omitempty"`
-	SpatialPops     int  `json:"spatial_pops"`
-	IndexUserPops   int  `json:"index_user_pops"`
-	DistCalls       int  `json:"dist_calls"`
-	BoundedStops    int  `json:"bounded_stops,omitempty"`
-	Restarts        int  `json:"graphdist_restarts,omitempty"`
-	LabelCellPrunes int  `json:"label_cell_prunes,omitempty"`
-	LabelSkips      int  `json:"label_skips,omitempty"`
-	FoFTightened    int  `json:"fof_tightened,omitempty"`
-	FellBack        bool `json:"fell_back,omitempty"`
+	SocialPops      int `json:"social_pops"`
+	ReversePops     int `json:"reverse_pops,omitempty"`
+	SpatialPops     int `json:"spatial_pops"`
+	IndexUserPops   int `json:"index_user_pops"`
+	DistCalls       int `json:"dist_calls"`
+	BoundedStops    int `json:"bounded_stops,omitempty"`
+	Restarts        int `json:"graphdist_restarts,omitempty"`
+	LabelCellPrunes int `json:"label_cell_prunes,omitempty"`
+	LabelSkips      int `json:"label_skips,omitempty"`
+	FoFTightened    int `json:"fof_tightened,omitempty"`
 }
 
 // queryParams parses and validates the shared (user, k, alpha, labels) query
@@ -182,10 +174,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	algo := ssrq.AIS
 	if raw := r.URL.Query().Get("algo"); raw != "" {
-		var ok bool
-		algo, ok = algoByName[strings.ToUpper(raw)]
-		if !ok {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("unknown algorithm %q", raw))
+		if algo, err = ssrq.ParseAlgorithm(raw); err != nil {
+			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -213,7 +203,6 @@ func toQueryResponse(q int32, k int, alpha float64, algo ssrq.Algorithm, res *ss
 			LabelCellPrunes: res.Stats.LabelCellPrunes,
 			LabelSkips:      res.Stats.LabelSkips,
 			FoFTightened:    res.Stats.FoFTightened,
-			FellBack:        res.Stats.FellBack,
 		},
 	}
 	for i, e := range res.Entries {
@@ -266,9 +255,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("batch of %d exceeds limit %d", len(req.Queries), maxBatch))
 		return
 	}
-	algo, ok := algoByName[strings.ToUpper(req.Algo)]
-	if !ok {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown algorithm %q", req.Algo))
+	algo, err := ssrq.ParseAlgorithm(req.Algo)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	var filter uint64

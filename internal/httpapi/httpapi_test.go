@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -488,23 +489,21 @@ func TestStatsReportsEpochAndPending(t *testing.T) {
 	}
 }
 
-// TestCHVariantsOverHTTP: the Fig. 8 CH variants are library-only baselines.
-// Their names are not routable over HTTP (400 like any unknown algorithm, on
-// /query and /batch alike), and /stats carries no hierarchy keys.
+// TestCHVariantsOverHTTP: the eight figure-only variants — the Fig. 8 CH
+// baselines and the TSA/AIS ablations of Figs. 8, 10 and 11 — are not
+// routable over HTTP: 400 "unknown algorithm" on /query and /batch alike,
+// whatever the case. /stats carries no hierarchy keys.
 func TestCHVariantsOverHTTP(t *testing.T) {
 	s, _, q := mkServer(t)
-	for _, algo := range []string{"SFA-CH", "SPA-CH", "TSA-CH"} {
-		rec := do(t, s, "GET", fmt.Sprintf("/query?q=%d&k=3&algo=%s", q, algo), nil)
+	for _, algo := range []string{"TSA-QC", "TSA-NL", "AIS-BID", "AIS-", "AIS-Cache", "SFA-CH", "SPA-CH", "tsa-ch"} {
+		rec := do(t, s, "GET", fmt.Sprintf("/query?q=%d&k=3&algo=%s", q, url.QueryEscape(algo)), nil)
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown algorithm") {
 			t.Fatalf("/query algo %s = %d: %s", algo, rec.Code, rec.Body)
 		}
 		rec = do(t, s, "POST", "/batch", map[string]any{"algo": algo, "k": 3, "alpha": 0.3, "queries": []int32{q}})
-		if rec.Code != http.StatusBadRequest {
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown algorithm") {
 			t.Fatalf("/batch algo %s = %d: %s", algo, rec.Code, rec.Body)
 		}
-	}
-	if rec := do(t, s, "GET", fmt.Sprintf("/query?q=%d&k=3&algo=TSA-NL", q), nil); rec.Code != http.StatusOK {
-		t.Fatalf("algo TSA-NL = %d: %s", rec.Code, rec.Body)
 	}
 	rec := do(t, s, "GET", "/stats", nil)
 	if rec.Code != http.StatusOK {

@@ -2,12 +2,19 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"ssrq/internal/aggindex"
 	"ssrq/internal/core"
 	"ssrq/internal/graph"
 	"ssrq/internal/spatial"
 )
+
+// Served lists the algorithms Query answers, in enum order: the paper's SFA,
+// SPA, TSA and AIS, and the brute-force oracle. The other core.Algorithm
+// values are the baselines and ablations of Figs. 8, 10 and 11; they run on a
+// single-index core.Engine where the figures are drawn.
+var Served = []core.Algorithm{core.SFA, core.SPA, core.TSA, core.AIS, core.BruteForce}
 
 // Query answers an SSRQ as one search over the S shards' snapshots: the
 // paper's algorithms read them as one forest (core.Engine.QueryOn), so the
@@ -24,9 +31,12 @@ import (
 // Once no move is in flight (Flush), rebalancing or not, results are exactly
 // a single index's, ID tiebreaks included.
 //
-// The search runs on shard 0's worker engine whatever shard q lives in, so
-// the §5.4 pre-computed lists are memoized in one place.
+// Only the Served algorithms are answered; any other value is refused with an
+// error naming it.
 func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) (*core.Result, error) {
+	if !slices.Contains(Served, algo) {
+		return nil, fmt.Errorf("shard: %v is not served (figure variants run on a single-index core.Engine)", algo)
+	}
 	if err := prm.Validate(); err != nil {
 		return nil, err
 	}
@@ -143,12 +153,6 @@ func (se *Engine) QueryBatch(queries []core.BatchQuery, workers int) []core.Batc
 	return core.RunBatch(queries, workers, func(bq core.BatchQuery) (*core.Result, error) {
 		return se.Query(bq.Algo, bq.Q, bq.Params)
 	})
-}
-
-// Precompute eagerly builds §5.4 social-distance lists for the given query
-// users in the one memo every query reads (shard 0's engine runs them all).
-func (se *Engine) Precompute(users []graph.VertexID) {
-	se.shards[0].Precompute(users)
 }
 
 // SpatialKNN returns the k spatially-nearest located users to q across all

@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ssrq/internal/core"
+	"ssrq/internal/dataset"
 	"ssrq/internal/graph"
 	"ssrq/internal/spatial"
 )
@@ -97,7 +99,7 @@ func TestRebalanceRestoresBalance(t *testing.T) {
 func TestElasticDifferentialEquivalence(t *testing.T) {
 	ds := clusteredDataset(t, 300, 23)
 	opts := core.Options{
-		GridS: 4, GridLevels: 2, NumLandmarks: 4, CacheT: 20, Seed: 23,
+		GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 23,
 		UpdateMaxBatch: 8,
 	}
 	mono, err := core.NewEngine(ds, opts)
@@ -152,7 +154,7 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 			}
 		}
 	}
-	algos := []core.Algorithm{core.SFA, core.TSA, core.AIS, core.AISCache}
+	algos := []core.Algorithm{core.SFA, core.TSA, core.AIS}
 	prm := core.Params{K: 8, Alpha: 0.5}
 	check := func(label string) {
 		t.Helper()
@@ -276,34 +278,47 @@ func TestRebalanceQueryStress(t *testing.T) {
 	}
 }
 
-// farCornerSkewedEngine builds a 4-shard engine with the automatic trigger
-// off and drifts three quarters of the population into the corner at the END
-// of the Z-order curve. The last shard then holds nearly everyone, so an
-// explicit Rebalance re-cuts the hotspot across all four shards and users
-// migrate INTO the low-numbered shards — the direction a query's snapshot
-// loads (shard 0 first) can lose. Quiescent on return: no mover runs after it.
-func farCornerSkewedEngine(t *testing.T, drainBatch int) (*Engine, []graph.VertexID) {
+// farCornerOptions are the engine options of the far-corner fixture.
+var farCornerOptions = core.Options{GridS: 5, GridLevels: 2, NumLandmarks: 3, Seed: 71}
+
+// farCornerWorld is the far-corner fixture's dataset and the moves that drift
+// three quarters of its located users into the corner at the END of the
+// Z-order curve.
+func farCornerWorld(t *testing.T) (*dataset.Dataset, []graph.VertexID, []core.Update) {
 	t.Helper()
 	ds := clusteredDataset(t, 300, 71)
-	se, err := New(ds, 4, core.Options{
-		GridS: 5, GridLevels: 2, NumLandmarks: 3, CacheT: 20, Seed: 71,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	se.rebalanceThreshold, se.drainBatch = -1, drainBatch
 	users := locatedUsers(ds)
 	rng := rand.New(rand.NewSource(711))
 	b := ds.Bounds()
+	var moves []core.Update
 	for i, u := range users {
 		if i%4 == 0 {
 			continue // stays home: the low shards keep a few query users
 		}
-		to := spatial.Point{
+		moves = append(moves, core.Update{ID: int32(u), To: spatial.Point{
 			X: b.MaxX - (0.02+0.08*rng.Float64())*b.Width(),
 			Y: b.MaxY - (0.02+0.08*rng.Float64())*b.Height(),
-		}
-		if err := moveUser(se, int32(u), to); err != nil {
+		}})
+	}
+	return ds, users, moves
+}
+
+// farCornerSkewedEngine builds a 4-shard engine with the automatic trigger
+// off over the far-corner world. The last shard then holds nearly everyone,
+// so an explicit Rebalance re-cuts the hotspot across all four shards and
+// users migrate INTO the low-numbered shards — the direction a query's
+// snapshot loads (shard 0 first) can lose. Quiescent on return: no mover runs
+// after it.
+func farCornerSkewedEngine(t *testing.T, drainBatch int) (*Engine, []graph.VertexID) {
+	t.Helper()
+	ds, users, moves := farCornerWorld(t)
+	se, err := New(ds, 4, farCornerOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se.rebalanceThreshold, se.drainBatch = -1, drainBatch
+	for _, m := range moves {
+		if err := moveUser(se, m.ID, m.To); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +344,9 @@ func entriesEqual(got, want []core.Entry) bool {
 // saw every user that migrated into shard 0 in NO snapshot and silently
 // dropped them from the top-k — on every algorithm, since the loss is in
 // snapshot acquisition, not in any search. A re-cut never changes the world,
-// so the mid-drain answer must equal the pre-drain brute-force answer.
+// so the mid-drain answer must equal the pre-drain brute-force answer. The
+// figure variants among the subtests (TSA-QC, AIS-Cache) are not served: the
+// engine must refuse them by name.
 func TestQueryExactAcrossRebalanceDrain(t *testing.T) {
 	// Socially weighted, so the hotspot crowd (the users that migrate)
 	// reaches the top-k of a query user who stayed home on shard 0.
@@ -340,6 +357,10 @@ func TestQueryExactAcrossRebalanceDrain(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			se, users := farCornerSkewedEngine(t, 4) // fresh per algorithm: the drain runs once
 			defer se.Close()
+			if !slices.Contains(Served, algo) {
+				requireRefused(t, se, algo, users[0], prm)
+				return
+			}
 			q := graph.VertexID(-1)
 			for _, u := range users {
 				if se.ShardOfUser(int32(u)) == 0 {
@@ -400,7 +421,7 @@ func TestQueryExactAcrossRebalanceDrain(t *testing.T) {
 func TestRebalanceDrainAnswersStayExact(t *testing.T) {
 	se, users := farCornerSkewedEngine(t, 1)
 	defer se.Close()
-	algos := []core.Algorithm{core.SFA, core.SPA, core.TSA, core.TSAQC, core.AIS, core.AISCache, core.BruteForce}
+	algos := Served
 	prm := core.Params{K: 10, Alpha: 0.5}
 	rng := rand.New(rand.NewSource(712))
 	qs := make([]graph.VertexID, 12)

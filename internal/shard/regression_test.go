@@ -1,9 +1,9 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ssrq/internal/core"
@@ -23,9 +23,7 @@ import (
 //
 // With t=3 the AISCache list holds users 1–3. At k=2 the scan θ-terminates on
 // its last entry; at k=4 it exhausts the list inconclusively (user 4 is
-// beyond it) and falls back to AIS. When each shard searched on its own, the
-// remote shard saw only user 2 located, never filled k=2, and fell back while
-// the home shard did not — the case whose flag the old fan-out merge dropped.
+// beyond it) and falls back to AIS.
 func fellBackDataset(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	b := graph.NewBuilder(5)
@@ -52,13 +50,14 @@ func fellBackDataset(t *testing.T) *dataset.Dataset {
 	return ds
 }
 
-// TestFanoutFellBackPropagates: a sharded AISCache query is one scan of one
-// list over both shards, so whether it falls back — and what it answers — is
-// exactly what the single-index engine does on the same world, both when the
-// scan terminates (k=2) and when it falls back (k=4).
+// TestFanoutFellBackPropagates: AIS-Cache is a Fig. 11 variant of the
+// single-index engine. There, on the star fixture, the scan terminates at k=2
+// and falls back at k=4, and both answers are exact. The routed engine over
+// two shards — query and remote users split — refuses AIS-Cache by name and
+// answers the same question with AIS.
 func TestFanoutFellBackPropagates(t *testing.T) {
 	ds := fellBackDataset(t)
-	opts := core.Options{GridS: 4, GridLevels: 1, NumLandmarks: 3, CacheT: 3, Seed: 7}
+	opts := core.Options{GridS: 4, GridLevels: 1, NumLandmarks: 3, Seed: 7}
 	se, err := New(ds, 2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +67,7 @@ func TestFanoutFellBackPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mono.ResetCache(3)
 
 	const q = graph.VertexID(0)
 	home, remote := se.ShardOfUser(0), se.ShardOfUser(2)
@@ -76,36 +76,35 @@ func TestFanoutFellBackPropagates(t *testing.T) {
 	}
 	for _, k := range []int{2, 4} {
 		prm := core.Params{K: k, Alpha: 0.9}
-		want, err := mono.Query(core.AISCache, q, prm)
+		got, err := mono.Query(core.AISCache, q, prm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want.Stats.FellBack != (k == 4) {
-			t.Fatalf("k=%d: single index FellBack = %v; the fixture no longer separates the two cases", k, want.Stats.FellBack)
+		if got.Stats.FellBack != (k == 4) {
+			t.Fatalf("k=%d: FellBack = %v; the fixture no longer separates the two cases", k, got.Stats.FellBack)
 		}
-		got, err := se.Query(core.AISCache, q, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Stats.FellBack != want.Stats.FellBack {
-			t.Fatalf("k=%d: sharded FellBack = %v, single index %v", k, got.Stats.FellBack, want.Stats.FellBack)
-		}
-		sameEntries(t, fmt.Sprintf("AIS-Cache k=%d vs single index", k), got.Entries, want.Entries)
-		brute, err := se.Query(core.BruteForce, q, prm)
+		brute, err := mono.Query(core.BruteForce, q, prm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameEntries(t, fmt.Sprintf("AIS-Cache k=%d vs brute", k), got.Entries, brute.Entries)
+		requireRefused(t, se, core.AISCache, q, prm)
+		served, err := se.Query(core.AIS, q, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEntries(t, fmt.Sprintf("sharded AIS k=%d vs single-index AIS-Cache", k), served.Entries, got.Entries)
 	}
 }
 
 // TestFanoutCountersCountOnlySuccess: FanoutStats counters must move only
 // when a query succeeds end-to-end. The fan-out used to bump queries and
-// shardsQueried before the home shard could refuse (a *-CH variant past
-// social epoch 0), and counted an errored shard as queried.
+// shardsQueried before a shard could refuse, and counted an errored shard as
+// queried. Here a refused (unserved) algorithm must commit nothing, at social
+// epoch 0 and after an edge op alike.
 func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	ds := clusteredDataset(t, 150, 19)
-	opts := core.Options{GridS: 3, GridLevels: 2, NumLandmarks: 3, Seed: 19, BuildCH: true}
+	opts := core.Options{GridS: 3, GridLevels: 2, NumLandmarks: 3, Seed: 19}
 	se, err := New(ds, 3, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -127,18 +126,22 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	}
 
 	// Social epoch 0: one successful query commits exactly one query over a
-	// view of all three shards.
+	// view of all three shards; a refusal commits nothing.
 	fs0 := se.FanoutStats()
-	if _, err := se.Query(core.TSACH, q, prm); err != nil {
+	if _, err := se.Query(core.TSA, q, prm); err != nil {
 		t.Fatal(err)
 	}
 	fs1 := se.FanoutStats()
 	if d := diff(fs0, fs1); d.Queries != 1 || d.Fanouts != 1 || d.ShardsQueried != 3 || d.ShardsPruned != 0 {
 		t.Fatalf("successful query committed %+v, want 1 query / 1 fanout / 3 shards queried", d)
 	}
+	requireRefused(t, se, core.TSACH, q, prm)
+	if d := diff(fs1, se.FanoutStats()); d != (FanoutStats{}) {
+		t.Fatalf("refusal still committed counters: %+v", d)
+	}
 
-	// An effective edge op ends the hierarchy's validity on every shard at
-	// once (one shared substrate, one social epoch).
+	// Past social epoch 0 the refusal is the same, and again invisible to
+	// the counters.
 	nbrs, _ := se.LiveSocialGraph().Neighbors(q)
 	if len(nbrs) == 0 {
 		t.Fatal("query user has no neighbors to remove")
@@ -146,43 +149,39 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	if err := removeFriend(se, int32(q), nbrs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.Query(core.TSACH, q, prm); !errors.Is(err, core.ErrStaleHierarchy) {
-		t.Fatalf("TSA-CH past social epoch 0: err = %v, want ErrStaleHierarchy", err)
-	}
-	if d := diff(fs1, se.FanoutStats()); d != (FanoutStats{}) {
-		t.Fatalf("refusal still committed counters: %+v", d)
-	}
-
-	// A second refusal must also commit nothing: every errored attempt stays
-	// invisible to the counters.
-	if _, err := se.Query(core.TSACH, q, prm); err == nil {
-		t.Fatal("TSA-CH served again on stale hierarchy")
-	}
+	requireRefused(t, se, core.TSACH, q, prm)
 	if d := diff(fs1, se.FanoutStats()); d != (FanoutStats{}) {
 		t.Fatalf("repeated refusal still committed counters: %+v", d)
 	}
 }
 
 // TestAISCacheFallbackExactUnderFanout: an AISCache scan that fills its
-// interim result and then proves inconclusive used to leave that result's kth
-// score behind in the fan-out's shared threshold. The fallback re-derives
-// every user from lower-bound keys, and a tight landmark bound rounds an ulp
-// ABOVE the cached exact distance — so against a threshold taken from the
-// scan's own kth member the fallback pruned exactly that member, and the
-// sharded engine (the only caller passing a threshold) answered inexactly at
-// full quiescence. The hotspot fixture packs most of each short cached list
-// into one shard, which is what fills the scan.
+// interim result and then proves inconclusive must not leave that result
+// behind for the fallback. The fallback re-derives every user from
+// lower-bound keys, and a tight landmark bound rounds an ulp ABOVE the cached
+// exact distance — so a fallback pruning against the scan's own kth score
+// would drop exactly that member (the bug the old fan-out's shared threshold
+// had). AIS-Cache runs on the single-index engine; the far-corner world packs
+// most of each short cached list into one hotspot, which is what fills the
+// scan.
 func TestAISCacheFallbackExactUnderFanout(t *testing.T) {
-	se, users := farCornerSkewedEngine(t, 4)
-	defer se.Close()
+	ds, users, moves := farCornerWorld(t)
+	mono, err := core.NewEngine(ds, farCornerOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mono.ApplyUpdates(moves); err != nil {
+		t.Fatal(err)
+	}
+	mono.ResetCache(20)
 	prm := core.Params{K: 10, Alpha: 0.5}
 	fellBack := 0
 	for _, q := range users {
-		want, err := se.Query(core.BruteForce, q, prm)
+		want, err := mono.Query(core.BruteForce, q, prm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := se.Query(core.AISCache, q, prm)
+		got, err := mono.Query(core.AISCache, q, prm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,20 +202,26 @@ func TestAISCacheFallbackExactUnderFanout(t *testing.T) {
 // summaries. The query here is parked after loading shard 0's snapshot while
 // an upsert makes a new friend of q's the best-ranked user; once released,
 // its answer must be brute force on the new graph — the load pass has to
-// retry until all snapshots share one social epoch.
+// retry until all snapshots share one social epoch. The figure variants among
+// the subtests (TSA-QC, AIS-Cache) are not served: the engine must refuse
+// them by name.
 func TestQueryExactAcrossSocialEpochStraddle(t *testing.T) {
 	prm := core.Params{K: 8, Alpha: 0.9}
 	for _, algo := range []core.Algorithm{core.SFA, core.SPA, core.TSA, core.TSAQC,
 		core.AIS, core.AISCache, core.BruteForce} {
 		t.Run(algo.String(), func(t *testing.T) {
 			ds := clusteredDataset(t, 400, 53)
-			se, err := New(ds, 4, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, CacheT: 30, Seed: 53})
+			se, err := New(ds, 4, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 53})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer se.Close()
 			users := locatedUsers(ds)
 			q := users[0]
+			if !slices.Contains(Served, algo) {
+				requireRefused(t, se, algo, q, prm)
+				return
+			}
 			before, err := se.Query(core.BruteForce, q, prm)
 			if err != nil {
 				t.Fatal(err)

@@ -19,8 +19,8 @@
 //     queries keep serving lock-free (see rebalance.go).
 //   - The social dimension is SHARED: one aggindex.Social substrate owns the
 //     friendship graph overlay, the landmark tables and their maintenance
-//     loop (plus the static contraction hierarchy), and every shard's
-//     aggregate index consumes its epoch-tagged snapshots. Sharing (rather than the
+//     loop, and every shard's aggregate index consumes its epoch-tagged
+//     snapshots. Sharing (rather than the
 //     per-shard replication of earlier revisions) is what keeps social
 //     distances exact at O(1) edge-op cost: shortest paths route through
 //     arbitrary vertices, so the graph cannot be partitioned — but it also
@@ -157,8 +157,8 @@ func (se *Engine) seam(p seamPoint) {
 }
 
 // New partitions the dataset across numShards spatially-contiguous shards:
-// one shared social substrate (landmarks selected once, hierarchy built
-// once), and one spatial engine per shard over a Restrict'ed view of the
+// one shared social substrate (landmarks selected once), and one spatial
+// engine per shard over a Restrict'ed view of the
 // dataset. The partition assigns grid leaf cells to shards along a Z-order
 // (Morton) space-filling curve, cutting the curve into segments of
 // approximately equal construction-time occupancy, so shards start balanced
@@ -185,7 +185,7 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 
 	// The social substrate is built once, whatever the shard count: one
 	// landmark selection, one overlay and one set of maintained landmark
-	// tables, optionally one contraction hierarchy.
+	// tables.
 	sub, err := core.NewSubstrate(ds, opts)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)

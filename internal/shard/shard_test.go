@@ -1,11 +1,12 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -64,19 +65,30 @@ func sameEntries(t *testing.T, label string, got, want []core.Entry) {
 	}
 }
 
-// TestShardedMatchesUnshardedStatic: on a quiescent engine every algorithm
-// must return exactly the single-index reference's result for every shard
-// count.
+// requireRefused asserts that the engine refuses algo at the served-menu gate,
+// with an error naming it.
+func requireRefused(t *testing.T, se *Engine, algo core.Algorithm, q graph.VertexID, prm core.Params) {
+	t.Helper()
+	_, err := se.Query(algo, q, prm)
+	if err == nil {
+		t.Fatalf("%v served; only %v are", algo, Served)
+	}
+	if !strings.Contains(err.Error(), algo.String()+" is not served") {
+		t.Fatalf("%v refused with an error that does not name it as unserved: %v", algo, err)
+	}
+}
+
+// TestShardedMatchesUnshardedStatic: on a quiescent engine every served
+// algorithm must return exactly the single-index reference's result for every
+// shard count.
 func TestShardedMatchesUnshardedStatic(t *testing.T) {
 	ds := clusteredDataset(t, 400, 11)
-	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, CacheT: 30, Seed: 11}
+	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 11}
 	mono, err := core.NewEngine(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	users := locatedUsers(ds)
-	algos := []core.Algorithm{core.SFA, core.SPA, core.TSA, core.TSAQC, core.TSANoLandmark,
-		core.AISBID, core.AISMinus, core.AIS, core.AISCache, core.BruteForce}
 	for _, S := range []int{1, 2, 4, 8} {
 		se, err := New(ds, S, opts)
 		if err != nil {
@@ -90,7 +102,7 @@ func TestShardedMatchesUnshardedStatic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, algo := range algos {
+			for _, algo := range Served {
 				got, err := se.Query(algo, q, prm)
 				if err != nil {
 					t.Fatalf("S=%d %v: %v", S, algo, err)
@@ -102,12 +114,13 @@ func TestShardedMatchesUnshardedStatic(t *testing.T) {
 	}
 }
 
-// TestShardedCHVariants: the *-CH variants serve through the fan-out on the
-// construction graph, matching brute exactly, and refuse with the named error
-// once an effective edge op has moved the shared social epoch past 0.
+// TestShardedCHVariants: the *-CH variants are Fig. 8 baselines of the
+// single-index engine, not served. The routed engine refuses them by name at
+// the served-menu gate — at social epoch 0 as after an edge op, never with
+// the staleness error a hierarchy-carrying engine would give.
 func TestShardedCHVariants(t *testing.T) {
 	ds := clusteredDataset(t, 150, 13)
-	opts := core.Options{GridS: 3, GridLevels: 2, NumLandmarks: 3, Seed: 13, BuildCH: true}
+	opts := core.Options{GridS: 3, GridLevels: 2, NumLandmarks: 3, Seed: 13}
 	se, err := New(ds, 3, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -115,17 +128,9 @@ func TestShardedCHVariants(t *testing.T) {
 	defer se.Close()
 	users := locatedUsers(ds)
 	prm := core.Params{K: 5, Alpha: 0.4}
-	want, err := se.Query(core.BruteForce, users[0], prm)
-	if err != nil {
-		t.Fatal(err)
-	}
 	chAlgos := []core.Algorithm{core.SFACH, core.SPACH, core.TSACH}
 	for _, algo := range chAlgos {
-		got, err := se.Query(algo, users[0], prm)
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		sameEntries(t, algo.String(), got.Entries, want.Entries)
+		requireRefused(t, se, algo, users[0], prm)
 	}
 	nbrs, _ := se.LiveSocialGraph().Neighbors(users[0])
 	if len(nbrs) == 0 {
@@ -135,9 +140,41 @@ func TestShardedCHVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range chAlgos {
-		if _, err := se.Query(algo, users[0], prm); !errors.Is(err, core.ErrStaleHierarchy) {
-			t.Fatalf("%v after an edge removal: err = %v, want ErrStaleHierarchy", algo, err)
+		requireRefused(t, se, algo, users[0], prm)
+	}
+}
+
+// TestQueryRefusesUnservedAlgorithms: at one shard and at four, Query answers
+// exactly the Served menu and refuses every other Algorithm value — the eight
+// figure variants and an out-of-range one — with an error naming it, before
+// any query counter moves.
+func TestQueryRefusesUnservedAlgorithms(t *testing.T) {
+	ds := clusteredDataset(t, 200, 29)
+	q := locatedUsers(ds)[0]
+	prm := core.Params{K: 5, Alpha: 0.4}
+	for _, S := range []int{1, 4} {
+		se, err := New(ds, S, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 3, Seed: 29})
+		if err != nil {
+			t.Fatal(err)
 		}
+		served := 0
+		for algo := core.SFA; algo <= core.BruteForce+1; algo++ {
+			if !slices.Contains(Served, algo) {
+				requireRefused(t, se, algo, q, prm)
+				continue
+			}
+			if _, err := se.Query(algo, q, prm); err != nil {
+				t.Fatalf("S=%d %v: %v", S, algo, err)
+			}
+			served++
+		}
+		if served != 5 {
+			t.Fatalf("S=%d: %d algorithms served, want 5", S, served)
+		}
+		if fs := se.FanoutStats(); fs.Queries != int64(served) {
+			t.Fatalf("S=%d: %d queries counted, want %d (refusals must not count)", S, fs.Queries, served)
+		}
+		se.Close()
 	}
 }
 

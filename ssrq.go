@@ -8,13 +8,13 @@
 //
 // where p is normalized shortest-path distance in the weighted social graph
 // and d is normalized Euclidean distance between current locations. The
-// package bundles every processing algorithm from the paper — the SFA/SPA
-// baselines, the twofold search TSA (round-robin and Quick-Combine), and the
-// flagship Aggregate Index Search with social summaries, computation sharing
-// and delayed evaluation — plus the substrates they need (multi-level grid,
-// landmark/ALT machinery, contraction hierarchies) and synthetic geo-social
-// dataset generators standing in for the paper's Gowalla/Foursquare/Twitter
-// snapshots.
+// package serves the paper's processing algorithms — the SFA/SPA baselines,
+// the twofold search TSA, and the flagship Aggregate Index Search with social
+// summaries, computation sharing and delayed evaluation — plus a brute-force
+// oracle, over the substrates they need (multi-level grid, landmark/ALT
+// machinery) and synthetic geo-social dataset generators standing in for the
+// paper's Gowalla/Foursquare/Twitter snapshots. The ablations and baselines of
+// the paper's Figs. 8, 10 and 11 run through ssrq-bench (-exp fig8|fig10|fig11).
 //
 // Quick start:
 //
@@ -28,6 +28,8 @@ package ssrq
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -59,27 +61,32 @@ type Edge struct {
 // Algorithm selects the query processing method.
 type Algorithm = core.Algorithm
 
-// The full algorithm suite. AIS is the paper's best method and the default.
+// The served algorithms. AIS is the paper's best method and the default;
+// BruteForce is the by-definition oracle. An engine refuses any other
+// Algorithm value with an error naming it.
 const (
-	SFA           = core.SFA
-	SPA           = core.SPA
-	TSA           = core.TSA
-	TSAQC         = core.TSAQC
-	TSANoLandmark = core.TSANoLandmark
-	AISBID        = core.AISBID
-	AISMinus      = core.AISMinus
-	AIS           = core.AIS
-	AISCache      = core.AISCache
-	SFACH         = core.SFACH
-	SPACH         = core.SPACH
-	TSACH         = core.TSACH
-	BruteForce    = core.BruteForce
+	SFA        = core.SFA
+	SPA        = core.SPA
+	TSA        = core.TSA
+	AIS        = core.AIS
+	BruteForce = core.BruteForce
 )
 
-// ErrStaleHierarchy is returned (wrapped, with the epochs) by SFACH, SPACH and
-// TSACH once a friendship update has moved the social graph past the
-// construction graph their contraction hierarchy was built on.
-var ErrStaleHierarchy = core.ErrStaleHierarchy
+// Algorithms returns the served algorithms in enum order.
+func Algorithms() []Algorithm { return slices.Clone(shard.Served) }
+
+// ParseAlgorithm resolves a served algorithm by name, ignoring case: "SFA",
+// "SPA", "TSA", "AIS" or "Brute".
+func ParseAlgorithm(name string) (Algorithm, error) {
+	names := make([]string, len(shard.Served))
+	for i, a := range shard.Served {
+		if strings.EqualFold(name, a.String()) {
+			return a, nil
+		}
+		names[i] = a.String()
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (%s)", name, strings.Join(names, "|"))
+}
 
 // Result is a completed query: entries sorted by ascending ranking value,
 // plus execution statistics (pop counts per search structure).
@@ -274,14 +281,6 @@ type Options struct {
 	LandmarkStrategy int
 	// Seed drives randomized preprocessing.
 	Seed int64
-	// BuildCH additionally contracts the construction-time friendship graph
-	// into a hierarchy, enabling the SFACH/SPACH/TSACH comparison variants of
-	// the paper's Fig. 8. Expensive on large graphs, built once and never
-	// maintained: after the first effective friendship update those three
-	// variants return ErrStaleHierarchy for the engine's lifetime.
-	BuildCH bool
-	// CacheT is the §5.4 pre-computed list length for AISCache (default 1000).
-	CacheT int
 	// UpdateQueueCap bounds the engine's one asynchronous update queue,
 	// which MoveUserAsync and the other *Async methods feed; a full queue
 	// applies backpressure (default 4096, whatever the shard count).
@@ -348,8 +347,8 @@ type Engine struct {
 	walCloseErr atomic.Pointer[error]
 }
 
-// NewEngine builds all indexes (grid, social summaries, landmark tables,
-// optionally a contraction hierarchy). opts may be nil for paper defaults.
+// NewEngine builds all indexes (grid, social summaries, landmark tables).
+// opts may be nil for paper defaults.
 func NewEngine(d *Dataset, opts *Options) (*Engine, error) {
 	if d == nil {
 		return nil, fmt.Errorf("ssrq: nil dataset")
@@ -364,8 +363,6 @@ func NewEngine(d *Dataset, opts *Options) (*Engine, error) {
 		NumLandmarks:            o.NumLandmarks,
 		LandmarkStrategy:        landmark.Strategy(o.LandmarkStrategy),
 		Seed:                    o.Seed,
-		BuildCH:                 o.BuildCH,
-		CacheT:                  o.CacheT,
 		UpdateQueueCap:          o.UpdateQueueCap,
 		UpdateMaxBatch:          o.UpdateMaxBatch,
 		OverlayCompactThreshold: o.OverlayCompactThreshold,
@@ -420,7 +417,7 @@ func (e *Engine) TopK(q UserID, k int, alpha float64) (*Result, error) {
 	return e.eng.Query(core.AIS, q, core.Params{K: k, Alpha: alpha})
 }
 
-// TopKWith answers an SSRQ with a specific algorithm.
+// TopKWith answers an SSRQ with a specific served algorithm.
 func (e *Engine) TopKWith(algo Algorithm, q UserID, k int, alpha float64) (*Result, error) {
 	return e.eng.Query(algo, q, core.Params{K: k, Alpha: alpha})
 }
@@ -715,10 +712,6 @@ type SocialStats = core.SocialStats
 
 // SocialStats reports the social dimension's counters.
 func (e *Engine) SocialStats() SocialStats { return e.eng.SocialStats() }
-
-// Precompute materializes §5.4 social-distance lists for the given query
-// users so AISCache answers without a cold build.
-func (e *Engine) Precompute(users []UserID) { e.eng.Precompute(users) }
 
 // SpatialKNN returns the k spatially-nearest located users to q (a pure
 // one-domain query, for comparison with SSRQ — cf. Fig. 7b). Lock-free and

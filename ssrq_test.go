@@ -4,9 +4,12 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"ssrq/internal/core"
 )
 
 func TestNewDatasetExplicitWeights(t *testing.T) {
@@ -110,9 +113,10 @@ func TestEngineNilDataset(t *testing.T) {
 	}
 }
 
-// TestEngineOptionsRespected: Options.BuildCH through the public API, on both
-// engine flavours — the Fig. 8 variants equal brute force on the construction
-// graph and return ErrStaleHierarchy after the first friendship update.
+// TestEngineOptionsRespected: non-default options through the public API, at
+// one shard and at three — the engine has the requested shard count, every
+// served algorithm equals brute force, and every other Algorithm value (the
+// figure variants among them) is refused with an error naming it.
 func TestEngineOptionsRespected(t *testing.T) {
 	ds, _ := Synthesize("gowalla", 300, 3)
 	var q UserID
@@ -123,18 +127,27 @@ func TestEngineOptionsRespected(t *testing.T) {
 		}
 	}
 	for _, shards := range []int{0, 3} {
-		eng, err := NewEngine(ds, &Options{GridS: 5, GridLevels: 1, NumLandmarks: 3, BuildCH: true, Shards: shards})
+		eng, err := NewEngine(ds, &Options{GridS: 5, GridLevels: 1, NumLandmarks: 3, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := eng.NumShards(); got != max(1, shards) {
+			t.Fatalf("shards=%d: NumShards = %d", shards, got)
 		}
 		want, err := eng.TopKWith(BruteForce, q, 5, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range []Algorithm{SFACH, SPACH, TSACH} {
+		for algo := SFA; algo <= BruteForce+1; algo++ {
 			got, err := eng.TopKWith(algo, q, 5, 0.5)
+			if !slices.Contains(Algorithms(), algo) {
+				if err == nil || !strings.Contains(err.Error(), algo.String()) {
+					t.Fatalf("shards=%d: unserved %v: err = %v, want a refusal naming it", shards, algo, err)
+				}
+				continue
+			}
 			if err != nil {
-				t.Fatalf("shards=%d: %v should work with BuildCH: %v", shards, algo, err)
+				t.Fatalf("shards=%d %v: %v", shards, algo, err)
 			}
 			for i := range want.Entries {
 				if i >= len(got.Entries) || got.Entries[i].ID != want.Entries[i].ID {
@@ -142,13 +155,31 @@ func TestEngineOptionsRespected(t *testing.T) {
 				}
 			}
 		}
-		if err := eng.AddFriend(q, (q+1)%UserID(ds.NumUsers()), 123.5); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.TopKWith(SFACH, q, 5, 0.5); !errors.Is(err, ErrStaleHierarchy) {
-			t.Fatalf("shards=%d: SFACH after a friendship update: err = %v, want ErrStaleHierarchy", shards, err)
-		}
 		eng.Close()
+	}
+}
+
+// TestParseAlgorithm: the one name table both front ends use resolves the
+// five served algorithms by core's names, ignoring case, lists them in enum
+// order, and refuses every other name — the figure variants' included — with
+// a message listing the menu.
+func TestParseAlgorithm(t *testing.T) {
+	want := []Algorithm{SFA, SPA, TSA, AIS, BruteForce}
+	if got := Algorithms(); !slices.Equal(got, want) {
+		t.Fatalf("Algorithms() = %v, want %v", got, want)
+	}
+	for _, a := range want {
+		for _, name := range []string{a.String(), strings.ToLower(a.String()), strings.ToUpper(a.String())} {
+			if got, err := ParseAlgorithm(name); err != nil || got != a {
+				t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, a)
+			}
+		}
+	}
+	for _, name := range []string{"TSA-QC", "TSA-NL", "AIS-BID", "AIS-", "AIS-Cache", "SFA-CH", "SPA-CH", "TSA-CH", "", "QUANTUM"} {
+		_, err := ParseAlgorithm(name)
+		if err == nil || !strings.Contains(err.Error(), "unknown algorithm") || !strings.Contains(err.Error(), "SFA|SPA|TSA|AIS|Brute") {
+			t.Fatalf("ParseAlgorithm(%q): err = %v, want an unknown-algorithm error listing the menu", name, err)
+		}
 	}
 }
 
@@ -241,9 +272,16 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrecomputeThenAISCache: the §5.4 pre-computation is a Fig. 11 variant
+// of the single-index engine. Lists materialized ahead of the queries answer
+// exactly what brute force does on the same dataset.
 func TestPrecomputeThenAISCache(t *testing.T) {
 	ds, _ := Synthesize("gowalla", 400, 17)
-	eng, _ := NewEngine(ds, &Options{CacheT: 50})
+	eng, err := core.NewEngine(ds.ds, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.ResetCache(50)
 	var users []UserID
 	for v := 0; v < ds.NumUsers() && len(users) < 5; v++ {
 		if ds.Located(UserID(v)) {
@@ -251,14 +289,23 @@ func TestPrecomputeThenAISCache(t *testing.T) {
 		}
 	}
 	eng.Precompute(users)
+	prm := Params{K: 5, Alpha: 0.3}
 	for _, q := range users {
-		res, err := eng.TopKWith(AISCache, q, 5, 0.3)
+		res, err := eng.Query(core.AISCache, q, prm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := eng.TopKWith(BruteForce, q, 5, 0.3)
+		want, err := eng.Query(BruteForce, q, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res.Entries) != len(want.Entries) {
 			t.Fatal("AISCache size mismatch")
+		}
+		for i := range want.Entries {
+			if math.Abs(res.Entries[i].F-want.Entries[i].F) > 1e-9 {
+				t.Fatalf("q=%d rank %d: AISCache f %v, brute %v", q, i, res.Entries[i].F, want.Entries[i].F)
+			}
 		}
 	}
 }
