@@ -50,7 +50,7 @@ func main() {
 	// query from either one-domain search.
 	res, _ := eng.TopK(me, 10, 0.5)
 	spatialNN, _ := eng.SpatialKNN(me, 10)
-	socialNN := eng.SocialKNN(me, 10)
+	socialNN, _ := eng.SocialKNN(me, 10)
 	fmt.Printf("overlap of SSRQ top-10 with spatial kNN: %d/10\n", overlap(res.Entries, spatialNN))
 	fmt.Printf("overlap of SSRQ top-10 with social kNN:  %d/10\n", overlap(res.Entries, socialNN))
 }

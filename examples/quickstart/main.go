@@ -52,7 +52,7 @@ func main() {
 	// Contrast with the two one-domain rankings the paper's introduction
 	// argues against.
 	spatial, _ := eng.SpatialKNN(0, 3)
-	social := eng.SocialKNN(0, 3)
+	social, _ := eng.SocialKNN(0, 3)
 	fmt.Print("\npure spatial kNN: ")
 	for _, e := range spatial {
 		fmt.Printf("%d ", e.ID)

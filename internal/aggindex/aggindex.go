@@ -252,37 +252,18 @@ type Index struct {
 	kids []int32
 	// syncSeen is socialSync's reusable leaf-dedup scratch.
 	syncSeen map[int32]struct{}
-
-	// notify, when set, is invoked from publishLockedAt after every epoch
-	// that changed the world (location ops applied or a social sync).
-	// It runs under mu — and, for social syncs, under the substrate writer
-	// lock too — so it must be cheap and must never call back into the
-	// index. notifyMoved/notifySocial accumulate the batch's touched-user
-	// set between publishes; the Moved slice is reused across epochs.
-	notify       func(EpochDelta)
-	notifyMoved  []int32
-	notifySocial bool
 }
 
-// EpochDelta describes what one published epoch changed: the users whose
-// location ops were applied in the batch and whether the social state
-// (graph or landmark tables) moved. Moved is only valid for
-// the duration of the callback — the index reuses the backing array.
+// EpochDelta describes what one published write batch changed: the users
+// whose location ops it applied and whether the social state (graph or
+// landmark tables) moved. Snapshot carries the social state the change was
+// published with. The sharded engine delivers one per published view
+// (shard.Engine.OnEpoch); Moved is only valid for the duration of the
+// callback — the producer reuses the backing array.
 type EpochDelta struct {
-	Epoch         uint64
 	SocialChanged bool
 	Moved         []int32
 	Snapshot      *Snapshot
-}
-
-// SetNotify installs the epoch-delta callback (single consumer; replaces
-// any previous one). Pass nil to detach. The callback fires only for
-// epochs with observable changes — location batches and social syncs —
-// not for administrative republishes.
-func (ix *Index) SetNotify(fn func(EpochDelta)) {
-	ix.mu.Lock()
-	ix.notify = fn
-	ix.mu.Unlock()
 }
 
 // Config tunes the social substrate built by NewSocialSubstrate.
@@ -449,16 +430,6 @@ func (ix *Index) publishLockedAt(now time.Time) {
 	}
 	ix.published.Store(s)
 	ix.epoch++
-	if ix.notify != nil && (len(ix.notifyMoved) > 0 || ix.notifySocial) {
-		ix.notify(EpochDelta{
-			Epoch:         s.epoch,
-			SocialChanged: ix.notifySocial,
-			Moved:         ix.notifyMoved,
-			Snapshot:      s,
-		})
-	}
-	ix.notifyMoved = ix.notifyMoved[:0]
-	ix.notifySocial = false
 }
 
 // socialSync is the substrate's notification callback: cache the new social
@@ -470,7 +441,6 @@ func (ix *Index) publishLockedAt(now time.Time) {
 func (ix *Index) socialSync(sn *SocialSnapshot, dirty []graph.VertexID, now time.Time) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.notifySocial = true
 	ix.social = sn
 	// Several dirty vertices share a leaf, and most live in other consumers'
 	// grids, so dedupe to this grid's unique leaves and recompute each once.
@@ -539,9 +509,6 @@ func (ix *Index) Apply(ops []Op) {
 	ix.mu.Lock()
 	for _, op := range locs {
 		ix.applyOne(op)
-		if ix.notify != nil {
-			ix.notifyMoved = append(ix.notifyMoved, op.ID)
-		}
 	}
 	ix.propagateDirty()
 	ix.publishLocked()

@@ -298,9 +298,6 @@ func (e *Engine) Landmarks() *landmark.Set { return e.agg.Snapshot().Landmarks()
 // readers should use Snapshot).
 func (e *Engine) Grid() *spatial.Grid { return e.grid }
 
-// AggIndex returns the AIS aggregate index.
-func (e *Engine) AggIndex() *aggindex.Index { return e.agg }
-
 // Snapshot returns the current index epoch: grid membership, coordinates
 // and AIS summaries as one immutable, lock-free view.
 func (e *Engine) Snapshot() *aggindex.Snapshot { return e.agg.Snapshot() }
@@ -387,8 +384,9 @@ func (e *Engine) Query(algo Algorithm, q graph.VertexID, prm Params) (*Result, e
 // social side — one forward search, one GraphDist, one landmark vector —
 // runs once over the graph they share. Unlike Query it does not require q to
 // be located in the view: qpt stands in for the query location. A user
-// located in two snapshots (mid-rebalance, or mid cross-shard move) is
-// reported once, with its better entry. The slice is read, not retained.
+// located in two snapshots of the view is reported once, with its better
+// entry (the sharded engine's views hold each user once). The slice is read,
+// not retained.
 func (e *Engine) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.VertexID, qpt spatial.Point, prm Params) (*Result, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err

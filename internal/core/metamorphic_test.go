@@ -14,8 +14,8 @@
 //     spatially overtake one it already trailed — the pairwise order moves
 //     monotonically with α, exactly as the score function dictates.
 //   - duplicate-freedom: no user is reported twice and the query user never
-//     reports itself (the property a sharded engine would break first, via
-//     a mid-relocation user visible in two shards).
+//     reports itself (the property a sharded engine would break first, by
+//     holding a user in two grids of one view).
 //
 // The differential churn test replays one randomized interleaved op stream
 // into the single-index reference, a 1-shard engine and an 8-shard engine, and

@@ -90,10 +90,10 @@ func (r *Result) IDSet() map[int32]bool {
 // an identical interim state. With k ≤ 50 (Table 3) a sorted slice beats a
 // heap.
 //
-// A user holds at most one entry: a view over several snapshots can locate a
-// user twice (a drained cell mid-rebalance, a cross-shard mover mid-apply),
-// so a second entry for an ID already held replaces it only when it is the
-// better (F, ID), the one a single index would report.
+// A user holds at most one entry: a view handed to QueryOn may locate a user
+// in two of its snapshots (the sharded engine's views never do), so a second
+// entry for an ID already held replaces it only when it is the better
+// (F, ID), the one a single index would report.
 //
 // topK structs are pooled (see queryPools): reset re-arms one in place and
 // reuses the entries storage, so the serving path allocates nothing here.

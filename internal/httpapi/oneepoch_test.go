@@ -89,7 +89,10 @@ func TestFlushedRequestIsOneEpoch(t *testing.T) {
 				t.Errorf("flushed 16-edge request published %d social epochs, want 1", after.SocialEpoch-before.SocialEpoch)
 			}
 			for _, e := range edges {
-				nb := eng.SocialKNN(e.U, 1)
+				nb, err := eng.SocialKNN(e.U, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
 				got := nb[0].P * ds.Norms().Social
 				if len(nb) != 1 || nb[0].ID != e.V || math.Abs(got-e.W) > 1e-9*e.W {
 					t.Errorf("edge (%d,%d,%g): nearest friend %+v", e.U, e.V, e.W, nb)

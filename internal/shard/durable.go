@@ -13,14 +13,15 @@ import (
 // layer, inside apply (update.go), under the batch's stripes, where the
 // per-user op order is authoritative for any shard count: the log carries
 // the single logical op of a cross-shard move and replay re-derives the
-// remove@old + insert@new split. Rebalance migrations are never journaled
-// (they apply through the per-shard engines directly): they move shard
+// remove@old + insert@new split. Rebalance drain batches are never journaled
+// (they are published without passing through apply): they move shard
 // placement, not world state, and replaying their remove halves would delete
 // users.
 //
 // apply stages a batch's records (sequence assigned, buffered, no syscall),
 // commits them — hands them to the OS and, under fsync=batch, fsyncs — and
-// only then routes and applies the batch, all under the same stripes.
+// only then routes, applies and publishes the batch, all under the same
+// stripes.
 // Nothing is visible before it is durable, and a queued batch of N ops costs
 // one commit, not N.
 
@@ -91,21 +92,15 @@ func (se *Engine) Checkpoint() error {
 
 // exportDiff returns the update batch that carries a freshly built engine
 // over the same construction dataset to this engine's current state — the
-// checkpoint payload. Location state is read per user from the owning
-// shard's published snapshot (the owner map points at the newest residency
-// of an in-flight cross-shard move; any user still settling is fixed up by
-// the log tail replayed after the checkpoint position).
+// checkpoint payload: locations and the social graph of one published view,
+// where each located user is in exactly one grid.
 func (se *Engine) exportDiff() []core.Update {
-	grids := make([]*spatial.Snapshot, len(se.shards))
-	for i, sh := range se.shards {
-		grids[i] = sh.Snapshot().Grid()
-	}
-	locate := func(id int32) (spatial.Point, bool) {
-		s := se.owner[id].Load()
-		if s < 0 || !grids[s].Located(id) {
-			return spatial.Point{}, false
+	sns := *se.view.Load()
+	at := func(id int32) (spatial.Point, bool) {
+		if s := locate(sns, id); s >= 0 {
+			return sns[s].Grid().Point(id), true
 		}
-		return grids[s].Point(id), true
+		return spatial.Point{}, false
 	}
-	return core.StateDiff(se.ds, locate, se.sub.Snapshot().Graph())
+	return core.StateDiff(se.ds, at, sns[0].SocialGraph())
 }

@@ -9,9 +9,8 @@ import (
 // by (F, ID), the engines' canonical order — into the global top-k with a
 // k-way merge heap: one heap entry per list, keyed by the list head's
 // (F, ID), popped and refilled until k entries are emitted or every list is
-// exhausted. Duplicate user IDs (possible only in the transient window where
-// a cross-shard mover is visible in two shards' snapshots) keep their first
-// — best-ranked — occurrence.
+// exhausted. Duplicate user IDs keep their first — best-ranked —
+// occurrence.
 //
 // Because the inputs are sorted by exactly the comparator the per-shard topK
 // uses, the merge output equals concatenate-sort-truncate, which the

@@ -17,28 +17,14 @@ import (
 // cell whose owner changed is drained to its new shard through the shards'
 // ordinary synchronous batch apply.
 //
-// The migration protocol keeps queries lock-free and — a re-cut never changes
-// the world — exact throughout:
-//
-//  1. Cells move in small batches (rebalanceDrainBatch) under all
-//     routing stripes, so the owner map and the per-cell routing are frozen
-//     per batch — and, since every write applies under its stripes, no write
-//     is in flight — while traffic flows freely between batches.
-//  2. Per cell, ownership flips first (cellShard.Store), and the cell's
-//     users are INSERTED into the new shard
-//     before being REMOVED from the old one. Between the insert and the
-//     remove a user is visible in both shards — harmless, because the
-//     query's interim result holds one entry per user and both shards
-//     locate the user identically (same coordinates). The
-//     reverse order would make users transiently invisible, which is a
-//     wrong answer.
-//  3. "Visible in at least one shard" holds at every instant, but a query
-//     loads S snapshots at S instants: the new owner's from before the
-//     insert plus the old owner's from after the remove would hold the user
-//     nowhere. migrateSeq is bumped once between the two publishes and every
-//     query brackets its snapshot loads with it, reloading on a change
-//     (query.go, acquire) — so a query always sees the old epoch (user in the
-//     old shard), the overlap, or the new epoch, never neither.
+// A re-cut never changes the world, and queries stay lock-free and exact
+// throughout: cells move in small batches (rebalanceDrainBatch) under every
+// routing stripe and the writer lock, so no write is in flight and the owner
+// map and per-cell routing are frozen per batch, while traffic flows freely
+// between batches. A drain batch flips its cells' routing, routes every
+// resident user's insert to the new owner and removal to the old one, and
+// applies and publishes them like any write batch: one view, in which every
+// moved user is in its new grid and no longer in its old one.
 //
 // Close composes with an in-flight rebalance by setting closed under all
 // stripes: the drain loop re-checks closed at every batch boundary (under
@@ -99,13 +85,13 @@ func (se *Engine) RebalanceInFlight() bool {
 	return true
 }
 
-// Imbalance returns the current occupancy imbalance: the most populated
-// shard's located-user count over the mean (1 for a perfectly balanced or
-// empty engine).
+// Imbalance returns the published view's occupancy imbalance: the most
+// populated shard's located-user count over the mean (1 for a perfectly
+// balanced or empty engine).
 func (se *Engine) Imbalance() float64 {
 	maxPop, total := 0, 0
-	for _, sh := range se.shards {
-		n := sh.NumLocated()
+	for _, sn := range *se.view.Load() {
+		n := sn.Grid().NumLocated()
 		total += n
 		if n > maxPop {
 			maxPop = n
@@ -158,15 +144,14 @@ func (se *Engine) Rebalance() int {
 
 // rebalance is the re-cut + drain loop. Caller holds rebalanceMu.
 func (se *Engine) rebalance() int {
-	// Live occupancy per leaf cell, summed over the shards' published
-	// snapshots. Cells may keep moving while we look (queries and writes
-	// are not paused); the cut only has to be good, not perfect —
-	// residual skew re-triggers the next check.
+	// Live occupancy per leaf cell, summed over the published view's grids.
+	// Writes keep landing while we look; the cut only has to be good, not
+	// perfect — residual skew re-triggers the next check.
 	leaf := se.layout.LeafLevel()
 	numCells := se.layout.NumCells(leaf)
 	occ := make([]int64, numCells)
-	for _, sh := range se.shards {
-		g := sh.Snapshot().Grid()
+	for _, sn := range *se.view.Load() {
+		g := sn.Grid()
 		for c := int32(0); c < int32(numCells); c++ {
 			occ[c] += int64(g.CountAt(leaf, c))
 		}
@@ -191,11 +176,15 @@ func (se *Engine) rebalance() int {
 			se.unlockAllStripes()
 			break
 		}
+		se.writeMu.Lock()
+		per := make([][]core.Update, len(se.shards))
 		for _, c := range moving[:n] {
-			if se.migrateCellLocked(c, target[c]) {
+			if se.migrateCellLocked(per, c, target[c]) {
 				moved++
 			}
 		}
+		_ = se.publish(per) //errok: every op carries a published location, which validation accepts
+		se.writeMu.Unlock()
 		se.unlockAllStripes()
 		moving = moving[n:]
 	}
@@ -206,49 +195,24 @@ func (se *Engine) rebalance() int {
 	return moved
 }
 
-// migrateCellLocked re-owns one leaf cell: flip routing, then
-// insert-before-remove every resident user. Caller holds every routing
-// stripe, so the owner map is frozen, no write is mid-apply, and the old
-// shard's published snapshot is the authoritative residency list.
-func (se *Engine) migrateCellLocked(c, newS int32) bool {
+// migrateCellLocked re-owns one leaf cell: it flips the cell's routing and
+// routes every resident user's insert to the new owner and removal to the
+// old one into per, for the drain batch to publish. Caller holds every
+// routing stripe and writeMu, so the owner map is frozen, no write is
+// mid-apply, and the old shard's snapshot is the authoritative residency
+// list.
+func (se *Engine) migrateCellLocked(per [][]core.Update, c, newS int32) bool {
 	oldS := se.cellShard[c].Load()
 	if oldS == newS {
 		return false
 	}
-	// New routing first: any op routed after the stripes drop already
-	// targets the new owner.
 	se.cellShard[c].Store(newS)
-
 	g := se.shards[oldS].Snapshot().Grid()
 	users := g.CellUsers(c)
-	if len(users) == 0 {
-		se.cellsMoved.Add(1)
-		return true
-	}
-	inserts := make([]core.Update, 0, len(users))
-	removes := make([]core.Update, 0, len(users))
 	for _, id := range users {
-		inserts = append(inserts, core.Update{ID: id, To: g.Point(id)})
-		removes = append(removes, core.Update{ID: id, Remove: true})
-	}
-	// Insert into the new owner, repoint routing, then remove from the old:
-	// a concurrent query sees the users in at least one shard at every
-	// instant (both, transiently — a query keeps one entry per user).
-	if err := se.shards[newS].ApplyUpdates(inserts); err != nil {
-		// Validation cannot fail here (coordinates come from a published
-		// snapshot); revert routing defensively if it somehow does.
-		se.cellShard[c].Store(oldS)
-		return false
-	}
-	for _, id := range users {
+		per[newS] = append(per[newS], core.Update{ID: id, To: g.Point(id)})
+		per[oldS] = append(per[oldS], core.Update{ID: id, Remove: true})
 		se.owner[id].Store(newS)
-	}
-	// One bump between the two publishes: a query whose snapshot loads
-	// straddle it could hold the new owner from before the insert and the
-	// old one from after the remove, so it reloads (see acquire).
-	se.migrateSeq.Add(1)
-	if err := se.shards[oldS].ApplyUpdates(removes); err != nil {
-		return false
 	}
 	se.cellsMoved.Add(1)
 	se.usersMoved.Add(int64(len(users)))

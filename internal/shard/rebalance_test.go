@@ -339,14 +339,15 @@ func entriesEqual(got, want []core.Entry) bool {
 
 // TestQueryExactAcrossRebalanceDrain is the deterministic regression for the
 // transient inexactness behind TestCrashRecoveryAsyncChurn/sharded: a query
-// that took shard 0's snapshot, then had a whole re-cut drain run (insert into
-// the new owner, remove from the old), then took the other shards' snapshots
-// saw every user that migrated into shard 0 in NO snapshot and silently
-// dropped them from the top-k — on every algorithm, since the loss is in
-// snapshot acquisition, not in any search. A re-cut never changes the world,
-// so the mid-drain answer must equal the pre-drain brute-force answer. The
-// figure variants among the subtests (TSA-QC, AIS-Cache) are not served: the
-// engine must refuse them by name.
+// whose view held a migrating user in neither its old nor its new shard
+// silently dropped it from the top-k — on every algorithm, since the loss is
+// in the view, not in any search. Here every drain batch of a re-cut is
+// parked at the writer's publish hook, its inserts and removals applied but
+// the view not yet stored, and a query runs there; a re-cut never changes the
+// world, so every such answer, and the answer once the drain is done, must
+// equal the pre-drain brute-force answer. The figure variants among the
+// subtests (TSA-QC, AIS-Cache) are not served: the engine must refuse them by
+// name.
 func TestQueryExactAcrossRebalanceDrain(t *testing.T) {
 	// Socially weighted, so the hotspot crowd (the users that migrate)
 	// reaches the top-k of a query user who stayed home on shard 0.
@@ -375,40 +376,42 @@ func TestQueryExactAcrossRebalanceDrain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := make(map[int32]int, len(want.Entries))
-			for _, e := range want.Entries {
-				before[e.ID] = se.ShardOfUser(e.ID)
-			}
 
-			drained := false
-			se.testSeam = func(p seamPoint) {
-				if p != seamFirstSnapshot || drained {
-					return
+			parked, migrating := 0, 0
+			// The writer is Rebalance, on this goroutine, holding every lock:
+			// the hook reports with Error, since a Fatal here would leave them
+			// held for the deferred Close.
+			se.testSeam = func() {
+				parked++
+				// Members of the answer this drain batch re-homes: routed to a
+				// new shard, still in their old grid in the published view.
+				sns := *se.view.Load()
+				for _, e := range want.Entries {
+					if locate(sns, e.ID) != se.ShardOfUser(e.ID) {
+						migrating++
+					}
 				}
-				drained = true
-				if se.Rebalance() == 0 {
-					t.Error("fixture: the mid-query re-cut moved nothing")
+				got, err := se.Query(algo, q, prm)
+				if err != nil || !entriesEqual(got.Entries, want.Entries) {
+					t.Errorf("parked %v (drain batch %d): %v\n got:  %+v\n want: %+v", algo, parked, err, got, want.Entries)
 				}
 			}
+			if se.Rebalance() == 0 {
+				t.Fatal("fixture: the re-cut moved nothing")
+			}
+			if parked < 2 || migrating == 0 {
+				t.Fatalf("fixture: %d drain batches parked, %d answer members re-homed; want ≥ 2 and ≥ 1", parked, migrating)
+			}
+			after, err := se.Query(core.BruteForce, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEntries(t, "brute after the drain", after.Entries, want.Entries)
 			got, err := se.Query(algo, q, prm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !drained {
-				t.Fatal("seam never fired")
-			}
-			// The fixture proves something only if the drain moved a member of
-			// the true answer into the shard whose snapshot was already taken.
-			into0 := 0
-			for id, s := range before {
-				if s != 0 && se.ShardOfUser(id) == 0 {
-					into0++
-				}
-			}
-			if into0 == 0 {
-				t.Fatal("fixture: no top-k member migrated into shard 0 mid-query")
-			}
-			sameEntries(t, "mid-drain "+algo.String(), got.Entries, want.Entries)
+			sameEntries(t, "released "+algo.String(), got.Entries, want.Entries)
 		})
 	}
 }
@@ -472,12 +475,14 @@ func TestRebalanceDrainAnswersStayExact(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQueryDuringCrossShardAsyncMove is the deterministic regression for the
-// spurious "no known location" of a continuously located query user: its
-// async cross-shard move is parked between the two shards' applies of its
-// routed batch — removal published on the old owner, insert not yet applied
-// on the new one, the user's stripe held — while the user queries. The query
-// must wait the apply out and answer from the new owner, not give up.
+// TestQueryDuringCrossShardAsyncMove: a user's async cross-shard move is
+// parked at the writer's publish hook, on the queue's goroutine — removal
+// applied on the old owner, insert applied on the new one, the view not yet
+// stored. The moving user's own query there must answer (a continuously
+// located user never gets "no known location") exactly as brute force on the
+// pre-move world, and once the writer is released, as brute force on the
+// post-move world. And a second user's spatial kNN over everyone must list
+// every located user exactly once — the mover at its old position.
 func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 	ds := clusteredDataset(t, 200, 41)
 	se, err := New(ds, 4, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 3, Seed: 41})
@@ -486,8 +491,7 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 	}
 	defer se.Close()
 	se.rebalanceThreshold = -1
-	// Shards apply their shares in index order, so moving q to a higher
-	// shard publishes its removal first.
+	// q moves to a shard above its own, so the removal applies first.
 	users := locatedUsers(ds)
 	var q graph.VertexID
 	var to spatial.Point
@@ -507,46 +511,94 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 		t.Fatal("fixture: every user on one shard")
 	}
 	old := se.ShardOfUser(int32(q))
+	from, _ := se.UserLocation(int32(q))
 
-	prm := core.Params{K: 5, Alpha: 0.5}
-	atFallback := make(chan struct{})
-	var fallbackOnce, parkOnce sync.Once
-	done := make(chan error, 1)
-	se.testSeam = func(p seamPoint) {
-		switch p {
-		case seamBetweenShardApplies: // on the updater, q's stripe held
-			parkOnce.Do(func() {
+	// parkMove runs atPark on the queue's goroutine while q's move is parked
+	// at the publish hook, then flushes the move.
+	parkMove := func(t *testing.T, dst spatial.Point, atPark func()) {
+		t.Helper()
+		var once sync.Once
+		parkedAt := make(chan struct{})
+		se.testSeam = func() {
+			once.Do(func() {
 				if se.shards[old].Snapshot().Grid().Located(int32(q)) {
-					t.Error("fixture: the old shard still locates q between the applies")
+					t.Error("fixture: the old shard still locates q at the hook")
 				}
-				go func() {
-					_, err := se.Query(core.AIS, q, prm)
-					done <- err
-				}()
-				// Park until the querier is about to wait on the stripe this
-				// goroutine holds (or, without that wait, has already answered).
-				select {
-				case <-atFallback:
-				case err := <-done:
-					done <- err
-				}
+				atPark()
+				close(parkedAt)
 			})
-		case seamHomeFallback:
-			fallbackOnce.Do(func() { close(atFallback) })
+		}
+		if err := moveUserAsync(se, int32(q), dst); err != nil {
+			t.Fatal(err)
+		}
+		se.Flush()
+		select {
+		case <-parkedAt:
+		default:
+			t.Fatal("seam never fired")
 		}
 	}
-	if err := moveUserAsync(se, int32(q), to); err != nil {
+
+	prm := core.Params{K: 5, Alpha: 0.5}
+	pre, err := se.Query(core.BruteForce, q, prm)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("query by a continuously located user mid-move: %v", err)
-	}
-	select {
-	case <-atFallback:
-	default:
-		t.Fatal("fixture: the query found q without waiting out the apply")
-	}
+	parkMove(t, to, func() {
+		got, err := se.Query(core.AIS, q, prm)
+		if err != nil {
+			t.Errorf("query by a continuously located user mid-move: %v", err)
+			return
+		}
+		if !entriesEqual(got.Entries, pre.Entries) {
+			t.Errorf("parked AIS:\n got:  %+v\n want: %+v", got.Entries, pre.Entries)
+		}
+	})
 	if s := se.ShardOfUser(int32(q)); s == old {
 		t.Fatal("fixture: the move did not cross shards")
 	}
+	post, err := se.Query(core.BruteForce, q, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := se.Query(core.AIS, q, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEntries(t, "released AIS", got.Entries, post.Entries)
+
+	t.Run("SpatialKNNListsEveryUserOnce", func(t *testing.T) {
+		// Put q back home, then park the same move again while another user
+		// lists everyone.
+		if err := moveUser(se, int32(q), from); err != nil || se.ShardOfUser(int32(q)) != old {
+			t.Fatalf("fixture: moving q back home: %v", err)
+		}
+		p := users[0]
+		if p == q {
+			p = users[1]
+		}
+		pp, _ := se.UserLocation(int32(p))
+		parkMove(t, to, func() {
+			nbrs, err := se.SpatialKNN(int32(p), se.NumLocated())
+			if err != nil {
+				t.Errorf("SpatialKNN: %v", err)
+				return
+			}
+			if len(nbrs) != len(users)-1 {
+				t.Errorf("SpatialKNN over everyone: %d neighbours, want %d", len(nbrs), len(users)-1)
+			}
+			seen := make(map[int32]int, len(nbrs))
+			for _, nb := range nbrs {
+				seen[nb.ID]++
+				if nb.ID == int32(q) && math.Abs(nb.Dist-pp.Dist(from)) > 1e-12 {
+					t.Errorf("mover listed at distance %v, want its pre-move %v", nb.Dist, pp.Dist(from))
+				}
+			}
+			for _, u := range users {
+				if u != p && seen[int32(u)] != 1 {
+					t.Errorf("user %d listed %d times, want once", u, seen[int32(u)])
+				}
+			}
+		})
+	})
 }

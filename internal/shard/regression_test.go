@@ -196,15 +196,15 @@ func TestAISCacheFallbackExactUnderFanout(t *testing.T) {
 }
 
 // TestQueryExactAcrossSocialEpochStraddle: the substrate publishes an edge
-// batch by syncing its shards one at a time, so a query's load pass can take
-// one shard's snapshot before the sync and the others after it. One search
-// over such a view would pair one epoch's graph with another epoch's cell
-// summaries. The query here is parked after loading shard 0's snapshot while
-// an upsert makes a new friend of q's the best-ranked user; once released,
-// its answer must be brute force on the new graph — the load pass has to
-// retry until all snapshots share one social epoch. The figure variants among
-// the subtests (TSA-QC, AIS-Cache) are not served: the engine must refuse
-// them by name.
+// batch by syncing its shards one at a time, so shard snapshots at mixed
+// social epochs exist — and one search over such a mix would pair one epoch's
+// graph with another epoch's cell summaries. An upsert that makes a new
+// friend of q's the best-ranked user is parked at the writer's publish hook,
+// every shard already synced to the new epoch but the view not yet stored:
+// a query there must be brute force on the old graph, and once the writer is
+// released, brute force on the new one. The figure variants among the
+// subtests (TSA-QC, AIS-Cache) are not served: the engine must refuse them by
+// name.
 func TestQueryExactAcrossSocialEpochStraddle(t *testing.T) {
 	prm := core.Params{K: 8, Alpha: 0.9}
 	for _, algo := range []core.Algorithm{core.SFA, core.SPA, core.TSA, core.TSAQC,
@@ -237,31 +237,25 @@ func TestQueryExactAcrossSocialEpochStraddle(t *testing.T) {
 				}
 			}
 
-			parked, release := make(chan struct{}), make(chan struct{})
 			fired := false
-			se.testSeam = func(p seamPoint) {
-				if p != seamFirstSnapshot || fired {
-					return
-				}
+			// The writer is addFriend, on this goroutine, holding the writer
+			// lock: the hook reports with Error, since a Fatal here would leave
+			// the lock held for the deferred Close.
+			se.testSeam = func() {
 				fired = true
-				close(parked)
-				<-release
+				if se.shards[1].Snapshot().SocialEpoch() == (*se.view.Load())[1].SocialEpoch() {
+					t.Error("fixture: the shards had not synced to the new social epoch")
+				}
+				got, err := se.Query(algo, q, prm)
+				if err != nil || !entriesEqual(got.Entries, before.Entries) {
+					t.Errorf("parked %v: %v\n got:  %+v\n want: %+v", algo, err, got, before.Entries)
+				}
 			}
-			upserted := make(chan error, 1)
-			go func() {
-				<-parked
-				upserted <- addFriend(se, int32(q), u, 1e-6)
-				close(release)
-			}()
-			got, err := se.Query(algo, q, prm)
-			if err != nil {
+			if err := addFriend(se, int32(q), u, 1e-6); err != nil {
 				t.Fatal(err)
 			}
 			if !fired {
 				t.Fatal("seam never fired")
-			}
-			if err := <-upserted; err != nil {
-				t.Fatal(err)
 			}
 			want, err := se.Query(core.BruteForce, q, prm)
 			if err != nil {
@@ -270,7 +264,11 @@ func TestQueryExactAcrossSocialEpochStraddle(t *testing.T) {
 			if !want.IDSet()[u] {
 				t.Fatalf("fixture: the upsert did not bring user %d into the answer", u)
 			}
-			sameEntries(t, "epoch-straddling "+algo.String(), got.Entries, want.Entries)
+			got, err := se.Query(algo, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEntries(t, "released "+algo.String(), got.Entries, want.Entries)
 		})
 	}
 }

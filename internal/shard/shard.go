@@ -1,21 +1,22 @@
 // Package shard implements the spatially-partitioned SSRQ engine: users are
 // split across S spatially-contiguous shards by a space-filling-curve
 // assignment of grid leaf cells, and every shard owns an independent spatial
-// side — its own grid, AIS aggregate index and epochs — built over a
-// Restrict'ed view of one shared dataset. A query is one search over all S
-// shards' snapshots (query.go); updates route to the shard owning the user's
-// current location. Every write takes one path (update.go): a batch, whether
-// a synchronous call or one drained from the engine's single async queue, is
-// staged, committed, routed and applied under its routing stripes.
+// side — its own grid and AIS aggregate index — built over a Restrict'ed view
+// of one shared dataset. The engine publishes the S shards' snapshots
+// together, as one view per write batch, and a query is one search over that
+// view (query.go); updates route to the shard owning the user's current
+// location. Every write takes one path (update.go): a batch, whether a
+// synchronous call or one drained from the engine's single async queue, is
+// staged and committed under its routing stripes, then routed, applied and
+// published under one writer lock.
 //
 // The decomposition trades the two dimensions differently:
 //
 //   - The spatial dimension is PARTITIONED: each user's location is indexed
-//     by exactly one shard, so grid maintenance, AIS summaries and epoch
-//     publication scale out across shards instead of contending on one
-//     writer lock. The partition is ELASTIC: occupancy imbalance past a
-//     threshold re-cuts the Z-order curve online, draining leaf cells to
-//     their new owners through the shards' ordinary batch apply while
+//     by exactly one shard, so each grid and its AIS summaries cover only
+//     that shard's members. The partition is ELASTIC: occupancy imbalance
+//     past a threshold re-cuts the Z-order curve online, draining leaf cells
+//     to their new owners through the shards' ordinary batch apply while
 //     queries keep serving lock-free (see rebalance.go).
 //   - The social dimension is SHARED: one aggindex.Social substrate owns the
 //     friendship graph overlay, the landmark tables and their maintenance
@@ -26,7 +27,7 @@
 //     arbitrary vertices, so the graph cannot be partitioned — but it also
 //     need not be copied. An edge op applies once, and the substrate
 //     synchronously syncs every shard's summaries to the new social epoch
-//     before publication, so no shard can pair new membership with stale
+//     before the view publishes, so no view pairs new membership with stale
 //     Lemma-2 bounds.
 //
 // Urban social structure does not follow spatial cut lines (Herrera-Yagüe
@@ -38,13 +39,13 @@
 // partition — hence the online re-cut.
 //
 // Equivalence with a single index over the whole dataset is exact, not
-// approximate: the search is the unmodified paper algorithm over a view of
-// snapshots at one social epoch (core.Engine.QueryOn threads the owner
-// shard's query location through), and the metamorphic/differential harness
-// in internal/core asserts S shards == a bare core.Engine == brute under
-// interleaved churn — including across a forced mid-stream rebalance. S = 1
-// is that same cut with no boundary, which is why it is the engine's default
-// rather than a second implementation.
+// approximate: the search is the unmodified paper algorithm over one view —
+// every located user in exactly one of its grids, every grid at one social
+// epoch — and the metamorphic/differential harness in internal/core asserts
+// S shards == a bare core.Engine == brute under interleaved churn, including
+// across a forced mid-stream rebalance. S = 1 is that same cut with no
+// boundary, which is why it is the engine's default rather than a second
+// implementation.
 package shard
 
 import (
@@ -72,20 +73,29 @@ type Engine struct {
 	ds     *dataset.Dataset
 	layout *spatial.Layout
 	// cellShard maps each leaf cell to its owning shard. Entries move while
-	// the engine serves (rebalance re-cuts the curve online), so each is an
-	// atomic: routers and queries load the current owner lock-free, and the
-	// migration protocol tolerates the transient window where a moving
-	// cell's users are visible in two shards (a query keeps one entry each).
+	// the engine serves (rebalance re-cuts the curve online); they are written
+	// under every stripe and read by routing and stats, so each is an atomic.
 	cellShard []atomic.Int32
 	sub       *aggindex.Social // shared social substrate, owned by this engine
 	shards    []*core.Engine
 
-	// owner[id] is the shard whose grid currently locates the user (-1 when
+	// owner[id] is the shard routing last sent the user to (-1 when
 	// unlocated). Every batch is staged, routed and applied under the
 	// striped locks of the users and pairs it touches, so a cross-shard
 	// move's remove+insert pair lands before anyone else can route that user.
 	owner []atomic.Int32
 	locks [64]sync.Mutex
+
+	// view is what every reader loads: the S shards' snapshots of one
+	// instant, indexed by shard and never mutated once stored. publish
+	// (update.go) stores the next one under writeMu, which serializes every
+	// routing decision, shard apply and store past the stripes. onEpoch is
+	// the OnEpoch consumer and moved publish's reused delta scratch, both
+	// guarded by writeMu.
+	view    atomic.Pointer[[]*aggindex.Snapshot]
+	writeMu sync.Mutex
+	onEpoch func(aggindex.EpochDelta)
+	moved   []int32
 
 	// up is the engine's one asynchronous update queue, started by the first
 	// Enqueue (upOnce); its apply is the same function as ApplyUpdates'.
@@ -113,10 +123,7 @@ type Engine struct {
 	bg                 sync.WaitGroup
 	rebalanceThreshold float64
 	drainBatch         int
-	// migrateSeq is bumped once per drained cell, between publishing its
-	// users into the new owner and removing them from the old one; queries
-	// bracket their snapshot loads with it (see acquire).
-	migrateSeq    atomic.Uint64
+
 	opsSinceCheck atomic.Int64
 	rebalances    atomic.Int64
 	cellsMoved    atomic.Int64
@@ -129,31 +136,10 @@ type Engine struct {
 	shardsQueried atomic.Int64
 	shardsEmpty   atomic.Int64
 
-	// testSeam, when non-nil, runs at the named points of the query and
-	// routing paths — tests set it (before any concurrent use) to force the
-	// interleavings that are otherwise a scheduling lottery.
-	testSeam func(seamPoint)
-}
-
-// seamPoint names where Engine.testSeam fires.
-type seamPoint int
-
-const (
-	// seamFirstSnapshot: loadSnapshots holds shard 0's snapshot and has yet
-	// to load the others.
-	seamFirstSnapshot seamPoint = iota
-	// seamBetweenShardApplies: apply, under the batch's stripes, has applied
-	// one shard's share of a routed batch and is about to apply the next.
-	seamBetweenShardApplies
-	// seamHomeFallback: acquire found the query user in no snapshot and is
-	// about to wait out its route.
-	seamHomeFallback
-)
-
-func (se *Engine) seam(p seamPoint) {
-	if se.testSeam != nil {
-		se.testSeam(p)
-	}
+	// testSeam, when non-nil, runs in publish once every shard's share of a
+	// batch is applied and before the view is stored — tests set it (before
+	// any concurrent use) to query while a writer is parked there.
+	testSeam func()
 }
 
 // New partitions the dataset across numShards spatially-contiguous shards:
@@ -251,6 +237,7 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 			return nil, err
 		}
 	}
+	se.view.Store(se.snapshots())
 	return se, nil
 }
 
@@ -334,7 +321,7 @@ func (se *Engine) shardOfPoint(p spatial.Point) int32 {
 func (se *Engine) NumShards() int { return len(se.shards) }
 
 // Dataset returns the shared parent dataset (construction-time state; live
-// locations come from the owning shard's snapshot).
+// locations come from the published view).
 func (se *Engine) Dataset() *dataset.Dataset { return se.ds }
 
 // Substrate returns the shared social substrate all shards consume.
@@ -344,22 +331,23 @@ func (se *Engine) Substrate() *aggindex.Social { return se.sub }
 // every shard; the subscription layer discovers it through this accessor).
 func (se *Engine) FoFIndex() *fof.Index { return se.sub.FoF() }
 
-// OnEpoch installs fn as the epoch-delta callback on every shard (single
-// consumer; nil detaches everywhere). Shard epochs publish independently,
-// so fn must tolerate interleaved deltas: per-shard Moved sets are
-// disjoint at any instant (each user has one owning shard), and a
-// cross-shard move surfaces as a removal delta on the old owner plus an
-// insert delta on the new one — a consumer that unions touched-user IDs
-// across callbacks sees a superset of everything that changed. A shared-
-// substrate social sync fires once per shard with SocialChanged set.
+// OnEpoch installs fn as the epoch-delta consumer (single consumer; nil
+// detaches). fn gets one delta per published view — one per write batch or
+// rebalance drain batch that changed something — after the view is stored:
+// Moved lists every user the batch routed a location op to, a cross-shard
+// move once per half; SocialChanged is set when the batch moved the social
+// epoch; Snapshot is the view's shard-0 snapshot, whose graph, landmark
+// tables and labels every shard of the view shares. fn runs under the writer
+// lock, so it must be cheap and must not call back into the engine's writes.
+// Moved is valid only during the call.
 func (se *Engine) OnEpoch(fn func(aggindex.EpochDelta)) {
-	for _, sh := range se.shards {
-		sh.AggIndex().SetNotify(fn)
-	}
+	se.writeMu.Lock()
+	se.onEpoch = fn
+	se.writeMu.Unlock()
 }
 
-// ShardOfUser returns the shard currently locating the user, -1 when the
-// user has no indexed location.
+// ShardOfUser returns the shard the user's last routed location op went to,
+// -1 when the user has no indexed location.
 func (se *Engine) ShardOfUser(id int32) int {
 	if id < 0 || int(id) >= len(se.owner) {
 		return -1

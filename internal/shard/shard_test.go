@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ssrq/internal/aggindex"
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
 	"ssrq/internal/gen"
@@ -266,6 +267,45 @@ func TestCrossShardRouting(t *testing.T) {
 	if n := settleGoroutines(idle) - idle; n > 0 {
 		t.Fatalf("%d goroutines above idle after Close", n)
 	}
+
+	t.Run("OneDeltaPerBatch", func(t *testing.T) {
+		// A cross-shard move is one batch and one published view, so the
+		// epoch consumer hears one delta, and by then the view already holds
+		// the new position.
+		var u, w int32 = -1, -1
+		for _, v := range users {
+			switch s := se.ShardOfUser(int32(v)); {
+			case s < 0:
+			case u < 0:
+				u = int32(v)
+			case s != se.ShardOfUser(u):
+				w = int32(v)
+			}
+			if w >= 0 {
+				break
+			}
+		}
+		if w < 0 {
+			t.Fatal("fixture: no two located users on different shards")
+		}
+		dst, _ := se.UserLocation(w)
+		var calls int
+		var moved bool
+		var seen spatial.Point
+		se.OnEpoch(func(d aggindex.EpochDelta) {
+			calls++
+			moved = slices.Contains(d.Moved, u)
+			seen, _ = se.UserLocation(u)
+		})
+		defer se.OnEpoch(nil)
+		if err := moveUser(se, u, dst); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 || !moved || seen != dst {
+			t.Fatalf("cross-shard move: %d deltas (want 1), mover in the last: %v, position seen by it %v (want %v)",
+				calls, moved, seen, dst)
+		}
+	})
 }
 
 // settleGoroutines waits, for a few seconds at most, until no more than want

@@ -11,9 +11,10 @@ type ShardStat struct {
 	// Shard is the shard index; Cells how many grid leaf cells it owns.
 	Shard int
 	Cells int
-	// NumLocated is the shard's current located-user count.
+	// NumLocated is the shard's located-user count in the published view.
 	NumLocated int
-	// Epoch / SocialEpoch are the shard's published index versions.
+	// Epoch / SocialEpoch are the versions of the shard's snapshot in the
+	// published view.
 	Epoch       uint64
 	SocialEpoch uint64
 	// AppliedBatches counts the batches the shard applied — its share of
@@ -21,23 +22,24 @@ type ShardStat struct {
 	AppliedBatches int64
 }
 
-// ShardStats returns a point-in-time view of every shard. Cell ownership is
-// recounted from the live routing table — it moves under rebalance.
+// ShardStats returns every shard's section of the published view. Cell
+// ownership is recounted from the live routing table — it moves under
+// rebalance.
 func (se *Engine) ShardStats() []ShardStat {
 	cells := make([]int, len(se.shards))
 	for c := range se.cellShard {
 		cells[se.cellShard[c].Load()]++
 	}
+	sns := *se.view.Load()
 	out := make([]ShardStat, len(se.shards))
-	for s, sh := range se.shards {
-		us := sh.UpdateStats()
+	for s, sn := range sns {
 		out[s] = ShardStat{
 			Shard:          s,
 			Cells:          cells[s],
-			NumLocated:     sh.NumLocated(),
-			Epoch:          us.Epoch,
-			SocialEpoch:    us.SocialEpoch,
-			AppliedBatches: us.AppliedBatches,
+			NumLocated:     sn.Grid().NumLocated(),
+			Epoch:          sn.Epoch(),
+			SocialEpoch:    sn.SocialEpoch(),
+			AppliedBatches: se.shards[s].UpdateStats().AppliedBatches,
 		}
 	}
 	return out
@@ -108,33 +110,24 @@ func (se *Engine) UpdateStats() core.UpdateStats {
 // the S× work.)
 func (se *Engine) SocialStats() core.SocialStats { return se.sub.Stats() }
 
-// UserLocation returns a user's current (normalized) coordinates from the
-// owning shard's published snapshot (the common case), else from whichever
-// shard's snapshot locates them; ok is false when unlocated. A non-blocking
-// single-user read: it may transiently miss a user whose cross-shard move is
-// mid-flight (queries wait that out instead, see acquire).
+// UserLocation returns a user's (normalized) coordinates in the published
+// view; ok is false when unlocated. Lock-free.
 func (se *Engine) UserLocation(id int32) (spatial.Point, bool) {
 	if id < 0 || int(id) >= se.ds.NumUsers() {
 		return spatial.Point{}, false
 	}
-	if o := se.owner[id].Load(); o >= 0 {
-		if g := se.shards[o].Snapshot().Grid(); g.Located(id) {
-			return g.Point(id), true
-		}
-	}
-	for _, sh := range se.shards {
-		if g := sh.Snapshot().Grid(); g.Located(id) {
-			return g.Point(id), true
-		}
+	sns := *se.view.Load()
+	if s := locate(sns, id); s >= 0 {
+		return sns[s].Grid().Point(id), true
 	}
 	return spatial.Point{}, false
 }
 
-// NumLocated sums the shards' located-user counts.
+// NumLocated is the published view's located-user count.
 func (se *Engine) NumLocated() int {
 	total := 0
-	for _, sh := range se.shards {
-		total += sh.NumLocated()
+	for _, sn := range *se.view.Load() {
+		total += sn.Grid().NumLocated()
 	}
 	return total
 }

@@ -4,33 +4,34 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ssrq/internal/aggindex"
 	"ssrq/internal/core"
 )
 
 // Update routing. Location ops go to the shard owning the target region; a
 // move that crosses a shard boundary becomes a removal on the old owner plus
-// an insertion on the new one, with the owner map updated under the user's
-// routing lock so concurrent movers of the same user cannot interleave into
-// a doubly-located state. Edge ops route to shard 0 only: its aggregate index
-// forwards them to the shared social substrate, which applies each op ONCE
-// and synchronously syncs every shard's summaries to the new social epoch —
-// O(1) in the shard count, where the replicated design this replaced
+// an insertion on the new one. Edge ops route to shard 0 only: its aggregate
+// index forwards them to the shared social substrate, which applies each op
+// ONCE and synchronously syncs every shard's summaries to the new social
+// epoch — O(1) in the shard count, where the replicated design this replaced
 // broadcast every edge op S times.
 //
 // Every write takes one path, apply: lock the stripes the batch touches (a
 // location op's user, an edge op's unordered pair; in index order), stage its
-// records, commit them, route it, and apply each shard's share as one epoch,
-// all before the stripes drop. A synchronous ApplyUpdates is one such batch;
-// the engine's single async queue (a core.Updater, started by the first
-// Enqueue) hands its coalesced batches to the same function. Holding a user's
-// stripe therefore means nothing for that user is in flight: no pipeline can
-// hold half of a cross-shard move, and the journal order under the stripe is
-// the application order. Traffic for untouched users proceeds concurrently.
+// records and commit them; then, under the one writer lock, route the batch,
+// apply each shard's share and publish — store the next view, then hand the
+// OnEpoch consumer one delta for the whole batch. A synchronous ApplyUpdates
+// is one such batch; the engine's single async queue (a core.Updater,
+// started by the first Enqueue) hands its coalesced batches to the same
+// function.
 //
-// Cross-shard atomicity is deliberately out of scope for a partitioned
-// engine: each shard publishes its own epochs, a query reads one snapshot per
-// shard, and it keeps one entry per user through the transient window where
-// a mid-relocation user is visible in two shards at once.
+// The stripes order the journal: one user's (or pair's) ops are journaled in
+// the order they apply, and a batch's records are committed together, before
+// it mutates anything. Batches on disjoint stripes stage
+// and commit concurrently, so group commit is unchanged. The writer lock
+// adds one thing: a view is stored only between two batches, so every view
+// is one instant of the world — each located user in exactly one grid, every
+// grid at one social epoch — and a query needs nothing but one load of it.
 
 // validate rejects a malformed update before any routing decision is made.
 // Shard 0 stands in for all shards: every shard shares the same user range,
@@ -68,7 +69,8 @@ func (se *Engine) Enqueue(op core.Update) error {
 }
 
 // routeInto routes one already-validated op into per-shard batches, updating
-// the owner map. Caller holds the routing locks for every op in the batch.
+// the owner map. Caller holds writeMu and the stripes of every op in the
+// batch.
 func (se *Engine) routeInto(per [][]core.Update, op core.Update) {
 	if op.Kind != core.OpLocation {
 		per[0] = append(per[0], op) // shard 0 forwards to the shared substrate
@@ -131,8 +133,8 @@ func (se *Engine) unlockAllStripes() {
 	}
 }
 
-// ApplyUpdates validates the whole batch and applies it as one epoch per
-// touched shard before returning (read-your-writes). Ops queued by Enqueue
+// ApplyUpdates validates the whole batch and applies it as one published
+// view before returning (read-your-writes). Ops queued by Enqueue
 // before the call apply first: the queue is flushed before the batch takes
 // its stripes — never after, since the queue's apply takes stripes too. On a
 // validation error nothing is applied. Works after Close (the log, sealed by
@@ -160,29 +162,68 @@ func (se *Engine) apply(accepted, batch []core.Update) error {
 	defer se.unlockStripes(mask)
 	se.journal(accepted)
 	se.commitLog()
+	se.writeMu.Lock()
 	per := make([][]core.Update, len(se.shards))
 	for _, op := range batch {
 		se.routeInto(per, op)
 	}
-	applied := false
+	err := se.publish(per)
+	se.writeMu.Unlock()
+	se.noteUpdates(len(batch))
+	return err
+}
+
+// publish applies each shard's share of one routed batch, stores the view
+// the shards then make together, and only then hands the batch's one delta to
+// the OnEpoch consumer — so a consumer that reacts by querying reads the new
+// view. Caller holds writeMu.
+func (se *Engine) publish(per [][]core.Update) error {
+	prevSocial := (*se.view.Load())[0].SocialEpoch()
 	for s, ops := range per {
 		if len(ops) == 0 {
 			continue
 		}
-		if applied {
-			se.seam(seamBetweenShardApplies)
-		}
 		if err := se.shards[s].ApplyUpdates(ops); err != nil {
-			return err
+			return err // unreachable: every op was validated before routing
 		}
-		applied = true
 	}
-	se.noteUpdates(len(batch))
+	if se.testSeam != nil {
+		se.testSeam()
+	}
+	view := se.snapshots()
+	se.view.Store(view)
+
+	if se.onEpoch == nil {
+		return nil
+	}
+	se.moved = se.moved[:0]
+	for _, ops := range per {
+		for _, op := range ops {
+			if op.Kind == core.OpLocation {
+				se.moved = append(se.moved, op.ID)
+			}
+		}
+	}
+	sns := *view
+	social := sns[0].SocialEpoch() != prevSocial
+	if len(se.moved) == 0 && !social {
+		return nil
+	}
+	se.onEpoch(aggindex.EpochDelta{SocialChanged: social, Moved: se.moved, Snapshot: sns[0]})
 	return nil
 }
 
+// snapshots collects every shard's latest published snapshot as a new view.
+func (se *Engine) snapshots() *[]*aggindex.Snapshot {
+	sns := make([]*aggindex.Snapshot, len(se.shards))
+	for s, sh := range se.shards {
+		sns[s] = sh.Snapshot()
+	}
+	return &sns
+}
+
 // Flush blocks until every update enqueued before the call has been applied
-// and published by its shards — the read-your-writes barrier across the
+// and published — the read-your-writes barrier across the
 // whole engine — and its record is durable under the log's fsync policy.
 func (se *Engine) Flush() {
 	if u := se.up.Load(); u != nil {

@@ -2,8 +2,8 @@
 // engine: a standing (user, k, α) query that receives incremental result
 // deltas per published epoch instead of being re-run from scratch.
 //
-// The engine listens to the index's epoch-delta stream (aggindex.SetNotify)
-// and accumulates the batch's touched-user set. A single evaluator
+// The engine listens to the source's epoch-delta stream (Source.OnEpoch: one
+// delta per published write batch) and accumulates the touched-user set. A single evaluator
 // goroutine drains the set in rounds: for each subscriber it first runs a
 // sound skip test — the subscriber's result can only change if the
 // subscriber itself moved, a current result member was touched, the social
@@ -40,7 +40,9 @@ var ErrClosed = errors.New("sub: engine closed")
 
 // Source is the engine surface the subscription layer consumes.
 // shard.Engine satisfies it at any shard count; locations and scores are in
-// the engine's normalized units.
+// the engine's normalized units. OnEpoch delivers one delta per published
+// write batch, after the view it describes is what Query and UserLocation
+// read.
 type Source interface {
 	Query(algo core.Algorithm, q graph.VertexID, prm core.Params) (*core.Result, error)
 	OnEpoch(fn func(aggindex.EpochDelta))
@@ -68,8 +70,8 @@ type Engine struct {
 	// round re-evaluates every subscriber.
 	socialChanged bool
 	// lastSn is the most recently notified snapshot; its landmark tables
-	// back the round's lower-bound tests. (Sharded sources share one
-	// substrate, so any shard's snapshot carries the same tables.)
+	// back the round's lower-bound tests. (Every shard of a view shares one
+	// substrate, so the delta's one snapshot carries the view's tables.)
 	lastSn *aggindex.Snapshot
 	subs   []*Subscription // copy-on-write; iterate without mu
 
@@ -115,7 +117,7 @@ func New(src Source) *Engine {
 	return e
 }
 
-// onEpoch is the index publication callback. It runs under the index
+// onEpoch is the source's publication callback. It runs under the source's
 // writer lock, so it only records the delta and signals the evaluator.
 func (e *Engine) onEpoch(d aggindex.EpochDelta) {
 	e.mu.Lock()

@@ -101,7 +101,7 @@ func TestDurableBeforeVisible(t *testing.T) {
 			check := func() error {
 				p, ok := eng.UserLocation(u)
 				if !ok {
-					return nil // mid cross-shard move
+					return fmt.Errorf("user %d, only ever moved, read as unlocated", u)
 				}
 				i := int(math.Round((p.X - minX) / step))
 				if i < 1 || i > moves || math.Abs(p.X-pos(i).X) > step/4 {

@@ -714,9 +714,9 @@ type SocialStats = core.SocialStats
 func (e *Engine) SocialStats() SocialStats { return e.eng.SocialStats() }
 
 // SpatialKNN returns the k spatially-nearest located users to q (a pure
-// one-domain query, for comparison with SSRQ — cf. Fig. 7b). Lock-free and
-// safe concurrently with location updates: the search runs against one
-// snapshot epoch per shard.
+// one-domain query, for comparison with SSRQ — cf. Fig. 7b); k must be ≥ 1.
+// Lock-free and safe concurrently with location updates: the search runs
+// against one published view.
 func (e *Engine) SpatialKNN(q UserID, k int) ([]Entry, error) {
 	nbrs, err := e.eng.SpatialKNN(q, k)
 	if err != nil {
@@ -729,10 +729,16 @@ func (e *Engine) SpatialKNN(q UserID, k int) ([]Entry, error) {
 	return out, nil
 }
 
-// SocialKNN returns the k socially-closest users to q (pure one-domain).
-// Lock-free and safe concurrently with edge churn: the expansion runs
-// against the latest published social epoch.
-func (e *Engine) SocialKNN(q UserID, k int) []Entry {
+// SocialKNN returns the k socially-closest users to q (pure one-domain); q
+// must be a user and k ≥ 1. Lock-free and safe concurrently with edge churn:
+// the expansion runs against the latest published social epoch.
+func (e *Engine) SocialKNN(q UserID, k int) ([]Entry, error) {
+	if n := e.d.NumUsers(); q < 0 || int(q) >= n {
+		return nil, fmt.Errorf("ssrq: user %d out of range [0,%d)", q, n)
+	}
+	if k < 1 {
+		return nil, fmt.Errorf("ssrq: k = %d must be ≥ 1", k)
+	}
 	it := graph.NewDijkstraIterator(e.eng.LiveSocialGraph(), q)
 	var out []Entry
 	for len(out) < k {
@@ -744,5 +750,5 @@ func (e *Engine) SocialKNN(q UserID, k int) []Entry {
 			out = append(out, Entry{ID: v, F: p, P: p})
 		}
 	}
-	return out
+	return out, nil
 }

@@ -30,8 +30,8 @@ func TestAddFriendRawWeightRoundTrip(t *testing.T) {
 	if err := e.AddFriend(q, far, raw); err != nil {
 		t.Fatal(err)
 	}
-	knn := e.SocialKNN(q, 1)
-	if len(knn) != 1 || knn[0].ID != int32(far) {
+	knn, err := e.SocialKNN(q, 1)
+	if err != nil || len(knn) != 1 || knn[0].ID != int32(far) {
 		t.Fatalf("SocialKNN after AddFriend = %+v, want user %d first", knn, far)
 	}
 	if math.Abs(knn[0].P-1e-7) > 1e-12 {
@@ -44,7 +44,9 @@ func TestAddFriendRawWeightRoundTrip(t *testing.T) {
 	if err := e.RemoveFriend(q, far); err != nil {
 		t.Fatal(err)
 	}
-	knn = e.SocialKNN(q, 1)
+	if knn, err = e.SocialKNN(q, 1); err != nil {
+		t.Fatal(err)
+	}
 	if len(knn) == 1 && knn[0].ID == int32(far) && knn[0].P > 5 {
 		t.Fatalf("removed friendship still ranked first: %+v", knn)
 	}

@@ -223,9 +223,9 @@ func TestKNNHelpers(t *testing.T) {
 			t.Fatal("spatial kNN unsorted")
 		}
 	}
-	so := eng.SocialKNN(q, 5)
-	if len(so) != 5 {
-		t.Fatalf("SocialKNN returned %d", len(so))
+	so, err := eng.SocialKNN(q, 5)
+	if err != nil || len(so) != 5 {
+		t.Fatalf("SocialKNN: %v, %d", err, len(so))
 	}
 	for i := 1; i < len(so); i++ {
 		if so[i].P < so[i-1].P {
@@ -475,8 +475,8 @@ func TestShardedEngineRootAPI(t *testing.T) {
 	if _, err := sharded.SpatialKNN(q, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := sharded.SocialKNN(q, 3); len(got) == 0 {
-		t.Fatal("SocialKNN empty")
+	if got, err := sharded.SocialKNN(q, 3); err != nil || len(got) == 0 {
+		t.Fatalf("SocialKNN: %v, %d entries", err, len(got))
 	}
 	st := sharded.DatasetStats()
 	if st.NumLocated == 0 || st.NumEdges == 0 {
@@ -485,7 +485,8 @@ func TestShardedEngineRootAPI(t *testing.T) {
 }
 
 // TestSpatialKNNErrorsKeepTheirCause: the root wraps the engine's error
-// instead of rewriting every failure into "no known location".
+// instead of rewriting every failure into "no known location", and both
+// one-domain kNN calls refuse a bad user or k with an error, never a panic.
 func TestSpatialKNNErrorsKeepTheirCause(t *testing.T) {
 	ds, err := Synthesize("twitter", 100, 5) // all located
 	if err != nil {
@@ -500,19 +501,31 @@ func TestSpatialKNNErrorsKeepTheirCause(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		q    UserID
-		want string
+		social bool // SocialKNN, whose errors are the root's own
+		q      UserID
+		k      int
+		want   string
 	}{
-		{-1, "out of range"},
-		{100, "out of range"},
-		{7, "no known location"},
+		{false, -1, 3, "out of range"},
+		{false, 100, 3, "out of range"},
+		{false, 7, 3, "no known location"},
+		{false, 8, 0, "must be ≥ 1"},
+		{false, 8, -1, "must be ≥ 1"},
+		{true, -1, 3, "out of range"},
+		{true, 100, 3, "out of range"},
+		{true, 8, 0, "must be ≥ 1"},
+		{true, 8, -1, "must be ≥ 1"},
 	} {
-		_, err := eng.SpatialKNN(tc.q, 3)
-		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "ssrq: ") {
-			t.Fatalf("SpatialKNN(%d): %v, want an ssrq error naming %q", tc.q, err, tc.want)
+		name, knn := "SpatialKNN", eng.SpatialKNN
+		if tc.social {
+			name, knn = "SocialKNN", eng.SocialKNN
 		}
-		if errors.Unwrap(err) == nil {
-			t.Fatalf("SpatialKNN(%d): %v does not wrap the engine's error", tc.q, err)
+		_, err := knn(tc.q, tc.k)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "ssrq: ") {
+			t.Fatalf("%s(%d, %d): %v, want an ssrq error naming %q", name, tc.q, tc.k, err, tc.want)
+		}
+		if !tc.social && errors.Unwrap(err) == nil {
+			t.Fatalf("%s(%d, %d): %v does not wrap the engine's error", name, tc.q, tc.k, err)
 		}
 	}
 	if nbrs, err := eng.SpatialKNN(8, 3); err != nil || len(nbrs) != 3 {
