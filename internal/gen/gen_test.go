@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -270,24 +271,49 @@ func TestForestFireSample(t *testing.T) {
 }
 
 func TestPresets(t *testing.T) {
-	for _, preset := range []Preset{GowallaPreset, FoursquarePreset, TwitterPreset} {
-		ds, err := preset.Dataset(600, 42)
+	all := []Preset{GowallaPreset, FoursquarePreset, TwitterPreset, UrbanPreset, HomophilyPreset}
+	type row struct {
+		preset Preset
+		n      int
+		// shape asks for the preset's located fraction and degree regime;
+		// complete asks for every pair linked (the world is smaller than
+		// the preset's degree allows).
+		shape, complete bool
+	}
+	rows := []row{
+		{preset: GowallaPreset, n: 600, shape: true},
+		{preset: FoursquarePreset, n: 600, shape: true},
+		{preset: TwitterPreset, n: 600, shape: true},
+		{preset: TwitterPreset, n: 29, complete: true},
+	}
+	for _, p := range all {
+		rows = append(rows, row{preset: p, n: 10, complete: p.Name == "twitter"})
+	}
+	for _, r := range rows {
+		name := fmt.Sprintf("%s/n=%d", r.preset.Name, r.n)
+		ds, err := r.preset.Dataset(r.n, 42)
 		if err != nil {
-			t.Fatalf("%s: %v", preset.Name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		st := ds.Stats()
-		if st.NumVertices != 600 {
-			t.Fatalf("%s: %d users", preset.Name, st.NumVertices)
+		if st.NumVertices != r.n {
+			t.Fatalf("%s: %d users", name, st.NumVertices)
 		}
-		wantFrac := preset.LocatedFrac
-		gotFrac := float64(st.NumLocated) / 600
+		if r.complete && st.NumEdges != r.n*(r.n-1)/2 {
+			t.Fatalf("%s: %d edges, want the complete graph's %d", name, st.NumEdges, r.n*(r.n-1)/2)
+		}
+		if !r.shape {
+			continue
+		}
+		wantFrac := r.preset.LocatedFrac
+		gotFrac := float64(st.NumLocated) / float64(r.n)
 		if math.Abs(gotFrac-wantFrac) > 0.1 {
-			t.Fatalf("%s: located %v, want ≈ %v", preset.Name, gotFrac, wantFrac)
+			t.Fatalf("%s: located %v, want ≈ %v", name, gotFrac, wantFrac)
 		}
 		// Average degree lands in the right regime (merging models adds
 		// some edges over the BA target).
-		if st.AvgDegree < preset.AvgDegreeTarget/2 || st.AvgDegree > preset.AvgDegreeTarget*2 {
-			t.Fatalf("%s: avg degree %v, target %v", preset.Name, st.AvgDegree, preset.AvgDegreeTarget)
+		if st.AvgDegree < r.preset.AvgDegreeTarget/2 || st.AvgDegree > r.preset.AvgDegreeTarget*2 {
+			t.Fatalf("%s: avg degree %v, target %v", name, st.AvgDegree, r.preset.AvgDegreeTarget)
 		}
 	}
 	if _, err := GowallaPreset.Dataset(5, 1); err == nil {

@@ -61,6 +61,11 @@ func (c *GeoSocialConfig) setDefaults() {
 // GeoSocial generates the full dataset raw material: edges, latent points
 // and located flags.
 func GeoSocial(cfg GeoSocialConfig, rng *rand.Rand) ([]edge, []spatial.Point, []bool, error) {
+	return geoSocial(cfg, rng, newArrivals(cfg.N*cfg.M))
+}
+
+// geoSocial is GeoSocial deduplicating through es.
+func geoSocial(cfg GeoSocialConfig, rng *rand.Rand, es edgeAdder) ([]edge, []spatial.Point, []bool, error) {
 	cfg.setDefaults()
 	if cfg.N < 2 || cfg.M < 1 || cfg.M >= cfg.N {
 		return nil, nil, nil, fmt.Errorf("gen: GeoSocial N=%d M=%d invalid", cfg.N, cfg.M)
@@ -102,7 +107,6 @@ func GeoSocial(cfg GeoSocialConfig, rng *rand.Rand) ([]edge, []spatial.Point, []
 
 	// Edge formation: seed clique, then each arriving user mixes same-city
 	// attachment with degree-preferential attachment.
-	es := newEdgeSet(cfg.N * cfg.M)
 	endpoints := make([]int32, 0, 2*cfg.N*cfg.M)
 	byCity := make([][]int32, cfg.Cities)
 	seed := cfg.M + 1
@@ -139,5 +143,5 @@ func GeoSocial(cfg GeoSocialConfig, rng *rand.Rand) ([]edge, []spatial.Point, []
 		}
 		byCity[city[v]] = append(byCity[city[v]], int32(v))
 	}
-	return es.list, pts, located, nil
+	return es.edges(), pts, located, nil
 }

@@ -23,7 +23,16 @@ type edge struct {
 	u, v int32
 }
 
-// edgeSet deduplicates undirected edges during generation.
+// edgeAdder deduplicates undirected edges while a generator builds its edge
+// list: add records an edge and reports false for a self-loop or a
+// duplicate, and edges returns the list in the order add accepted it.
+type edgeAdder interface {
+	add(u, v int32) bool
+	has(u, v int32) bool
+	edges() []edge
+}
+
+// edgeSet deduplicates with a hash set, for models that draw arbitrary pairs.
 type edgeSet struct {
 	seen map[uint64]bool
 	list []edge
@@ -40,7 +49,6 @@ func (s *edgeSet) key(u, v int32) uint64 {
 	return uint64(u)<<32 | uint64(uint32(v))
 }
 
-// add records the edge; reports false for self-loops and duplicates.
 func (s *edgeSet) add(u, v int32) bool {
 	if u == v {
 		return false
@@ -56,14 +64,57 @@ func (s *edgeSet) add(u, v int32) bool {
 
 func (s *edgeSet) has(u, v int32) bool { return s.seen[s.key(u, v)] }
 
+func (s *edgeSet) edges() []edge { return s.list }
+
+// arrivals deduplicates for the growth models, where vertices arrive in ID
+// order and every edge is added as (u, v) while its larger endpoint v
+// arrives. A duplicate can then only repeat one of v's own edges, which sit
+// at the tail of the list, at most M of them: a short scan replaces the hash
+// set (DESIGN.md §2). u == v still needs its own test, because a model that
+// draws u from the degree-weighted endpoint list finds v there after v's
+// first edge.
+type arrivals struct {
+	list []edge
+}
+
+// newArrivals reserves room for capacity edges (none when capacity < 1, as
+// for a configuration the generator is about to refuse).
+func newArrivals(capacity int) *arrivals {
+	return &arrivals{list: make([]edge, 0, max(capacity, 0))}
+}
+
+func (a *arrivals) add(u, v int32) bool {
+	if u == v || a.has(u, v) {
+		return false
+	}
+	a.list = append(a.list, edge{u, v})
+	return true
+}
+
+// has reports whether the arriving vertex v already has the edge (u, v).
+func (a *arrivals) has(u, v int32) bool {
+	for i := len(a.list) - 1; i >= 0 && a.list[i].v == v; i-- {
+		if a.list[i].u == u {
+			return true
+		}
+	}
+	return false
+}
+
+func (a *arrivals) edges() []edge { return a.list }
+
 // BarabasiAlbert grows an n-vertex preferential-attachment graph where each
 // new vertex attaches to m existing vertices with probability proportional
 // to degree (average degree ≈ 2m). The classic heavy-tailed social topology.
 func BarabasiAlbert(n, m int, rng *rand.Rand) ([]edge, error) {
+	return barabasiAlbert(n, m, rng, newArrivals(n*m))
+}
+
+// barabasiAlbert is BarabasiAlbert deduplicating through es.
+func barabasiAlbert(n, m int, rng *rand.Rand, es edgeAdder) ([]edge, error) {
 	if n < 2 || m < 1 || m >= n {
 		return nil, fmt.Errorf("gen: BarabasiAlbert(n=%d, m=%d) invalid", n, m)
 	}
-	es := newEdgeSet(n * m)
 	// Repeated-endpoint list: vertex v appears deg(v) times.
 	endpoints := make([]int32, 0, 2*n*m)
 	seed := m + 1
@@ -94,7 +145,7 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) ([]edge, error) {
 			}
 		}
 	}
-	return es.list, nil
+	return es.edges(), nil
 }
 
 // ForestFireGrowth grows a graph with Leskovec's forest-fire model: each new

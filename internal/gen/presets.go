@@ -67,10 +67,10 @@ func (p Preset) DatasetFrom(n int, src rand.Source) (*dataset.Dataset, error) {
 	}
 	rng := rand.New(src)
 
-	m := int(p.AvgDegreeTarget/2 + 0.5)
-	if m < 1 {
-		m = 1
-	}
+	// Each arriving user adds m edges, so m < n. A world too small for the
+	// preset's degree becomes the complete graph: the growth models seed
+	// with a clique on m+1 users.
+	m := min(max(int(p.AvgDegreeTarget/2+0.5), 1), n-1)
 	cities := 8 + n/2000 // more clusters as the world grows
 	if cities > 40 {
 		cities = 40

@@ -43,6 +43,11 @@ type UrbanConfig struct {
 // per-user label masks (one bit per home city, so labels are spatially
 // clustered by construction).
 func UrbanGeoSocial(cfg UrbanConfig, rng *rand.Rand) ([]edge, []spatial.Point, []bool, []uint64, error) {
+	return urbanGeoSocial(cfg, rng, newArrivals(cfg.N*cfg.M))
+}
+
+// urbanGeoSocial is UrbanGeoSocial deduplicating through es.
+func urbanGeoSocial(cfg UrbanConfig, rng *rand.Rand, es edgeAdder) ([]edge, []spatial.Point, []bool, []uint64, error) {
 	if cfg.N < 2 || cfg.M < 1 || cfg.M >= cfg.N {
 		return nil, nil, nil, nil, fmt.Errorf("gen: UrbanGeoSocial N=%d M=%d invalid", cfg.N, cfg.M)
 	}
@@ -82,7 +87,6 @@ func UrbanGeoSocial(cfg UrbanConfig, rng *rand.Rand) ([]edge, []spatial.Point, [
 	}
 
 	// Preferential-attachment proposals, distance-decay acceptance.
-	es := newEdgeSet(cfg.N * cfg.M)
 	endpoints := make([]int32, 0, 2*cfg.N*cfg.M)
 	seed := cfg.M + 1
 	if seed > cfg.N {
@@ -120,7 +124,7 @@ func UrbanGeoSocial(cfg UrbanConfig, rng *rand.Rand) ([]edge, []spatial.Point, [
 			}
 		}
 	}
-	return es.list, pts, located, labels, nil
+	return es.edges(), pts, located, labels, nil
 }
 
 // HomophilyConfig drives HomophilyGeoSocial.
@@ -148,6 +152,11 @@ type HomophilyConfig struct {
 // bit is their leaf group: filters aligned with the hierarchy select
 // spatially-coherent regions.
 func HomophilyGeoSocial(cfg HomophilyConfig, rng *rand.Rand) ([]edge, []spatial.Point, []bool, []uint64, error) {
+	return homophilyGeoSocial(cfg, rng, newArrivals(cfg.N*cfg.M))
+}
+
+// homophilyGeoSocial is HomophilyGeoSocial deduplicating through es.
+func homophilyGeoSocial(cfg HomophilyConfig, rng *rand.Rand, es edgeAdder) ([]edge, []spatial.Point, []bool, []uint64, error) {
 	if cfg.N < 2 || cfg.M < 1 || cfg.M >= cfg.N {
 		return nil, nil, nil, nil, fmt.Errorf("gen: HomophilyGeoSocial N=%d M=%d invalid", cfg.N, cfg.M)
 	}
@@ -236,7 +245,6 @@ func HomophilyGeoSocial(cfg HomophilyConfig, rng *rand.Rand) ([]edge, []spatial.
 		return t
 	}
 
-	es := newEdgeSet(cfg.N * cfg.M)
 	seedN := cfg.M + 1
 	if seedN > cfg.N {
 		seedN = cfg.N
@@ -265,5 +273,5 @@ func HomophilyGeoSocial(cfg HomophilyConfig, rng *rand.Rand) ([]edge, []spatial.
 		}
 		byGroup[group[v]] = append(byGroup[group[v]], int32(v))
 	}
-	return es.list, pts, located, labels, nil
+	return es.edges(), pts, located, labels, nil
 }

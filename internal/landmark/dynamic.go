@@ -85,19 +85,26 @@ func (d *Dynamic) beginBatch() {
 }
 
 // Commit finishes the open batch on g, the batch's final graph: every
-// landmark that went stale is recomputed with one Dijkstra, and the vertices
-// whose distance to it differs from the last committed table are appended to
-// dirty. It then freezes the working epoch as the new current Set and returns
-// both. Without an open batch it returns the current Set and dirty unchanged.
+// landmark that went stale is recomputed with one Dijkstra, up to GOMAXPROCS
+// of them at once, and then, in landmark order, the vertices whose distance
+// to it differs from the last committed table are appended to dirty. It then
+// freezes the working epoch as the new current Set and returns both. Without
+// an open batch it returns the current Set and dirty unchanged.
 func (d *Dynamic) Commit(g *graph.Graph, dirty []graph.VertexID) (*Set, []graph.VertexID) {
 	if d.work == nil {
 		return d.cur, dirty
 	}
+	var stale []int
+	var sources []graph.VertexID
 	for j, spent := range d.spent {
-		if spent <= d.work.n {
-			continue
+		if spent > d.work.n {
+			stale = append(stale, j)
+			sources = append(sources, d.work.vertices[j])
 		}
-		for v, dist := range g.DistancesFrom(d.work.vertices[j]) {
+	}
+	for i, table := range sweeps(g, sources) {
+		j := stale[i]
+		for v, dist := range table {
 			x := graph.VertexID(v)
 			if dist != d.cur.vec(x)[j] {
 				dirty = append(dirty, x)

@@ -3,6 +3,8 @@ package landmark
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ssrq/internal/graph"
@@ -167,6 +169,64 @@ func TestStaleLandmarksRecomputedAtCommit(t *testing.T) {
 	}
 	if _, _, rebuilds := d.Stats(); rebuilds == 0 {
 		t.Fatal("no batch drove a landmark past n rewritten entries")
+	}
+}
+
+// TestCommitDirtyMatchesSequentialOrder: Commit recomputes its stale
+// landmarks concurrently, but the dirty list it returns — and every column it
+// installs — must be what recomputing them one by one, in landmark order,
+// gives, at one core and at two.
+func TestCommitDirtyMatchesSequentialOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		rng := rand.New(rand.NewSource(17))
+		const n = 80
+		g := randomGraph(rng, n, n)
+		s, err := Select(g, 8, Farthest, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDynamic(s)
+		o := graph.NewOverlay(g)
+		multi := 0
+		for batch := 0; batch < 10; batch++ {
+			dirty := []graph.VertexID{graph.VertexID(batch)} // Commit appends after what the batch reported
+			for op := 0; op < 6*n; op++ {
+				churnStep(t, rng, o, d, n)
+			}
+			cur := o.Working()
+			want := append([]graph.VertexID(nil), dirty...)
+			stale := 0
+			for j, spent := range d.spent {
+				if spent <= n {
+					continue
+				}
+				stale++
+				for v, dist := range cur.DistancesFrom(d.work.vertices[j]) {
+					if dist != d.cur.vec(graph.VertexID(v))[j] {
+						want = append(want, graph.VertexID(v))
+					}
+				}
+			}
+			if stale > 1 {
+				multi++
+			}
+			set, got := d.Commit(cur, dirty)
+			if !slices.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS=%d batch %d: dirty %v, sequential order %v", procs, batch, got, want)
+			}
+			for j, lmv := range set.Vertices() {
+				for v, dist := range cur.DistancesFrom(lmv) {
+					if got := set.Dist(j, graph.VertexID(v)); math.Float64bits(got) != math.Float64bits(dist) {
+						t.Fatalf("GOMAXPROCS=%d batch %d: landmark %d to %d = %v, want %v", procs, batch, j, v, got, dist)
+					}
+				}
+			}
+		}
+		if multi == 0 {
+			t.Fatalf("GOMAXPROCS=%d: no batch left two landmarks stale at once", procs)
+		}
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 
 	"ssrq/internal/graph"
 )
@@ -73,7 +75,9 @@ type Set struct {
 }
 
 // Select chooses m landmarks on g using the given strategy and computes
-// their distance tables. seed drives the randomized strategies.
+// their distance tables. seed drives the randomized strategies. The sweeps
+// run on up to GOMAXPROCS goroutines, all joined before Select returns, and
+// the result does not depend on how many there are.
 func Select(g *graph.Graph, m int, strategy Strategy, seed int64) (*Set, error) {
 	n := g.NumVertices()
 	if m <= 0 {
@@ -84,16 +88,10 @@ func Select(g *graph.Graph, m int, strategy Strategy, seed int64) (*Set, error) 
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var vertices []graph.VertexID
-	var tables [][]float64
-	add := func(v graph.VertexID) {
-		vertices = append(vertices, v)
-		tables = append(tables, g.DistancesFrom(v))
-	}
 	switch strategy {
 	case Random:
-		perm := rng.Perm(n)
-		for _, v := range perm[:m] {
-			add(graph.VertexID(v))
+		for _, v := range rng.Perm(n)[:m] {
+			vertices = append(vertices, graph.VertexID(v))
 		}
 	case HighestDegree:
 		type dv struct {
@@ -113,27 +111,110 @@ func Select(g *graph.Graph, m int, strategy Strategy, seed int64) (*Set, error) 
 				}
 			}
 			best[i], best[top] = best[top], best[i]
-			add(best[i].v)
+			vertices = append(vertices, best[i].v)
 		}
 	case Farthest:
 		seedV := graph.VertexID(rng.Intn(n))
-		first := farthestFrom(g.DistancesFrom(seedV), seedV)
-		add(first)
-		minDist := append([]float64(nil), tables[0]...)
-		for len(vertices) < m {
-			next := argmaxDist(minDist, vertices)
-			add(next)
-			t := tables[len(tables)-1]
-			for v := range minDist {
-				if t[v] < minDist[v] {
-					minDist[v] = t[v]
-				}
-			}
-		}
+		vertices, tables := farthestFirst(g, m, seedV)
+		return newSet(n, vertices, tables), nil
 	default:
 		return nil, fmt.Errorf("landmark: unknown strategy %v", strategy)
 	}
-	return newSet(n, vertices, tables), nil
+	return newSet(n, vertices, sweeps(g, vertices)), nil
+}
+
+// sweeps returns the distance table of every source, running up to
+// GOMAXPROCS full sweeps at once.
+func sweeps(g *graph.Graph, sources []graph.VertexID) [][]float64 {
+	tables := make([][]float64, len(sources))
+	workers := min(runtime.GOMAXPROCS(0), len(sources))
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(sources); i += workers {
+				tables[i] = g.DistancesFrom(sources[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return tables
+}
+
+// farthestFirst is Goldberg & Harrelson's selection: the first landmark is
+// the vertex farthest from seedV, and each next one maximizes the distance
+// to the nearest landmark chosen so far (argmaxDist). Each pick reads the
+// table before it, so the m sweeps form a chain. With more than one core, a
+// helper goroutine guesses the pick after next while next's sweep runs and
+// sweeps from its guess; that table is used only when the real pick equals
+// the guess, so the landmarks and tables are the sequential chain's, bit for
+// bit, and only the time depends on the guess (DESIGN.md §7.4).
+func farthestFirst(g *graph.Graph, m int, seedV graph.VertexID) ([]graph.VertexID, [][]float64) {
+	seedT := g.DistancesFrom(seedV)
+	// tables[0] is the seed sweep's: the guess reads it, the Set does not.
+	tables := [][]float64{seedT}
+	vertices := make([]graph.VertexID, 0, m)
+	minDist := make([]float64, len(seedT))
+	for v := range minDist {
+		minDist[v] = graph.Infinity
+	}
+	choose := func(v graph.VertexID, t []float64) {
+		vertices = append(vertices, v)
+		tables = append(tables, t)
+		for x, d := range t {
+			if d < minDist[x] {
+				minDist[x] = d
+			}
+		}
+	}
+	speculate := runtime.GOMAXPROCS(0) > 1
+	next := farthestFrom(seedT, seedV)
+	guess, guessT := graph.VertexID(-1), []float64(nil)
+	for {
+		t := guessT
+		if next != guess {
+			var helper sync.WaitGroup
+			if speculate && len(vertices)+2 <= m {
+				helper.Add(1)
+				go func(known [][]float64, chosen []graph.VertexID, next graph.VertexID) {
+					defer helper.Done()
+					guess = guessAfter(known, minDist, chosen, next)
+					guessT = g.DistancesFrom(guess)
+				}(tables, vertices, next)
+			}
+			t = g.DistancesFrom(next)
+			helper.Wait()
+		}
+		choose(next, t)
+		if len(vertices) == m {
+			return vertices, tables[1:]
+		}
+		next = argmaxDist(minDist, vertices)
+	}
+}
+
+// guessAfter predicts the vertex argmaxDist will pick once next is chosen,
+// before next's table exists: each unchosen v other than next scores
+// min(minDist[v], min_j T_j[next] + T_j[v]) over the tables known so far,
+// the landmark-detour upper bound standing in for v's unknown distance to
+// next. Ties break by lower ID, as in argmaxDist.
+func guessAfter(known [][]float64, minDist []float64, chosen []graph.VertexID, next graph.VertexID) graph.VertexID {
+	best, bestD := graph.VertexID(-1), math.Inf(-1)
+	for v, d := range minDist {
+		for _, t := range known {
+			if d <= bestD {
+				break // d only falls: v cannot win
+			}
+			if ub := t[next] + t[v]; ub < d {
+				d = ub
+			}
+		}
+		if d > bestD && graph.VertexID(v) != next && !slices.Contains(chosen, graph.VertexID(v)) {
+			best, bestD = graph.VertexID(v), d
+		}
+	}
+	return best
 }
 
 // newSet packs landmark-major tables into the paged vertex-major layout.
