@@ -24,21 +24,22 @@
 //
 // The social dimension — the mutable edge overlay and the dynamic landmark
 // tables — lives in a Social substrate (see substrate.go) that an Index
-// *consumes* rather than owns. NewShared attaches to an existing substrate —
-// the one an engine's S ≥ 1 per-shard spatial indexes all run over as ONE
-// social world. Every edge op is applied
-// once, and the substrate synchronously pushes each new social epoch into
-// every consumer, which re-derives exactly the cell summaries the op
-// invalidated and republishes. Every published Snapshot therefore still pairs
-// grid membership, graph, landmark tables and summaries of one consistent
-// version — the Lemma-2 epoch-coordination invariant survives sharing.
+// *consumes* rather than owns: an engine's S ≥ 1 spatial indexes all run over
+// ONE social world. A write batch is one call of Apply: the substrate applies
+// the batch's edge ops once, and every index then re-derives exactly the cell
+// summaries the social change invalidated, applies its own location ops and
+// publishes once. Every published Snapshot therefore pairs grid membership,
+// graph, landmark tables and summaries of one consistent version — the
+// Lemma-2 epoch-coordination invariant survives sharing.
+//
+// An index has no lock of its own. The engine that owns it serializes Apply
+// under its writer lock — the contract spatial.Grid documents for itself.
 package aggindex
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -209,26 +210,19 @@ func lemma2(r []float64, m int, qvec []float64) float64 {
 }
 
 // Index is the AIS aggregate index over one grid. Readers call Snapshot()
-// and work lock-free against the returned epoch. Location mutations
-// serialize on the index's writer mutex, build the next epoch copy-on-write,
-// and publish grid, social state and summaries atomically as one Snapshot;
-// they never block readers. Edge mutations are forwarded to the Social
-// substrate, which applies them once and synchronously syncs every attached
-// index (this one included) to the new social epoch.
+// and work lock-free against the returned epoch. A write (Apply, under the
+// owning engine's writer lock) builds the next epoch copy-on-write and
+// publishes grid, social state and summaries atomically as one Snapshot; it
+// never blocks readers.
 type Index struct {
 	grid *spatial.Grid
 	m    int
 
-	// sub is the social substrate this index consumes.
-	sub *Social
-
-	mu        sync.Mutex // writer side: guards everything below and grid mutation
 	published atomic.Pointer[Snapshot]
 
-	// social caches the substrate epoch this index's summaries are currently
-	// computed against. It moves only inside socialSync — i.e. under both
-	// the substrate's writer lock and mu — so summaries and social state can
-	// never be paired across epochs.
+	// social is the substrate epoch this index's summaries are currently
+	// computed against. It moves only inside apply, together with the
+	// summaries it invalidated, so the two are never paired across epochs.
 	social *SocialSnapshot
 
 	// Working summaries for the epoch under construction, copy-on-write per
@@ -250,7 +244,7 @@ type Index struct {
 	// acc and kids are the recompute scratch: one row and one child list.
 	acc  []float64
 	kids []int32
-	// syncSeen is socialSync's reusable leaf-dedup scratch.
+	// syncSeen is resync's reusable leaf-dedup scratch.
 	syncSeen map[int32]struct{}
 }
 
@@ -283,10 +277,12 @@ type Config struct {
 // NewShared builds an aggregate index that consumes an existing social
 // substrate: the index owns only its grid and summaries, while graph and
 // landmark tables come from (and are maintained by) sub. Any number of
-// indexes may share one substrate — the sharded engine attaches S of them, so
+// indexes may share one substrate — the sharded engine builds S of them, so
 // the social dimension is stored and maintained once instead of S times. The
-// grid must not be mutated behind the index's back afterwards: the index
-// becomes the grid's single writer.
+// summaries are computed against sub's current epoch, and the index learns of
+// later ones only through Apply: build every index of a substrate before its
+// first write. The grid must not be mutated behind the index's back
+// afterwards: the index becomes the grid's single writer.
 func NewShared(grid *spatial.Grid, sub *Social) (*Index, error) {
 	if grid == nil || sub == nil {
 		return nil, fmt.Errorf("aggindex: nil grid or social substrate")
@@ -295,7 +291,7 @@ func NewShared(grid *spatial.Grid, sub *Social) (*Index, error) {
 	ix := &Index{
 		grid:   grid,
 		m:      m,
-		sub:    sub,
+		social: sub.Snapshot(),
 		acc:    make([]float64, 2*m),
 		labels: sub.labels,
 	}
@@ -323,16 +319,8 @@ func NewShared(grid *spatial.Grid, sub *Social) (*Index, error) {
 			ix.redo = append(ix.redo, newCellSet(cells))
 		}
 	}
-	// Attach under the substrate's writer lock: the summaries are computed
-	// against the substrate's current epoch and registration is atomic with
-	// that, so no edge batch can slip between the sweep and the first
-	// notification this consumer receives.
-	sub.mu.Lock()
-	ix.social = sub.published.Load()
 	ix.buildSummaries()
-	ix.publishLocked()
-	sub.attach(ix)
-	sub.mu.Unlock()
+	ix.publish()
 	return ix, nil
 }
 
@@ -355,16 +343,6 @@ func (ix *Index) buildSummaries() {
 // Snapshot returns the most recently published epoch; immutable and safe
 // for unlimited concurrent readers.
 func (ix *Index) Snapshot() *Snapshot { return ix.published.Load() }
-
-// Grid returns the underlying spatial grid (writer-side handle).
-func (ix *Index) Grid() *spatial.Grid { return ix.grid }
-
-// Landmarks returns the landmark set the summaries are built on
-// (writer-side view; concurrent readers should use Snapshot().Landmarks).
-func (ix *Index) Landmarks() *landmark.Set { return ix.social.lm }
-
-// Layout returns the grid geometry.
-func (ix *Index) Layout() *spatial.Layout { return ix.grid.Layout() }
 
 // MinSummary returns the working-state m̌[j] (writer-side view; readers use
 // Snapshot().MinSummary).
@@ -406,14 +384,8 @@ func (ix *Index) setMask(level int, idx int32, m uint64) {
 	ix.labelSums.writable(level, idx>>sumPageShift)[idx&sumPageMask] = m
 }
 
-// publishLocked installs the working state as the next epoch. Caller holds
-// mu (or is the constructor).
-func (ix *Index) publishLocked() { ix.publishLockedAt(time.Now()) }
-
-// publishLockedAt is publishLocked with the timestamp hoisted out: the
-// substrate stamps one time.Now() per edge op and hands it to every
-// consumer's sync, keeping the per-consumer publish cost flat in S.
-func (ix *Index) publishLockedAt(now time.Time) {
+// publish installs the working state as the next epoch.
+func (ix *Index) publish() {
 	s := &Snapshot{
 		g:           ix.grid.Publish(),
 		soc:         ix.social.g,
@@ -423,7 +395,7 @@ func (ix *Index) publishLockedAt(now time.Time) {
 		m:           ix.m,
 		epoch:       ix.epoch,
 		socialEpoch: ix.social.epoch,
-		publishedAt: now,
+		publishedAt: time.Now(),
 	}
 	if ix.labels != nil {
 		s.labelSums = ix.labelSums.publish()
@@ -432,18 +404,49 @@ func (ix *Index) publishLockedAt(now time.Time) {
 	ix.epoch++
 }
 
-// socialSync is the substrate's notification callback: cache the new social
-// epoch, re-derive the summaries it invalidated in this index's grid, and
-// republish — all under mu, while the caller still holds the substrate
-// writer lock, so the published Snapshot pairs the new graph and tables with
-// summaries recomputed against exactly them. dirty lists, without
-// duplicates, the vertices whose landmark distances changed.
-func (ix *Index) socialSync(sn *SocialSnapshot, dirty []graph.VertexID, now time.Time) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.social = sn
-	// Several dirty vertices share a leaf, and most live in other consumers'
-	// grids, so dedupe to this grid's unique leaves and recompute each once.
+// Apply is one write batch over a substrate and the indexes that consume it,
+// the one place a batch's edges and moves meet: the batch's edge ops apply
+// to sub once, then each index ixs[i] takes the social change and its own
+// location ops locs[i] and publishes one epoch — none when neither changed
+// anything it holds. Location ops in edges and edge ops in locs are skipped,
+// so a single index may be handed a mixed batch as both. Callers serialize
+// Apply under their writer lock; readers never wait.
+func Apply(sub *Social, edges []Op, ixs []*Index, locs [][]Op) {
+	sn, dirty := sub.ApplyEdges(edges)
+	for i, ix := range ixs {
+		ix.apply(sn, dirty, locs[i])
+	}
+}
+
+// apply re-syncs the leaves holding the social change's dirty vertices (sn is
+// nil when the batch changed no edge), applies the location ops, carries the
+// changed cells up once and publishes — so the new graph and tables are
+// published with summaries recomputed against exactly them. The re-sync runs
+// first: every later widen-or-narrow then compares rows and member vectors of
+// one landmark epoch.
+func (ix *Index) apply(sn *SocialSnapshot, dirty []graph.VertexID, ops []Op) {
+	changed := sn != nil
+	if changed {
+		ix.social = sn
+		ix.resync(dirty)
+	}
+	for _, op := range ops {
+		if op.Kind == OpLocation {
+			ix.applyOne(op)
+			changed = true
+		}
+	}
+	if !changed {
+		return
+	}
+	ix.propagateDirty()
+	ix.publish()
+}
+
+// resync recomputes, once each, the leaves of this grid that hold a dirty
+// vertex. Several dirty vertices share a leaf, and most live in other
+// indexes' grids.
+func (ix *Index) resync(dirty []graph.VertexID) {
 	if len(dirty) > 0 && ix.syncSeen == nil {
 		ix.syncSeen = make(map[int32]struct{}, len(dirty))
 	}
@@ -461,58 +464,6 @@ func (ix *Index) socialSync(sn *SocialSnapshot, dirty []graph.VertexID, now time
 		}
 	}
 	clear(ix.syncSeen)
-	ix.propagateDirty()
-	ix.publishLockedAt(now)
-}
-
-// Apply executes a batch of world updates: location ops mutate this index's
-// grid membership and summaries and publish as one epoch; edge ops are
-// forwarded to the social substrate, which applies them once and syncs every
-// consumer (this index included) to the resulting social epoch. Safe
-// concurrently with readers; concurrent Apply calls serialize.
-func (ix *Index) Apply(ops []Op) {
-	if len(ops) == 0 {
-		return
-	}
-	// Split edge ops from location ops, preserving relative order within
-	// each kind. Homogeneous batches — the overwhelmingly common case on the
-	// hot update path — pass through without allocating.
-	nEdge := 0
-	for _, op := range ops {
-		if op.Kind != OpLocation {
-			nEdge++
-		}
-	}
-	edges, locs := ops, ops
-	switch {
-	case nEdge == 0:
-		edges = nil
-	case nEdge == len(ops):
-		locs = nil
-	default:
-		edges = make([]Op, 0, nEdge)
-		locs = make([]Op, 0, len(ops)-nEdge)
-		for _, op := range ops {
-			if op.Kind == OpLocation {
-				locs = append(locs, op)
-			} else {
-				edges = append(edges, op)
-			}
-		}
-	}
-	if len(edges) > 0 {
-		ix.sub.ApplyEdges(edges)
-	}
-	if len(locs) == 0 {
-		return
-	}
-	ix.mu.Lock()
-	for _, op := range locs {
-		ix.applyOne(op)
-	}
-	ix.propagateDirty()
-	ix.publishLocked()
-	ix.mu.Unlock()
 }
 
 // applyOne performs one op's membership change and leaf-level summary
@@ -541,23 +492,6 @@ func (ix *Index) applyOne(op Op) {
 	}
 }
 
-// Move relocates a user, maintaining grid membership and social summaries
-// (single-op batch). Safe concurrently with readers.
-func (ix *Index) Move(id int32, to spatial.Point) {
-	ix.Apply([]Op{{ID: id, To: to}})
-}
-
-// SetLocated indexes a previously unlocated user. Safe concurrently with
-// readers. (Move on an unlocated user is equivalent.)
-func (ix *Index) SetLocated(id int32, p spatial.Point) {
-	ix.Apply([]Op{{ID: id, To: p}})
-}
-
-// RemoveLocation unindexes a user. Safe concurrently with readers.
-func (ix *Index) RemoveLocation(id int32) {
-	ix.Apply([]Op{{ID: id, Remove: true}})
-}
-
 // SocialStats is a point-in-time view of the social dimension: overlay
 // shape, edge-op counters and landmark maintenance work.
 type SocialStats struct {
@@ -581,6 +515,3 @@ type SocialStats struct {
 	// the benchmark harness reads them.
 	LandmarkDisables, LandmarkForcedInstalls int64
 }
-
-// SocialStats reports the social dimension's counters.
-func (ix *Index) SocialStats() SocialStats { return ix.sub.Stats() }

@@ -15,12 +15,13 @@ type fixture struct {
 	lm      *landmark.Set
 	grid    *spatial.Grid
 	ix      *Index
+	sub     *Social
 	pts     []spatial.Point
 	located []bool
 }
 
 // index builds an index over grid and a fresh substrate on g and lm.
-func index(t *testing.T, g *graph.Graph, lm *landmark.Set, grid *spatial.Grid, cfg Config) *Index {
+func index(t *testing.T, g *graph.Graph, lm *landmark.Set, grid *spatial.Grid, cfg Config) (*Index, *Social) {
 	t.Helper()
 	sub, err := NewSocialSubstrate(lm, g, cfg)
 	if err != nil {
@@ -30,8 +31,11 @@ func index(t *testing.T, g *graph.Graph, lm *landmark.Set, grid *spatial.Grid, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ix
+	return ix, sub
 }
+
+// apply applies ops to the fixture's substrate and index as one write batch.
+func (f *fixture) apply(ops ...Op) { Apply(f.sub, ops, []*Index{f.ix}, [][]Op{ops}) }
 
 func mkFixture(t *testing.T, rng *rand.Rand, n, m, s, levels int, unlocated float64, disconnect bool) *fixture {
 	t.Helper()
@@ -78,7 +82,9 @@ func mkFixture(t *testing.T, rng *rand.Rand, n, m, s, levels int, unlocated floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{g: g, lm: lm, grid: grid, ix: index(t, g, lm, grid, Config{}), pts: pts, located: located}
+	f := &fixture{g: g, lm: lm, grid: grid, pts: pts, located: located}
+	f.ix, f.sub = index(t, g, lm, grid, Config{})
+	return f
 }
 
 // verifyInvariants checks that every cell's summary exactly brackets its
@@ -206,7 +212,7 @@ func TestPaperExampleFigure4(t *testing.T) {
 	located := []bool{true, true, true, true, true}
 	layout, _ := spatial.NewLayout(spatial.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 4, 1)
 	grid, _ := spatial.NewGrid(layout, pts, located)
-	ix := index(t, g, lm, grid, Config{})
+	ix, _ := index(t, g, lm, grid, Config{})
 	leafIdx := layout.CellIndex(0, pts[1])
 	if got := ix.MinSummary(0, leafIdx, 0); got != 1 {
 		t.Fatalf("m̌ = %v, want 1", got)
@@ -227,11 +233,11 @@ func TestMoveMaintainsSummaries(t *testing.T) {
 		id := int32(rng.Intn(150))
 		switch rng.Intn(4) {
 		case 0, 1:
-			f.ix.Move(id, spatial.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})
+			f.apply(Op{ID: id, To: spatial.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}})
 		case 2:
-			f.ix.RemoveLocation(id)
+			f.apply(Op{ID: id, Remove: true})
 		case 3:
-			f.ix.SetLocated(id, spatial.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})
+			f.apply(Op{ID: id, To: spatial.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}})
 		}
 	}
 	verifyInvariants(t, f)
@@ -245,7 +251,7 @@ func TestMoveWithinLeafSkipsMaintenance(t *testing.T) {
 	leaf := f.grid.LeafOf(id)
 	r := layout.CellRect(layout.LeafLevel(), leaf)
 	center := spatial.Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
-	f.ix.Move(id, center)
+	f.apply(Op{ID: id, To: center})
 	if f.grid.LeafOf(id) != leaf {
 		t.Fatal("intra-cell move changed leaf")
 	}
@@ -273,7 +279,7 @@ func TestRemoveResponsibleMemberNarrowsSummary(t *testing.T) {
 				maxU, maxD = u, d
 			}
 		}
-		f.ix.RemoveLocation(maxU)
+		f.apply(Op{ID: maxU, Remove: true})
 		verifyInvariants(t, f)
 		return
 	}
@@ -286,7 +292,7 @@ func TestUnlocatedUsersAbsentFromSummaries(t *testing.T) {
 	verifyInvariants(t, f)
 	// Unlocate everything: all summaries must become (+Inf, −Inf).
 	for id := int32(0); id < 120; id++ {
-		f.ix.RemoveLocation(id)
+		f.apply(Op{ID: id, Remove: true})
 	}
 	layout := f.grid.Layout()
 	for level := 0; level < layout.Levels; level++ {

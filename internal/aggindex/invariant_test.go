@@ -121,9 +121,10 @@ func verifyStructure(t *testing.T, sn *Snapshot, labels []uint64) {
 // moves off the construction-time grid, edge churn repaired in place, and
 // edge batches large enough that landmark tables are recomputed at the end of
 // the batch — and after every batch checks (a) each index's new epoch against a full recompute at every
-// level, and (b) that the epochs published before the batch are
+// level, (b) that the epochs published before the batch are
 // bit-identical to deep copies taken then: page sharing never leaks a write
-// into a published epoch.
+// into a published epoch, and (c) that a batch mixing edges and moves is one
+// epoch per index.
 func TestPagedEpochsStayExactAndIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	const n = 300
@@ -138,7 +139,7 @@ func TestPagedEpochsStayExactAndIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two consumers, each locating half of the users.
+	// Two indexes over one substrate, each locating half of the users.
 	var ixs []*Index
 	for half := 0; half < 2; half++ {
 		located := make([]bool, n)
@@ -168,7 +169,8 @@ func TestPagedEpochsStayExactAndIsolated(t *testing.T) {
 			pre = append(pre, ix.Snapshot())
 			copies = append(copies, copySnapshot(ix.Snapshot()))
 		}
-		for h, ix := range ixs {
+		locs := make([][]Op, len(ixs))
+		for h := range ixs {
 			var ops []Op
 			for i := 0; i < 1+rng.Intn(40); i++ {
 				id := int32(2*rng.Intn(n/2) + h)
@@ -185,16 +187,24 @@ func TestPagedEpochsStayExactAndIsolated(t *testing.T) {
 				ops = append(ops, randomEdgeOps(rng, n, 1+rng.Intn(6))...)
 			}
 			rng.Shuffle(len(ops), func(a, b int) { ops[a], ops[b] = ops[b], ops[a] })
-			ix.Apply(ops)
+			locs[h] = ops
 		}
+		// Index 0's share carries the round's edge ops: the substrate takes
+		// them from it, and index 0's location pass skips them.
+		Apply(sub, locs[0], ixs, locs)
 		for h, ix := range ixs {
 			if got := copySnapshot(pre[h]); !reflect.DeepEqual(got, copies[h]) {
 				t.Fatalf("round %d index %d: epoch %d changed after it was published", round, h, pre[h].Epoch())
 			}
+			// Every index takes every round's batch, edges and moves alike, as
+			// exactly one epoch.
+			if got, want := ix.Snapshot().Epoch(), pre[h].Epoch()+1; got != want {
+				t.Fatalf("round %d index %d: epoch %d after one batch, want %d", round, h, got, want)
+			}
 			verifyStructure(t, ix.Snapshot(), labels)
 		}
 	}
-	if st := ixs[0].SocialStats(); st.LandmarkRebuilds == 0 || st.LandmarkRepairs == 0 {
+	if st := sub.Stats(); st.LandmarkRebuilds == 0 || st.LandmarkRepairs == 0 {
 		t.Fatalf("churn too gentle to exercise repair and recompute: %+v", st)
 	}
 }

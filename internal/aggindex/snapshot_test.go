@@ -89,7 +89,7 @@ func TestRemoveLocationNarrowsNewEpochOnly(t *testing.T) {
 		if oldMax != maxD {
 			t.Fatalf("fixture summary %v, want %v", oldMax, maxD)
 		}
-		f.ix.RemoveLocation(maxU)
+		f.apply(Op{ID: maxU, Remove: true})
 		cur := f.ix.Snapshot()
 		if cur == old {
 			t.Fatal("RemoveLocation did not publish a new epoch")
@@ -144,7 +144,7 @@ func TestSetLocatedWidensNewEpochOnly(t *testing.T) {
 	old := f.ix.Snapshot()
 	oldMin := old.MinSummary(leafLevel, dst, 0)
 	oldMax := old.MaxSummary(leafLevel, dst, 0)
-	f.ix.SetLocated(id, target)
+	f.apply(Op{ID: id, To: target})
 	cur := f.ix.Snapshot()
 
 	d := f.lm.Dist(0, id)
@@ -183,9 +183,9 @@ func TestBatchedApplyMatchesSequential(t *testing.T) {
 		fB := mkFixture(t, seedB, 150, 3, 4, 2, 0.2, false)
 		ops := mkOps(rng, 150, 120)
 
-		fA.ix.Apply(ops) // one epoch
+		fA.apply(ops...) // one epoch
 		for _, op := range ops {
-			fB.ix.Apply([]Op{op}) // one epoch each
+			fB.apply(op) // one epoch each
 		}
 		snA, snB := fA.ix.Snapshot(), fB.ix.Snapshot()
 		layout := fA.grid.Layout()
@@ -219,9 +219,9 @@ func TestSnapshotPairsSummariesWithMembership(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		id := int32(rng.Intn(150))
 		if rng.Intn(4) == 0 {
-			f.ix.RemoveLocation(id)
+			f.apply(Op{ID: id, Remove: true})
 		} else {
-			f.ix.Move(id, spatial.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})
+			f.apply(Op{ID: id, To: spatial.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}})
 		}
 	}
 	verifySnapshotInvariants(t, f, old)

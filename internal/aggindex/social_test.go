@@ -19,7 +19,7 @@ func mkSocialFixture(t *testing.T, rng *rand.Rand, n, m, s, levels int, cfg Conf
 		t.Fatal(err)
 	}
 	f.grid = grid
-	f.ix = index(t, f.g, f.lm, grid, cfg)
+	f.ix, f.sub = index(t, f.g, f.lm, grid, cfg)
 	return f
 }
 
@@ -108,10 +108,10 @@ func TestSocialApplyMaintainsSummaries(t *testing.T) {
 			}
 		}
 		rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
-		f.ix.Apply(ops)
+		f.apply(ops...)
 		verifySocialInvariants(t, f)
 	}
-	if f.ix.SocialStats().LandmarkRebuilds == 0 {
+	if f.sub.Stats().LandmarkRebuilds == 0 {
 		t.Fatal("no batch recomputed a landmark table")
 	}
 }
@@ -124,7 +124,7 @@ func TestSocialSnapshotIsolation(t *testing.T) {
 	const n = 120
 	f := mkFixture(t, rng, n, 3, 4, 2, 0.15, false)
 
-	f.ix.Apply(randomEdgeOps(rng, n, 10))
+	f.apply(randomEdgeOps(rng, n, 10)...)
 	old := f.ix.Snapshot()
 	oldEdges := old.SocialGraph().NumEdges()
 	oldDist := make([][]float64, old.Landmarks().M())
@@ -141,9 +141,9 @@ func TestSocialSnapshotIsolation(t *testing.T) {
 	}
 
 	for round := 0; round < 10; round++ {
-		f.ix.Apply(randomEdgeOps(rng, n, 20+round*round*4))
+		f.apply(randomEdgeOps(rng, n, 20+round*round*4)...)
 	}
-	if f.ix.SocialStats().LandmarkRebuilds == 0 {
+	if f.sub.Stats().LandmarkRebuilds == 0 {
 		t.Fatal("no batch recomputed a landmark table")
 	}
 
@@ -182,7 +182,7 @@ func TestSocialLowerBoundAdmissibleUnderChurn(t *testing.T) {
 		if round%2 == 1 {
 			count = 2 * n
 		}
-		f.ix.Apply(randomEdgeOps(rng, n, count))
+		f.apply(randomEdgeOps(rng, n, count)...)
 		sn := f.ix.Snapshot()
 		lm := sn.Landmarks()
 		g := sn.SocialGraph()
@@ -199,7 +199,7 @@ func TestSocialLowerBoundAdmissibleUnderChurn(t *testing.T) {
 			}
 		}
 	}
-	if f.ix.SocialStats().LandmarkRebuilds == 0 {
+	if f.sub.Stats().LandmarkRebuilds == 0 {
 		t.Fatal("no batch recomputed a landmark table")
 	}
 }
@@ -221,15 +221,15 @@ func TestEdgeOpCountersAndCompaction(t *testing.T) {
 			}
 		}
 	}
-	f.ix.Apply([]Op{
+	f.apply([]Op{
 		{Kind: OpEdgeUpsert, U: pairs[0][0], V: pairs[0][1], W: 1},    // add
 		{Kind: OpEdgeUpsert, U: pairs[0][0], V: pairs[0][1], W: 2},    // reweight
 		{Kind: OpEdgeRemove, U: pairs[0][0], V: pairs[0][1]},          // remove
 		{Kind: OpEdgeRemove, U: pairs[0][0], V: pairs[0][1]},          // no-op
 		{Kind: OpEdgeUpsert, U: pairs[1][0], V: pairs[1][1], W: 0.5},  // add
 		{Kind: OpEdgeUpsert, U: pairs[2][0], V: pairs[2][1], W: 0.25}, // add
-	})
-	st := f.ix.SocialStats()
+	}...)
+	st := f.sub.Stats()
 	if st.EdgeAdds != 3 || st.EdgeReweights != 1 || st.EdgeRemoves != 1 || st.EdgeNoops != 1 {
 		t.Fatalf("counters: %+v", st)
 	}
@@ -238,9 +238,9 @@ func TestEdgeOpCountersAndCompaction(t *testing.T) {
 	}
 	// Push past the compaction threshold.
 	for i := 0; i < 6; i++ {
-		f.ix.Apply(randomEdgeOps(rng, n, 6))
+		f.apply(randomEdgeOps(rng, n, 6)...)
 	}
-	st = f.ix.SocialStats()
+	st = f.sub.Stats()
 	if st.Compactions == 0 {
 		t.Fatalf("no compaction at threshold 8 (patched=%d)", st.PatchedVertices)
 	}

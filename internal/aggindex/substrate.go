@@ -7,16 +7,12 @@
 // the whole social dimension S times: every edge op was an O(S) broadcast
 // (S overlay patches, S landmark repairs) and resident
 // social memory scaled with S. The substrate applies each edge op exactly
-// once and then *notifies* every attached Index under its own writer lock,
-// so each consumer re-derives only the cell summaries the op invalidated in
-// its grid and republishes — pairing the new graph/tables with recomputed
-// summaries in one atomic snapshot per consumer (the Lemma-2 epoch-
+// once and returns the new epoch with the vertices whose landmark distances
+// it changed; Apply (aggindex.go) then hands that change to every index, which
+// re-derives only the cell summaries it invalidated in its grid and publishes
+// the new graph and tables with them in one snapshot (the Lemma-2 epoch-
 // coordination invariant: membership and summaries never mix social epochs).
-//
-// Lock order is Social.mu -> Index.mu, always. The substrate never calls
-// into an Index while that Index holds its own lock (notification *takes*
-// Index.mu), and no Index path acquires Social.mu while holding Index.mu
-// (edge ops are forwarded to the substrate before the Index locks itself).
+// The substrate knows nothing of its consumers.
 package aggindex
 
 import (
@@ -24,7 +20,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ssrq/internal/fof"
 	"ssrq/internal/graph"
@@ -50,10 +45,10 @@ func (s *SocialSnapshot) Landmarks() *landmark.Set { return s.lm }
 // Epoch returns the social graph version.
 func (s *SocialSnapshot) Epoch() uint64 { return s.epoch }
 
-// Social is the shared substrate. One writer mutex serializes edge batches
-// and consumer attachment; readers go through the published atomic snapshot
-// and never lock. All landmark maintenance happens inside ApplyEdges, on the
-// caller's goroutine: the substrate starts none.
+// Social is the shared substrate. Its mutex serializes edge batches against
+// each other and against Stats; readers go through the published atomic
+// snapshot and never lock. All landmark maintenance happens inside
+// ApplyEdges, on the caller's goroutine: the substrate starts none.
 type Social struct {
 	lm *landmark.Set // construction-time landmark set
 
@@ -71,7 +66,6 @@ type Social struct {
 
 	mu        sync.Mutex
 	published atomic.Pointer[SocialSnapshot]
-	consumers []*Index // attached under mu; notified in attach order
 
 	epoch     uint64 // social epoch under construction
 	compactAt int
@@ -116,34 +110,26 @@ func (s *Social) Labels() []uint64 { return s.labels }
 
 // FoF returns the friends-of-friends bound index maintained by this
 // substrate. Its floors are safe to read lock-free after loading any
-// snapshot published by a consumer (floor updates happen-before publishes).
+// snapshot published by any index (floor updates happen-before publishes).
 func (s *Social) FoF() *fof.Index { return s.fof }
-
-// attach registers a consumer built against the substrate's current epoch.
-// Runs under mu so no edge batch can slip between the consumer's summary
-// construction and its registration.
-func (s *Social) attach(ix *Index) {
-	s.consumers = append(s.consumers, ix)
-}
 
 // ApplyEdges applies a batch of edge ops to the shared social world exactly
 // once — overlay patch, incremental landmark repair, then the recompute of
-// any landmark the batch drove stale — publishes the next social epoch, and
-// synchronously notifies every attached index so each republishes summaries
-// consistent with it, all under mu: no consumer ever pairs a summary with a
-// partly repaired table. Location ops in the batch are ignored (callers split
-// batches). Safe for concurrent use; batches serialize on the substrate
-// writer lock.
-func (s *Social) ApplyEdges(ops []Op) {
+// any landmark the batch drove stale — publishes the next social epoch and
+// returns it with the vertices whose landmark distances changed, sorted and
+// without duplicates. A batch that changes nothing returns (nil, nil) and
+// publishes nothing. Location ops in the batch are skipped, so a mixed batch
+// may be passed whole.
+func (s *Social) ApplyEdges(ops []Op) (*SocialSnapshot, []graph.VertexID) {
 	if len(ops) == 0 {
-		return
+		return nil, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var dirty []graph.VertexID
 	effective := false
 	for _, op := range ops {
-		if op.Kind != OpEdgeUpsert && op.Kind != OpEdgeRemove {
+		if op.Kind == OpLocation {
 			continue
 		}
 		var changed bool
@@ -151,7 +137,7 @@ func (s *Social) ApplyEdges(ops []Op) {
 		effective = effective || changed
 	}
 	if !effective {
-		return
+		return nil, nil
 	}
 	s.epoch++
 	if s.ov.PatchedCount() >= s.compactAt {
@@ -163,17 +149,9 @@ func (s *Social) ApplyEdges(ops []Op) {
 	sn := &SocialSnapshot{g: g, lm: lm, epoch: s.epoch}
 	s.published.Store(sn)
 	// The repair lists are heavily duplicated (one entry per landmark per
-	// op); dedupe once here rather than once per consumer — the consumer
-	// scan is the only per-consumer term left on the edge-op path, so its
-	// length is what keeps the cost flat in the consumer count.
-	if len(dirty) > 1 {
-		slices.Sort(dirty)
-		dirty = slices.Compact(dirty)
-	}
-	now := time.Now()
-	for _, ix := range s.consumers {
-		ix.socialSync(sn, dirty, now)
-	}
+	// op); dedupe once here rather than once per index.
+	slices.Sort(dirty)
+	return sn, slices.Compact(dirty)
 }
 
 // applyEdge performs one edge op on the overlay and repairs the landmark

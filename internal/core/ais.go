@@ -51,7 +51,7 @@ func aisTie(level, shard int16, idx int32) int64 {
 // came from, so membership, occupancy and summaries are always read from the
 // snapshot the Lemma-2 bounds were built for (DESIGN.md §5.6). The social
 // side is one landmark vector, one forward ball and one GraphDist.
-func (e *Engine) runAIS(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, cfg aisConfig) []Entry {
+func (e *Searcher) runAIS(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, cfg aisConfig) []Entry {
 	soc, lm := sns[0].SocialGraph(), sns[0].Landmarks()
 	p.qvec = lm.AppendVertexVector(p.qvec[:0], q)
 	qvec := p.qvec

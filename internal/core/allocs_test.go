@@ -57,10 +57,10 @@ func TestQueryAllocBudget(t *testing.T) {
 }
 
 // TestEdgeOpAllocBudget pins the synchronous edge-op apply path: one overlay
-// patch, the incremental landmark repairs, the epoch publish and the consumer
-// summary sync. It measures 15 allocs/op; the budget leaves a small margin
-// for per-op variance (repair scope depends on the edge) and catches a
-// regression to per-repair scratch, per-op table copies or per-consumer
+// patch, the incremental landmark repairs, the index's summary re-sync and
+// the epoch publish. It measures 16 allocs/op; the budget leaves a small
+// margin for per-op variance (repair scope depends on the edge) and catches a
+// regression to per-repair scratch, per-op table copies or per-index
 // broadcast work.
 func TestEdgeOpAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(272))

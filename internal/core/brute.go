@@ -10,7 +10,7 @@ import (
 // query vertex, then a linear scan scoring every user against the view's
 // locations. Used for cross-validation and as an honest lower bound on what
 // indexing must beat.
-func (e *Engine) runBrute(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats) []Entry {
+func (e *Searcher) runBrute(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats) []Entry {
 	dist := sns[0].SocialGraph().DistancesFrom(q)
 	st.SocialPops += e.ds.NumUsers()
 	labels := e.ds.Labels

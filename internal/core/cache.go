@@ -124,7 +124,7 @@ func (e *Engine) ResetCache(t int) {
 // list entries arrive in ascending social distance, so θ = α·p applies — and
 // falls back to full AIS when the list is exhausted inconclusively (§5.4).
 // Spatial distances come from the query's view.
-func (e *Engine) runAISCache(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools) []Entry {
+func (e *Searcher) runAISCache(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools) []Entry {
 	list, complete := e.cache.get(sns[0].SocialGraph(), sns[0].SocialEpoch(), q)
 	labels := e.ds.Labels
 	r := p.top.reset(prm.K)

@@ -203,7 +203,7 @@ func TestGraphDistMatchesDijkstraProperty(t *testing.T) {
 		want := ds.G.DistancesFrom(q)
 		var st Stats
 		pools := e.getPools()
-		gd := newGraphDist(ds.G, e.lm, q, pools.rev, &st, 0.3, trial%4 < 2)
+		gd := newGraphDist(ds.G, e.Landmarks(), q, pools.rev, &st, 0.3, trial%4 < 2)
 		for probe := 0; probe < 40; probe++ {
 			v := graph.VertexID(rng.Intn(ds.NumUsers()))
 			got, exact := gd.dist(v, 0, math.Inf(1))
@@ -226,7 +226,7 @@ func TestGraphDistBetaMonotone(t *testing.T) {
 	var st Stats
 	pools := e.getPools()
 	defer e.putPools(pools)
-	gd := newGraphDist(ds.G, e.lm, q, pools.rev, &st, 0.3, true)
+	gd := newGraphDist(ds.G, e.Landmarks(), q, pools.rev, &st, 0.3, true)
 	prev := gd.beta()
 	for probe := 0; probe < 30; probe++ {
 		gd.dist(graph.VertexID(rng.Intn(100)), 0, math.Inf(1))

@@ -153,18 +153,34 @@ const (
 // Updates go through ApplyUpdates, one published epoch per call; an Updater
 // in front of it queues and coalesces them into batched epochs.
 //
-// An Engine is one spatial index over a social substrate: the per-shard worker
-// of the routed shard.Engine the public API serves from, and — on its own,
-// over the whole dataset — the single-index reference the differential tests
-// and the benchmark's layer probes compare against, and the engine the
-// figure-only variants run on.
+// An Engine is one spatial index and a private social substrate, with a
+// Searcher embedded for the queries: the single-index reference the
+// differential tests and the benchmark's layer probes compare against, and
+// the engine the figure-only variants run on. The served engine
+// (shard.Engine) drives S indexes over one substrate with a Searcher of its
+// own.
 type Engine struct {
+	*Searcher
+	sub  *aggindex.Social
+	grid *spatial.Grid
+	agg  *aggindex.Index
+	opts Options
+
+	// writeMu serializes ApplyUpdates: it is the writer lock of the index,
+	// its grid and the substrate.
+	writeMu sync.Mutex
+	// applied / batches count the ops and epochs of ApplyUpdates calls.
+	applied, batches atomic.Int64
+}
+
+// Searcher runs the paper's algorithms over the views it is handed
+// (QueryOn) and validates updates against the dataset. It holds everything a
+// query needs beside the view: the dataset, the friends-of-friends bound
+// index, the pooled per-query scratch, the §5.4 memo and the attached
+// hierarchy. It holds no index and applies nothing.
+type Searcher struct {
 	ds    *dataset.Dataset
-	lm    *landmark.Set
-	grid  *spatial.Grid
-	agg   *aggindex.Index
 	cache *socialCache
-	opts  Options
 	// fof is the substrate's friends-of-friends bound index; queries arm a
 	// pooled Scratch from it for the 2-hop exact / weight-floor lower bound.
 	fof *fof.Index
@@ -173,9 +189,6 @@ type Engine struct {
 	hier Hierarchy
 
 	pools sync.Pool // *queryPools, reused across queries
-
-	// applied / batches count the ops and epochs of ApplyUpdates calls.
-	applied, batches atomic.Int64
 }
 
 // queryPools are the per-query scratch structures, checked out once per
@@ -228,6 +241,20 @@ func NewSubstrate(ds *dataset.Dataset, opts Options) (*aggindex.Social, error) {
 	return sub, nil
 }
 
+// NewSearcher builds the query state over ds for views published over sub.
+func NewSearcher(ds *dataset.Dataset, sub *aggindex.Social) *Searcher {
+	e := &Searcher{ds: ds, cache: newSocialCache(defaultCacheT), fof: sub.FoF()}
+	n := ds.NumUsers()
+	e.pools.New = func() any {
+		return &queryPools{
+			rev: graph.NewAStarPool(n),
+			fwd: graph.NewAStarPool(n),
+			nn:  spatial.NewNNIterator(),
+		}
+	}
+	return e
+}
+
 // NewEngine builds all indexes over the dataset: a private social substrate
 // and the spatial side on top of it.
 func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
@@ -235,24 +262,7 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewEngineWithSubstrate(ds, opts, sub)
-}
-
-// NewEngineWithSubstrate builds an engine whose social dimension — graph
-// overlay and landmark tables — comes from an existing substrate instead of
-// being built privately. The engine owns only
-// its spatial side (grid + AIS summaries over ds, typically a spatial
-// restriction of the substrate's population). The sharded engine attaches S
-// of these to one substrate, so the social structures are stored once
-// instead of S times and every edge op applies once.
-func NewEngineWithSubstrate(ds *dataset.Dataset, opts Options, sub *aggindex.Social) (*Engine, error) {
 	opts = opts.WithDefaults()
-	if ds == nil {
-		return nil, fmt.Errorf("core: nil dataset")
-	}
-	if sub == nil {
-		return nil, fmt.Errorf("core: nil social substrate")
-	}
 	layout, err := spatial.NewLayout(ds.PaddedBounds(), opts.GridS, opts.GridLevels)
 	if err != nil {
 		return nil, fmt.Errorf("core: grid layout: %w", err)
@@ -265,24 +275,7 @@ func NewEngineWithSubstrate(ds *dataset.Dataset, opts Options, sub *aggindex.Soc
 	if err != nil {
 		return nil, fmt.Errorf("core: aggregate index: %w", err)
 	}
-	e := &Engine{
-		ds:    ds,
-		lm:    sub.Landmarks(),
-		grid:  grid,
-		agg:   agg,
-		cache: newSocialCache(defaultCacheT),
-		opts:  opts,
-		fof:   sub.FoF(),
-	}
-	n := ds.NumUsers()
-	e.pools.New = func() any {
-		return &queryPools{
-			rev: graph.NewAStarPool(n),
-			fwd: graph.NewAStarPool(n),
-			nn:  spatial.NewNNIterator(),
-		}
-	}
-	return e, nil
+	return &Engine{Searcher: NewSearcher(ds, sub), sub: sub, grid: grid, agg: agg, opts: opts}, nil
 }
 
 // Dataset returns the engine's dataset. Note that the dataset's graph and
@@ -305,13 +298,13 @@ func (e *Engine) Snapshot() *aggindex.Snapshot { return e.agg.Snapshot() }
 // Options returns the options the engine was built with (defaults filled).
 func (e *Engine) Options() Options { return e.opts }
 
-// ValidateUpdate rejects malformed updates before they can reach the index:
+// ValidateUpdate rejects malformed updates before they can reach an index:
 // out-of-range users, non-finite coordinates (a NaN point would silently
 // corrupt grid membership via CellIndex clamping), and malformed edge ops
 // (self-loops, non-positive or non-finite weights).
-// Exported so compositions that route updates across engines (the sharded
+// Exported so compositions that route updates across indexes (the sharded
 // engine) can reject a whole batch before any routing decision is made.
-func (e *Engine) ValidateUpdate(u Update) error {
+func (e *Searcher) ValidateUpdate(u Update) error {
 	n := e.ds.NumUsers()
 	switch u.Kind {
 	case aggindex.OpLocation:
@@ -347,7 +340,10 @@ func (e *Engine) ApplyUpdates(ops []Update) error {
 			return err
 		}
 	}
-	e.agg.Apply(ops)
+	ixs, locs := [1]*aggindex.Index{e.agg}, [1][]Update{ops}
+	e.writeMu.Lock()
+	aggindex.Apply(e.sub, ops, ixs[:], locs[:])
+	e.writeMu.Unlock()
 	e.applied.Add(int64(len(ops)))
 	e.batches.Add(1)
 	return nil
@@ -378,7 +374,7 @@ func (e *Engine) Query(algo Algorithm, q graph.VertexID, prm Params) (*Result, e
 }
 
 // QueryOn answers an SSRQ against an explicit view and query location — the
-// primitive the sharded engine is built on. The view is one or more
+// primitive both engines are built on. The view is one or more
 // snapshots of one layout at one social epoch (DESIGN.md §5.6), read as one
 // forest: the spatial side searches all of their grids at once, and the
 // social side — one forward search, one GraphDist, one landmark vector —
@@ -387,7 +383,7 @@ func (e *Engine) Query(algo Algorithm, q graph.VertexID, prm Params) (*Result, e
 // located in two snapshots of the view is reported once, with its better
 // entry (the sharded engine's views hold each user once). The slice is read,
 // not retained.
-func (e *Engine) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.VertexID, qpt spatial.Point, prm Params) (*Result, error) {
+func (e *Searcher) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.VertexID, qpt spatial.Point, prm Params) (*Result, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err
 	}
@@ -459,7 +455,7 @@ func (e *Engine) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.Verte
 // AttachHierarchy makes the *-CH variants answerable, evaluating through h —
 // typically ch.Build over the dataset's construction graph. Call it before
 // querying; the engine never maintains h (see chReady).
-func (e *Engine) AttachHierarchy(h Hierarchy) { e.hier = h }
+func (e *Searcher) AttachHierarchy(h Hierarchy) { e.hier = h }
 
 // chReady gates the contraction-hierarchy variants: they need an attached
 // hierarchy, and the snapshot must still be at social epoch 0 — the
@@ -467,7 +463,7 @@ func (e *Engine) AttachHierarchy(h Hierarchy) { e.hier = h }
 // against any later graph it would be silently inexact. After the first
 // effective edge update the variants are refused for good, with both epochs
 // in the error so callers can tell that from a missing hierarchy.
-func (e *Engine) chReady(sn *aggindex.Snapshot, algo Algorithm) error {
+func (e *Searcher) chReady(sn *aggindex.Snapshot, algo Algorithm) error {
 	if e.hier == nil {
 		return fmt.Errorf("core: %v requires an attached hierarchy", algo)
 	}
@@ -483,7 +479,7 @@ func (e *Engine) chReady(sn *aggindex.Snapshot, algo Algorithm) error {
 type SocialStats = aggindex.SocialStats
 
 // SocialStats reports the social dimension's counters.
-func (e *Engine) SocialStats() SocialStats { return e.agg.SocialStats() }
+func (e *Engine) SocialStats() SocialStats { return e.sub.Stats() }
 
 // AddFriend inserts (or reweights) the undirected friendship (u,v) with
 // normalized weight w and publishes the change as one epoch before
@@ -501,10 +497,10 @@ func (e *Engine) NumLocated() int { return e.agg.Snapshot().Grid().NumLocated() 
 // FoFIndex returns the friends-of-friends bound index. Its floors are monotone
 // non-increasing, so bounds derived from them stay admissible against any
 // published snapshot.
-func (e *Engine) FoFIndex() *fof.Index { return e.fof }
+func (e *Searcher) FoFIndex() *fof.Index { return e.fof }
 
-func (e *Engine) getPools() *queryPools { return e.pools.Get().(*queryPools) }
-func (e *Engine) putPools(p *queryPools) {
+func (e *Searcher) getPools() *queryPools { return e.pools.Get().(*queryPools) }
+func (e *Searcher) putPools(p *queryPools) {
 	// Drop the view so a pooled scratch does not pin superseded epochs.
 	clear(p.sns)
 	clear(p.grids)

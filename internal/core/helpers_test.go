@@ -17,7 +17,7 @@ func removeFriend(e *Engine, u, v int32) error {
 }
 
 // asyncEngine is an Engine behind an Updater that applies each coalesced
-// batch to the engine's index as one epoch: the asynchronous path without
+// batch through ApplyUpdates as one epoch: the asynchronous path without
 // the routing layer. Its counters are the Updater's (a.up.Stats()).
 type asyncEngine struct {
 	*Engine
@@ -25,7 +25,7 @@ type asyncEngine struct {
 }
 
 func newAsync(e *Engine) *asyncEngine {
-	apply := func(_, batch []Update) { e.agg.Apply(batch) }
+	apply := func(_, batch []Update) { _ = e.ApplyUpdates(batch) } // Enqueue validated every op
 	return &asyncEngine{Engine: e, up: NewUpdater(apply, e.opts.UpdateQueueCap, e.opts.UpdateMaxBatch)}
 }
 

@@ -10,7 +10,7 @@ import (
 // evaluate every settled user (Euclidean distance is trivial to attach), and
 // stop once θ = α·p(last settled) can no longer beat f_k. Spatial reads go
 // through the query's view sns, with qpt standing in for the query location
-// (q itself need not be located in it — see Engine.QueryOn).
+// (q itself need not be located in it — see Searcher.QueryOn).
 //
 // With useCH (the SFA-CH variant of Fig. 8), every social distance is
 // re-derived through a Contraction Hierarchies point-to-point query instead
@@ -18,7 +18,7 @@ import (
 // for its ascending-distance ordering and termination bound. The variant
 // demonstrates the paper's point: on social networks, per-target CH queries
 // lose to one shared incremental Dijkstra.
-func (e *Engine) runSFA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
+func (e *Searcher) runSFA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
 	labels := e.ds.Labels
 	it := &p.soc
 	it.Reset(sns[0].SocialGraph(), q)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -198,8 +199,11 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 // simultaneously. Every mid-flight query must be a valid top-k over *some*
 // published epoch (never a half-applied edge), and every sampled landmark
 // bound must be admissible against the exact distances of the same snapshot
-// it came from. After the dust settles the index must agree exactly with
-// brute force on the mutated graph.
+// it came from. Two of the edgers call ApplyUpdates directly, racing each
+// other and the queue's apply for the engine's writer lock — the only lock
+// the index and the substrate have. After the dust settles the index must sit
+// at the substrate's social epoch with exact landmark tables and leaf
+// summaries, and agree exactly with brute force on the mutated graph.
 func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	const n = 160
@@ -217,19 +221,21 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 	}
 
 	const (
-		numQueriers = 3
-		numEdgers   = 2
-		numMovers   = 1
-		queriesEach = 25
-		edgeOpsEach = 120
-		movesEach   = 80
-		numAuditors = 1
-		auditsEach  = 10
+		numQueriers   = 3
+		numEdgers     = 2
+		numSyncEdgers = 2
+		numMovers     = 1
+		queriesEach   = 25
+		edgeOpsEach   = 120
+		syncBatches   = 30
+		movesEach     = 80
+		numAuditors   = 1
+		auditsEach    = 10
 	)
 	algos := []Algorithm{AIS, TSA, SFA, SPA, AISMinus, AISCache}
 	var wg sync.WaitGroup
 	var queriesDone, edgeOpsDone atomic.Int64
-	errCh := make(chan error, numQueriers+numEdgers+numMovers+numAuditors)
+	errCh := make(chan error, numQueriers+numEdgers+numSyncEdgers+numMovers+numAuditors)
 
 	for g := 0; g < numEdgers; g++ {
 		wg.Add(1)
@@ -252,6 +258,31 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 					return
 				}
 				edgeOpsDone.Add(1)
+			}
+		}(g)
+	}
+	for g := 0; g < numSyncEdgers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			srng := rand.New(rand.NewSource(int64(350 + g)))
+			for i := 0; i < syncBatches; i++ {
+				var batch []Update
+				for len(batch) < 1+srng.Intn(4) {
+					u, v := srng.Int31n(n), srng.Int31n(n)
+					switch {
+					case u == v:
+					case srng.Intn(3) == 0:
+						batch = append(batch, Update{Kind: OpEdgeRemove, U: u, V: v})
+					default:
+						batch = append(batch, Update{Kind: OpEdgeUpsert, U: u, V: v, W: 0.05 + srng.Float64()})
+					}
+				}
+				if err := e.ApplyUpdates(batch); err != nil {
+					errCh <- err
+					return
+				}
+				edgeOpsDone.Add(int64(len(batch)))
 			}
 		}(g)
 	}
@@ -336,6 +367,32 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 
 	// Quiesce and verify exact agreement on the mutated world.
 	e.Flush()
+	sn := e.Snapshot()
+	if got, want := sn.SocialEpoch(), e.SocialStats().SocialEpoch; got != want {
+		t.Fatalf("index published social epoch %d, substrate is at %d", got, want)
+	}
+	lm, g := sn.Landmarks(), sn.SocialGraph()
+	for j, lmv := range lm.Vertices() {
+		for v, want := range g.DistancesFrom(lmv) {
+			if got := lm.Dist(j, graph.VertexID(v)); got != want {
+				t.Fatalf("landmark %d dist to %d = %v, a fresh Dijkstra gives %v", j, v, got, want)
+			}
+		}
+	}
+	grid := sn.Grid()
+	leaf := grid.Layout().LeafLevel()
+	for idx := int32(0); idx < int32(grid.Layout().NumCells(leaf)); idx++ {
+		for j := 0; j < lm.M(); j++ {
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, u := range grid.CellUsers(idx) {
+				lo, hi = math.Min(lo, lm.Dist(j, u)), math.Max(hi, lm.Dist(j, u))
+			}
+			if sn.MinSummary(leaf, idx, j) != lo || sn.MaxSummary(leaf, idx, j) != hi {
+				t.Fatalf("leaf %d landmark %d: summary (%v, %v), members give (%v, %v)",
+					idx, j, sn.MinSummary(leaf, idx, j), sn.MaxSummary(leaf, idx, j), lo, hi)
+			}
+		}
+	}
 	prm := Params{K: 10, Alpha: 0.3}
 	for probe := 0; probe < 4; probe++ {
 		q := queryable[rng.Intn(len(queryable))]

@@ -15,7 +15,7 @@ import (
 // v_q, expanded just far enough to settle each requested target ("shortest
 // paths produced incrementally, all with v_q as source"). SPA-CH replaces it
 // with an independent CH query per target (Fig. 8).
-func (e *Engine) runSPA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
+func (e *Searcher) runSPA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
 	nn := p.nn
 	nn.Reset(qpt, p.gridsOf(sns)...)
 	r := p.top.reset(prm.K)

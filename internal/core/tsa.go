@@ -183,7 +183,7 @@ func (t *tsaRun) theta() float64 {
 // θ = α·t_p + (1−α)·t_d. Phase 2 resolves the partially-evaluated candidate
 // set Q, by default continuing only the social search (continuing the NN
 // search "would be a waste of computations").
-func (e *Engine) runTSA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, cfg tsaConfig) []Entry {
+func (e *Searcher) runTSA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, cfg tsaConfig) []Entry {
 	soc := sns[0].SocialGraph()
 	p.soc.Reset(soc, q)
 	p.nn.Reset(qpt, p.gridsOf(sns)...)
@@ -264,7 +264,7 @@ func (e *Engine) runTSA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.
 
 // tsaPhase2Social continues only the social search until every candidate is
 // evaluated, disqualified, or provably beaten (θ′ ≥ f_k).
-func (e *Engine) tsaPhase2Social(q graph.VertexID, prm Params, st *Stats, r *topK,
+func (e *Searcher) tsaPhase2Social(q graph.VertexID, prm Params, st *Stats, r *topK,
 	cand *candidateSet, soc *graph.DijkstraIterator, tp float64, socDone bool) {
 	for cand.Len() > 0 && !socDone {
 		if combine(prm.Alpha, tp, cand.MinD()) >= r.Fk() {
@@ -289,7 +289,7 @@ func (e *Engine) tsaPhase2Social(q graph.VertexID, prm Params, st *Stats, r *top
 // cheapest-Euclidean-first with independent CH point-to-point queries, no
 // social stream continuation. t_p stays frozen at its phase-1 value, so θ′
 // grows only through t′_d.
-func (e *Engine) tsaPhase2CH(q graph.VertexID, prm Params, st *Stats, r *topK,
+func (e *Searcher) tsaPhase2CH(q graph.VertexID, prm Params, st *Stats, r *topK,
 	cand *candidateSet, tp float64) {
 	for {
 		u, d, ok := cand.PopMinD()

@@ -164,7 +164,7 @@ func TestUpdaterCoalescing(t *testing.T) {
 	up := NewUpdater(func(acc, batch []Update) {
 		accepted += len(acc)
 		applied += len(batch)
-		eng.agg.Apply(batch)
+		_ = eng.ApplyUpdates(batch) // Enqueue does not validate; these ops are valid
 	}, eng.opts.UpdateQueueCap, 64)
 	defer up.Close()
 	var last spatial.Point

@@ -103,31 +103,9 @@ func New(name string, g *graph.Graph, pts []spatial.Point, located []bool) (*Dat
 	return ds, nil
 }
 
-// Restrict returns a view of the dataset whose located set is the
-// intersection of d's and keep: same graph, same normalized coordinates,
-// same normalization constants and — critically — the same bounds, so grid
-// layouts built over restrictions of one dataset share identical geometry
-// and engines built over them score users identically. This is the substrate
-// of spatial sharding: each shard owns a Restrict'ed view (its users
-// located, everyone else "infinitely far away") while the social graph stays
-// whole.
-func (d *Dataset) Restrict(keep []bool) (*Dataset, error) {
-	if len(keep) != d.NumUsers() {
-		return nil, fmt.Errorf("dataset: restrict mask has %d entries for %d users", len(keep), d.NumUsers())
-	}
-	located := make([]bool, len(keep))
-	for i, k := range keep {
-		located[i] = k && d.Located[i]
-	}
-	r := *d
-	r.Located = located
-	return &r, nil
-}
-
 // SetLabels attaches a per-user label bitmask to the dataset. Like the
 // graph topology, labels are fixed for the dataset's lifetime; engines read
 // the slice without copying, so callers must not mutate it afterwards.
-// Restrict'ed views share the same labels automatically.
 func (d *Dataset) SetLabels(labels []uint64) error {
 	if labels != nil && len(labels) != d.NumUsers() {
 		return fmt.Errorf("dataset: %d label masks for %d users", len(labels), d.NumUsers())

@@ -17,7 +17,7 @@ import (
 var Served = []core.Algorithm{core.SFA, core.SPA, core.TSA, core.AIS, core.BruteForce}
 
 // Query answers an SSRQ as one search over the published view: the paper's
-// algorithms read its S snapshots as one forest (core.Engine.QueryOn), so the
+// algorithms read its S snapshots as one forest (core.Searcher.QueryOn), so the
 // social work — landmark vector, forward Dijkstra, GraphDist — runs once
 // whatever S is, and AIS's one heap holds every shard's occupied cells, each
 // bounded against its own shard's summaries (DESIGN.md §5.6).
@@ -45,7 +45,7 @@ func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) 
 	if home < 0 {
 		return nil, fmt.Errorf("shard: query user %d has no known location", q)
 	}
-	res, err := se.shards[0].QueryOn(sns, algo, q, sns[home].Grid().Point(q), prm)
+	res, err := se.search.QueryOn(sns, algo, q, sns[home].Grid().Point(q), prm)
 	if err != nil {
 		return nil, err
 	}

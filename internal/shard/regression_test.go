@@ -272,3 +272,58 @@ func TestQueryExactAcrossSocialEpochStraddle(t *testing.T) {
 		})
 	}
 }
+
+// TestStatsReadThePublishedView: the stats are the published view's numbers.
+// A batch mixing a cross-shard move with an edge op is parked at the writer's
+// publish hook, every shard index already applied but the view not yet
+// stored: UpdateStats and ShardStats must still read the construction view —
+// no epoch, no social epoch, no applied batch. Released, the batch is one
+// epoch on each of the four shards at one social epoch, one applied batch of
+// two ops, routed to the move's two shards.
+func TestStatsReadThePublishedView(t *testing.T) {
+	ds := clusteredDataset(t, 300, 29)
+	se, err := New(ds, 4, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	se.rebalanceThreshold = -1
+	u, w := crossShardPair(t, se, locatedUsers(ds))
+	dst, _ := se.UserLocation(w)
+
+	fired := false
+	// The writer holds the writer lock here: report with Error, not Fatal.
+	se.testSeam = func() {
+		fired = true
+		if st := se.UpdateStats(); st.Epoch != 0 || st.SocialEpoch != 0 || st.AppliedBatches != 0 || st.AppliedUpdates != 0 {
+			t.Errorf("parked batch: UpdateStats %+v, want the construction view's zeros", st)
+		}
+		for _, sh := range se.ShardStats() {
+			if sh.Epoch != 0 || sh.SocialEpoch != 0 || sh.AppliedBatches != 0 {
+				t.Errorf("parked batch: shard %d reads epoch %d, social epoch %d, %d batches; want zeros",
+					sh.Shard, sh.Epoch, sh.SocialEpoch, sh.AppliedBatches)
+			}
+		}
+	}
+	batch := []core.Update{{ID: u, To: dst}, {Kind: core.OpEdgeUpsert, U: u, V: w, W: 0.123}}
+	if err := se.ApplyUpdates(batch); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Fatal("seam never fired")
+	}
+	se.testSeam = nil
+
+	if st := se.UpdateStats(); st.Epoch != 4 || st.SocialEpoch != 1 || st.AppliedBatches != 1 || st.AppliedUpdates != 2 {
+		t.Fatalf("released: UpdateStats %+v, want 4 epochs, social epoch 1, 1 batch of 2 ops", st)
+	}
+	var routed []int
+	for _, sh := range se.ShardStats() {
+		if sh.AppliedBatches > 0 {
+			routed = append(routed, sh.Shard)
+		}
+	}
+	if len(routed) != 2 || !slices.Contains(routed, se.ShardOfUser(w)) {
+		t.Fatalf("released: shards %v took the batch, want the move's two shards", routed)
+	}
+}

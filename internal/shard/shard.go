@@ -1,14 +1,14 @@
 // Package shard implements the spatially-partitioned SSRQ engine: users are
 // split across S spatially-contiguous shards by a space-filling-curve
-// assignment of grid leaf cells, and every shard owns an independent spatial
-// side — its own grid and AIS aggregate index — built over a Restrict'ed view
-// of one shared dataset. The engine publishes the S shards' snapshots
-// together, as one view per write batch, and a query is one search over that
-// view (query.go); updates route to the shard owning the user's current
-// location. Every write takes one path (update.go): a batch, whether a
-// synchronous call or one drained from the engine's single async queue, is
-// staged and committed under its routing stripes, then routed, applied and
-// published under one writer lock.
+// assignment of grid leaf cells, and every shard is one spatial index — its
+// own grid and AIS aggregate index over the users it owns, on the layout of
+// the whole dataset. The engine publishes the S shards' snapshots together,
+// as one view per write batch, and a query is one search over that view by
+// the engine's one core.Searcher (query.go); updates route to the shard
+// owning the user's current location. Every write takes one path
+// (update.go): a batch, whether a synchronous call or one drained from the
+// engine's single async queue, is staged and committed under its routing
+// stripes, then routed, applied and published under one writer lock.
 //
 // The decomposition trades the two dimensions differently:
 //
@@ -25,10 +25,10 @@
 //     per-shard replication of earlier revisions) is what keeps social
 //     distances exact at O(1) edge-op cost: shortest paths route through
 //     arbitrary vertices, so the graph cannot be partitioned — but it also
-//     need not be copied. An edge op applies once, and the substrate
-//     synchronously syncs every shard's summaries to the new social epoch
-//     before the view publishes, so no view pairs new membership with stale
-//     Lemma-2 bounds.
+//     need not be copied. A batch's edge ops apply once, and every shard
+//     re-derives the summaries they invalidated in the same apply that takes
+//     its location ops (aggindex.Apply), before the view publishes, so no
+//     view pairs new membership with stale Lemma-2 bounds.
 //
 // Urban social structure does not follow spatial cut lines (Herrera-Yagüe
 // et al., "The anatomy of urban social networks"), so social work cannot be
@@ -66,18 +66,20 @@ import (
 // loads and the top cells it seeds.
 const MaxShards = 64
 
-// Engine is the routed composition over S ≥ 1 per-shard core.Engine workers —
-// the one engine the root ssrq package serves from. S = 1 is the same code
-// with no boundary to cross: one shard, one snapshot per query.
+// Engine is the routed composition over S ≥ 1 spatial indexes and one social
+// substrate — the one engine the root ssrq package serves from. S = 1 is the
+// same code with no boundary to cross: one shard, one snapshot per query.
 type Engine struct {
 	ds     *dataset.Dataset
+	opts   core.Options
 	layout *spatial.Layout
 	// cellShard maps each leaf cell to its owning shard. Entries move while
 	// the engine serves (rebalance re-cuts the curve online); they are written
 	// under every stripe and read by routing and stats, so each is an atomic.
 	cellShard []atomic.Int32
-	sub       *aggindex.Social // shared social substrate, owned by this engine
-	shards    []*core.Engine
+	sub       *aggindex.Social  // shared social substrate, owned by this engine
+	shards    []*aggindex.Index // one per shard, written only under writeMu
+	search    *core.Searcher    // runs every query over the view
 
 	// owner[id] is the shard routing last sent the user to (-1 when
 	// unlocated). Every batch is staged, routed and applied under the
@@ -89,13 +91,19 @@ type Engine struct {
 	// view is what every reader loads: the S shards' snapshots of one
 	// instant, indexed by shard and never mutated once stored. publish
 	// (update.go) stores the next one under writeMu, which serializes every
-	// routing decision, shard apply and store past the stripes. onEpoch is
-	// the OnEpoch consumer and moved publish's reused delta scratch, both
-	// guarded by writeMu.
+	// routing decision, apply and store past the stripes — it is the writer
+	// lock of the substrate and of every shard index. onEpoch is the OnEpoch
+	// consumer and moved publish's reused delta scratch, both guarded by
+	// writeMu.
 	view    atomic.Pointer[[]*aggindex.Snapshot]
 	writeMu sync.Mutex
 	onEpoch func(aggindex.EpochDelta)
 	moved   []int32
+
+	// applied / batches count the ops and the batches apply took; shardBatches
+	// counts, per shard, the published batches that routed it a share.
+	applied, batches atomic.Int64
+	shardBatches     []atomic.Int64
 
 	// up is the engine's one asynchronous update queue, started by the first
 	// Enqueue (upOnce); its apply is the same function as ApplyUpdates'.
@@ -144,14 +152,13 @@ type Engine struct {
 
 // New partitions the dataset across numShards spatially-contiguous shards:
 // one shared social substrate (landmarks selected once), and one spatial
-// engine per shard over a Restrict'ed view of the
-// dataset. The partition assigns grid leaf cells to shards along a Z-order
-// (Morton) space-filling curve, cutting the curve into segments of
-// approximately equal construction-time occupancy, so shards start balanced
-// and stay spatially contiguous along the curve; sustained skew re-cuts it
-// online (rebalance.go). Every shard shares the parent dataset's graph,
-// coordinates, normalization and bounds (dataset.Restrict), so per-shard
-// scores are identical to a single index's.
+// index per shard over the users it owns. The partition assigns grid leaf
+// cells to shards along a Z-order (Morton) space-filling curve, cutting the
+// curve into segments of approximately equal construction-time occupancy, so
+// shards start balanced and stay spatially contiguous along the curve;
+// sustained skew re-cuts it online (rebalance.go). Every shard's grid has the
+// whole dataset's layout and coordinates, so per-shard scores are identical
+// to a single index's.
 func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("shard: nil dataset")
@@ -178,11 +185,15 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 	}
 
 	se := &Engine{
-		ds:        ds,
-		layout:    layout,
-		cellShard: make([]atomic.Int32, numCells),
-		sub:       sub,
-		owner:     make([]atomic.Int32, ds.NumUsers()),
+		ds:           ds,
+		opts:         opts,
+		layout:       layout,
+		cellShard:    make([]atomic.Int32, numCells),
+		sub:          sub,
+		shards:       make([]*aggindex.Index, numShards),
+		search:       core.NewSearcher(ds, sub),
+		shardBatches: make([]atomic.Int64, numShards),
+		owner:        make([]atomic.Int32, ds.NumUsers()),
 
 		rebalanceThreshold: rebalanceThreshold,
 		drainBatch:         rebalanceDrainBatch,
@@ -207,34 +218,13 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 		se.owner[id].Store(s)
 	}
 
-	// The per-shard builds are independent (each touches only its own
-	// Restrict'ed view) and cheap — grid plus AIS summaries; the expensive
-	// social structures already exist in the substrate — but build them in
-	// parallel anyway, like the restrictions themselves.
-	se.shards = make([]*core.Engine, numShards)
-	errs := make([]error, numShards)
-	var wg sync.WaitGroup
-	for s := 0; s < numShards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			dsS, err := ds.Restrict(keep[s])
-			if err != nil {
-				errs[s] = fmt.Errorf("shard %d: %w", s, err)
-				return
-			}
-			eng, err := core.NewEngineWithSubstrate(dsS, opts, sub)
-			if err != nil {
-				errs[s] = fmt.Errorf("shard %d: %w", s, err)
-				return
-			}
-			se.shards[s] = eng
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for s, located := range keep {
+		grid, err := spatial.NewGrid(layout, ds.Pts, located)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard %d: grid: %w", s, err)
+		}
+		if se.shards[s], err = aggindex.NewShared(grid, sub); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
 	se.view.Store(se.snapshots())

@@ -272,22 +272,7 @@ func TestCrossShardRouting(t *testing.T) {
 		// A cross-shard move is one batch and one published view, so the
 		// epoch consumer hears one delta, and by then the view already holds
 		// the new position.
-		var u, w int32 = -1, -1
-		for _, v := range users {
-			switch s := se.ShardOfUser(int32(v)); {
-			case s < 0:
-			case u < 0:
-				u = int32(v)
-			case s != se.ShardOfUser(u):
-				w = int32(v)
-			}
-			if w >= 0 {
-				break
-			}
-		}
-		if w < 0 {
-			t.Fatal("fixture: no two located users on different shards")
-		}
+		u, w := crossShardPair(t, se, users)
 		dst, _ := se.UserLocation(w)
 		var calls int
 		var moved bool
@@ -306,6 +291,45 @@ func TestCrossShardRouting(t *testing.T) {
 				calls, moved, seen, dst)
 		}
 	})
+
+	t.Run("MixedBatchIsOneEpochPerShard", func(t *testing.T) {
+		// A batch mixing a cross-shard move with an edge op is one epoch per
+		// shard: the two shards the move touches take the social change in the
+		// same apply, and every shard publishes at the batch's one social
+		// epoch.
+		u, w := crossShardPair(t, se, users)
+		dst, _ := se.UserLocation(w)
+		before := se.ShardStats()
+		batch := []core.Update{{ID: u, To: dst}, {Kind: core.OpEdgeUpsert, U: u, V: w, W: 0.123}}
+		if err := se.ApplyUpdates(batch); err != nil {
+			t.Fatal(err)
+		}
+		for s, sh := range se.ShardStats() {
+			if d := sh.Epoch - before[s].Epoch; d != 1 {
+				t.Errorf("shard %d published %d epochs for one mixed batch, want 1", s, d)
+			}
+			if sh.SocialEpoch != before[0].SocialEpoch+1 {
+				t.Errorf("shard %d at social epoch %d, want %d", s, sh.SocialEpoch, before[0].SocialEpoch+1)
+			}
+		}
+	})
+}
+
+// crossShardPair returns two located users on different shards.
+func crossShardPair(t *testing.T, se *Engine, users []graph.VertexID) (u, w int32) {
+	t.Helper()
+	u = -1
+	for _, v := range users {
+		switch s := se.ShardOfUser(int32(v)); {
+		case s < 0:
+		case u < 0:
+			u = int32(v)
+		case s != se.ShardOfUser(u):
+			return u, int32(v)
+		}
+	}
+	t.Fatal("fixture: no two located users on different shards")
+	return -1, -1
 }
 
 // settleGoroutines waits, for a few seconds at most, until no more than want

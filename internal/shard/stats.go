@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"time"
+
 	"ssrq/internal/core"
 	"ssrq/internal/graph"
 	"ssrq/internal/spatial"
@@ -17,8 +19,9 @@ type ShardStat struct {
 	// published view.
 	Epoch       uint64
 	SocialEpoch uint64
-	// AppliedBatches counts the batches the shard applied — its share of
-	// routed writes, sync or queued, replay and rebalance migrations alike.
+	// AppliedBatches counts the published batches that routed the shard a
+	// share of location ops — sync or queued writes, replay and rebalance
+	// migrations alike.
 	AppliedBatches int64
 }
 
@@ -39,7 +42,7 @@ func (se *Engine) ShardStats() []ShardStat {
 			NumLocated:     sn.Grid().NumLocated(),
 			Epoch:          sn.Epoch(),
 			SocialEpoch:    sn.SocialEpoch(),
-			AppliedBatches: se.shards[s].UpdateStats().AppliedBatches,
+			AppliedBatches: se.shardBatches[s].Load(),
 		}
 	}
 	return out
@@ -73,33 +76,30 @@ func (se *Engine) FanoutStats() FanoutStats {
 	}
 }
 
-// UpdateStats aggregates the shards' epochs and the engine's queue: epochs
-// and applied-op counters sum over the shards (each publishes
-// independently, and a cross-shard move counts on both), the snapshot age is
-// the oldest shard's (the staleness bound a reader can observe), the social
-// epoch is the furthest shard's (the substrate applies an edge batch once
-// and syncs every shard to it before returning, so shards differ only while
-// one such sync is in flight), and the pending and coalesced counts are the
-// queue's.
+// UpdateStats reports the published view and the engine's queue: Epoch
+// sums the view's shard epochs, SocialEpoch is the view's one social epoch,
+// and SnapshotAge is how long ago its newest snapshot was published — the
+// numbers a query sees, never those of a batch still being applied. The
+// applied counts are the batches and ops apply has published (a cross-shard
+// move counts once; rebalance migrations not at all); the pending and
+// coalesced counts are the queue's.
 func (se *Engine) UpdateStats() core.UpdateStats {
-	var agg core.UpdateStats
+	st := core.UpdateStats{AppliedUpdates: se.applied.Load(), AppliedBatches: se.batches.Load()}
 	if u := se.up.Load(); u != nil {
 		qs := u.Stats()
-		agg.PendingUpdates, agg.CoalescedUpdates = qs.PendingUpdates, qs.CoalescedUpdates
+		st.PendingUpdates, st.CoalescedUpdates = qs.PendingUpdates, qs.CoalescedUpdates
 	}
-	for _, sh := range se.shards {
-		us := sh.UpdateStats()
-		agg.Epoch += us.Epoch
-		if us.SocialEpoch > agg.SocialEpoch {
-			agg.SocialEpoch = us.SocialEpoch
+	sns := *se.view.Load()
+	st.SocialEpoch = sns[0].SocialEpoch()
+	var newest time.Time
+	for _, sn := range sns {
+		st.Epoch += sn.Epoch()
+		if sn.PublishedAt().After(newest) {
+			newest = sn.PublishedAt()
 		}
-		if us.SnapshotAge > agg.SnapshotAge {
-			agg.SnapshotAge = us.SnapshotAge
-		}
-		agg.AppliedUpdates += us.AppliedUpdates
-		agg.AppliedBatches += us.AppliedBatches
 	}
-	return agg
+	st.SnapshotAge = time.Since(newest)
+	return st
 }
 
 // SocialStats reports the social dimension straight from the shared

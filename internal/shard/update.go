@@ -10,20 +10,20 @@ import (
 
 // Update routing. Location ops go to the shard owning the target region; a
 // move that crosses a shard boundary becomes a removal on the old owner plus
-// an insertion on the new one. Edge ops route to shard 0 only: its aggregate
-// index forwards them to the shared social substrate, which applies each op
-// ONCE and synchronously syncs every shard's summaries to the new social
-// epoch — O(1) in the shard count, where the replicated design this replaced
-// broadcast every edge op S times.
+// an insertion on the new one. Edge ops route to no shard: the shared social
+// substrate applies each op ONCE, and every shard re-derives the summaries it
+// invalidated in the same apply that takes its location ops — O(1) edge work
+// in the shard count, where the replicated design this replaced broadcast
+// every edge op S times.
 //
 // Every write takes one path, apply: lock the stripes the batch touches (a
 // location op's user, an edge op's unordered pair; in index order), stage its
 // records and commit them; then, under the one writer lock, route the batch,
-// apply each shard's share and publish — store the next view, then hand the
-// OnEpoch consumer one delta for the whole batch. A synchronous ApplyUpdates
-// is one such batch; the engine's single async queue (a core.Updater,
-// started by the first Enqueue) hands its coalesced batches to the same
-// function.
+// apply its edges and each shard's share in one aggindex.Apply and publish —
+// store the next view, then hand the OnEpoch consumer one delta for the whole
+// batch. A synchronous ApplyUpdates is one such batch; the engine's single
+// async queue (a core.Updater, started by the first Enqueue) hands its
+// coalesced batches to the same function.
 //
 // The stripes order the journal: one user's (or pair's) ops are journaled in
 // the order they apply, and a batch's records are committed together, before
@@ -32,13 +32,10 @@ import (
 // adds one thing: a view is stored only between two batches, so every view
 // is one instant of the world — each located user in exactly one grid, every
 // grid at one social epoch — and a query needs nothing but one load of it.
-
-// validate rejects a malformed update before any routing decision is made.
-// Shard 0 stands in for all shards: every shard shares the same user range,
-// landmark count and churn support.
-func (se *Engine) validate(op core.Update) error {
-	return se.shards[0].ValidateUpdate(op)
-}
+//
+// One writer also makes a batch one epoch per index: the substrate hands its
+// social change back to the writer, so an index that takes both a batch's
+// edges and its moves re-syncs, moves and publishes once.
 
 // Enqueue validates one update — a move, a location removal or an edge op,
 // normalized — and queues it on the engine's update queue, returning
@@ -51,7 +48,7 @@ func (se *Engine) validate(op core.Update) error {
 // before it drains, so an op is either queued before Close (and applied by
 // its drain) or refused.
 func (se *Engine) Enqueue(op core.Update) error {
-	if err := se.validate(op); err != nil {
+	if err := se.search.ValidateUpdate(op); err != nil {
 		return err
 	}
 	se.upMu.RLock()
@@ -60,20 +57,16 @@ func (se *Engine) Enqueue(op core.Update) error {
 		return fmt.Errorf("shard: engine closed")
 	}
 	se.upOnce.Do(func() {
-		o := se.shards[0].Options()
-		se.up.Store(core.NewUpdater(func(accepted, batch []core.Update) {
-			_ = se.apply(accepted, batch) //errok: Enqueue validated every op; shard applies reject only invalid ones
-		}, o.UpdateQueueCap, o.UpdateMaxBatch))
+		se.up.Store(core.NewUpdater(se.apply, se.opts.UpdateQueueCap, se.opts.UpdateMaxBatch))
 	})
 	return se.up.Load().Enqueue(op)
 }
 
-// routeInto routes one already-validated op into per-shard batches, updating
-// the owner map. Caller holds writeMu and the stripes of every op in the
-// batch.
+// routeInto routes one already-validated location op into per-shard
+// batches, updating the owner map; an edge op routes nowhere. Caller holds
+// writeMu and the stripes of every op in the batch.
 func (se *Engine) routeInto(per [][]core.Update, op core.Update) {
 	if op.Kind != core.OpLocation {
-		per[0] = append(per[0], op) // shard 0 forwards to the shared substrate
 		return
 	}
 	old := se.owner[op.ID].Load()
@@ -141,22 +134,24 @@ func (se *Engine) unlockAllStripes() {
 // then, no longer records it).
 func (se *Engine) ApplyUpdates(ops []core.Update) error {
 	for _, op := range ops {
-		if err := se.validate(op); err != nil {
+		if err := se.search.ValidateUpdate(op); err != nil {
 			return err
 		}
 	}
 	if u := se.up.Load(); u != nil {
 		u.Flush()
 	}
-	return se.apply(ops, ops)
+	se.apply(ops, ops)
+	return nil
 }
 
 // apply is the one write path. accepted is every op as its callers had it
 // accepted, journaled one record each; batch is what is routed and applied —
 // the same ops, or the queue's coalesced form of them (the same end state).
 // The records are staged and committed under the stripes before any shard
-// mutates, so nothing is visible before it is durable.
-func (se *Engine) apply(accepted, batch []core.Update) error {
+// mutates, so nothing is visible before it is durable. Every op was
+// validated before it got here.
+func (se *Engine) apply(accepted, batch []core.Update) {
 	mask := se.stripeMaskOf(accepted)
 	se.lockStripes(mask)
 	defer se.unlockStripes(mask)
@@ -167,50 +162,49 @@ func (se *Engine) apply(accepted, batch []core.Update) error {
 	for _, op := range batch {
 		se.routeInto(per, op)
 	}
-	err := se.publish(per)
+	se.publish(batch, per)
 	se.writeMu.Unlock()
+	se.applied.Add(int64(len(batch)))
+	se.batches.Add(1)
 	se.noteUpdates(len(batch))
-	return err
 }
 
-// publish applies each shard's share of one routed batch, stores the view
+// publish applies one routed batch — the edge ops in edges once, on the
+// substrate, and each shard's share per[s] on its index, in one
+// aggindex.Apply that publishes each index at most once — stores the view
 // the shards then make together, and only then hands the batch's one delta to
-// the OnEpoch consumer — so a consumer that reacts by querying reads the new
-// view. Caller holds writeMu.
-func (se *Engine) publish(per [][]core.Update) error {
+// the OnEpoch consumer, so a consumer that reacts by querying reads the new
+// view. Location ops in edges are skipped there; they arrive through per.
+// Caller holds writeMu.
+func (se *Engine) publish(edges []core.Update, per [][]core.Update) {
 	prevSocial := (*se.view.Load())[0].SocialEpoch()
-	for s, ops := range per {
-		if len(ops) == 0 {
-			continue
-		}
-		if err := se.shards[s].ApplyUpdates(ops); err != nil {
-			return err // unreachable: every op was validated before routing
-		}
-	}
+	aggindex.Apply(se.sub, edges, se.shards, per)
 	if se.testSeam != nil {
 		se.testSeam()
 	}
 	view := se.snapshots()
 	se.view.Store(view)
 
+	for s, ops := range per {
+		if len(ops) > 0 {
+			se.shardBatches[s].Add(1)
+		}
+	}
 	if se.onEpoch == nil {
-		return nil
+		return
 	}
 	se.moved = se.moved[:0]
 	for _, ops := range per {
 		for _, op := range ops {
-			if op.Kind == core.OpLocation {
-				se.moved = append(se.moved, op.ID)
-			}
+			se.moved = append(se.moved, op.ID)
 		}
 	}
 	sns := *view
 	social := sns[0].SocialEpoch() != prevSocial
 	if len(se.moved) == 0 && !social {
-		return nil
+		return
 	}
 	se.onEpoch(aggindex.EpochDelta{SocialChanged: social, Moved: se.moved, Snapshot: sns[0]})
-	return nil
 }
 
 // snapshots collects every shard's latest published snapshot as a new view.
