@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	s := res.Stats
 	fmt.Fprintf(stdout, "\nstats: social pops=%d (reverse=%d) spatial pops=%d index pops=%d/%d "+
-		"dist calls=%d (bounded stops=%d, restarts=%d) reinserts=%d pop ratio=%.4f\n",
+		"dist calls=%d (bounded stops=%d, restarts=%d) beta deferrals=%d pop ratio=%.4f\n",
 		s.SocialPops, s.ReversePops, s.SpatialPops, s.IndexUserPops, s.IndexCellPops,
 		s.GraphDistCalls, s.BoundedStops, s.GraphDistRestarts, s.Reinserts, s.PopRatio(ds.NumUsers()))
 	return 0

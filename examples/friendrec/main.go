@@ -34,9 +34,9 @@ func main() {
 	}
 
 	// How much graph work does each algorithm spend on the same question?
-	// At alpha = 0.7 TSA beats AIS, the default: TSA's social stream settles
-	// the answer early, while AIS re-inserts every user its forward search has
-	// not reached yet.
+	// At alpha = 0.7 TSA's social stream settles the answer early, while AIS,
+	// the default, still expands the grid cells near the query that its
+	// social bound has not yet ruled out.
 	fmt.Println("\nwork comparison (same query):")
 	for _, algo := range []ssrq.Algorithm{ssrq.SFA, ssrq.SPA, ssrq.TSA, ssrq.AIS} {
 		r, err := eng.TopKWith(algo, me, 8, 0.7)

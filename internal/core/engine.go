@@ -12,7 +12,6 @@ import (
 	"ssrq/internal/fof"
 	"ssrq/internal/graph"
 	"ssrq/internal/landmark"
-	"ssrq/internal/pqueue"
 	"ssrq/internal/spatial"
 )
 
@@ -194,7 +193,7 @@ type Searcher struct {
 // queryPools are the per-query scratch structures, checked out once per
 // QueryOn and reused across queries so the serving path allocates (almost)
 // nothing: A* pools, the shared forward Dijkstra, the spatial NN stream, the
-// interim result, TSA's candidate set, AIS's branch-and-bound heap and the
+// interim result, TSA's candidate set, AIS's two heaps and the
 // GraphDist submodule, plus flat float scratch for landmark vectors and
 // batched Lemma-2 bounds. Everything here is arena-like state that a single
 // query arms via a Reset and abandons on return; QueryOn copies the final
@@ -207,7 +206,7 @@ type queryPools struct {
 	nn       *spatial.NNIterator    // incremental spatial NN stream (SPA/TSA)
 	top      topK                   // interim result R
 	cand     candidateSet           // TSA's partially-evaluated set Q
-	ais      pqueue.Heap[aisItem]   // AIS branch-and-bound heap
+	ais      aisRun                 // AIS's heaps and per-query state
 	gd       graphDist              // §5.2 shared-distance submodule
 	childBuf []int32                // grid child-index scratch
 	sns      []*aggindex.Snapshot   // the query's view (copied in by QueryOn)
@@ -379,10 +378,10 @@ func (e *Engine) Query(algo Algorithm, q graph.VertexID, prm Params) (*Result, e
 // forest: the spatial side searches all of their grids at once, and the
 // social side — one forward search, one GraphDist, one landmark vector —
 // runs once over the graph they share. Unlike Query it does not require q to
-// be located in the view: qpt stands in for the query location. A user
-// located in two snapshots of the view is reported once, with its better
-// entry (the sharded engine's views hold each user once). The slice is read,
-// not retained.
+// be located in the view: qpt stands in for the query location. The view
+// must locate each user in at most one of its snapshots, as the sharded
+// engine's views do: AIS scores a user at the first snapshot found to locate
+// it (DESIGN.md §4.12). The slice is read, not retained.
 func (e *Searcher) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.VertexID, qpt spatial.Point, prm Params) (*Result, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err
@@ -402,46 +401,47 @@ func (e *Searcher) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.Ver
 	p := e.getPools()
 	defer e.putPools(p)
 	// Search the pooled copy, so the caller's slice — Query's is a stack
-	// array — never escapes to the heap.
-	p.sns = append(p.sns[:0], sns...)
-	sns = p.sns
+	// array — never escapes to the heap (the copy is a variable of its own:
+	// escape analysis does not tell apart two values of one variable).
+	view := append(p.sns[:0], sns...)
+	p.sns = view
 	var entries []Entry
 	switch algo {
 	case SFA:
-		entries = e.runSFA(sns, q, qpt, prm, st, p, false)
+		entries = e.runSFA(view, q, qpt, prm, st, p, false)
 	case SFACH:
-		if err := e.chReady(sns[0], algo); err != nil {
+		if err := e.chReady(view[0], algo); err != nil {
 			return nil, err
 		}
-		entries = e.runSFA(sns, q, qpt, prm, st, p, true)
+		entries = e.runSFA(view, q, qpt, prm, st, p, true)
 	case SPA:
-		entries = e.runSPA(sns, q, qpt, prm, st, p, false)
+		entries = e.runSPA(view, q, qpt, prm, st, p, false)
 	case SPACH:
-		if err := e.chReady(sns[0], algo); err != nil {
+		if err := e.chReady(view[0], algo); err != nil {
 			return nil, err
 		}
-		entries = e.runSPA(sns, q, qpt, prm, st, p, true)
+		entries = e.runSPA(view, q, qpt, prm, st, p, true)
 	case TSA:
-		entries = e.runTSA(sns, q, qpt, prm, st, p, tsaConfig{prune: true})
+		entries = e.runTSA(view, q, qpt, prm, st, p, tsaConfig{prune: true})
 	case TSAQC:
-		entries = e.runTSA(sns, q, qpt, prm, st, p, tsaConfig{prune: true, quickCombine: true})
+		entries = e.runTSA(view, q, qpt, prm, st, p, tsaConfig{prune: true, quickCombine: true})
 	case TSANoLandmark:
-		entries = e.runTSA(sns, q, qpt, prm, st, p, tsaConfig{})
+		entries = e.runTSA(view, q, qpt, prm, st, p, tsaConfig{})
 	case TSACH:
-		if err := e.chReady(sns[0], algo); err != nil {
+		if err := e.chReady(view[0], algo); err != nil {
 			return nil, err
 		}
-		entries = e.runTSA(sns, q, qpt, prm, st, p, tsaConfig{prune: true, useCH: true})
+		entries = e.runTSA(view, q, qpt, prm, st, p, tsaConfig{prune: true, useCH: true})
 	case AISBID:
-		entries = e.runAIS(sns, q, qpt, prm, st, p, aisConfig{sharing: false, delayed: false})
+		entries = e.runAIS(view, q, qpt, prm, st, p, aisConfig{sharing: false, delayed: false})
 	case AISMinus:
-		entries = e.runAIS(sns, q, qpt, prm, st, p, aisConfig{sharing: true, delayed: false})
+		entries = e.runAIS(view, q, qpt, prm, st, p, aisConfig{sharing: true, delayed: false})
 	case AIS:
-		entries = e.runAIS(sns, q, qpt, prm, st, p, aisConfig{sharing: true, delayed: true})
+		entries = e.runAIS(view, q, qpt, prm, st, p, aisConfig{sharing: true, delayed: true})
 	case AISCache:
-		entries = e.runAISCache(sns, q, qpt, prm, st, p)
+		entries = e.runAISCache(view, q, qpt, prm, st, p)
 	case BruteForce:
-		entries = e.runBrute(sns, q, qpt, prm, st)
+		entries = e.runBrute(view, q, qpt, prm, st)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", algo)
 	}

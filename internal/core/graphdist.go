@@ -28,13 +28,24 @@ import (
 // alternation, amortised), and a round that ran out of budget is restarted
 // against the bigger ball. DESIGN.md §4 has the exactness argument.
 type graphDist struct {
-	g        *graph.Graph
-	lm       *landmark.Set
-	q        graph.VertexID
-	fwd      *graph.DijkstraIterator
-	revPool  *graph.AStarPool
-	hToQ     graph.Heuristic
-	pathDist map[graph.VertexID]float64 // table T: distance-from-q of path members
+	g       *graph.Graph
+	lm      *landmark.Set
+	q       graph.VertexID
+	fwd     *graph.DijkstraIterator
+	revPool *graph.AStarPool
+	hToQ    graph.Heuristic
+	// Table T: pathDist[v] is p(v_q, v) for every v on a reconstructed path,
+	// valid where pathGen[v] == gen; pathSet lists those v in insertion order.
+	// Generation stamps make reset O(1), as in graph.DijkstraIterator.
+	pathDist []float64
+	pathGen  []uint32
+	gen      uint32
+	pathSet  []graph.VertexID
+	// onSettle, when set, sees every vertex the forward search settles (AIS's
+	// score-on-settle, DESIGN.md §4.12), one advance's worth at a time,
+	// collected in settled.
+	onSettle *aisRun
+	settled  []graph.VertexID
 	st       *Stats
 	alpha    float64
 	// bounded applies the §5.3 bound inside an evaluation: β floors the
@@ -53,16 +64,18 @@ const firstRoundPops = 16
 
 func newGraphDist(g *graph.Graph, lm *landmark.Set, q graph.VertexID, revPool *graph.AStarPool, st *Stats, alpha float64, bounded bool) *graphDist {
 	gd := &graphDist{}
-	gd.reset(g, lm, q, &graph.DijkstraIterator{}, revPool, lm.HeuristicTo(q), st, alpha, bounded)
+	gd.reset(g, lm, q, &graph.DijkstraIterator{}, revPool, lm.HeuristicTo(q), st, alpha, bounded, nil)
 	return gd
 }
 
 // reset re-arms the submodule in place for a fresh query, reusing the path
-// table's buckets and the caller-provided (typically pooled) forward
+// table's storage and the caller-provided (typically pooled) forward
 // iterator. fwd is re-armed from q; hToQ must estimate distances to q against
-// lm's epoch.
+// lm's epoch. onSettle (nil outside AIS) sees every forward settle, q's
+// included.
 func (gd *graphDist) reset(g *graph.Graph, lm *landmark.Set, q graph.VertexID,
-	fwd *graph.DijkstraIterator, revPool *graph.AStarPool, hToQ graph.Heuristic, st *Stats, alpha float64, bounded bool) {
+	fwd *graph.DijkstraIterator, revPool *graph.AStarPool, hToQ graph.Heuristic, st *Stats, alpha float64, bounded bool,
+	onSettle *aisRun) {
 	fwd.Reset(g, q)
 	gd.g = g
 	gd.lm = lm
@@ -70,11 +83,17 @@ func (gd *graphDist) reset(g *graph.Graph, lm *landmark.Set, q graph.VertexID,
 	gd.fwd = fwd
 	gd.revPool = revPool
 	gd.hToQ = hToQ
-	if gd.pathDist == nil {
-		gd.pathDist = make(map[graph.VertexID]float64)
-	} else {
-		clear(gd.pathDist)
+	if n := g.NumVertices(); len(gd.pathGen) < n {
+		gd.pathDist = make([]float64, n)
+		gd.pathGen = make([]uint32, n)
+		gd.gen = 0
 	}
+	if gd.gen++; gd.gen == 0 { // wrapped: flush the stale stamps
+		clear(gd.pathGen)
+		gd.gen = 1
+	}
+	gd.pathSet = gd.pathSet[:0]
+	gd.onSettle = onSettle
 	gd.st = st
 	gd.alpha = alpha
 	gd.bounded = bounded
@@ -84,13 +103,24 @@ func (gd *graphDist) reset(g *graph.Graph, lm *landmark.Set, q graph.VertexID,
 	gd.advance(1)
 }
 
-// advance grants the shared forward search up to n more pops.
+// advance grants the shared forward search up to n more pops, then hands
+// what they settled to onSettle in one batch: the hook's lookups of those
+// vertices are independent of one another, so they overlap in memory instead
+// of waiting behind the search's own.
 func (gd *graphDist) advance(n int) {
+	gd.settled = gd.settled[:0]
 	for ; n > 0; n-- {
-		if _, _, ok := gd.fwd.Next(); !ok {
-			return
+		v, _, ok := gd.fwd.Next()
+		if !ok {
+			break
 		}
 		gd.st.SocialPops++
+		if gd.onSettle != nil {
+			gd.settled = append(gd.settled, v)
+		}
+	}
+	if gd.onSettle != nil {
+		gd.onSettle.settle(gd.settled)
 	}
 }
 
@@ -110,10 +140,19 @@ func (gd *graphDist) known(v graph.VertexID) (float64, bool) {
 	if d, ok := gd.fwd.SettledDist(v); ok {
 		return d, true
 	}
-	if d, ok := gd.pathDist[v]; ok {
-		return d, true
+	if gd.pathGen[v] == gd.gen {
+		return gd.pathDist[v], true
 	}
 	return 0, false
+}
+
+// record enters p(v_q, x) = p into table T.
+func (gd *graphDist) record(x graph.VertexID, p float64) {
+	if gd.pathGen[x] != gd.gen {
+		gd.pathGen[x] = gd.gen
+		gd.pathSet = append(gd.pathSet, x)
+	}
+	gd.pathDist[x] = p
 }
 
 // socialThreshold returns τ, the smallest social distance that keeps a
@@ -200,7 +239,7 @@ func (gd *graphDist) dist(v graph.VertexID, d, fk float64) (p float64, exact boo
 				// vertex x on the path has p(v_q, x) = p − g_rev(x).
 				for x := meet; x >= 0; x = rev.ParentOf(x) {
 					if gx, ok := rev.LabelDist(x); ok {
-						gd.pathDist[x] = mu - gx
+						gd.record(x, mu-gx)
 					}
 				}
 			}

@@ -210,7 +210,8 @@ func TestGraphDistThresholdDifferential(t *testing.T) {
 						t.Fatalf("trial %d: bounded stop not counted", trial)
 					}
 				}
-				for x, px := range gd.pathDist {
+				for _, x := range gd.pathSet {
+					px := gd.pathDist[x]
 					if math.Abs(px-truth[x]) > distTol {
 						t.Fatalf("trial %d ball %d: path table holds p(%d)=%v, truth %v (after v=%d fk=%v)", trial, ball, x, px, truth[x], v, fk)
 					}
@@ -263,38 +264,25 @@ func TestSocialThresholdIsSmallestPassingFloat(t *testing.T) {
 // fact: on a fixed dataset and fixed queries the pop counts repeat exactly,
 // so AIS < TSA < SFA and AIS-BID > AIS⁻ > AIS are assertions, not timings.
 func TestPaperOrderingAsPopCounts(t *testing.T) {
-	ds, err := gen.GowallaPreset.Dataset(5000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(ds, Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := locatedUsers(ds)
+	e, queryUser := popCountFixture(t)
 	prm := Params{K: 30, Alpha: 0.3}
-	const queries = 40
 	meanPops := func(algo Algorithm, count int) float64 {
 		total := 0
 		for i := 0; i < count; i++ {
-			q := users[i*len(users)/queries]
-			res, err := e.Query(algo, q, prm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += res.Stats.Pops()
+			total += popCountQuery(t, e, algo, queryUser(i), prm).Pops()
 		}
 		return float64(total) / float64(count)
 	}
-	ais, tsa, sfa := meanPops(AIS, queries), meanPops(TSA, queries), meanPops(SFA, queries)
-	aisMinus := meanPops(AISMinus, queries)
+	ais, tsa, sfa := meanPops(AIS, popCountQueries), meanPops(TSA, popCountQueries), meanPops(SFA, popCountQueries)
+	aisMinus := meanPops(AISMinus, popCountQueries)
 	// AIS-BID costs tens of thousands of pops a query; a quarter of the
 	// queries is plenty to place it.
-	aisBID, aisFew, aisMinusFew := meanPops(AISBID, queries/4), meanPops(AIS, queries/4), meanPops(AISMinus, queries/4)
+	aisBID, aisFew, aisMinusFew := meanPops(AISBID, popCountQueries/4), meanPops(AIS, popCountQueries/4), meanPops(AISMinus, popCountQueries/4)
 	t.Logf("mean pops/query: AIS %.0f  TSA %.0f  SFA %.0f  AIS⁻ %.0f | first %d queries: AIS-BID %.0f  AIS⁻ %.0f  AIS %.0f",
-		ais, tsa, sfa, aisMinus, queries/4, aisBID, aisMinusFew, aisFew)
+		ais, tsa, sfa, aisMinus, popCountQueries/4, aisBID, aisMinusFew, aisFew)
 	// Before evaluations ran in rounds this was 1 739.85 (logged as 1740);
-	// with them it is 1 647. Counts repeat exactly, so the ceiling is tight.
+	// with them it was 1 647, and it is 1 058 since β stopped re-queuing
+	// users (DESIGN.md §4.12). Counts repeat exactly.
 	if ais >= 1700 {
 		t.Errorf("AIS mean pops/query = %.0f, want below 1700: the first evaluation is flooding again", ais)
 	}
@@ -304,6 +292,75 @@ func TestPaperOrderingAsPopCounts(t *testing.T) {
 	if !(aisMinus > ais && aisBID > aisMinusFew && aisMinusFew > aisFew) {
 		t.Errorf("Fig. 10 ordering lost: want AIS-BID > AIS⁻ > AIS, got %.0f > %.0f > %.0f (AIS⁻ %.0f vs AIS %.0f on all queries)",
 			aisBID, aisMinusFew, aisFew, aisMinus, ais)
+	}
+}
+
+// popCountQueries is how many query users the pop-count gates run.
+const popCountQueries = 40
+
+// popCountFixture is the engine and query users of the pop-count gates:
+// gowalla 5000 (seed 42) and the i-th of popCountQueries evenly spaced
+// located users.
+func popCountFixture(t *testing.T) (*Engine, func(i int) graph.VertexID) {
+	t.Helper()
+	ds, err := gen.GowallaPreset.Dataset(5000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(ds, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := locatedUsers(ds)
+	return e, func(i int) graph.VertexID { return users[i*len(users)/popCountQueries] }
+}
+
+func popCountQuery(t *testing.T, e *Engine, algo Algorithm, q graph.VertexID, prm Params) Stats {
+	t.Helper()
+	res, err := e.Query(algo, q, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats
+}
+
+// TestAISIndexPopsAcrossAlpha extends the pop-count gate to the α where AIS
+// meets TSA: on the fixture of TestPaperOrderingAsPopCounts, AIS's index
+// pops per query — users and cells, from both of its queues — stay under
+// ceilings set from the measured counts, which repeat exactly. Before β
+// stopped re-queuing users (DESIGN.md §4.12) they read 1 297, 2 151 and
+// 3 450; now they read 650, 887 and 1 558. TSA's and SFA's pops are pinned
+// exactly at the same settings: they share nothing with AIS's loop, so
+// nothing here may move them.
+func TestAISIndexPopsAcrossAlpha(t *testing.T) {
+	e, queryUser := popCountFixture(t)
+	for _, c := range []struct {
+		alpha    float64
+		ceiling  float64 // AIS index pops per query
+		tsa, sfa int     // total pops over the queries
+	}{
+		{0.5, 660, 57296, 49479},
+		{0.7, 890, 31042, 21554},
+		{0.9, 1560, 11542, 6162},
+	} {
+		prm := Params{K: 30, Alpha: c.alpha}
+		var index, tsa, sfa int
+		for i := 0; i < popCountQueries; i++ {
+			q := queryUser(i)
+			st := popCountQuery(t, e, AIS, q, prm)
+			index += st.IndexUserPops + st.IndexCellPops
+			tsa += popCountQuery(t, e, TSA, q, prm).Pops()
+			sfa += popCountQuery(t, e, SFA, q, prm).Pops()
+		}
+		mean := float64(index) / popCountQueries
+		t.Logf("α=%.1f: AIS %.1f index pops/query (ceiling %.0f); TSA %d and SFA %d pops over %d queries",
+			c.alpha, mean, c.ceiling, tsa, sfa, popCountQueries)
+		if mean > c.ceiling {
+			t.Errorf("α=%.1f: AIS makes %.1f index pops per query, ceiling %.0f: β re-queuing is back", c.alpha, mean, c.ceiling)
+		}
+		if tsa != c.tsa || sfa != c.sfa {
+			t.Errorf("α=%.1f: TSA/SFA pops moved to %d/%d, want %d/%d", c.alpha, tsa, sfa, c.tsa, c.sfa)
+		}
 	}
 }
 
@@ -440,7 +497,7 @@ func TestGraphDistRoundEdgeCases(t *testing.T) {
 					fk = f * []float64{0, 0.6, 1, 1.5}[c]
 				}
 				_, wasKnown := gd.known(v)
-				fwd, rev, restarts, table := gd.fwd.Pops(), st.ReversePops, st.GraphDistRestarts, len(gd.pathDist)
+				fwd, rev, restarts, table := gd.fwd.Pops(), st.ReversePops, st.GraphDistRestarts, len(gd.pathSet)
 				got, exact := gd.dist(v, d, fk)
 				restarts = st.GraphDistRestarts - restarts
 				last, grant := lastRound(1, fwd, restarts, st.ReversePops-rev)
@@ -462,7 +519,8 @@ func TestGraphDistRoundEdgeCases(t *testing.T) {
 						boundedStops++
 					}
 				}
-				for x, px := range gd.pathDist { // (d)
+				for _, x := range gd.pathSet { // (d)
+					px := gd.pathDist[x]
 					if math.Abs(px-truth[x]) > distTol {
 						t.Fatalf("trial %d: path table holds p(%d)=%v, truth %v (after v=%d, %d restarts)", trial, x, px, truth[x], v, restarts)
 					}
@@ -478,7 +536,7 @@ func TestGraphDistRoundEdgeCases(t *testing.T) {
 					exhausted++
 				case exact && !math.IsInf(got, 1): // (c)
 					carried++
-					if len(gd.pathDist) > table {
+					if len(gd.pathSet) > table {
 						tableWrites++
 					}
 				}

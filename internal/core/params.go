@@ -63,10 +63,8 @@ func finite(f float64) bool { return !math.IsInf(f, 1) && !math.IsNaN(f) }
 
 // spatialDist returns the Euclidean distance from the query location qpt to
 // user v's position in whichever snapshot of the view locates v, +Inf when
-// none does (the paper's convention). A user located twice (QueryOn accepts
-// any view) takes the nearer position, the one its better entry holds. The
-// query location is threaded explicitly because in a sharded view q is
-// located in one shard's grid only.
+// none does (the paper's convention). The query location is threaded
+// explicitly because in a sharded view q is located in one shard's grid only.
 func spatialDist(sns []*aggindex.Snapshot, qpt spatial.Point, v int32) float64 {
 	d := math.Inf(1)
 	for _, sn := range sns {

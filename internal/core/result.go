@@ -21,12 +21,14 @@ type Entry struct {
 // 10c/d) is |Vpop| / |V| where |Vpop| counts vertices popped from the
 // methods' search heaps; Stats tracks each heap separately.
 type Stats struct {
-	SocialPops     int // vertices settled by graph searches (Dijkstra/A*, fwd+rev)
-	ReversePops    int // subset of SocialPops settled by reverse A* searches
-	SpatialPops    int // users reported by the incremental spatial NN stream
-	IndexUserPops  int // users popped from the AIS branch-and-bound heap
-	IndexCellPops  int // cells popped from the AIS heap
-	Reinserts      int // delayed-evaluation push-backs (§5.3)
+	SocialPops    int // vertices settled by graph searches (Dijkstra/A*, fwd+rev)
+	ReversePops   int // subset of SocialPops settled by reverse A* searches
+	SpatialPops   int // users reported by the incremental spatial NN stream
+	IndexUserPops int // users popped from either of AIS's queues
+	IndexCellPops int // cells popped from AIS's heap
+	// Reinserts counts AIS's β deferrals (§5.3): users sent to the β-queue
+	// and cells pushed, or pushed back, at a key β raised.
+	Reinserts      int
 	GraphDistCalls int // exact social-distance evaluations
 	BoundedStops   int // evaluations GraphDist ended at the f_k threshold, without an exact distance
 	CHQueries      int // contraction-hierarchy point-to-point queries
@@ -90,10 +92,10 @@ func (r *Result) IDSet() map[int32]bool {
 // an identical interim state. With k ≤ 50 (Table 3) a sorted slice beats a
 // heap.
 //
-// A user holds at most one entry: a view handed to QueryOn may locate a user
-// in two of its snapshots (the sharded engine's views never do), so a second
-// entry for an ID already held replaces it only when it is the better
-// (F, ID), the one a single index would report.
+// A user holds at most one entry: AIS offers a user twice when a queue
+// evaluates it and the forward search later settles it (DESIGN.md §4.12),
+// so a second entry for an ID already held replaces it only when it is the
+// better (F, ID).
 //
 // topK structs are pooled (see queryPools): reset re-arms one in place and
 // reuses the entries storage, so the serving path allocates nothing here.

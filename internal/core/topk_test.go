@@ -6,7 +6,7 @@ import (
 )
 
 // TestTopKKeepsOneEntryPerUser pins what replaced the sharded merge's
-// dedupe: a view can locate a user twice, and the interim result keeps only
+// dedupe: a user can be offered twice, and the interim result keeps only
 // that user's better (F, ID) entry, so f_k is always the kth of k distinct
 // users.
 func TestTopKKeepsOneEntryPerUser(t *testing.T) {

@@ -77,15 +77,6 @@ func (c *candidateSet) PopMinD() (u int32, d float64, ok bool) {
 	return 0, 0, false
 }
 
-// Prune removes candidates for which drop returns true.
-func (c *candidateSet) Prune(drop func(u int32, d float64) bool) {
-	for u, d := range c.d {
-		if drop(u, d) {
-			delete(c.d, u)
-		}
-	}
-}
-
 // tsaRun is the mutable state of one TSA phase-1 execution. It exists so the
 // stream-advance steps can be methods rather than closures: closures
 // capturing the frontier state (t_p, t_d, the done flags) would force a heap
@@ -232,9 +223,7 @@ func (e *Searcher) runTSA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatia
 		// TSA with landmarks: eliminate candidates whose landmark-derived f
 		// lower bound already misses the interim result. The bound comes
 		// from the query's view, so it is admissible on exactly the graph
-		// this query is searching. A flat loop over the map rather than
-		// candidateSet.Prune: the predicate closure would capture four
-		// variables and allocate.
+		// this query is searching.
 		lm := sns[0].Landmarks()
 		useFoF := e.fof != nil && t.cand.Len() > 0
 		if useFoF {

@@ -350,8 +350,8 @@ func settleGoroutines(want int) int {
 // TestPaperOrderingAsPopCounts (gowalla 5000, k=30, α=0.3, 40 queries), AIS
 // at four shards does exactly the social work of AIS at one — the same
 // forward and reverse pops and the same exact evaluations — because a user's
-// key does not depend on which grid holds it (DESIGN.md §5.6). A fan-out
-// that repeated the social search per shard read about 1.9× here.
+// key does not depend on which grid holds it (DESIGN.md §4.12, §5.6). A
+// fan-out that repeated the social search per shard read about 1.9× here.
 func TestShardedAISPopsMatchOneIndex(t *testing.T) {
 	ds, err := gen.GowallaPreset.Dataset(5000, 42)
 	if err != nil {
