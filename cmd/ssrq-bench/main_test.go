@@ -11,14 +11,14 @@ import (
 	"ssrq/internal/exp"
 )
 
-func TestRunThroughputSmoke(t *testing.T) {
+func TestRunFigureSmoke(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-exp", "throughput", "-scale", "small", "-queries", "4", "-parallel", "2"}, &stdout, &stderr)
+	code := run([]string{"-exp", "table2", "-scale", "small"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
 	}
 	got := stdout.String()
-	for _, want := range []string{"Batched throughput", "queries/sec", "completed in"} {
+	for _, want := range []string{"Table 2", "gowalla", "completed in"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
@@ -26,12 +26,12 @@ func TestRunThroughputSmoke(t *testing.T) {
 }
 
 // TestRunJSONReport: -json must write a parseable report whose points carry
-// the serving-layer fields the CI bench gate reads (latency percentiles and
-// the queries/sec counter).
+// the figure's series (one point per algorithm and swept value).
 func TestRunJSONReport(t *testing.T) {
+	args := []string{"-exp", "fig13", "-scale", "small", "-queries", "4"}
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-exp", "throughput", "-scale", "small", "-queries", "4", "-parallel", "2", "-json", path}, &stdout, &stderr)
+	code := run(append(args, "-json", path), &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
 	}
@@ -43,29 +43,26 @@ func TestRunJSONReport(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("report does not parse: %v\n%s", err, raw)
 	}
-	if rep.Exp != "throughput" || rep.Scale != "small" {
+	if rep.Exp != "fig13" || rep.Scale != "small" {
 		t.Fatalf("report metadata = %q/%q", rep.Exp, rep.Scale)
 	}
 	if len(rep.Points) == 0 {
 		t.Fatal("report has no points")
 	}
 	for _, p := range rep.Points {
-		if p.Exp != "throughput" || p.Algo != "AIS" {
-			t.Fatalf("point tagged %q/%q", p.Exp, p.Algo)
+		if p.Exp != "fig13" || p.Dataset != "twitter" || p.Algo == "" {
+			t.Fatalf("point tagged %q/%q/%q", p.Exp, p.Dataset, p.Algo)
 		}
-		if p.P50US <= 0 || p.P99US < p.P50US {
-			t.Fatalf("implausible percentiles in %+v", p)
-		}
-		if p.Extra["queries_per_sec"] <= 0 {
-			t.Fatalf("missing queries_per_sec in %+v", p)
+		if p.Queries != 4 || p.RuntimeUS <= 0 {
+			t.Fatalf("implausible point %+v", p)
 		}
 	}
 	// stdout mode renders the same report.
 	stdout.Reset()
-	if code := run([]string{"-exp", "throughput", "-scale", "small", "-queries", "4", "-parallel", "2", "-json", "-"}, &stdout, &stderr); code != 0 {
+	if code := run(append(args, "-json", "-"), &stdout, &stderr); code != 0 {
 		t.Fatalf("run -json - = %d, stderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), `"queries_per_sec"`) {
+	if !strings.Contains(stdout.String(), `"runtime_us"`) {
 		t.Error("stdout JSON mode missing measurement payload")
 	}
 }
@@ -80,5 +77,9 @@ func TestRunValidation(t *testing.T) {
 	}
 	if code := run([]string{"-badflag"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("bad flag run = %d", code)
+	}
+	// The serving-cell flags are gone with their cells.
+	if code := run([]string{"-exp", "table2", "-scale", "small", "-parallel", "2"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("retired -parallel flag run = %d", code)
 	}
 }

@@ -269,7 +269,3 @@ func (e *Engine) WALDurableSeq() uint64 {
 	}
 	return e.log.DurableSeq()
 }
-
-// TestingWAL exposes the underlying log to crash tests (nil when
-// non-durable).
-func (e *Engine) TestingWAL() *wal.Log { return e.log }

@@ -8,7 +8,12 @@ import (
 	"time"
 
 	"ssrq/internal/graph"
+	"ssrq/internal/wal"
 )
+
+// TestingWAL exposes the underlying log to crash tests (nil when
+// non-durable).
+func (e *Engine) TestingWAL() *wal.Log { return e.log }
 
 // Differential crash tests: churn an engine, hard-stop its WAL mid-record
 // (the in-process seam; see crash_kill_test.go for the real kill -9

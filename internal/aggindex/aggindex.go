@@ -134,9 +134,6 @@ func (s *Snapshot) UserLabels(u int32) uint64 {
 	return s.labels[u]
 }
 
-// HasLabels reports whether the index carries per-user labels.
-func (s *Snapshot) HasLabels() bool { return s.labels != nil }
-
 // MinSummary returns m̌[j] for the cell, the minimum graph distance between
 // any member user and landmark j (+Inf for an empty cell).
 func (s *Snapshot) MinSummary(level int, idx int32, j int) float64 {

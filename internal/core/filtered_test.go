@@ -15,6 +15,7 @@ import (
 
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
+	"ssrq/internal/gen"
 	"ssrq/internal/graph"
 	"ssrq/internal/shard"
 	"ssrq/internal/spatial"
@@ -218,5 +219,68 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLabelMasksPruneClusteredUrbanQueries: on the urban preset, per-city
+// labels align with the spatial clusters, so a query filtered on its own city
+// (half the time widened by a second one) must let AIS discard whole grid
+// cells by their OR'd label masks. Zero cell-mask prunes over the query set
+// means the label index is dead weight, which is a failure even when every
+// answer is exact; the answers of AIS, TSA and SFA are held to the
+// brute-force oracle under the same filter as well.
+func TestLabelMasksPruneClusteredUrbanQueries(t *testing.T) {
+	const seed = 42
+	ds, err := gen.UrbanPreset.Dataset(1500, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Labels == nil {
+		t.Fatal("urban preset carries no labels")
+	}
+	e, err := core.NewEngine(ds, core.Options{GridS: 10, GridLevels: 2, NumLandmarks: 8, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := locatedIDs(ds)
+	rand.New(rand.NewSource(seed)).Shuffle(len(users), func(i, j int) { users[i], users[j] = users[j], users[i] })
+	users = users[:20]
+
+	rng := rand.New(rand.NewSource(seed + 77))
+	prunes := map[core.Algorithm]int{}
+	for _, q := range users {
+		filter := ds.Labels[q]
+		if filter == 0 {
+			filter = 1 << uint(rng.Intn(8))
+		}
+		if rng.Intn(2) == 0 {
+			filter |= 1 << uint(rng.Intn(8))
+		}
+		prm := core.Params{K: 30, Alpha: 0.3, Filter: filter}
+		want, err := e.Query(core.BruteForce, q, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []core.Algorithm{core.AIS, core.TSA, core.SFA} {
+			got, err := e.Query(algo, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prunes[algo] += got.Stats.LabelCellPrunes
+			label := fmt.Sprintf("%v q=%d filter=%#x", algo, q, filter)
+			if len(got.Entries) != len(want.Entries) {
+				t.Fatalf("%s: %d entries, oracle has %d", label, len(got.Entries), len(want.Entries))
+			}
+			for i := range got.Entries {
+				g, w := got.Entries[i], want.Entries[i]
+				if math.Abs(g.F-w.F) > 1e-9 || (g.ID != w.ID && math.Abs(g.F-w.F) > 1e-12) {
+					t.Fatalf("%s rank %d: (id=%d f=%v), oracle (id=%d f=%v)", label, i, g.ID, g.F, w.ID, w.F)
+				}
+			}
+		}
+	}
+	t.Logf("cell-mask prunes over %d queries: %v", len(users), prunes)
+	if prunes[core.AIS] == 0 {
+		t.Fatalf("AIS made zero cell-mask prunes over %d clustered urban queries: the label index is not pruning", len(users))
 	}
 }

@@ -93,16 +93,10 @@ func ScaleByName(name string) (Scale, error) {
 }
 
 // QueryUsers draws n distinct located query users uniformly (the paper's
-// "1,000 random SSRQ queries"). Equivalent to QueryUsersFrom with
-// rand.NewSource(seed): experiment workloads are fully determined by the
-// suite seed.
+// "1,000 random SSRQ queries"); experiment workloads are fully determined by
+// the suite seed.
 func QueryUsers(ds *dataset.Dataset, n int, seed int64) []graph.VertexID {
-	return QueryUsersFrom(ds, n, rand.NewSource(seed))
-}
-
-// QueryUsersFrom is QueryUsers with an explicit randomness source.
-func QueryUsersFrom(ds *dataset.Dataset, n int, src rand.Source) []graph.VertexID {
-	rng := rand.New(src)
+	rng := rand.New(rand.NewSource(seed))
 	var located []graph.VertexID
 	for v := 0; v < ds.NumUsers(); v++ {
 		if ds.Located[v] {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"ssrq/internal/core"
 	"ssrq/internal/gen"
@@ -63,50 +62,6 @@ func TestQueryUsers(t *testing.T) {
 	all := QueryUsers(ds, 10_000, 3)
 	if len(all) != ds.NumLocated() {
 		t.Fatalf("oversized request: %d != %d", len(all), ds.NumLocated())
-	}
-}
-
-// TestRunShard drives the sharded-engine experiment at micro scale: it is
-// self-checking (per-cell brute oracle, cross-S equivalence, pruning > 0 at
-// the largest S), so a nil error is the assertion.
-func TestRunShard(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSuite(microScale, 42, &buf)
-	s.ShardCounts = []int{1, 4}
-	if err := s.RunShard(); err != nil {
-		t.Fatalf("RunShard: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Sharded engine") || !strings.Contains(out, "social pops/q") {
-		t.Fatalf("missing table:\n%s", out)
-	}
-	if len(s.Measurements) != 2 {
-		t.Fatalf("measurements = %d, want 2", len(s.Measurements))
-	}
-}
-
-// TestRunShardSkew drives the skewed-migration cell at micro scale. The cell
-// is self-checking (≥1 automatic rebalance, imbalance recovery below its
-// peak, per-phase brute-oracle agreement, zero query errors), so a nil error
-// is the assertion; the test only adds shape checks on the report.
-func TestRunShardSkew(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSuite(microScale, 42, &buf)
-	s.Skew = true
-	s.ShardCounts = []int{8}
-	if err := s.Run("shard", false); err != nil {
-		t.Fatalf("RunShardSkew: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "skewed migration") || !strings.Contains(out, "rebalances") {
-		t.Fatalf("missing table:\n%s", out)
-	}
-	if len(s.Measurements) != 1 {
-		t.Fatalf("measurements = %d, want 1", len(s.Measurements))
-	}
-	m := s.Measurements[0]
-	if m.Extra["rebalances"] < 1 || m.Extra["imbalance_peak"] <= m.Extra["imbalance_after"] {
-		t.Fatalf("implausible skew measurement: %+v", m.Extra)
 	}
 }
 
@@ -191,31 +146,6 @@ func TestSuiteRunsEveryExperiment(t *testing.T) {
 	}
 }
 
-// TestRunFilter drives the attribute-filtered experiment cell at micro
-// scale. The cell is self-checking (per-query brute oracle under the same
-// filter, and a hard failure on zero cell-mask prunes), so a nil error
-// carries most of the assertion; the measurements are checked for the
-// pruning counters the CI gate reads.
-func TestRunFilter(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSuite(microScale, 42, &buf)
-	if err := s.Run("filter", false); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Filtered SSRQ") {
-		t.Fatal("filter output missing table")
-	}
-	var aisPrunes float64 = -1
-	for _, m := range s.Measurements {
-		if m.Exp == "filter" && m.Algo == core.AIS {
-			aisPrunes = m.Extra["label_cell_prunes_per_q"]
-		}
-	}
-	if aisPrunes <= 0 {
-		t.Fatalf("AIS cell-mask prunes per query = %v, want > 0 on the clustered urban workload", aisPrunes)
-	}
-}
-
 // TestWorkloadPresetSweepSmoke runs a k and α sweep over the homophily
 // preset through the suite plumbing — the new labeled presets must be
 // first-class experiment datasets, not just generators.
@@ -251,8 +181,11 @@ func TestWorkloadPresetSweepSmoke(t *testing.T) {
 
 func TestSuiteRunUnknownExperiment(t *testing.T) {
 	s := NewSuite(microScale, 1, &bytes.Buffer{})
-	if err := s.Run("fig99", false); err == nil {
-		t.Fatal("unknown experiment accepted")
+	// "churn" is a retired serving cell: it must fail by name, not run.
+	for _, id := range []string{"fig99", "churn"} {
+		if err := s.Run(id, false); err == nil {
+			t.Fatalf("unknown experiment %q accepted", id)
+		}
 	}
 	if _, err := s.Dataset("myspace"); err == nil {
 		t.Fatal("unknown dataset accepted")
@@ -319,48 +252,5 @@ func TestWriteReport(t *testing.T) {
 	}
 	if !strings.Contains(md.String(), "| twitter |") {
 		t.Fatalf("report missing rows:\n%s", md.String())
-	}
-}
-
-// TestChurnExperiment runs the churn sweep at micro scale: both engines
-// must produce latency rows, the snapshot rows must advance epochs while
-// moving, and the built-in brute-force equivalence probe must pass.
-func TestChurnExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSuite(microScale, 42, &buf)
-	s.ChurnMovers = []int{0, 1}
-	if err := s.Run("churn", false); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"rwmutex", "snapshot", "p99 (ms)", "post-churn brute-force equivalence: ok"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("churn output missing %q:\n%s", want, out)
-		}
-	}
-	// One measurement per (mode, movers) cell.
-	if len(s.Measurements) != 4 {
-		t.Fatalf("measurements = %d, want 4", len(s.Measurements))
-	}
-}
-
-// TestLatencySummary pins the percentile helper.
-func TestLatencySummary(t *testing.T) {
-	var lat []time.Duration
-	for i := 100; i >= 1; i-- { // 1ms..100ms descending (summarize must sort)
-		lat = append(lat, time.Duration(i)*time.Millisecond)
-	}
-	sum := summarizeLatencies(lat)
-	if sum.N != 100 {
-		t.Fatalf("N = %d", sum.N)
-	}
-	if sum.P50 != 50*time.Millisecond || sum.P95 != 95*time.Millisecond || sum.P99 != 99*time.Millisecond {
-		t.Fatalf("percentiles = %v/%v/%v", sum.P50, sum.P95, sum.P99)
-	}
-	if sum.Mean != 50500*time.Microsecond {
-		t.Fatalf("mean = %v", sum.Mean)
-	}
-	if s := summarizeLatencies(nil); s.N != 0 || s.P99 != 0 {
-		t.Fatalf("empty summary = %+v", s)
 	}
 }

@@ -13,9 +13,8 @@ import (
 // Measurement is one averaged data point of a figure: an algorithm at one
 // swept parameter value.
 type Measurement struct {
-	// Exp names the experiment that produced the point ("fig8",
-	// "throughput", …); record stamps it from the currently-running
-	// experiment.
+	// Exp names the experiment that produced the point ("fig8", "fig9",
+	// …); record stamps it from the currently-running experiment.
 	Exp      string
 	Dataset  string
 	Algo     core.Algorithm
@@ -23,13 +22,6 @@ type Measurement struct {
 	Runtime  time.Duration
 	PopRatio float64
 	Queries  int
-	// P50/P95/P99 are per-query latency percentiles, set by the
-	// serving-layer experiments (throughput, churn, shard) that measure a
-	// latency distribution rather than a mean; zero elsewhere.
-	P50, P95, P99 time.Duration
-	// Extra carries experiment-specific counters (queries/sec, shards
-	// pruned, …) into the machine-readable -json report.
-	Extra map[string]float64
 }
 
 // runWorkload runs the query set through one algorithm and averages runtime

@@ -8,8 +8,8 @@ import (
 
 // Report is the machine-readable form of a suite run (ssrq-bench -json):
 // run metadata plus every recorded measurement. Durations are emitted in
-// microseconds so downstream tooling (the CI bench gate, BENCH_*.json
-// trajectory files) can compare runs without parsing duration strings.
+// microseconds so downstream tooling can compare runs without parsing
+// duration strings.
 type Report struct {
 	Exp       string        `json:"exp"`
 	Scale     string        `json:"scale"`
@@ -22,17 +22,13 @@ type Report struct {
 
 // ReportPoint is one Measurement, flattened for JSON.
 type ReportPoint struct {
-	Exp       string             `json:"exp"`
-	Dataset   string             `json:"dataset"`
-	Algo      string             `json:"algo"`
-	X         float64            `json:"x"`
-	RuntimeUS float64            `json:"runtime_us"`
-	PopRatio  float64            `json:"pop_ratio,omitempty"`
-	Queries   int                `json:"queries"`
-	P50US     float64            `json:"p50_us,omitempty"`
-	P95US     float64            `json:"p95_us,omitempty"`
-	P99US     float64            `json:"p99_us,omitempty"`
-	Extra     map[string]float64 `json:"extra,omitempty"`
+	Exp       string  `json:"exp"`
+	Dataset   string  `json:"dataset"`
+	Algo      string  `json:"algo"`
+	X         float64 `json:"x"`
+	RuntimeUS float64 `json:"runtime_us"`
+	PopRatio  float64 `json:"pop_ratio,omitempty"`
+	Queries   int     `json:"queries"`
 }
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
@@ -58,10 +54,6 @@ func (s *Suite) Report(expID string, withCH bool, elapsed time.Duration) Report 
 			RuntimeUS: us(m.Runtime),
 			PopRatio:  m.PopRatio,
 			Queries:   m.Queries,
-			P50US:     us(m.P50),
-			P95US:     us(m.P95),
-			P99US:     us(m.P99),
-			Extra:     m.Extra,
 		})
 	}
 	return r

@@ -17,29 +17,6 @@ type Suite struct {
 	Scale Scale
 	Seed  int64
 	Out   io.Writer
-	// Parallel is the worker count for the "throughput" experiment
-	// (0 = GOMAXPROCS).
-	Parallel int
-	// ChurnMovers are the mover-goroutine counts the "churn" experiment
-	// sweeps (default 0, 1, 4).
-	ChurnMovers []int
-	// ChurnRate throttles each churn mover to this many moves/sec
-	// (0 = unthrottled).
-	ChurnRate float64
-	// EdgeRates are the edge-update rates (ops/sec) the "socialchurn"
-	// experiment sweeps; 0 = no churner, negative = unthrottled
-	// (default 0, 200, 2000).
-	EdgeRates []float64
-	// ShardCounts are the shard counts the "shard" experiment sweeps
-	// (default 1, 2, 4, 8; default 16 with Skew set).
-	ShardCounts []int
-	// Skew switches the "shard" experiment to the skewed-migration cell:
-	// hotspot drift, automatic online rebalance, per-phase latency and
-	// imbalance reporting (see RunShardSkew).
-	Skew bool
-	// Subscribers is the standing-subscription count for the "subscribe"
-	// experiment (default 1000, capped by the located population).
-	Subscribers int
 
 	datasets map[string]*dataset.Dataset
 	engines  map[string]*core.Engine
@@ -156,7 +133,7 @@ func (s *Suite) RunAll(withCH bool) error {
 }
 
 // Run executes a single experiment by id ("table2", "fig7a", … "fig14b",
-// "throughput", "churn", "all").
+// "diag", "all").
 func (s *Suite) Run(id string, withCH bool) error {
 	s.curExp = id
 	switch id {
@@ -184,23 +161,6 @@ func (s *Suite) Run(id string, withCH bool) error {
 		return s.RunFig14a()
 	case "fig14b":
 		return s.RunFig14b()
-	case "throughput":
-		return s.RunThroughput()
-	case "churn":
-		return s.RunChurn()
-	case "socialchurn":
-		return s.RunSocialChurn()
-	case "shard":
-		if s.Skew {
-			return s.RunShardSkew()
-		}
-		return s.RunShard()
-	case "subscribe":
-		return s.RunSubscribe()
-	case "filter":
-		return s.RunFilter()
-	case "recover":
-		return s.RunRecover()
 	case "diag":
 		return s.RunDiagnostics()
 	default:

@@ -170,9 +170,6 @@ func (sc *Scratch) observe(v int32, d float64) {
 	}
 }
 
-// Armed reports whether the scratch currently holds a query's state.
-func (sc *Scratch) Armed() bool { return sc.armed }
-
 // Release marks the scratch idle (arrays are kept for reuse).
 func (sc *Scratch) Release() { sc.armed = false }
 

@@ -245,6 +245,56 @@ func TestFollowerBootstrapsFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestFollowerTailsWALDirectory: a follower on the shared-disk transport
+// (FileSource) reads a leader's WAL directory after the leader restarted on
+// it (checkpoint plus tail), and must finish its tail with zero lag in the
+// recovered leader's state.
+func TestFollowerTailsWALDirectory(t *testing.T) {
+	ds, err := ssrq.Synthesize("gowalla", 300, 46)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := &ssrq.Options{Durability: &ssrq.DurabilityOptions{Dir: dir, Fsync: "off", KeepSegments: true}}
+	leader, err := ssrq.NewEngine(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveChurn(t, leader, ds, 300, 13)
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	driveChurn(t, leader, ds, 300, 14)
+	leader.Close()
+
+	rec, info, err := ssrq.OpenOrRecover(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if info.CheckpointSeq == 0 || info.ReplayedOps == 0 {
+		t.Fatalf("restart did not go through checkpoint plus tail: %+v", info)
+	}
+	f, err := New(ds, FileSource{Dir: dir}, &Options{Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for f.Stats().AppliedSeq < rec.WALLastSeq() {
+		n, err := f.Pull()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Fatalf("file follower stalled at seq %d of %d", f.Stats().AppliedSeq, rec.WALLastSeq())
+		}
+	}
+	if st := f.Stats(); st.LagOps != 0 || st.LastError != "" {
+		t.Fatalf("file follower finished unhealthy: %+v", st)
+	}
+	requireSameState(t, ds, rec, f.Engine())
+}
+
 func TestFollowerPromoteServesAndAcceptsWrites(t *testing.T) {
 	ds, err := ssrq.Synthesize("gowalla", 300, 45)
 	if err != nil {

@@ -13,13 +13,13 @@ import (
 // literature-derived workload profile.
 type Preset struct {
 	Name string
-	// AvgDegreeTarget drives the attachment parameter.
+	// AvgDegreeTarget drives the attachment parameter. The three paper
+	// presets share the GeoSocial model (half the edges same-city, half
+	// preferential attachment) and differ only in degree and located
+	// fraction.
 	AvgDegreeTarget float64
 	// LocatedFrac matches the paper's located-user percentages.
 	LocatedFrac float64
-	// FireP blends forest-fire community structure into the graph
-	// (fraction of edges grown by forest fire rather than BA).
-	FireP float64
 	// Model selects the generator: "" = the default GeoSocial mix,
 	// "urban" = distance-dependent edge probability (UrbanGeoSocial),
 	// "homophily" = hierarchical attribute homophily (HomophilyGeoSocial).
@@ -32,12 +32,12 @@ type Preset struct {
 // default experiment harness runs laptop-scale (see DESIGN.md §2).
 var (
 	// GowallaPreset mirrors Gowalla: avg degree 9.7, 54.4% located users.
-	GowallaPreset = Preset{Name: "gowalla", AvgDegreeTarget: 9.7, LocatedFrac: 0.544, FireP: 0.30}
+	GowallaPreset = Preset{Name: "gowalla", AvgDegreeTarget: 9.7, LocatedFrac: 0.544}
 	// FoursquarePreset mirrors Foursquare: avg degree 9.5, 60.3% located.
-	FoursquarePreset = Preset{Name: "foursquare", AvgDegreeTarget: 9.5, LocatedFrac: 0.603, FireP: 0.35}
+	FoursquarePreset = Preset{Name: "foursquare", AvgDegreeTarget: 9.5, LocatedFrac: 0.603}
 	// TwitterPreset mirrors the Singapore Twitter set: avg degree 57.7,
 	// all users geo-tagged.
-	TwitterPreset = Preset{Name: "twitter", AvgDegreeTarget: 57.7, LocatedFrac: 1.0, FireP: 0.10}
+	TwitterPreset = Preset{Name: "twitter", AvgDegreeTarget: 57.7, LocatedFrac: 1.0}
 	// UrbanPreset models a metropolitan LBSN with distance-dependent edge
 	// probability (Herrera-Yagüe et al.) and per-city user labels.
 	UrbanPreset = Preset{Name: "urban", AvgDegreeTarget: 12, LocatedFrac: 0.85, Model: "urban"}

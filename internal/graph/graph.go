@@ -182,9 +182,6 @@ func (b *Builder) AddEdge(u, v VertexID, w float64) error {
 	return nil
 }
 
-// HasEdges reports whether any edges were added.
-func (b *Builder) HasEdges() bool { return len(b.us) > 0 }
-
 // Build finalizes the graph. The builder must not be reused afterwards.
 //
 // Rows are laid out by a counting sort on the source vertex: one pass sizes

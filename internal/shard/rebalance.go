@@ -56,9 +56,6 @@ type RebalanceStats struct {
 	// LastImbalance is the max/mean shard occupancy measured at the end of
 	// the most recent re-cut (0 until one has run).
 	LastImbalance float64
-	// Threshold / DrainBatch echo the rebalance constants.
-	Threshold  float64
-	DrainBatch int
 }
 
 // RebalanceStats returns the accumulated rebalance counters.
@@ -68,21 +65,7 @@ func (se *Engine) RebalanceStats() RebalanceStats {
 		CellsMoved:    se.cellsMoved.Load(),
 		UsersMoved:    se.usersMoved.Load(),
 		LastImbalance: math.Float64frombits(se.lastImbalance.Load()),
-		Threshold:     se.rebalanceThreshold,
-		DrainBatch:    se.drainBatch,
 	}
-}
-
-// RebalanceInFlight reports whether a re-cut (automatic or explicit) is
-// currently draining cells. Observational only — the answer can be stale by
-// the time the caller acts on it; use Rebalance() to actually serialize
-// behind an in-flight drain.
-func (se *Engine) RebalanceInFlight() bool {
-	if se.rebalanceMu.TryLock() {
-		se.rebalanceMu.Unlock()
-		return false
-	}
-	return true
 }
 
 // Imbalance returns the published view's occupancy imbalance: the most

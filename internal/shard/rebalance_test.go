@@ -12,6 +12,7 @@ import (
 
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
+	"ssrq/internal/gen"
 	"ssrq/internal/graph"
 	"ssrq/internal/spatial"
 )
@@ -601,4 +602,118 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestHotspotDriftTripsAutomaticRebalance pins the automatic trigger: at 16
+// shards over the gowalla substitute (1 500 users), gen.Migration drift
+// toward one corner must push the occupancy imbalance past the threshold,
+// the update path must start at least one re-cut by itself, the imbalance
+// must recover below its peak, no query may fail while cells drain, and AIS
+// must match the brute-force oracle exactly before, during and after.
+// TestRebalanceQueryStress falls back to a forced Rebalance; this test does
+// not accept a forced one.
+func TestHotspotDriftTripsAutomaticRebalance(t *testing.T) {
+	const S, seed = 16, 42
+	ds, err := gen.GowallaPreset.Dataset(1500, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := New(ds, S, core.Options{GridS: 10, GridLevels: 2, NumLandmarks: 8, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+
+	// The whole located population drifts: a handful of movers cannot
+	// unbalance a cut no matter how far they travel.
+	movers := locatedUsers(ds)
+	users := slices.Clone(movers)
+	rand.New(rand.NewSource(seed)).Shuffle(len(users), func(i, j int) { users[i], users[j] = users[j], users[i] })
+	users = users[:10]
+	prm := core.Params{K: 30, Alpha: 0.3}
+	rng := rand.New(rand.NewSource(seed + 977))
+	// The wide jitter keeps the hotspot mass spread over a handful of leaf
+	// cells: a single overloaded cell is the one skew no re-cut can repair.
+	mig, err := gen.NewMigration(ds.Bounds(), gen.MigrationConfig{Jitter: 0.06}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// exact runs the query set, then checks AIS against the oracle on a few
+	// of its users, on a flushed world.
+	exact := func(phase string) {
+		t.Helper()
+		se.Flush()
+		for _, q := range users {
+			if _, err := se.Query(core.AIS, q, prm); err != nil {
+				t.Fatalf("%s: query %d: %v", phase, q, err)
+			}
+		}
+		for _, q := range users[:4] {
+			want, err := se.Query(core.BruteForce, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := se.Query(core.AIS, q, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEntries(t, phase+" AIS vs brute", got.Entries, want.Entries)
+		}
+	}
+	// drift enqueues n hotspot moves, queries while they drain, flushes (the
+	// trigger samples applied occupancy) and returns the imbalance.
+	drift := func(n int) float64 {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			id := int32(movers[rng.Intn(len(movers))])
+			from, ok := se.UserLocation(id)
+			if !ok {
+				continue
+			}
+			if err := se.Enqueue(core.Update{ID: id, To: mig.Next(from)}); err != nil {
+				t.Fatalf("move: %v", err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := se.Query(core.AIS, users[rng.Intn(len(users))], prm); err != nil {
+				t.Fatalf("query during drain: %v", err)
+			}
+		}
+		se.Flush()
+		return se.Imbalance()
+	}
+
+	exact("before")
+	peak := se.Imbalance()
+	for sent, moves := 0, 6*len(movers); sent < moves; sent += 256 {
+		peak = max(peak, drift(min(256, moves-sent)))
+	}
+	// A drain started late may still be running; keep the skewed world
+	// drifting in flushed rounds until a re-cut completes.
+	for round := 0; round < 40 && se.RebalanceStats().Rebalances == 0; round++ {
+		peak = max(peak, drift(600))
+	}
+	exact("during")
+
+	// The explicit call serializes behind any in-flight drain, so only after
+	// it returns is the automatic count settled; its own re-cut, if it moved
+	// anything, is subtracted.
+	forced := se.Rebalance() > 0
+	auto := se.RebalanceStats().Rebalances
+	if forced {
+		auto--
+	}
+	exact("after")
+	after := se.Imbalance()
+	t.Logf("imbalance peak %.2f, after %.2f; %d automatic re-cuts, %+v", peak, after, auto, se.RebalanceStats())
+	if peak < rebalanceThreshold {
+		t.Fatalf("drift never crossed the threshold (peak %.2f < %.2f): the workload proves nothing", peak, rebalanceThreshold)
+	}
+	if auto == 0 {
+		t.Fatalf("no automatic rebalance despite hotspot drift (peak imbalance %.2f)", peak)
+	}
+	if after >= peak {
+		t.Fatalf("imbalance did not recover (peak %.2f, after %.2f)", peak, after)
+	}
 }

@@ -314,9 +314,6 @@ func (se *Engine) NumShards() int { return len(se.shards) }
 // locations come from the published view).
 func (se *Engine) Dataset() *dataset.Dataset { return se.ds }
 
-// Substrate returns the shared social substrate all shards consume.
-func (se *Engine) Substrate() *aggindex.Social { return se.sub }
-
 // FoFIndex returns the substrate's friends-of-friends bound index (shared by
 // every shard; the subscription layer discovers it through this accessor).
 func (se *Engine) FoFIndex() *fof.Index { return se.sub.FoF() }

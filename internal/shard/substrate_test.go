@@ -22,13 +22,13 @@ func TestSharedSubstrateIdentity(t *testing.T) {
 
 	check := func(label string) {
 		t.Helper()
-		ssn := se.Substrate().Snapshot()
+		ssn := se.sub.Snapshot()
 		for s, sh := range se.shards {
 			sn := sh.Snapshot()
 			if sn.SocialGraph() != ssn.Graph() {
 				t.Fatalf("%s: shard %d publishes its own graph copy", label, s)
 			}
-			if sn.Landmarks() != se.Substrate().Snapshot().Landmarks() && sn.Landmarks() != ssn.Landmarks() {
+			if sn.Landmarks() != se.sub.Snapshot().Landmarks() && sn.Landmarks() != ssn.Landmarks() {
 				t.Fatalf("%s: shard %d publishes its own landmark tables", label, s)
 			}
 			if sn.SocialEpoch() != ssn.Epoch() {

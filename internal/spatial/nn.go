@@ -18,7 +18,6 @@ type NNIterator struct {
 	heap     *pqueue.Heap[nnItem]
 	childBuf []int32
 	userPops int
-	cellPops int
 }
 
 type nnItem struct {
@@ -61,7 +60,6 @@ func (it *NNIterator) Reset(q Point, snaps ...*Snapshot) {
 	it.q = q
 	it.heap.Reset()
 	it.userPops = 0
-	it.cellPops = 0
 	for si, s := range snaps {
 		for idx := int32(0); idx < int32(s.layout.NumCells(0)); idx++ {
 			if s.CountAt(0, idx) == 0 {
@@ -90,7 +88,6 @@ func (it *NNIterator) Next() (id int32, dist float64, ok bool) {
 			it.userPops++
 			return item.idx, e.Key, true
 		}
-		it.cellPops++
 		s, level := it.snaps[item.snap], int(item.level)
 		if level == s.layout.LeafLevel() {
 			for _, u := range s.CellUsers(item.idx) {
@@ -112,9 +109,6 @@ func (it *NNIterator) Next() (id int32, dist float64, ok bool) {
 // UserPops returns how many users the iterator has reported (the spatial
 // contribution to the paper's pop-ratio metric).
 func (it *NNIterator) UserPops() int { return it.userPops }
-
-// CellPops returns how many grid cells were expanded.
-func (it *NNIterator) CellPops() int { return it.cellPops }
 
 // Neighbor is one kNN result.
 type Neighbor struct {

@@ -26,12 +26,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// DistSq returns the squared Euclidean distance to q.
-func (p Point) DistSq(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Rect is an axis-aligned rectangle, closed on all sides.
 type Rect struct {
 	MinX, MinY, MaxX, MaxY float64
