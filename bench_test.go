@@ -189,11 +189,7 @@ func BenchmarkFig8RuntimeVsK(b *testing.B) {
 // BenchmarkFig8CHVariants adds the contraction-hierarchy comparison curves.
 func BenchmarkFig8CHVariants(b *testing.B) {
 	be := getEngine(b, "gowalla", nil)
-	h, err := ch.Build(be.ds.G, ch.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	be.eng.AttachHierarchy(h)
+	be.eng.AttachHierarchy(ch.Build(be.ds.G))
 	for _, algo := range []core.Algorithm{core.SFACH, core.SPACH, core.TSACH} {
 		b.Run(algo.String(), func(b *testing.B) {
 			benchQueries(b, be, algo, exp.DefaultK, exp.DefaultAlpha)
@@ -368,7 +364,9 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				outs := be.eng.QueryBatch(batch, workers)
+				outs := core.RunBatch(batch, workers, func(bq core.BatchQuery) (*core.Result, error) {
+					return be.eng.Query(bq.Algo, bq.Q, bq.Params)
+				})
 				for j := range outs {
 					if outs[j].Err != nil {
 						b.Fatal(outs[j].Err)

@@ -341,23 +341,6 @@ func (ix *Index) buildSummaries() {
 // for unlimited concurrent readers.
 func (ix *Index) Snapshot() *Snapshot { return ix.published.Load() }
 
-// MinSummary returns the working-state m̌[j] (writer-side view; readers use
-// Snapshot().MinSummary).
-func (ix *Index) MinSummary(level int, idx int32, j int) float64 {
-	return ix.row(level, idx)[j]
-}
-
-// MaxSummary returns the working-state m̂[j] (writer-side view).
-func (ix *Index) MaxSummary(level int, idx int32, j int) float64 {
-	return ix.row(level, idx)[ix.m+j]
-}
-
-// SocialLowerBound evaluates Lemma 2 against the working state (writer-side
-// view; readers use Snapshot().SocialLowerBound).
-func (ix *Index) SocialLowerBound(level int, idx int32, qvec []float64) float64 {
-	return lemma2(ix.row(level, idx), ix.m, qvec)
-}
-
 // row returns the cell's working summary row (read-only).
 func (ix *Index) row(level int, idx int32) []float64 {
 	return row(ix.sums.spines[level], idx, ix.m)

@@ -112,7 +112,7 @@ func verifyInvariants(t *testing.T, f *fixture) {
 			for j := 0; j < m; j++ {
 				lo, hi := math.Inf(1), math.Inf(-1)
 				for _, u := range members {
-					d := f.lm.Dist(j, u)
+					d := f.lm.VertexRow(u)[j]
 					if d < lo {
 						lo = d
 					}
@@ -120,10 +120,10 @@ func verifyInvariants(t *testing.T, f *fixture) {
 						hi = d
 					}
 				}
-				if got := f.ix.MinSummary(level, idx, j); got != lo {
+				if got := f.ix.row(level, idx)[j]; got != lo {
 					t.Fatalf("level %d cell %d lm %d: min %v, want %v", level, idx, j, got, lo)
 				}
-				if got := f.ix.MaxSummary(level, idx, j); got != hi {
+				if got := f.ix.row(level, idx)[f.ix.m+j]; got != hi {
 					t.Fatalf("level %d cell %d lm %d: max %v, want %v", level, idx, j, got, hi)
 				}
 			}
@@ -155,7 +155,7 @@ func TestSocialLowerBoundIsSound(t *testing.T) {
 			dist := f.g.DistancesFrom(q)
 			for idx := int32(0); idx < int32(layout.NumCells(leaf)); idx++ {
 				members := f.grid.CellUsers(idx)
-				bound := f.ix.SocialLowerBound(leaf, idx, qvec)
+				bound := lemma2(f.ix.row(leaf, idx), f.ix.m, qvec)
 				for _, u := range members {
 					if bound > dist[u]+1e-9 {
 						t.Fatalf("trial %d: bound %v > true %v for user %d in cell %d",
@@ -178,7 +178,7 @@ func TestSocialLowerBoundInternalLevels(t *testing.T) {
 	qvec := f.lm.VertexVector(q)
 	dist := f.g.DistancesFrom(q)
 	for idx := int32(0); idx < int32(layout.NumCells(0)); idx++ {
-		bound := f.ix.SocialLowerBound(0, idx, qvec)
+		bound := lemma2(f.ix.row(0, idx), f.ix.m, qvec)
 		for _, c := range layout.ChildIndices(0, idx, nil) {
 			for _, u := range f.grid.CellUsers(c) {
 				if bound > dist[u]+1e-9 {
@@ -214,14 +214,14 @@ func TestPaperExampleFigure4(t *testing.T) {
 	grid, _ := spatial.NewGrid(layout, pts, located)
 	ix, _ := index(t, g, lm, grid, Config{})
 	leafIdx := layout.CellIndex(0, pts[1])
-	if got := ix.MinSummary(0, leafIdx, 0); got != 1 {
+	if got := ix.row(0, leafIdx)[0]; got != 1 {
 		t.Fatalf("m̌ = %v, want 1", got)
 	}
-	if got := ix.MaxSummary(0, leafIdx, 0); got != 4 {
+	if got := ix.row(0, leafIdx)[ix.m]; got != 4 {
 		t.Fatalf("m̂ = %v, want 4", got)
 	}
 	qvec := lm.VertexVector(0)
-	if got := ix.SocialLowerBound(0, leafIdx, qvec); got != 1 {
+	if got := lemma2(ix.row(0, leafIdx), ix.m, qvec); got != 1 {
 		t.Fatalf("pˇ = %v, want 1", got)
 	}
 }
@@ -255,7 +255,7 @@ func TestMoveWithinLeafSkipsMaintenance(t *testing.T) {
 	if f.grid.LeafOf(id) != leaf {
 		t.Fatal("intra-cell move changed leaf")
 	}
-	if f.grid.Point(id) != center {
+	if f.grid.Snapshot().Point(id) != center {
 		t.Fatal("intra-cell move lost coordinates")
 	}
 	verifyInvariants(t, f)
@@ -275,7 +275,7 @@ func TestRemoveResponsibleMemberNarrowsSummary(t *testing.T) {
 		}
 		maxU, maxD := int32(-1), math.Inf(-1)
 		for _, u := range users {
-			if d := f.lm.Dist(0, u); d > maxD {
+			if d := f.lm.VertexRow(u)[0]; d > maxD {
 				maxU, maxD = u, d
 			}
 		}
@@ -298,7 +298,7 @@ func TestUnlocatedUsersAbsentFromSummaries(t *testing.T) {
 	for level := 0; level < layout.Levels; level++ {
 		for idx := int32(0); idx < int32(layout.NumCells(level)); idx++ {
 			for j := 0; j < f.lm.M(); j++ {
-				if !math.IsInf(f.ix.MinSummary(level, idx, j), 1) {
+				if !math.IsInf(f.ix.row(level, idx)[j], 1) {
 					t.Fatalf("emptied cell has finite min summary")
 				}
 			}

@@ -75,7 +75,7 @@ func verifyStructure(t *testing.T, sn *Snapshot, labels []uint64) {
 		for j := 0; j < sn.m; j++ {
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for _, u := range g.CellUsers(idx) {
-				lo, hi = math.Min(lo, lm.Dist(j, u)), math.Max(hi, lm.Dist(j, u))
+				lo, hi = math.Min(lo, lm.VertexRow(u)[j]), math.Max(hi, lm.VertexRow(u)[j])
 			}
 			if sn.MinSummary(leaf, idx, j) != lo || sn.MaxSummary(leaf, idx, j) != hi {
 				t.Fatalf("epoch %d leaf %d lm %d: (%v, %v), members give (%v, %v)",

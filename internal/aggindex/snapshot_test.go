@@ -35,7 +35,7 @@ func verifySnapshotInvariants(t *testing.T, f *fixture, sn *Snapshot) {
 			for j := 0; j < m; j++ {
 				lo, hi := math.Inf(1), math.Inf(-1)
 				for _, u := range members {
-					d := f.lm.Dist(j, u)
+					d := f.lm.VertexRow(u)[j]
 					if d < lo {
 						lo = d
 					}
@@ -70,14 +70,14 @@ func TestRemoveLocationNarrowsNewEpochOnly(t *testing.T) {
 		}
 		maxU, maxD := int32(-1), math.Inf(-1)
 		for _, u := range users {
-			if d := f.lm.Dist(0, u); d > maxD {
+			if d := f.lm.VertexRow(u)[0]; d > maxD {
 				maxU, maxD = u, d
 			}
 		}
 		// Need the extreme to be unique so removal must narrow.
 		unique := true
 		for _, u := range users {
-			if u != maxU && f.lm.Dist(0, u) == maxD {
+			if u != maxU && f.lm.VertexRow(u)[0] == maxD {
 				unique = false
 			}
 		}
@@ -118,7 +118,7 @@ func TestSetLocatedWidensNewEpochOnly(t *testing.T) {
 	// Find an unlocated user and a destination cell with members.
 	var id int32 = -1
 	for u := int32(0); u < 100; u++ {
-		if !f.grid.Located(u) {
+		if !f.grid.Snapshot().Located(u) {
 			id = u
 			break
 		}
@@ -147,7 +147,7 @@ func TestSetLocatedWidensNewEpochOnly(t *testing.T) {
 	f.apply(Op{ID: id, To: target})
 	cur := f.ix.Snapshot()
 
-	d := f.lm.Dist(0, id)
+	d := f.lm.VertexRow(id)[0]
 	wantMin, wantMax := math.Min(oldMin, d), math.Max(oldMax, d)
 	if cur.MinSummary(leafLevel, dst, 0) != wantMin || cur.MaxSummary(leafLevel, dst, 0) != wantMax {
 		t.Fatalf("new epoch summary (%v,%v), want (%v,%v)",

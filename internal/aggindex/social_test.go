@@ -54,7 +54,7 @@ func verifySocialInvariants(t *testing.T, f *fixture) {
 	for j, lmv := range lm.Vertices() {
 		want := g.DistancesFrom(lmv)
 		for v := 0; v < g.NumVertices(); v++ {
-			if got := lm.Dist(j, graph.VertexID(v)); got != want[v] {
+			if got := lm.VertexRow(graph.VertexID(v))[j]; got != want[v] {
 				t.Fatalf("landmark %d dist to %d = %v, want %v", j, v, got, want[v])
 			}
 		}
@@ -65,7 +65,7 @@ func verifySocialInvariants(t *testing.T, f *fixture) {
 		for j := 0; j < lm.M(); j++ {
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for _, u := range sn.Grid().CellUsers(idx) {
-				d := lm.Dist(j, u)
+				d := lm.VertexRow(u)[j]
 				if d < lo {
 					lo = d
 				}
@@ -127,9 +127,9 @@ func TestSocialSnapshotIsolation(t *testing.T) {
 	f.apply(randomEdgeOps(rng, n, 10)...)
 	old := f.ix.Snapshot()
 	oldEdges := old.SocialGraph().NumEdges()
-	oldDist := make([][]float64, old.Landmarks().M())
-	for j := range oldDist {
-		oldDist[j] = old.Landmarks().Table(j)
+	oldDist := make([][]float64, old.Landmarks().NumVertices())
+	for v := range oldDist {
+		oldDist[v] = old.Landmarks().VertexVector(graph.VertexID(v))
 	}
 	var oldSums []float64
 	layout := f.grid.Layout()
@@ -150,9 +150,9 @@ func TestSocialSnapshotIsolation(t *testing.T) {
 	if old.SocialGraph().NumEdges() != oldEdges {
 		t.Fatal("old snapshot's edge count changed")
 	}
-	for j := range oldDist {
-		for v, want := range oldDist[j] {
-			if got := old.Landmarks().Dist(j, graph.VertexID(v)); got != want {
+	for v := range oldDist {
+		for j, want := range oldDist[v] {
+			if got := old.Landmarks().VertexRow(graph.VertexID(v))[j]; got != want {
 				t.Fatalf("old snapshot landmark %d dist to %d changed: %v -> %v", j, v, want, got)
 			}
 		}

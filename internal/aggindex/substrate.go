@@ -105,9 +105,6 @@ func (s *Social) Snapshot() *SocialSnapshot { return s.published.Load() }
 // from Snapshot().Landmarks()).
 func (s *Social) Landmarks() *landmark.Set { return s.lm }
 
-// Labels returns the per-user label bitmasks (nil when unlabeled). Read-only.
-func (s *Social) Labels() []uint64 { return s.labels }
-
 // FoF returns the friends-of-friends bound index maintained by this
 // substrate. Its floors are safe to read lock-free after loading any
 // snapshot published by any index (floor updates happen-before publishes).

@@ -7,7 +7,7 @@
 // shortcut edges whenever no witness path survives the removal. Social
 // networks concentrate adjacency in hubs whose contraction is quadratic in
 // degree, so — as production CH implementations do for dense cores — hubs
-// whose uncontracted degree exceeds MaxContractDegree are left uncontracted
+// whose uncontracted degree exceeds maxContractDegree are left uncontracted
 // in a *core*: a top tier of mutually-reachable maximal-rank vertices.
 // Queries run an upward bidirectional Dijkstra that may traverse the core
 // plateau freely; the standard peak-path argument extends because core
@@ -20,8 +20,6 @@
 package ch
 
 import (
-	"fmt"
-
 	"ssrq/internal/graph"
 	"ssrq/internal/pqueue"
 )
@@ -31,46 +29,35 @@ type edge struct {
 	w  float64
 }
 
-// Options tune preprocessing.
-type Options struct {
-	// WitnessSettleLimit caps the vertices a witness search may settle. An
+// Preprocessing caps, as common CH implementations set them.
+const (
+	// witnessSettleLimit caps the vertices a witness search may settle. An
 	// inconclusive search adds the shortcut (correct, possibly redundant).
-	WitnessSettleLimit int
-	// MaxContractDegree keeps vertices whose current uncontracted degree
+	witnessSettleLimit = 120
+	// maxContractDegree keeps vertices whose current uncontracted degree
 	// exceeds the cap in the uncontracted core instead of contracting them.
-	MaxContractDegree int
-}
-
-// DefaultOptions mirror common CH implementations.
-func DefaultOptions() Options {
-	return Options{WitnessSettleLimit: 120, MaxContractDegree: 48}
-}
+	maxContractDegree = 48
+)
 
 // CH is a built hierarchy. It is immutable and safe for concurrent queries.
 type CH struct {
+	// rank is the contraction order (higher = more important; core vertices
+	// share the maximal rank).
 	rank      []int32
 	upOff     []int32
 	upTgt     []graph.VertexID
 	upW       []float64
-	shortcuts int
-	coreSize  int
+	shortcuts int // shortcut edges preprocessing added
+	coreSize  int // vertices left uncontracted (the hub core)
 }
 
-// Build contracts g into a hierarchy. Zero option fields take defaults;
-// negative values are rejected.
-func Build(g *graph.Graph, opts Options) (*CH, error) {
-	if opts.WitnessSettleLimit == 0 {
-		opts.WitnessSettleLimit = DefaultOptions().WitnessSettleLimit
-	}
-	if opts.MaxContractDegree == 0 {
-		opts.MaxContractDegree = DefaultOptions().MaxContractDegree
-	}
-	if opts.WitnessSettleLimit < 0 {
-		return nil, fmt.Errorf("ch: WitnessSettleLimit must be positive, got %d", opts.WitnessSettleLimit)
-	}
-	if opts.MaxContractDegree < 0 {
-		return nil, fmt.Errorf("ch: MaxContractDegree must be positive, got %d", opts.MaxContractDegree)
-	}
+// Build contracts g into a hierarchy.
+func Build(g *graph.Graph) *CH {
+	return build(g, witnessSettleLimit, maxContractDegree)
+}
+
+// build is Build with explicit settle and degree caps (both positive).
+func build(g *graph.Graph, settleCap, degCap int) *CH {
 	n := g.NumVertices()
 	adj := make([][]edge, n)
 	for v := 0; v < n; v++ {
@@ -88,8 +75,8 @@ func Build(g *graph.Graph, opts Options) (*CH, error) {
 		core:       make([]bool, n),
 		deleted:    make([]int32, n),
 		rank:       make([]int32, n),
-		settleCap:  opts.WitnessSettleLimit,
-		degCap:     opts.MaxContractDegree,
+		settleCap:  settleCap,
+		degCap:     degCap,
 		wDist:      make([]float64, n),
 		wMark:      make([]uint32, n),
 	}
@@ -130,7 +117,7 @@ func Build(g *graph.Graph, opts Options) (*CH, error) {
 			coreSize++
 		}
 	}
-	return b.finish(coreSize), nil
+	return b.finish(coreSize)
 }
 
 // builder carries contraction state.
@@ -316,16 +303,6 @@ func (b *builder) finish(coreSize int) *CH {
 	}
 	return c
 }
-
-// Shortcuts reports how many shortcut edges preprocessing added.
-func (c *CH) Shortcuts() int { return c.shortcuts }
-
-// CoreSize reports how many vertices stayed uncontracted (the hub core).
-func (c *CH) CoreSize() int { return c.coreSize }
-
-// Rank returns the contraction order of v (higher = more important; core
-// vertices share the maximal rank).
-func (c *CH) Rank(v graph.VertexID) int32 { return c.rank[v] }
 
 // chSearch is one direction of the bidirectional upward query.
 type chSearch struct {

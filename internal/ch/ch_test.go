@@ -22,19 +22,8 @@ func randomGraph(rng *rand.Rand, n, extra int) *graph.Graph {
 	return b.MustBuild()
 }
 
-func TestBuildValidation(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(1)), 5, 5)
-	if _, err := Build(g, Options{WitnessSettleLimit: -1}); err == nil {
-		t.Fatal("negative settle limit accepted")
-	}
-	if _, err := Build(g, Options{MaxContractDegree: -1}); err == nil {
-		t.Fatal("negative degree cap accepted")
-	}
-	// Zero fields take defaults.
-	if _, err := Build(g, Options{}); err != nil {
-		t.Fatalf("zero options rejected: %v", err)
-	}
-}
+// dist is the reference distance, from the full sweep.
+func dist(g *graph.Graph, s, t graph.VertexID) float64 { return g.DistancesFrom(s)[t] }
 
 func TestCoreVariantStaysExact(t *testing.T) {
 	// A tiny degree cap forces most vertices into the core; distances must
@@ -42,20 +31,17 @@ func TestCoreVariantStaysExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, cap := range []int{2, 4, 8} {
 		g := randomGraph(rng, 60, 150)
-		c, err := Build(g, Options{WitnessSettleLimit: 60, MaxContractDegree: cap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cap <= 4 && c.CoreSize() == 0 {
+		c := build(g, 60, cap)
+		if cap <= 4 && c.coreSize == 0 {
 			t.Fatalf("cap %d formed no core on a dense graph", cap)
 		}
 		for probe := 0; probe < 25; probe++ {
 			s := graph.VertexID(rng.Intn(60))
 			tgt := graph.VertexID(rng.Intn(60))
-			want := g.DijkstraTo(s, tgt)
+			want := dist(g, s, tgt)
 			got, _ := c.Dist(s, tgt)
 			if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("cap %d: Dist(%d,%d) = %v, want %v (core %d)", cap, s, tgt, got, want, c.CoreSize())
+				t.Fatalf("cap %d: Dist(%d,%d) = %v, want %v (core %d)", cap, s, tgt, got, want, c.coreSize)
 			}
 		}
 	}
@@ -74,15 +60,12 @@ func TestHubGraphBuildsQuickly(t *testing.T) {
 	_ = b.AddEdge(1, 2, 1)
 	_ = b.AddEdge(2, 3, 1)
 	g := b.MustBuild()
-	c, err := Build(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Build(g)
 	rng := rand.New(rand.NewSource(5))
 	for probe := 0; probe < 20; probe++ {
 		s := graph.VertexID(rng.Intn(2001))
 		tgt := graph.VertexID(rng.Intn(2001))
-		want := g.DijkstraTo(s, tgt)
+		want := dist(g, s, tgt)
 		got, _ := c.Dist(s, tgt)
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("Dist(%d,%d) = %v, want %v", s, tgt, got, want)
@@ -103,10 +86,7 @@ func TestDistMatchesDijkstraSmall(t *testing.T) {
 		_ = b.AddEdge(e.u, e.v, e.w)
 	}
 	g := b.MustBuild()
-	c, err := Build(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Build(g)
 	for s := 0; s < 6; s++ {
 		want := g.DistancesFrom(graph.VertexID(s))
 		for v := 0; v < 6; v++ {
@@ -123,18 +103,15 @@ func TestDistMatchesDijkstraRandom(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		n := 5 + rng.Intn(80)
 		g := randomGraph(rng, n, rng.Intn(3*n))
-		c, err := Build(g, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := Build(g)
 		for probe := 0; probe < 15; probe++ {
 			s := graph.VertexID(rng.Intn(n))
 			tgt := graph.VertexID(rng.Intn(n))
-			want := g.DijkstraTo(s, tgt)
+			want := dist(g, s, tgt)
 			got, _ := c.Dist(s, tgt)
 			if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 				t.Fatalf("trial %d: Dist(%d,%d) = %v, want %v (shortcuts=%d)",
-					trial, s, tgt, got, want, c.Shortcuts())
+					trial, s, tgt, got, want, c.shortcuts)
 			}
 		}
 	}
@@ -145,10 +122,7 @@ func TestDistUnreachable(t *testing.T) {
 	_ = b.AddEdge(0, 1, 1)
 	_ = b.AddEdge(2, 3, 1)
 	g := b.MustBuild()
-	c, err := Build(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Build(g)
 	if d, _ := c.Dist(0, 3); d != graph.Infinity {
 		t.Fatalf("cross-component Dist = %v", d)
 	}
@@ -159,16 +133,13 @@ func TestDistUnreachable(t *testing.T) {
 
 func TestRanksValid(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(9)), 30, 60)
-	c, err := Build(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Build(g)
 	// Non-core ranks are distinct; core vertices (if any) share the top
-	// rank, and exactly CoreSize of them exist.
+	// rank, and exactly coreSize of them exist.
 	seen := map[int32]int{}
 	topCount := 0
 	for v := 0; v < 30; v++ {
-		r := c.Rank(graph.VertexID(v))
+		r := c.rank[v]
 		if r < 0 || int(r) > 30 {
 			t.Fatalf("rank of %d = %d out of range", v, r)
 		}
@@ -177,7 +148,7 @@ func TestRanksValid(t *testing.T) {
 			topCount = seen[r]
 		}
 	}
-	if c.CoreSize() == 0 && topCount > 1 {
+	if c.coreSize == 0 && topCount > 1 {
 		t.Fatal("duplicate ranks without a core")
 	}
 }
@@ -187,21 +158,15 @@ func TestTinyWitnessLimitStillCorrect(t *testing.T) {
 	// must stay exact.
 	rng := rand.New(rand.NewSource(12))
 	g := randomGraph(rng, 40, 80)
-	c, err := Build(g, Options{WitnessSettleLimit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := Build(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Shortcuts() < loose.Shortcuts() {
-		t.Fatalf("tight witness limit created fewer shortcuts (%d < %d)", c.Shortcuts(), loose.Shortcuts())
+	c := build(g, 1, maxContractDegree)
+	loose := Build(g)
+	if c.shortcuts < loose.shortcuts {
+		t.Fatalf("tight witness limit created fewer shortcuts (%d < %d)", c.shortcuts, loose.shortcuts)
 	}
 	for probe := 0; probe < 30; probe++ {
 		s := graph.VertexID(rng.Intn(40))
 		tgt := graph.VertexID(rng.Intn(40))
-		want := g.DijkstraTo(s, tgt)
+		want := dist(g, s, tgt)
 		got, _ := c.Dist(s, tgt)
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("Dist(%d,%d) = %v, want %v", s, tgt, got, want)
@@ -211,10 +176,7 @@ func TestTinyWitnessLimitStillCorrect(t *testing.T) {
 
 func TestPopsReported(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(15)), 50, 100)
-	c, err := Build(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Build(g)
 	_, pops := c.Dist(0, 49)
 	if pops <= 0 {
 		t.Fatalf("pops = %d", pops)

@@ -28,11 +28,12 @@ type BatchResult struct {
 
 // RunBatch answers a batch of queries on a pool of workers and returns the
 // outcomes in input order — the one implementation of the batch contract,
-// shared by Engine.QueryBatch and the sharded engine (their clamping and
-// error semantics must never drift apart; TestQueryBatchClampsBothFlavors
-// pins both). workers <= 0 selects GOMAXPROCS; worker counts beyond the
-// batch size clamp to it. A failed query records its error in its slot
-// without affecting the rest of the batch.
+// behind the sharded engine's QueryBatch and the tests' single-index
+// reference (their clamping and error semantics must never drift apart;
+// TestQueryBatchClampsBothFlavors pins both). workers <= 0 selects
+// GOMAXPROCS; worker counts beyond the batch size clamp to it. A failed
+// query records its error in its slot without affecting the rest of the
+// batch.
 func RunBatch(queries []BatchQuery, workers int, query func(BatchQuery) (*Result, error)) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	if len(queries) == 0 {
@@ -72,16 +73,4 @@ func RunBatch(queries []BatchQuery, workers int, query func(BatchQuery) (*Result
 	}
 	wg.Wait()
 	return out
-}
-
-// QueryBatch answers a batch of queries on a pool of workers and returns the
-// outcomes in input order (see RunBatch for the contract). Each query runs
-// through the ordinary Query path — per-query scratch comes from the
-// engine's sync.Pool, and each query loads its own snapshot epoch, so
-// location updates published mid-batch become visible to the batch's later
-// queries without ever blocking any of them.
-func (e *Engine) QueryBatch(queries []BatchQuery, workers int) []BatchResult {
-	return RunBatch(queries, workers, func(bq BatchQuery) (*Result, error) {
-		return e.Query(bq.Algo, bq.Q, bq.Params)
-	})
 }

@@ -7,6 +7,14 @@ import (
 	"ssrq/internal/graph"
 )
 
+// queryBatch answers a batch through RunBatch and the engine's ordinary
+// Query path, as the server's /batch does.
+func queryBatch(e *Engine, queries []BatchQuery, workers int) []BatchResult {
+	return RunBatch(queries, workers, func(bq BatchQuery) (*Result, error) {
+		return e.Query(bq.Algo, bq.Q, bq.Params)
+	})
+}
+
 func TestQueryBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	ds := mkDataset(t, rng, 120, 0.1, false)
@@ -32,7 +40,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		want[i] = w
 	}
 	for _, workers := range []int{0, 1, 3, 64} {
-		outs := e.QueryBatch(batch, workers)
+		outs := queryBatch(e, batch, workers)
 		if len(outs) != len(batch) {
 			t.Fatalf("workers=%d: %d outcomes for %d queries", workers, len(outs), len(batch))
 		}
@@ -65,7 +73,7 @@ func TestQueryBatchErrorSlots(t *testing.T) {
 		{Algo: SFACH, Q: q, Params: Params{K: 3, Alpha: 0.5}},   // CH not built
 		{Algo: BruteForce, Q: q, Params: Params{K: 3, Alpha: 0.5}},
 	}
-	outs := e.QueryBatch(batch, 2)
+	outs := queryBatch(e, batch, 2)
 	for _, i := range []int{0, 5} {
 		if outs[i].Err != nil || outs[i].Result == nil {
 			t.Fatalf("slot %d should succeed: %v", i, outs[i].Err)
@@ -85,7 +93,7 @@ func TestQueryBatchEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	ds := mkDataset(t, rng, 30, 0, false)
 	e := mkEngine(t, ds, Options{})
-	if outs := e.QueryBatch(nil, 4); len(outs) != 0 {
+	if outs := queryBatch(e, nil, 4); len(outs) != 0 {
 		t.Fatalf("empty batch returned %d outcomes", len(outs))
 	}
 }

@@ -44,11 +44,7 @@ func TestChurnInterleavedCHEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := ch.Build(ds.G, ch.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mono.AttachHierarchy(h)
+			mono.AttachHierarchy(ch.Build(ds.G))
 			engines := map[string]queryEngine{"single-index": syncRef{mono}}
 			apply := func(up core.Update) {
 				t.Helper()
@@ -61,7 +57,7 @@ func TestChurnInterleavedCHEquivalence(t *testing.T) {
 
 			model := seedEdgeModel(ds) // never changes: no edge op in the rounds is effective
 			users := locatedIDs(ds)
-			b := ds.Bounds()
+			b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 			for round := 0; round < 4; round++ {
 				ops := 0 // round 0 checks the construction state
 				if round > 0 {
@@ -93,7 +89,7 @@ func TestChurnInterleavedCHEquivalence(t *testing.T) {
 				for _, e := range engines {
 					e.Flush()
 				}
-				if m := mono.UpdateStats().SocialEpoch; m != 0 {
+				if m := mono.Snapshot().SocialEpoch(); m != 0 {
 					t.Fatalf("round %d: social epoch %d after no-op edge ops", round, m)
 				}
 				for probe := 0; probe < 3; probe++ {

@@ -180,7 +180,7 @@ func TestConcurrentBatchesAndMoves(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 6; round++ {
-		outs := e.QueryBatch(batch, 3)
+		outs := queryBatch(e, batch, 3)
 		for i, out := range outs {
 			if out.Err != nil {
 				t.Fatalf("slot %d: %v", i, out.Err)

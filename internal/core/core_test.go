@@ -84,13 +84,8 @@ func withCache(e *Engine, t int) *Engine {
 
 // withCH attaches a contraction hierarchy of the dataset's construction
 // graph, enabling the *-CH variants.
-func withCH(t testing.TB, e *Engine) *Engine {
-	t.Helper()
-	h, err := ch.Build(e.Dataset().G, ch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.AttachHierarchy(h)
+func withCH(e *Engine) *Engine {
+	e.AttachHierarchy(ch.Build(e.Dataset().G))
 	return e
 }
 
@@ -264,7 +259,7 @@ func TestRandomizedEquivalenceProperty(t *testing.T) {
 			e := withCache(mkEngine(t, ds, opts), 2+rng.Intn(50))
 			algos := allNonCHAlgorithms
 			if buildCH {
-				withCH(t, e)
+				withCH(e)
 				algos = append(append([]Algorithm{}, algos...), SFACH, SPACH, TSACH)
 			}
 			users := locatedUsers(ds)
@@ -293,7 +288,7 @@ func TestCHVariantsMatchBruteForce(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		n := 30 + rng.Intn(60)
 		ds := mkDataset(t, rng, n, 0.1, false)
-		e := withCH(t, mkEngine(t, ds, Options{Seed: int64(trial)}))
+		e := withCH(mkEngine(t, ds, Options{Seed: int64(trial)}))
 		users := locatedUsers(ds)
 		for probe := 0; probe < 5; probe++ {
 			q := users[rng.Intn(len(users))]
@@ -502,7 +497,7 @@ func TestMoveUserChangesResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !after.IDSet()[int32(outsider)] {
-		t.Fatalf("moved user %d not in result %v", outsider, after.IDs())
+		t.Fatalf("moved user %d not in result %v", outsider, after.Entries)
 	}
 	// All algorithms must agree post-move.
 	want, _ := e.Query(BruteForce, q, prm)
@@ -548,7 +543,7 @@ func TestMovesOffTheGridStayExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	ds := mkDataset(t, rng, 200, 0.1, false)
 	e := mkEngine(t, ds, Options{})
-	b := ds.Bounds()
+	b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	users := locatedUsers(ds)
 	// A third of the population leaves the bounding box, on every side and
 	// past every corner, by up to its own width.
@@ -589,12 +584,12 @@ func TestResultAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := res.IDs()
 	set := res.IDSet()
-	if len(ids) != len(res.Entries) || len(set) != len(res.Entries) {
+	if len(set) != len(res.Entries) {
 		t.Fatal("accessor sizes wrong")
 	}
-	for _, id := range ids {
+	for _, en := range res.Entries {
+		id := en.ID
 		if !set[id] {
 			t.Fatal("IDSet missing reported id")
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"ssrq/internal/aggindex"
 	"ssrq/internal/dataset"
@@ -102,9 +101,6 @@ type Options struct {
 	// UpdateMaxBatch caps how many queued updates the updater coalesces
 	// into one applied batch (default 256).
 	UpdateMaxBatch int
-	// OverlayCompactThreshold is the edge-overlay delta size that triggers
-	// folding the delta back into a pure CSR (default max(1024, n/8)).
-	OverlayCompactThreshold int
 }
 
 // WithDefaults returns a copy with every zero field replaced by its default.
@@ -168,8 +164,6 @@ type Engine struct {
 	// writeMu serializes ApplyUpdates: it is the writer lock of the index,
 	// its grid and the substrate.
 	writeMu sync.Mutex
-	// applied / batches count the ops and epochs of ApplyUpdates calls.
-	applied, batches atomic.Int64
 }
 
 // Searcher runs the paper's algorithms over the views it is handed
@@ -230,10 +224,7 @@ func NewSubstrate(ds *dataset.Dataset, opts Options) (*aggindex.Social, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: selecting landmarks: %w", err)
 	}
-	sub, err := aggindex.NewSocialSubstrate(lm, ds.G, aggindex.Config{
-		CompactThreshold: opts.OverlayCompactThreshold,
-		Labels:           ds.Labels,
-	})
+	sub, err := aggindex.NewSocialSubstrate(lm, ds.G, aggindex.Config{Labels: ds.Labels})
 	if err != nil {
 		return nil, fmt.Errorf("core: social substrate: %w", err)
 	}
@@ -343,8 +334,6 @@ func (e *Engine) ApplyUpdates(ops []Update) error {
 	e.writeMu.Lock()
 	aggindex.Apply(e.sub, ops, ixs[:], locs[:])
 	e.writeMu.Unlock()
-	e.applied.Add(int64(len(ops)))
-	e.batches.Add(1)
 	return nil
 }
 
@@ -478,9 +467,6 @@ func (e *Searcher) chReady(sn *aggindex.Snapshot, algo Algorithm) error {
 // overlay shape and landmark-maintenance work.
 type SocialStats = aggindex.SocialStats
 
-// SocialStats reports the social dimension's counters.
-func (e *Engine) SocialStats() SocialStats { return e.sub.Stats() }
-
 // AddFriend inserts (or reweights) the undirected friendship (u,v) with
 // normalized weight w and publishes the change as one epoch before
 // returning: the graph, the landmark tables and the affected cell summaries
@@ -489,10 +475,6 @@ func (e *Engine) SocialStats() SocialStats { return e.sub.Stats() }
 func (e *Engine) AddFriend(u, v int32, w float64) error {
 	return e.ApplyUpdates([]Update{{Kind: aggindex.OpEdgeUpsert, U: u, V: v, W: w}})
 }
-
-// NumLocated returns how many users have an indexed location in the latest
-// published epoch.
-func (e *Engine) NumLocated() int { return e.agg.Snapshot().Grid().NumLocated() }
 
 // FoFIndex returns the friends-of-friends bound index. Its floors are monotone
 // non-increasing, so bounds derived from them stay admissible against any

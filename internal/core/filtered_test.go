@@ -122,7 +122,7 @@ func TestFilteredDifferentialEquivalence(t *testing.T) {
 
 			model := seedEdgeModel(ds)
 			users := locatedIDs(ds)
-			b := ds.Bounds()
+			b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 
 			// Filters per probe: unfiltered, one label, a two-label union,
 			// and a mask no user carries (result must be empty).

@@ -96,7 +96,7 @@ func churnedWorld(t *testing.T, rng *rand.Rand, n, m int, strategy landmark.Stra
 // between q and a vertex of its component is zero.
 func blind(lm *landmark.Set, q graph.VertexID) bool {
 	for j := 0; j < lm.M(); j++ {
-		if lm.Dist(j, q) < graph.Infinity {
+		if lm.VertexRow(q)[j] < graph.Infinity {
 			return false
 		}
 	}

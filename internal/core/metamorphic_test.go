@@ -55,12 +55,19 @@ var (
 	_ queryEngine = (*shard.Engine)(nil)
 )
 
-// syncRef gives the single-index reference the routed engine's Enqueue and
-// Flush: every op applies as it arrives, so Flush has nothing to wait for.
+// syncRef gives the single-index reference the routed engine's QueryBatch,
+// Enqueue and Flush: every op applies as it arrives, so Flush has nothing to
+// wait for.
 type syncRef struct{ *core.Engine }
 
 func (r syncRef) Enqueue(op core.Update) error { return r.ApplyUpdates([]core.Update{op}) }
 func (r syncRef) Flush()                       {}
+
+func (r syncRef) QueryBatch(queries []core.BatchQuery, workers int) []core.BatchResult {
+	return core.RunBatch(queries, workers, func(bq core.BatchQuery) (*core.Result, error) {
+		return r.Query(bq.Algo, bq.Q, bq.Params)
+	})
+}
 
 // userLocation reads a user's position from the single-index reference's
 // published snapshot.
@@ -270,7 +277,7 @@ func TestMetamorphicProperties(t *testing.T) {
 	}{{"single-index", syncRef{mono}}, {"S=4", sharded}}
 
 	users := locatedIDs(ds)
-	b := ds.Bounds()
+	b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	rng := rand.New(rand.NewSource(202))
 	rounds := 4
 	if testing.Short() {
@@ -447,7 +454,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 
 			model := seedEdgeModel(ds)
 			users := locatedIDs(ds)
-			b := ds.Bounds()
+			b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 
 			for round := 0; round < 5; round++ {
 				for op := 0; op < 5+rng.Intn(25); op++ {

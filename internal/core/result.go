@@ -67,15 +67,6 @@ type Result struct {
 	Stats   Stats
 }
 
-// IDs returns the reported user IDs in rank order.
-func (r *Result) IDs() []int32 {
-	ids := make([]int32, len(r.Entries))
-	for i, e := range r.Entries {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // IDSet returns the reported users as a set.
 func (r *Result) IDSet() map[int32]bool {
 	set := make(map[int32]bool, len(r.Entries))

@@ -368,13 +368,13 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 	// Quiesce and verify exact agreement on the mutated world.
 	e.Flush()
 	sn := e.Snapshot()
-	if got, want := sn.SocialEpoch(), e.SocialStats().SocialEpoch; got != want {
+	if got, want := sn.SocialEpoch(), e.sub.Stats().SocialEpoch; got != want {
 		t.Fatalf("index published social epoch %d, substrate is at %d", got, want)
 	}
 	lm, g := sn.Landmarks(), sn.SocialGraph()
 	for j, lmv := range lm.Vertices() {
 		for v, want := range g.DistancesFrom(lmv) {
-			if got := lm.Dist(j, graph.VertexID(v)); got != want {
+			if got := lm.VertexRow(graph.VertexID(v))[j]; got != want {
 				t.Fatalf("landmark %d dist to %d = %v, a fresh Dijkstra gives %v", j, v, got, want)
 			}
 		}
@@ -385,7 +385,7 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 		for j := 0; j < lm.M(); j++ {
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for _, u := range grid.CellUsers(idx) {
-				lo, hi = math.Min(lo, lm.Dist(j, u)), math.Max(hi, lm.Dist(j, u))
+				lo, hi = math.Min(lo, lm.VertexRow(u)[j]), math.Max(hi, lm.VertexRow(u)[j])
 			}
 			if sn.MinSummary(leaf, idx, j) != lo || sn.MaxSummary(leaf, idx, j) != hi {
 				t.Fatalf("leaf %d landmark %d: summary (%v, %v), members give (%v, %v)",
@@ -534,7 +534,7 @@ func TestLandmarkTablesExactEveryEpoch(t *testing.T) {
 		lm, g := sn.Landmarks(), sn.SocialGraph()
 		for j, lmv := range lm.Vertices() {
 			for v, want := range g.DistancesFrom(lmv) {
-				if got := lm.Dist(j, graph.VertexID(v)); got != want {
+				if got := lm.VertexRow(graph.VertexID(v))[j]; got != want {
 					t.Fatalf("%s: landmark %d dist to %d = %v, want %v", step, j, v, got, want)
 				}
 			}
@@ -546,14 +546,14 @@ func TestLandmarkTablesExactEveryEpoch(t *testing.T) {
 		}
 		check(fmt.Sprintf("batch %d of %d ops", i, size))
 	}
-	if st := e.SocialStats(); st.LandmarkRebuilds != 0 || st.LandmarkRepairs == 0 {
+	if st := e.sub.Stats(); st.LandmarkRebuilds != 0 || st.LandmarkRepairs == 0 {
 		t.Fatalf("small batches should repair every table in place: %+v", st)
 	}
 	if err := e.ApplyUpdates(batch(n)); err != nil {
 		t.Fatal(err)
 	}
 	check(fmt.Sprintf("batch of %d ops", n))
-	if st := e.SocialStats(); st.LandmarkRebuilds == 0 {
+	if st := e.sub.Stats(); st.LandmarkRebuilds == 0 {
 		t.Fatalf("a %d-op batch recomputed no table: %+v", n, st)
 	}
 }

@@ -221,7 +221,8 @@ func coalesceUpdates(buf []Update) []Update {
 }
 
 // UpdateStats reports the state of the epoch/update pipeline, the numbers
-// the HTTP /stats endpoint and the churn experiment surface.
+// the HTTP /stats endpoint surfaces: the routed engine's (shard.Engine)
+// and its Updater's.
 type UpdateStats struct {
 	// Epoch is the published index version (0 = construction state).
 	Epoch uint64
@@ -232,27 +233,13 @@ type UpdateStats struct {
 	SnapshotAge time.Duration
 	// PendingUpdates counts async updates enqueued but not yet applied.
 	PendingUpdates int64
-	// AppliedUpdates counts updates applied: an engine's count is what its
-	// index applied, an Updater's the ops it dequeued, before coalescing.
+	// AppliedUpdates counts updates applied: the engine's count is what its
+	// indexes applied, an Updater's the ops it dequeued, before coalescing.
 	AppliedUpdates int64
-	// AppliedBatches counts the batches that applied them: one per
-	// ApplyUpdates call on an engine, one per apply call on an Updater.
+	// AppliedBatches counts the batches that applied them: one per write
+	// batch on the engine, one per apply call on an Updater.
 	AppliedBatches int64
 	// CoalescedUpdates counts updates absorbed by a newer update for the
 	// same user or pair before reaching the index.
 	CoalescedUpdates int64
-}
-
-// UpdateStats returns a point-in-time view of the engine's epochs and of
-// the batches ApplyUpdates has applied.
-func (e *Engine) UpdateStats() UpdateStats {
-	sn := e.agg.Snapshot()
-	return UpdateStats{
-		Epoch:       sn.Epoch(),
-		SocialEpoch: sn.SocialEpoch(),
-		SnapshotAge: time.Since(sn.PublishedAt()),
-
-		AppliedUpdates: e.applied.Load(),
-		AppliedBatches: e.batches.Load(),
-	}
 }

@@ -136,13 +136,10 @@ func (d *Dataset) NumLocated() int {
 	return n
 }
 
-// Bounds returns the bounding rectangle of the normalized located points.
-// Grid layouts are built over a slightly padded version so border points
-// stay strictly inside.
-func (d *Dataset) Bounds() spatial.Rect { return d.bounds }
-
-// PaddedBounds grows Bounds by a small margin on every side, guaranteeing a
-// non-degenerate rectangle even for single-point datasets.
+// PaddedBounds grows the bounding rectangle of the normalized located points
+// by a small margin on every side, so border points stay strictly inside a
+// grid built over it and even a single-point dataset gets a non-degenerate
+// rectangle.
 func (d *Dataset) PaddedBounds() spatial.Rect {
 	b := d.bounds
 	pad := 0.01 * math.Max(b.Width(), b.Height())

@@ -123,7 +123,7 @@ func TestPaddedBoundsContainPoints(t *testing.T) {
 			t.Fatalf("padded bounds exclude point %d", i)
 		}
 	}
-	b := ds.Bounds()
+	b := ds.bounds
 	if pb.MinX >= b.MinX || pb.MaxX <= b.MaxX {
 		t.Fatal("padding did not grow bounds")
 	}

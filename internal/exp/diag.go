@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -99,25 +98,5 @@ func (s *Suite) RunDiagnostics() error {
 			f2(d.P90/math.Max(d.P10, 1e-9)), f2(d.Tightness), f2(d.SpatialP50))
 	}
 	t.Fprint(s.Out)
-	return nil
-}
-
-// WriteReport renders all collected measurements as a markdown document —
-// the raw material for EXPERIMENTS.md.
-func (s *Suite) WriteReport(w io.Writer) error {
-	if len(s.Measurements) == 0 {
-		return fmt.Errorf("exp: no measurements collected; run experiments first")
-	}
-	fmt.Fprintf(w, "# Measured results (scale=%s, seed=%d, %d queries/point)\n\n",
-		s.Scale.Name, s.Seed, s.Scale.NumQueries)
-	fmt.Fprintln(w, "| dataset | algorithm | x | runtime (ms) | pop ratio |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
-	for _, m := range s.Measurements {
-		if m.Queries == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "| %s | %v | %g | %s | %s |\n",
-			m.Dataset, m.Algo, m.X, ms(m.Runtime), ratio(m.PopRatio))
-	}
 	return nil
 }

@@ -232,25 +232,3 @@ func TestDiagnostics(t *testing.T) {
 		t.Fatal("empty sources accepted")
 	}
 }
-
-func TestWriteReport(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSuite(microScale, 7, &buf)
-	if err := s.WriteReport(&buf); err == nil {
-		t.Fatal("report without measurements accepted")
-	}
-	if err := s.Run("table2", false); err != nil {
-		t.Fatal(err)
-	}
-	// table2 records no measurements; run a cheap measuring experiment.
-	if err := s.Run("fig13", false); err != nil {
-		t.Fatal(err)
-	}
-	var md bytes.Buffer
-	if err := s.WriteReport(&md); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(md.String(), "| twitter |") {
-		t.Fatalf("report missing rows:\n%s", md.String())
-	}
-}

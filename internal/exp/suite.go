@@ -86,11 +86,7 @@ func (s *Suite) Engine(dsName string, gridS int, buildCH bool) (*core.Engine, er
 		return nil, err
 	}
 	if buildCH {
-		h, err := ch.Build(ds.G, ch.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("exp: contraction hierarchy: %w", err)
-		}
-		e.AttachHierarchy(h)
+		e.AttachHierarchy(ch.Build(ds.G))
 	}
 	s.engines[key] = e
 	return e, nil

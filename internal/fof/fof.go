@@ -104,7 +104,6 @@ type Scratch struct {
 	minwQ    float64 // floor on q's min incident weight, read at arm time
 	wmin     float64 // global floor, read at arm time
 	ix       *Index
-	armed    bool
 }
 
 // DefaultBudget caps the 2-hop expansion (total neighbor-row entries
@@ -133,7 +132,6 @@ func (sc *Scratch) Arm(ix *Index, g *graph.Graph, q int32, budget int) {
 	}
 	sc.ix = ix
 	sc.q = q
-	sc.armed = true
 	sc.minwQ = ix.MinIncident(q)
 	sc.wmin = ix.GlobalFloor()
 
@@ -170,8 +168,9 @@ func (sc *Scratch) observe(v int32, d float64) {
 	}
 }
 
-// Release marks the scratch idle (arrays are kept for reuse).
-func (sc *Scratch) Release() { sc.armed = false }
+// Release ends a query's use of the scratch. It does nothing: the arrays
+// are kept for reuse, and the next Arm re-stamps them.
+func (sc *Scratch) Release() {}
 
 // LowerBound returns an admissible lower bound on the graph distance from
 // the armed query vertex to u in the snapshot the scratch was armed on:

@@ -9,91 +9,18 @@ import (
 	"ssrq/internal/graph"
 )
 
-func TestBarabasiAlbertShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	edges, err := BarabasiAlbert(500, 4, rng)
+// growthGraph is a GeoSocial graph with the paper's degree-product weights.
+func growthGraph(t *testing.T, n, m int, rng *rand.Rand) *graph.Graph {
+	t.Helper()
+	edges, _, _, err := GeoSocial(GeoSocialConfig{N: n, M: m}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildGraph(500, edges, UniformWeights(edges, 0.1, 1, rng))
+	g, err := BuildGraph(n, edges, DegreeProductWeights(n, edges))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg := g.AvgDegree(); avg < 6 || avg > 9 {
-		t.Fatalf("BA avg degree %v, want ≈ 8", avg)
-	}
-	// Heavy tail: max degree far above average.
-	if g.MaxDegree() < 3*int(g.AvgDegree()) {
-		t.Fatalf("BA max degree %d not heavy-tailed (avg %v)", g.MaxDegree(), g.AvgDegree())
-	}
-	// BA graphs are connected by construction.
-	if _, count := g.ConnectedComponents(); count != 1 {
-		t.Fatalf("BA graph has %d components", count)
-	}
-}
-
-func TestBarabasiAlbertValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	if _, err := BarabasiAlbert(1, 1, rng); err == nil {
-		t.Fatal("n=1 accepted")
-	}
-	if _, err := BarabasiAlbert(10, 0, rng); err == nil {
-		t.Fatal("m=0 accepted")
-	}
-	if _, err := BarabasiAlbert(10, 10, rng); err == nil {
-		t.Fatal("m=n accepted")
-	}
-}
-
-func TestForestFireGrowthConnected(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	edges, err := ForestFireGrowth(400, 0.35, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := BuildGraph(400, edges, UniformWeights(edges, 0.1, 1, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, count := g.ConnectedComponents(); count != 1 {
-		t.Fatalf("forest fire graph has %d components", count)
-	}
-	if _, err := ForestFireGrowth(400, 1.0, rng); err == nil {
-		t.Fatal("p=1 accepted")
-	}
-}
-
-func TestWattsStrogatz(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	edges, err := WattsStrogatz(200, 3, 0.1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := BuildGraph(200, edges, UniformWeights(edges, 0.1, 1, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg := g.AvgDegree(); avg < 4 || avg > 6.5 {
-		t.Fatalf("WS avg degree %v, want ≈ 6", avg)
-	}
-	if _, err := WattsStrogatz(4, 2, 0.1, rng); err == nil {
-		t.Fatal("2k>=n accepted")
-	}
-}
-
-func TestErdosRenyi(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	edges, err := ErdosRenyi(300, 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := BuildGraph(300, edges, UniformWeights(edges, 0.1, 1, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg := g.AvgDegree(); avg < 6.5 || avg > 8.5 {
-		t.Fatalf("ER avg degree %v, want ≈ 8", avg)
-	}
+	return g
 }
 
 func TestDegreeProductWeights(t *testing.T) {
@@ -116,11 +43,12 @@ func TestDegreeProductWeights(t *testing.T) {
 	}
 }
 
+// TestLocationsFractionAndBounds: GeoSocial exposes about LocatedFrac of its
+// users, every exposed point lies in the unit square, and a fraction outside
+// [0, 1] is refused.
 func TestLocationsFractionAndBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	edges, _ := BarabasiAlbert(1000, 3, rng)
-	g, _ := BuildGraph(1000, edges, UniformWeights(edges, 0.1, 1, rng))
-	pts, located, err := Locations(g, LocationConfig{LocatedFrac: 0.6, Homophily: 0.5}, rng)
+	_, pts, located, err := GeoSocial(GeoSocialConfig{N: 1000, M: 3, LocatedFrac: 0.6}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,48 +65,40 @@ func TestLocationsFractionAndBounds(t *testing.T) {
 	if frac := float64(cnt) / 1000; frac < 0.5 || frac > 0.7 {
 		t.Fatalf("located fraction %v, want ≈ 0.6", frac)
 	}
-	if _, _, err := Locations(g, LocationConfig{LocatedFrac: 2}, rng); err == nil {
+	if _, _, _, err := GeoSocial(GeoSocialConfig{N: 1000, M: 3, LocatedFrac: 2}, rng); err == nil {
 		t.Fatal("bad fraction accepted")
-	}
-	if _, _, err := Locations(g, LocationConfig{Homophily: -1}, rng); err == nil {
-		t.Fatal("bad homophily accepted")
 	}
 }
 
+// TestHomophilyCreatesSpatialCorrelation: in the homophily workload, strong
+// homophily (friends mostly from one's own leaf group, and groups close in
+// the hierarchy sit close on the map) puts friends nearer each other than
+// weak homophily does.
 func TestHomophilyCreatesSpatialCorrelation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	edges, _ := BarabasiAlbert(800, 4, rng)
-	g, _ := BuildGraph(800, edges, UniformWeights(edges, 0.1, 1, rng))
-
-	avgFriendDist := func(homophily float64, seed int64) float64 {
-		r := rand.New(rand.NewSource(seed))
-		pts, located, err := Locations(g, LocationConfig{LocatedFrac: 1, Homophily: homophily}, r)
+	avgFriendDist := func(alpha float64) float64 {
+		rng := rand.New(rand.NewSource(100))
+		edges, pts, located, _, err := HomophilyGeoSocial(HomophilyConfig{N: 800, M: 4, Alpha: alpha, LocatedFrac: 1}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum, cnt := 0.0, 0
-		for v := 0; v < 800; v++ {
-			nbrs, _ := g.Neighbors(graph.VertexID(v))
-			for _, u := range nbrs {
-				if u > graph.VertexID(v) && located[v] && located[u] {
-					sum += pts[v].Dist(pts[u])
-					cnt++
-				}
+		for _, e := range edges {
+			if located[e.u] && located[e.v] {
+				sum += pts[e.u].Dist(pts[e.v])
+				cnt++
 			}
 		}
 		return sum / float64(cnt)
 	}
-	with := avgFriendDist(0.8, 100)
-	without := avgFriendDist(0, 100)
-	if with >= without {
-		t.Fatalf("homophily did not reduce friend distance: %v >= %v", with, without)
+	strong, weak := avgFriendDist(3), avgFriendDist(0.05)
+	if strong >= weak {
+		t.Fatalf("homophily did not reduce friend distance: %v >= %v", strong, weak)
 	}
 }
 
 func TestCorrelatedLocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	edges, _ := BarabasiAlbert(300, 4, rng)
-	g, _ := BuildGraph(300, edges, DegreeProductWeights(300, edges))
+	g := growthGraph(t, 300, 4, rng)
 	q := graph.VertexID(5)
 	dist := g.DistancesFrom(q)
 	maxD := 0.0
@@ -232,8 +152,7 @@ func TestCorrelatedLocations(t *testing.T) {
 
 func TestForestFireSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	edges, _ := BarabasiAlbert(1000, 4, rng)
-	g, _ := BuildGraph(1000, edges, DegreeProductWeights(1000, edges))
+	g := growthGraph(t, 1000, 4, rng)
 	sub, oldIDs, err := ForestFireSample(g, 300, 0.4, rng)
 	if err != nil {
 		t.Fatal(err)

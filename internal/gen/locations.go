@@ -9,88 +9,6 @@ import (
 	"ssrq/internal/spatial"
 )
 
-// LocationConfig controls synthetic location assignment.
-type LocationConfig struct {
-	// Cities is the number of Gaussian population clusters (default 12).
-	Cities int
-	// Sigma is the cluster spread as a fraction of the world extent
-	// (default 0.04).
-	Sigma float64
-	// LocatedFrac is the fraction of users with a known location — the
-	// paper has 54.4% (Gowalla) and 60.3% (Foursquare).
-	LocatedFrac float64
-	// Homophily is the probability that a user settles near the centroid
-	// of already-placed friends instead of a random city, giving the mild
-	// positive social↔spatial correlation real LBSNs show.
-	Homophily float64
-}
-
-func (c *LocationConfig) setDefaults() {
-	if c.Cities == 0 {
-		c.Cities = 12
-	}
-	if c.Sigma == 0 {
-		c.Sigma = 0.04
-	}
-	if c.LocatedFrac == 0 {
-		c.LocatedFrac = 1
-	}
-}
-
-// Locations assigns clustered locations in the unit square to the users of
-// g, honoring the located fraction and friend homophily.
-func Locations(g *graph.Graph, cfg LocationConfig, rng *rand.Rand) ([]spatial.Point, []bool, error) {
-	cfg.setDefaults()
-	if cfg.LocatedFrac < 0 || cfg.LocatedFrac > 1 {
-		return nil, nil, fmt.Errorf("gen: LocatedFrac %v out of [0,1]", cfg.LocatedFrac)
-	}
-	if cfg.Homophily < 0 || cfg.Homophily > 1 {
-		return nil, nil, fmt.Errorf("gen: Homophily %v out of [0,1]", cfg.Homophily)
-	}
-	n := g.NumVertices()
-	centers := make([]spatial.Point, cfg.Cities)
-	for i := range centers {
-		centers[i] = spatial.Point{X: rng.Float64(), Y: rng.Float64()}
-	}
-	pts := make([]spatial.Point, n)
-	located := make([]bool, n)
-	placed := make([]bool, n)
-
-	gauss := func(c spatial.Point) spatial.Point {
-		return spatial.Point{
-			X: clamp01(c.X + rng.NormFloat64()*cfg.Sigma),
-			Y: clamp01(c.Y + rng.NormFloat64()*cfg.Sigma),
-		}
-	}
-
-	for v := 0; v < n; v++ {
-		if rng.Float64() >= cfg.LocatedFrac {
-			continue
-		}
-		located[v] = true
-		anchor := centers[rng.Intn(len(centers))]
-		if cfg.Homophily > 0 && rng.Float64() < cfg.Homophily {
-			// Centroid of already-placed friends, if any.
-			nbrs, _ := g.Neighbors(graph.VertexID(v))
-			var cx, cy float64
-			cnt := 0
-			for _, u := range nbrs {
-				if placed[u] {
-					cx += pts[u].X
-					cy += pts[u].Y
-					cnt++
-				}
-			}
-			if cnt > 0 {
-				anchor = spatial.Point{X: cx / float64(cnt), Y: cy / float64(cnt)}
-			}
-		}
-		pts[v] = gauss(anchor)
-		placed[v] = true
-	}
-	return pts, located, nil
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

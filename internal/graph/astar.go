@@ -7,9 +7,6 @@ import "ssrq/internal/pqueue"
 // landmark-derived and therefore consistent, so A* settles exact distances.
 type Heuristic func(VertexID) float64
 
-// ZeroHeuristic makes A* behave exactly like Dijkstra.
-func ZeroHeuristic(VertexID) float64 { return 0 }
-
 // AStarPool is reusable storage for repeated A* searches over the same
 // graph-size domain. GraphDist-style workloads start hundreds of short
 // reverse searches per query; epoch-stamped arrays avoid an O(n)
@@ -179,15 +176,6 @@ func (s *AStarSearch) RunToBall(ball *DijkstraIterator, floor, best, limit float
 	}
 }
 
-// Next is Pop followed by Expand.
-func (s *AStarSearch) Next() (v VertexID, dist float64, ok bool) {
-	v, dist, ok = s.Pop()
-	if ok {
-		s.Expand(v)
-	}
-	return v, dist, ok
-}
-
 // HeadKey returns the smallest f-key currently queued; ok is false when the
 // frontier is empty. It lower-bounds the total length of any s-t path not
 // yet discovered through this search's frontier.
@@ -228,6 +216,3 @@ func (s *AStarSearch) ParentOf(v VertexID) VertexID {
 
 // Pops returns how many vertices this search settled (pop-ratio metric).
 func (s *AStarSearch) Pops() int { return s.pops }
-
-// Exhausted reports whether the frontier has emptied.
-func (s *AStarSearch) Exhausted() bool { return s.done }

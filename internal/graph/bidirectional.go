@@ -10,7 +10,7 @@ type BidirectionalResult struct {
 
 // BidirectionalDijkstra computes the s-t distance by alternating a forward
 // and a reverse Dijkstra until the best meeting path can no longer be
-// improved. With hF/hR == ZeroHeuristic this is the classic algorithm; with
+// improved. With zero heuristics this is the classic algorithm; with
 // consistent landmark heuristics it is the bidirectional ALT search of
 // Goldberg & Harrelson [25], which AIS-BID issues afresh for every candidate
 // evaluation (paper §6, Fig. 10).
@@ -71,10 +71,4 @@ func BidirectionalDijkstra(g *Graph, s, t VertexID, hF, hR Heuristic, fwdPool, r
 		}
 	}
 	return BidirectionalResult{Dist: best, Meeting: meet, Pops: fwd.Pops() + rev.Pops()}
-}
-
-// PointToPointDist is BidirectionalDijkstra with zero heuristics and fresh
-// pools; a convenience for tests and one-off distance queries.
-func PointToPointDist(g *Graph, s, t VertexID) float64 {
-	return BidirectionalDijkstra(g, s, t, ZeroHeuristic, ZeroHeuristic, nil, nil).Dist
 }

@@ -48,21 +48,3 @@ func (g *Graph) sweep(source VertexID) (dist []float64, expanded int) {
 		}
 	}
 }
-
-// DijkstraTo computes the shortest-path distance between two vertices,
-// stopping as soon as target is settled. Returns Infinity when unreachable.
-func (g *Graph) DijkstraTo(source, target VertexID) float64 {
-	if source == target {
-		return 0
-	}
-	it := NewDijkstraIterator(g, source)
-	for {
-		v, d, ok := it.Next()
-		if !ok {
-			return Infinity
-		}
-		if v == target {
-			return d
-		}
-	}
-}

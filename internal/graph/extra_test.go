@@ -97,7 +97,7 @@ func TestBidirectionalQuickProperty(t *testing.T) {
 		g := randomGraph(rng, n, rng.Intn(n))
 		s, tg := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
 		want := g.DijkstraTo(s, tg)
-		got := PointToPointDist(g, s, tg)
+		got := BidirectionalDijkstra(g, s, tg, ZeroHeuristic, ZeroHeuristic, nil, nil).Dist
 		return almostEq(got, want)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
@@ -158,7 +158,7 @@ func TestIteratorResetStartsClean(t *testing.T) {
 		src := VertexID(rng.Intn(n))
 		it.Reset(g, src)
 		for v := 0; v < n; v++ {
-			if v := VertexID(v); v != src && (it.Settled(v) || it.TentativeDist(v) != Infinity || it.ParentOf(v) != -1 || it.HopsOf(v) != -1) {
+			if v := VertexID(v); v != src && (it.Settled(v) || it.labelled(v) || it.HopsOf(v) != -1) {
 				t.Fatalf("round %d: vertex %d carries a label into a fresh run", round, v)
 			}
 		}
@@ -169,9 +169,9 @@ func TestIteratorResetStartsClean(t *testing.T) {
 			if !ok {
 				break
 			}
-			if !almostEq(d, sp.Dist[v]) || it.HopsOf(v) != sp.Hops[v] || it.ParentOf(v) != sp.Parent[v] {
+			if !almostEq(d, sp.Dist[v]) || it.HopsOf(v) != sp.Hops[v] || it.parent[v] != sp.Parent[v] {
 				t.Fatalf("round %d: settled %d at %v (%d hops, parent %d), want %v (%d hops, parent %d)",
-					round, v, d, it.HopsOf(v), it.ParentOf(v), sp.Dist[v], sp.Hops[v], sp.Parent[v])
+					round, v, d, it.HopsOf(v), it.parent[v], sp.Dist[v], sp.Hops[v], sp.Parent[v])
 			}
 		}
 	}

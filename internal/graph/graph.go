@@ -70,17 +70,6 @@ func (g *Graph) Degree(v VertexID) int {
 	return int(g.offsets[v+1] - g.offsets[v])
 }
 
-// MaxDegree returns the maximum vertex degree (0 for an empty graph).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.Degree(VertexID(v)); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // AvgDegree returns the average vertex degree.
 func (g *Graph) AvgDegree() float64 {
 	if g.NumVertices() == 0 {
@@ -161,9 +150,6 @@ type Builder struct {
 func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
-
-// NumVertices returns the vertex count the builder was created with.
-func (b *Builder) NumVertices() int { return b.n }
 
 // AddEdge records the undirected edge (u,v) with weight w.
 func (b *Builder) AddEdge(u, v VertexID, w float64) error {

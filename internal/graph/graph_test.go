@@ -147,9 +147,6 @@ func TestDegreeStats(t *testing.T) {
 	if g.Degree(0) != 3 || g.Degree(1) != 1 {
 		t.Fatalf("degrees: %d %d", g.Degree(0), g.Degree(1))
 	}
-	if g.MaxDegree() != 3 {
-		t.Fatalf("MaxDegree = %d", g.MaxDegree())
-	}
 	if got := g.AvgDegree(); got != 1.5 {
 		t.Fatalf("AvgDegree = %v, want 1.5", got)
 	}
@@ -262,7 +259,7 @@ func TestIteratorMonotoneAndComplete(t *testing.T) {
 			t.Fatalf("vertex %d reachability mismatch", v)
 		}
 	}
-	if !it.Exhausted() {
+	if _, _, ok := it.Next(); ok {
 		t.Fatal("iterator not exhausted after draining")
 	}
 	if it.Pops() != len(seen) {
@@ -288,6 +285,15 @@ func TestIteratorLastKeyLowerBoundsUnsettled(t *testing.T) {
 	}
 }
 
+// next settles the search's next vertex: Pop followed by Expand.
+func next(s *AStarSearch) (VertexID, float64, bool) {
+	v, d, ok := s.Pop()
+	if ok {
+		s.Expand(v)
+	}
+	return v, d, ok
+}
+
 func TestAStarZeroHeuristicMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomGraph(rng, 70, 180)
@@ -295,7 +301,7 @@ func TestAStarZeroHeuristicMatchesDijkstra(t *testing.T) {
 	pool := NewAStarPool(g.NumVertices())
 	s := pool.NewSearch(g, 2, ZeroHeuristic)
 	for {
-		v, d, ok := s.Next()
+		v, d, ok := next(s)
 		if !ok {
 			break
 		}
@@ -324,7 +330,7 @@ func TestAStarConsistentHeuristicExact(t *testing.T) {
 	pool := NewAStarPool(g.NumVertices())
 	s := pool.NewSearch(g, 10, h)
 	for {
-		v, d, ok := s.Next()
+		v, d, ok := next(s)
 		if !ok {
 			t.Fatal("A* exhausted before target")
 		}
@@ -346,7 +352,7 @@ func TestAStarPoolReuse(t *testing.T) {
 		sp := g.Dijkstra(src)
 		s := pool.NewSearch(g, src, ZeroHeuristic)
 		for {
-			v, d, ok := s.Next()
+			v, d, ok := next(s)
 			if !ok {
 				break
 			}
@@ -412,31 +418,6 @@ func TestBidirectionalUnreachable(t *testing.T) {
 	res := BidirectionalDijkstra(g, 0, 3, ZeroHeuristic, ZeroHeuristic, nil, nil)
 	if res.Dist != Infinity {
 		t.Fatalf("dist = %v, want +Inf", res.Dist)
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	b := NewBuilder(7)
-	_ = b.AddEdge(0, 1, 1)
-	_ = b.AddEdge(1, 2, 1)
-	_ = b.AddEdge(3, 4, 1)
-	g := b.MustBuild() // {0,1,2} {3,4} {5} {6}
-	labels, count := g.ConnectedComponents()
-	if count != 4 {
-		t.Fatalf("component count = %d, want 4", count)
-	}
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Fatal("component {0,1,2} split")
-	}
-	if labels[3] != labels[4] || labels[3] == labels[0] {
-		t.Fatal("component {3,4} wrong")
-	}
-	if labels[5] == labels[6] {
-		t.Fatal("singletons merged")
-	}
-	big := g.LargestComponent()
-	if len(big) != 3 || big[0] != 0 || big[2] != 2 {
-		t.Fatalf("LargestComponent = %v", big)
 	}
 }
 

@@ -99,9 +99,6 @@ func (it *DijkstraIterator) Next() (v VertexID, dist float64, ok bool) {
 	return v, dist, true
 }
 
-// Exhausted reports whether the expansion has settled its entire component.
-func (it *DijkstraIterator) Exhausted() bool { return it.done }
-
 // Settled reports whether v has been settled (popped); once settled,
 // SettledDist(v) is the exact shortest-path distance.
 func (it *DijkstraIterator) Settled(v VertexID) bool { return it.state[v] == it.settledStamp() }
@@ -119,15 +116,6 @@ func (it *DijkstraIterator) SettledDist(v VertexID) (float64, bool) {
 		return Infinity, false
 	}
 	return it.dist[v], true
-}
-
-// TentativeDist returns the current (possibly not final) label of v;
-// Infinity if undiscovered.
-func (it *DijkstraIterator) TentativeDist(v VertexID) float64 {
-	if !it.labelled(v) {
-		return Infinity
-	}
-	return it.dist[v]
 }
 
 // LastKey returns the distance of the most recently settled vertex. It lower
@@ -155,15 +143,6 @@ func (it *DijkstraIterator) HopsOf(v VertexID) int32 {
 		hops++
 	}
 	return hops
-}
-
-// ParentOf returns the shortest-path-tree parent of a discovered vertex
-// (-1 for the source or undiscovered vertices).
-func (it *DijkstraIterator) ParentOf(v VertexID) VertexID {
-	if !it.labelled(v) {
-		return -1
-	}
-	return it.parent[v]
 }
 
 // Pops returns the number of vertices settled so far (instrumentation for

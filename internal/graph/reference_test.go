@@ -57,6 +57,27 @@ func (g *Graph) Dijkstra(source VertexID) *ShortestPaths {
 	return sp
 }
 
+// ZeroHeuristic makes A* behave exactly like Dijkstra.
+func ZeroHeuristic(VertexID) float64 { return 0 }
+
+// DijkstraTo is the point-to-point oracle: the iterator run until target
+// settles. Returns Infinity when unreachable.
+func (g *Graph) DijkstraTo(source, target VertexID) float64 {
+	if source == target {
+		return 0
+	}
+	it := NewDijkstraIterator(g, source)
+	for {
+		v, d, ok := it.Next()
+		if !ok {
+			return Infinity
+		}
+		if v == target {
+			return d
+		}
+	}
+}
+
 // PathTo reconstructs the vertex sequence from the tree source to v, or nil
 // if v is unreachable.
 func (sp *ShortestPaths) PathTo(v VertexID) []VertexID {

@@ -12,7 +12,9 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -46,6 +48,16 @@ const maxMoves = 65536
 // maxEdges bounds one /edges request.
 const maxEdges = 65536
 
+// Request body caps, in bytes. They bound the allocation, not just the
+// parsed length: a maxBatch-sized /batch is well under 1 MiB of JSON, a
+// maxMoves-sized /moves or maxEdges-sized /edges under 8 MiB, and a /move or
+// /unlocate body is one small object.
+const (
+	maxBatchBody = 1 << 20
+	maxBulkBody  = 8 << 20
+	maxPointBody = 4 << 10
+)
+
 // New builds the handler.
 func New(eng *ssrq.Engine) *Server {
 	s := &Server{eng: eng, mux: http.NewServeMux()}
@@ -70,10 +82,6 @@ func New(eng *ssrq.Engine) *Server {
 // SetParallel sets the default /batch worker count (0 = GOMAXPROCS). Call
 // before serving.
 func (s *Server) SetParallel(n int) { s.parallel = n }
-
-// SetHeartbeat sets the SSE idle-stream ping interval (0 restores the 15s
-// default). Call before serving.
-func (s *Server) SetHeartbeat(d time.Duration) { s.heartbeat = d }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -241,10 +249,7 @@ type batchResponse struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	req := batchRequest{K: 10, Alpha: 0.3, Algo: "AIS"}
-	// Bound the allocation, not just the parsed length: a maxBatch-sized
-	// request is well under 1 MiB of JSON.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+	if !decodeBody(w, r, maxBatchBody, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -341,8 +346,7 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req moveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+	if !decodeBody(w, r, maxPointBody, &req) {
 		return
 	}
 	if req.ID < 0 || int(req.ID) >= s.eng.Dataset().NumUsers() {
@@ -386,8 +390,7 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req movesRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+	if !decodeBody(w, r, maxBulkBody, &req) {
 		return
 	}
 	if len(req.Moves) == 0 {
@@ -476,8 +479,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req edgesRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+	if !decodeBody(w, r, maxBulkBody, &req) {
 		return
 	}
 	if len(req.Edges) == 0 {
@@ -549,8 +551,7 @@ func (s *Server) handleUnlocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req unlocateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+	if !decodeBody(w, r, maxPointBody, &req) {
 		return
 	}
 	if req.ID < 0 || int(req.ID) >= s.eng.Dataset().NumUsers() {
@@ -694,6 +695,29 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// decodeBody decodes the request's JSON body into v, reading at most limit
+// bytes, and reports whether it succeeded. On failure it has written the
+// response: 413 for a body over limit, 400 for a malformed one. Whatever
+// follows the JSON value is read too, so a body over the limit is refused
+// wherever its excess sits.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(body).Decode(v)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", limit))
+		return false
+	case err != nil:
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+		return false
+	}
+	return true
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -519,3 +519,35 @@ func TestCHVariantsOverHTTP(t *testing.T) {
 		}
 	}
 }
+
+// TestBodyCaps holds every JSON-body endpoint to its byte cap: a valid body
+// padded with whitespace to exactly the cap keeps its usual status, and one
+// byte more gets 413 whether the excess comes before the JSON value or after
+// it.
+func TestBodyCaps(t *testing.T) {
+	s, _, _ := mkServer(t)
+	cases := []struct {
+		path string
+		cap  int
+		body string
+		want int
+	}{
+		{"/move", maxPointBody, `{"id":3,"x":0.5,"y":0.5}`, http.StatusNoContent},
+		{"/unlocate", maxPointBody, `{"id":4}`, http.StatusNoContent},
+		{"/batch", maxBatchBody, `{"queries":[1,2],"k":3}`, http.StatusOK},
+		{"/moves", maxBulkBody, `{"moves":[{"id":5,"x":0.5,"y":0.5}]}`, http.StatusAccepted},
+		{"/edges", maxBulkBody, `{"edges":[{"u":7,"v":9,"w":1}]}`, http.StatusAccepted},
+	}
+	for _, c := range cases {
+		pad := func(n int) string { return strings.Repeat(" ", n-len(c.body)) }
+		if rec := doRaw(s, c.path, []byte(c.body+pad(c.cap))); rec.Code != c.want {
+			t.Errorf("%s at its cap: %d, want %d: %s", c.path, rec.Code, c.want, rec.Body)
+		}
+		if rec := doRaw(s, c.path, []byte(c.body+pad(c.cap+1))); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s one byte over its cap, excess after the value: %d, want 413: %s", c.path, rec.Code, rec.Body)
+		}
+		if rec := doRaw(s, c.path, []byte(pad(c.cap+1)+c.body)); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s one byte over its cap, excess before the value: %d, want 413: %s", c.path, rec.Code, rec.Body)
+		}
+	}
+}

@@ -296,7 +296,7 @@ func TestSSEHeartbeat(t *testing.T) {
 	eng := sseEngine(t, nil)
 	defer eng.Close()
 	srv := New(eng)
-	srv.SetHeartbeat(50 * time.Millisecond)
+	srv.heartbeat = 50 * time.Millisecond
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -87,7 +87,7 @@ func TestIncrementalRepairStaysExact(t *testing.T) {
 			for j, lmv := range set.Vertices() {
 				want := cur.DistancesFrom(lmv)
 				for v := 0; v < n; v++ {
-					if got := set.Dist(j, graph.VertexID(v)); got != want[v] {
+					if got := set.VertexRow(graph.VertexID(v))[j]; got != want[v] {
 						t.Fatalf("trial %d step %d: landmark %d dist to %d = %v, want %v",
 							trial, step, j, v, got, want[v])
 					}
@@ -157,10 +157,10 @@ func TestStaleLandmarksRecomputedAtCommit(t *testing.T) {
 			want := cur.DistancesFrom(lmv)
 			for v := 0; v < n; v++ {
 				x := graph.VertexID(v)
-				if got := set.Dist(j, x); got != want[v] {
+				if got := set.VertexRow(x)[j]; got != want[v] {
 					t.Fatalf("batch %d: landmark %d dist to %d = %v, want %v", batch, j, v, got, want[v])
 				}
-				if set.Dist(j, x) != prev.Dist(j, x) && !inDirty[x] {
+				if set.VertexRow(x)[j] != prev.VertexRow(x)[j] && !inDirty[x] {
 					t.Fatalf("batch %d: vertex %d moved for landmark %d but is not dirty", batch, v, j)
 				}
 			}
@@ -218,7 +218,7 @@ func TestCommitDirtyMatchesSequentialOrder(t *testing.T) {
 			}
 			for j, lmv := range set.Vertices() {
 				for v, dist := range cur.DistancesFrom(lmv) {
-					if got := set.Dist(j, graph.VertexID(v)); math.Float64bits(got) != math.Float64bits(dist) {
+					if got := set.VertexRow(graph.VertexID(v))[j]; math.Float64bits(got) != math.Float64bits(dist) {
 						t.Fatalf("GOMAXPROCS=%d batch %d: landmark %d to %d = %v, want %v", procs, batch, j, v, got, dist)
 					}
 				}
@@ -292,16 +292,16 @@ func TestCommittedEpochsAreImmutable(t *testing.T) {
 
 	frozen, _ := d.Commit(churnStep(t, rng, o, d, n), nil)
 	var want []float64
-	for j := 0; j < frozen.M(); j++ {
-		want = append(want, frozen.Table(j)...)
+	for v := 0; v < frozen.NumVertices(); v++ {
+		want = append(want, frozen.VertexRow(graph.VertexID(v))...)
 	}
 
 	for step := 0; step < 30; step++ {
 		d.Commit(churnStep(t, rng, o, d, n), nil)
 	}
 	var got []float64
-	for j := 0; j < frozen.M(); j++ {
-		got = append(got, frozen.Table(j)...)
+	for v := 0; v < frozen.NumVertices(); v++ {
+		got = append(got, frozen.VertexRow(graph.VertexID(v))...)
 	}
 	for i := range want {
 		if want[i] != got[i] && !(math.IsNaN(want[i]) && math.IsNaN(got[i])) {
@@ -340,7 +340,7 @@ func TestNewDynamicBeyondSixtyFourLandmarks(t *testing.T) {
 		for j, lmv := range set.Vertices() {
 			want := cur.DistancesFrom(lmv)
 			for v := 0; v < n; v++ {
-				if got := set.Dist(j, graph.VertexID(v)); got != want[v] {
+				if got := set.VertexRow(graph.VertexID(v))[j]; got != want[v] {
 					t.Fatalf("step %d: landmark %d dist to %d = %v, want %v", step, j, v, got, want[v])
 				}
 			}
@@ -371,7 +371,7 @@ func TestDisconnectionAndReconnection(t *testing.T) {
 	want := o.Working().DistancesFrom(lmv)
 	sawInf := false
 	for v := 0; v < n; v++ {
-		got := set.Dist(0, graph.VertexID(v))
+		got := set.VertexRow(graph.VertexID(v))[0]
 		if got != want[v] {
 			t.Fatalf("post-cut dist to %d = %v, want %v", v, got, want[v])
 		}
@@ -391,10 +391,10 @@ func TestDisconnectionAndReconnection(t *testing.T) {
 	set, _ = d.Commit(o.Working(), nil)
 	want = o.Working().DistancesFrom(lmv)
 	for v := 0; v < n; v++ {
-		if got := set.Dist(0, graph.VertexID(v)); got != want[v] {
+		if got := set.VertexRow(graph.VertexID(v))[0]; got != want[v] {
 			t.Fatalf("post-reconnect dist to %d = %v, want %v", v, got, want[v])
 		}
-		if math.IsInf(set.Dist(0, graph.VertexID(v)), 1) {
+		if math.IsInf(set.VertexRow(graph.VertexID(v))[0], 1) {
 			t.Fatalf("vertex %d still unreachable after reconnect", v)
 		}
 	}

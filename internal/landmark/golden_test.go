@@ -30,7 +30,7 @@ func landmarkFingerprint(s *landmark.Set) uint64 {
 	}
 	for j := 0; j < s.M(); j++ {
 		for v := 0; v < s.NumVertices(); v++ {
-			w64(uint64(math.Float32bits(float32(s.Dist(j, graph.VertexID(v))))))
+			w64(uint64(math.Float32bits(float32(s.VertexRow(graph.VertexID(v))[j]))))
 		}
 	}
 	return h.Sum64()

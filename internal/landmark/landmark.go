@@ -279,20 +279,6 @@ func (s *Set) NumVertices() int { return s.n }
 // Vertices returns the landmark vertex IDs (do not modify).
 func (s *Set) Vertices() []graph.VertexID { return s.vertices }
 
-// Dist returns the distance between the j-th landmark and vertex v
-// (the paper's m_vj), +Inf when unreachable.
-func (s *Set) Dist(j int, v graph.VertexID) float64 { return s.vec(v)[j] }
-
-// Table returns the full distance table of the j-th landmark as a fresh
-// slice.
-func (s *Set) Table(j int) []float64 {
-	t := make([]float64, s.n)
-	for v := 0; v < s.n; v++ {
-		t[v] = s.vec(graph.VertexID(v))[j]
-	}
-	return t
-}
-
 // VertexVector returns the landmark-distance vector of v as a fresh slice.
 func (s *Set) VertexVector(v graph.VertexID) []float64 {
 	return append([]float64(nil), s.vec(v)...)

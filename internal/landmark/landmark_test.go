@@ -82,8 +82,8 @@ func TestTablesMatchDijkstra(t *testing.T) {
 	for j, lm := range s.Vertices() {
 		want := g.DistancesFrom(lm)
 		for v := 0; v < g.NumVertices(); v++ {
-			if s.Dist(j, graph.VertexID(v)) != want[v] {
-				t.Fatalf("table[%d][%d] = %v, want %v", j, v, s.Dist(j, graph.VertexID(v)), want[v])
+			if s.VertexRow(graph.VertexID(v))[j] != want[v] {
+				t.Fatalf("table[%d][%d] = %v, want %v", j, v, s.VertexRow(graph.VertexID(v))[j], want[v])
 			}
 		}
 	}
@@ -209,8 +209,8 @@ func TestVertexVector(t *testing.T) {
 		t.Fatalf("vector length %d", len(vec))
 	}
 	for j := range vec {
-		if vec[j] != s.Dist(j, 5) {
-			t.Fatalf("vector[%d] = %v, want %v", j, vec[j], s.Dist(j, 5))
+		if vec[j] != s.VertexRow(5)[j] {
+			t.Fatalf("vector[%d] = %v, want %v", j, vec[j], s.VertexRow(5)[j])
 		}
 	}
 }

@@ -109,7 +109,7 @@ func TestSelectMatchesSequential(t *testing.T) {
 					}
 					for j, want := range wantT {
 						for v, d := range want {
-							if got := s.Dist(j, graph.VertexID(v)); math.Float64bits(got) != math.Float64bits(d) {
+							if got := s.VertexRow(graph.VertexID(v))[j]; math.Float64bits(got) != math.Float64bits(d) {
 								t.Fatalf("%s: landmark %d to %d = %v, sequential %v", where, j, v, got, d)
 							}
 						}

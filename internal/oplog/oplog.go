@@ -106,12 +106,6 @@ func payloadLen(k Kind) (int, bool) {
 	return 0, false
 }
 
-// EncodedSize returns the wire size of r.
-func (r Record) EncodedSize() int {
-	n, _ := payloadLen(r.Kind)
-	return headerSize + n + crcSize
-}
-
 // Append encodes r onto b and returns the extended slice.
 func (r Record) Append(b []byte) []byte {
 	plen, ok := payloadLen(r.Kind)

@@ -22,8 +22,9 @@ func TestRecordRoundtrip(t *testing.T) {
 	var buf []byte
 	recs := sampleRecords()
 	for _, r := range recs {
-		if got, want := r.EncodedSize(), len(r.Append(nil)); got != want {
-			t.Fatalf("EncodedSize=%d but Append wrote %d", got, want)
+		plen, _ := payloadLen(r.Kind)
+		if got, want := headerSize+plen+crcSize, len(r.Append(nil)); got != want {
+			t.Fatalf("wire size %d but Append wrote %d", got, want)
 		}
 		buf = r.Append(buf)
 	}

@@ -51,13 +51,6 @@ func (h *IndexedHeap) Reset() {
 	h.slots = h.slots[:0]
 }
 
-// Contains reports whether the item is currently queued.
-func (h *IndexedHeap) Contains(id int32) bool { return h.pos[id] >= 0 }
-
-// Key returns the current key of a queued item. It must only be called when
-// Contains(id) is true.
-func (h *IndexedHeap) Key(id int32) float64 { return h.slots[h.pos[id]].key }
-
 // PushOrDecrease inserts the item with the given key, or lowers its key if it
 // is already queued with a larger one. It reports whether the heap changed.
 func (h *IndexedHeap) PushOrDecrease(id int32, key float64) bool {

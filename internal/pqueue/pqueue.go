@@ -46,15 +46,6 @@ func (h *Heap[T]) Push(key float64, tie int64, value T) {
 // on an empty heap.
 func (h *Heap[T]) Peek() Entry[T] { return h.items[0] }
 
-// PeekKey returns the minimum key, or +Inf semantics are up to the caller;
-// ok is false when the heap is empty.
-func (h *Heap[T]) PeekKey() (key float64, ok bool) {
-	if len(h.items) == 0 {
-		return 0, false
-	}
-	return h.items[0].Key, true
-}
-
 // Pop removes and returns the minimum entry. ok is false when empty.
 func (h *Heap[T]) Pop() (e Entry[T], ok bool) {
 	if len(h.items) == 0 {

@@ -15,9 +15,6 @@ func TestHeapEmpty(t *testing.T) {
 	if _, ok := h.Pop(); ok {
 		t.Fatal("Pop on empty heap reported ok")
 	}
-	if _, ok := h.PeekKey(); ok {
-		t.Fatal("PeekKey on empty heap reported ok")
-	}
 }
 
 func TestHeapOrdering(t *testing.T) {
@@ -58,11 +55,8 @@ func TestHeapPeekMatchesPop(t *testing.T) {
 	h := NewHeap[int](4)
 	h.Push(2, 0, 20)
 	h.Push(1, 1, 10)
-	if k, ok := h.PeekKey(); !ok || k != 1 {
-		t.Fatalf("PeekKey = %v,%v want 1,true", k, ok)
-	}
-	if e := h.Peek(); e.Value != 10 {
-		t.Fatalf("Peek value = %d, want 10", e.Value)
+	if e := h.Peek(); e.Key != 1 || e.Value != 10 {
+		t.Fatalf("Peek = (%v, %d), want (1, 10)", e.Key, e.Value)
 	}
 	e, _ := h.Pop()
 	if e.Value != 10 {
@@ -117,15 +111,15 @@ func TestIndexedHeapBasic(t *testing.T) {
 	h.PushOrDecrease(3, 5.0)
 	h.PushOrDecrease(7, 2.0)
 	h.PushOrDecrease(1, 9.0)
-	if !h.Contains(3) || h.Contains(0) {
-		t.Fatal("Contains wrong")
+	if !(h.pos[3] >= 0) || (h.pos[0] >= 0) {
+		t.Fatal("queued flags wrong")
 	}
 	id, key, ok := h.PopMin()
 	if !ok || id != 7 || key != 2.0 {
 		t.Fatalf("PopMin = %d,%v want 7,2", id, key)
 	}
-	if h.Contains(7) {
-		t.Fatal("popped item still Contains")
+	if h.pos[7] >= 0 {
+		t.Fatal("popped item still queued")
 	}
 }
 
@@ -163,7 +157,7 @@ func TestIndexedHeapReset(t *testing.T) {
 	h.PushOrDecrease(1, 1)
 	h.PushOrDecrease(2, 2)
 	h.Reset()
-	if h.Len() != 0 || h.Contains(1) || h.Contains(2) {
+	if h.Len() != 0 || (h.pos[1] >= 0) || (h.pos[2] >= 0) {
 		t.Fatal("Reset left state behind")
 	}
 	h.PushOrDecrease(3, 3)
@@ -217,7 +211,7 @@ func TestIndexedHeapMatchesReferenceSort(t *testing.T) {
 func TestIndexedHeapKeyAccessor(t *testing.T) {
 	h := NewIndexedHeap(3)
 	h.PushOrDecrease(2, 1.25)
-	if got := h.Key(2); got != 1.25 {
+	if got := h.slots[h.pos[2]].key; got != 1.25 {
 		t.Fatalf("Key = %v, want 1.25", got)
 	}
 }
@@ -277,8 +271,8 @@ func TestIndexedHeapMatchesReferenceUnderRandomOps(t *testing.T) {
 			if h.Len() != len(ref) {
 				t.Fatalf("trial %d step %d: Len = %d, want %d", trial, step, h.Len(), len(ref))
 			}
-			if k, queued := ref[id]; queued != h.Contains(id) || (queued && h.Key(id) != k) {
-				t.Fatalf("trial %d step %d: item %d queued=%v, want queued=%v with key %v", trial, step, id, h.Contains(id), queued, k)
+			if k, queued := ref[id]; queued != (h.pos[id] >= 0) || (queued && h.slots[h.pos[id]].key != k) {
+				t.Fatalf("trial %d step %d: item %d queued=%v, want queued=%v with key %v", trial, step, id, (h.pos[id] >= 0), queued, k)
 			}
 		}
 		// Drain: the remaining pop sequence is the sorted (key, id) order.

@@ -75,9 +75,9 @@ func locate(sns []*aggindex.Snapshot, id int32) int {
 	return -1
 }
 
-// QueryBatch answers a batch of queries on a pool of workers with exactly
-// core.Engine.QueryBatch's contract (one shared implementation —
-// core.RunBatch — so the clamping and error semantics cannot drift).
+// QueryBatch answers a batch of queries on a pool of workers with
+// core.RunBatch's contract: outcomes in input order, workers <= 0 selects
+// GOMAXPROCS, and a failed query fills only its own slot.
 func (se *Engine) QueryBatch(queries []core.BatchQuery, workers int) []core.BatchResult {
 	return core.RunBatch(queries, workers, func(bq core.BatchQuery) (*core.Result, error) {
 		return se.Query(bq.Algo, bq.Q, bq.Params)

@@ -22,7 +22,7 @@ import (
 // Z-order cut.
 func skewStream(t *testing.T, rng *rand.Rand, se *Engine, users []graph.VertexID, n int) {
 	t.Helper()
-	b := se.Dataset().Bounds()
+	b, _ := spatial.BoundingRect(se.ds.Pts, se.ds.Located)
 	for i := 0; i < n; i++ {
 		id := int32(users[rng.Intn(len(users))])
 		// Near the hotspot corner with small jitter.
@@ -86,8 +86,8 @@ func TestRebalanceRestoresBalance(t *testing.T) {
 		if !ok {
 			t.Fatalf("user %d lost its location", id)
 		}
-		if s := se.ShardOfUser(id); s != se.CellShard(se.layout.CellIndex(se.layout.LeafLevel(), p)) {
-			t.Fatalf("user %d owned by shard %d but its cell routes to %d", id, s, se.CellShard(se.layout.CellIndex(se.layout.LeafLevel(), p)))
+		if s := shardOfUser(se, id); s != cellShard(se, se.layout.CellIndex(se.layout.LeafLevel(), p)) {
+			t.Fatalf("user %d owned by shard %d but its cell routes to %d", id, s, cellShard(se, se.layout.CellIndex(se.layout.LeafLevel(), p)))
 		}
 	}
 }
@@ -116,7 +116,7 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(233))
 	users := locatedUsers(ds)
-	b := ds.Bounds()
+	b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	n := int32(ds.NumUsers())
 
 	// The reference applies each op synchronously; the routed engine queues it.
@@ -290,7 +290,7 @@ func farCornerWorld(t *testing.T) (*dataset.Dataset, []graph.VertexID, []core.Up
 	ds := clusteredDataset(t, 300, 71)
 	users := locatedUsers(ds)
 	rng := rand.New(rand.NewSource(711))
-	b := ds.Bounds()
+	b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	var moves []core.Update
 	for i, u := range users {
 		if i%4 == 0 {
@@ -365,7 +365,7 @@ func TestQueryExactAcrossRebalanceDrain(t *testing.T) {
 			}
 			q := graph.VertexID(-1)
 			for _, u := range users {
-				if se.ShardOfUser(int32(u)) == 0 {
+				if shardOfUser(se, int32(u)) == 0 {
 					q = u
 					break
 				}
@@ -388,7 +388,7 @@ func TestQueryExactAcrossRebalanceDrain(t *testing.T) {
 				// new shard, still in their old grid in the published view.
 				sns := *se.view.Load()
 				for _, e := range want.Entries {
-					if locate(sns, e.ID) != se.ShardOfUser(e.ID) {
+					if locate(sns, e.ID) != shardOfUser(se, e.ID) {
 						migrating++
 					}
 				}
@@ -499,7 +499,7 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 	found := false
 	for _, u := range users {
 		for _, w := range users {
-			if se.ShardOfUser(int32(w)) > se.ShardOfUser(int32(u)) {
+			if shardOfUser(se, int32(w)) > shardOfUser(se, int32(u)) {
 				q, to, found = u, ds.Pts[w], true
 				break
 			}
@@ -511,7 +511,7 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 	if !found {
 		t.Fatal("fixture: every user on one shard")
 	}
-	old := se.ShardOfUser(int32(q))
+	old := shardOfUser(se, int32(q))
 	from, _ := se.UserLocation(int32(q))
 
 	// parkMove runs atPark on the queue's goroutine while q's move is parked
@@ -555,7 +555,7 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 			t.Errorf("parked AIS:\n got:  %+v\n want: %+v", got.Entries, pre.Entries)
 		}
 	})
-	if s := se.ShardOfUser(int32(q)); s == old {
+	if s := shardOfUser(se, int32(q)); s == old {
 		t.Fatal("fixture: the move did not cross shards")
 	}
 	post, err := se.Query(core.BruteForce, q, prm)
@@ -571,7 +571,7 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 	t.Run("SpatialKNNListsEveryUserOnce", func(t *testing.T) {
 		// Put q back home, then park the same move again while another user
 		// lists everyone.
-		if err := moveUser(se, int32(q), from); err != nil || se.ShardOfUser(int32(q)) != old {
+		if err := moveUser(se, int32(q), from); err != nil || shardOfUser(se, int32(q)) != old {
 			t.Fatalf("fixture: moving q back home: %v", err)
 		}
 		p := users[0]
@@ -634,7 +634,8 @@ func TestHotspotDriftTripsAutomaticRebalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed + 977))
 	// The wide jitter keeps the hotspot mass spread over a handful of leaf
 	// cells: a single overloaded cell is the one skew no re-cut can repair.
-	mig, err := gen.NewMigration(ds.Bounds(), gen.MigrationConfig{Jitter: 0.06}, rng)
+	b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
+	mig, err := gen.NewMigration(b, gen.MigrationConfig{Jitter: 0.06}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

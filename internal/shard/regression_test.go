@@ -70,7 +70,7 @@ func TestFanoutFellBackPropagates(t *testing.T) {
 	mono.ResetCache(3)
 
 	const q = graph.VertexID(0)
-	home, remote := se.ShardOfUser(0), se.ShardOfUser(2)
+	home, remote := shardOfUser(se, 0), shardOfUser(se, 2)
 	if home < 0 || remote < 0 || home == remote {
 		t.Fatalf("partition did not separate query (shard %d) from remote user (shard %d)", home, remote)
 	}
@@ -323,7 +323,7 @@ func TestStatsReadThePublishedView(t *testing.T) {
 			routed = append(routed, sh.Shard)
 		}
 	}
-	if len(routed) != 2 || !slices.Contains(routed, se.ShardOfUser(w)) {
+	if len(routed) != 2 || !slices.Contains(routed, shardOfUser(se, w)) {
 		t.Fatalf("released: shards %v took the batch, want the move's two shards", routed)
 	}
 }

@@ -57,7 +57,6 @@ import (
 	"ssrq/internal/aggindex"
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
-	"ssrq/internal/fof"
 	"ssrq/internal/spatial"
 	"ssrq/internal/wal"
 )
@@ -310,14 +309,6 @@ func (se *Engine) shardOfPoint(p spatial.Point) int32 {
 // NumShards returns the shard count.
 func (se *Engine) NumShards() int { return len(se.shards) }
 
-// Dataset returns the shared parent dataset (construction-time state; live
-// locations come from the published view).
-func (se *Engine) Dataset() *dataset.Dataset { return se.ds }
-
-// FoFIndex returns the substrate's friends-of-friends bound index (shared by
-// every shard; the subscription layer discovers it through this accessor).
-func (se *Engine) FoFIndex() *fof.Index { return se.sub.FoF() }
-
 // OnEpoch installs fn as the epoch-delta consumer (single consumer; nil
 // detaches). fn gets one delta per published view — one per write batch or
 // rebalance drain batch that changed something — after the view is stored:
@@ -332,19 +323,6 @@ func (se *Engine) OnEpoch(fn func(aggindex.EpochDelta)) {
 	se.onEpoch = fn
 	se.writeMu.Unlock()
 }
-
-// ShardOfUser returns the shard the user's last routed location op went to,
-// -1 when the user has no indexed location.
-func (se *Engine) ShardOfUser(id int32) int {
-	if id < 0 || int(id) >= len(se.owner) {
-		return -1
-	}
-	return int(se.owner[id].Load())
-}
-
-// CellShard returns the shard currently owning grid leaf cell idx (partition
-// introspection for stats and tests; moves under rebalance).
-func (se *Engine) CellShard(idx int32) int { return int(se.cellShard[idx].Load()) }
 
 // stripeOf returns the routing stripe of a user's location ops.
 func stripeOf(id int32) int { return int(id) & 63 }

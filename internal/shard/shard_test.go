@@ -66,6 +66,18 @@ func sameEntries(t *testing.T, label string, got, want []core.Entry) {
 	}
 }
 
+// shardOfUser returns the shard the user's last routed location op went to,
+// -1 when the user has no indexed location.
+func shardOfUser(se *Engine, id int32) int {
+	if id < 0 || int(id) >= len(se.owner) {
+		return -1
+	}
+	return int(se.owner[id].Load())
+}
+
+// cellShard returns the shard currently owning grid leaf cell idx.
+func cellShard(se *Engine, idx int32) int { return int(se.cellShard[idx].Load()) }
+
 // requireRefused asserts that the engine refuses algo at the served-menu gate,
 // with an error naming it.
 func requireRefused(t *testing.T, se *Engine, algo core.Algorithm, q graph.VertexID, prm core.Params) {
@@ -201,7 +213,7 @@ func TestCrossShardRouting(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(23))
 	users := locatedUsers(ds)
-	b := ds.Bounds()
+	b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 40; i++ {
 			op := core.Update{ID: int32(users[rng.Intn(len(users))])}
@@ -226,13 +238,13 @@ func TestCrossShardRouting(t *testing.T) {
 		}
 		se.Flush()
 
-		if got, want := se.NumLocated(), mono.NumLocated(); got != want {
+		if got, want := se.NumLocated(), mono.Snapshot().Grid().NumLocated(); got != want {
 			t.Fatalf("round %d: sharded locates %d users, reference %d", round, got, want)
 		}
 		// Ownership invariant: every user is located in exactly the shard the
 		// owner map names, and nowhere else.
 		for v := 0; v < ds.NumUsers(); v++ {
-			ownerShard := se.ShardOfUser(int32(v))
+			ownerShard := shardOfUser(se, int32(v))
 			locatedIn := -1
 			for s, sh := range se.shards {
 				if sh.Snapshot().Grid().Located(int32(v)) {
@@ -320,11 +332,11 @@ func crossShardPair(t *testing.T, se *Engine, users []graph.VertexID) (u, w int3
 	t.Helper()
 	u = -1
 	for _, v := range users {
-		switch s := se.ShardOfUser(int32(v)); {
+		switch s := shardOfUser(se, int32(v)); {
 		case s < 0:
 		case u < 0:
 			u = int32(v)
-		case s != se.ShardOfUser(u):
+		case s != shardOfUser(se, u):
 			return u, int32(v)
 		}
 	}
@@ -462,7 +474,7 @@ func TestPartitionCoversAllCells(t *testing.T) {
 		}
 		owned := make([]int, S)
 		for idx := range se.cellShard {
-			s := se.CellShard(int32(idx))
+			s := cellShard(se, int32(idx))
 			if s < 0 || s >= S {
 				t.Fatalf("S=%d: cell %d maps to shard %d", S, idx, s)
 			}

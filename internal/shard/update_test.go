@@ -36,7 +36,7 @@ func TestBackpressureAndCloseNeverDeadlock(t *testing.T) {
 		}
 	}()
 	se.AttachLog(log, nil)
-	b := ds.Bounds()
+	b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	n := int32(ds.NumUsers())
 	point := func(rng *rand.Rand) spatial.Point {
 		return spatial.Point{X: b.MinX + rng.Float64()*b.Width(), Y: b.MinY + rng.Float64()*b.Height()}

@@ -31,27 +31,13 @@ func TestMinDistQuickProperty(t *testing.T) {
 	}
 }
 
-func TestMaxDistUpperBoundsMembers(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		r := Rect{rng.Float64() * 10, rng.Float64() * 10, 0, 0}
-		r.MaxX = r.MinX + rng.Float64()*10
-		r.MaxY = r.MinY + rng.Float64()*10
-		p := Point{rng.Float64()*30 - 10, rng.Float64()*30 - 10}
-		in := Point{r.MinX + rng.Float64()*r.Width(), r.MinY + rng.Float64()*r.Height()}
-		if p.Dist(in) > r.MaxDist(p)+1e-9 {
-			t.Fatalf("MaxDist violated: %v > %v", p.Dist(in), r.MaxDist(p))
-		}
-	}
-}
-
 func TestNNDeterministicAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g, _, _ := mkGrid(t, rng, 300, 5, 2, 0.1)
 	q := Point{33, 66}
 	var first []int32
 	for run := 0; run < 3; run++ {
-		it := g.NewNN(q)
+		it := g.view().NewNN(q)
 		var order []int32
 		for {
 			id, _, ok := it.Next()
@@ -88,7 +74,7 @@ func TestNNAllSamePoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := g.NewNN(Point{1, 1})
+	it := g.view().NewNN(Point{1, 1})
 	for want := int32(0); want < 50; want++ {
 		id, d, ok := it.Next()
 		if !ok || id != want || d != 0 {
@@ -101,7 +87,7 @@ func TestGridSingleLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, pts, located := mkGrid(t, rng, 120, 8, 1, 0.2)
 	q := Point{10, 90}
-	it := g.NewNN(q)
+	it := g.view().NewNN(q)
 	prev := -1.0
 	count := 0
 	for {
@@ -121,7 +107,7 @@ func TestGridSingleLevel(t *testing.T) {
 		prev = d
 		count++
 	}
-	if count != g.NumLocated() {
-		t.Fatalf("streamed %d of %d", count, g.NumLocated())
+	if count != g.view().NumLocated() {
+		t.Fatalf("streamed %d of %d", count, g.view().NumLocated())
 	}
 }

@@ -134,17 +134,6 @@ func (g *Grid) writableBucket(w *Snapshot, leaf int32) *[]int32 {
 // Layout returns the grid geometry.
 func (g *Grid) Layout() *Layout { return g.layout }
 
-// NumLocated returns how many users currently have an indexed location.
-// Writer-side view; readers use Snapshot().NumLocated.
-func (g *Grid) NumLocated() int { return g.view().numLocated }
-
-// Point returns the current location of a user (meaningless when not
-// located). Writer-side view.
-func (g *Grid) Point(id int32) Point { return g.view().Point(id) }
-
-// Located reports whether the user has a known location. Writer-side view.
-func (g *Grid) Located(id int32) bool { return g.view().Located(id) }
-
 // CellUsers returns the members of a leaf cell (do not modify). Writer-side
 // view.
 func (g *Grid) CellUsers(leafIdx int32) []int32 { return g.view().CellUsers(leafIdx) }
@@ -153,10 +142,6 @@ func (g *Grid) CellUsers(leafIdx int32) []int32 { return g.view().CellUsers(leaf
 // user has no location. Index layers that maintain per-cell aggregates (the
 // AIS social summaries) use this to find the old bucket before a move.
 func (g *Grid) LeafOf(id int32) int32 { return g.view().LeafOf(id) }
-
-// CountAt returns the number of located users under a cell. Writer-side
-// view.
-func (g *Grid) CountAt(level int, idx int32) int32 { return g.view().CountAt(level, idx) }
 
 func (g *Grid) insert(id int32) {
 	w := g.work

@@ -17,7 +17,6 @@ type NNIterator struct {
 	q        Point
 	heap     *pqueue.Heap[nnItem]
 	childBuf []int32
-	userPops int
 }
 
 type nnItem struct {
@@ -59,7 +58,6 @@ func (it *NNIterator) Reset(q Point, snaps ...*Snapshot) {
 	it.snaps = append(it.snaps[:0], snaps...)
 	it.q = q
 	it.heap.Reset()
-	it.userPops = 0
 	for si, s := range snaps {
 		for idx := int32(0); idx < int32(s.layout.NumCells(0)); idx++ {
 			if s.CountAt(0, idx) == 0 {
@@ -69,11 +67,6 @@ func (it *NNIterator) Reset(q Point, snaps ...*Snapshot) {
 		}
 	}
 }
-
-// NewNN starts an incremental nearest-neighbor search over the grid's
-// writer-side view (single-threaded convenience; concurrent readers take a
-// Snapshot first and iterate that).
-func (g *Grid) NewNN(q Point) *NNIterator { return g.view().NewNN(q) }
 
 // Next returns the next-closest located user and the exact distance.
 // ok is false once all located users have been reported.
@@ -85,7 +78,6 @@ func (it *NNIterator) Next() (id int32, dist float64, ok bool) {
 		}
 		item := e.Value
 		if item.level == userLevel {
-			it.userPops++
 			return item.idx, e.Key, true
 		}
 		s, level := it.snaps[item.snap], int(item.level)
@@ -105,10 +97,6 @@ func (it *NNIterator) Next() (id int32, dist float64, ok bool) {
 		}
 	}
 }
-
-// UserPops returns how many users the iterator has reported (the spatial
-// contribution to the paper's pop-ratio metric).
-func (it *NNIterator) UserPops() int { return it.userPops }
 
 // Neighbor is one kNN result.
 type Neighbor struct {

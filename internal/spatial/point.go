@@ -45,14 +45,6 @@ func (r Rect) MinDist(p Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// MaxDist returns the maximum Euclidean distance between p and any point of
-// r (the farthest corner).
-func (r Rect) MaxDist(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
-	dy := math.Max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
 // Diagonal returns the length of r's diagonal — the spatial-proximity
 // normalization constant (max pairwise Euclidean distance bound).
 func (r Rect) Diagonal() float64 {

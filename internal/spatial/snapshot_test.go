@@ -115,8 +115,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	// …and the new epoch must agree with the writer's own view.
 	after := captureWorld(cur)
-	if after.numLocated != g.NumLocated() {
-		t.Fatalf("new snapshot located %d, writer sees %d", after.numLocated, g.NumLocated())
+	if after.numLocated != g.view().NumLocated() {
+		t.Fatalf("new snapshot located %d, writer sees %d", after.numLocated, g.view().NumLocated())
 	}
 	if worldsEqual(before, after) {
 		t.Fatal("800 mutations left the world unchanged (test is vacuous)")
@@ -186,7 +186,7 @@ func TestWriterViewReadYourWrites(t *testing.T) {
 	before := old.Point(7)
 	target := Point{99, 99}
 	g.Move(7, target)
-	if g.Point(7) != target {
+	if g.view().Point(7) != target {
 		t.Fatal("writer view missed its own move")
 	}
 	if g.Snapshot().Point(7) != before {

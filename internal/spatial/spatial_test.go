@@ -32,12 +32,6 @@ func TestRectMaxDistAndDiagonal(t *testing.T) {
 	if got := r.Diagonal(); got != 5 {
 		t.Fatalf("Diagonal = %v", got)
 	}
-	if got := r.MaxDist(Point{0, 0}); got != 5 {
-		t.Fatalf("MaxDist from corner = %v", got)
-	}
-	if got := r.MaxDist(Point{1.5, 2}); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("MaxDist from center = %v", got)
-	}
 }
 
 func TestBoundingRect(t *testing.T) {
@@ -173,13 +167,13 @@ func TestGridCounts(t *testing.T) {
 			want++
 		}
 	}
-	if g.NumLocated() != want {
-		t.Fatalf("NumLocated = %d, want %d", g.NumLocated(), want)
+	if g.view().NumLocated() != want {
+		t.Fatalf("NumLocated = %d, want %d", g.view().NumLocated(), want)
 	}
 	// Top-level counts must sum to the located count.
 	var sum int32
 	for idx := int32(0); idx < int32(g.Layout().NumCells(0)); idx++ {
-		sum += g.CountAt(0, idx)
+		sum += g.view().CountAt(0, idx)
 	}
 	if int(sum) != want {
 		t.Fatalf("top-level count sum = %d, want %d", sum, want)
@@ -210,7 +204,7 @@ func TestNNMatchesBruteForce(t *testing.T) {
 			return want[i].id < want[j].id
 		})
 
-		it := g.NewNN(q)
+		it := g.view().NewNN(q)
 		for i, w := range want {
 			id, d, ok := it.Next()
 			if !ok {
@@ -222,9 +216,6 @@ func TestNNMatchesBruteForce(t *testing.T) {
 		}
 		if _, _, ok := it.Next(); ok {
 			t.Fatalf("trial %d: iterator returned extra user", trial)
-		}
-		if it.UserPops() != len(want) {
-			t.Fatalf("UserPops = %d, want %d", it.UserPops(), len(want))
 		}
 	}
 }
@@ -253,8 +244,8 @@ func TestKNN(t *testing.T) {
 	}
 	// k larger than population.
 	all := g.KNN(q, 10_000, nil)
-	if len(all) != g.NumLocated() {
-		t.Fatalf("oversized k returned %d, want %d", len(all), g.NumLocated())
+	if len(all) != g.view().NumLocated() {
+		t.Fatalf("oversized k returned %d, want %d", len(all), g.view().NumLocated())
 	}
 }
 
@@ -263,7 +254,7 @@ func TestGridMove(t *testing.T) {
 	g, _, _ := mkGrid(t, rng, 100, 4, 2, 0)
 	id := int32(5)
 	g.Move(id, Point{99, 99})
-	if g.Point(id) != (Point{99, 99}) {
+	if g.view().Point(id) != (Point{99, 99}) {
 		t.Fatal("Move did not update the stored point")
 	}
 	res := g.KNN(Point{99.5, 99.5}, 1, nil)
@@ -271,9 +262,9 @@ func TestGridMove(t *testing.T) {
 		t.Fatalf("moved user not found near target: %+v", res)
 	}
 	// Move within the same leaf cell must also update the point.
-	before := g.Point(id)
+	before := g.view().Point(id)
 	g.Move(id, Point{before.X - 1e-6, before.Y})
-	if g.Point(id).X >= before.X {
+	if g.view().Point(id).X >= before.X {
 		t.Fatal("intra-cell move lost")
 	}
 }
@@ -282,17 +273,17 @@ func TestGridLocateUnlocateCycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g, _, _ := mkGrid(t, rng, 50, 4, 2, 0)
 	id := int32(10)
-	n0 := g.NumLocated()
+	n0 := g.view().NumLocated()
 	g.RemoveLocation(id)
-	if g.NumLocated() != n0-1 || g.Located(id) {
+	if g.view().NumLocated() != n0-1 || g.view().Located(id) {
 		t.Fatal("RemoveLocation failed")
 	}
 	g.RemoveLocation(id) // idempotent
-	if g.NumLocated() != n0-1 {
+	if g.view().NumLocated() != n0-1 {
 		t.Fatal("double RemoveLocation changed counts")
 	}
 	g.SetLocated(id, Point{1, 1})
-	if g.NumLocated() != n0 || !g.Located(id) {
+	if g.view().NumLocated() != n0 || !g.view().Located(id) {
 		t.Fatal("SetLocated failed")
 	}
 	res := g.KNN(Point{1, 1}, 1, nil)
@@ -302,7 +293,7 @@ func TestGridLocateUnlocateCycle(t *testing.T) {
 	// Move on an unlocated user acts as SetLocated.
 	g.RemoveLocation(id)
 	g.Move(id, Point{2, 2})
-	if !g.Located(id) {
+	if !g.view().Located(id) {
 		t.Fatal("Move on unlocated user did not locate")
 	}
 }
@@ -326,26 +317,26 @@ func TestGridCountsStayConsistentUnderChurn(t *testing.T) {
 	for l := 0; l < g.Layout().Levels; l++ {
 		var sum int32
 		for idx := int32(0); idx < int32(g.Layout().NumCells(l)); idx++ {
-			sum += g.CountAt(l, idx)
+			sum += g.view().CountAt(l, idx)
 		}
-		if int(sum) != g.NumLocated() {
-			t.Fatalf("level %d count sum %d != located %d", l, sum, g.NumLocated())
+		if int(sum) != g.view().NumLocated() {
+			t.Fatalf("level %d count sum %d != located %d", l, sum, g.view().NumLocated())
 		}
 	}
 	members := 0
 	for idx := int32(0); idx < int32(g.Layout().NumCells(g.Layout().LeafLevel())); idx++ {
 		for _, u := range g.CellUsers(idx) {
 			members++
-			if !g.Located(u) {
+			if !g.view().Located(u) {
 				t.Fatalf("unlocated user %d present in grid", u)
 			}
-			if g.Layout().CellIndex(g.Layout().LeafLevel(), g.Point(u)) != idx {
+			if g.Layout().CellIndex(g.Layout().LeafLevel(), g.view().Point(u)) != idx {
 				t.Fatalf("user %d in wrong leaf", u)
 			}
 		}
 	}
-	if members != g.NumLocated() {
-		t.Fatalf("leaf membership %d != located %d", members, g.NumLocated())
+	if members != g.view().NumLocated() {
+		t.Fatalf("leaf membership %d != located %d", members, g.view().NumLocated())
 	}
 }
 

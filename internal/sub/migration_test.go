@@ -8,6 +8,7 @@ import (
 	"ssrq/internal/core"
 	"ssrq/internal/gen"
 	"ssrq/internal/shard"
+	"ssrq/internal/spatial"
 	"ssrq/internal/sub"
 )
 
@@ -54,7 +55,7 @@ func TestMigrationDriftSkipsAndReplaysExactly(t *testing.T) {
 			views := make([][]core.Entry, len(subscribers))
 			seen := make([]uint64, len(subscribers))
 			for i, q := range subscribers {
-				if subs[i], err = e.Subscribe(int32(q), prm.K, prm.Alpha); err != nil {
+				if subs[i], err = e.SubscribeParams(int32(q), prm); err != nil {
 					t.Fatal(err)
 				}
 				d := subs[i].Delta()
@@ -63,7 +64,8 @@ func TestMigrationDriftSkipsAndReplaysExactly(t *testing.T) {
 			base := e.Stats()
 
 			rng := rand.New(rand.NewSource(seed + 77))
-			mig, err := gen.NewMigration(ds.Bounds(), gen.MigrationConfig{Jitter: 0.06}, rng)
+			b, _ := spatial.BoundingRect(ds.Pts, ds.Located)
+			mig, err := gen.NewMigration(b, gen.MigrationConfig{Jitter: 0.06}, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,16 +90,16 @@ func TestMigrationDriftSkipsAndReplaysExactly(t *testing.T) {
 				}
 				for p := 0; p < 16; p++ {
 					i := (round*16 + p) % len(subs)
-					sameEntries(t, fmt.Sprintf("round %d: subscriber %d view vs oracle", round, subs[i].User()),
-						views[i], oracle(t, eng, subs[i].User(), prm))
+					sameEntries(t, fmt.Sprintf("round %d: subscriber %d view vs oracle", round, int32(subscribers[i])),
+						views[i], oracle(t, eng, int32(subscribers[i]), prm))
 				}
 			}
 
 			for i, st := range subs {
 				d := st.Delta()
 				views[i] = applyDelta(t, views[i], d)
-				label := fmt.Sprintf("final sweep: subscriber %d", st.User())
-				sameEntries(t, label+" view vs oracle", views[i], oracle(t, eng, st.User(), prm))
+				label := fmt.Sprintf("final sweep: subscriber %d", int32(subscribers[i]))
+				sameEntries(t, label+" view vs oracle", views[i], oracle(t, eng, int32(subscribers[i]), prm))
 				sameEntries(t, label+" Result vs view", st.Result(), views[i])
 			}
 

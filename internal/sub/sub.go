@@ -137,18 +137,13 @@ func (e *Engine) onEpoch(d aggindex.EpochDelta) {
 	e.cond.Broadcast()
 }
 
-// Subscribe registers a standing (q, k, α) query and blocks until its
-// initial evaluation completes, so the subscription starts with a
-// populated result (empty when q has no known location). The caller owns
-// the returned Subscription and must Close it when done.
-func (e *Engine) Subscribe(q int32, k int, alpha float64) (*Subscription, error) {
-	return e.SubscribeParams(q, core.Params{K: k, Alpha: alpha})
-}
-
-// SubscribeParams is Subscribe with full query parameters — in particular a
-// label filter, which restricts the standing result to users carrying at
-// least one requested label and lets the per-epoch skip test discard touched
-// users the filter excludes.
+// SubscribeParams registers a standing query from q with parameters prm and
+// blocks until its initial evaluation completes, so the subscription starts
+// with a populated result (empty when q has no known location). A label
+// filter in prm restricts the standing result to users carrying at least one
+// requested label and lets the per-epoch skip test discard touched users the
+// filter excludes. The caller owns the returned Subscription and must Close
+// it when done.
 func (e *Engine) SubscribeParams(q int32, prm core.Params) (*Subscription, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err

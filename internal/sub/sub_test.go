@@ -133,7 +133,7 @@ func runDifferential(t *testing.T, src world, ds *dataset.Dataset, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	users := locatedUsers(ds)
 	prm := core.Params{K: 10, Alpha: 0.3}
-	bounds := ds.Bounds()
+	bounds, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	w, h := bounds.MaxX-bounds.MinX, bounds.MaxY-bounds.MinY
 
 	nSubs := 40
@@ -143,7 +143,7 @@ func runDifferential(t *testing.T, src world, ds *dataset.Dataset, seed int64) {
 	subs := make([]*sub.Subscription, 0, nSubs)
 	views := make(map[*sub.Subscription][]core.Entry, nSubs)
 	for i := 0; i < nSubs; i++ {
-		st, err := e.Subscribe(int32(users[i]), prm.K, prm.Alpha)
+		st, err := e.SubscribeParams(int32(users[i]), prm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,14 +202,14 @@ func runDifferential(t *testing.T, src world, ds *dataset.Dataset, seed int64) {
 		e.Sync()
 
 		for i, st := range subs {
-			want := oracle(t, src, st.User(), prm)
+			want := oracle(t, src, int32(users[i]), prm)
 			got := st.Result()
 			sameEntries(t, "chunk "+string(rune('0'+chunk))+" subscription vs oracle", got, want)
 			views[st] = applyDelta(t, views[st], st.Delta())
 			sameEntries(t, "delta-applied view vs result", views[st], got)
 			if chunk == 9 && i < 4 {
 				// Spot-check against the engine's own exact method too.
-				brute, err := src.Query(core.BruteForce, graph.VertexID(st.User()), prm)
+				brute, err := src.Query(core.BruteForce, users[i], prm)
 				if err == nil {
 					sameEntries(t, "subscription vs brute force", got, brute.Entries)
 				}
@@ -294,7 +294,7 @@ func TestSkipSoundnessProvably(t *testing.T) {
 	defer e.Close()
 
 	prm := core.Params{K: 5, Alpha: 0.3}
-	st, err := e.Subscribe(0, prm.K, prm.Alpha)
+	st, err := e.SubscribeParams(0, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestSkipSoundnessProvably(t *testing.T) {
 
 	// 30 epochs of community-B movement, each flushed individually so every
 	// epoch is its own evaluation round.
-	bnds := ds.Bounds()
+	bnds, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	for i := 0; i < 30; i++ {
 		id := int32(25 + i%10)
 		cur, ok := eng.UserLocation(id)
@@ -354,14 +354,14 @@ func TestSubscribersAcrossRebalance(t *testing.T) {
 	prm := core.Params{K: 10, Alpha: 0.3}
 	var subs []*sub.Subscription
 	for i := 0; i < 16; i++ {
-		st, err := e.Subscribe(int32(users[i]), prm.K, prm.Alpha)
+		st, err := e.SubscribeParams(int32(users[i]), prm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		subs = append(subs, st)
 	}
 
-	bounds := ds.Bounds()
+	bounds, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	w, h := bounds.MaxX-bounds.MinX, bounds.MaxY-bounds.MinY
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -411,8 +411,8 @@ func TestSubscribersAcrossRebalance(t *testing.T) {
 
 	eng.Flush()
 	e.Sync()
-	for _, st := range subs {
-		sameEntries(t, "post-rebalance", st.Result(), oracle(t, eng, st.User(), prm))
+	for i, st := range subs {
+		sameEntries(t, "post-rebalance", st.Result(), oracle(t, eng, int32(users[i]), prm))
 	}
 }
 
@@ -429,7 +429,7 @@ func TestCloseSettlesGoroutines(t *testing.T) {
 	users := locatedUsers(ds)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		st, err := e.Subscribe(int32(users[i]), 5, 0.3)
+		st, err := e.SubscribeParams(int32(users[i]), core.Params{K: 5, Alpha: 0.3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +442,7 @@ func TestCloseSettlesGoroutines(t *testing.T) {
 		}()
 	}
 	// Subscribe mid-flight churn so Close races an active evaluator.
-	bounds := ds.Bounds()
+	bounds, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	for i := 0; i < 64; i++ {
 		id := users[i%len(users)]
 		if err := moveUserAsync(eng, int32(id), spatial.Point{X: bounds.MinX, Y: bounds.MinY}); err != nil {
@@ -486,14 +486,14 @@ func TestSubscribeUnlocatedUser(t *testing.T) {
 	if uq < 0 {
 		t.Skip("dataset fully located")
 	}
-	st, err := e.Subscribe(uq, 5, 0.3)
+	st, err := e.SubscribeParams(uq, core.Params{K: 5, Alpha: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Result(); len(got) != 0 {
 		t.Fatalf("unlocated subscriber got %d entries", len(got))
 	}
-	bounds := ds.Bounds()
+	bounds, _ := spatial.BoundingRect(ds.Pts, ds.Located)
 	if err := eng.ApplyUpdates([]core.Update{{ID: uq, To: spatial.Point{X: (bounds.MinX + bounds.MaxX) / 2, Y: (bounds.MinY + bounds.MaxY) / 2}}}); err != nil {
 		t.Fatal(err)
 	}

@@ -53,12 +53,6 @@ func (d Delta) Empty() bool {
 	return len(d.Added) == 0 && len(d.Rescored) == 0 && len(d.Removed) == 0
 }
 
-// User returns the subscriber.
-func (st *Subscription) User() int32 { return st.q }
-
-// Params returns the standing query's parameters.
-func (st *Subscription) Params() core.Params { return st.prm }
-
 // Notify returns the change-signal channel: it receives (coalesced) after
 // every installed result change and is closed when the subscription — or
 // the whole engine — closes.

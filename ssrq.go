@@ -289,10 +289,6 @@ type Options struct {
 	// coalesces into one applied batch — one epoch per touched shard
 	// (default 256).
 	UpdateMaxBatch int
-	// OverlayCompactThreshold is the edge-overlay delta size (vertices with
-	// modified adjacency) that triggers compaction back into a flat CSR
-	// (default max(1024, n/8)).
-	OverlayCompactThreshold int
 	// Shards is how many spatially-contiguous shards the users are split
 	// across (space-filling-curve assignment of grid regions), each owning
 	// its own grid, aggregate index and epochs. It is a count, not
@@ -358,14 +354,13 @@ func NewEngine(d *Dataset, opts *Options) (*Engine, error) {
 		o = *opts
 	}
 	copts := core.Options{
-		GridS:                   o.GridS,
-		GridLevels:              o.GridLevels,
-		NumLandmarks:            o.NumLandmarks,
-		LandmarkStrategy:        landmark.Strategy(o.LandmarkStrategy),
-		Seed:                    o.Seed,
-		UpdateQueueCap:          o.UpdateQueueCap,
-		UpdateMaxBatch:          o.UpdateMaxBatch,
-		OverlayCompactThreshold: o.OverlayCompactThreshold,
+		GridS:            o.GridS,
+		GridLevels:       o.GridLevels,
+		NumLandmarks:     o.NumLandmarks,
+		LandmarkStrategy: landmark.Strategy(o.LandmarkStrategy),
+		Seed:             o.Seed,
+		UpdateQueueCap:   o.UpdateQueueCap,
+		UpdateMaxBatch:   o.UpdateMaxBatch,
 	}
 	eng, err := shard.New(d.ds, max(1, o.Shards), copts)
 	if err != nil {

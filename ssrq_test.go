@@ -151,7 +151,7 @@ func TestEngineOptionsRespected(t *testing.T) {
 			}
 			for i := range want.Entries {
 				if i >= len(got.Entries) || got.Entries[i].ID != want.Entries[i].ID {
-					t.Fatalf("shards=%d %v: got %v, want %v", shards, algo, got.IDs(), want.IDs())
+					t.Fatalf("shards=%d %v: got %v, want %v", shards, algo, got.Entries, want.Entries)
 				}
 			}
 		}
