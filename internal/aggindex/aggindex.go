@@ -159,11 +159,11 @@ func (s *Snapshot) SocialLowerBound(level int, idx int32, qvec []float64) float6
 // the rows page by page in cell order and lets pooled callers (AIS seeding)
 // evaluate a whole level without any per-cell call or allocation.
 func (s *Snapshot) SocialLowerBoundsInto(level int, qvec []float64, dst []float64) []float64 {
-	w := 2 * s.m
-	dst = slices.Grow(dst[:0], s.g.Layout().NumCells(level))
+	w, n := 2*s.m, s.g.Layout().NumCells(level)
+	dst = slices.Grow(dst[:0], n)
 	for _, pg := range s.sums[level] {
 		rows := *pg
-		for base := 0; base < len(rows); base += w {
+		for base := 0; base < len(rows) && len(dst) < n; base += w {
 			dst = append(dst, lemma2(rows[base:base+w], s.m, qvec))
 		}
 	}
@@ -293,23 +293,18 @@ func NewShared(grid *spatial.Grid, sub *Social) (*Index, error) {
 		labels: sub.labels,
 	}
 	layout := grid.Layout()
-	ix.sums.dup = func(p *[]float64) *[]float64 { cp := slices.Clone(*p); return &cp }
-	ix.labelSums.dup = func(p *labelPage) *labelPage { cp := *p; return &cp }
+	empty := make([]float64, 2*m*sumPageCells)
+	for base := 0; base < len(empty); base += 2 * m {
+		emptyRow(empty[base:base+2*m], m)
+	}
+	ix.sums = cowLevels[*[]float64]{empty: &empty, dup: func(p *[]float64) *[]float64 { cp := slices.Clone(*p); return &cp }}
+	ix.labelSums = cowLevels[*labelPage]{empty: new(labelPage), dup: func(p *labelPage) *labelPage { cp := *p; return &cp }}
 	for l := 0; l < layout.Levels; l++ {
 		cells := layout.NumCells(l)
-		var rows []*[]float64
-		var masks []*labelPage
-		for lo := 0; lo < cells; lo += sumPageCells {
-			pg := make([]float64, 2*ix.m*min(sumPageCells, cells-lo))
-			for base := 0; base < len(pg); base += 2 * ix.m {
-				emptyRow(pg[base:base+2*ix.m], ix.m)
-			}
-			rows = append(rows, &pg)
-			masks = append(masks, new(labelPage))
-		}
-		ix.sums.spines = append(ix.sums.spines, rows)
+		pages := (cells + sumPageCells - 1) / sumPageCells
+		ix.sums.addLevel(pages)
 		if ix.labels != nil {
-			ix.labelSums.spines = append(ix.labelSums.spines, masks)
+			ix.labelSums.addLevel(pages)
 		}
 		ix.dirty = append(ix.dirty, newCellSet(cells))
 		if l < layout.LeafLevel() {
@@ -322,8 +317,9 @@ func NewShared(grid *spatial.Grid, sub *Social) (*Index, error) {
 }
 
 // buildSummaries computes leaf summaries from members, then parents from
-// children. Construction runs at epoch 0 with all stamps already 0, so
-// writes go in place.
+// children. Nothing is published yet, so only a cell's first write to the
+// empty page copies it: an empty cell writes nothing and keeps its page
+// shared.
 func (ix *Index) buildSummaries() {
 	layout := ix.grid.Layout()
 	leafLevel := layout.LeafLevel()

@@ -255,7 +255,7 @@ func TestMoveWithinLeafSkipsMaintenance(t *testing.T) {
 	if f.grid.LeafOf(id) != leaf {
 		t.Fatal("intra-cell move changed leaf")
 	}
-	if f.grid.Snapshot().Point(id) != center {
+	if f.ix.Snapshot().Grid().Point(id) != center {
 		t.Fatal("intra-cell move lost coordinates")
 	}
 	verifyInvariants(t, f)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ssrq/internal/spatial"
@@ -162,6 +163,10 @@ func TestPagedEpochsStayExactAndIsolated(t *testing.T) {
 		}
 		return spatial.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 	}
+	// filled and emptied count the leaves a batch moved users into from
+	// empty and the leaves whose last user it took away; unlocates the
+	// located users it unlocated.
+	filled, emptied, unlocates := 0, 0, 0
 	for round := 0; round < 60; round++ {
 		var pre []*Snapshot
 		var copies []snapCopy
@@ -175,6 +180,9 @@ func TestPagedEpochsStayExactAndIsolated(t *testing.T) {
 			for i := 0; i < 1+rng.Intn(40); i++ {
 				id := int32(2*rng.Intn(n/2) + h)
 				if rng.Intn(5) == 0 {
+					if pre[h].Grid().Located(id) {
+						unlocates++
+					}
 					ops = append(ops, Op{ID: id, Remove: true})
 				} else {
 					ops = append(ops, Op{ID: id, To: point()})
@@ -202,9 +210,123 @@ func TestPagedEpochsStayExactAndIsolated(t *testing.T) {
 				t.Fatalf("round %d index %d: epoch %d after one batch, want %d", round, h, got, want)
 			}
 			verifyStructure(t, ix.Snapshot(), labels)
+			verifyEmptyPages(t, ix)
+			before, after := pre[h].Grid(), ix.Snapshot().Grid()
+			for idx := int32(0); idx < int32(after.Layout().NumCells(after.Layout().LeafLevel())); idx++ {
+				switch was, is := len(before.CellUsers(idx)), len(after.CellUsers(idx)); {
+				case was == 0 && is > 0:
+					filled++
+				case was > 0 && is == 0:
+					emptied++
+				}
+			}
 		}
 	}
 	if st := sub.Stats(); st.LandmarkRebuilds == 0 || st.LandmarkRepairs == 0 {
 		t.Fatalf("churn too gentle to exercise repair and recompute: %+v", st)
+	}
+	if filled == 0 || emptied == 0 || unlocates == 0 {
+		t.Fatalf("churn too gentle: %d leaves filled from empty, %d emptied, %d unlocates", filled, emptied, unlocates)
+	}
+}
+
+// verifyEmptyPages checks that an index's shared empty pages still read as
+// empty — rows of (+Inf, −Inf), zero label masks — and that its published
+// snapshot still holds slots that read them, so the check bites.
+func verifyEmptyPages(t *testing.T, ix *Index) {
+	t.Helper()
+	rows := *ix.sums.empty
+	for j := 0; j < len(rows); j += 2 * ix.m {
+		for k := 0; k < ix.m; k++ {
+			if !math.IsInf(rows[j+k], 1) || !math.IsInf(rows[j+ix.m+k], -1) {
+				t.Fatalf("empty summary page written: %v", rows)
+			}
+		}
+	}
+	if *ix.labelSums.empty != (labelPage{}) {
+		t.Fatalf("empty label page written: %v", *ix.labelSums.empty)
+	}
+	sn := ix.Snapshot()
+	leaf := sn.Grid().Layout().LeafLevel()
+	if !slices.Contains(sn.sums[leaf], ix.sums.empty) || sn.labelSums != nil && !slices.Contains(sn.labelSums[leaf], ix.labelSums.empty) {
+		t.Fatal("no leaf page left empty")
+	}
+}
+
+// pagesInUse returns, per level, the page indexes whose slot is not the
+// empty page, failing when two slots share a page.
+func pagesInUse[P comparable](t *testing.T, spines [][]P, empty P) []map[int32]bool {
+	t.Helper()
+	var used []map[int32]bool
+	for l, spine := range spines {
+		pages, seen := map[int32]bool{}, map[P]bool{}
+		for pg, p := range spine {
+			if p == empty {
+				continue
+			}
+			if seen[p] {
+				t.Fatalf("level %d page %d shares its storage with another slot", l, pg)
+			}
+			pages[int32(pg)], seen[p] = true, true
+		}
+		used = append(used, pages)
+	}
+	return used
+}
+
+// TestSummaryPagesFollowOccupancy: indexes over one labeled substrate, each
+// over users crowded into its own few known leaves, allocate exactly the
+// summary and label-mask pages that cover those leaves and their ancestors;
+// every other slot is the index's shared empty page.
+func TestSummaryPagesFollowOccupancy(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	const n = 200
+	f := mkFixture(t, rng, n, 4, 10, 2, 0, false)
+	layout := f.grid.Layout()
+	leafLevel := layout.LeafLevel()
+	labels := make([]uint64, n)
+	for i := range labels {
+		labels[i] = 1 << uint(i%5)
+	}
+	sub, err := NewSocialSubstrate(f.lm, f.g, Config{Labels: labels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Odd share sizes, so each index's half of the users reaches every leaf
+	// of its share; 0 and 1, and 5050 and 5051, share a page.
+	for h, leaves := range [][]int32{{0, 1, 57}, {4321, 9999, 5050, 5051, 5055}} {
+		pts, located := make([]spatial.Point, n), make([]bool, n)
+		for id := range pts {
+			r := layout.CellRect(leafLevel, leaves[id%len(leaves)])
+			pts[id] = spatial.Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
+			located[id] = id%2 == h
+		}
+		grid, err := spatial.NewGrid(layout, pts, located)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := NewShared(grid, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]map[int32]bool, layout.Levels)
+		for l := range want {
+			want[l] = map[int32]bool{}
+		}
+		for _, idx := range leaves {
+			want[leafLevel][idx>>sumPageShift] = true
+			for l := leafLevel; l > 0; l-- {
+				idx = layout.ParentIndex(l, idx)
+				want[l-1][idx>>sumPageShift] = true
+			}
+		}
+		sn := ix.Snapshot()
+		if got := pagesInUse(t, sn.sums, ix.sums.empty); !reflect.DeepEqual(got, want) {
+			t.Fatalf("index %d: summary pages %v, want %v", h, got, want)
+		}
+		if got := pagesInUse(t, sn.labelSums, ix.labelSums.empty); !reflect.DeepEqual(got, want) {
+			t.Fatalf("index %d: label pages %v, want %v", h, got, want)
+		}
+		verifyStructure(t, sn, labels)
 	}
 }

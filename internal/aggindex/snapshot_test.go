@@ -118,7 +118,7 @@ func TestSetLocatedWidensNewEpochOnly(t *testing.T) {
 	// Find an unlocated user and a destination cell with members.
 	var id int32 = -1
 	for u := int32(0); u < 100; u++ {
-		if !f.grid.Snapshot().Located(u) {
+		if f.grid.LeafOf(u) < 0 {
 			id = u
 			break
 		}

@@ -39,12 +39,6 @@ type SocialSnapshot struct {
 // Graph returns this epoch's social graph.
 func (s *SocialSnapshot) Graph() *graph.Graph { return s.g }
 
-// Landmarks returns this epoch's landmark tables.
-func (s *SocialSnapshot) Landmarks() *landmark.Set { return s.lm }
-
-// Epoch returns the social graph version.
-func (s *SocialSnapshot) Epoch() uint64 { return s.epoch }
-
 // Social is the shared substrate. Its mutex serializes edge batches against
 // each other and against Stats; readers go through the published atomic
 // snapshot and never lock. All landmark maintenance happens inside
@@ -101,8 +95,8 @@ func NewSocialSubstrate(lm *landmark.Set, g *graph.Graph, cfg Config) (*Social, 
 // Snapshot returns the latest published social epoch (lock-free).
 func (s *Social) Snapshot() *SocialSnapshot { return s.published.Load() }
 
-// Landmarks returns the construction-time landmark set (live tables come
-// from Snapshot().Landmarks()).
+// Landmarks returns the construction-time landmark set (an index snapshot's
+// Landmarks are the live tables).
 func (s *Social) Landmarks() *landmark.Set { return s.lm }
 
 // FoF returns the friends-of-friends bound index maintained by this

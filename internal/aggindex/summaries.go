@@ -10,8 +10,10 @@ import (
 // masks likewise, one uint64 per cell). Pages and the per-level spines of
 // page pointers are copy-on-write across epochs: an epoch duplicates the
 // pages it writes and the spine of each level it writes, so a move costs a
-// few hundred bytes per touched page instead of a whole level. The page size
-// is measured (TestEpochByteBudget), like the grid's.
+// few hundred bytes per touched page instead of a whole level. A page no
+// write has reached is the index's one shared empty page, so summaries cost
+// memory only where users are. The page size is measured
+// (TestEpochByteBudget), like the grid's.
 const (
 	sumPageShift = 2
 	sumPageCells = 1 << sumPageShift
@@ -63,11 +65,23 @@ func merge(r, o []float64) {
 // spines[level][page] is shared with the published snapshot until the
 // writer's first write of an epoch to that level duplicates the spine, and
 // to that page the page. Whatever the working spines no longer share with the
-// published ones was duplicated in this epoch and is private to it.
+// published ones was duplicated in this epoch and is private to it. Every
+// slot starts at empty, one immutable page of empty cells, which the first
+// write to the slot duplicates the same way, during construction too.
 type cowLevels[P comparable] struct {
 	spines [][]P // working
 	pub    [][]P // the published snapshot's (nil before the first publish)
+	empty  P
 	dup    func(P) P
+}
+
+// addLevel appends a level of n page slots, each the empty page.
+func (c *cowLevels[P]) addLevel(n int) {
+	spine := make([]P, n)
+	for i := range spine {
+		spine[i] = c.empty
+	}
+	c.spines = append(c.spines, spine)
 }
 
 // publish returns the working spines for a snapshot, from then on shared.
@@ -77,17 +91,18 @@ func (c *cowLevels[P]) publish() [][]P {
 }
 
 // writable returns page pg of level for writing, duplicating the spine and
-// the page first while the published snapshot still shares them.
+// the page first while the published snapshot still shares them, and the
+// page while it is the empty page.
 func (c *cowLevels[P]) writable(level int, pg int32) P {
-	if c.pub != nil {
-		if &c.spines[level][0] == &c.pub[level][0] {
-			c.spines[level] = slices.Clone(c.spines[level])
-		}
-		if c.spines[level][pg] == c.pub[level][pg] {
-			c.spines[level][pg] = c.dup(c.spines[level][pg])
-		}
+	if c.pub != nil && &c.spines[level][0] == &c.pub[level][0] {
+		c.spines[level] = slices.Clone(c.spines[level])
 	}
-	return c.spines[level][pg]
+	p := c.spines[level][pg]
+	if p == c.empty || c.pub != nil && p == c.pub[level][pg] {
+		p = c.dup(p)
+		c.spines[level][pg] = p
+	}
+	return p
 }
 
 // cellSet is a duplicate-free list of one level's cells.

@@ -20,6 +20,8 @@
 package ch
 
 import (
+	"sync"
+
 	"ssrq/internal/graph"
 	"ssrq/internal/pqueue"
 )
@@ -58,6 +60,11 @@ func Build(g *graph.Graph) *CH {
 
 // build is Build with explicit settle and degree caps (both positive).
 func build(g *graph.Graph, settleCap, degCap int) *CH {
+	return newBuilder(g, settleCap, degCap).run()
+}
+
+// newBuilder sets up contraction of g under the given caps.
+func newBuilder(g *graph.Graph, settleCap, degCap int) *builder {
 	n := g.NumVertices()
 	adj := make([][]edge, n)
 	for v := 0; v < n; v++ {
@@ -80,7 +87,13 @@ func build(g *graph.Graph, settleCap, degCap int) *CH {
 		wDist:      make([]float64, n),
 		wMark:      make([]uint32, n),
 	}
+	b.search = b.witness
+	return b
+}
 
+// run contracts every vertex and returns the hierarchy.
+func (b *builder) run() *CH {
+	n := len(b.adj)
 	pq := pqueue.NewIndexedHeap(n)
 	for v := 0; v < n; v++ {
 		pq.PushOrUpdate(graph.VertexID(v), b.quickPriority(graph.VertexID(v)))
@@ -132,11 +145,15 @@ type builder struct {
 	degCap     int
 	shortcuts  int
 
-	// Witness-search scratch: epoch-stamped distance labels + a lazy heap.
+	// Witness-search scratch: epoch-stamped distance labels (wMark[v] is
+	// wEpoch<<1 once v is labelled in the current search, wEpoch<<1|1 once
+	// it is settled) and the heap. search is the witness search: witness,
+	// unless a test swaps in its reference.
 	wDist  []float64
 	wMark  []uint32
 	wEpoch uint32
 	wHeap  pqueue.Heap[graph.VertexID]
+	search func(src, banned graph.VertexID, limit float64)
 }
 
 type shortcut struct {
@@ -186,7 +203,7 @@ func (b *builder) simulate(v graph.VertexID) []shortcut {
 				limit = d
 			}
 		}
-		b.witness(ue.to, v, limit)
+		b.search(ue.to, v, limit)
 		for j, we := range nbrs {
 			if we.to <= ue.to || j == i {
 				continue // each unordered pair once
@@ -201,42 +218,56 @@ func (b *builder) simulate(v graph.VertexID) []shortcut {
 }
 
 func (b *builder) witnessDist(v graph.VertexID) (float64, bool) {
-	if b.wMark[v] != b.wEpoch {
+	if b.wMark[v] != b.wEpoch<<1|1 {
 		return 0, false
 	}
 	return b.wDist[v], true
 }
 
-// witness runs a bounded Dijkstra from src among uncontracted vertices,
-// skipping banned; settled distances live in the epoch-stamped scratch.
-func (b *builder) witness(src, banned graph.VertexID, limit float64) {
-	b.wEpoch++
-	if b.wEpoch == 0 {
-		for i := range b.wMark {
-			b.wMark[i] = 0
-		}
+// nextWitnessEpoch starts a witness search's stamps.
+func (b *builder) nextWitnessEpoch() {
+	if b.wEpoch++; b.wEpoch == 1<<31 { // wEpoch<<1 would wrap: flush the stamps
+		clear(b.wMark)
 		b.wEpoch = 1
 	}
+}
+
+// witness runs a bounded Dijkstra from src among uncontracted vertices,
+// skipping banned; labels and settled distances live in the epoch-stamped
+// scratch. A vertex is pushed only when its label strictly improves, so the
+// heap holds at most one live entry per vertex and an entry is stale once
+// its vertex is settled. Vertices settle in the (distance, id) order a heap
+// of every relaxation would give, so the searches, and with them the
+// hierarchy, do not depend on the pruning.
+func (b *builder) witness(src, banned graph.VertexID, limit float64) {
+	b.nextWitnessEpoch()
+	seen, settled := b.wEpoch<<1, b.wEpoch<<1|1
 	b.wHeap.Reset()
+	b.wDist[src], b.wMark[src] = 0, seen
 	b.wHeap.Push(0, int64(src), src)
 	settles := 0
 	for b.wHeap.Len() > 0 && settles < b.settleCap {
 		e, _ := b.wHeap.Pop()
 		v := e.Value
-		if b.wMark[v] == b.wEpoch {
-			continue // stale heap entry: already settled this epoch
+		if b.wMark[v] == settled {
+			continue // superseded by a smaller label, settled earlier
 		}
 		if e.Key > limit {
 			break
 		}
-		b.wDist[v] = e.Key
-		b.wMark[v] = b.wEpoch // marks are set exclusively on settle
+		b.wMark[v] = settled
 		settles++
 		for _, ne := range b.adj[v] {
-			if b.contracted[ne.to] || ne.to == banned || b.wMark[ne.to] == b.wEpoch {
+			u := ne.to
+			if b.contracted[u] || u == banned || b.wMark[u] == settled {
 				continue
 			}
-			b.wHeap.Push(e.Key+ne.w, int64(ne.to), ne.to)
+			nd := e.Key + ne.w
+			if b.wMark[u] == seen && nd >= b.wDist[u] {
+				continue
+			}
+			b.wDist[u], b.wMark[u] = nd, seen
+			b.wHeap.Push(nd, int64(u), u)
 		}
 	}
 }
@@ -304,22 +335,62 @@ func (b *builder) finish(coreSize int) *CH {
 	return c
 }
 
-// chSearch is one direction of the bidirectional upward query.
+// chSearch is one direction of the bidirectional upward query. Labels are
+// stamped per search (mark[v] is stamp<<1 once v is labelled, stamp<<1|1
+// once it is settled), and a vertex is pushed only when its label strictly
+// improves, so an entry is stale once its vertex is settled.
 type chSearch struct {
-	dist map[graph.VertexID]float64 // settled distances
-	heap pqueue.Heap[graph.VertexID]
+	dist  []float64
+	mark  []uint32
+	stamp uint32
+	heap  pqueue.Heap[graph.VertexID]
 }
 
-func newCHSearch(src graph.VertexID) *chSearch {
-	s := &chSearch{dist: make(map[graph.VertexID]float64, 32)}
-	s.heap.Push(0, int64(src), src)
-	return s
+// chQuery is one Dist call's scratch; queries pools them across calls and
+// hierarchies.
+type chQuery struct{ fwd, bwd chSearch }
+
+var queries = sync.Pool{New: func() any { return new(chQuery) }}
+
+// reset starts a search from src over n vertices.
+func (s *chSearch) reset(src graph.VertexID, n int) {
+	if len(s.mark) < n {
+		s.dist, s.mark, s.stamp = make([]float64, n), make([]uint32, n), 0
+	}
+	if s.stamp++; s.stamp == 1<<31 { // stamp<<1 would wrap: flush the marks
+		clear(s.mark)
+		s.stamp = 1
+	}
+	s.heap.Reset()
+	s.relax(src, 0)
+}
+
+// relax labels v with d and queues it, when that improves v's label.
+func (s *chSearch) relax(v graph.VertexID, d float64) {
+	switch s.mark[v] {
+	case s.stamp<<1 | 1:
+		return
+	case s.stamp << 1:
+		if d >= s.dist[v] {
+			return
+		}
+	}
+	s.dist[v], s.mark[v] = d, s.stamp<<1
+	s.heap.Push(d, int64(v), v)
+}
+
+// settledDist returns v's distance once v is settled.
+func (s *chSearch) settledDist(v graph.VertexID) (float64, bool) {
+	if s.mark[v] != s.stamp<<1|1 {
+		return 0, false
+	}
+	return s.dist[v], true
 }
 
 func (s *chSearch) headKey() float64 {
 	for s.heap.Len() > 0 {
 		e := s.heap.Peek()
-		if _, done := s.dist[e.Value]; done {
+		if _, done := s.settledDist(e.Value); done {
 			s.heap.Pop() // stale
 			continue
 		}
@@ -342,7 +413,11 @@ func (c *CH) Dist(s, t graph.VertexID) (float64, int) {
 	if s == t {
 		return 0, 0
 	}
-	fwd, bwd := newCHSearch(s), newCHSearch(t)
+	q := queries.Get().(*chQuery)
+	defer queries.Put(q)
+	fwd, bwd := &q.fwd, &q.bwd
+	fwd.reset(s, len(c.rank))
+	bwd.reset(t, len(c.rank))
 	best := graph.Infinity
 	pops := 0
 	for {
@@ -355,14 +430,11 @@ func (c *CH) Dist(s, t graph.VertexID) (float64, int) {
 		if !activeF || (activeB && headB < headF) {
 			adv, other = bwd, fwd
 		}
-		e, _ := adv.heap.Pop()
+		e, _ := adv.heap.Pop() // live: headKey dropped the stale entries
 		v := e.Value
-		if _, done := adv.dist[v]; done {
-			continue
-		}
-		adv.dist[v] = e.Key
+		adv.mark[v] = adv.stamp<<1 | 1
 		pops++
-		if od, ok := other.dist[v]; ok {
+		if od, ok := other.settledDist(v); ok {
 			if d := e.Key + od; d < best {
 				best = d
 			}
@@ -371,12 +443,10 @@ func (c *CH) Dist(s, t graph.VertexID) (float64, int) {
 		for i := lo; i < hi; i++ {
 			u := c.upTgt[i]
 			nd := e.Key + c.upW[i]
-			if _, done := adv.dist[u]; !done {
-				adv.heap.Push(nd, int64(u), u)
-			}
+			adv.relax(u, nd)
 			// Relaxation-time meeting check (required for the sum-rule
 			// stopping condition to be safe).
-			if od, ok := other.dist[u]; ok {
+			if od, ok := other.settledDist(u); ok {
 				if d := nd + od; d < best {
 					best = d
 				}

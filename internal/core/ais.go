@@ -211,6 +211,9 @@ func (e *Searcher) runAIS(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatia
 		a.gd.reset(soc, lm, q, &p.soc, p.rev, lm.HeuristicToVector(qvec), st, alpha, cfg.delayed, hook)
 	} else {
 		a.gd = nil
+		if p.fwd == nil {
+			p.fwd = graph.NewAStarPool(soc.NumVertices())
+		}
 		a.fb = freshBidirectional{
 			g: soc, lm: lm, q: q, hToQ: lm.HeuristicToVector(qvec),
 			fwdPool: p.fwd, revPool: p.rev, st: st,

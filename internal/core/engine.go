@@ -194,7 +194,7 @@ type Searcher struct {
 // entries out before the pools go back, so no pooled memory escapes.
 type queryPools struct {
 	rev *graph.AStarPool
-	fwd *graph.AStarPool
+	fwd *graph.AStarPool // AIS-BID's forward search, built on its first use
 
 	soc      graph.DijkstraIterator // forward social expansion (SFA/SPA/TSA, GraphDist)
 	nn       *spatial.NNIterator    // incremental spatial NN stream (SPA/TSA)
@@ -238,7 +238,6 @@ func NewSearcher(ds *dataset.Dataset, sub *aggindex.Social) *Searcher {
 	e.pools.New = func() any {
 		return &queryPools{
 			rev: graph.NewAStarPool(n),
-			fwd: graph.NewAStarPool(n),
 			nn:  spatial.NewNNIterator(),
 		}
 	}

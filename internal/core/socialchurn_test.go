@@ -57,8 +57,10 @@ func oracleTopK(e *Engine, model map[edgeKey]float64, q graph.VertexID, prm Para
 		if id == q {
 			continue
 		}
-		p := dist[v]
-		d := g.EuclideanDist(q, id)
+		p, d := dist[v], math.Inf(1) // unknown whereabouts are infinitely far
+		if g.Located(q) && g.Located(id) {
+			d = g.Point(q).Dist(g.Point(id))
+		}
 		r.Consider(Entry{ID: id, F: combine(prm.Alpha, p, d), P: p, D: d})
 	}
 	return &Result{Query: q, Params: prm, Entries: r.Sorted()}

@@ -1,6 +1,15 @@
 package graph
 
-import "ssrq/internal/pqueue"
+import (
+	"sync"
+
+	"ssrq/internal/pqueue"
+)
+
+// radixPool holds the sweeps' radix heaps, one per concurrent sweep: a heap
+// keeps its buckets' capacity between sweeps, so a sweep allocates little
+// beyond the distance table it returns.
+var radixPool = sync.Pool{New: func() any { return new(pqueue.Radix) }}
 
 // DistancesFrom returns the shortest-path distance from source to every
 // vertex, Infinity for unreachable ones.
@@ -28,7 +37,9 @@ func (g *Graph) sweep(source VertexID) (dist []float64, expanded int) {
 		dist[i] = Infinity
 	}
 	dist[source] = 0
-	var h pqueue.Radix
+	h := radixPool.Get().(*pqueue.Radix)
+	h.Reset()
+	defer radixPool.Put(h)
 	h.Push(source, 0)
 	for {
 		v, dv, ok := h.Pop()

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ssrq/internal/pqueue"
@@ -269,4 +270,29 @@ func FuzzDistancesFrom(f *testing.F) {
 			checkSweep(t, g, VertexID(src))
 		}
 	})
+}
+
+// TestSweepAllocatesLittleBeyondItsTable: a sweep reuses a pooled radix heap,
+// so once the heap has grown, one call allocates little more than the
+// distance table it returns. Without the pool a 30k-vertex sweep regrows the
+// heap's buckets from empty, about 17× the table. The least of a few calls is
+// taken: the pool may drop its heap at a collection, or at random under the
+// race detector.
+func TestSweepAllocatesLittleBeyondItsTable(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(45)), 30000, 4*30000)
+	table := uint64(8 * g.NumVertices())
+	g.DistancesFrom(0) // grows the pooled heap
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for src := VertexID(1); src <= 8; src++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		g.DistancesFrom(src)
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	t.Logf("one sweep allocates %d bytes for a %d-byte table", least, table)
+	if least > 2*table {
+		t.Fatalf("one sweep allocates %d bytes, more than twice its %d-byte table", least, table)
+	}
 }

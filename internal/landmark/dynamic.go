@@ -44,7 +44,7 @@ type Dynamic struct {
 	pageStamp  []uint64 // epoch that last duplicated each page
 	outerStamp uint64   // epoch that last duplicated the outer page slice
 
-	heap *pqueue.IndexedHeap // scratch, reused across repairs
+	heap *pqueue.IndexedHeap // repair scratch, allocated by the first repair
 	// spent[j] counts the entries landmark j's repairs rewrote in the open
 	// batch; past n the landmark is stale until Commit recomputes it.
 	spent []int
@@ -68,7 +68,6 @@ func NewDynamic(s *Set) *Dynamic {
 	return &Dynamic{
 		cur:       s,
 		pageStamp: make([]uint64, len(s.pages)),
-		heap:      pqueue.NewIndexedHeap(s.n),
 		spent:     make([]int, s.m),
 	}
 }
@@ -172,14 +171,23 @@ func (d *Dynamic) EdgeChanged(g *graph.Graph, u, v graph.VertexID, oldW float64,
 	return dirty
 }
 
+// repairHeap returns the repairs' heap, emptied. The first repair allocates
+// it: an engine whose graph never changes never needs it.
+func (d *Dynamic) repairHeap() *pqueue.IndexedHeap {
+	if d.heap == nil {
+		d.heap = pqueue.NewIndexedHeap(d.work.n)
+	}
+	d.heap.Reset()
+	return d.heap
+}
+
 // dist reads the working table entry for landmark j.
 func (d *Dynamic) dist(j int, v graph.VertexID) float64 { return d.work.vec(v)[j] }
 
 // decreaseRepair propagates the improvement introduced by edge (u,v,w) —
 // newly inserted or reweighted downwards — through landmark j's table.
 func (d *Dynamic) decreaseRepair(g *graph.Graph, j int, u, v graph.VertexID, w float64, dirty []graph.VertexID) []graph.VertexID {
-	h := d.heap
-	h.Reset()
+	h := d.repairHeap()
 	if nd := d.dist(j, u) + w; nd < d.dist(j, v) {
 		h.PushOrDecrease(v, nd)
 	}
@@ -248,8 +256,7 @@ func (d *Dynamic) increaseRepair(g *graph.Graph, j int, u, v graph.VertexID, old
 	// the affected set; every potential support has strictly smaller
 	// distance (edge weights are positive) and is therefore classified
 	// before its dependents.
-	h := d.heap
-	h.Reset()
+	h := d.repairHeap()
 	h.PushOrDecrease(start, d.dist(j, start))
 	list := d.affected[:0]
 	for {

@@ -399,3 +399,42 @@ func TestDisconnectionAndReconnection(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairHeapAllocatedByFirstEdgeOp: the repair heap holds n positions,
+// so an engine whose graph never changes must not pay for it. NewDynamic and
+// an empty Commit leave it unallocated; the first edge op allocates it, and
+// later repairs reuse it.
+func TestRepairHeapAllocatedByFirstEdgeOp(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	const n = 40
+	g := randomGraph(rng, n, n)
+	s, err := Select(g, 3, Farthest, 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDynamic(s)
+	if d.Commit(g, nil); d.heap != nil {
+		t.Fatal("NewDynamic or an empty Commit allocated the repair heap")
+	}
+	// The first op inserts an edge, which runs a decrease repair for every
+	// landmark.
+	o := graph.NewOverlay(g)
+	u, v := graph.VertexID(0), graph.VertexID(1)
+	for _, had := o.EdgeWeight(u, v); had; _, had = o.EdgeWeight(u, v) {
+		v++
+	}
+	if _, err := o.SetEdge(u, v, 0.05); err != nil {
+		t.Fatal(err)
+	}
+	d.EdgeChanged(o.Working(), u, v, 0, false, 0.05, true)
+	h := d.heap
+	if h == nil {
+		t.Fatal("the first edge op ran its repairs without a heap")
+	}
+	for step := 0; step < 20; step++ {
+		churnStep(t, rng, o, d, n)
+	}
+	if d.heap != h {
+		t.Fatal("a later repair allocated a second heap")
+	}
+}

@@ -27,6 +27,7 @@ var exportAllowlist = map[string]string{
 	"gen.NewMigration":                       "drift workload: the migration tests in sub and shard",
 	"gen.Migration.Next":                     "drift workload: the migration tests in sub and shard",
 	"shard.Engine.Rebalance":                 "forced re-cut: tests in shard and sub",
+	"spatial.Rect.Contains":                  "bounds check: tests in spatial, gen and sub keep generated points inside a rectangle",
 	"wal.Log.TestingLimitBytes":              "disk-full seam: tests in wal and the root package's durability tests",
 	"wal.Log.TestingBeforeCheckpointInstall": "crash-window seam: the root package's checkpoint-recovery tests",
 	"wal.Log.Crashed":                        "sticky-failure probe: tests in wal and the root package's durability tests",

@@ -11,15 +11,15 @@ import (
 // skip empty subtrees. Users without a known location (the paper treats them
 // as infinitely far away) are simply absent from the grid.
 //
-// Concurrency follows an epoch/snapshot model rather than locking. The grid
-// publishes its complete query-visible state as an immutable *Snapshot
-// through an atomic pointer: readers call Snapshot() once and traverse the
-// returned epoch freely — no lock, no blocking, one consistent view for the
+// Concurrency follows an epoch/snapshot model rather than locking. Publish
+// returns the grid's complete query-visible state as an immutable *Snapshot,
+// which the aggregate index publishes beside its summaries: readers traverse
+// that epoch freely — no lock, no blocking, one consistent view for the
 // whole logical operation. Mutations (Move/SetLocated/RemoveLocation) build
 // the next epoch copy-on-write: only the touched user pages, leaf buckets,
 // bucket pages and count pages are duplicated, everything else is shared with
 // the published snapshot. Nothing a reader can observe changes until Publish
-// atomically installs the new epoch.
+// installs the new epoch.
 //
 // The mutating methods and Publish are writer-side and must be serialized
 // externally (the aggregate index and the engine's update pipeline own a
@@ -48,20 +48,18 @@ func NewGrid(layout *Layout, pts []Point, located []bool) (*Grid, error) {
 	w := &Snapshot{
 		layout: layout,
 		n:      n,
-		users:  newPages[userPage](n, userPageSize),
-		leaves: newPages[cellPage[[]int32]](layout.NumCells(layout.LeafLevel()), cellPageSize),
-	}
-	for id := range pts {
-		pg := w.users[id>>userPageShift]
-		pg.pts[id&userPageMask], pg.leaf[id&userPageMask] = pts[id], -1
+		users:  newPages(n, userPageSize, emptyUsers),
+		leaves: newPages(layout.NumCells(layout.LeafLevel()), cellPageSize, emptyBuckets),
 	}
 	for l := 0; l < layout.LeafLevel(); l++ {
-		w.counts = append(w.counts, newPages[cellPage[int32]](layout.NumCells(l), cellPageSize))
+		w.counts = append(w.counts, newPages(layout.NumCells(l), cellPageSize, emptyCounts))
 	}
-	// Nothing is published yet: against an empty base every page is private,
-	// so the insert loop mutates the fresh pages in place.
+	// Nothing is published yet: against an empty base only the empty pages
+	// are shared, so each page is copied on its first write and mutated in
+	// place after that; cells no located user reaches keep the empty pages.
 	g := &Grid{layout: layout, work: w, base: &Snapshot{counts: make([][]*cellPage[int32], len(w.counts))}}
-	for id := 0; id < n; id++ {
+	for id := range pts {
+		g.writableUsers(w, int32(id)).pts[id&userPageMask] = pts[id]
 		if located[id] {
 			g.insert(int32(id))
 		}
@@ -69,10 +67,6 @@ func NewGrid(layout *Layout, pts []Point, located []bool) (*Grid, error) {
 	g.Publish()
 	return g, nil
 }
-
-// Snapshot returns the most recently published epoch. The returned value is
-// immutable and safe for unlimited concurrent readers.
-func (g *Grid) Snapshot() *Snapshot { return g.published.Load() }
 
 // Publish atomically installs the working epoch as the new published
 // snapshot and returns it. A no-op (returning the current snapshot) when
@@ -102,7 +96,6 @@ func (g *Grid) ensureWork() *Snapshot {
 	if g.work == nil {
 		pub := g.published.Load()
 		w := *pub
-		w.epoch = pub.epoch + 1
 		w.users = slices.Clone(pub.users)
 		w.leaves = slices.Clone(pub.leaves)
 		w.counts = make([][]*cellPage[int32], len(pub.counts))
@@ -117,14 +110,14 @@ func (g *Grid) ensureWork() *Snapshot {
 // writableUsers returns the page holding id in the working epoch for
 // writing; id's entries sit at id&userPageMask.
 func (g *Grid) writableUsers(w *Snapshot, id int32) *userPage {
-	return writablePage(w.users, g.base.users, id>>userPageShift)
+	return writablePage(w.users, g.base.users, emptyUsers, id>>userPageShift)
 }
 
 // writableBucket returns a leaf's bucket slot in the working epoch with the
 // bucket itself duplicated (one spare slot for the insert that usually
 // follows) while the published epoch still shares it.
 func (g *Grid) writableBucket(w *Snapshot, leaf int32) *[]int32 {
-	b := &writablePage(w.leaves, g.base.leaves, leaf>>cellPageShift)[leaf&cellPageMask]
+	b := &writablePage(w.leaves, g.base.leaves, emptyBuckets, leaf>>cellPageShift)[leaf&cellPageMask]
 	if g.base.leaves != nil && sameArray(*b, g.base.CellUsers(leaf)) {
 		*b = append(make([]int32, 0, len(*b)+1), *b...)
 	}
@@ -178,7 +171,7 @@ func (g *Grid) adjustCounts(leaf int32, delta int32) {
 	idx := leaf
 	for l := g.layout.LeafLevel(); l > 0; l-- {
 		idx = g.layout.ParentIndex(l, idx)
-		writablePage(g.work.counts[l-1], g.base.counts[l-1], idx>>cellPageShift)[idx&cellPageMask] += delta
+		writablePage(g.work.counts[l-1], g.base.counts[l-1], emptyCounts, idx>>cellPageShift)[idx&cellPageMask] += delta
 	}
 }
 

@@ -1,7 +1,5 @@
 package spatial
 
-import "math"
-
 // Every array of a Snapshot is paged: per-user state in pages of 16 users,
 // per-cell state (leaf buckets, occupancy counts) in pages of 8 cells. The
 // writer duplicates a page on its first write of an epoch and each spine of
@@ -10,6 +8,10 @@ import "math"
 // page, nothing proportional to the population or the grid. The sizes are
 // measured (TestEpochByteBudget): smaller pages copy less per touch but make
 // the spines every epoch copies longer.
+//
+// A page no write has reached is one of the shared empty pages below, so
+// per-cell state costs memory only where users are: a grid over clustered
+// users leaves most of its cell pages unwritten.
 const (
 	userPageShift = 4
 	userPageSize  = 1 << userPageShift
@@ -28,23 +30,37 @@ type userPage struct {
 
 type cellPage[T any] [cellPageSize]T
 
-// newPages returns a spine of n/per zeroed pages (rounded up).
-func newPages[P any](n, per int) []*P {
+// The empty pages every spine slot starts at: unlocated users, empty leaf
+// buckets, zero counts. They are never written; writablePage duplicates them.
+var (
+	emptyUsers = func() *userPage {
+		p := new(userPage)
+		for i := range p.leaf {
+			p.leaf[i] = -1
+		}
+		return p
+	}()
+	emptyBuckets = new(cellPage[[]int32])
+	emptyCounts  = new(cellPage[int32])
+)
+
+// newPages returns a spine of n/per slots (rounded up), each the empty page.
+func newPages[P any](n, per int, empty *P) []*P {
 	spine := make([]*P, (n+per-1)/per)
 	for i := range spine {
-		spine[i] = new(P)
+		spine[i] = empty
 	}
 	return spine
 }
 
 // writablePage returns page pg of the working epoch's spine for writing,
-// duplicating it first while it is still the page of base, the published
-// epoch's spine the working one was cloned from (nil before anything is
-// published). A page the working spine does not share with base was
-// duplicated earlier in this epoch and is private to it.
-func writablePage[P any](work, base []*P, pg int32) *P {
-	if base != nil && work[pg] == base[pg] {
-		cp := *work[pg]
+// duplicating it first while it is the empty page or still the page of base,
+// the published epoch's spine the working one was cloned from (nil before
+// anything is published). A page the working spine shares with neither was
+// duplicated earlier and is private to this epoch.
+func writablePage[P any](work, base []*P, empty *P, pg int32) *P {
+	if p := work[pg]; p == empty || base != nil && p == base[pg] {
+		cp := *p
 		work[pg] = &cp
 	}
 	return work[pg]
@@ -67,7 +83,6 @@ func sameArray(a, b []int32) bool {
 // of epoch-based reclamation.
 type Snapshot struct {
 	layout *Layout
-	epoch  uint64
 	n      int
 
 	users  []*userPage
@@ -80,10 +95,6 @@ type Snapshot struct {
 
 // Layout returns the grid geometry.
 func (s *Snapshot) Layout() *Layout { return s.layout }
-
-// Epoch returns the snapshot's version number. Epoch 0 is the state at
-// construction; every Publish of a changed grid increments it by one.
-func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // NumUsers returns the number of users the grid was built over.
 func (s *Snapshot) NumUsers() int { return s.n }
@@ -113,14 +124,4 @@ func (s *Snapshot) CountAt(level int, idx int32) int32 {
 		return int32(len(s.CellUsers(idx)))
 	}
 	return s.counts[level][idx>>cellPageShift][idx&cellPageMask]
-}
-
-// EuclideanDist returns the distance between two users' locations in this
-// epoch, +Inf when either lacks a location (the paper's convention for
-// unknown whereabouts).
-func (s *Snapshot) EuclideanDist(a, b int32) float64 {
-	if !s.Located(a) || !s.Located(b) {
-		return math.Inf(1)
-	}
-	return s.Point(a).Dist(s.Point(b))
 }

@@ -3,6 +3,7 @@ package spatial
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -80,7 +81,7 @@ func worldsEqual(a, b snapshotWorld) bool {
 func TestSnapshotIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g, _, _ := mkGrid(t, rng, 2500, 5, 2, 0.2) // >1 page of users
-	old := g.Snapshot()
+	old := g.published.Load()
 	before := captureWorld(old)
 
 	for step := 0; step < 800; step++ {
@@ -95,19 +96,16 @@ func TestSnapshotIsolation(t *testing.T) {
 		}
 	}
 	// Unpublished mutations must be invisible to snapshot readers.
-	if g.Snapshot() != old {
+	if g.published.Load() != old {
 		t.Fatal("snapshot pointer changed before Publish")
 	}
-	if !worldsEqual(before, captureWorld(g.Snapshot())) {
+	if !worldsEqual(before, captureWorld(g.published.Load())) {
 		t.Fatal("unpublished mutations leaked into the published snapshot")
 	}
 
 	cur := g.Publish()
 	if cur == old {
 		t.Fatal("Publish did not install a new snapshot")
-	}
-	if cur.Epoch() != old.Epoch()+1 {
-		t.Fatalf("epoch %d after %d", cur.Epoch(), old.Epoch())
 	}
 	// The old epoch must be exactly what it was…
 	if !worldsEqual(before, captureWorld(old)) {
@@ -182,18 +180,128 @@ func TestPublishNoopWhenClean(t *testing.T) {
 func TestWriterViewReadYourWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	g, _, _ := mkGrid(t, rng, 50, 4, 1, 0)
-	old := g.Snapshot()
+	old := g.published.Load()
 	before := old.Point(7)
 	target := Point{99, 99}
 	g.Move(7, target)
 	if g.view().Point(7) != target {
 		t.Fatal("writer view missed its own move")
 	}
-	if g.Snapshot().Point(7) != before {
+	if g.published.Load().Point(7) != before {
 		t.Fatal("snapshot saw unpublished move")
 	}
 	g.Publish()
-	if g.Snapshot().Point(7) != target {
+	if g.published.Load().Point(7) != target {
 		t.Fatal("published move invisible")
+	}
+}
+
+// pagesInUse returns the page indexes of a spine whose slot is not the empty
+// page, failing when two slots share a page.
+func pagesInUse[P any](t *testing.T, spine []*P, empty *P) map[int32]bool {
+	t.Helper()
+	used, seen := map[int32]bool{}, map[*P]bool{}
+	for pg, p := range spine {
+		if p == empty {
+			continue
+		}
+		if seen[p] {
+			t.Fatalf("page %d shares its storage with another slot", pg)
+		}
+		used[int32(pg)], seen[p] = true, true
+	}
+	return used
+}
+
+// emptyPagesIntact reports whether the shared empty pages still read as
+// unlocated users, empty buckets and zero counts.
+func emptyPagesIntact() bool {
+	for i := range emptyUsers.leaf {
+		if emptyUsers.leaf[i] != -1 || emptyUsers.pts[i] != (Point{}) {
+			return false
+		}
+	}
+	for _, b := range emptyBuckets {
+		if b != nil {
+			return false
+		}
+	}
+	return *emptyCounts == cellPage[int32]{}
+}
+
+// TestCellPagesFollowOccupancy: a grid whose users crowd into a few known
+// leaves allocates exactly the bucket and count pages that cover those leaves
+// and their ancestors; every other slot is the shared empty page. Churn that
+// moves users into empty regions and empties cells copies the pages it
+// writes and never writes the empty pages themselves.
+func TestCellPagesFollowOccupancy(t *testing.T) {
+	layout, err := NewLayout(Rect{0, 0, 100, 100}, 10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafLevel := layout.LeafLevel()
+	leaves := []int32{0, 1, 57, 4321, 9999} // 0 and 1 share a bucket page
+	const n = 300
+	pts, located := make([]Point, n), make([]bool, n)
+	for id := range pts {
+		r := layout.CellRect(leafLevel, leaves[id%len(leaves)])
+		pts[id] = Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
+		located[id] = id%7 != 0
+	}
+	g, err := NewGrid(layout, pts, located)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.published.Load()
+	want := make([]map[int32]bool, layout.Levels)
+	for l := range want {
+		want[l] = map[int32]bool{}
+	}
+	for _, leaf := range leaves {
+		idx := leaf
+		want[leafLevel][idx>>cellPageShift] = true
+		for l := leafLevel; l > 0; l-- {
+			idx = layout.ParentIndex(l, idx)
+			want[l-1][idx>>cellPageShift] = true
+		}
+	}
+	if got := pagesInUse(t, s.leaves, emptyBuckets); !reflect.DeepEqual(got, want[leafLevel]) {
+		t.Fatalf("bucket pages %v, want %v", got, want[leafLevel])
+	}
+	for l := 0; l < leafLevel; l++ {
+		if got := pagesInUse(t, s.counts[l], emptyCounts); !reflect.DeepEqual(got, want[l]) {
+			t.Fatalf("level %d: count pages %v, want %v", l, got, want[l])
+		}
+	}
+	if got := len(pagesInUse(t, s.users, emptyUsers)); got != len(s.users) {
+		t.Fatalf("%d of %d user pages written", got, len(s.users))
+	}
+
+	rng := rand.New(rand.NewSource(45))
+	for round := 0; round < 40; round++ {
+		old := g.published.Load()
+		before := captureWorld(old)
+		for step := 0; step < 25; step++ {
+			id := int32(rng.Intn(n))
+			switch rng.Intn(4) {
+			case 0:
+				g.RemoveLocation(id)
+			case 1: // back into a crowded leaf, emptying another now and then
+				r := layout.CellRect(leafLevel, leaves[rng.Intn(len(leaves))])
+				g.Move(id, Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2})
+			default: // anywhere, mostly into empty leaves
+				g.Move(id, Point{rng.Float64() * 100, rng.Float64() * 100})
+			}
+		}
+		cur := g.Publish()
+		if !worldsEqual(before, captureWorld(old)) {
+			t.Fatalf("round %d: a published epoch changed", round)
+		}
+		if !emptyPagesIntact() {
+			t.Fatalf("round %d: an empty page was written", round)
+		}
+		if len(pagesInUse(t, cur.leaves, emptyBuckets)) == len(cur.leaves) {
+			t.Fatalf("round %d: no bucket page left empty", round)
+		}
 	}
 }
