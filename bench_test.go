@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"ssrq/internal/ch"
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
 	"ssrq/internal/exp"
@@ -183,17 +182,6 @@ func BenchmarkFig8RuntimeVsK(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkFig8CHVariants adds the contraction-hierarchy comparison curves.
-func BenchmarkFig8CHVariants(b *testing.B) {
-	be := getEngine(b, "gowalla", nil)
-	be.eng.AttachHierarchy(ch.Build(be.ds.G))
-	for _, algo := range []core.Algorithm{core.SFACH, core.SPACH, core.TSACH} {
-		b.Run(algo.String(), func(b *testing.B) {
-			benchQueries(b, be, algo, exp.DefaultK, exp.DefaultAlpha)
-		})
 	}
 }
 

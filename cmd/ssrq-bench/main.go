@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ssrq-bench -exp all -scale medium            # everything, default sizes
-//	ssrq-bench -exp fig8 -scale small -ch        # one figure, with CH variants
+//	ssrq-bench -exp fig8 -scale small            # one figure
 //	ssrq-bench -exp fig9 -queries 20             # fewer queries per point
 //	ssrq-bench -exp table2 -json out.json        # also emit a machine-readable report
 //
@@ -32,7 +32,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		expID    = fs.String("exp", "all", "experiment id (table2, fig7a..fig14b, diag, all)")
 		scale    = fs.String("scale", "medium", "dataset scale: small|medium|large")
 		seed     = fs.Int64("seed", 42, "generator seed")
-		withCH   = fs.Bool("ch", false, "include the SFA-CH/SPA-CH/TSA-CH variants in fig8 (slow preprocessing)")
 		queries  = fs.Int("queries", 0, "override the number of queries per measurement")
 		jsonPath = fs.String("json", "", "also write every measurement as a JSON report to this path (- for stdout)")
 	)
@@ -48,21 +47,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *queries > 0 {
 		sc.NumQueries = *queries
 	}
-	fmt.Fprintf(stdout, "ssrq-bench: exp=%s scale=%s seed=%d queries=%d ch=%v\n",
-		*expID, sc.Name, *seed, sc.NumQueries, *withCH)
+	fmt.Fprintf(stdout, "ssrq-bench: exp=%s scale=%s seed=%d queries=%d\n",
+		*expID, sc.Name, *seed, sc.NumQueries)
 	fmt.Fprintf(stdout, "defaults (Table 3): k=%d alpha=%.1f s=%d M=%d levels=%d\n",
 		exp.DefaultK, exp.DefaultAlpha, exp.DefaultS, exp.DefaultM, exp.DefaultLevels)
 
 	suite := exp.NewSuite(sc, *seed, stdout)
 	start := time.Now()
-	if err := suite.Run(*expID, *withCH); err != nil {
+	if err := suite.Run(*expID); err != nil {
 		fmt.Fprintln(stderr, "ssrq-bench:", err)
 		return 1
 	}
 	elapsed := time.Since(start)
 	fmt.Fprintf(stdout, "\ncompleted in %v (%d measurements)\n", elapsed.Round(time.Millisecond), len(suite.Measurements))
 	if *jsonPath != "" {
-		report := suite.Report(*expID, *withCH, elapsed)
+		report := suite.Report(*expID, elapsed)
 		if *jsonPath == "-" {
 			if err := report.WriteJSON(stdout); err != nil {
 				fmt.Fprintln(stderr, "ssrq-bench:", err)

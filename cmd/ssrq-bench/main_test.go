@@ -78,8 +78,11 @@ func TestRunValidation(t *testing.T) {
 	if code := run([]string{"-badflag"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("bad flag run = %d", code)
 	}
-	// The serving-cell flags are gone with their cells.
-	if code := run([]string{"-exp", "table2", "-scale", "small", "-parallel", "2"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("retired -parallel flag run = %d", code)
+	// The serving-cell flags are gone with their cells, and -ch with the
+	// contraction hierarchy.
+	for _, flag := range []string{"-parallel=2", "-ch"} {
+		if code := run([]string{"-exp", "table2", "-scale", "small", flag}, &stdout, &stderr); code != 2 {
+			t.Fatalf("retired %s flag run = %d", flag, code)
+		}
 	}
 }

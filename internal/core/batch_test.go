@@ -67,10 +67,10 @@ func TestQueryBatchErrorSlots(t *testing.T) {
 	}
 	batch := []BatchQuery{
 		{Algo: AIS, Q: q, Params: Params{K: 3, Alpha: 0.5}},
-		{Algo: AIS, Q: 9999, Params: Params{K: 3, Alpha: 0.5}},  // out of range
-		{Algo: AIS, Q: q, Params: Params{K: 0, Alpha: 0.5}},     // bad params
-		{Algo: AIS, Q: unloc, Params: Params{K: 3, Alpha: 0.5}}, // unlocated
-		{Algo: SFACH, Q: q, Params: Params{K: 3, Alpha: 0.5}},   // CH not built
+		{Algo: AIS, Q: 9999, Params: Params{K: 3, Alpha: 0.5}},        // out of range
+		{Algo: AIS, Q: q, Params: Params{K: 0, Alpha: 0.5}},           // bad params
+		{Algo: AIS, Q: unloc, Params: Params{K: 3, Alpha: 0.5}},       // unlocated
+		{Algo: Algorithm(99), Q: q, Params: Params{K: 3, Alpha: 0.5}}, // unknown algorithm
 		{Algo: BruteForce, Q: q, Params: Params{K: 3, Alpha: 0.5}},
 	}
 	outs := queryBatch(e, batch, 2)

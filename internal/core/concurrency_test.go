@@ -138,7 +138,7 @@ func TestConcurrentQueryMoveStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range allNonCHAlgorithms {
+		for _, algo := range allAlgorithms {
 			got, err := e.Query(algo, q, prm)
 			if err != nil {
 				t.Fatal(err)

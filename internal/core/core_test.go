@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ssrq/internal/ch"
 	"ssrq/internal/dataset"
 	"ssrq/internal/graph"
 	"ssrq/internal/landmark"
@@ -79,13 +78,6 @@ func mkEngine(t testing.TB, ds *dataset.Dataset, opts Options) *Engine {
 // withCache sets the engine's §5.4 list length t (AIS-Cache).
 func withCache(e *Engine, t int) *Engine {
 	e.ResetCache(t)
-	return e
-}
-
-// withCH attaches a contraction hierarchy of the dataset's construction
-// graph, enabling the *-CH variants.
-func withCH(e *Engine) *Engine {
-	e.AttachHierarchy(ch.Build(e.Dataset().G))
 	return e
 }
 
@@ -170,9 +162,6 @@ func TestEngineValidation(t *testing.T) {
 			t.Fatal("unlocated query user accepted")
 		}
 	}
-	if _, err := e.Query(SFACH, locatedUsers(ds)[0], Params{K: 3, Alpha: 0.5}); err == nil {
-		t.Fatal("CH variant without an attached hierarchy accepted")
-	}
 	if _, err := e.Query(Algorithm(99), locatedUsers(ds)[0], Params{K: 3, Alpha: 0.5}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
@@ -201,7 +190,9 @@ func sameRanking(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-var allNonCHAlgorithms = []Algorithm{SFA, SPA, TSA, TSAQC, TSANoLandmark, AISBID, AISMinus, AIS, AISCache}
+// allAlgorithms is every Algorithm but BruteForce, the oracle they are
+// checked against.
+var allAlgorithms = []Algorithm{SFA, SPA, TSA, TSAQC, TSANoLandmark, AISBID, AISMinus, AIS, AISCache}
 
 func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -218,7 +209,7 @@ func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, algo := range allNonCHAlgorithms {
+			for _, algo := range allAlgorithms {
 				got, err := e.Query(algo, q, prm)
 				if err != nil {
 					t.Fatalf("trial %d %v: %v", trial, algo, err)
@@ -233,9 +224,8 @@ func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 // random seeds, dataset shapes, engine options (grid granularity/levels,
 // landmark count and strategy, cache size) and
 // query parameters (k, α), every Algorithm variant must return the same
-// f-score ranking as BruteForce. CH variants join whenever the trial builds
-// a hierarchy. This is the contract the serving layer leans on: algorithm
-// choice is a performance knob, never a correctness one.
+// f-score ranking as BruteForce. This is the contract the serving layer
+// leans on: algorithm choice is a performance knob, never a correctness one.
 func TestRandomizedEquivalenceProperty(t *testing.T) {
 	trials := 10
 	if testing.Short() {
@@ -246,7 +236,6 @@ func TestRandomizedEquivalenceProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
 			n := 25 + rng.Intn(100)
-			buildCH := trial%3 == 0
 			ds := mkDataset(t, rng, n, 0.25*rng.Float64(), trial%4 == 3)
 			opts := Options{
 				GridS:            2 + rng.Intn(6),
@@ -257,11 +246,6 @@ func TestRandomizedEquivalenceProperty(t *testing.T) {
 			}
 			rng.Intn(4) // a deleted option's draw, kept so every later draw (cache size, queries) stays put
 			e := withCache(mkEngine(t, ds, opts), 2+rng.Intn(50))
-			algos := allNonCHAlgorithms
-			if buildCH {
-				withCH(e)
-				algos = append(append([]Algorithm{}, algos...), SFACH, SPACH, TSACH)
-			}
 			users := locatedUsers(ds)
 			for probe := 0; probe < 5; probe++ {
 				q := users[rng.Intn(len(users))]
@@ -270,7 +254,7 @@ func TestRandomizedEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, algo := range algos {
+				for _, algo := range allAlgorithms {
 					got, err := e.Query(algo, q, prm)
 					if err != nil {
 						t.Fatalf("%v (q=%d k=%d α=%.3f): %v", algo, q, prm.K, prm.Alpha, err)
@@ -282,47 +266,13 @@ func TestRandomizedEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestCHVariantsMatchBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	chQueries := map[Algorithm]int{}
-	for trial := 0; trial < 4; trial++ {
-		n := 30 + rng.Intn(60)
-		ds := mkDataset(t, rng, n, 0.1, false)
-		e := withCH(mkEngine(t, ds, Options{Seed: int64(trial)}))
-		users := locatedUsers(ds)
-		for probe := 0; probe < 5; probe++ {
-			q := users[rng.Intn(len(users))]
-			prm := Params{K: 1 + rng.Intn(8), Alpha: 0.1 + 0.8*rng.Float64()}
-			want, err := e.Query(BruteForce, q, prm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, algo := range []Algorithm{SFACH, SPACH, TSACH} {
-				got, err := e.Query(algo, q, prm)
-				if err != nil {
-					t.Fatalf("%v: %v", algo, err)
-				}
-				sameRanking(t, algo.String(), got, want)
-				chQueries[algo] += got.Stats.CHQueries
-			}
-		}
-	}
-	// TSA-CH issues CH queries only when phase 2 has surviving candidates,
-	// so assert on the aggregate across the whole workload.
-	for _, algo := range []Algorithm{SFACH, SPACH, TSACH} {
-		if chQueries[algo] == 0 {
-			t.Fatalf("%v: no CH queries across the entire workload", algo)
-		}
-	}
-}
-
 func TestResultIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds := mkDataset(t, rng, 80, 0.1, false)
 	e := mkEngine(t, ds, Options{})
 	q := locatedUsers(ds)[3]
 	prm := Params{K: 10, Alpha: 0.3}
-	for _, algo := range allNonCHAlgorithms {
+	for _, algo := range allAlgorithms {
 		a, err := e.Query(algo, q, prm)
 		if err != nil {
 			t.Fatal(err)
@@ -349,7 +299,7 @@ func TestKLargerThanPopulation(t *testing.T) {
 	q := locatedUsers(ds)[0]
 	prm := Params{K: 500, Alpha: 0.4}
 	want, _ := e.Query(BruteForce, q, prm)
-	for _, algo := range allNonCHAlgorithms {
+	for _, algo := range allAlgorithms {
 		got, err := e.Query(algo, q, prm)
 		if err != nil {
 			t.Fatal(err)
@@ -373,7 +323,7 @@ func TestExtremeAlphas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range allNonCHAlgorithms {
+		for _, algo := range allAlgorithms {
 			got, err := e.Query(algo, q, prm)
 			if err != nil {
 				t.Fatalf("alpha=%v %v: %v", alpha, algo, err)
@@ -501,7 +451,7 @@ func TestMoveUserChangesResults(t *testing.T) {
 	}
 	// All algorithms must agree post-move.
 	want, _ := e.Query(BruteForce, q, prm)
-	for _, algo := range allNonCHAlgorithms {
+	for _, algo := range allAlgorithms {
 		got, err := e.Query(algo, q, prm)
 		if err != nil {
 			t.Fatal(err)
@@ -564,7 +514,7 @@ func TestMovesOffTheGridStayExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, algo := range allNonCHAlgorithms {
+			for _, algo := range allAlgorithms {
 				got, err := e.Query(algo, q, prm)
 				if err != nil {
 					t.Fatal(err)

@@ -33,7 +33,7 @@ func TestEdgelessGraph(t *testing.T) {
 	// 0 < α < 1 every f is +Inf and results are empty.
 	ds := mkEdgelessDataset(t, 20)
 	e := mkEngine(t, ds, Options{NumLandmarks: 2})
-	for _, algo := range allNonCHAlgorithms {
+	for _, algo := range allAlgorithms {
 		res, err := e.Query(algo, 0, Params{K: 5, Alpha: 0.5})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -53,7 +53,7 @@ func TestTwoUserDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mkEngine(t, ds, Options{NumLandmarks: 1})
-	for _, algo := range allNonCHAlgorithms {
+	for _, algo := range allAlgorithms {
 		res, err := e.Query(algo, 0, Params{K: 3, Alpha: 0.5})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -84,7 +84,7 @@ func TestAllUsersSamePoint(t *testing.T) {
 	}
 	e := mkEngine(t, ds, Options{})
 	want, _ := e.Query(BruteForce, 0, Params{K: 10, Alpha: 0.5})
-	for _, algo := range allNonCHAlgorithms {
+	for _, algo := range allAlgorithms {
 		got, err := e.Query(algo, 0, Params{K: 10, Alpha: 0.5})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -110,7 +110,7 @@ func TestOnlyQueryLocated(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mkEngine(t, ds, Options{})
-	for _, algo := range allNonCHAlgorithms {
+	for _, algo := range allAlgorithms {
 		res, err := e.Query(algo, 0, Params{K: 5, Alpha: 0.5})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -141,7 +141,7 @@ func TestStarGraphHub(t *testing.T) {
 	}
 	e := mkEngine(t, ds, Options{})
 	want, _ := e.Query(BruteForce, 0, Params{K: 7, Alpha: 0.4})
-	for _, algo := range allNonCHAlgorithms {
+	for _, algo := range allAlgorithms {
 		got, err := e.Query(algo, 0, Params{K: 7, Alpha: 0.4})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -45,12 +44,6 @@ const (
 	// AISCache is the §5.4 pre-computation method: a t-nearest social list
 	// drives an SFA-style scan and falls back to AIS on exhaustion.
 	AISCache
-	// SFACH, SPACH and TSACH are the Fig. 8 comparison variants whose
-	// social-distance evaluations go through Contraction Hierarchies
-	// instead of the shared incremental Dijkstra.
-	SFACH
-	SPACH
-	TSACH
 	// BruteForce computes one full Dijkstra and scans all users; the
 	// correctness reference.
 	BruteForce
@@ -59,20 +52,7 @@ const (
 var algoNames = map[Algorithm]string{
 	SFA: "SFA", SPA: "SPA", TSA: "TSA", TSAQC: "TSA-QC", TSANoLandmark: "TSA-NL",
 	AISBID: "AIS-BID", AISMinus: "AIS-", AIS: "AIS", AISCache: "AIS-Cache",
-	SFACH: "SFA-CH", SPACH: "SPA-CH", TSACH: "TSA-CH", BruteForce: "Brute",
-}
-
-// ErrStaleHierarchy is what the *-CH variants return once the social graph
-// has moved past the epoch their contraction hierarchy was built on.
-var ErrStaleHierarchy = errors.New("core: contraction hierarchy is stale")
-
-// Hierarchy answers exact point-to-point social distances on the
-// construction graph — the contract internal/ch's contraction hierarchy
-// meets. SFA-CH, SPA-CH and TSA-CH evaluate through it (Fig. 8).
-type Hierarchy interface {
-	// Dist returns the distance from s to t (+Inf when unreachable) and the
-	// search's pop count.
-	Dist(s, t graph.VertexID) (float64, int)
+	BruteForce: "Brute",
 }
 
 func (a Algorithm) String() string {
@@ -169,17 +149,14 @@ type Engine struct {
 // Searcher runs the paper's algorithms over the views it is handed
 // (QueryOn) and validates updates against the dataset. It holds everything a
 // query needs beside the view: the dataset, the friends-of-friends bound
-// index, the pooled per-query scratch, the §5.4 memo and the attached
-// hierarchy. It holds no index and applies nothing.
+// index, the pooled per-query scratch and the §5.4 memo. It holds no index
+// and applies nothing.
 type Searcher struct {
 	ds    *dataset.Dataset
 	cache *socialCache
 	// fof is the substrate's friends-of-friends bound index; queries arm a
 	// pooled Scratch from it for the 2-hop exact / weight-floor lower bound.
 	fof *fof.Index
-	// hier is the hierarchy the *-CH variants evaluate through (nil until
-	// AttachHierarchy); see chReady.
-	hier Hierarchy
 
 	pools sync.Pool // *queryPools, reused across queries
 }
@@ -396,30 +373,15 @@ func (e *Searcher) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.Ver
 	var entries []Entry
 	switch algo {
 	case SFA:
-		entries = e.runSFA(view, q, qpt, prm, st, p, false)
-	case SFACH:
-		if err := e.chReady(view[0], algo); err != nil {
-			return nil, err
-		}
-		entries = e.runSFA(view, q, qpt, prm, st, p, true)
+		entries = e.runSFA(view, q, qpt, prm, st, p)
 	case SPA:
-		entries = e.runSPA(view, q, qpt, prm, st, p, false)
-	case SPACH:
-		if err := e.chReady(view[0], algo); err != nil {
-			return nil, err
-		}
-		entries = e.runSPA(view, q, qpt, prm, st, p, true)
+		entries = e.runSPA(view, q, qpt, prm, st, p)
 	case TSA:
 		entries = e.runTSA(view, q, qpt, prm, st, p, tsaConfig{prune: true})
 	case TSAQC:
 		entries = e.runTSA(view, q, qpt, prm, st, p, tsaConfig{prune: true, quickCombine: true})
 	case TSANoLandmark:
 		entries = e.runTSA(view, q, qpt, prm, st, p, tsaConfig{})
-	case TSACH:
-		if err := e.chReady(view[0], algo); err != nil {
-			return nil, err
-		}
-		entries = e.runTSA(view, q, qpt, prm, st, p, tsaConfig{prune: true, useCH: true})
 	case AISBID:
 		entries = e.runAIS(view, q, qpt, prm, st, p, aisConfig{sharing: false, delayed: false})
 	case AISMinus:
@@ -438,28 +400,6 @@ func (e *Searcher) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.Ver
 	res.Entries = make([]Entry, len(entries))
 	copy(res.Entries, entries)
 	return res, nil
-}
-
-// AttachHierarchy makes the *-CH variants answerable, evaluating through h —
-// typically ch.Build over the dataset's construction graph. Call it before
-// querying; the engine never maintains h (see chReady).
-func (e *Searcher) AttachHierarchy(h Hierarchy) { e.hier = h }
-
-// chReady gates the contraction-hierarchy variants: they need an attached
-// hierarchy, and the snapshot must still be at social epoch 0 — the
-// hierarchy contracts the construction graph and is never maintained, so
-// against any later graph it would be silently inexact. After the first
-// effective edge update the variants are refused for good, with both epochs
-// in the error so callers can tell that from a missing hierarchy.
-func (e *Searcher) chReady(sn *aggindex.Snapshot, algo Algorithm) error {
-	if e.hier == nil {
-		return fmt.Errorf("core: %v requires an attached hierarchy", algo)
-	}
-	if sn.SocialEpoch() != 0 {
-		return fmt.Errorf("%w: %v unavailable, hierarchy built at social epoch 0, snapshot at social epoch %d",
-			ErrStaleHierarchy, algo, sn.SocialEpoch())
-	}
-	return nil
 }
 
 // SocialStats is a point-in-time view of the social dimension: edge counts,

@@ -4,8 +4,8 @@
 // Search Approach with round-robin and Quick-Combine probing plus landmark
 // pruning (§4.2), the Aggregate Index Search family AIS-BID / AIS⁻ / AIS
 // with the shared GraphDist submodule, computation sharing and delayed
-// evaluation (§5), the §5.4 pre-computation variant, the CH-backed
-// comparison variants of Fig. 8, and a brute-force reference.
+// evaluation (§5), the §5.4 pre-computation variant, and a brute-force
+// reference.
 package core
 
 import (

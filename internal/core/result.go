@@ -31,7 +31,6 @@ type Stats struct {
 	Reinserts      int
 	GraphDistCalls int // exact social-distance evaluations
 	BoundedStops   int // evaluations GraphDist ended at the f_k threshold, without an exact distance
-	CHQueries      int // contraction-hierarchy point-to-point queries
 	CacheHits      int // §5.4 pre-computed list hits
 	// GraphDistRestarts counts GraphDist rounds after an evaluation's first:
 	// reverse searches that ran out of budget and were started over once the

@@ -11,14 +11,7 @@ import (
 // stop once θ = α·p(last settled) can no longer beat f_k. Spatial reads go
 // through the query's view sns, with qpt standing in for the query location
 // (q itself need not be located in it — see Searcher.QueryOn).
-//
-// With useCH (the SFA-CH variant of Fig. 8), every social distance is
-// re-derived through a Contraction Hierarchies point-to-point query instead
-// of being read off the incremental expansion — the expansion is kept only
-// for its ascending-distance ordering and termination bound. The variant
-// demonstrates the paper's point: on social networks, per-target CH queries
-// lose to one shared incremental Dijkstra.
-func (e *Searcher) runSFA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
+func (e *Searcher) runSFA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools) []Entry {
 	labels := e.ds.Labels
 	it := &p.soc
 	it.Reset(sns[0].SocialGraph(), q)
@@ -43,10 +36,6 @@ func (e *Searcher) runSFA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatia
 				st.LabelSkips++
 				continue
 			}
-		}
-		if useCH {
-			p, _ = e.hier.Dist(q, v)
-			st.CHQueries++
 		}
 		d := spatialDist(sns, qpt, v)
 		r.Consider(Entry{ID: v, F: combine(prm.Alpha, p, d), P: p, D: d})

@@ -159,7 +159,7 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 					}
 					prm := Params{K: 1 + rng.Intn(12), Alpha: 0.05 + 0.9*rng.Float64()}
 					want := oracleTopK(e.Engine, model, q, prm)
-					for _, algo := range allNonCHAlgorithms {
+					for _, algo := range allAlgorithms {
 						got, err := e.Query(algo, q, prm)
 						if err != nil {
 							t.Fatalf("round %d %v (q=%d): %v", round, algo, q, err)
@@ -402,7 +402,7 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range allNonCHAlgorithms {
+		for _, algo := range allAlgorithms {
 			got, err := e.Query(algo, q, prm)
 			if err != nil {
 				t.Fatal(err)
@@ -479,7 +479,7 @@ func TestEdgeChurnBeyondSixtyFourLandmarks(t *testing.T) {
 			q := users[rng.Intn(len(users))]
 			prm := Params{K: 1 + rng.Intn(10), Alpha: 0.05 + 0.9*rng.Float64()}
 			want := oracleTopK(e, model, q, prm)
-			for _, algo := range allNonCHAlgorithms {
+			for _, algo := range allAlgorithms {
 				got, err := e.Query(algo, q, prm)
 				if err != nil {
 					t.Fatalf("round %d %v (q=%d): %v", round, algo, q, err)

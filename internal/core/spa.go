@@ -13,18 +13,13 @@ import (
 //
 // The vanilla social-distance module is the shared incremental Dijkstra from
 // v_q, expanded just far enough to settle each requested target ("shortest
-// paths produced incrementally, all with v_q as source"). SPA-CH replaces it
-// with an independent CH query per target (Fig. 8).
-func (e *Searcher) runSPA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools, useCH bool) []Entry {
+// paths produced incrementally, all with v_q as source").
+func (e *Searcher) runSPA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatial.Point, prm Params, st *Stats, p *queryPools) []Entry {
 	nn := p.nn
 	nn.Reset(qpt, p.gridsOf(sns)...)
 	r := p.top.reset(prm.K)
-
-	var fwd *graph.DijkstraIterator
-	if !useCH {
-		fwd = &p.soc
-		fwd.Reset(sns[0].SocialGraph(), q)
-	}
+	fwd := &p.soc
+	fwd.Reset(sns[0].SocialGraph(), q)
 
 	labels := e.ds.Labels
 	for {
@@ -48,25 +43,19 @@ func (e *Searcher) runSPA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatia
 				continue
 			}
 		}
-		// Social-distance module: an independent CH query per target for
-		// SPA-CH, otherwise the shared forward Dijkstra expanded just far
-		// enough to settle the target.
+		// Social-distance module: the shared forward Dijkstra expanded just
+		// far enough to settle the target.
 		var pd float64
-		if useCH {
-			st.CHQueries++
-			pd, _ = e.hier.Dist(q, u)
-		} else {
-			for {
-				if sd, settled := fwd.SettledDist(u); settled {
-					pd = sd
-					break
-				}
-				if _, _, ok := fwd.Next(); !ok {
-					pd = graph.Infinity
-					break
-				}
-				st.SocialPops++
+		for {
+			if sd, settled := fwd.SettledDist(u); settled {
+				pd = sd
+				break
 			}
+			if _, _, ok := fwd.Next(); !ok {
+				pd = graph.Infinity
+				break
+			}
+			st.SocialPops++
 		}
 		r.Consider(Entry{ID: u, F: combine(prm.Alpha, pd, d), P: pd, D: d})
 		if theta := (1 - prm.Alpha) * d; theta >= r.Fk() {

@@ -14,7 +14,6 @@ import (
 type tsaConfig struct {
 	quickCombine bool // probe streams by weighted distance-growth rate
 	prune        bool // landmark candidate pruning before phase 2
-	useCH        bool // phase 2 evaluates candidates via CH point-to-point
 }
 
 // candidateSet is TSA's Q: users encountered by the spatial search but not
@@ -63,18 +62,6 @@ func (c *candidateSet) MinD() float64 {
 		c.heap.Pop() // stale: removed earlier
 	}
 	return math.Inf(1)
-}
-
-// PopMinD removes and returns the live candidate with the smallest distance.
-func (c *candidateSet) PopMinD() (u int32, d float64, ok bool) {
-	for c.heap.Len() > 0 {
-		e, _ := c.heap.Pop()
-		if _, live := c.d[e.Value]; live {
-			delete(c.d, e.Value)
-			return e.Value, e.Key, true
-		}
-	}
-	return 0, 0, false
 }
 
 // tsaRun is the mutable state of one TSA phase-1 execution. It exists so the
@@ -243,11 +230,7 @@ func (e *Searcher) runTSA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatia
 		}
 	}
 
-	if cfg.useCH {
-		e.tsaPhase2CH(q, prm, st, r, t.cand, t.tp)
-	} else {
-		e.tsaPhase2Social(q, prm, st, r, t.cand, t.soc, t.tp, t.socDone)
-	}
+	e.tsaPhase2Social(q, prm, st, r, t.cand, t.soc, t.tp, t.socDone)
 	return r.Sorted()
 }
 
@@ -271,25 +254,5 @@ func (e *Searcher) tsaPhase2Social(q graph.VertexID, prm Params, st *Stats, r *t
 			r.Consider(Entry{ID: v, F: combine(prm.Alpha, p, d), P: p, D: d})
 			cand.Remove(v)
 		}
-	}
-}
-
-// tsaPhase2CH is the TSA-CH phase 2 (Fig. 8): candidates are resolved
-// cheapest-Euclidean-first with independent CH point-to-point queries, no
-// social stream continuation. t_p stays frozen at its phase-1 value, so θ′
-// grows only through t′_d.
-func (e *Searcher) tsaPhase2CH(q graph.VertexID, prm Params, st *Stats, r *topK,
-	cand *candidateSet, tp float64) {
-	for {
-		u, d, ok := cand.PopMinD()
-		if !ok {
-			return
-		}
-		if combine(prm.Alpha, tp, d) >= r.Fk() {
-			return
-		}
-		st.CHQueries++
-		p, _ := e.hier.Dist(q, u)
-		r.Consider(Entry{ID: u, F: combine(prm.Alpha, p, d), P: p, D: d})
 	}
 }

@@ -118,7 +118,7 @@ func TestSnapshotStressAsyncMovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range allNonCHAlgorithms {
+		for _, algo := range allAlgorithms {
 			got, err := e.Query(algo, q, prm)
 			if err != nil {
 				t.Fatal(err)

@@ -85,7 +85,7 @@ func (s *Suite) RunDiagnostics() error {
 		Columns: []string{"dataset", "p10", "p50", "p90", "spread", "lm tightness", "spatial p50"},
 	}
 	for _, name := range []string{"gowalla", "foursquare", "twitter"} {
-		e, err := s.Engine(name, DefaultS, false)
+		e, err := s.Engine(name, DefaultS)
 		if err != nil {
 			return err
 		}

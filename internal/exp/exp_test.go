@@ -100,7 +100,7 @@ func TestSuiteRunsEveryExperiment(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	s := NewSuite(microScale, 42, &buf)
-	if err := s.RunAll(true); err != nil {
+	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -158,7 +158,7 @@ func TestWorkloadPresetSweepSmoke(t *testing.T) {
 	if ds.Labels == nil {
 		t.Fatal("homophily preset lost its labels through the suite")
 	}
-	e, err := s.Engine("homophily", DefaultS, false)
+	e, err := s.Engine("homophily", DefaultS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSuiteRunUnknownExperiment(t *testing.T) {
 	s := NewSuite(microScale, 1, &bytes.Buffer{})
 	// "churn" is a retired serving cell: it must fail by name, not run.
 	for _, id := range []string{"fig99", "churn"} {
-		if err := s.Run(id, false); err == nil {
+		if err := s.Run(id); err == nil {
 			t.Fatalf("unknown experiment %q accepted", id)
 		}
 	}
@@ -195,7 +195,7 @@ func TestSuiteRunUnknownExperiment(t *testing.T) {
 func TestSuiteSingleExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSuite(microScale, 7, &buf)
-	if err := s.Run("table2", false); err != nil {
+	if err := s.Run("table2"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "gowalla") {
@@ -206,7 +206,7 @@ func TestSuiteSingleExperiment(t *testing.T) {
 func TestDiagnostics(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSuite(microScale, 7, &buf)
-	if err := s.Run("diag", false); err != nil {
+	if err := s.Run("diag"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -214,7 +214,7 @@ func TestDiagnostics(t *testing.T) {
 		t.Fatalf("diag output missing tightness:\n%s", out)
 	}
 	// Structured access.
-	e, err := s.Engine("gowalla", DefaultS, false)
+	e, err := s.Engine("gowalla", DefaultS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,6 @@ import (
 // mainAlgorithms is the line-up of Figs. 8, 9, 13, 14.
 var mainAlgorithms = []core.Algorithm{core.SFA, core.SPA, core.TSA, core.TSAQC, core.AIS}
 
-// chAlgorithms are the extra Fig. 8 run-time curves.
-var chAlgorithms = []core.Algorithm{core.SFACH, core.SPACH, core.TSACH}
-
 // aisVariants is the Fig. 10 line-up.
 var aisVariants = []core.Algorithm{core.AISBID, core.AISMinus, core.AIS}
 
@@ -60,7 +57,7 @@ func (s *Suite) RunFig7a() error {
 		Columns: []string{"dataset", "k", "avg hops", "max hops"},
 	}
 	for _, name := range bothDatasets {
-		e, err := s.Engine(name, DefaultS, false)
+		e, err := s.Engine(name, DefaultS)
 		if err != nil {
 			return err
 		}
@@ -132,7 +129,7 @@ type JaccardPoint struct {
 // The paper finds Jaccard below 0.1 everywhere — SSRQ is a genuinely
 // different query.
 func (s *Suite) RunFig7b() error {
-	e, err := s.Engine("foursquare", DefaultS, false)
+	e, err := s.Engine("foursquare", DefaultS)
 	if err != nil {
 		return err
 	}
@@ -214,32 +211,28 @@ func jaccard(a, b map[int32]bool) float64 {
 }
 
 // RunFig8 reproduces Fig. 8: run-time and pop ratio vs k on both datasets.
-// withCH adds the SFA-CH/SPA-CH/TSA-CH curves of the run-time charts
-// (expensive preprocessing on large scales).
-func (s *Suite) RunFig8(withCH bool) error {
-	algos := mainAlgorithms
-	if withCH {
-		algos = append(append([]core.Algorithm{}, mainAlgorithms...), chAlgorithms...)
-	}
+// The paper's SFA-CH/SPA-CH/TSA-CH curves are not drawn: on these social
+// graphs a contraction hierarchy leaves a hub core of about half the
+// vertices, so each point-to-point query costs several full sweeps
+// (EXPERIMENTS.md, Fig. 8).
+func (s *Suite) RunFig8() error {
 	for _, name := range bothDatasets {
-		e, err := s.Engine(name, DefaultS, withCH)
+		e, err := s.Engine(name, DefaultS)
 		if err != nil {
 			return err
 		}
 		users := QueryUsers(e.Dataset(), s.Scale.NumQueries, s.Seed)
 		rt := Table{Title: fmt.Sprintf("Fig 8 run-time(ms) vs k — %s", name), Columns: []string{"k"}}
 		pr := Table{Title: fmt.Sprintf("Fig 8 pop ratio vs k — %s", name), Columns: []string{"k"}}
-		for _, a := range algos {
-			rt.Columns = append(rt.Columns, a.String())
-		}
 		for _, a := range mainAlgorithms {
+			rt.Columns = append(rt.Columns, a.String())
 			pr.Columns = append(pr.Columns, a.String())
 		}
 		for _, k := range KValues {
 			prm := core.Params{K: k, Alpha: DefaultAlpha}
 			rtRow := []string{fmt.Sprintf("%d", k)}
 			prRow := []string{fmt.Sprintf("%d", k)}
-			for _, a := range algos {
+			for _, a := range mainAlgorithms {
 				m, err := runWorkload(e, a, users, prm)
 				if err != nil {
 					return err
@@ -247,9 +240,7 @@ func (s *Suite) RunFig8(withCH bool) error {
 				m.X = float64(k)
 				s.record(m)
 				rtRow = append(rtRow, ms(m.Runtime))
-				if !isCH(a) {
-					prRow = append(prRow, ratio(m.PopRatio))
-				}
+				prRow = append(prRow, ratio(m.PopRatio))
 			}
 			rt.AddRow(rtRow...)
 			pr.AddRow(prRow...)
@@ -260,14 +251,10 @@ func (s *Suite) RunFig8(withCH bool) error {
 	return nil
 }
 
-func isCH(a core.Algorithm) bool {
-	return a == core.SFACH || a == core.SPACH || a == core.TSACH
-}
-
 // RunFig9 reproduces Fig. 9: run-time vs α on both datasets.
 func (s *Suite) RunFig9() error {
 	for _, name := range bothDatasets {
-		e, err := s.Engine(name, DefaultS, false)
+		e, err := s.Engine(name, DefaultS)
 		if err != nil {
 			return err
 		}
@@ -298,7 +285,7 @@ func (s *Suite) RunFig9() error {
 // run-time and pop ratio on both datasets.
 func (s *Suite) RunFig10() error {
 	for _, name := range bothDatasets {
-		e, err := s.Engine(name, DefaultS, false)
+		e, err := s.Engine(name, DefaultS)
 		if err != nil {
 			return err
 		}
@@ -336,7 +323,7 @@ func (s *Suite) RunFig10() error {
 // (Precompute) so queries measure lookup + fallback cost only.
 func (s *Suite) RunFig11() error {
 	for _, name := range bothDatasets {
-		e, err := s.Engine(name, DefaultS, false)
+		e, err := s.Engine(name, DefaultS)
 		if err != nil {
 			return err
 		}
@@ -376,7 +363,7 @@ func (s *Suite) RunFig12() error {
 			t.Columns = append(t.Columns, a.String())
 		}
 		for _, gridS := range SValues {
-			e, err := s.Engine(name, gridS, false)
+			e, err := s.Engine(name, gridS)
 			if err != nil {
 				return err
 			}
@@ -401,7 +388,7 @@ func (s *Suite) RunFig12() error {
 // RunFig13 reproduces Fig. 13: the high-degree Twitter substitute, run-time
 // vs k and vs α.
 func (s *Suite) RunFig13() error {
-	e, err := s.Engine("twitter", DefaultS, false)
+	e, err := s.Engine("twitter", DefaultS)
 	if err != nil {
 		return err
 	}

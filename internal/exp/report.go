@@ -14,7 +14,6 @@ type Report struct {
 	Exp       string        `json:"exp"`
 	Scale     string        `json:"scale"`
 	Seed      int64         `json:"seed"`
-	CH        bool          `json:"ch"`
 	Elapsed   float64       `json:"elapsed_sec"`
 	Generated time.Time     `json:"generated"`
 	Points    []ReportPoint `json:"points"`
@@ -35,12 +34,11 @@ func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // Report assembles the machine-readable view of everything the suite
 // measured so far.
-func (s *Suite) Report(expID string, withCH bool, elapsed time.Duration) Report {
+func (s *Suite) Report(expID string, elapsed time.Duration) Report {
 	r := Report{
 		Exp:       expID,
 		Scale:     s.Scale.Name,
 		Seed:      s.Seed,
-		CH:        withCH,
 		Elapsed:   elapsed.Seconds(),
 		Generated: time.Now().UTC().Truncate(time.Second),
 		Points:    make([]ReportPoint, 0, len(s.Measurements)),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"ssrq/internal/ch"
 	"ssrq/internal/core"
 	"ssrq/internal/dataset"
 	"ssrq/internal/gen"
@@ -70,10 +69,9 @@ func (s *Suite) Dataset(name string) (*dataset.Dataset, error) {
 }
 
 // Engine returns a cached single-index engine for the dataset at grid
-// granularity s — with buildCH, one with a contraction hierarchy of the
-// dataset's graph attached, so the Fig. 8 *-CH variants can run.
-func (s *Suite) Engine(dsName string, gridS int, buildCH bool) (*core.Engine, error) {
-	key := fmt.Sprintf("%s/s=%d/ch=%v", dsName, gridS, buildCH)
+// granularity s.
+func (s *Suite) Engine(dsName string, gridS int) (*core.Engine, error) {
+	key := fmt.Sprintf("%s/s=%d", dsName, gridS)
 	if e, ok := s.engines[key]; ok {
 		return e, nil
 	}
@@ -84,9 +82,6 @@ func (s *Suite) Engine(dsName string, gridS int, buildCH bool) (*core.Engine, er
 	e, err := core.NewEngine(ds, EngineOptions(gridS, s.Seed))
 	if err != nil {
 		return nil, err
-	}
-	if buildCH {
-		e.AttachHierarchy(ch.Build(ds.G))
 	}
 	s.engines[key] = e
 	return e, nil
@@ -102,7 +97,7 @@ func (s *Suite) record(ms ...Measurement) {
 }
 
 // RunAll executes every experiment in paper order.
-func (s *Suite) RunAll(withCH bool) error {
+func (s *Suite) RunAll() error {
 	steps := []struct {
 		name string
 		fn   func() error
@@ -110,7 +105,7 @@ func (s *Suite) RunAll(withCH bool) error {
 		{"table2", s.RunTable2},
 		{"fig7a", s.RunFig7a},
 		{"fig7b", s.RunFig7b},
-		{"fig8", func() error { return s.RunFig8(withCH) }},
+		{"fig8", s.RunFig8},
 		{"fig9", s.RunFig9},
 		{"fig10", s.RunFig10},
 		{"fig11", s.RunFig11},
@@ -130,11 +125,11 @@ func (s *Suite) RunAll(withCH bool) error {
 
 // Run executes a single experiment by id ("table2", "fig7a", … "fig14b",
 // "diag", "all").
-func (s *Suite) Run(id string, withCH bool) error {
+func (s *Suite) Run(id string) error {
 	s.curExp = id
 	switch id {
 	case "all":
-		return s.RunAll(withCH)
+		return s.RunAll()
 	case "table2":
 		return s.RunTable2()
 	case "fig7a":
@@ -142,7 +137,7 @@ func (s *Suite) Run(id string, withCH bool) error {
 	case "fig7b":
 		return s.RunFig7b()
 	case "fig8":
-		return s.RunFig8(withCH)
+		return s.RunFig8()
 	case "fig9":
 		return s.RunFig9()
 	case "fig10":

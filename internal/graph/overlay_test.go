@@ -309,7 +309,7 @@ func TestEdgeWeightBinarySearch(t *testing.T) {
 
 // BenchmarkEdgeWeight measures the sorted-adjacency binary search on a
 // high-degree hub — the shape where a linear scan would hurt in hot loops
-// (landmark repair support checks, CH witness searches).
+// (landmark repair support checks).
 func BenchmarkEdgeWeight(b *testing.B) {
 	const n = 20000
 	gb := NewBuilder(n)

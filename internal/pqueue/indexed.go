@@ -66,21 +66,6 @@ func (h *IndexedHeap) PushOrDecrease(id int32, key float64) bool {
 	return true
 }
 
-// PushOrUpdate inserts the item or sets its key regardless of direction
-// (CH's lazy priority re-evaluation needs key increases too).
-func (h *IndexedHeap) PushOrUpdate(id int32, key float64) {
-	if p := h.pos[id]; p >= 0 {
-		if old := h.slots[p].key; key < old {
-			h.up(int(p), slot{key, id})
-		} else if key > old {
-			h.down(int(p), slot{key, id})
-		}
-		return
-	}
-	h.slots = append(h.slots, slot{})
-	h.up(len(h.slots)-1, slot{key, id})
-}
-
 // PopMin removes and returns the item with the smallest key. ok is false when
 // the heap is empty.
 func (h *IndexedHeap) PopMin() (id int32, key float64, ok bool) {

@@ -242,7 +242,7 @@ func TestIndexedHeapMatchesReferenceUnderRandomOps(t *testing.T) {
 		for step := 0; step < 40*n; step++ {
 			id, key := int32(rng.Intn(n)), float64(rng.Intn(8))
 			switch op := rng.Intn(100); {
-			case op < 40:
+			case op < 50:
 				old, queued := ref[id]
 				want := !queued || key < old
 				if want {
@@ -251,9 +251,6 @@ func TestIndexedHeapMatchesReferenceUnderRandomOps(t *testing.T) {
 				if got := h.PushOrDecrease(id, key); got != want {
 					t.Fatalf("trial %d step %d: PushOrDecrease(%d,%v) = %v, want %v", trial, step, id, key, got, want)
 				}
-			case op < 60:
-				ref[id] = key
-				h.PushOrUpdate(id, key)
 			case op < 99:
 				wid, wkey, wok := ref.popMin()
 				gid, gkey, gok := h.PeekMin()

@@ -135,7 +135,7 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	if d := diff(fs0, fs1); d.Queries != 1 || d.Fanouts != 1 || d.ShardsQueried != 3 || d.ShardsPruned != 0 {
 		t.Fatalf("successful query committed %+v, want 1 query / 1 fanout / 3 shards queried", d)
 	}
-	requireRefused(t, se, core.TSACH, q, prm)
+	requireRefused(t, se, core.TSAQC, q, prm)
 	if d := diff(fs1, se.FanoutStats()); d != (FanoutStats{}) {
 		t.Fatalf("refusal still committed counters: %+v", d)
 	}
@@ -149,7 +149,7 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	if err := removeFriend(se, int32(q), nbrs[0]); err != nil {
 		t.Fatal(err)
 	}
-	requireRefused(t, se, core.TSACH, q, prm)
+	requireRefused(t, se, core.TSAQC, q, prm)
 	if d := diff(fs1, se.FanoutStats()); d != (FanoutStats{}) {
 		t.Fatalf("repeated refusal still committed counters: %+v", d)
 	}

@@ -127,38 +127,8 @@ func TestShardedMatchesUnshardedStatic(t *testing.T) {
 	}
 }
 
-// TestShardedCHVariants: the *-CH variants are Fig. 8 baselines of the
-// single-index engine, not served. The routed engine refuses them by name at
-// the served-menu gate — at social epoch 0 as after an edge op, never with
-// the staleness error a hierarchy-carrying engine would give.
-func TestShardedCHVariants(t *testing.T) {
-	ds := clusteredDataset(t, 150, 13)
-	opts := core.Options{GridS: 3, GridLevels: 2, NumLandmarks: 3, Seed: 13}
-	se, err := New(ds, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer se.Close()
-	users := locatedUsers(ds)
-	prm := core.Params{K: 5, Alpha: 0.4}
-	chAlgos := []core.Algorithm{core.SFACH, core.SPACH, core.TSACH}
-	for _, algo := range chAlgos {
-		requireRefused(t, se, algo, users[0], prm)
-	}
-	nbrs, _ := se.LiveSocialGraph().Neighbors(users[0])
-	if len(nbrs) == 0 {
-		t.Fatal("query user has no neighbors to remove")
-	}
-	if err := removeFriend(se, int32(users[0]), nbrs[0]); err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range chAlgos {
-		requireRefused(t, se, algo, users[0], prm)
-	}
-}
-
 // TestQueryRefusesUnservedAlgorithms: at one shard and at four, Query answers
-// exactly the Served menu and refuses every other Algorithm value — the eight
+// exactly the Served menu and refuses every other Algorithm value — the five
 // figure variants and an out-of-range one — with an error naming it, before
 // any query counter moves.
 func TestQueryRefusesUnservedAlgorithms(t *testing.T) {

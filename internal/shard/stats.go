@@ -49,8 +49,8 @@ func (se *Engine) ShardStats() []ShardStat {
 }
 
 // FanoutStats counts how queries spanned the shards. All counters commit
-// only when a query succeeds end-to-end: a refused query (e.g. a *-CH variant
-// past social epoch 0) contributes nothing.
+// only when a query succeeds end-to-end: a refused query (e.g. an algorithm
+// outside the Served menu) contributes nothing.
 type FanoutStats struct {
 	// Queries is the successful query count; Fanouts how many searched a view
 	// of more than one shard (Queries when S ≥ 2, 0 when S = 1).

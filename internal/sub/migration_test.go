@@ -82,8 +82,7 @@ func TestMigrationDriftSkipsAndReplaysExactly(t *testing.T) {
 				eng.Flush()
 				e.Sync()
 				for i, st := range subs {
-					if st.Round() != seen[i] {
-						d := st.Delta()
+					if d := st.Delta(); d.Round != seen[i] {
 						views[i], seen[i] = applyDelta(t, views[i], d), d.Round
 						deltas++
 					}

@@ -302,7 +302,7 @@ func TestSkipSoundnessProvably(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("subscriber 0 got an empty initial result")
 	}
-	round0 := st.Round()
+	round0 := st.Delta().Round
 	base := e.Stats()
 
 	// 30 epochs of community-B movement, each flushed individually so every
@@ -331,8 +331,8 @@ func TestSkipSoundnessProvably(t *testing.T) {
 	if skips := stat.Skips - base.Skips; skips == 0 {
 		t.Fatalf("no skips recorded: %+v", stat)
 	}
-	if st.Round() != round0 {
-		t.Fatalf("result version moved (%d -> %d) though nothing could change", round0, st.Round())
+	if d := st.Delta(); d.Round != round0 || !d.Empty() {
+		t.Fatalf("result version moved (%d -> %d, delta %+v) though nothing could change", round0, d.Round, d)
 	}
 	sameEntries(t, "after cross-community churn", st.Result(), oracle(t, eng, 0, prm))
 }
@@ -396,7 +396,7 @@ func TestSubscribersAcrossRebalance(t *testing.T) {
 			}
 			for _, st := range subs {
 				_ = st.Result()
-				st.Round()
+				_ = st.Delta()
 			}
 		}
 	}()

@@ -65,14 +65,6 @@ func (st *Subscription) Result() []core.Entry {
 	return append([]core.Entry(nil), st.cur...)
 }
 
-// Round returns the result version: it increments once per installed
-// change, so consumers can cheaply detect "anything new since I looked".
-func (st *Subscription) Round() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.round
-}
-
 // Delta returns the change since the previous Delta call (the full result,
 // as Added, on the first call) and marks the current state as emitted.
 func (st *Subscription) Delta() Delta {
