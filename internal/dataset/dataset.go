@@ -33,9 +33,13 @@ type Norms struct {
 // (via the engine's update path); the graph does not change after
 // construction.
 type Dataset struct {
-	Name    string
-	G       *graph.Graph    // edge weights normalized by Norms.Social
-	Pts     []spatial.Point // coordinates normalized by Norms.Spatial
+	Name string
+	G    *graph.Graph // edge weights normalized by Norms.Social
+	// Pts holds the coordinates at construction, normalized by
+	// Norms.Spatial. Engines build their grids over this slice without
+	// copying it (spatial.NewGrid), and a move copies the grid's page rather
+	// than write here. Like Labels, it must not be mutated afterwards.
+	Pts     []spatial.Point
 	Located []bool
 	// Labels holds an optional per-user attribute/topic bitmask (up to 64
 	// labels, bit i = label i), fixed at construction like the graph

@@ -7,43 +7,42 @@ import (
 	"testing"
 )
 
-// edgeSet deduplicates with a hash set: the reference for arrivals.
+// edgeSet deduplicates with a set of all edges so far, kept as one
+// neighbour list per vertex: the reference for arrivals. has scans the
+// endpoint of lower degree, which holds the edge if either does.
 type edgeSet struct {
-	seen map[uint64]bool
+	adj  [][]int32
 	list []edge
 }
 
-func newEdgeSet(capacity int) *edgeSet {
-	return &edgeSet{seen: make(map[uint64]bool, capacity)}
-}
-
-func (s *edgeSet) key(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(uint32(v))
+// newEdgeSet returns an empty set over vertices 0..n-1.
+func newEdgeSet(n int) *edgeSet {
+	return &edgeSet{adj: make([][]int32, n)}
 }
 
 func (s *edgeSet) add(u, v int32) bool {
-	if u == v {
+	if u == v || s.has(u, v) {
 		return false
 	}
-	k := s.key(u, v)
-	if s.seen[k] {
-		return false
-	}
-	s.seen[k] = true
+	s.adj[u] = append(s.adj[u], v)
+	s.adj[v] = append(s.adj[v], u)
 	s.list = append(s.list, edge{u, v})
 	return true
 }
 
-func (s *edgeSet) has(u, v int32) bool { return s.seen[s.key(u, v)] }
+func (s *edgeSet) has(u, v int32) bool {
+	if len(s.adj[u]) > len(s.adj[v]) {
+		u, v = v, u
+	}
+	return slices.Contains(s.adj[u], v)
+}
 
 func (s *edgeSet) edges() []edge { return s.list }
 
-// checkedEdges runs arrivals beside the hash-set deduplication the growth
-// models used before it, which answers every add and has from the set of all
-// edges so far and so needs no assumption about the order edges arrive in.
+// checkedEdges runs arrivals beside edgeSet, which answers every add and has
+// from the set of all edges so far, as the hash set the growth models used
+// before arrivals did, and so needs no assumption about the order edges
+// arrive in.
 // The first call on which the two disagree fails the test; when none does,
 // the generator consumed its random stream exactly as it did with the hash
 // set alone, so its output is the reference output.
@@ -56,7 +55,7 @@ type checkedEdges struct {
 func (c *checkedEdges) add(u, v int32) bool {
 	got, want := c.got.add(u, v), c.ref.add(u, v)
 	if got != want {
-		c.t.Fatalf("add(%d, %d) = %v, hash-set reference %v", u, v, got, want)
+		c.t.Fatalf("add(%d, %d) = %v, set reference %v", u, v, got, want)
 	}
 	return got
 }
@@ -64,7 +63,7 @@ func (c *checkedEdges) add(u, v int32) bool {
 func (c *checkedEdges) has(u, v int32) bool {
 	got, want := c.got.has(u, v), c.ref.has(u, v)
 	if got != want {
-		c.t.Fatalf("has(%d, %d) = %v, hash-set reference %v", u, v, got, want)
+		c.t.Fatalf("has(%d, %d) = %v, set reference %v", u, v, got, want)
 	}
 	return got
 }
@@ -72,7 +71,7 @@ func (c *checkedEdges) has(u, v int32) bool {
 func (c *checkedEdges) edges() []edge {
 	got, want := c.got.edges(), c.ref.edges()
 	if !slices.Equal(got, want) {
-		c.t.Fatalf("edge list differs from the hash-set reference (%d vs %d edges)", len(got), len(want))
+		c.t.Fatalf("edge list differs from the set reference (%d vs %d edges)", len(got), len(want))
 	}
 	return got
 }
@@ -80,8 +79,8 @@ func (c *checkedEdges) edges() []edge {
 // TestArrivalsMatchHashSetReference drives every growth model through
 // checkedEdges, over n ∈ {10, 57, 2 000, 30 000}, M ∈ {1, 5, 29} and eight
 // seeds: the scan over the arriving vertex's own edges must answer every
-// call as the hash set does and leave the identical edge list, and at M ≥ n
-// the model must refuse.
+// call as the set of all edges does and leave the identical edge list, and
+// at M ≥ n the model must refuse.
 func TestArrivalsMatchHashSetReference(t *testing.T) {
 	models := []struct {
 		name string
@@ -109,12 +108,12 @@ func TestArrivalsMatchHashSetReference(t *testing.T) {
 					if raceDetector && n*m > 100_000 {
 						// The generators run on one goroutine, so the race
 						// detector has nothing to find here, and it slows the
-						// hash-set reference eightfold; the full matrix runs
+						// set reference eightfold; the full matrix runs
 						// without it.
 						seeds = 1
 					}
 					for seed := int64(1); seed <= seeds; seed++ {
-						checked := &checkedEdges{t: t, got: newArrivals(n * m), ref: newEdgeSet(n * m)}
+						checked := &checkedEdges{t: t, got: newArrivals(n * m), ref: newEdgeSet(n)}
 						err := model.run(n, m, rand.New(rand.NewSource(seed)), checked)
 						if (err != nil) != (m >= n) {
 							t.Fatalf("seed %d: error %v", seed, err)

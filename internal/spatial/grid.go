@@ -16,10 +16,10 @@ import (
 // which the aggregate index publishes beside its summaries: readers traverse
 // that epoch freely — no lock, no blocking, one consistent view for the
 // whole logical operation. Mutations (Move/SetLocated/RemoveLocation) build
-// the next epoch copy-on-write: only the touched user pages, leaf buckets,
-// bucket pages and count pages are duplicated, everything else is shared with
-// the published snapshot. Nothing a reader can observe changes until Publish
-// installs the new epoch.
+// the next epoch copy-on-write: only the touched point pages, leaf pages, leaf
+// buckets, bucket pages and count pages are duplicated, everything else is
+// shared with the published snapshot. Nothing a reader can observe changes
+// until Publish installs the new epoch.
 //
 // The mutating methods and Publish are writer-side and must be serialized
 // externally (the aggregate index and the engine's update pipeline own a
@@ -36,10 +36,13 @@ type Grid struct {
 	work, base *Snapshot
 }
 
-// NewGrid indexes the users whose located flag is set. pts and located are
-// copied into the grid's internal paged storage: the grid owns its state and
-// later mutations do not write through to the caller's slices (callers read
-// current positions from a Snapshot or the grid's accessors).
+// NewGrid indexes the users whose located flag is set. The grid reads its
+// points from pts without copying them: each full 16-point page of the grid
+// is that chunk of pts (only a short tail page is copied), so grids built
+// over one slice share it. The caller must not mutate pts afterwards. The
+// grid never writes it: a move copies the page first, so mutations do not
+// write through to the caller's slice (callers read current positions from a
+// Snapshot or the grid's accessors). located is not retained.
 func NewGrid(layout *Layout, pts []Point, located []bool) (*Grid, error) {
 	if len(pts) != len(located) {
 		return nil, fmt.Errorf("spatial: %d points but %d located flags", len(pts), len(located))
@@ -48,8 +51,19 @@ func NewGrid(layout *Layout, pts []Point, located []bool) (*Grid, error) {
 	w := &Snapshot{
 		layout: layout,
 		n:      n,
-		users:  newPages(n, userPageSize, emptyUsers),
+		pts:    make([]*ptPage, (n+ptPageSize-1)/ptPageSize),
+		leaf:   newPages(n, leafPageSize, emptyLeaves),
 		leaves: newPages(layout.NumCells(layout.LeafLevel()), cellPageSize, emptyBuckets),
+	}
+	for pg := range w.pts {
+		lo := pg << ptPageShift
+		if lo+ptPageSize <= n {
+			w.pts[pg] = (*ptPage)(pts[lo : lo+ptPageSize])
+			continue
+		}
+		tail := new(ptPage)
+		copy(tail[:], pts[lo:])
+		w.pts[pg] = tail
 	}
 	for l := 0; l < layout.LeafLevel(); l++ {
 		w.counts = append(w.counts, newPages(layout.NumCells(l), cellPageSize, emptyCounts))
@@ -57,9 +71,10 @@ func NewGrid(layout *Layout, pts []Point, located []bool) (*Grid, error) {
 	// Nothing is published yet: against an empty base only the empty pages
 	// are shared, so each page is copied on its first write and mutated in
 	// place after that; cells no located user reaches keep the empty pages.
+	// Construction writes no point, so the aliased point pages stay the
+	// caller's until Publish makes them the base every write copies from.
 	g := &Grid{layout: layout, work: w, base: &Snapshot{counts: make([][]*cellPage[int32], len(w.counts))}}
-	for id := range pts {
-		g.writableUsers(w, int32(id)).pts[id&userPageMask] = pts[id]
+	for id := range located {
 		if located[id] {
 			g.insert(int32(id))
 		}
@@ -96,7 +111,8 @@ func (g *Grid) ensureWork() *Snapshot {
 	if g.work == nil {
 		pub := g.published.Load()
 		w := *pub
-		w.users = slices.Clone(pub.users)
+		w.pts = slices.Clone(pub.pts)
+		w.leaf = slices.Clone(pub.leaf)
 		w.leaves = slices.Clone(pub.leaves)
 		w.counts = make([][]*cellPage[int32], len(pub.counts))
 		for l, c := range pub.counts {
@@ -107,10 +123,14 @@ func (g *Grid) ensureWork() *Snapshot {
 	return g.work
 }
 
-// writableUsers returns the page holding id in the working epoch for
-// writing; id's entries sit at id&userPageMask.
-func (g *Grid) writableUsers(w *Snapshot, id int32) *userPage {
-	return writablePage(w.users, g.base.users, emptyUsers, id>>userPageShift)
+// setPoint writes id's coordinates in the working epoch.
+func (g *Grid) setPoint(w *Snapshot, id int32, p Point) {
+	writablePage(w.pts, g.base.pts, nil, id>>ptPageShift)[id&ptPageMask] = p
+}
+
+// setLeaf writes id's leaf cell in the working epoch.
+func (g *Grid) setLeaf(w *Snapshot, id, leaf int32) {
+	writablePage(w.leaf, g.base.leaf, emptyLeaves, id>>leafPageShift)[id&leafPageMask] = leaf
 }
 
 // writableBucket returns a leaf's bucket slot in the working epoch with the
@@ -138,19 +158,17 @@ func (g *Grid) LeafOf(id int32) int32 { return g.view().LeafOf(id) }
 
 func (g *Grid) insert(id int32) {
 	w := g.work
-	u := g.writableUsers(w, id)
-	leaf := g.layout.CellIndex(g.layout.LeafLevel(), u.pts[id&userPageMask])
+	leaf := g.layout.CellIndex(g.layout.LeafLevel(), w.Point(id))
 	b := g.writableBucket(w, leaf)
 	*b = append(*b, id)
-	u.leaf[id&userPageMask] = leaf
+	g.setLeaf(w, id, leaf)
 	g.adjustCounts(leaf, +1)
 	w.numLocated++
 }
 
 func (g *Grid) remove(id int32) {
 	w := g.work
-	u := g.writableUsers(w, id)
-	leaf := u.leaf[id&userPageMask]
+	leaf := w.LeafOf(id)
 	b := g.writableBucket(w, leaf)
 	bucket := *b
 	for i, v := range bucket {
@@ -160,7 +178,7 @@ func (g *Grid) remove(id int32) {
 			break
 		}
 	}
-	u.leaf[id&userPageMask] = -1
+	g.setLeaf(w, id, -1)
 	g.adjustCounts(leaf, -1)
 	w.numLocated--
 }
@@ -177,7 +195,7 @@ func (g *Grid) adjustCounts(leaf int32, delta int32) {
 
 // Move relocates a user. Updates are handled as the paper describes: a
 // deletion from the old cell and an insertion into the new one. A move that
-// stays within the same leaf cell rewrites only the user's page in the
+// stays within the same leaf cell rewrites only the user's point page in the
 // working epoch — membership, counts and any aggregate summaries stacked on
 // top are untouched, and readers of the published snapshot see the old
 // coordinates until the next Publish. Writer-side.
@@ -189,7 +207,7 @@ func (g *Grid) Move(id int32, to Point) {
 	}
 	oldLeaf := w.LeafOf(id)
 	newLeaf := g.layout.CellIndex(g.layout.LeafLevel(), to)
-	g.writableUsers(w, id).pts[id&userPageMask] = to
+	g.setPoint(w, id, to)
 	if oldLeaf == newLeaf {
 		return
 	}
@@ -204,7 +222,7 @@ func (g *Grid) SetLocated(id int32, p Point) {
 		g.Move(id, p)
 		return
 	}
-	g.writableUsers(w, id).pts[id&userPageMask] = p
+	g.setPoint(w, id, p)
 	g.insert(id)
 }
 

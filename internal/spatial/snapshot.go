@@ -1,42 +1,57 @@
 package spatial
 
-// Every array of a Snapshot is paged: per-user state in pages of 16 users,
-// per-cell state (leaf buckets, occupancy counts) in pages of 8 cells. The
-// writer duplicates a page on its first write of an epoch and each spine of
-// page pointers once per epoch, so an epoch copies the pages its moved users
-// and touched cells live in plus the spines — a few hundred bytes per touched
-// page, nothing proportional to the population or the grid. The sizes are
-// measured (TestEpochByteBudget): smaller pages copy less per touch but make
-// the spines every epoch copies longer.
+// Every array of a Snapshot is paged: user coordinates in pages of 16 points,
+// users' leaf cells in pages of 64, per-cell state (leaf buckets, occupancy
+// counts) in pages of 8 cells. The writer duplicates a page on its first
+// write of an epoch and each spine of page pointers once per epoch, so an
+// epoch copies the pages its moved users and touched cells live in plus the
+// spines — a few hundred bytes per touched page, nothing proportional to the
+// population or the grid. The sizes are measured (TestEpochByteBudget):
+// smaller pages copy less per touch but make the spines every epoch copies
+// longer.
 //
-// A page no write has reached is one of the shared empty pages below, so
-// per-cell state costs memory only where users are: a grid over clustered
-// users leaves most of its cell pages unwritten.
+// A page no write has reached is shared, so state costs memory only where
+// writes have been:
+//   - a point page is, until one of its users moves, a 16-point chunk of the
+//     slice the grid was built from (NewGrid), so every grid built over one
+//     dataset shares the dataset's one copy of the points;
+//   - a leaf page is the shared empty page below until one of its users is
+//     located, and a bucket or count page until a user is located in one of
+//     its cells, so a grid over clustered users, or a shard holding a part
+//     of them, leaves most of those pages unwritten.
+//
+// Point and leaf pages are separate spines so that Point(id) and LeafOf(id)
+// each stay one spine load plus one page load.
 const (
-	userPageShift = 4
-	userPageSize  = 1 << userPageShift
-	userPageMask  = userPageSize - 1
+	ptPageShift   = 4
+	ptPageSize    = 1 << ptPageShift
+	ptPageMask    = ptPageSize - 1
+	leafPageShift = 6
+	leafPageSize  = 1 << leafPageShift
+	leafPageMask  = leafPageSize - 1
 	cellPageShift = 3
 	cellPageSize  = 1 << cellPageShift
 	cellPageMask  = cellPageSize - 1
 )
 
-// userPage holds a page of users' coordinates and leaf cells; a user is
-// located iff its leaf is not -1.
-type userPage struct {
-	pts  [userPageSize]Point
-	leaf [userPageSize]int32
-}
+// ptPage holds a page of users' coordinates.
+type ptPage [ptPageSize]Point
+
+// leafPage holds a page of users' leaf cells; a user is located iff its leaf
+// is not -1.
+type leafPage [leafPageSize]int32
 
 type cellPage[T any] [cellPageSize]T
 
-// The empty pages every spine slot starts at: unlocated users, empty leaf
-// buckets, zero counts. They are never written; writablePage duplicates them.
+// The empty pages every leaf and cell spine slot starts at: unlocated users,
+// empty leaf buckets, zero counts. They are never written; writablePage
+// duplicates them. Point pages have none: every slot starts as a page of the
+// construction slice.
 var (
-	emptyUsers = func() *userPage {
-		p := new(userPage)
-		for i := range p.leaf {
-			p.leaf[i] = -1
+	emptyLeaves = func() *leafPage {
+		p := new(leafPage)
+		for i := range p {
+			p[i] = -1
 		}
 		return p
 	}()
@@ -57,7 +72,9 @@ func newPages[P any](n, per int, empty *P) []*P {
 // duplicating it first while it is the empty page or still the page of base,
 // the published epoch's spine the working one was cloned from (nil before
 // anything is published). A page the working spine shares with neither was
-// duplicated earlier and is private to this epoch.
+// duplicated earlier and is private to this epoch. A point page aliasing the
+// construction slice is the published epoch's page from the first Publish
+// on, so its first write copies it like any other shared page.
 func writablePage[P any](work, base []*P, empty *P, pg int32) *P {
 	if p := work[pg]; p == empty || base != nil && p == base[pg] {
 		cp := *p
@@ -85,7 +102,8 @@ type Snapshot struct {
 	layout *Layout
 	n      int
 
-	users  []*userPage
+	pts    []*ptPage
+	leaf   []*leafPage          // user ID -> leaf cell index, -1 when unlocated
 	leaves []*cellPage[[]int32] // leaf cell index -> member user IDs
 	// counts[level] holds the located users under each cell of the levels
 	// above the leaf; a leaf's count is the length of its bucket.
@@ -104,14 +122,14 @@ func (s *Snapshot) NumLocated() int { return s.numLocated }
 
 // Point returns the location of a user in this epoch (meaningless when not
 // located).
-func (s *Snapshot) Point(id int32) Point { return s.users[id>>userPageShift].pts[id&userPageMask] }
+func (s *Snapshot) Point(id int32) Point { return s.pts[id>>ptPageShift][id&ptPageMask] }
 
 // Located reports whether the user has a known location in this epoch.
 func (s *Snapshot) Located(id int32) bool { return s.LeafOf(id) >= 0 }
 
 // LeafOf returns the leaf cell holding the user in this epoch, or -1 when
 // the user has no location.
-func (s *Snapshot) LeafOf(id int32) int32 { return s.users[id>>userPageShift].leaf[id&userPageMask] }
+func (s *Snapshot) LeafOf(id int32) int32 { return s.leaf[id>>leafPageShift][id&leafPageMask] }
 
 // CellUsers returns the members of a leaf cell (do not modify).
 func (s *Snapshot) CellUsers(leafIdx int32) []int32 {

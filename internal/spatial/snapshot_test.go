@@ -1,9 +1,11 @@
 package spatial
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -213,11 +215,48 @@ func pagesInUse[P any](t *testing.T, spine []*P, empty *P) map[int32]bool {
 	return used
 }
 
+// aliasedPointPages returns the point pages of s that are still their
+// 16-point chunk of pts, the slice the grid was built from.
+func aliasedPointPages(s *Snapshot, pts []Point) map[int32]bool {
+	got := map[int32]bool{}
+	for pg, p := range s.pts {
+		lo := pg << ptPageShift
+		if lo+ptPageSize <= len(pts) && p == (*ptPage)(pts[lo:lo+ptPageSize]) {
+			got[int32(pg)] = true
+		}
+	}
+	return got
+}
+
+// checkUserPages fails unless the point pages of s aliasing pts are exactly
+// the full pages holding no user in written (users whose point was written),
+// and the leaf pages of s off the empty page are exactly the pages holding a
+// user in everLocated.
+func checkUserPages(t *testing.T, step string, s *Snapshot, pts []Point, written, everLocated []int32) {
+	t.Helper()
+	wantPts, wantLeaf := map[int32]bool{}, map[int32]bool{}
+	for pg := int32(0); pg < int32(len(pts)>>ptPageShift); pg++ {
+		wantPts[pg] = true
+	}
+	for _, id := range written {
+		delete(wantPts, id>>ptPageShift)
+	}
+	for _, id := range everLocated {
+		wantLeaf[id>>leafPageShift] = true
+	}
+	if got := aliasedPointPages(s, pts); !reflect.DeepEqual(got, wantPts) {
+		t.Fatalf("%s: point pages aliasing the construction slice %v, want %v", step, got, wantPts)
+	}
+	if got := pagesInUse(t, s.leaf, emptyLeaves); !reflect.DeepEqual(got, wantLeaf) {
+		t.Fatalf("%s: leaf pages %v, want %v", step, got, wantLeaf)
+	}
+}
+
 // emptyPagesIntact reports whether the shared empty pages still read as
 // unlocated users, empty buckets and zero counts.
 func emptyPagesIntact() bool {
-	for i := range emptyUsers.leaf {
-		if emptyUsers.leaf[i] != -1 || emptyUsers.pts[i] != (Point{}) {
+	for _, leaf := range emptyLeaves {
+		if leaf != -1 {
 			return false
 		}
 	}
@@ -231,9 +270,11 @@ func emptyPagesIntact() bool {
 
 // TestCellPagesFollowOccupancy: a grid whose users crowd into a few known
 // leaves allocates exactly the bucket and count pages that cover those leaves
-// and their ancestors; every other slot is the shared empty page. Churn that
-// moves users into empty regions and empties cells copies the pages it
-// writes and never writes the empty pages themselves.
+// and their ancestors; every other slot is the shared empty page. Its point
+// pages are exactly the full chunks of the construction slice less the
+// pages of moved users, and its leaf pages exactly the pages of users ever
+// located. Churn that moves users into empty regions and empties cells
+// copies the pages it writes and never writes the empty pages themselves.
 func TestCellPagesFollowOccupancy(t *testing.T) {
 	layout, err := NewLayout(Rect{0, 0, 100, 100}, 10, 2)
 	if err != nil {
@@ -273,9 +314,13 @@ func TestCellPagesFollowOccupancy(t *testing.T) {
 			t.Fatalf("level %d: count pages %v, want %v", l, got, want[l])
 		}
 	}
-	if got := len(pagesInUse(t, s.users, emptyUsers)); got != len(s.users) {
-		t.Fatalf("%d of %d user pages written", got, len(s.users))
+	var moved, everLocated []int32
+	for id := range located {
+		if located[id] {
+			everLocated = append(everLocated, int32(id))
+		}
 	}
+	checkUserPages(t, "construction", s, pts, moved, everLocated)
 
 	rng := rand.New(rand.NewSource(45))
 	for round := 0; round < 40; round++ {
@@ -289,11 +334,14 @@ func TestCellPagesFollowOccupancy(t *testing.T) {
 			case 1: // back into a crowded leaf, emptying another now and then
 				r := layout.CellRect(leafLevel, leaves[rng.Intn(len(leaves))])
 				g.Move(id, Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2})
+				moved, everLocated = append(moved, id), append(everLocated, id)
 			default: // anywhere, mostly into empty leaves
 				g.Move(id, Point{rng.Float64() * 100, rng.Float64() * 100})
+				moved, everLocated = append(moved, id), append(everLocated, id)
 			}
 		}
 		cur := g.Publish()
+		checkUserPages(t, fmt.Sprintf("round %d", round), cur, pts, moved, everLocated)
 		if !worldsEqual(before, captureWorld(old)) {
 			t.Fatalf("round %d: a published epoch changed", round)
 		}
@@ -303,5 +351,100 @@ func TestCellPagesFollowOccupancy(t *testing.T) {
 		if len(pagesInUse(t, cur.leaves, emptyBuckets)) == len(cur.leaves) {
 			t.Fatalf("round %d: no bucket page left empty", round)
 		}
+	}
+}
+
+// TestPointPagesAliasUntilWritten pins the no-write-through contract of the
+// aliased point pages: a grid's full point pages are the caller's slice
+// until a user on them moves, a write copies the page instead of writing
+// through, and no published epoch ever changes.
+func TestPointPagesAliasUntilWritten(t *testing.T) {
+	layout, err := NewLayout(Rect{0, 0, 100, 100}, 10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafLevel := layout.LeafLevel()
+	const n = 40*ptPageSize + 5 // a short tail page
+	rng := rand.New(rand.NewSource(48))
+	pts, located := make([]Point, n), make([]bool, n)
+	for id := range pts {
+		pts[id] = Point{rng.Float64() * 100, rng.Float64() * 100}
+		// Leaf page 3 holds no located user, so it stays the empty page.
+		located[id] = id%5 != 0 && id>>leafPageShift != 3
+	}
+	clone := slices.Clone(pts)
+	g, err := NewGrid(layout, pts, located)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var written, everLocated []int32
+	for id := range located {
+		if located[id] {
+			everLocated = append(everLocated, int32(id))
+		}
+	}
+	type epoch struct {
+		snap  *Snapshot
+		world snapshotWorld
+	}
+	epochs := []epoch{{g.published.Load(), captureWorld(g.published.Load())}}
+	check := func(step string) {
+		t.Helper()
+		s := g.published.Load()
+		checkUserPages(t, step, s, pts, written, everLocated)
+		if tail := s.pts[len(s.pts)-1]; &tail[0] == &pts[n-n%ptPageSize] {
+			t.Fatalf("%s: the tail point page aliases the slice", step)
+		}
+	}
+	check("construction")
+
+	center := func(leaf int32) Point {
+		r := layout.CellRect(leafLevel, leaf)
+		return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
+	}
+	// One write per point page: a, b and d are located and c is not; they
+	// sit on four different point pages, d's is never written, and c's leaf
+	// page is the empty page until c is located.
+	const a, b, c, d = 17, 101, 200, 401
+	leafA, leafB := g.LeafOf(a), g.LeafOf(b)
+	steps := []struct {
+		name  string
+		apply func()
+		wrote []int32
+	}{
+		{"move inside a leaf", func() { g.Move(a, center(leafA)) }, []int32{a}},
+		{"move across leaves", func() { g.Move(b, center((leafB+1)%int32(layout.NumCells(leafLevel)))) }, []int32{b}},
+		{"SetLocated", func() { g.SetLocated(c, Point{1, 1}) }, []int32{c}},
+		{"RemoveLocation", func() { g.RemoveLocation(d) }, nil},
+	}
+	for _, st := range steps {
+		st.apply()
+		epochs = append(epochs, epoch{g.Publish(), captureWorld(g.published.Load())})
+		written = append(written, st.wrote...)
+		everLocated = append(everLocated, st.wrote...)
+		check(st.name)
+	}
+	if leafA < 0 || leafB < 0 || g.LeafOf(a) != leafA || g.LeafOf(b) == leafB || !g.view().Located(c) || g.view().Located(d) {
+		t.Fatal("churn did not do what its steps say")
+	}
+
+	for id := range pts {
+		if math.Float64bits(pts[id].X) != math.Float64bits(clone[id].X) || math.Float64bits(pts[id].Y) != math.Float64bits(clone[id].Y) {
+			t.Fatalf("user %d: the construction slice reads %v, was %v", id, pts[id], clone[id])
+		}
+	}
+	for i, e := range epochs {
+		if !worldsEqual(e.world, captureWorld(e.snap)) {
+			t.Fatalf("epoch %d changed after later publishes", i)
+		}
+	}
+	for id := range clone {
+		if epochs[0].snap.Point(int32(id)) != clone[id] {
+			t.Fatalf("the construction epoch reads user %d at %v, want %v", id, epochs[0].snap.Point(int32(id)), clone[id])
+		}
+	}
+	if !emptyPagesIntact() {
+		t.Fatal("an empty page was written")
 	}
 }

@@ -638,3 +638,81 @@ func TestSubscribeAfterCloseRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestMovesLeaveDatasetLocations: an engine's grids read their points from
+// the dataset's own slice, yet no move or unlocate writes through to it. At
+// S = 1 and S = 4, after moves inside and across the map, locations of
+// unlocated users and unlocates, Dataset.Location still returns every
+// user's coordinates as of construction, bit for bit, and UserLocation
+// returns the new ones.
+func TestMovesLeaveDatasetLocations(t *testing.T) {
+	ds, err := Synthesize("gowalla", 700, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type loc struct {
+		p  Point
+		ok bool
+	}
+	before := make([]loc, ds.NumUsers())
+	for id := range before {
+		p, ok := ds.Location(UserID(id))
+		before[id] = loc{p, ok}
+	}
+	for _, shards := range []int{1, 4} {
+		eng, err := NewEngine(ds, &Options{Seed: 9, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A move lands a step from another located user, so most cross
+		// leaves and, at S = 4, shards; every third one goes in the batch,
+		// the rest are one epoch each.
+		want := make(map[UserID]loc)
+		var batch []Update
+		for id := UserID(0); int(id) < len(before); id += 7 {
+			src := before[(int(id)*13+5)%len(before)]
+			if !src.ok {
+				continue
+			}
+			to := Point{X: src.p.X + 0.25, Y: src.p.Y - 0.25}
+			want[id] = loc{to, true}
+			if id%3 == 0 {
+				batch = append(batch, Update{ID: id, To: to})
+			} else if err := eng.MoveUser(id, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := UserID(2); int(id) < len(before); id += 11 {
+			if _, moved := want[id]; !moved {
+				want[id] = loc{}
+				batch = append(batch, Update{ID: id, Remove: true})
+			}
+		}
+		if err := eng.ApplyUpdates(batch); err != nil {
+			t.Fatal(err)
+		}
+		relocated, unlocated := 0, 0
+		for id := range before {
+			u := UserID(id)
+			if p, ok := ds.Location(u); ok != before[id].ok || math.Float64bits(p.X) != math.Float64bits(before[id].p.X) || math.Float64bits(p.Y) != math.Float64bits(before[id].p.Y) {
+				t.Fatalf("S=%d: Dataset.Location(%d) = %v %v after moves, was %v %v", shards, id, p, ok, before[id].p, before[id].ok)
+			}
+			w, touched := want[u]
+			if !touched {
+				w = before[id]
+			} else if !before[id].ok && w.ok {
+				relocated++
+			} else if before[id].ok && !w.ok {
+				unlocated++
+			}
+			p, ok := eng.UserLocation(u)
+			if ok != w.ok || ok && (math.Abs(p.X-w.p.X) > 1e-9*math.Abs(w.p.X)+1e-12 || math.Abs(p.Y-w.p.Y) > 1e-9*math.Abs(w.p.Y)+1e-12) {
+				t.Fatalf("S=%d: UserLocation(%d) = %v %v, want %v %v", shards, id, p, ok, w.p, w.ok)
+			}
+		}
+		if relocated == 0 || unlocated == 0 {
+			t.Fatalf("S=%d: %d unlocated users located and %d located users unlocated; the churn is vacuous", shards, relocated, unlocated)
+		}
+		eng.Close()
+	}
+}
