@@ -84,7 +84,7 @@ type Snapshot struct {
 	g           *spatial.Snapshot
 	soc         *graph.Graph   // social graph of the substrate epoch paired in
 	lm          *landmark.Set  // landmark epoch the summaries were computed on
-	sums        [][]*[]float64 // [level][page]: one row per cell, see row
+	sums        [][]*[]float32 // [level][page]: one row per cell, see row
 	labelSums   [][]*labelPage // [level][page]: OR of member label masks (nil when unlabeled)
 	labels      []uint64       // immutable per-user label bitmasks (nil when unlabeled)
 	m           int
@@ -135,14 +135,16 @@ func (s *Snapshot) UserLabels(u int32) uint64 {
 }
 
 // MinSummary returns m̌[j] for the cell, the minimum graph distance between
-// any member user and landmark j (+Inf for an empty cell).
+// any member user and landmark j rounded down to a float32 (+Inf for an
+// empty cell).
 func (s *Snapshot) MinSummary(level int, idx int32, j int) float64 {
-	return row(s.sums[level], idx, s.m)[j]
+	return float64(row(s.sums[level], idx, s.m)[j])
 }
 
-// MaxSummary returns m̂[j] for the cell (−Inf for an empty cell).
+// MaxSummary returns m̂[j] for the cell, rounded up to a float32 (−Inf for an
+// empty cell).
 func (s *Snapshot) MaxSummary(level int, idx int32, j int) float64 {
-	return row(s.sums[level], idx, s.m)[s.m+j]
+	return float64(row(s.sums[level], idx, s.m)[s.m+j])
 }
 
 // SocialLowerBound evaluates Lemma 2: a lower bound on the graph distance
@@ -172,13 +174,15 @@ func (s *Snapshot) SocialLowerBoundsInto(level int, qvec []float64, dst []float6
 
 // lemma2 is the per-cell Lemma-2 kernel over one cell's summary row (see
 // row) — shared by the single-cell and batched entry points so they cannot
-// diverge.
-func lemma2(r []float64, m int, qvec []float64) float64 {
+// diverge. A stored row's interval contains the exact min/max, so the bound
+// it gives is at most the exact row's (the float64 instance, which tests
+// evaluate as the reference) and stays admissible.
+func lemma2[F float32 | float64](r []F, m int, qvec []float64) float64 {
 	mins, maxs := r[:m], r[m:2*m]
 	best := 0.0
 	for j := 0; j < m; j++ {
 		mq := qvec[j]
-		lo, hi := mins[j], maxs[j]
+		lo, hi := float64(mins[j]), float64(maxs[j])
 		switch {
 		case mq < lo:
 			if math.IsInf(lo, 1) {
@@ -228,7 +232,7 @@ type Index struct {
 	// OR'd mask per cell beside the min/max rows, published in the same
 	// snapshot so filtered pruning never pairs new membership with stale
 	// masks.
-	sums      cowLevels[*[]float64]
+	sums      cowLevels[*[]float32]
 	labels    []uint64
 	labelSums cowLevels[*labelPage]
 	epoch     uint64 // of the next snapshot to publish
@@ -239,10 +243,11 @@ type Index struct {
 	// level, before Publish.
 	dirty, redo []cellSet
 	// acc and kids are the recompute scratch: one row and one child list.
-	acc  []float64
+	acc  []float32
 	kids []int32
-	// syncSeen is resync's reusable leaf-dedup scratch.
-	syncSeen map[int32]struct{}
+	// syncSeen is resync's leaf-dedup scratch, built by the first batch that
+	// changes an edge.
+	syncSeen cellSet
 }
 
 // EpochDelta describes what one published write batch changed: the users
@@ -289,15 +294,15 @@ func NewShared(grid *spatial.Grid, sub *Social) (*Index, error) {
 		grid:   grid,
 		m:      m,
 		social: sub.Snapshot(),
-		acc:    make([]float64, 2*m),
+		acc:    make([]float32, 2*m),
 		labels: sub.labels,
 	}
 	layout := grid.Layout()
-	empty := make([]float64, 2*m*sumPageCells)
+	empty := make([]float32, 2*m*sumPageCells)
 	for base := 0; base < len(empty); base += 2 * m {
 		emptyRow(empty[base:base+2*m], m)
 	}
-	ix.sums = cowLevels[*[]float64]{empty: &empty, dup: func(p *[]float64) *[]float64 { cp := slices.Clone(*p); return &cp }}
+	ix.sums = cowLevels[*[]float32]{empty: &empty, dup: func(p *[]float32) *[]float32 { cp := slices.Clone(*p); return &cp }}
 	ix.labelSums = cowLevels[*labelPage]{empty: new(labelPage), dup: func(p *labelPage) *labelPage { cp := *p; return &cp }}
 	for l := 0; l < layout.Levels; l++ {
 		cells := layout.NumCells(l)
@@ -338,13 +343,13 @@ func (ix *Index) buildSummaries() {
 func (ix *Index) Snapshot() *Snapshot { return ix.published.Load() }
 
 // row returns the cell's working summary row (read-only).
-func (ix *Index) row(level int, idx int32) []float64 {
+func (ix *Index) row(level int, idx int32) []float32 {
 	return row(ix.sums.spines[level], idx, ix.m)
 }
 
 // writableRow returns the cell's working summary row for writing, its page
 // duplicated first if the published snapshot still shares it.
-func (ix *Index) writableRow(level int, idx int32) []float64 {
+func (ix *Index) writableRow(level int, idx int32) []float32 {
 	pg := *ix.sums.writable(level, idx>>sumPageShift)
 	base := int(idx&sumPageMask) * 2 * ix.m
 	return pg[base : base+2*ix.m]
@@ -423,23 +428,21 @@ func (ix *Index) apply(sn *SocialSnapshot, dirty []graph.VertexID, ops []Op) {
 // vertex. Several dirty vertices share a leaf, and most live in other
 // indexes' grids.
 func (ix *Index) resync(dirty []graph.VertexID) {
-	if len(dirty) > 0 && ix.syncSeen == nil {
-		ix.syncSeen = make(map[int32]struct{}, len(dirty))
+	if len(dirty) > 0 && ix.syncSeen.in == nil {
+		layout := ix.grid.Layout()
+		ix.syncSeen = newCellSet(layout.NumCells(layout.LeafLevel()))
 	}
 	for _, v := range dirty {
 		leaf := ix.grid.LeafOf(v)
-		if leaf < 0 {
+		if leaf < 0 || ix.syncSeen.has(leaf) {
 			continue
 		}
-		if _, done := ix.syncSeen[leaf]; done {
-			continue
-		}
-		ix.syncSeen[leaf] = struct{}{}
+		ix.syncSeen.add(leaf)
 		if ix.recomputeLeaf(leaf) {
 			ix.touchLeaf(leaf)
 		}
 	}
-	clear(ix.syncSeen)
+	ix.syncSeen.reset()
 }
 
 // applyOne performs one op's membership change and leaf-level summary

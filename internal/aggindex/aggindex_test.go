@@ -120,10 +120,11 @@ func verifyInvariants(t *testing.T, f *fixture) {
 						hi = d
 					}
 				}
-				if got := f.ix.row(level, idx)[j]; got != lo {
+				lo, hi = outward(lo, hi)
+				if got := float64(f.ix.row(level, idx)[j]); !sameBits(got, lo) {
 					t.Fatalf("level %d cell %d lm %d: min %v, want %v", level, idx, j, got, lo)
 				}
-				if got := f.ix.row(level, idx)[f.ix.m+j]; got != hi {
+				if got := float64(f.ix.row(level, idx)[f.ix.m+j]); !sameBits(got, hi) {
 					t.Fatalf("level %d cell %d lm %d: max %v, want %v", level, idx, j, got, hi)
 				}
 			}
@@ -298,7 +299,7 @@ func TestUnlocatedUsersAbsentFromSummaries(t *testing.T) {
 	for level := 0; level < layout.Levels; level++ {
 		for idx := int32(0); idx < int32(layout.NumCells(level)); idx++ {
 			for j := 0; j < f.lm.M(); j++ {
-				if !math.IsInf(f.ix.row(level, idx)[j], 1) {
+				if !math.IsInf(float64(f.ix.row(level, idx)[j]), 1) {
 					t.Fatalf("emptied cell has finite min summary")
 				}
 			}

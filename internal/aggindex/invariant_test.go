@@ -54,15 +54,38 @@ func copySnapshot(sn *Snapshot) snapCopy {
 }
 
 // verifyStructure checks one published epoch against a recompute: every
-// leaf's min/max/label summary from its members under that epoch's landmark
-// tables, every internal cell's from its children, every count from below,
-// and every located user filed in exactly the leaf it maps to.
+// cell's min/max row is the outward rounding, bit for bit, of the exact
+// min/max of its members' vectors under that epoch's landmark tables; every
+// leaf's label mask comes from its members and every internal cell's from
+// its children, every count from below, and every located user is filed in
+// exactly the leaf it maps to.
 func verifyStructure(t *testing.T, sn *Snapshot, labels []uint64) {
 	t.Helper()
 	g := sn.Grid()
 	layout := g.Layout()
 	lm := sn.Landmarks()
 	leaf := layout.LeafLevel()
+	m := sn.m
+	// exact[l][idx*2m:] is the cell's exact float64 min/max row.
+	exact := make([][]float64, layout.Levels)
+	checkRow := func(l int, idx int32) {
+		r := exact[l][int(idx)*2*m:][:2*m]
+		for j := 0; j < m; j++ {
+			lo, hi := outward(r[j], r[m+j])
+			if !sameBits(sn.MinSummary(l, idx, j), lo) || !sameBits(sn.MaxSummary(l, idx, j), hi) {
+				t.Fatalf("epoch %d level %d cell %d lm %d: (%v, %v), exact (%v, %v) rounds to (%v, %v)",
+					sn.Epoch(), l, idx, j, sn.MinSummary(l, idx, j), sn.MaxSummary(l, idx, j), r[j], r[m+j], lo, hi)
+			}
+		}
+	}
+	for l := range exact {
+		exact[l] = make([]float64, layout.NumCells(l)*2*m)
+		for base := 0; base < len(exact[l]); base += 2 * m {
+			for j := 0; j < m; j++ {
+				exact[l][base+j], exact[l][base+m+j] = math.Inf(1), math.Inf(-1)
+			}
+		}
+	}
 	filed := 0
 	for idx := int32(0); idx < int32(layout.NumCells(leaf)); idx++ {
 		var mask uint64
@@ -73,16 +96,13 @@ func verifyStructure(t *testing.T, sn *Snapshot, labels []uint64) {
 			mask |= labels[u]
 			filed++
 		}
-		for j := 0; j < sn.m; j++ {
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, u := range g.CellUsers(idx) {
-				lo, hi = math.Min(lo, lm.VertexRow(u)[j]), math.Max(hi, lm.VertexRow(u)[j])
-			}
-			if sn.MinSummary(leaf, idx, j) != lo || sn.MaxSummary(leaf, idx, j) != hi {
-				t.Fatalf("epoch %d leaf %d lm %d: (%v, %v), members give (%v, %v)",
-					sn.Epoch(), idx, j, sn.MinSummary(leaf, idx, j), sn.MaxSummary(leaf, idx, j), lo, hi)
+		r := exact[leaf][int(idx)*2*m:][:2*m]
+		for _, u := range g.CellUsers(idx) {
+			for j, d := range lm.VertexRow(u) {
+				r[j], r[m+j] = math.Min(r[j], d), math.Max(r[m+j], d)
 			}
 		}
+		checkRow(leaf, idx)
 		if sn.CellLabelMask(leaf, idx) != mask {
 			t.Fatalf("epoch %d leaf %d: mask %x, members give %x", sn.Epoch(), idx, sn.CellLabelMask(leaf, idx), mask)
 		}
@@ -95,20 +115,16 @@ func verifyStructure(t *testing.T, sn *Snapshot, labels []uint64) {
 			kids := layout.ChildIndices(l, idx, nil)
 			var mask uint64
 			var count int32
+			r := exact[l][int(idx)*2*m:][:2*m]
 			for _, c := range kids {
 				mask |= sn.CellLabelMask(l+1, c)
 				count += g.CountAt(l+1, c)
-			}
-			for j := 0; j < sn.m; j++ {
-				lo, hi := math.Inf(1), math.Inf(-1)
-				for _, c := range kids {
-					lo, hi = math.Min(lo, sn.MinSummary(l+1, c, j)), math.Max(hi, sn.MaxSummary(l+1, c, j))
-				}
-				if sn.MinSummary(l, idx, j) != lo || sn.MaxSummary(l, idx, j) != hi {
-					t.Fatalf("epoch %d level %d cell %d lm %d: (%v, %v), children give (%v, %v)",
-						sn.Epoch(), l, idx, j, sn.MinSummary(l, idx, j), sn.MaxSummary(l, idx, j), lo, hi)
+				kid := exact[l+1][int(c)*2*m:][:2*m]
+				for j := 0; j < m; j++ {
+					r[j], r[m+j] = math.Min(r[j], kid[j]), math.Max(r[m+j], kid[m+j])
 				}
 			}
+			checkRow(l, idx)
 			if sn.CellLabelMask(l, idx) != mask || g.CountAt(l, idx) != count {
 				t.Fatalf("epoch %d level %d cell %d: mask %x count %d, children give %x %d",
 					sn.Epoch(), l, idx, sn.CellLabelMask(l, idx), g.CountAt(l, idx), mask, count)
@@ -238,7 +254,7 @@ func verifyEmptyPages(t *testing.T, ix *Index) {
 	rows := *ix.sums.empty
 	for j := 0; j < len(rows); j += 2 * ix.m {
 		for k := 0; k < ix.m; k++ {
-			if !math.IsInf(rows[j+k], 1) || !math.IsInf(rows[j+ix.m+k], -1) {
+			if !math.IsInf(float64(rows[j+k]), 1) || !math.IsInf(float64(rows[j+ix.m+k]), -1) {
 				t.Fatalf("empty summary page written: %v", rows)
 			}
 		}

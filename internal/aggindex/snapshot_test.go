@@ -43,10 +43,11 @@ func verifySnapshotInvariants(t *testing.T, f *fixture, sn *Snapshot) {
 						hi = d
 					}
 				}
-				if got := sn.MinSummary(level, idx, j); got != lo {
+				lo, hi = outward(lo, hi)
+				if got := sn.MinSummary(level, idx, j); !sameBits(got, lo) {
 					t.Fatalf("epoch %d level %d cell %d lm %d: min %v, want %v", sn.Epoch(), level, idx, j, got, lo)
 				}
-				if got := sn.MaxSummary(level, idx, j); got != hi {
+				if got := sn.MaxSummary(level, idx, j); !sameBits(got, hi) {
 					t.Fatalf("epoch %d level %d cell %d lm %d: max %v, want %v", sn.Epoch(), level, idx, j, got, hi)
 				}
 			}
@@ -68,16 +69,18 @@ func TestRemoveLocationNarrowsNewEpochOnly(t *testing.T) {
 		if len(users) < 2 {
 			continue
 		}
+		// The stored max is rounded up to a float32: maxD is the largest
+		// member's, rounded.
 		maxU, maxD := int32(-1), math.Inf(-1)
 		for _, u := range users {
-			if d := f.lm.VertexRow(u)[0]; d > maxD {
+			if d := float64(roundUp(f.lm.VertexRow(u)[0])); d > maxD {
 				maxU, maxD = u, d
 			}
 		}
 		// Need the extreme to be unique so removal must narrow.
 		unique := true
 		for _, u := range users {
-			if u != maxU && f.lm.VertexRow(u)[0] == maxD {
+			if u != maxU && float64(roundUp(f.lm.VertexRow(u)[0])) == maxD {
 				unique = false
 			}
 		}
@@ -147,8 +150,8 @@ func TestSetLocatedWidensNewEpochOnly(t *testing.T) {
 	f.apply(Op{ID: id, To: target})
 	cur := f.ix.Snapshot()
 
-	d := f.lm.VertexRow(id)[0]
-	wantMin, wantMax := math.Min(oldMin, d), math.Max(oldMax, d)
+	lo, hi := outward(f.lm.VertexRow(id)[0], f.lm.VertexRow(id)[0])
+	wantMin, wantMax := math.Min(oldMin, lo), math.Max(oldMax, hi)
 	if cur.MinSummary(leafLevel, dst, 0) != wantMin || cur.MaxSummary(leafLevel, dst, 0) != wantMax {
 		t.Fatalf("new epoch summary (%v,%v), want (%v,%v)",
 			cur.MinSummary(leafLevel, dst, 0), cur.MaxSummary(leafLevel, dst, 0), wantMin, wantMax)

@@ -5,9 +5,14 @@ import (
 	"slices"
 )
 
-// Summary storage. A cell's summary is one row of 2m floats — m̌[0..m) then
-// m̂[0..m) — and a level's rows are packed sumPageCells cells to a page (label
-// masks likewise, one uint64 per cell). Pages and the per-level spines of
+// Summary storage. A cell's summary is one row of 2m float32s — m̌[0..m) then
+// m̂[0..m) — and a level's rows are packed sumPageCells cells to a page (256 B
+// at m = 8; label masks likewise, one uint64 per cell). Each row holds its
+// cell's exact float64 min/max rounded outward, m̌ down and m̂ up (see
+// roundDown): Lemma 2 needs only an interval that contains the exact one.
+// Rounding is monotone, so the min of rounded values is the rounded min and
+// a row equals the outward rounding of its exact min/max bit for bit, at
+// every level, however it was reached. Pages and the per-level spines of
 // page pointers are copy-on-write across epochs: an epoch duplicates the
 // pages it writes and the spine of each level it writes, so a move costs a
 // few hundred bytes per touched page instead of a whole level. A page no
@@ -22,34 +27,56 @@ const (
 
 type labelPage [sumPageCells]uint64
 
+// roundDown returns the largest float32 not above x: m̌'s rounding. Finite
+// values above MaxFloat32 round to MaxFloat32; ±Inf is kept.
+func roundDown(x float64) float32 {
+	switch {
+	case x > math.MaxFloat32 && !math.IsInf(x, 1):
+		return math.MaxFloat32
+	case x < -math.MaxFloat32:
+		return float32(math.Inf(-1))
+	}
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
+}
+
+// roundUp returns the smallest float32 not below x: m̂'s rounding, the
+// mirror of roundDown.
+func roundUp(x float64) float32 { return -roundDown(-x) }
+
 // row returns cell idx's row within one level's pages.
-func row(pages []*[]float64, idx int32, m int) []float64 {
+func row(pages []*[]float32, idx int32, m int) []float32 {
 	base := int(idx&sumPageMask) * 2 * m
 	return (*pages[idx>>sumPageShift])[base : base+2*m]
 }
 
 // emptyRow resets r to the summary of an empty cell: (+Inf, −Inf).
-func emptyRow(r []float64, m int) {
+func emptyRow(r []float32, m int) {
 	for j := 0; j < m; j++ {
-		r[j], r[m+j] = math.Inf(1), math.Inf(-1)
+		r[j], r[m+j] = float32(math.Inf(1)), float32(math.Inf(-1))
 	}
 }
 
-// widen stretches row r to cover one member's landmark vector.
-func widen(r, vec []float64) {
+// widen stretches row r to cover one member's landmark vector, rounded
+// outward. A stored float32 bound is below d's rounding down iff it is below
+// d itself, so only a component that widens is rounded.
+func widen(r []float32, vec []float64) {
 	m := len(vec)
 	for j, d := range vec {
-		if d < r[j] {
-			r[j] = d
+		if d < float64(r[j]) {
+			r[j] = roundDown(d)
 		}
-		if d > r[m+j] {
-			r[m+j] = d
+		if d > float64(r[m+j]) {
+			r[m+j] = roundUp(d)
 		}
 	}
 }
 
 // merge stretches row r to cover another row.
-func merge(r, o []float64) {
+func merge(r, o []float32) {
 	m := len(r) / 2
 	for j := 0; j < m; j++ {
 		if o[j] < r[j] {
@@ -200,7 +227,7 @@ func (ix *Index) onInsert(leaf int32, id int32) {
 	vec := ix.social.lm.VertexRow(id)
 	r := ix.row(l, leaf)
 	for j, d := range vec {
-		if d < r[j] || d > r[ix.m+j] {
+		if d < float64(r[j]) || d > float64(r[ix.m+j]) { // as in widen
 			widen(ix.writableRow(l, leaf), vec)
 			ix.touchLeaf(leaf)
 			break
@@ -215,8 +242,12 @@ func (ix *Index) onInsert(leaf int32, id int32) {
 }
 
 // onRemove narrows summaries after a user left a leaf cell. Only a leaver
-// that held some component's extreme can narrow it, and then the leaf is
-// re-derived over the remaining members.
+// whose rounded value equals some component's stored extreme can narrow it,
+// and then the leaf is re-derived over the remaining members. Rounding makes
+// such ties likelier (a member whose exact value is not the extreme may
+// round onto it), which costs a recompute that changes nothing, never a
+// stale row: a leaver whose rounded value is off the extreme leaves a member
+// that attains it.
 func (ix *Index) onRemove(leaf int32, id int32) {
 	l := ix.grid.Layout().LeafLevel()
 	// A labeled leaver may have been the only carrier of its label bits in
@@ -226,7 +257,7 @@ func (ix *Index) onRemove(leaf int32, id int32) {
 	if !responsible {
 		r := ix.row(l, leaf)
 		for j, d := range ix.social.lm.VertexRow(id) {
-			if d == r[j] || d == r[ix.m+j] {
+			if roundDown(d) == r[j] || roundUp(d) == r[ix.m+j] {
 				responsible = true
 				break
 			}

@@ -133,7 +133,7 @@ func (a *aisRun) settle(vs []graph.VertexID) {
 func (a *aisRun) locate(v graph.VertexID) (spatial.Point, bool) {
 	n := len(a.sns)
 	if n == 1 {
-		if g := a.sns[0].Grid(); g.LeafOf(v) >= 0 {
+		if g := a.sns[0].Grid(); g.Located(v) {
 			return g.Point(v), true
 		}
 		return spatial.Point{}, false
@@ -144,7 +144,7 @@ func (a *aisRun) locate(v graph.VertexID) (spatial.Point, bool) {
 	}
 	s := start
 	for {
-		if g := a.sns[s].Grid(); g.LeafOf(v) >= 0 {
+		if g := a.sns[s].Grid(); g.Located(v) {
 			a.home[v] = uint8(s)
 			return g.Point(v), true
 		}

@@ -389,7 +389,8 @@ func TestConcurrentSocialAndLocationChurnStress(t *testing.T) {
 			for _, u := range grid.CellUsers(idx) {
 				lo, hi = math.Min(lo, lm.VertexRow(u)[j]), math.Max(hi, lm.VertexRow(u)[j])
 			}
-			if sn.MinSummary(leaf, idx, j) != lo || sn.MaxSummary(leaf, idx, j) != hi {
+			lo, hi = outward(lo, hi)
+			if math.Float64bits(sn.MinSummary(leaf, idx, j)) != math.Float64bits(lo) || math.Float64bits(sn.MaxSummary(leaf, idx, j)) != math.Float64bits(hi) {
 				t.Fatalf("leaf %d landmark %d: summary (%v, %v), members give (%v, %v)",
 					idx, j, sn.MinSummary(leaf, idx, j), sn.MaxSummary(leaf, idx, j), lo, hi)
 			}
@@ -614,4 +615,17 @@ func TestUpdaterCoalescesEdgeOps(t *testing.T) {
 	if out[2].Kind != OpEdgeUpsert || out[2].W != 2 {
 		t.Fatalf("pair (3,4) did not keep newest: %+v", out[2])
 	}
+}
+
+// outward rounds a cell's exact landmark min/max the way the aggregate index
+// stores them: to the nearest float32 at or below lo, and at or above hi.
+func outward(lo, hi float64) (float64, float64) {
+	l, h := float32(lo), float32(hi)
+	if float64(l) > lo {
+		l = math.Nextafter32(l, float32(math.Inf(-1)))
+	}
+	if float64(h) < hi {
+		h = math.Nextafter32(h, float32(math.Inf(1)))
+	}
+	return float64(l), float64(h)
 }

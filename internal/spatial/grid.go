@@ -16,10 +16,10 @@ import (
 // which the aggregate index publishes beside its summaries: readers traverse
 // that epoch freely — no lock, no blocking, one consistent view for the
 // whole logical operation. Mutations (Move/SetLocated/RemoveLocation) build
-// the next epoch copy-on-write: only the touched point pages, leaf pages, leaf
-// buckets, bucket pages and count pages are duplicated, everything else is
-// shared with the published snapshot. Nothing a reader can observe changes
-// until Publish installs the new epoch.
+// the next epoch copy-on-write: only the touched point pages, located-bit
+// pages, leaf buckets, bucket pages and count pages are duplicated,
+// everything else is shared with the published snapshot. Nothing a reader
+// can observe changes until Publish installs the new epoch.
 //
 // The mutating methods and Publish are writer-side and must be serialized
 // externally (the aggregate index and the engine's update pipeline own a
@@ -52,7 +52,7 @@ func NewGrid(layout *Layout, pts []Point, located []bool) (*Grid, error) {
 		layout: layout,
 		n:      n,
 		pts:    make([]*ptPage, (n+ptPageSize-1)/ptPageSize),
-		leaf:   newPages(n, leafPageSize, emptyLeaves),
+		loc:    newPages(n, locPageSize, emptyLocated),
 		leaves: newPages(layout.NumCells(layout.LeafLevel()), cellPageSize, emptyBuckets),
 	}
 	for pg := range w.pts {
@@ -112,7 +112,7 @@ func (g *Grid) ensureWork() *Snapshot {
 		pub := g.published.Load()
 		w := *pub
 		w.pts = slices.Clone(pub.pts)
-		w.leaf = slices.Clone(pub.leaf)
+		w.loc = slices.Clone(pub.loc)
 		w.leaves = slices.Clone(pub.leaves)
 		w.counts = make([][]*cellPage[int32], len(pub.counts))
 		for l, c := range pub.counts {
@@ -128,9 +128,14 @@ func (g *Grid) setPoint(w *Snapshot, id int32, p Point) {
 	writablePage(w.pts, g.base.pts, nil, id>>ptPageShift)[id&ptPageMask] = p
 }
 
-// setLeaf writes id's leaf cell in the working epoch.
-func (g *Grid) setLeaf(w *Snapshot, id, leaf int32) {
-	writablePage(w.leaf, g.base.leaf, emptyLeaves, id>>leafPageShift)[id&leafPageMask] = leaf
+// setLocated writes id's located bit in the working epoch.
+func (g *Grid) setLocated(w *Snapshot, id int32, on bool) {
+	word := &writablePage(w.loc, g.base.loc, emptyLocated, id>>locPageShift)[(id&locPageMask)>>6]
+	if on {
+		*word |= 1 << (id & 63)
+	} else {
+		*word &^= 1 << (id & 63)
+	}
 }
 
 // writableBucket returns a leaf's bucket slot in the working epoch with the
@@ -156,19 +161,22 @@ func (g *Grid) CellUsers(leafIdx int32) []int32 { return g.view().CellUsers(leaf
 // AIS social summaries) use this to find the old bucket before a move.
 func (g *Grid) LeafOf(id int32) int32 { return g.view().LeafOf(id) }
 
+// insert files a user whose point is written under the leaf that point maps
+// to.
 func (g *Grid) insert(id int32) {
 	w := g.work
-	leaf := g.layout.CellIndex(g.layout.LeafLevel(), w.Point(id))
+	leaf := w.leafAt(w.Point(id))
 	b := g.writableBucket(w, leaf)
 	*b = append(*b, id)
-	g.setLeaf(w, id, leaf)
+	g.setLocated(w, id, true)
 	g.adjustCounts(leaf, +1)
 	w.numLocated++
 }
 
-func (g *Grid) remove(id int32) {
+// remove takes a located user out of leaf, the leaf its point mapped to
+// before any write of its new point.
+func (g *Grid) remove(id, leaf int32) {
 	w := g.work
-	leaf := w.LeafOf(id)
 	b := g.writableBucket(w, leaf)
 	bucket := *b
 	for i, v := range bucket {
@@ -178,7 +186,7 @@ func (g *Grid) remove(id int32) {
 			break
 		}
 	}
-	g.setLeaf(w, id, -1)
+	g.setLocated(w, id, false)
 	g.adjustCounts(leaf, -1)
 	w.numLocated--
 }
@@ -205,13 +213,12 @@ func (g *Grid) Move(id int32, to Point) {
 		g.SetLocated(id, to)
 		return
 	}
-	oldLeaf := w.LeafOf(id)
-	newLeaf := g.layout.CellIndex(g.layout.LeafLevel(), to)
+	oldLeaf := w.LeafOf(id) // from the old point, so before setPoint
 	g.setPoint(w, id, to)
-	if oldLeaf == newLeaf {
+	if oldLeaf == w.leafAt(to) {
 		return
 	}
-	g.remove(id)
+	g.remove(id, oldLeaf)
 	g.insert(id)
 }
 
@@ -233,5 +240,5 @@ func (g *Grid) RemoveLocation(id int32) {
 	if !w.Located(id) {
 		return
 	}
-	g.remove(id)
+	g.remove(id, w.LeafOf(id))
 }

@@ -1,34 +1,35 @@
 package spatial
 
 // Every array of a Snapshot is paged: user coordinates in pages of 16 points,
-// users' leaf cells in pages of 64, per-cell state (leaf buckets, occupancy
-// counts) in pages of 8 cells. The writer duplicates a page on its first
-// write of an epoch and each spine of page pointers once per epoch, so an
-// epoch copies the pages its moved users and touched cells live in plus the
-// spines — a few hundred bytes per touched page, nothing proportional to the
-// population or the grid. The sizes are measured (TestEpochByteBudget):
+// users' located bits in pages of 512 (64 B), per-cell state (leaf buckets,
+// occupancy counts) in pages of 8 cells. The writer duplicates a page on its
+// first write of an epoch and each spine of page pointers once per epoch, so
+// an epoch copies the pages its moved users and touched cells live in plus
+// the spines — a few hundred bytes per touched page, nothing proportional to
+// the population or the grid. The sizes are measured (TestEpochByteBudget):
 // smaller pages copy less per touch but make the spines every epoch copies
 // longer.
+//
+// A user's leaf cell is not stored: it is the leaf CellIndex files the
+// user's point under, so LeafOf is a bit test plus that call, and the
+// writer reads a mover's old leaf before it writes the new point.
 //
 // A page no write has reached is shared, so state costs memory only where
 // writes have been:
 //   - a point page is, until one of its users moves, a 16-point chunk of the
 //     slice the grid was built from (NewGrid), so every grid built over one
 //     dataset shares the dataset's one copy of the points;
-//   - a leaf page is the shared empty page below until one of its users is
-//     located, and a bucket or count page until a user is located in one of
-//     its cells, so a grid over clustered users, or a shard holding a part
-//     of them, leaves most of those pages unwritten.
-//
-// Point and leaf pages are separate spines so that Point(id) and LeafOf(id)
-// each stay one spine load plus one page load.
+//   - a located-bit page is the shared empty page below until one of its
+//     users is located, and a bucket or count page until a user is located
+//     in one of its cells, so a grid over clustered users, or a shard
+//     holding a part of them, leaves most of those pages unwritten.
 const (
 	ptPageShift   = 4
 	ptPageSize    = 1 << ptPageShift
 	ptPageMask    = ptPageSize - 1
-	leafPageShift = 6
-	leafPageSize  = 1 << leafPageShift
-	leafPageMask  = leafPageSize - 1
+	locPageShift  = 9
+	locPageSize   = 1 << locPageShift
+	locPageMask   = locPageSize - 1
 	cellPageShift = 3
 	cellPageSize  = 1 << cellPageShift
 	cellPageMask  = cellPageSize - 1
@@ -37,24 +38,18 @@ const (
 // ptPage holds a page of users' coordinates.
 type ptPage [ptPageSize]Point
 
-// leafPage holds a page of users' leaf cells; a user is located iff its leaf
-// is not -1.
-type leafPage [leafPageSize]int32
+// locPage holds a page of users' located bits, user id at bit id&63 of word
+// (id&locPageMask)>>6.
+type locPage [locPageSize / 64]uint64
 
 type cellPage[T any] [cellPageSize]T
 
-// The empty pages every leaf and cell spine slot starts at: unlocated users,
-// empty leaf buckets, zero counts. They are never written; writablePage
-// duplicates them. Point pages have none: every slot starts as a page of the
-// construction slice.
+// The empty pages every located-bit and cell spine slot starts at: unlocated
+// users, empty leaf buckets, zero counts. They are never written;
+// writablePage duplicates them. Point pages have none: every slot starts as
+// a page of the construction slice.
 var (
-	emptyLeaves = func() *leafPage {
-		p := new(leafPage)
-		for i := range p {
-			p[i] = -1
-		}
-		return p
-	}()
+	emptyLocated = new(locPage)
 	emptyBuckets = new(cellPage[[]int32])
 	emptyCounts  = new(cellPage[int32])
 )
@@ -91,7 +86,7 @@ func sameArray(a, b []int32) bool {
 }
 
 // Snapshot is one immutable epoch of grid state: the complete query-visible
-// view — per-user coordinates and located flags, leaf membership, and the
+// view — per-user coordinates and located bits, leaf membership, and the
 // per-level occupancy counts. Snapshots are published by Grid.Publish through
 // an atomic pointer; once published a snapshot never changes, so any number
 // of readers may traverse it without locks while the writer builds the next
@@ -103,7 +98,7 @@ type Snapshot struct {
 	n      int
 
 	pts    []*ptPage
-	leaf   []*leafPage          // user ID -> leaf cell index, -1 when unlocated
+	loc    []*locPage           // user ID -> located bit
 	leaves []*cellPage[[]int32] // leaf cell index -> member user IDs
 	// counts[level] holds the located users under each cell of the levels
 	// above the leaf; a leaf's count is the length of its bucket.
@@ -125,11 +120,21 @@ func (s *Snapshot) NumLocated() int { return s.numLocated }
 func (s *Snapshot) Point(id int32) Point { return s.pts[id>>ptPageShift][id&ptPageMask] }
 
 // Located reports whether the user has a known location in this epoch.
-func (s *Snapshot) Located(id int32) bool { return s.LeafOf(id) >= 0 }
+func (s *Snapshot) Located(id int32) bool {
+	return s.loc[id>>locPageShift][(id&locPageMask)>>6]>>(id&63)&1 != 0
+}
 
 // LeafOf returns the leaf cell holding the user in this epoch, or -1 when
 // the user has no location.
-func (s *Snapshot) LeafOf(id int32) int32 { return s.leaf[id>>leafPageShift][id&leafPageMask] }
+func (s *Snapshot) LeafOf(id int32) int32 {
+	if !s.Located(id) {
+		return -1
+	}
+	return s.leafAt(s.Point(id))
+}
+
+// leafAt returns the leaf cell CellIndex files point p under.
+func (s *Snapshot) leafAt(p Point) int32 { return s.layout.CellIndex(s.layout.LeafLevel(), p) }
 
 // CellUsers returns the members of a leaf cell (do not modify).
 func (s *Snapshot) CellUsers(leafIdx int32) []int32 {

@@ -230,11 +230,11 @@ func aliasedPointPages(s *Snapshot, pts []Point) map[int32]bool {
 
 // checkUserPages fails unless the point pages of s aliasing pts are exactly
 // the full pages holding no user in written (users whose point was written),
-// and the leaf pages of s off the empty page are exactly the pages holding a
-// user in everLocated.
+// and the located-bit pages of s off the empty page are exactly the pages
+// holding a user in everLocated.
 func checkUserPages(t *testing.T, step string, s *Snapshot, pts []Point, written, everLocated []int32) {
 	t.Helper()
-	wantPts, wantLeaf := map[int32]bool{}, map[int32]bool{}
+	wantPts, wantLoc := map[int32]bool{}, map[int32]bool{}
 	for pg := int32(0); pg < int32(len(pts)>>ptPageShift); pg++ {
 		wantPts[pg] = true
 	}
@@ -242,23 +242,21 @@ func checkUserPages(t *testing.T, step string, s *Snapshot, pts []Point, written
 		delete(wantPts, id>>ptPageShift)
 	}
 	for _, id := range everLocated {
-		wantLeaf[id>>leafPageShift] = true
+		wantLoc[id>>locPageShift] = true
 	}
 	if got := aliasedPointPages(s, pts); !reflect.DeepEqual(got, wantPts) {
 		t.Fatalf("%s: point pages aliasing the construction slice %v, want %v", step, got, wantPts)
 	}
-	if got := pagesInUse(t, s.leaf, emptyLeaves); !reflect.DeepEqual(got, wantLeaf) {
-		t.Fatalf("%s: leaf pages %v, want %v", step, got, wantLeaf)
+	if got := pagesInUse(t, s.loc, emptyLocated); !reflect.DeepEqual(got, wantLoc) {
+		t.Fatalf("%s: located-bit pages %v, want %v", step, got, wantLoc)
 	}
 }
 
 // emptyPagesIntact reports whether the shared empty pages still read as
 // unlocated users, empty buckets and zero counts.
 func emptyPagesIntact() bool {
-	for _, leaf := range emptyLeaves {
-		if leaf != -1 {
-			return false
-		}
+	if *emptyLocated != (locPage{}) {
+		return false
 	}
 	for _, b := range emptyBuckets {
 		if b != nil {
@@ -272,8 +270,8 @@ func emptyPagesIntact() bool {
 // leaves allocates exactly the bucket and count pages that cover those leaves
 // and their ancestors; every other slot is the shared empty page. Its point
 // pages are exactly the full chunks of the construction slice less the
-// pages of moved users, and its leaf pages exactly the pages of users ever
-// located. Churn that moves users into empty regions and empties cells
+// pages of moved users, and its located-bit pages exactly the pages of users
+// ever located. Churn that moves users into empty regions and empties cells
 // copies the pages it writes and never writes the empty pages themselves.
 func TestCellPagesFollowOccupancy(t *testing.T) {
 	layout, err := NewLayout(Rect{0, 0, 100, 100}, 10, 2)
@@ -282,12 +280,14 @@ func TestCellPagesFollowOccupancy(t *testing.T) {
 	}
 	leafLevel := layout.LeafLevel()
 	leaves := []int32{0, 1, 57, 4321, 9999} // 0 and 1 share a bucket page
-	const n = 300
+	// Three located-bit pages: the first holds the located users, churn
+	// reaches the second, and the third stays the empty page.
+	const n = 3 * locPageSize
 	pts, located := make([]Point, n), make([]bool, n)
 	for id := range pts {
 		r := layout.CellRect(leafLevel, leaves[id%len(leaves)])
 		pts[id] = Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
-		located[id] = id%7 != 0
+		located[id] = id%7 != 0 && id < locPageSize
 	}
 	g, err := NewGrid(layout, pts, located)
 	if err != nil {
@@ -327,7 +327,7 @@ func TestCellPagesFollowOccupancy(t *testing.T) {
 		old := g.published.Load()
 		before := captureWorld(old)
 		for step := 0; step < 25; step++ {
-			id := int32(rng.Intn(n))
+			id := int32(rng.Intn(2 * locPageSize))
 			switch rng.Intn(4) {
 			case 0:
 				g.RemoveLocation(id)
@@ -369,8 +369,9 @@ func TestPointPagesAliasUntilWritten(t *testing.T) {
 	pts, located := make([]Point, n), make([]bool, n)
 	for id := range pts {
 		pts[id] = Point{rng.Float64() * 100, rng.Float64() * 100}
-		// Leaf page 3 holds no located user, so it stays the empty page.
-		located[id] = id%5 != 0 && id>>leafPageShift != 3
+		// Located-bit page 1 holds no located user, so it stays the empty
+		// page.
+		located[id] = id%5 != 0 && id>>locPageShift != 1
 	}
 	clone := slices.Clone(pts)
 	g, err := NewGrid(layout, pts, located)
@@ -404,9 +405,9 @@ func TestPointPagesAliasUntilWritten(t *testing.T) {
 		return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
 	}
 	// One write per point page: a, b and d are located and c is not; they
-	// sit on four different point pages, d's is never written, and c's leaf
-	// page is the empty page until c is located.
-	const a, b, c, d = 17, 101, 200, 401
+	// sit on four different point pages, d's is never written, and c's
+	// located-bit page is the empty page until c is located.
+	const a, b, c, d = 17, 101, 600, 401
 	leafA, leafB := g.LeafOf(a), g.LeafOf(b)
 	steps := []struct {
 		name  string
