@@ -242,8 +242,10 @@ type Index struct {
 	// be re-derived from their children. propagateDirty drains both, level by
 	// level, before Publish.
 	dirty, redo []cellSet
-	// acc and kids are the recompute scratch: one row and one child list.
+	// acc, ex and kids are the recompute scratch: one row, its exact float64
+	// extremes and one child list.
 	acc  []float32
+	ex   []float64
 	kids []int32
 	// syncSeen is resync's leaf-dedup scratch, built by the first batch that
 	// changes an edge.
@@ -295,6 +297,7 @@ func NewShared(grid *spatial.Grid, sub *Social) (*Index, error) {
 		m:      m,
 		social: sub.Snapshot(),
 		acc:    make([]float32, 2*m),
+		ex:     make([]float64, 2*m),
 		labels: sub.labels,
 	}
 	layout := grid.Layout()

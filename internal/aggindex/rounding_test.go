@@ -215,3 +215,50 @@ func checkRoundedBounds(t *testing.T, step string, sn *Snapshot, q graph.VertexI
 		exact, near = lvlExact, lvlNear
 	}
 }
+
+// TestLeafRederiveMatchesWiden pins recomputeLeaf's one rounding per
+// component to the fold it replaced, a widen per member: on random member
+// sets, the exact float64 extremes rounded outward once equal the per-member
+// fold bit for bit. Vectors mix ordinary distances, +Inf (a landmark the
+// member cannot reach), values above MaxFloat32, exact float32s and values
+// one float64 ulp off them, so both the saturating and the tie cases of the
+// rounding are reached.
+func TestLeafRederiveMatchesWiden(t *testing.T) {
+	const m = 8
+	inf := math.Inf(1)
+	special := []float64{0, inf, 1e39, math.MaxFloat64, math.MaxFloat32,
+		math.Nextafter(math.MaxFloat32, inf), 16777217, 0.1, float64(float32(0.1))}
+	rng := rand.New(rand.NewSource(51))
+	fold, once := make([]float32, 2*m), make([]float32, 2*m)
+	ex := make([]float64, 2*m)
+	for trial := 0; trial < 20000; trial++ {
+		members := rng.Intn(6) // 0 is the empty leaf
+		if trial%7 == 0 {
+			members = 40 + rng.Intn(40)
+		}
+		emptyRow(fold, m)
+		emptyRow(ex, m)
+		for i := 0; i < members; i++ {
+			vec := make([]float64, m)
+			for j := range vec {
+				switch r := rng.Intn(10); {
+				case r < 2:
+					vec[j] = special[rng.Intn(len(special))]
+				case r < 4:
+					f := float64(float32(rng.Float64() * 4))
+					vec[j] = math.Nextafter(f, f+float64(rng.Intn(3)-1))
+				default:
+					vec[j] = math.Ldexp(rng.Float64(), rng.Intn(20)-10)
+				}
+			}
+			widen(fold, vec)
+			widenExact(ex, vec)
+		}
+		roundOutward(once, ex)
+		for j := range fold {
+			if math.Float32bits(fold[j]) != math.Float32bits(once[j]) {
+				t.Fatalf("trial %d (%d members), component %d: widen fold %g, one rounding %g", trial, members, j, fold[j], once[j])
+			}
+		}
+	}
+}

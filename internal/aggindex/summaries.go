@@ -54,9 +54,9 @@ func row(pages []*[]float32, idx int32, m int) []float32 {
 }
 
 // emptyRow resets r to the summary of an empty cell: (+Inf, −Inf).
-func emptyRow(r []float32, m int) {
+func emptyRow[F float32 | float64](r []F, m int) {
 	for j := 0; j < m; j++ {
-		r[j], r[m+j] = float32(math.Inf(1)), float32(math.Inf(-1))
+		r[j], r[m+j] = F(math.Inf(1)), F(math.Inf(-1))
 	}
 }
 
@@ -72,6 +72,32 @@ func widen(r []float32, vec []float64) {
 		if d > float64(r[m+j]) {
 			r[m+j] = roundUp(d)
 		}
+	}
+}
+
+// widenExact stretches the exact float64 extremes ex (min then max) to cover
+// one member's landmark vector.
+func widenExact(ex, vec []float64) {
+	m := len(vec)
+	for j, d := range vec {
+		if d < ex[j] {
+			ex[j] = d
+		}
+		if d > ex[m+j] {
+			ex[m+j] = d
+		}
+	}
+}
+
+// roundOutward stores exact extremes ex as row r: each minimum rounded down,
+// each maximum up. Rounding is monotone, so the rounding of the exact min is
+// the min of the members' roundings: this is the row a widen per member
+// reaches, bit for bit, at one rounding per component instead of one per
+// widening.
+func roundOutward(r []float32, ex []float64) {
+	m := len(ex) / 2
+	for j := 0; j < m; j++ {
+		r[j], r[m+j] = roundDown(ex[j]), roundUp(ex[m+j])
 	}
 }
 
@@ -179,22 +205,23 @@ func (ix *Index) storeMask(level int, idx int32, mask uint64) bool {
 }
 
 // recomputeLeaf rebuilds a leaf's summary from its members against the
-// current landmark tables, one member vector at a time; reports whether it
-// changed.
+// current landmark tables: the exact min/max over the member vectors, rounded
+// outward once (roundOutward); reports whether it changed.
 func (ix *Index) recomputeLeaf(idx int32) bool {
 	lm := ix.social.lm
 	users := ix.grid.CellUsers(idx)
-	emptyRow(ix.acc, ix.m)
+	emptyRow(ix.ex, ix.m)
+	var mask uint64
 	for _, u := range users {
-		widen(ix.acc, lm.VertexRow(u))
+		widenExact(ix.ex, lm.VertexRow(u))
+		if ix.labels != nil {
+			mask |= ix.labels[u]
+		}
 	}
+	roundOutward(ix.acc, ix.ex)
 	leaf := ix.grid.Layout().LeafLevel()
 	changed := ix.storeRow(leaf, idx)
 	if ix.labels != nil {
-		var mask uint64
-		for _, u := range users {
-			mask |= ix.labels[u]
-		}
 		changed = ix.storeMask(leaf, idx, mask) || changed
 	}
 	return changed

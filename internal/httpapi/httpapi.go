@@ -12,9 +12,7 @@ package httpapi
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -353,8 +351,9 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown user %d", req.ID))
 		return
 	}
-	// The engine rejects NaN/±Inf coordinates (JSON can't encode them
-	// literally, but e.g. "1e999" decodes to +Inf).
+	// The engine rejects NaN/±Inf coordinates. JSON has no literal for them,
+	// and an out-of-range number such as 1e999 never gets here:
+	// encoding/json refuses it ("cannot unmarshal number 1e999"), a 400.
 	if err := s.eng.MoveUser(req.ID, ssrq.Point{X: req.X, Y: req.Y}); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -389,41 +388,44 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 	if s.denyIfFollower(w) {
 		return
 	}
-	var req movesRequest
-	if !decodeBody(w, r, maxBulkBody, &req) {
+	b := readBody(w, r, maxBulkBody)
+	if b == nil {
 		return
 	}
-	if len(req.Moves) == 0 {
+	defer b.put()
+	flush, err := b.decodeMoves()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+		return
+	}
+	ups := b.moves
+	if len(ups) == 0 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("empty moves"))
 		return
 	}
-	if len(req.Moves) > maxMoves {
-		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%d moves exceeds limit %d", len(req.Moves), maxMoves))
+	if len(ups) > maxMoves {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%d moves exceeds limit %d", len(ups), maxMoves))
 		return
 	}
 	// Validate everything before enqueuing anything, so a bad item rejects
 	// the whole request instead of applying a prefix.
 	n := s.eng.Dataset().NumUsers()
-	for i, m := range req.Moves {
+	for i, m := range ups {
 		if m.ID < 0 || int(m.ID) >= n {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("move %d: unknown user %d", i, m.ID))
 			return
 		}
-		if !m.Remove && !(ssrq.Point{X: m.X, Y: m.Y}).IsFinite() {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("move %d: non-finite coordinates (%v, %v)", i, m.X, m.Y))
+		if !m.Remove && !m.To.IsFinite() {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("move %d: non-finite coordinates (%v, %v)", i, m.To.X, m.To.Y))
 			return
 		}
 	}
-	resp := movesResponse{Accepted: len(req.Moves)}
-	if req.Flush {
+	resp := movesResponse{Accepted: len(ups)}
+	if flush {
 		// One request, one synchronous batch: one journal append and commit,
 		// one epoch per touched shard. The engine applies every earlier
 		// async op first, and the trailing Flush covers ops queued while
 		// this one applied, so flush keeps its read-your-writes meaning.
-		ups := make([]ssrq.Update, len(req.Moves))
-		for i, m := range req.Moves {
-			ups[i] = ssrq.Update{ID: m.ID, To: ssrq.Point{X: m.X, Y: m.Y}, Remove: m.Remove}
-		}
 		if err := s.eng.ApplyUpdates(ups); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -433,12 +435,12 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, resp)
 		return
 	}
-	for _, m := range req.Moves {
+	for _, m := range ups {
 		var err error
 		if m.Remove {
 			err = s.eng.RemoveUserLocationAsync(m.ID)
 		} else {
-			err = s.eng.MoveUserAsync(m.ID, ssrq.Point{X: m.X, Y: m.Y})
+			err = s.eng.MoveUserAsync(m.ID, m.To)
 		}
 		if err != nil {
 			httpError(w, http.StatusServiceUnavailable, err)
@@ -478,22 +480,29 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if s.denyIfFollower(w) {
 		return
 	}
-	var req edgesRequest
-	if !decodeBody(w, r, maxBulkBody, &req) {
+	b := readBody(w, r, maxBulkBody)
+	if b == nil {
 		return
 	}
-	if len(req.Edges) == 0 {
+	defer b.put()
+	flush, err := b.decodeEdges()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+		return
+	}
+	ups := b.edges
+	if len(ups) == 0 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("empty edges"))
 		return
 	}
-	if len(req.Edges) > maxEdges {
-		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%d edges exceeds limit %d", len(req.Edges), maxEdges))
+	if len(ups) > maxEdges {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%d edges exceeds limit %d", len(ups), maxEdges))
 		return
 	}
 	// Validate everything before enqueuing anything, so a bad item rejects
 	// the whole request instead of applying a prefix.
 	n := s.eng.Dataset().NumUsers()
-	for i, e := range req.Edges {
+	for i, e := range ups {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("edge %d: user out of range (%d,%d)", i, e.U, e.V))
 			return
@@ -502,19 +511,15 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("edge %d: self-loop on user %d", i, e.U))
 			return
 		}
-		if !e.Remove && (!(e.W > 0) || math.IsInf(e.W, 0) || math.IsNaN(e.W)) {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("edge %d: weight %v must be positive and finite", i, e.W))
+		if !e.Remove && (!(e.Weight > 0) || math.IsInf(e.Weight, 0) || math.IsNaN(e.Weight)) {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("edge %d: weight %v must be positive and finite", i, e.Weight))
 			return
 		}
 	}
-	resp := edgesResponse{Accepted: len(req.Edges)}
-	if req.Flush {
+	resp := edgesResponse{Accepted: len(ups)}
+	if flush {
 		// As for /moves: one social epoch, one landmark-repair pass and one
 		// subscription round for the whole request.
-		ups := make([]ssrq.EdgeUpdate, len(req.Edges))
-		for i, e := range req.Edges {
-			ups[i] = ssrq.EdgeUpdate{U: e.U, V: e.V, Weight: e.W, Remove: e.Remove}
-		}
 		if err := s.eng.ApplyEdgeUpdates(ups); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -525,12 +530,12 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, resp)
 		return
 	}
-	for _, e := range req.Edges {
+	for _, e := range ups {
 		var err error
 		if e.Remove {
 			err = s.eng.RemoveFriendAsync(e.U, e.V)
 		} else {
-			err = s.eng.AddFriendAsync(e.U, e.V, e.W)
+			err = s.eng.AddFriendAsync(e.U, e.V, e.Weight)
 		}
 		if err != nil {
 			httpError(w, http.StatusServiceUnavailable, err)
@@ -695,29 +700,6 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// decodeBody decodes the request's JSON body into v, reading at most limit
-// bytes, and reports whether it succeeded. On failure it has written the
-// response: 413 for a body over limit, 400 for a malformed one. Whatever
-// follows the JSON value is read too, so a body over the limit is refused
-// wherever its excess sits.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	err := json.NewDecoder(body).Decode(v)
-	if err == nil {
-		_, err = io.Copy(io.Discard, body)
-	}
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", limit))
-		return false
-	case err != nil:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-		return false
-	}
-	return true
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

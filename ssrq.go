@@ -526,7 +526,8 @@ func (e *Engine) RemoveUserLocationAsync(id UserID) error {
 
 // ApplyUpdates validates and applies a batch of raw-coordinate updates as a
 // single published epoch — the cheapest way to ingest bulk location data.
-// On a validation error nothing is applied.
+// On a validation error nothing is applied. ups is not retained: the caller
+// may reuse it once the call returns.
 func (e *Engine) ApplyUpdates(ups []Update) error {
 	ops := make([]core.Update, len(ups))
 	for i, u := range ups {
@@ -691,7 +692,8 @@ func (e *Engine) RemoveFriendAsync(u, v UserID) error {
 }
 
 // ApplyEdgeUpdates validates and applies a batch of raw-weight edge updates
-// as a single published epoch. On a validation error nothing is applied.
+// as a single published epoch. On a validation error nothing is applied. ups
+// is not retained: the caller may reuse it once the call returns.
 func (e *Engine) ApplyEdgeUpdates(ups []EdgeUpdate) error {
 	ops := make([]core.Update, len(ups))
 	for i, u := range ups {
