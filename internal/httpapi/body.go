@@ -66,8 +66,12 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) *body {
 	return nil
 }
 
+// put hands b back to the pool, unless a request grew it past what a
+// request the endpoints accept needs: a buffer over maxPooledBody, or an
+// update slice over maxMoves or maxEdges, which an over-count body (413)
+// leaves behind. Those are left to the garbage collector.
 func (b *body) put() {
-	if b.buf.Cap() <= maxPooledBody {
+	if b.buf.Cap() <= maxPooledBody && cap(b.moves) <= maxMoves && cap(b.edges) <= maxEdges {
 		bodyPool.Put(b)
 	}
 }

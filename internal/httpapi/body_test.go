@@ -198,6 +198,32 @@ func TestBulkBodyAllocBudget(t *testing.T) {
 	}
 }
 
+// TestOverCountBodyNotPooled: a /moves or /edges body with more items than
+// the endpoint accepts, though under the byte cap, is a 413, and the update
+// slice the scanner grew for it is not kept in the body pool.
+func TestOverCountBodyNotPooled(t *testing.T) {
+	s, _, _ := mkServer(t)
+	for _, c := range []struct {
+		path, list, item string
+		max              int
+	}{
+		{"/moves", "moves", `{"id":1}`, maxMoves},
+		{"/edges", "edges", `{"u":1,"v":2}`, maxEdges},
+	} {
+		items := strings.Repeat(c.item+",", c.max) + c.item
+		rec := doRaw(s, c.path, []byte(`{"`+c.list+`":[`+items+`]}`))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with %d items: %d %s, want 413", c.path, c.max+1, rec.Code, rec.Body)
+		}
+		for i := 0; i < 64; i++ {
+			b := bodyPool.Get().(*body)
+			if cap(b.moves) > maxMoves || cap(b.edges) > maxEdges {
+				t.Fatalf("%s: pooled body keeps %d moves and %d edges of capacity", c.path, cap(b.moves), cap(b.edges))
+			}
+		}
+	}
+}
+
 // TestTrailingDataRejected: every JSON-body endpoint answers 400 "bad body:
 // trailing data" to a valid body followed by anything but whitespace — a
 // second value, which used to be dropped unread, or garbage — and /moves
