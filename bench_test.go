@@ -77,17 +77,6 @@ func getEngine(b *testing.B, preset string, mutate func(*core.Options)) *benchEn
 	return be
 }
 
-// queue puts a core.Updater in front of the cached engine — the batching
-// async path without routing — until the benchmark ends.
-func (be *benchEngine) queue(b *testing.B) *core.Updater {
-	o := be.eng.Options()
-	up := core.NewUpdater(func(_, batch []core.Update) {
-		_ = be.eng.ApplyUpdates(batch) // valid by construction
-	}, o.UpdateQueueCap, o.UpdateMaxBatch)
-	b.Cleanup(up.Close)
-	return up
-}
-
 // benchQueries runs the query workload round-robin for b.N iterations.
 func benchQueries(b *testing.B, be *benchEngine, algo core.Algorithm, k int, alpha float64) {
 	b.Helper()
@@ -367,14 +356,13 @@ func BenchmarkBatchThroughput(b *testing.B) {
 }
 
 // BenchmarkQueriesUnderConcurrentMovers measures query throughput while
-// background goroutines continuously relocate users through a batching
-// update queue — the live-updates workload the epoch/snapshot design
+// background goroutines continuously relocate users, one synchronous write
+// each — the live-updates workload the epoch/snapshot design
 // exists for. Queries are lock-free against published epochs, so on
 // multi-core hosts the movers= series stay close to movers=0 instead of
 // serializing behind the writers.
 func BenchmarkQueriesUnderConcurrentMovers(b *testing.B) {
 	be := getEngine(b, "twitter", nil) // all users located
-	up := be.queue(b)
 	prm := core.Params{K: exp.DefaultK, Alpha: exp.DefaultAlpha}
 	n := be.ds.NumUsers()
 	for _, movers := range []int{0, 1, 2} {
@@ -394,7 +382,7 @@ func BenchmarkQueriesUnderConcurrentMovers(b *testing.B) {
 						default:
 							id := int32(i % n)
 							p := be.ds.Pts[id] // construction-time coords; stable under moves
-							if err := up.Enqueue(core.Update{ID: id, To: spatial.Point{X: 1 - p.X, Y: 1 - p.Y}}); err != nil {
+							if err := be.eng.ApplyUpdates([]core.Update{{ID: id, To: spatial.Point{X: 1 - p.X, Y: 1 - p.Y}}}); err != nil {
 								return
 							}
 							i += movers
@@ -412,7 +400,6 @@ func BenchmarkQueriesUnderConcurrentMovers(b *testing.B) {
 			b.StopTimer()
 			close(stop)
 			wg.Wait()
-			up.Flush()
 		})
 	}
 }
@@ -465,8 +452,8 @@ func BenchmarkIndexBuild(b *testing.B) {
 // BenchmarkLocationUpdate measures §5.1 index maintenance under movement on
 // the synchronous path: every move is its own published epoch, so this is
 // the worst case for the copy-on-write design (the whole COW cost lands on
-// one move). BenchmarkLocationUpdateBatched shows the amortized cost the
-// update pipeline actually pays.
+// one move). BenchmarkLocationUpdateBatched shows the amortized cost a
+// batched write (a 256-move request) pays.
 func BenchmarkLocationUpdate(b *testing.B) {
 	be := getEngine(b, "twitter", nil) // all users located
 	pts := be.ds.Pts
@@ -481,8 +468,8 @@ func BenchmarkLocationUpdate(b *testing.B) {
 }
 
 // BenchmarkLocationUpdateBatched measures the same maintenance through
-// ApplyUpdates at the updater's default batch size: one COW epoch per
-// batch, amortized across its moves (reported per move).
+// ApplyUpdates in batches of 256: one COW epoch per batch, amortized
+// across its moves (reported per move).
 func BenchmarkLocationUpdateBatched(b *testing.B) {
 	be := getEngine(b, "twitter", nil)
 	pts := be.ds.Pts
@@ -533,8 +520,8 @@ func BenchmarkEdgeUpdateSingle(b *testing.B) {
 }
 
 // BenchmarkEdgeUpdateBatched measures the same maintenance through
-// ApplyUpdates at the updater's default batch size: one epoch per batch
-// (reported per edge op).
+// ApplyUpdates in batches of 256: one epoch per batch (reported per edge
+// op).
 func BenchmarkEdgeUpdateBatched(b *testing.B) {
 	be := getEngine(b, "twitter", func(o *core.Options) {
 		o.Seed = 1 // distinct cache key from the single-op bench
@@ -566,11 +553,10 @@ func BenchmarkEdgeUpdateBatched(b *testing.B) {
 }
 
 // BenchmarkQueriesUnderEdgeChurn measures AIS latency while a background
-// goroutine churns friendships through a batching update queue — the query path
+// goroutine churns friendships one synchronous write at a time — the query path
 // must stay lock-free regardless of social write pressure.
 func BenchmarkQueriesUnderEdgeChurn(b *testing.B) {
 	be := getEngine(b, "gowalla", func(o *core.Options) { o.Seed = 2 })
-	up := be.queue(b)
 	n := int32(be.ds.NumUsers())
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -588,9 +574,9 @@ func BenchmarkQueriesUnderEdgeChurn(b *testing.B) {
 			v := (u + 1 + int32(i)%83) % n
 			if u != v {
 				if i%3 == 0 {
-					_ = up.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: v})
+					_ = be.eng.ApplyUpdates([]core.Update{{Kind: core.OpEdgeRemove, U: u, V: v}})
 				} else {
-					_ = up.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: 0.1})
+					_ = be.eng.ApplyUpdates([]core.Update{{Kind: core.OpEdgeUpsert, U: u, V: v, W: 0.1}})
 				}
 			}
 			i++
@@ -607,5 +593,4 @@ func BenchmarkQueriesUnderEdgeChurn(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	wg.Wait()
-	up.Flush()
 }

@@ -10,7 +10,7 @@
 //	POST /batch  {"algo":"AIS","k":10,"alpha":0.3,"queries":[1,2,3]}
 //	GET  /user/<id>                                          location + degree
 //	POST /move   {"id":123,"x":1.5,"y":2.5}                  one update (sync epoch)
-//	POST /moves  {"moves":[...],"flush":false}               bulk updates (batching pipeline)
+//	POST /moves  {"moves":[...],"flush":false}               bulk updates (one batch on the write queue)
 //	POST /unlocate {"id":123}                                drop location
 //	GET  /stats                                              dataset + epoch/update stats
 //	GET  /wal/bootstrap, /wal/stream                         journal replication feed

@@ -2,12 +2,12 @@ package ssrq
 
 // Durability and crash recovery. With Options.Durability set, every world
 // mutation — synchronous or asynchronous moves/removals and edge ops, for any
-// shard count — is journaled as a canonical oplog.Record at the one layer
-// where its application order is authoritative: the routing stripes of
-// internal/shard. A record is appended when its batch applies: staged, then
-// committed (flushed, and fsynced under fsync=batch), then applied, all under
-// the batch's stripes, so nothing is visible before it is durable (DESIGN.md
-// §5). Records hold normalized values, so replay bypasses the root API's
+// shard count — is journaled as a canonical oplog.Record at the one place
+// where its application order is authoritative: the writer of
+// internal/shard, which takes every batch off one queue. A record is
+// appended when its batch applies: staged, then committed (flushed, and
+// fsynced under fsync=batch), then applied, so nothing is visible before it
+// is durable (DESIGN.md §5). Records hold normalized values, so replay bypasses the root API's
 // raw→normalized conversion and feeds the internal ApplyUpdates directly —
 // the exact path live traffic trusts.
 //
@@ -18,7 +18,7 @@ package ssrq
 // (shard.Engine.Checkpoint) is
 //
 //	S := log.LastSeq()     // note the position first
-//	cycle every stripe     // all ops ≤ S committed and applied
+//	Flush()                // all ops ≤ S committed and applied
 //	diff := exportDiff()   // capture published state (≥ S)
 //	WriteCheckpoint(S, diff)
 //
@@ -153,8 +153,8 @@ func (e *Engine) recoverFailed(log *wal.Log, err error) error {
 }
 
 // noteJournaled counts journaled ops towards the next background checkpoint.
-// It runs under the journaling op's routing stripes, so it only ever hands
-// the cut to a goroutine.
+// It runs on the engine's writer goroutine, which the cut waits on, so it
+// only ever hands the cut to a goroutine.
 func (e *Engine) noteJournaled(n int) {
 	if e.ckptEvery <= 0 || e.walClosed.Load() {
 		return

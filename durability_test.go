@@ -223,11 +223,11 @@ func TestCrashRecoveryDifferentialSync(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryAsyncChurn mixes async and sync mutation (so the WAL
-// stream is the post-coalesce application order, not the driver order),
-// crashes, recovers, and compares against a twin built by replaying the
-// recovered WAL itself — the log must be a faithful, replayable history of
-// whatever was applied.
+// TestCrashRecoveryAsyncChurn mixes async batches of location ops with
+// sync edge and location ops on the engine's one queue (so the writer
+// journals units that join several callers' batches), crashes, recovers,
+// and compares against a twin built by replaying the recovered WAL itself —
+// the log must be a faithful, replayable history of whatever was applied.
 func TestCrashRecoveryAsyncChurn(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -246,24 +246,39 @@ func TestCrashRecoveryAsyncChurn(t *testing.T) {
 			}
 
 			ops := genCrashOps(ds, 800, 11)
+			// Even-indexed location ops gather into async batches of up to
+			// eight, sent before the next sync op.
+			var batch []Update
+			send := func() {
+				if len(batch) > 0 {
+					if err := eng.ApplyUpdatesAsync(batch); err != nil {
+						t.Fatal(err)
+					}
+					batch = batch[:0]
+				}
+			}
 			for i, op := range ops {
-				var err error
 				switch {
 				case op.kind == 0 && i%2 == 0:
-					err = eng.MoveUserAsync(op.id, op.p)
+					batch = append(batch, Update{ID: op.id, To: op.p})
 				case op.kind == 1 && i%2 == 0:
-					err = eng.RemoveUserLocationAsync(op.id)
+					batch = append(batch, Update{ID: op.id, Remove: true})
 				default:
-					err = op.apply(eng)
+					send()
+					if err := op.apply(eng); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err != nil {
-					t.Fatal(err)
+				if len(batch) == 8 {
+					send()
 				}
 				if i == 500 {
+					send()
 					eng.Flush()
 					eng.TestingWAL().TestingLimitBytes(1500)
 				}
 			}
+			send()
 			eng.Flush()
 			if !eng.TestingWAL().Crashed() {
 				t.Fatal("crash seam never tripped")

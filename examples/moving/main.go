@@ -4,10 +4,9 @@
 // batch's touched-user set and Lemma-2 lower bounds when the result cannot
 // have changed (skipped silently), and pushes incremental deltas — entries
 // that entered the top-k, left it, or changed score — only otherwise.
-// Bulk movement goes through the async pipeline (MoveUserAsync + Flush),
-// which coalesces redundant moves and amortizes hundreds of updates into a
-// handful of copy-on-write epochs, instead of paying one epoch per
-// synchronous MoveUser call.
+// Bulk movement goes in as one batch (ApplyUpdatesAsync, then a barrier),
+// which the engine applies as one copy-on-write epoch instead of paying
+// one epoch per synchronous MoveUser call.
 package main
 
 import (
@@ -59,21 +58,21 @@ func main() {
 	fmt.Printf("\nafter moving to (%.3f, %.3f):\n", away.X, away.Y)
 	printDelta(sub.Delta())
 
-	// Friends keep moving too — enqueue the whole wave on the batching
-	// pipeline and flush once, rather than paying one published epoch per
-	// synchronous MoveUser.
-	moved := 0
-	for v := 0; v < ds.NumUsers() && moved < 500; v++ {
+	// Friends keep moving too — queue the whole wave as one batch and
+	// flush once, rather than paying one published epoch per synchronous
+	// MoveUser.
+	var wave []ssrq.Update
+	for v := 0; v < ds.NumUsers() && len(wave) < 500; v++ {
 		id := ssrq.UserID(v)
 		if p, ok := ds.Location(id); ok && id != me {
-			if err := eng.MoveUserAsync(id, ssrq.Point{X: p.X * 0.95, Y: p.Y * 0.95}); err != nil {
-				log.Fatal(err)
-			}
-			moved++
+			wave = append(wave, ssrq.Update{ID: id, To: ssrq.Point{X: p.X * 0.95, Y: p.Y * 0.95}})
 		}
 	}
-	eng.SyncSubscriptions() // flush the pipeline + subscription barrier
-	fmt.Printf("\nafter %d other users moved:\n", moved)
+	if err := eng.ApplyUpdatesAsync(wave); err != nil {
+		log.Fatal(err)
+	}
+	eng.SyncSubscriptions() // flush the queue + subscription barrier
+	fmt.Printf("\nafter %d other users moved:\n", len(wave))
 	printDelta(sub.Delta())
 
 	// Sanity: the standing result still matches a from-scratch brute-force

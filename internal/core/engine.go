@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"ssrq/internal/aggindex"
 	"ssrq/internal/dataset"
@@ -75,12 +76,6 @@ type Options struct {
 	LandmarkStrategy landmark.Strategy
 	// Seed drives randomized preprocessing choices.
 	Seed int64
-	// UpdateQueueCap bounds the routed engine's one asynchronous update
-	// queue (its Updater); a full queue applies backpressure (default 4096).
-	UpdateQueueCap int
-	// UpdateMaxBatch caps how many queued updates the updater coalesces
-	// into one applied batch (default 256).
-	UpdateMaxBatch int
 }
 
 // WithDefaults returns a copy with every zero field replaced by its default.
@@ -96,12 +91,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.NumLandmarks == 0 {
 		o.NumLandmarks = 8
-	}
-	if o.UpdateQueueCap == 0 {
-		o.UpdateQueueCap = 4096
-	}
-	if o.UpdateMaxBatch == 0 {
-		o.UpdateMaxBatch = 256
 	}
 	return o
 }
@@ -125,8 +114,8 @@ const (
 // published atomically as one immutable snapshot) with a single atomic
 // pointer read and runs entirely against it, so location updates never block
 // queries and every query observes one consistent version of the world.
-// Updates go through ApplyUpdates, one published epoch per call; an Updater
-// in front of it queues and coalesces them into batched epochs.
+// Updates go through ApplyUpdates, one published epoch per call, serialized
+// under the engine's writer lock.
 //
 // An Engine is one spatial index and a private social substrate, with a
 // Searcher embedded for the queries: the single-index reference the
@@ -405,6 +394,28 @@ func (e *Searcher) QueryOn(sns []*aggindex.Snapshot, algo Algorithm, q graph.Ver
 // SocialStats is a point-in-time view of the social dimension: edge counts,
 // overlay shape and landmark-maintenance work.
 type SocialStats = aggindex.SocialStats
+
+// UpdateStats reports the state of the epoch/update pipeline, the numbers
+// the HTTP /stats endpoint surfaces for the routed engine (shard.Engine).
+type UpdateStats struct {
+	// Epoch is the published index version (0 = construction state).
+	Epoch uint64
+	// SocialEpoch is the published social graph version (0 = construction
+	// graph, +1 per batch containing effective edge ops).
+	SocialEpoch uint64
+	// SnapshotAge is how long ago the current epoch was published.
+	SnapshotAge time.Duration
+	// PendingUpdates counts ops queued but not yet taken by the writer.
+	PendingUpdates int64
+	// AppliedUpdates counts the ops the writer applied.
+	AppliedUpdates int64
+	// AppliedBatches counts the units that applied them: one per turn of
+	// the writer, which takes every batch queued at that moment.
+	AppliedBatches int64
+	// CoalescedUpdates is always 0: no op is dropped for a newer one. The
+	// field stays for readers that still report it.
+	CoalescedUpdates int64
+}
 
 // AddFriend inserts (or reweights) the undirected friendship (u,v) with
 // normalized weight w and publishes the change as one epoch before

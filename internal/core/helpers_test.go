@@ -1,6 +1,11 @@
 package core
 
-import "ssrq/internal/spatial"
+import (
+	"errors"
+	"sync/atomic"
+
+	"ssrq/internal/spatial"
+)
 
 // Single-op forms of ApplyUpdates, the engine's one mutation entry point.
 
@@ -16,29 +21,32 @@ func removeFriend(e *Engine, u, v int32) error {
 	return e.ApplyUpdates([]Update{{Kind: OpEdgeRemove, U: u, V: v}})
 }
 
-// asyncEngine is an Engine behind an Updater that applies each coalesced
-// batch through ApplyUpdates as one epoch: the asynchronous path without
-// the routing layer. Its counters are the Updater's (a.up.Stats()).
+// asyncEngine is an Engine whose "async" writers are concurrent
+// synchronous ones: each op applies through ApplyUpdates as one epoch
+// before the call returns, so Flush has nothing to wait for. Close refuses
+// further writes. applied counts the ops it applied.
 type asyncEngine struct {
 	*Engine
-	up *Updater
+	closed  atomic.Bool
+	applied atomic.Int64
 }
 
-func newAsync(e *Engine) *asyncEngine {
-	apply := func(_, batch []Update) { _ = e.ApplyUpdates(batch) } // Enqueue validated every op
-	return &asyncEngine{Engine: e, up: NewUpdater(apply, e.opts.UpdateQueueCap, e.opts.UpdateMaxBatch)}
-}
+func newAsync(e *Engine) *asyncEngine { return &asyncEngine{Engine: e} }
 
-// Enqueue validates op, then queues it.
+// Enqueue applies op, or refuses it after Close.
 func (a *asyncEngine) Enqueue(op Update) error {
-	if err := a.ValidateUpdate(op); err != nil {
+	if a.closed.Load() {
+		return errors.New("core: engine closed")
+	}
+	if err := a.ApplyUpdates([]Update{op}); err != nil {
 		return err
 	}
-	return a.up.Enqueue(op)
+	a.applied.Add(1)
+	return nil
 }
 
-func (a *asyncEngine) Flush() { a.up.Flush() }
-func (a *asyncEngine) Close() { a.up.Close() }
+func (a *asyncEngine) Flush() {}
+func (a *asyncEngine) Close() { a.closed.Store(true) }
 
 // Single-op forms of Enqueue.
 

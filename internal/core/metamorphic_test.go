@@ -46,7 +46,7 @@ type queryEngine interface {
 	Query(algo core.Algorithm, q graph.VertexID, prm core.Params) (*core.Result, error)
 	QueryBatch(queries []core.BatchQuery, workers int) []core.BatchResult
 	ApplyUpdates(ops []core.Update) error
-	Enqueue(op core.Update) error
+	ApplyUpdatesAsync(ops []core.Update) error
 	Flush()
 }
 
@@ -56,12 +56,12 @@ var (
 )
 
 // syncRef gives the single-index reference the routed engine's QueryBatch,
-// Enqueue and Flush: every op applies as it arrives, so Flush has nothing to
-// wait for.
+// ApplyUpdatesAsync and Flush: every batch applies as it arrives, so Flush
+// has nothing to wait for.
 type syncRef struct{ *core.Engine }
 
-func (r syncRef) Enqueue(op core.Update) error { return r.ApplyUpdates([]core.Update{op}) }
-func (r syncRef) Flush()                       {}
+func (r syncRef) ApplyUpdatesAsync(ops []core.Update) error { return r.ApplyUpdates(ops) }
+func (r syncRef) Flush()                                    {}
 
 func (r syncRef) QueryBatch(queries []core.BatchQuery, workers int) []core.BatchResult {
 	return core.RunBatch(queries, workers, func(bq core.BatchQuery) (*core.Result, error) {
@@ -260,7 +260,7 @@ func checkAlphaConsistency(t *testing.T, label string, e queryEngine, algo core.
 // flavors, re-checking after every interleaved churn round.
 func TestMetamorphicProperties(t *testing.T) {
 	ds := clusteredDS(t, 220, 101)
-	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 101, UpdateMaxBatch: 16}
+	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 101}
 	mono, err := core.NewEngine(ds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +434,8 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 				NumLandmarks: 2 + rng.Intn(5),
 			}
 			rng.Intn(30) // a deleted option's draw, kept so every later draw stays put
-			opts.Seed, opts.UpdateMaxBatch = int64(trial), 1+rng.Intn(32)
+			opts.Seed = int64(trial)
+			rng.Intn(32) // the deleted queue-batch option's draw, kept so every later draw stays put
 			mono, err := core.NewEngine(ds, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -666,22 +667,25 @@ func TestQueryBatchClampsBothFlavors(t *testing.T) {
 	}
 }
 
-// Single-op forms of Enqueue, the asynchronous mutation entry point.
+// Single-op forms of ApplyUpdatesAsync, the asynchronous mutation entry
+// point.
 
-type enqueuer interface{ Enqueue(op core.Update) error }
+type enqueuer interface {
+	ApplyUpdatesAsync(ops []core.Update) error
+}
 
 func moveUserAsync(e enqueuer, id int32, to spatial.Point) error {
-	return e.Enqueue(core.Update{ID: id, To: to})
+	return e.ApplyUpdatesAsync([]core.Update{{ID: id, To: to}})
 }
 
 func removeUserLocationAsync(e enqueuer, id int32) error {
-	return e.Enqueue(core.Update{ID: id, Remove: true})
+	return e.ApplyUpdatesAsync([]core.Update{{ID: id, Remove: true}})
 }
 
 func addFriendAsync(e enqueuer, u, v int32, w float64) error {
-	return e.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: w})
+	return e.ApplyUpdatesAsync([]core.Update{{Kind: core.OpEdgeUpsert, U: u, V: v, W: w}})
 }
 
 func removeFriendAsync(e enqueuer, u, v int32) error {
-	return e.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: v})
+	return e.ApplyUpdatesAsync([]core.Update{{Kind: core.OpEdgeRemove, U: u, V: v}})
 }

@@ -91,7 +91,8 @@ func TestRandomizedSocialChurnEquivalence(t *testing.T) {
 				NumLandmarks: 2 + rng.Intn(6),
 			}
 			cacheT := 4 + rng.Intn(40)
-			opts.Seed, opts.UpdateMaxBatch = int64(trial), 1+rng.Intn(64)
+			opts.Seed = int64(trial)
+			rng.Intn(64) // the deleted queue-batch option's draw, kept so every later draw stays put
 			e := newAsync(withCache(mkEngine(t, ds, opts), cacheT))
 			defer e.Close()
 			model := seedModel(ds)
@@ -589,32 +590,6 @@ func TestAISCacheInvalidatedByEdgeChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRanking(t, "AISCache post-churn", got, want)
-}
-
-// TestUpdaterCoalescesEdgeOps checks last-write-wins per unordered pair
-// in the Updater's coalescing.
-func TestUpdaterCoalescesEdgeOps(t *testing.T) {
-	ops := []Update{
-		{Kind: OpEdgeUpsert, U: 1, V: 2, W: 5},
-		{Kind: OpEdgeUpsert, U: 2, V: 1, W: 7}, // same pair, reversed order
-		{ID: 1, To: spatial.Point{X: 0.5, Y: 0.5}},
-		{Kind: OpEdgeRemove, U: 3, V: 4},
-		{Kind: OpEdgeUpsert, U: 3, V: 4, W: 2}, // resurrects the pair
-		{ID: 1, To: spatial.Point{X: 0.9, Y: 0.9}},
-	}
-	out := coalesceUpdates(ops)
-	if len(out) != 3 {
-		t.Fatalf("coalesced to %d ops, want 3: %+v", len(out), out)
-	}
-	if out[0].Kind != OpEdgeUpsert || out[0].W != 7 {
-		t.Fatalf("pair (1,2) did not keep newest: %+v", out[0])
-	}
-	if out[1].Kind != OpLocation || out[1].To.X != 0.9 {
-		t.Fatalf("location op did not keep newest: %+v", out[1])
-	}
-	if out[2].Kind != OpEdgeUpsert || out[2].W != 2 {
-		t.Fatalf("pair (3,4) did not keep newest: %+v", out[2])
-	}
 }
 
 // outward rounds a cell's exact landmark min/max the way the aggregate index

@@ -15,8 +15,8 @@ import (
 
 // TestSnapshotStressAsyncMovers is the -race synchronization proof for the
 // lock-free query path: queriers run QueryBatch and single queries with no
-// lock whatsoever while movers push sustained churn through an Updater over
-// the engine. Every mid-flight result must be a valid top-k set against
+// lock whatsoever while concurrent movers push sustained churn through the
+// engine. Every mid-flight result must be a valid top-k set against
 // *some* published epoch, and after a Flush barrier the index must agree
 // exactly with brute force — concurrent batched maintenance never corrupted
 // membership or summaries.
@@ -24,7 +24,7 @@ func TestSnapshotStressAsyncMovers(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const n = 220
 	ds := mkDataset(t, rng, n, 0, false) // everyone located
-	e := newAsync(withCache(mkEngine(t, ds, Options{GridS: 5, GridLevels: 2, UpdateMaxBatch: 16}), 20))
+	e := newAsync(withCache(mkEngine(t, ds, Options{GridS: 5, GridLevels: 2}), 20))
 	defer e.Close()
 
 	// Movers touch only the upper half of the ID space; queriers query only
@@ -104,12 +104,8 @@ func TestSnapshotStressAsyncMovers(t *testing.T) {
 	// Barrier, then post-churn integrity: every algorithm must agree exactly
 	// with brute force on the mutated index.
 	e.Flush()
-	st := e.up.Stats()
-	if st.AppliedUpdates != movesDone.Load() {
-		t.Fatalf("flush barrier incomplete: applied %d of %d", st.AppliedUpdates, movesDone.Load())
-	}
-	if st.AppliedBatches == 0 || st.AppliedBatches > st.AppliedUpdates {
-		t.Fatalf("implausible batching: %d batches for %d updates", st.AppliedBatches, st.AppliedUpdates)
+	if applied := e.applied.Load(); applied != movesDone.Load() {
+		t.Fatalf("flush barrier incomplete: applied %d of %d", applied, movesDone.Load())
 	}
 	prm := Params{K: 10, Alpha: 0.3}
 	for probe := 0; probe < 4; probe++ {
@@ -150,68 +146,6 @@ func TestFlushReadYourWrites(t *testing.T) {
 	e.Flush()
 	if e.Snapshot().Grid().Located(42) {
 		t.Fatal("flushed removal invisible")
-	}
-}
-
-// TestUpdaterCoalescing: many queued moves of one user collapse into few
-// applied ops, the last write wins, and apply sees every accepted op beside
-// the coalesced batch.
-func TestUpdaterCoalescing(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	ds := mkDataset(t, rng, 60, 0, false)
-	eng := mkEngine(t, ds, Options{})
-	var accepted, applied int
-	up := NewUpdater(func(acc, batch []Update) {
-		accepted += len(acc)
-		applied += len(batch)
-		_ = eng.ApplyUpdates(batch) // Enqueue does not validate; these ops are valid
-	}, eng.opts.UpdateQueueCap, 64)
-	defer up.Close()
-	var last spatial.Point
-	for i := 0; i < 500; i++ {
-		last = spatial.Point{X: rng.Float64(), Y: rng.Float64()}
-		if err := up.Enqueue(Update{ID: 7, To: last}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	up.Flush()
-	if got := eng.Snapshot().Grid().Point(7); got != last {
-		t.Fatalf("final position %v, want last write %v", got, last)
-	}
-	st := up.Stats()
-	if st.CoalescedUpdates == 0 {
-		t.Fatalf("no coalescing across 500 same-user moves: %+v", st)
-	}
-	if st.PendingUpdates != 0 {
-		t.Fatalf("pending %d after flush", st.PendingUpdates)
-	}
-	if accepted != 500 || int64(applied) != 500-st.CoalescedUpdates {
-		t.Fatalf("apply saw %d accepted and %d coalesced ops, want 500 and %d", accepted, applied, 500-st.CoalescedUpdates)
-	}
-}
-
-// TestCoalesceUpdatesUnit pins the pure coalescing helper: last write per
-// user wins, first-seen order is preserved, distinct users untouched.
-func TestCoalesceUpdatesUnit(t *testing.T) {
-	in := []Update{
-		{ID: 1, To: spatial.Point{X: 1}},
-		{ID: 2, To: spatial.Point{X: 2}},
-		{ID: 1, Remove: true},
-		{ID: 3, To: spatial.Point{X: 3}},
-		{ID: 2, To: spatial.Point{X: 9}},
-	}
-	out := coalesceUpdates(in)
-	if len(out) != 3 {
-		t.Fatalf("len = %d, want 3", len(out))
-	}
-	if out[0].ID != 1 || !out[0].Remove {
-		t.Fatalf("slot 0 = %+v, want user 1 removal", out[0])
-	}
-	if out[1].ID != 2 || out[1].To.X != 9 {
-		t.Fatalf("slot 1 = %+v, want user 2 at x=9", out[1])
-	}
-	if out[2].ID != 3 || out[2].To.X != 3 {
-		t.Fatalf("slot 2 = %+v", out[2])
 	}
 }
 
@@ -265,7 +199,7 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
-// TestEngineCloseIdempotent: an Updater's Close is safe to call twice,
+// TestEngineCloseIdempotent: Close is safe to call twice,
 // enqueues after Close fail cleanly, and the engine keeps serving.
 func TestEngineCloseIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
@@ -277,7 +211,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	e.Close()
 	e.Close()
 	if got := e.Snapshot().Grid().Point(3); got != (spatial.Point{X: 0.1, Y: 0.1}) {
-		t.Fatalf("Close did not drain the queued move: user 3 at %v", got)
+		t.Fatalf("move before Close lost: user 3 at %v", got)
 	}
 	if err := moveUserAsync(e, 4, spatial.Point{X: 0.2, Y: 0.2}); err == nil {
 		t.Fatal("enqueue after Close accepted")
@@ -295,7 +229,7 @@ func TestFlushCloseRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 20; trial++ {
 		ds := mkDataset(t, rng, 30, 0, false)
-		e := newAsync(mkEngine(t, ds, Options{UpdateQueueCap: 2, UpdateMaxBatch: 4}))
+		e := newAsync(mkEngine(t, ds, Options{}))
 		var wg sync.WaitGroup
 		for g := 0; g < 3; g++ {
 			wg.Add(1)

@@ -132,8 +132,8 @@ func (o *Overlay) validate(u, v VertexID, w float64, withWeight bool) error {
 }
 
 // SetEdge inserts the undirected edge (u,v) with weight w, or updates its
-// weight when it already exists (upsert — the semantics that make queued
-// edge ops coalescible per pair). Reports whether the edge was created.
+// weight when it already exists (upsert: the last op per pair decides).
+// Reports whether the edge was created.
 func (o *Overlay) SetEdge(u, v VertexID, w float64) (created bool, err error) {
 	if err := o.validate(u, v, w, true); err != nil {
 		return false, err

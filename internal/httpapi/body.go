@@ -32,8 +32,8 @@ const maxPooledBody = 1 << 20
 
 // body is one request's pooled scratch: its bytes and, for the bulk
 // endpoints, the scanner and the decoded updates. The engine does not retain
-// a batch it is handed (ApplyUpdates), so the updates never outlive the
-// request. The scanner lives
+// a batch it is handed (ApplyUpdates, ApplyUpdatesAsync and their edge
+// forms), so the updates never outlive the request. The scanner lives
 // here, not on the stack, because the per-item field readers it is handed
 // would make a local one escape: one allocation per request.
 type body struct {

@@ -4,14 +4,15 @@
 // (queries are lock-free against the latest published epoch; updates build
 // the next epoch copy-on-write), so handlers call it directly with no
 // server-side locking. /batch fans a request out over the engine's
-// worker-pool batch path; /moves and /edges feed the engine's batching
-// update pipeline, or with flush apply as one synchronous batch; /stats
+// worker-pool batch path; /moves and /edges hand the engine one batch per
+// request, queued, or with flush applied before the response; /stats
 // reports the epoch number, pending-update depth and snapshot age alongside
 // the dataset statistics.
 package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -355,7 +356,7 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 	// and an out-of-range number such as 1e999 never gets here:
 	// encoding/json refuses it ("cannot unmarshal number 1e999"), a 400.
 	if err := s.eng.MoveUser(req.ID, ssrq.Point{X: req.X, Y: req.Y}); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -364,8 +365,8 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 // movesRequest is a bulk location-update batch. Each item is a move, or a
 // location removal when Remove is set. With Flush true the batch is applied
 // synchronously and the request returns only after it — and every update
-// enqueued before it — is applied and published (read-your-writes);
-// otherwise updates are enqueued on the engine's batching pipeline and the
+// queued before it — is applied and published (read-your-writes);
+// otherwise the batch is queued on the engine's write queue and the
 // response is 202 Accepted.
 type movesRequest struct {
 	Moves []moveItem `json:"moves"`
@@ -422,30 +423,20 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := movesResponse{Accepted: len(ups)}
 	if flush {
-		// One request, one synchronous batch: one journal append and commit,
-		// one epoch per touched shard. The engine applies every earlier
-		// async op first, and the trailing Flush covers ops queued while
-		// this one applied, so flush keeps its read-your-writes meaning.
+		// One request, one batch on the engine's queue: it applies after
+		// every batch queued before it, in one journal commit and one epoch
+		// per touched shard, so flush keeps its read-your-writes meaning.
 		if err := s.eng.ApplyUpdates(ups); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			writeError(w, err)
 			return
 		}
-		s.eng.Flush()
 		resp.Epoch = s.eng.UpdateStats().Epoch
 		writeJSON(w, resp)
 		return
 	}
-	for _, m := range ups {
-		var err error
-		if m.Remove {
-			err = s.eng.RemoveUserLocationAsync(m.ID)
-		} else {
-			err = s.eng.MoveUserAsync(m.ID, m.To)
-		}
-		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, err)
-			return
-		}
+	if err := s.eng.ApplyUpdatesAsync(ups); err != nil {
+		writeError(w, err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
@@ -455,8 +446,8 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 // edgesRequest is a bulk social-edge update batch: friendship upserts
 // (insert or reweight) and removals. With Flush true the batch is applied
 // synchronously and the request returns only after it — and every update
-// enqueued before it — is applied and published (read-your-writes);
-// otherwise updates are enqueued on the engine's batching pipeline and the
+// queued before it — is applied and published (read-your-writes);
+// otherwise the batch is queued on the engine's write queue and the
 // response is 202 Accepted.
 type edgesRequest struct {
 	Edges []edgeItem `json:"edges"`
@@ -521,26 +512,17 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		// As for /moves: one social epoch, one landmark-repair pass and one
 		// subscription round for the whole request.
 		if err := s.eng.ApplyEdgeUpdates(ups); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			writeError(w, err)
 			return
 		}
-		s.eng.Flush()
 		us := s.eng.UpdateStats()
 		resp.Epoch, resp.SocialEpoch = us.Epoch, us.SocialEpoch
 		writeJSON(w, resp)
 		return
 	}
-	for _, e := range ups {
-		var err error
-		if e.Remove {
-			err = s.eng.RemoveFriendAsync(e.U, e.V)
-		} else {
-			err = s.eng.AddFriendAsync(e.U, e.V, e.Weight)
-		}
-		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, err)
-			return
-		}
+	if err := s.eng.ApplyEdgeUpdatesAsync(ups); err != nil {
+		writeError(w, err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
@@ -564,7 +546,7 @@ func (s *Server) handleUnlocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.eng.RemoveUserLocation(req.ID); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -574,12 +556,11 @@ func (s *Server) handleUnlocate(w http.ResponseWriter, r *http.Request) {
 // epoch/update pipeline and the dynamic social graph.
 type statsResponse struct {
 	ssrq.DatasetStats
-	Epoch            uint64 `json:"epoch"`
-	SnapshotAgeMs    int64  `json:"snapshot_age_ms"`
-	PendingUpdates   int64  `json:"pending_updates"`
-	AppliedUpdates   int64  `json:"applied_updates"`
-	AppliedBatches   int64  `json:"applied_batches"`
-	CoalescedUpdates int64  `json:"coalesced_updates"`
+	Epoch          uint64 `json:"epoch"`
+	SnapshotAgeMs  int64  `json:"snapshot_age_ms"`
+	PendingUpdates int64  `json:"pending_updates"`
+	AppliedUpdates int64  `json:"applied_updates"`
+	AppliedBatches int64  `json:"applied_batches"`
 
 	SocialEpoch      uint64 `json:"social_epoch"`
 	EdgeAdds         int64  `json:"edge_adds"`
@@ -629,13 +610,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	us := s.eng.UpdateStats()
 	ss := s.eng.SocialStats()
 	resp := statsResponse{
-		DatasetStats:     s.eng.DatasetStats(),
-		Epoch:            us.Epoch,
-		SnapshotAgeMs:    us.SnapshotAge.Milliseconds(),
-		PendingUpdates:   us.PendingUpdates,
-		AppliedUpdates:   us.AppliedUpdates,
-		AppliedBatches:   us.AppliedBatches,
-		CoalescedUpdates: us.CoalescedUpdates,
+		DatasetStats:   s.eng.DatasetStats(),
+		Epoch:          us.Epoch,
+		SnapshotAgeMs:  us.SnapshotAge.Milliseconds(),
+		PendingUpdates: us.PendingUpdates,
+		AppliedUpdates: us.AppliedUpdates,
+		AppliedBatches: us.AppliedBatches,
 
 		SocialEpoch:      ss.SocialEpoch,
 		EdgeAdds:         ss.EdgeAdds,
@@ -700,6 +680,17 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeError answers a refused write: 503 once the engine is closed, 400
+// otherwise (the handlers validate first, so that is the engine's own
+// validation).
+func writeError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if errors.Is(err, ssrq.ErrClosed) {
+		code = http.StatusServiceUnavailable
+	}
+	httpError(w, code, err)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

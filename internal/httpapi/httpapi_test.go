@@ -423,6 +423,34 @@ func TestMovesAsyncAccepted(t *testing.T) {
 	}
 }
 
+// TestBulkWritesAfterCloseRefused: once the engine is closed, a /moves or
+// /edges request, flushed or not, is 503 and changes nothing — a request is
+// one batch, never a prefix of one.
+func TestBulkWritesAfterCloseRefused(t *testing.T) {
+	s, _, _ := mkServer(t)
+	s.eng.Close()
+	before := statsOf(t, s)
+	at, _ := s.eng.UserLocation(1)
+	for _, flush := range []bool{false, true} {
+		moves := movesRequest{Moves: []moveItem{{ID: 1, X: 1, Y: 2}, {ID: 2, Remove: true}, {ID: 3, X: 3, Y: 4}}, Flush: flush}
+		if rec := do(t, s, "POST", "/moves", moves); rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("/moves flush=%v after Close = %d: %s", flush, rec.Code, rec.Body)
+		}
+		edges := edgesRequest{Edges: []edgeItem{{U: 1, V: 2, W: 5}, {U: 3, V: 4, Remove: true}}, Flush: flush}
+		if rec := do(t, s, "POST", "/edges", edges); rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("/edges flush=%v after Close = %d: %s", flush, rec.Code, rec.Body)
+		}
+	}
+	after := statsOf(t, s)
+	if after.Epoch != before.Epoch || after.SocialEpoch != before.SocialEpoch || after.NumEdges != before.NumEdges ||
+		after.NumLocated != before.NumLocated || after.AppliedUpdates != before.AppliedUpdates {
+		t.Fatalf("refused requests changed the world: stats %+v, then %+v", before, after)
+	}
+	if p, ok := s.eng.UserLocation(1); !ok || p != at {
+		t.Fatalf("user 1 at (%v, %v), want %v", p, ok, at)
+	}
+}
+
 // TestMovesValidation: bad items reject the whole batch before anything is
 // enqueued.
 func TestMovesValidation(t *testing.T) {

@@ -213,7 +213,7 @@ func TestSSETeardownOnClose(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if err := eng.MoveUserAsync(ssrq.UserID(i%100), ssrq.Point{X: p.X * 0.99, Y: p.Y * 0.99}); err != nil {
+				if err := eng.ApplyUpdatesAsync([]ssrq.Update{{ID: ssrq.UserID(i % 100), To: ssrq.Point{X: p.X * 0.99, Y: p.Y * 0.99}}}); err != nil {
 					t.Fatal(err)
 				}
 			}

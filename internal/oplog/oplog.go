@@ -1,8 +1,8 @@
 // Package oplog defines the canonical, self-describing record for every
 // world mutation the engine can apply: locate/move a user, remove a user's
 // location, upsert a weighted friendship edge, remove an edge. All mutation
-// paths — synchronous calls and the async queue's batches, both journaled
-// in stripe order by the sharded router — reduce to sequences of these four
+// paths — synchronous and asynchronous batches, journaled in queue order by
+// the sharded engine's one writer — reduce to sequences of these four
 // records, and recovery replays them through the exact same Apply path that
 // live traffic uses.
 //

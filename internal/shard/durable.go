@@ -9,58 +9,45 @@ import (
 	"ssrq/internal/wal"
 )
 
-// Durability: the one journal point. A record is appended at the ROUTING
-// layer, inside apply (update.go), under the batch's stripes, where the
-// per-user op order is authoritative for any shard count: the log carries
-// the single logical op of a cross-shard move and replay re-derives the
-// remove@old + insert@new split. Rebalance drain batches are never journaled
-// (they are published without passing through apply): they move shard
-// placement, not world state, and replaying their remove halves would delete
-// users.
+// Durability: the one journal point. A record is appended by the writer
+// (update.go), where the op order is authoritative for any shard count: the
+// log carries the single logical op of a cross-shard move and replay
+// re-derives the remove@old + insert@new split. Rebalance drain batches are
+// never journaled (they are published without passing through apply): they
+// move shard placement, not world state, and replaying their remove halves
+// would delete users.
 //
-// apply stages a batch's records (sequence assigned, buffered, no syscall),
-// commits them — hands them to the OS and, under fsync=batch, fsyncs — and
-// only then routes, applies and publishes the batch, all under the same
-// stripes.
-// Nothing is visible before it is durable, and a queued batch of N ops costs
-// one commit, not N.
+// The writer stages a unit's records (sequence assigned, buffered, no
+// syscall), commits them — hands them to the OS and, under fsync=batch,
+// fsyncs — and only then routes, applies and publishes the unit. Nothing is
+// visible before it is durable, and a unit of N queued ops costs one
+// commit, not N.
 
 // AttachLog makes l the engine's journal: from here on every applied batch
 // is appended to it and committed before it mutates a shard or the
 // substrate. appended, when non-nil, is told how many records each append
-// carried (under the appending batch's stripes — it must be cheap). Call
-// once, before the engine takes traffic.
+// carried (on the writer goroutine — it must be cheap). Call once, before
+// the engine takes traffic.
 func (se *Engine) AttachLog(l *wal.Log, appended func(n int)) {
-	se.lockAllStripes()
+	se.qmu.Lock()
 	se.log, se.appended = l, appended
-	se.unlockAllStripes()
+	se.qmu.Unlock()
 }
 
-// journal appends ops to the log in accepted order; the caller holds their
-// stripes. Append failures are counted in the log's stats — the ops have
-// already been accepted, and refusing them here would desynchronize the
-// layers.
-func (se *Engine) journal(ops []core.Update) {
+// journal stages ops in queue order and commits them, returning the first
+// error. Failures are also counted in the log's stats.
+func (se *Engine) journal(ops []core.Update) error {
 	if se.log == nil {
-		return
+		return nil
 	}
-	if _, _, err := se.log.Stage(oplog.FromOps(ops)); err != nil {
-		return
-	}
-	if se.appended != nil {
+	_, _, err := se.log.Stage(oplog.FromOps(ops))
+	if err == nil && se.appended != nil {
 		se.appended(len(ops))
 	}
-}
-
-// commitLog makes every record journaled so far durable under the log's fsync
-// policy — apply's step between staging and applying, and Flush's last step.
-func (se *Engine) commitLog() {
-	if se.log == nil {
-		return
+	if cerr := se.log.Commit(); err == nil {
+		err = cerr
 	}
-	if err := se.log.Commit(); err != nil {
-		return // counted by the log; surfaces via its Stats
-	}
+	return err
 }
 
 // Checkpoint serializes the current published state as a state-diff
@@ -69,9 +56,10 @@ func (se *Engine) commitLog() {
 //
 // Recovery applies the checkpoint then replays the tail from s+1, so the
 // export must reflect every op with seq ≤ s (ops > s leaking in are harmless —
-// records are absolute writes and the tail re-asserts them). An op's
-// sequence is assigned, committed and applied under its batch's stripes, so
-// cycling every stripe after reading s leaves each op ≤ s durable and
+// records are absolute writes and the tail re-asserts them). The writer
+// stages, commits and applies one unit at a time, and a unit that took a
+// sequence ≤ s had taken its batches off the queue before s was read, so the
+// Flush after reading s returns only once every op ≤ s is durable and
 // published, and the export covers them.
 //
 // Cuts are serialized: the checkpoint's temp file is named after s alone, so
@@ -83,10 +71,7 @@ func (se *Engine) Checkpoint() error {
 	se.ckptMu.Lock()
 	defer se.ckptMu.Unlock()
 	s := se.log.LastSeq()
-	for i := range se.locks {
-		se.locks[i].Lock()
-		se.locks[i].Unlock() //nolint:staticcheck // empty critical section is the point
-	}
+	se.Flush()
 	return se.log.WriteCheckpoint(s, oplog.FromOps(se.exportDiff()))
 }
 

@@ -18,18 +18,18 @@ import (
 // ordinary synchronous batch apply.
 //
 // A re-cut never changes the world, and queries stay lock-free and exact
-// throughout: cells move in small batches (rebalanceDrainBatch) under every
-// routing stripe and the writer lock, so no write is in flight and the owner
-// map and per-cell routing are frozen per batch, while traffic flows freely
-// between batches. A drain batch flips its cells' routing, routes every
-// resident user's insert to the new owner and removal to the old one, and
-// applies and publishes them like any write batch: one view, in which every
-// moved user is in its new grid and no longer in its old one.
+// throughout: cells move in small batches (rebalanceDrainBatch) under the
+// writer lock, so the owner map and per-cell routing are frozen per batch
+// and no write is mid-apply, while traffic flows freely between batches. A
+// drain batch flips its cells' routing, routes every resident user's insert
+// to the new owner and removal to the old one, and applies and publishes
+// them like any write batch: one view, in which every moved user is in its
+// new grid and no longer in its old one.
 //
-// Close composes with an in-flight rebalance by setting closed under all
-// stripes: the drain loop re-checks closed at every batch boundary (under
-// the stripes) and aborts, and Close waits on the background goroutine
-// before stopping the substrate.
+// Close composes with an in-flight rebalance by setting closed: the drain
+// loop re-checks it at every batch boundary and aborts, and Close waits on
+// the background goroutine. Automatic re-cuts are kicked by the writer, and
+// Close waits for the writer to exit first, so none starts after it.
 
 // rebalanceCheckEvery is how many routed location ops pass between
 // imbalance evaluations on the update path (the check walks every shard's
@@ -41,7 +41,7 @@ const (
 	// over mean) past which the partition is re-cut.
 	rebalanceThreshold = 1.6
 	// rebalanceDrainBatch is how many leaf cells one pass migrates per
-	// all-stripe acquisition: smaller shortens each writer stall, larger
+	// writer-lock acquisition: smaller shortens each writer stall, larger
 	// finishes the re-cut sooner.
 	rebalanceDrainBatch = 8
 )
@@ -154,12 +154,11 @@ func (se *Engine) rebalance() int {
 	moved := 0
 	for len(moving) > 0 {
 		n := min(max(se.drainBatch, 1), len(moving))
-		se.lockAllStripes()
+		se.writeMu.Lock()
 		if se.closed.Load() {
-			se.unlockAllStripes()
+			se.writeMu.Unlock()
 			break
 		}
-		se.writeMu.Lock()
 		per := make([][]core.Update, len(se.shards))
 		for _, c := range moving[:n] {
 			if se.migrateCellLocked(per, c, target[c]) {
@@ -168,7 +167,6 @@ func (se *Engine) rebalance() int {
 		}
 		se.publish(nil, per)
 		se.writeMu.Unlock()
-		se.unlockAllStripes()
 		moving = moving[n:]
 	}
 	if moved > 0 {
@@ -180,10 +178,9 @@ func (se *Engine) rebalance() int {
 
 // migrateCellLocked re-owns one leaf cell: it flips the cell's routing and
 // routes every resident user's insert to the new owner and removal to the
-// old one into per, for the drain batch to publish. Caller holds every
-// routing stripe and writeMu, so the owner map is frozen, no write is
-// mid-apply, and the old shard's snapshot is the authoritative residency
-// list.
+// old one into per, for the drain batch to publish. Caller holds writeMu,
+// so the owner map is frozen, no write is mid-apply, and the old shard's
+// snapshot is the authoritative residency list.
 func (se *Engine) migrateCellLocked(per [][]core.Update, c, newS int32) bool {
 	oldS := se.cellShard[c].Load()
 	if oldS == newS {

@@ -101,7 +101,6 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 	ds := clusteredDataset(t, 300, 23)
 	opts := core.Options{
 		GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 23,
-		UpdateMaxBatch: 8,
 	}
 	mono, err := core.NewEngine(ds, opts)
 	if err != nil {
@@ -150,7 +149,7 @@ func TestElasticDifferentialEquivalence(t *testing.T) {
 			if err := mono.ApplyUpdates([]core.Update{op}); err != nil {
 				t.Fatal(err)
 			}
-			if err := se.Enqueue(op); err != nil {
+			if err := se.ApplyUpdatesAsync([]core.Update{op}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -198,7 +197,6 @@ func TestRebalanceQueryStress(t *testing.T) {
 	ds := clusteredDataset(t, 250, 31)
 	opts := core.Options{
 		GridS: 5, GridLevels: 2, NumLandmarks: 3, Seed: 31,
-		UpdateMaxBatch: 16,
 	}
 	se, err := New(ds, 4, opts)
 	if err != nil {
@@ -477,7 +475,7 @@ func TestRebalanceDrainAnswersStayExact(t *testing.T) {
 }
 
 // TestQueryDuringCrossShardAsyncMove: a user's async cross-shard move is
-// parked at the writer's publish hook, on the queue's goroutine — removal
+// parked at the writer's publish hook, on the writer goroutine — removal
 // applied on the old owner, insert applied on the new one, the view not yet
 // stored. The moving user's own query there must answer (a continuously
 // located user never gets "no known location") exactly as brute force on the
@@ -514,7 +512,7 @@ func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
 	old := shardOfUser(se, int32(q))
 	from, _ := se.UserLocation(int32(q))
 
-	// parkMove runs atPark on the queue's goroutine while q's move is parked
+	// parkMove runs atPark on the writer goroutine while q's move is parked
 	// at the publish hook, then flushes the move.
 	parkMove := func(t *testing.T, dst spatial.Point, atPark func()) {
 		t.Helper()
@@ -672,7 +670,7 @@ func TestHotspotDriftTripsAutomaticRebalance(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if err := se.Enqueue(core.Update{ID: id, To: mig.Next(from)}); err != nil {
+			if err := se.ApplyUpdatesAsync([]core.Update{{ID: id, To: mig.Next(from)}}); err != nil {
 				t.Fatalf("move: %v", err)
 			}
 		}

@@ -6,9 +6,10 @@
 // as one view per write batch, and a query is one search over that view by
 // the engine's one core.Searcher (query.go); updates route to the shard
 // owning the user's current location. Every write takes one path
-// (update.go): a batch, whether a synchronous call or one drained from the
-// engine's single async queue, is staged and committed under its routing
-// stripes, then routed, applied and published under one writer lock.
+// (update.go): a batch, synchronous or asynchronous, goes on the engine's
+// one queue, and the one writer goroutine stages and commits what it takes
+// off the queue, then routes, applies and publishes it under the writer
+// lock.
 //
 // The decomposition trades the two dimensions differently:
 //
@@ -70,30 +71,26 @@ const MaxShards = 64
 // same code with no boundary to cross: one shard, one snapshot per query.
 type Engine struct {
 	ds     *dataset.Dataset
-	opts   core.Options
 	layout *spatial.Layout
 	// cellShard maps each leaf cell to its owning shard. Entries move while
 	// the engine serves (rebalance re-cuts the curve online); they are written
-	// under every stripe and read by routing and stats, so each is an atomic.
+	// under writeMu and read by routing and stats, so each is an atomic.
 	cellShard []atomic.Int32
 	sub       *aggindex.Social  // shared social substrate, owned by this engine
 	shards    []*aggindex.Index // one per shard, written only under writeMu
 	search    *core.Searcher    // runs every query over the view
 
 	// owner[id] is the shard routing last sent the user to (-1 when
-	// unlocated). Every batch is staged, routed and applied under the
-	// striped locks of the users and pairs it touches, so a cross-shard
-	// move's remove+insert pair lands before anyone else can route that user.
+	// unlocated), written under writeMu.
 	owner []atomic.Int32
-	locks [64]sync.Mutex
 
 	// view is what every reader loads: the S shards' snapshots of one
 	// instant, indexed by shard and never mutated once stored. publish
-	// (update.go) stores the next one under writeMu, which serializes every
-	// routing decision, apply and store past the stripes — it is the writer
-	// lock of the substrate and of every shard index. onEpoch is the OnEpoch
-	// consumer and moved publish's reused delta scratch, both guarded by
-	// writeMu.
+	// (update.go) stores the next one under writeMu, which serializes the
+	// writer's routing, apply and store with the rebalance drain — it is the
+	// writer lock of the substrate and of every shard index. onEpoch is the
+	// OnEpoch consumer and moved publish's reused delta scratch, both guarded
+	// by writeMu.
 	view    atomic.Pointer[[]*aggindex.Snapshot]
 	writeMu sync.Mutex
 	onEpoch func(aggindex.EpochDelta)
@@ -104,20 +101,23 @@ type Engine struct {
 	applied, batches atomic.Int64
 	shardBatches     []atomic.Int64
 
-	// up is the engine's one asynchronous update queue, started by the first
-	// Enqueue (upOnce); its apply is the same function as ApplyUpdates'.
-	// upMu guards Enqueue's closed check and send — never a stripe, which the
-	// queue's apply needs — and Close write-locks it before draining, so
-	// every op Enqueue accepted is applied. closed is set under upMu and all
-	// stripes: it refuses new Enqueues and stops rebalancing.
-	up     atomic.Pointer[core.Updater]
-	upOnce sync.Once
-	upMu   sync.RWMutex
-	closed atomic.Bool
+	// The writer's queue (update.go), guarded by qmu: the batches waiting and
+	// their op count, bounded by queueCap (queueOps; in-package tests shrink
+	// it before any traffic). work wakes the writer, space a sender blocked
+	// on a full queue; stopped closes when the writer exits. closed is set
+	// under qmu by Close: it refuses new writes and stops rebalancing.
+	qmu      sync.Mutex
+	work     sync.Cond
+	space    sync.Cond
+	queue    []batch
+	queued   int
+	queueCap int
+	closed   atomic.Bool
+	stopped  chan struct{}
 
 	// log is the journal every routed op is appended to (nil when not
 	// durable), appended its per-append callback, ckptMu the checkpoint-cut
-	// serializer; see durable.go. Set once by AttachLog, read under stripes.
+	// serializer; see durable.go. Set once by AttachLog, read by the writer.
 	log      *wal.Log
 	appended func(n int)
 	ckptMu   sync.Mutex
@@ -185,7 +185,6 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 
 	se := &Engine{
 		ds:           ds,
-		opts:         opts,
 		layout:       layout,
 		cellShard:    make([]atomic.Int32, numCells),
 		sub:          sub,
@@ -196,7 +195,10 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 
 		rebalanceThreshold: rebalanceThreshold,
 		drainBatch:         rebalanceDrainBatch,
+		queueCap:           queueOps,
+		stopped:            make(chan struct{}),
 	}
+	se.work.L, se.space.L = &se.qmu, &se.qmu
 	for c, s := range partition(layout, ds, numShards) {
 		se.cellShard[c].Store(s)
 	}
@@ -227,6 +229,7 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 		}
 	}
 	se.view.Store(se.snapshots())
+	go se.write()
 	return se, nil
 }
 
@@ -322,21 +325,4 @@ func (se *Engine) OnEpoch(fn func(aggindex.EpochDelta)) {
 	se.writeMu.Lock()
 	se.onEpoch = fn
 	se.writeMu.Unlock()
-}
-
-// stripeOf returns the routing stripe of a user's location ops.
-func stripeOf(id int32) int { return int(id) & 63 }
-
-// stripeOfOp returns the routing stripe an op serializes on: its user's for a
-// location op, its unordered pair's for an edge op — concurrent writers of
-// one edge share a stripe, so the substrate receives their ops in one order.
-func stripeOfOp(op core.Update) int {
-	if op.Kind == core.OpLocation {
-		return stripeOf(op.ID)
-	}
-	u, v := op.U, op.V
-	if u > v {
-		u, v = v, u
-	}
-	return int(u^v*31) & 63
 }

@@ -165,11 +165,11 @@ func TestQueryRefusesUnservedAlgorithms(t *testing.T) {
 // ownership, never duplicate a user, and keep sharded results equal to a
 // bare core.Engine (the single-index reference) applying the same ops
 // synchronously. However many shards the moves touch, they queue once: the
-// routed engine runs its one updater goroutine and, after Close, none.
+// routed engine runs its one writer goroutine and, after Close, none.
 func TestCrossShardRouting(t *testing.T) {
 	idle := runtime.NumGoroutine()
 	ds := clusteredDataset(t, 300, 17)
-	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 17, UpdateMaxBatch: 8}
+	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 4, Seed: 17}
 	mono, err := core.NewEngine(ds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestCrossShardRouting(t *testing.T) {
 					Y: b.MinY + rng.Float64()*b.Height(),
 				}
 			}
-			if err := se.Enqueue(op); err != nil {
+			if err := se.ApplyUpdatesAsync([]core.Update{op}); err != nil {
 				t.Fatal(err)
 			}
 			if err := mono.ApplyUpdates([]core.Update{op}); err != nil {
@@ -203,7 +203,7 @@ func TestCrossShardRouting(t *testing.T) {
 			}
 		}
 		if n := settleGoroutines(idle+1) - idle; n > 1 {
-			t.Fatalf("round %d: %d goroutines above idle with async moves queued on %d shards, want at most the one updater",
+			t.Fatalf("round %d: %d goroutines above idle with async moves queued on %d shards, want at most the one writer",
 				round, n, se.NumShards())
 		}
 		se.Flush()
@@ -244,10 +244,6 @@ func TestCrossShardRouting(t *testing.T) {
 			}
 			sameEntries(t, fmt.Sprintf("round %d q=%d", round, q), got.Entries, want.Entries)
 		}
-	}
-	se.Close()
-	if n := settleGoroutines(idle) - idle; n > 0 {
-		t.Fatalf("%d goroutines above idle after Close", n)
 	}
 
 	t.Run("OneDeltaPerBatch", func(t *testing.T) {
@@ -295,6 +291,11 @@ func TestCrossShardRouting(t *testing.T) {
 			}
 		}
 	})
+
+	se.Close()
+	if n := settleGoroutines(idle) - idle; n > 0 {
+		t.Fatalf("%d goroutines above idle after Close", n)
+	}
 }
 
 // crossShardPair returns two located users on different shards.
@@ -460,13 +461,12 @@ func TestPartitionCoversAllCells(t *testing.T) {
 }
 
 // TestConcurrentEdgeBroadcastConvergence: concurrent async writers of
-// overlapping edges must leave every shard's replicated graph identical —
-// the pair-stripe serialization guarantees all shards receive ops for one
-// edge in the same order (this test fails without it, with shards
-// disagreeing on last-write-wins).
+// overlapping edges must leave every shard's published graph identical —
+// the one writer applies a pair's ops once, in queue order, on the substrate
+// every shard reads.
 func TestConcurrentEdgeBroadcastConvergence(t *testing.T) {
 	ds := clusteredDataset(t, 100, 47)
-	se, err := New(ds, 4, core.Options{GridS: 3, GridLevels: 1, NumLandmarks: 2, Seed: 47, UpdateMaxBatch: 4})
+	se, err := New(ds, 4, core.Options{GridS: 3, GridLevels: 1, NumLandmarks: 2, Seed: 47})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,22 +539,25 @@ func removeFriend(se *Engine, u, v int32) error {
 	return se.ApplyUpdates([]core.Update{{Kind: core.OpEdgeRemove, U: u, V: v}})
 }
 
-// Single-op forms of Enqueue, the asynchronous mutation entry point.
+// Single-op forms of ApplyUpdatesAsync, the asynchronous mutation entry
+// point.
 
-type enqueuer interface{ Enqueue(op core.Update) error }
+type enqueuer interface {
+	ApplyUpdatesAsync(ops []core.Update) error
+}
 
 func moveUserAsync(e enqueuer, id int32, to spatial.Point) error {
-	return e.Enqueue(core.Update{ID: id, To: to})
+	return e.ApplyUpdatesAsync([]core.Update{{ID: id, To: to}})
 }
 
 func removeUserLocationAsync(e enqueuer, id int32) error {
-	return e.Enqueue(core.Update{ID: id, Remove: true})
+	return e.ApplyUpdatesAsync([]core.Update{{ID: id, Remove: true}})
 }
 
 func addFriendAsync(e enqueuer, u, v int32, w float64) error {
-	return e.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: w})
+	return e.ApplyUpdatesAsync([]core.Update{{Kind: core.OpEdgeUpsert, U: u, V: v, W: w}})
 }
 
 func removeFriendAsync(e enqueuer, u, v int32) error {
-	return e.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: v})
+	return e.ApplyUpdatesAsync([]core.Update{{Kind: core.OpEdgeRemove, U: u, V: v}})
 }

@@ -80,15 +80,14 @@ func (se *Engine) FanoutStats() FanoutStats {
 // sums the view's shard epochs, SocialEpoch is the view's one social epoch,
 // and SnapshotAge is how long ago its newest snapshot was published — the
 // numbers a query sees, never those of a batch still being applied. The
-// applied counts are the batches and ops apply has published (a cross-shard
-// move counts once; rebalance migrations not at all); the pending and
-// coalesced counts are the queue's.
+// applied counts are the ops and the units the writer has published (a
+// cross-shard move counts once; rebalance migrations not at all); the
+// pending count is the ops waiting on the queue.
 func (se *Engine) UpdateStats() core.UpdateStats {
 	st := core.UpdateStats{AppliedUpdates: se.applied.Load(), AppliedBatches: se.batches.Load()}
-	if u := se.up.Load(); u != nil {
-		qs := u.Stats()
-		st.PendingUpdates, st.CoalescedUpdates = qs.PendingUpdates, qs.CoalescedUpdates
-	}
+	se.qmu.Lock()
+	st.PendingUpdates = int64(se.queued)
+	se.qmu.Unlock()
 	sns := *se.view.Load()
 	st.SocialEpoch = sns[0].SocialEpoch()
 	var newest time.Time

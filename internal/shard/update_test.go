@@ -13,19 +13,21 @@ import (
 )
 
 // TestBackpressureAndCloseNeverDeadlock drives the one write path at its
-// tightest: a two-slot queue, async writers on every routing stripe, sync
-// batches on the same users, a forced re-cut and a checkpoint, and Close
-// while the async writers are still sending. Senders blocked on the full
-// queue must never hold what the queue's apply needs, so the run finishes;
-// and every op whose Enqueue returned nil must be journaled and applied —
-// replaying the journal into a fresh engine reproduces the final world.
+// tightest: a queue bounded at two ops, async writers sending batches of one
+// and three ops, sync batches on the same users, a forced re-cut and a
+// checkpoint, and Close while the async writers are still sending. Senders
+// blocked on the full queue must be released by the writer or by Close, so
+// the run finishes; and every batch whose ApplyUpdatesAsync returned nil
+// must be journaled and applied — replaying the journal into a fresh engine
+// reproduces the final world.
 func TestBackpressureAndCloseNeverDeadlock(t *testing.T) {
 	ds := clusteredDataset(t, 256, 53)
-	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 3, Seed: 53, UpdateQueueCap: 2, UpdateMaxBatch: 4}
+	opts := core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 3, Seed: 53}
 	se, err := New(ds, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	se.queueCap = 2
 	log, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: wal.FsyncOff, KeepSegments: true})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +45,7 @@ func TestBackpressureAndCloseNeverDeadlock(t *testing.T) {
 	}
 
 	const asyncWriters, syncWriters = 8, 2
-	accepted := make([][]core.Update, asyncWriters) // per writer: ops Enqueue took
+	accepted := make([][]core.Update, asyncWriters) // per writer: ops its accepted batches held
 	var wg sync.WaitGroup
 	finished := make(chan struct{})
 	go func() {
@@ -53,18 +55,21 @@ func TestBackpressureAndCloseNeverDeadlock(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(530 + w)))
 				for i := 0; ; i++ {
-					// Writer w owns the users ≡ w (mod 8): together the writers
-					// cover all 64 stripes.
-					op := core.Update{ID: int32(w + asyncWriters*rng.Intn(int(n)/asyncWriters))}
-					if i%7 == 0 {
-						op.Remove = true
-					} else {
-						op.To = point(rng)
+					// Writer w owns the users ≡ w (mod 8); every other batch
+					// holds three ops, more than the queue's bound.
+					ops := make([]core.Update, 1+2*(i%2))
+					for j := range ops {
+						ops[j].ID = int32(w + asyncWriters*rng.Intn(int(n)/asyncWriters))
+						if (i+j)%7 == 0 {
+							ops[j].Remove = true
+						} else {
+							ops[j].To = point(rng)
+						}
 					}
-					if se.Enqueue(op) != nil {
+					if se.ApplyUpdatesAsync(ops) != nil {
 						return // closed
 					}
-					accepted[w] = append(accepted[w], op)
+					accepted[w] = append(accepted[w], ops...)
 				}
 			}(w)
 		}

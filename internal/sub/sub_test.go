@@ -19,10 +19,10 @@ import (
 )
 
 // world is the full engine surface the harness drives: sub.Source plus the
-// update pipeline, i.e. shard.Engine at any shard count.
+// write queue, i.e. shard.Engine at any shard count.
 type world interface {
 	sub.Source
-	Enqueue(op core.Update) error
+	ApplyUpdatesAsync(ops []core.Update) error
 	Flush()
 	Close()
 }
@@ -509,22 +509,25 @@ func TestSubscribeUnlocatedUser(t *testing.T) {
 	}
 }
 
-// Single-op forms of Enqueue, the asynchronous mutation entry point.
+// Single-op forms of ApplyUpdatesAsync, the asynchronous mutation entry
+// point.
 
-type enqueuer interface{ Enqueue(op core.Update) error }
+type enqueuer interface {
+	ApplyUpdatesAsync(ops []core.Update) error
+}
 
 func moveUserAsync(e enqueuer, id int32, to spatial.Point) error {
-	return e.Enqueue(core.Update{ID: id, To: to})
+	return e.ApplyUpdatesAsync([]core.Update{{ID: id, To: to}})
 }
 
 func removeUserLocationAsync(e enqueuer, id int32) error {
-	return e.Enqueue(core.Update{ID: id, Remove: true})
+	return e.ApplyUpdatesAsync([]core.Update{{ID: id, Remove: true}})
 }
 
 func addFriendAsync(e enqueuer, u, v int32, w float64) error {
-	return e.Enqueue(core.Update{Kind: core.OpEdgeUpsert, U: u, V: v, W: w})
+	return e.ApplyUpdatesAsync([]core.Update{{Kind: core.OpEdgeUpsert, U: u, V: v, W: w}})
 }
 
 func removeFriendAsync(e enqueuer, u, v int32) error {
-	return e.Enqueue(core.Update{Kind: core.OpEdgeRemove, U: u, V: v})
+	return e.ApplyUpdatesAsync([]core.Update{{Kind: core.OpEdgeRemove, U: u, V: v}})
 }

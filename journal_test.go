@@ -11,18 +11,19 @@ import (
 )
 
 // The one durability rule (DESIGN.md §5), pinned from outside: a record is
-// appended when its batch applies and the log is committed under the batch's
-// stripes before the batch mutates anything.
+// appended when its batch applies and the log is committed before the batch
+// mutates anything.
 
-// TestFlushedBatchFsyncBudget: a flushed batch of 256 asynchronous moves costs
-// a commit per queued batch under fsync=batch, whatever the shard count — at
-// most two batches, so two commits, plus slack for Flush's trailing commit —
-// and everything it journaled is durable when Flush returns. An engine that
-// fsyncs as it routes each op reads 256 here.
+// TestFlushedBatchFsyncBudget: 256 asynchronous moves, sent as 32 batches of
+// eight and then flushed, cost a commit per writer unit under fsync=batch,
+// whatever the shard count — at most two units here, so two commits, plus
+// one of slack — and everything they journaled is durable when Flush
+// returns. An engine that fsyncs per batch reads 32 here, one that fsyncs
+// per op 256.
 //
-// The epoch callback parks the queue's apply right after its first batch
-// publishes on a shard, until every move is enqueued: the rest of the 256
-// moves then fit one batch, not a race between the writer and the queue.
+// The epoch callback parks the writer right after its first unit publishes,
+// until every batch is queued: the batches it did not take and the Flush
+// then make one unit, not a race between the writer and the senders.
 func TestFlushedBatchFsyncBudget(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
@@ -38,13 +39,17 @@ func TestFlushedBatchFsyncBudget(t *testing.T) {
 			gate := make(chan struct{})
 			eng.eng.OnEpoch(func(aggindex.EpochDelta) { <-gate })
 
-			const moves = 256
+			const moves, per = 256, 8
 			before := eng.DurabilityStats().Fsyncs
-			for i := 0; i < moves; i++ {
-				// Each mover takes another user's spot across the map, so with
-				// several shards most moves cross a boundary.
-				to, _ := ds.Location(UserID((i*37 + 300) % ds.NumUsers()))
-				if err := eng.MoveUserAsync(UserID(i), to); err != nil {
+			for i := 0; i < moves; i += per {
+				batch := make([]Update, per)
+				for j := range batch {
+					// Each mover takes another user's spot across the map, so
+					// with several shards most moves cross a boundary.
+					to, _ := ds.Location(UserID(((i+j)*37 + 300) % ds.NumUsers()))
+					batch[j] = Update{ID: UserID(i + j), To: to}
+				}
+				if err := eng.ApplyUpdatesAsync(batch); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -131,10 +136,10 @@ func TestDurableBeforeVisible(t *testing.T) {
 				}
 			}()
 			for i := 1; i <= moves; i++ {
-				if err := eng.MoveUserAsync(u, pos(i)); err != nil {
+				if err := moveUserAsync(eng, u, pos(i)); err != nil {
 					t.Fatal(err)
 				}
-				runtime.Gosched() // let the updater and the reader in between moves
+				runtime.Gosched() // let the writer and the reader in between moves
 				if i%40 == 0 {
 					// A deterministic sample besides whatever the reader catches.
 					eng.Flush()

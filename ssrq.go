@@ -281,14 +281,6 @@ type Options struct {
 	LandmarkStrategy int
 	// Seed drives randomized preprocessing.
 	Seed int64
-	// UpdateQueueCap bounds the engine's one asynchronous update queue,
-	// which MoveUserAsync and the other *Async methods feed; a full queue
-	// applies backpressure (default 4096, whatever the shard count).
-	UpdateQueueCap int
-	// UpdateMaxBatch caps how many queued updates the engine's queue
-	// coalesces into one applied batch — one epoch per touched shard
-	// (default 256).
-	UpdateMaxBatch int
 	// Shards is how many spatially-contiguous shards the users are split
 	// across (space-filling-curve assignment of grid regions), each owning
 	// its own grid, aggregate index and epochs. It is a count, not
@@ -313,9 +305,12 @@ type Options struct {
 // current index epoch (grid membership, coordinates and AIS summaries
 // published together as one immutable snapshot) and runs entirely against
 // it, so location updates never block queries and queries never block
-// updates. Updates are either synchronous (MoveUser/ApplyUpdates publish a
-// new epoch before returning) or asynchronous (MoveUserAsync feeds a
-// batching pipeline; Flush is the read-your-writes barrier).
+// updates. Every update is a batch on the engine's one write queue, applied
+// in queue order by one writer: synchronous calls (MoveUser, ApplyUpdates,
+// AddFriend, ...) return once their batch is applied, durable and published;
+// asynchronous ones (ApplyUpdatesAsync, ApplyEdgeUpdatesAsync) return once
+// it is queued, and Flush is the read-your-writes barrier. Concurrent
+// writers share epochs and, when durable, commits.
 //
 // The engine is always the routed one (internal/shard) over Options.Shards
 // spatial shards, one by default: each shard owns a complete index over its
@@ -359,8 +354,6 @@ func NewEngine(d *Dataset, opts *Options) (*Engine, error) {
 		NumLandmarks:     o.NumLandmarks,
 		LandmarkStrategy: landmark.Strategy(o.LandmarkStrategy),
 		Seed:             o.Seed,
-		UpdateQueueCap:   o.UpdateQueueCap,
-		UpdateMaxBatch:   o.UpdateMaxBatch,
 	}
 	eng, err := shard.New(d.ds, max(1, o.Shards), copts)
 	if err != nil {
@@ -479,8 +472,8 @@ func (e *Engine) DatasetStats() DatasetStats {
 }
 
 // UpdateStats reports the state of the epoch/update pipeline: published
-// epoch number, snapshot age, and pending/applied/coalesced counts of the
-// asynchronous updater.
+// epoch number, snapshot age, and the write queue's pending and applied
+// counts (CoalescedUpdates is always 0).
 type UpdateStats = core.UpdateStats
 
 // UpdateStats returns a point-in-time view of the update pipeline.
@@ -502,50 +495,51 @@ func (e *Engine) normalize(u Update) core.Update {
 
 // MoveUser updates a user's current location (raw coordinates), maintaining
 // the spatial grid and the AIS social summaries incrementally (§5.1) and
-// publishing the change as one epoch before returning. Safe concurrently
-// with queries and other updates; never blocks queries. Rejects out-of-range
-// users and NaN/±Inf coordinates.
+// publishing the change before returning; concurrent writers share its
+// epoch. Safe concurrently with queries and other updates; never blocks
+// queries. Rejects out-of-range users and NaN/±Inf coordinates.
 func (e *Engine) MoveUser(id UserID, to Point) error {
 	return e.eng.ApplyUpdates([]core.Update{e.normalize(Update{ID: id, To: to})})
 }
 
-// MoveUserAsync enqueues a relocation (raw coordinates) on the engine's
-// batching update pipeline and returns without waiting for it to be
-// published; the pipeline coalesces redundant moves per user and applies
-// queued updates in amortized batches. Call Flush for a read-your-writes
-// barrier. Rejects out-of-range users and NaN/±Inf coordinates immediately.
-func (e *Engine) MoveUserAsync(id UserID, to Point) error {
-	return e.eng.Enqueue(e.normalize(Update{ID: id, To: to}))
-}
-
-// RemoveUserLocationAsync enqueues a location removal on the update
-// pipeline.
-func (e *Engine) RemoveUserLocationAsync(id UserID) error {
-	return e.eng.Enqueue(core.Update{ID: id, Remove: true})
-}
-
-// ApplyUpdates validates and applies a batch of raw-coordinate updates as a
-// single published epoch — the cheapest way to ingest bulk location data.
+// ApplyUpdates validates and applies a batch of raw-coordinate updates in
+// one published epoch — the cheapest way to ingest bulk location data.
 // On a validation error nothing is applied. ups is not retained: the caller
 // may reuse it once the call returns.
 func (e *Engine) ApplyUpdates(ups []Update) error {
+	return e.eng.ApplyUpdates(e.normalizeAll(ups))
+}
+
+// ApplyUpdatesAsync validates a batch of raw-coordinate updates and queues
+// it, returning without waiting for it to be published; Flush is the
+// read-your-writes barrier. All or nothing: on a validation error, or
+// ErrClosed, nothing is queued. A full queue blocks the call
+// (backpressure). ups is not retained.
+func (e *Engine) ApplyUpdatesAsync(ups []Update) error {
+	return e.eng.ApplyUpdatesAsync(e.normalizeAll(ups))
+}
+
+func (e *Engine) normalizeAll(ups []Update) []core.Update {
 	ops := make([]core.Update, len(ups))
 	for i, u := range ups {
 		ops[i] = e.normalize(u)
 	}
-	return e.eng.ApplyUpdates(ops)
+	return ops
 }
 
-// Flush blocks until every update enqueued with MoveUserAsync /
-// RemoveUserLocationAsync before the call has been applied and published.
+// Flush blocks until every update queued before the call has been applied
+// and published.
 func (e *Engine) Flush() { e.eng.Flush() }
 
-// Close drains the asynchronous update queue and stops it, after first
-// tearing down the subscription layer — every live Subscription's notify
-// channel is closed (terminating SSE streams and other consumers) and the
-// in-flight evaluation round is waited out before the underlying engine
-// shuts down. Idempotent; queries keep working after Close, only the push
-// and async update paths shut down.
+// ErrClosed is returned by every update, synchronous or asynchronous, made
+// after Close.
+var ErrClosed = shard.ErrClosed
+
+// Close tears down the subscription layer — every live Subscription's
+// notify channel is closed (terminating SSE streams and other consumers)
+// and the in-flight evaluation round is waited out — then applies whatever
+// the write queue holds and stops it, and seals the log. Idempotent;
+// queries keep working after Close, and every update returns ErrClosed.
 func (e *Engine) Close() {
 	e.subMu.Lock()
 	subs := e.subs
@@ -610,7 +604,7 @@ func (e *Engine) SubscribeParams(q UserID, prm Params) (*Subscription, error) {
 }
 
 // SyncSubscriptions is the subscription read-your-writes barrier: it
-// flushes the async update pipeline and then blocks until every epoch
+// flushes the write queue and then blocks until every epoch
 // published before the call has been through a subscription evaluation
 // round, so every subscription's Result reflects all prior updates.
 func (e *Engine) SyncSubscriptions() {
@@ -678,28 +672,27 @@ func (e *Engine) RemoveFriend(u, v UserID) error {
 	return e.ApplyEdgeUpdates([]EdgeUpdate{{U: u, V: v, Remove: true}})
 }
 
-// AddFriendAsync enqueues a friendship upsert (raw weight) on the engine's
-// batching update pipeline — the same pipeline as MoveUserAsync, so one
-// Flush is the read-your-writes barrier for both dimensions. Redundant
-// updates for the same pair coalesce to the newest.
-func (e *Engine) AddFriendAsync(u, v UserID, w float64) error {
-	return e.eng.Enqueue(e.normalizeEdge(EdgeUpdate{U: u, V: v, Weight: w}))
-}
-
-// RemoveFriendAsync enqueues a friendship removal on the update pipeline.
-func (e *Engine) RemoveFriendAsync(u, v UserID) error {
-	return e.eng.Enqueue(e.normalizeEdge(EdgeUpdate{U: u, V: v, Remove: true}))
-}
-
 // ApplyEdgeUpdates validates and applies a batch of raw-weight edge updates
-// as a single published epoch. On a validation error nothing is applied. ups
+// in one published epoch. On a validation error nothing is applied. ups
 // is not retained: the caller may reuse it once the call returns.
 func (e *Engine) ApplyEdgeUpdates(ups []EdgeUpdate) error {
+	return e.eng.ApplyUpdates(e.normalizeEdges(ups))
+}
+
+// ApplyEdgeUpdatesAsync validates a batch of raw-weight edge updates and
+// queues it on the same queue as ApplyUpdatesAsync, so one Flush is the
+// read-your-writes barrier for both dimensions. All or nothing, like
+// ApplyUpdatesAsync. ups is not retained.
+func (e *Engine) ApplyEdgeUpdatesAsync(ups []EdgeUpdate) error {
+	return e.eng.ApplyUpdatesAsync(e.normalizeEdges(ups))
+}
+
+func (e *Engine) normalizeEdges(ups []EdgeUpdate) []core.Update {
 	ops := make([]core.Update, len(ups))
 	for i, u := range ups {
 		ops[i] = e.normalizeEdge(u)
 	}
-	return e.eng.ApplyUpdates(ops)
+	return ops
 }
 
 // SocialStats is a point-in-time view of the dynamic social graph: edge

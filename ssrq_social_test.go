@@ -56,7 +56,7 @@ func TestAddFriendRawWeightRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAsyncFriendOpsAndFlush drives the async edge pipeline through the
+// TestAsyncFriendOpsAndFlush drives async edge batches through the
 // root API: Flush is the read-your-writes barrier for both dimensions, and
 // live stats reflect the mutated graph.
 func TestAsyncFriendOpsAndFlush(t *testing.T) {
@@ -71,19 +71,19 @@ func TestAsyncFriendOpsAndFlush(t *testing.T) {
 			continue
 		}
 		if _, ok := edgeExists(e, u, v); ok {
-			if err := e.RemoveFriendAsync(u, v); err != nil {
+			if err := removeFriendAsync(e, u, v); err != nil {
 				t.Fatal(err)
 			}
 			want--
 		} else {
-			if err := e.AddFriendAsync(u, v, 1000+rng.Float64()*1000); err != nil {
+			if err := addFriendAsync(e, u, v, 1000+rng.Float64()*1000); err != nil {
 				t.Fatal(err)
 			}
 			want++
 		}
-		// Interleave a move so mixed batches hit the pipeline.
+		// Interleave a move so the queue carries both dimensions.
 		if i%5 == 0 {
-			if err := e.MoveUserAsync(u, Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}); err != nil {
+			if err := moveUserAsync(e, u, Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -316,7 +316,7 @@ func TestAsyncMovesAndFlush(t *testing.T) {
 	defer eng.Close()
 	q := UserID(0)
 	target, _ := ds.Location(q)
-	if err := eng.MoveUserAsync(42, target); err != nil {
+	if err := moveUserAsync(eng, 42, target); err != nil {
 		t.Fatal(err)
 	}
 	eng.Flush()
@@ -331,7 +331,7 @@ func TestAsyncMovesAndFlush(t *testing.T) {
 	if st.Epoch == 0 || st.AppliedUpdates == 0 || st.PendingUpdates != 0 {
 		t.Fatalf("update stats after flush: %+v", st)
 	}
-	if err := eng.RemoveUserLocationAsync(42); err != nil {
+	if err := removeUserLocationAsync(eng, 42); err != nil {
 		t.Fatal(err)
 	}
 	eng.Flush()
@@ -381,8 +381,8 @@ func TestMoveUserRejectsNonFinite(t *testing.T) {
 		if err := eng.MoveUser(3, p); err == nil {
 			t.Fatalf("MoveUser accepted %v", p)
 		}
-		if err := eng.MoveUserAsync(3, p); err == nil {
-			t.Fatalf("MoveUserAsync accepted %v", p)
+		if err := moveUserAsync(eng, 3, p); err == nil {
+			t.Fatalf("ApplyUpdatesAsync accepted %v", p)
 		}
 		if err := eng.ApplyUpdates([]Update{{ID: 3, To: p}}); err == nil {
 			t.Fatalf("ApplyUpdates accepted %v", p)
@@ -586,7 +586,7 @@ func TestSubscribeRootAPI(t *testing.T) {
 			if !ok {
 				t.Fatal("ranked user unlocated")
 			}
-			if err := eng.MoveUserAsync(q, Point{X: far.X + 5, Y: far.Y + 5}); err != nil {
+			if err := moveUserAsync(eng, q, Point{X: far.X + 5, Y: far.Y + 5}); err != nil {
 				t.Fatal(err)
 			}
 			eng.SyncSubscriptions()
