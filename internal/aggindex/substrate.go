@@ -21,7 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ssrq/internal/fof"
 	"ssrq/internal/graph"
 	"ssrq/internal/landmark"
 )
@@ -52,11 +51,6 @@ type Social struct {
 	// labels is the immutable per-user label bitmask slice (nil when the
 	// world is unlabeled); consumers build per-cell masks from it.
 	labels []uint64
-	// fof carries the friends-of-friends bound's monotone weight floors,
-	// lowered on every edge upsert before the epoch publishes (never raised
-	// on removal), so its lower bounds stay admissible against every
-	// snapshot any consumer can hold.
-	fof *fof.Index
 
 	mu        sync.Mutex
 	published atomic.Pointer[SocialSnapshot]
@@ -82,7 +76,6 @@ func NewSocialSubstrate(lm *landmark.Set, g *graph.Graph, cfg Config) (*Social, 
 		ov:     graph.NewOverlay(g),
 		dyn:    landmark.NewDynamic(lm),
 		labels: cfg.Labels,
-		fof:    fof.New(g),
 	}
 	s.compactAt = cfg.CompactThreshold
 	if s.compactAt <= 0 {
@@ -98,11 +91,6 @@ func (s *Social) Snapshot() *SocialSnapshot { return s.published.Load() }
 // Landmarks returns the construction-time landmark set (an index snapshot's
 // Landmarks are the live tables).
 func (s *Social) Landmarks() *landmark.Set { return s.lm }
-
-// FoF returns the friends-of-friends bound index maintained by this
-// substrate. Its floors are safe to read lock-free after loading any
-// snapshot published by any index (floor updates happen-before publishes).
-func (s *Social) FoF() *fof.Index { return s.fof }
 
 // ApplyEdges applies a batch of edge ops to the shared social world exactly
 // once — overlay patch, incremental landmark repair, then the recompute of
@@ -168,10 +156,6 @@ func (s *Social) applyEdge(op Op, dirty []graph.VertexID) ([]graph.VertexID, boo
 		} else {
 			s.edgeAdds++
 		}
-		// Lower the FoF weight floors before the batch publishes: any
-		// snapshot containing this edge is published after this write, so a
-		// query on it can never see a floor above the edge's weight.
-		s.fof.ObserveUpsert(u, v, op.W)
 		return append(dirty, s.dyn.EdgeChanged(s.ov.Working(), u, v, oldW, had, op.W, true)...), true
 	case OpEdgeRemove:
 		if !had {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"ssrq/internal/aggindex"
-	"ssrq/internal/fof"
 	"ssrq/internal/graph"
 	"ssrq/internal/pqueue"
 	"ssrq/internal/spatial"
@@ -222,13 +221,6 @@ func (e *Searcher) runAIS(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatia
 	h, post := &a.heap, &a.postponed
 
 	filter := prm.Filter
-	// Friends-of-friends bound: armed once per query, it tightens the
-	// per-user landmark bound at leaf expansion (often past the cell bound
-	// that admitted the leaf, so fewer users survive to exact evaluation).
-	useFoF := e.fof != nil
-	if useFoF {
-		p.fof.Arm(e.fof, soc, q, fof.DefaultBudget)
-	}
 
 	// Seed the search with every snapshot's top grid level, its Lemma-2
 	// bounds evaluated in one flat batch over the summary arrays.
@@ -346,15 +338,8 @@ func (e *Searcher) runAIS(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatia
 			if a.scored(u) {
 				continue
 			}
-			pLow := lm.LowerBound(q, u)
-			if useFoF {
-				if f := p.fof.LowerBound(u); f > pLow {
-					pLow = f
-					st.FoFTightened++
-				}
-			}
 			d := g.Point(u).Dist(qpt)
-			key := combine(alpha, pLow, d)
+			key := combine(alpha, lm.LowerBound(q, u), d)
 			if combine(alpha, beta, d) > key {
 				st.Reinserts++
 				post.Push(d, int64(u), u)

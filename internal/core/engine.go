@@ -137,15 +137,11 @@ type Engine struct {
 
 // Searcher runs the paper's algorithms over the views it is handed
 // (QueryOn) and validates updates against the dataset. It holds everything a
-// query needs beside the view: the dataset, the friends-of-friends bound
-// index, the pooled per-query scratch and the §5.4 memo. It holds no index
-// and applies nothing.
+// query needs beside the view: the dataset, the pooled per-query scratch and
+// the §5.4 memo. It holds no index and applies nothing.
 type Searcher struct {
 	ds    *dataset.Dataset
 	cache *socialCache
-	// fof is the substrate's friends-of-friends bound index; queries arm a
-	// pooled Scratch from it for the 2-hop exact / weight-floor lower bound.
-	fof *fof.Index
 
 	pools sync.Pool // *queryPools, reused across queries
 }
@@ -173,7 +169,6 @@ type queryPools struct {
 	grids    []*spatial.Snapshot    // the view's grids, for the NN stream
 	qvec     []float64              // query landmark vector
 	cellLow  []float64              // batched Lemma-2 bounds, one per top-level cell
-	fof      fof.Scratch            // friends-of-friends exact-2-hop bound scratch
 }
 
 // NewSubstrate builds the social substrate over the dataset's friendship
@@ -197,9 +192,9 @@ func NewSubstrate(ds *dataset.Dataset, opts Options) (*aggindex.Social, error) {
 	return sub, nil
 }
 
-// NewSearcher builds the query state over ds for views published over sub.
-func NewSearcher(ds *dataset.Dataset, sub *aggindex.Social) *Searcher {
-	e := &Searcher{ds: ds, cache: newSocialCache(defaultCacheT), fof: sub.FoF()}
+// NewSearcher builds the query state over ds.
+func NewSearcher(ds *dataset.Dataset) *Searcher {
+	e := &Searcher{ds: ds, cache: newSocialCache(defaultCacheT)}
 	n := ds.NumUsers()
 	e.pools.New = func() any {
 		return &queryPools{
@@ -230,7 +225,7 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: aggregate index: %w", err)
 	}
-	return &Engine{Searcher: NewSearcher(ds, sub), sub: sub, grid: grid, agg: agg, opts: opts}, nil
+	return &Engine{Searcher: NewSearcher(ds), sub: sub, grid: grid, agg: agg, opts: opts}, nil
 }
 
 // Dataset returns the engine's dataset. Note that the dataset's graph and
@@ -426,10 +421,10 @@ func (e *Engine) AddFriend(u, v int32, w float64) error {
 	return e.ApplyUpdates([]Update{{Kind: aggindex.OpEdgeUpsert, U: u, V: v, W: w}})
 }
 
-// FoFIndex returns the friends-of-friends bound index. Its floors are monotone
-// non-increasing, so bounds derived from them stay admissible against any
-// published snapshot.
-func (e *Searcher) FoFIndex() *fof.Index { return e.fof }
+// FoFIndex always returns nil: no engine builds the friends-of-friends
+// index any more (DESIGN.md §4.13). It remains because bench/layers.go
+// reads it.
+func (e *Searcher) FoFIndex() *fof.Index { return nil }
 
 func (e *Searcher) getPools() *queryPools { return e.pools.Get().(*queryPools) }
 func (e *Searcher) putPools(p *queryPools) {

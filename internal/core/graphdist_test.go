@@ -264,7 +264,7 @@ func TestSocialThresholdIsSmallestPassingFloat(t *testing.T) {
 // fact: on a fixed dataset and fixed queries the pop counts repeat exactly,
 // so AIS < TSA < SFA and AIS-BID > AIS⁻ > AIS are assertions, not timings.
 func TestPaperOrderingAsPopCounts(t *testing.T) {
-	e, queryUser := popCountFixture(t)
+	e, queryUser := popCountFixture(t, gen.GowallaPreset)
 	prm := Params{K: 30, Alpha: 0.3}
 	meanPops := func(algo Algorithm, count int) float64 {
 		total := 0
@@ -281,8 +281,9 @@ func TestPaperOrderingAsPopCounts(t *testing.T) {
 	t.Logf("mean pops/query: AIS %.0f  TSA %.0f  SFA %.0f  AIS⁻ %.0f | first %d queries: AIS-BID %.0f  AIS⁻ %.0f  AIS %.0f",
 		ais, tsa, sfa, aisMinus, popCountQueries/4, aisBID, aisMinusFew, aisFew)
 	// Before evaluations ran in rounds this was 1 739.85 (logged as 1740);
-	// with them it was 1 647, and it is 1 058 since β stopped re-queuing
-	// users (DESIGN.md §4.12). Counts repeat exactly.
+	// with them it was 1 647, then 1 058 once β stopped re-queuing users
+	// (DESIGN.md §4.12), and it is 1 022 since the friends-of-friends bound
+	// went (§4.13). Counts repeat exactly.
 	if ais >= 1700 {
 		t.Errorf("AIS mean pops/query = %.0f, want below 1700: the first evaluation is flooding again", ais)
 	}
@@ -299,11 +300,11 @@ func TestPaperOrderingAsPopCounts(t *testing.T) {
 const popCountQueries = 40
 
 // popCountFixture is the engine and query users of the pop-count gates:
-// gowalla 5000 (seed 42) and the i-th of popCountQueries evenly spaced
-// located users.
-func popCountFixture(t *testing.T) (*Engine, func(i int) graph.VertexID) {
+// the preset at 5000 users (seed 42) and the i-th of popCountQueries evenly
+// spaced located users.
+func popCountFixture(t *testing.T, preset gen.Preset) (*Engine, func(i int) graph.VertexID) {
 	t.Helper()
-	ds, err := gen.GowallaPreset.Dataset(5000, 42)
+	ds, err := preset.Dataset(5000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,41 +326,64 @@ func popCountQuery(t *testing.T, e *Engine, algo Algorithm, q graph.VertexID, pr
 }
 
 // TestAISIndexPopsAcrossAlpha extends the pop-count gate to the α where AIS
-// meets TSA: on the fixture of TestPaperOrderingAsPopCounts, AIS's index
-// pops per query — users and cells, from both of its queues — stay under
-// ceilings set from the measured counts, which repeat exactly. Before β
-// stopped re-queuing users (DESIGN.md §4.12) they read 1 297, 2 151 and
-// 3 450; now they read 650, 887 and 1 558. TSA's and SFA's pops are pinned
-// exactly at the same settings: they share nothing with AIS's loop, so
-// nothing here may move them.
+// meets TSA: on the fixture of TestPaperOrderingAsPopCounts, and on urban
+// and homophily worlds of the same size, AIS's index pops per query — users
+// and cells, from both of its queues — stay under ceilings set from the
+// measured counts, which repeat exactly. On gowalla, before β stopped
+// re-queuing users (DESIGN.md §4.12) they read 1 297, 2 151 and 3 450;
+// with the friends-of-friends bound they read 650, 887 and 1 558; without
+// it (§4.13) they read 634, 890 and 785. Urban read 421, 638 and 927 with
+// it and 384, 540 and 668 without; homophily 423, 543 and 1 136 against
+// 408, 420 and 401. A bound that floods AIS's heap at high α fails here by
+// preset. TSA's and SFA's pops are pinned exactly at the same settings:
+// they share nothing with AIS's loop, so nothing here may move them.
 func TestAISIndexPopsAcrossAlpha(t *testing.T) {
-	e, queryUser := popCountFixture(t)
-	for _, c := range []struct {
+	type gate struct {
 		alpha    float64
 		ceiling  float64 // AIS index pops per query
 		tsa, sfa int     // total pops over the queries
+	}
+	for _, p := range []struct {
+		preset gen.Preset
+		gates  []gate
 	}{
-		{0.5, 660, 57296, 49479},
-		{0.7, 890, 31042, 21554},
-		{0.9, 1560, 11542, 6162},
+		{gen.GowallaPreset, []gate{
+			{0.5, 640, 57342, 49479},
+			{0.7, 890, 31042, 21554},
+			{0.9, 790, 11542, 6162},
+		}},
+		{gen.UrbanPreset, []gate{
+			{0.5, 390, 88106, 93444},
+			{0.7, 540, 38404, 32395},
+			{0.9, 670, 13337, 7744},
+		}},
+		{gen.HomophilyPreset, []gate{
+			{0.5, 410, 15928, 12632},
+			{0.7, 430, 8932, 5461},
+			{0.9, 410, 4808, 2513},
+		}},
 	} {
-		prm := Params{K: 30, Alpha: c.alpha}
-		var index, tsa, sfa int
-		for i := 0; i < popCountQueries; i++ {
-			q := queryUser(i)
-			st := popCountQuery(t, e, AIS, q, prm)
-			index += st.IndexUserPops + st.IndexCellPops
-			tsa += popCountQuery(t, e, TSA, q, prm).Pops()
-			sfa += popCountQuery(t, e, SFA, q, prm).Pops()
-		}
-		mean := float64(index) / popCountQueries
-		t.Logf("α=%.1f: AIS %.1f index pops/query (ceiling %.0f); TSA %d and SFA %d pops over %d queries",
-			c.alpha, mean, c.ceiling, tsa, sfa, popCountQueries)
-		if mean > c.ceiling {
-			t.Errorf("α=%.1f: AIS makes %.1f index pops per query, ceiling %.0f: β re-queuing is back", c.alpha, mean, c.ceiling)
-		}
-		if tsa != c.tsa || sfa != c.sfa {
-			t.Errorf("α=%.1f: TSA/SFA pops moved to %d/%d, want %d/%d", c.alpha, tsa, sfa, c.tsa, c.sfa)
+		e, queryUser := popCountFixture(t, p.preset)
+		for _, c := range p.gates {
+			prm := Params{K: 30, Alpha: c.alpha}
+			var index, tsa, sfa int
+			for i := 0; i < popCountQueries; i++ {
+				q := queryUser(i)
+				st := popCountQuery(t, e, AIS, q, prm)
+				index += st.IndexUserPops + st.IndexCellPops
+				tsa += popCountQuery(t, e, TSA, q, prm).Pops()
+				sfa += popCountQuery(t, e, SFA, q, prm).Pops()
+			}
+			mean := float64(index) / popCountQueries
+			t.Logf("%s α=%.1f: AIS %.1f index pops/query (ceiling %.0f); TSA %d and SFA %d pops over %d queries",
+				p.preset.Name, c.alpha, mean, c.ceiling, tsa, sfa, popCountQueries)
+			if mean > c.ceiling {
+				t.Errorf("%s α=%.1f: AIS makes %.1f index pops per query, ceiling %.0f: a bound or β re-queuing is flooding the heap",
+					p.preset.Name, c.alpha, mean, c.ceiling)
+			}
+			if tsa != c.tsa || sfa != c.sfa {
+				t.Errorf("%s α=%.1f: TSA/SFA pops moved to %d/%d, want %d/%d", p.preset.Name, c.alpha, tsa, sfa, c.tsa, c.sfa)
+			}
 		}
 	}
 }

@@ -41,8 +41,9 @@ type Stats struct {
 	// counts individual users rejected at admission by the filter.
 	LabelCellPrunes int
 	LabelSkips      int
-	// FoFTightened counts bound evaluations where the friends-of-friends
-	// bound was strictly tighter than the landmark bound.
+	// FoFTightened is always 0: no search uses the friends-of-friends bound
+	// any more (DESIGN.md §4.13). It remains because bench/layers.go reads
+	// it.
 	FoFTightened int
 	FellBack     bool
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"ssrq/internal/aggindex"
-	"ssrq/internal/fof"
 	"ssrq/internal/graph"
 	"ssrq/internal/pqueue"
 	"ssrq/internal/spatial"
@@ -212,19 +211,8 @@ func (e *Searcher) runTSA(sns []*aggindex.Snapshot, q graph.VertexID, qpt spatia
 		// from the query's view, so it is admissible on exactly the graph
 		// this query is searching.
 		lm := sns[0].Landmarks()
-		useFoF := e.fof != nil && t.cand.Len() > 0
-		if useFoF {
-			p.fof.Arm(e.fof, soc, q, fof.DefaultBudget)
-		}
 		for u, d := range t.cand.d {
-			lb := lm.LowerBound(q, u)
-			if useFoF {
-				if f := p.fof.LowerBound(u); f > lb {
-					lb = f
-					st.FoFTightened++
-				}
-			}
-			if combine(prm.Alpha, lb, d) >= r.Fk() {
+			if combine(prm.Alpha, lm.LowerBound(q, u), d) >= r.Fk() {
 				delete(t.cand.d, u)
 			}
 		}

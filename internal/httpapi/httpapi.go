@@ -112,7 +112,6 @@ type queryStats struct {
 	Restarts        int `json:"graphdist_restarts,omitempty"`
 	LabelCellPrunes int `json:"label_cell_prunes,omitempty"`
 	LabelSkips      int `json:"label_skips,omitempty"`
-	FoFTightened    int `json:"fof_tightened,omitempty"`
 }
 
 // queryParams parses and validates the shared (user, k, alpha, labels) query
@@ -209,7 +208,6 @@ func toQueryResponse(q int32, k int, alpha float64, algo ssrq.Algorithm, res *ss
 			Restarts:        res.Stats.GraphDistRestarts,
 			LabelCellPrunes: res.Stats.LabelCellPrunes,
 			LabelSkips:      res.Stats.LabelSkips,
-			FoFTightened:    res.Stats.FoFTightened,
 		},
 	}
 	for i, e := range res.Entries {

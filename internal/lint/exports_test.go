@@ -20,7 +20,7 @@ import (
 // one without a reason: the list cannot outlive what it excuses.
 var exportAllowlist = map[string]string{
 	// Fixtures and seams that the tests of several packages share.
-	"graph.Builder.MustBuild":                "fixture builder: tests in aggindex, core, dataset, fof, graph and landmark",
+	"graph.Builder.MustBuild":                "fixture builder: tests in aggindex, core, dataset, graph and landmark",
 	"landmark.Set.Vertices":                  "the chosen landmarks: tests in landmark, aggindex and core compare their tables with fresh sweeps",
 	"aggindex.Snapshot.MinSummary":           "summary invariant: tests in aggindex and core's social-churn test",
 	"aggindex.Snapshot.MaxSummary":           "summary invariant: tests in aggindex and core's social-churn test",

@@ -189,7 +189,7 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 		cellShard:    make([]atomic.Int32, numCells),
 		sub:          sub,
 		shards:       make([]*aggindex.Index, numShards),
-		search:       core.NewSearcher(ds, sub),
+		search:       core.NewSearcher(ds),
 		shardBatches: make([]atomic.Int64, numShards),
 		owner:        make([]atomic.Int32, ds.NumUsers()),
 

@@ -29,7 +29,6 @@ import (
 
 	"ssrq/internal/aggindex"
 	"ssrq/internal/core"
-	"ssrq/internal/fof"
 	"ssrq/internal/graph"
 	"ssrq/internal/landmark"
 	"ssrq/internal/spatial"
@@ -78,12 +77,6 @@ type Engine struct {
 	doneCh  chan struct{}
 	closedA atomic.Bool
 
-	// fofIx is the source's friends-of-friends bound index when it exposes
-	// one; fofSc is its per-subscriber scratch, touched only by the
-	// evaluator goroutine.
-	fofIx *fof.Index
-	fofSc fof.Scratch
-
 	rounds, evals, skips, notified atomic.Int64
 }
 
@@ -109,9 +102,6 @@ func New(src Source) *Engine {
 		doneCh:       make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if f, ok := src.(interface{ FoFIndex() *fof.Index }); ok {
-		e.fofIx = f.FoFIndex()
-	}
 	src.OnEpoch(e.onEpoch)
 	go e.loop()
 	return e
@@ -324,7 +314,6 @@ func (e *Engine) subDirty(st *Subscription, touched map[int32]struct{}, sn *aggi
 	}
 	alpha := st.prm.Alpha
 	filter := st.prm.Filter
-	fofArmed := false
 	for u := range touched {
 		if u == st.q {
 			continue
@@ -346,19 +335,7 @@ func (e *Engine) subDirty(st *Subscription, touched map[int32]struct{}, sn *aggi
 		if lm == nil {
 			return true
 		}
-		plb := lm.LowerBound(graph.VertexID(st.q), graph.VertexID(u))
-		if e.fofIx != nil {
-			// Tighten with the friends-of-friends bound; armed lazily so
-			// rounds whose touched users all fail the spatial test stay free.
-			if !fofArmed {
-				e.fofSc.Arm(e.fofIx, sn.SocialGraph(), graph.VertexID(st.q), fof.DefaultBudget)
-				fofArmed = true
-			}
-			if f := e.fofSc.LowerBound(graph.VertexID(u)); f > plb {
-				plb = f
-			}
-		}
-		if alpha*plb+d <= kth {
+		if alpha*lm.LowerBound(graph.VertexID(st.q), graph.VertexID(u))+d <= kth {
 			return true // cannot prove u stays out
 		}
 	}
