@@ -7,7 +7,6 @@ package ssrq_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -317,43 +316,7 @@ func BenchmarkAblationGridLevels(b *testing.B) {
 	}
 }
 
-// --- Concurrent serving (the batched/parallel query path) ---
-
-// BenchmarkBatchThroughput measures queries/sec through Engine.QueryBatch
-// at 1 worker versus GOMAXPROCS workers. On a multi-core host the second
-// series demonstrates the parallel speedup of the batched serving path; on
-// a single core the two coincide.
-func BenchmarkBatchThroughput(b *testing.B) {
-	be := getEngine(b, "gowalla", nil)
-	prm := core.Params{K: exp.DefaultK, Alpha: exp.DefaultAlpha}
-	const batchSize = 64
-	batch := make([]core.BatchQuery, batchSize)
-	for i := range batch {
-		batch[i] = core.BatchQuery{Algo: core.AIS, Q: be.users[i%len(be.users)], Params: prm}
-	}
-	workerCounts := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		workerCounts = append(workerCounts, p)
-	}
-	for _, workers := range workerCounts {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				outs := core.RunBatch(batch, workers, func(bq core.BatchQuery) (*core.Result, error) {
-					return be.eng.Query(bq.Algo, bq.Q, bq.Params)
-				})
-				for j := range outs {
-					if outs[j].Err != nil {
-						b.Fatal(outs[j].Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "queries/s")
-		})
-	}
-}
+// --- Concurrent serving ---
 
 // BenchmarkQueriesUnderConcurrentMovers measures query throughput while
 // background goroutines continuously relocate users, one synchronous write

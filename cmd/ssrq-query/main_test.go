@@ -45,8 +45,9 @@ func TestRunBadArgs(t *testing.T) {
 
 // TestFrontEndsAgreeOnAlgorithms: the CLI and the HTTP API resolve -algo /
 // algo= through one name table, so they accept exactly the same names —
-// the five served ones, in any case — and refuse every figure variant alike.
-// The -h usage line lists the menu in enum order, the same on every run.
+// the four served ones, in any case — and refuse SPA and every figure
+// variant alike. The -h usage line lists the menu in enum order, the same on
+// every run.
 func TestFrontEndsAgreeOnAlgorithms(t *testing.T) {
 	ds, err := ssrq.Synthesize("twitter", 200, 42)
 	if err != nil {
@@ -79,8 +80,8 @@ func TestFrontEndsAgreeOnAlgorithms(t *testing.T) {
 			t.Fatalf("algo %q: CLI stderr %q, HTTP %d, want an unknown-algorithm refusal from both", name, errOut.String(), rec.Code)
 		}
 	}
-	if accepted != 11 { // five served names in two cases, plus "BRUTE"
-		t.Fatalf("%d names accepted, want 11", accepted)
+	if accepted != 9 { // four served names in two cases, plus "BRUTE"
+		t.Fatalf("%d names accepted, want 9", accepted)
 	}
 
 	usage := func() string {
@@ -91,7 +92,7 @@ func TestFrontEndsAgreeOnAlgorithms(t *testing.T) {
 		return errOut.String()
 	}
 	first := usage()
-	if !strings.Contains(first, "algorithm: SFA|SPA|TSA|AIS|Brute") {
+	if !strings.Contains(first, "algorithm: SFA|TSA|AIS|Brute") {
 		t.Fatalf("usage does not list the menu in enum order:\n%s", first)
 	}
 	for i := 0; i < 5; i++ {

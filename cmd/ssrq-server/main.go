@@ -1,13 +1,13 @@
 // Command ssrq-server exposes SSRQ over HTTP: a minimal location-based
 // social search service backed by the AIS index, with live location updates
 // (the workload the paper's index maintenance targets, §5.1). Queries are
-// lock-free against published epoch snapshots, so queries, batches and
-// moves interleave freely without blocking each other.
+// lock-free against published epoch snapshots, so queries and moves
+// interleave freely without blocking each other; concurrent /query
+// connections are how queries run in parallel.
 //
 // Endpoints:
 //
 //	GET  /query?q=<user>&k=<int>&alpha=<float>[&algo=AIS]   ranked result
-//	POST /batch  {"algo":"AIS","k":10,"alpha":0.3,"queries":[1,2,3]}
 //	GET  /user/<id>                                          location + degree
 //	POST /move   {"id":123,"x":1.5,"y":2.5}                  one update (sync epoch)
 //	POST /moves  {"moves":[...],"flush":false}               bulk updates (one batch on the write queue)
@@ -19,7 +19,7 @@
 // Start with a saved dataset or a synthesized one:
 //
 //	ssrq-server -data fsq.gob -addr :8080
-//	ssrq-server -preset gowalla -n 20000 -parallel 8
+//	ssrq-server -preset gowalla -n 20000
 //	ssrq-server -preset gowalla -n 100000 -shards 8   # spatially partitioned
 //
 // -shards N is the number of spatial shards (default 1): with several, a
@@ -60,13 +60,12 @@ import (
 
 // serverConfig is the parsed command line.
 type serverConfig struct {
-	data     string
-	preset   string
-	n        int
-	seed     int64
-	addr     string
-	parallel int
-	shards   int
+	data   string
+	preset string
+	n      int
+	seed   int64
+	addr   string
+	shards int
 
 	walDir     string
 	fsync      string
@@ -87,7 +86,6 @@ func parseFlags(args []string, stderr io.Writer) (*serverConfig, error) {
 	fs.IntVar(&cfg.n, "n", 10000, "synthetic dataset size when -data is not given")
 	fs.Int64Var(&cfg.seed, "seed", 42, "seed for synthesis and preprocessing")
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&cfg.parallel, "parallel", 0, "default worker count for POST /batch (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.shards, "shards", 1, "number of spatial shards the users are split across (a query searches them all at once, one /stats entry each); 1 = one shard")
 	fs.StringVar(&cfg.walDir, "wal-dir", "", "journal every mutation to a write-ahead log in this directory and recover from it on start (empty = not durable)")
 	fs.StringVar(&cfg.fsync, "fsync", "batch", "WAL commit policy: batch (group-committed fsync before a write returns), interval, or off")
@@ -132,7 +130,6 @@ func buildServer(cfg *serverConfig) (*httpapi.Server, *ssrq.Dataset, func(), err
 			return nil, nil, nil, err
 		}
 		srv := httpapi.New(f.Engine())
-		srv.SetParallel(cfg.parallel)
 		srv.SetFollower(func() (uint64, uint64) {
 			st := f.Stats()
 			return st.AppliedSeq, st.LeaderSeq
@@ -154,7 +151,6 @@ func buildServer(cfg *serverConfig) (*httpapi.Server, *ssrq.Dataset, func(), err
 		log.Printf("ssrq-server: recovered to seq %d (checkpoint@%d: %d ops, tail: %d ops, %d torn bytes dropped) in %v",
 			rec.LastSeq, rec.CheckpointSeq, rec.CheckpointOps, rec.ReplayedOps, rec.TruncatedBytes, rec.Elapsed)
 		srv := httpapi.New(eng)
-		srv.SetParallel(cfg.parallel)
 		return srv, ds, eng.Close, nil
 	}
 
@@ -163,7 +159,6 @@ func buildServer(cfg *serverConfig) (*httpapi.Server, *ssrq.Dataset, func(), err
 		return nil, nil, nil, err
 	}
 	srv := httpapi.New(eng)
-	srv.SetParallel(cfg.parallel)
 	return srv, ds, eng.Close, nil
 }
 
@@ -186,8 +181,8 @@ func main() {
 	case cfg.walDir != "":
 		role = "durable leader (wal: " + cfg.walDir + ", fsync: " + cfg.fsync + ")"
 	}
-	log.Printf("ssrq-server: %s (%d users, %d edges) listening on %s (batch parallelism %d, %d shard(s), %s)",
-		st.Name, st.NumVertices, st.NumEdges, cfg.addr, cfg.parallel, cfg.shards, role)
+	log.Printf("ssrq-server: %s (%d users, %d edges) listening on %s (%d shard(s), %s)",
+		st.Name, st.NumVertices, st.NumEdges, cfg.addr, cfg.shards, role)
 	if err := http.ListenAndServe(cfg.addr, srv); err != nil {
 		log.Fatal(err)
 	}

@@ -11,20 +11,22 @@ import (
 )
 
 func TestParseFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{"-preset", "twitter", "-n", "500", "-parallel", "4", "-addr", ":0"}, io.Discard)
+	cfg, err := parseFlags([]string{"-preset", "twitter", "-n", "500", "-addr", ":0"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.preset != "twitter" || cfg.n != 500 || cfg.parallel != 4 || cfg.addr != ":0" {
+	if cfg.preset != "twitter" || cfg.n != 500 || cfg.addr != ":0" {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	if _, err := parseFlags([]string{"-bogus"}, io.Discard); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, bad := range [][]string{{"-bogus"}, {"-parallel", "4"}} {
+		if _, err := parseFlags(bad, io.Discard); err == nil {
+			t.Fatalf("bad flag %v accepted", bad)
+		}
 	}
 }
 
 func TestBuildServerAndServe(t *testing.T) {
-	cfg, err := parseFlags([]string{"-preset", "twitter", "-n", "400", "-parallel", "2"}, io.Discard)
+	cfg, err := parseFlags([]string{"-preset", "twitter", "-n", "400"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,37 +52,6 @@ func TestBuildServerAndServe(t *testing.T) {
 		t.Fatalf("query: %v %v", err, resp)
 	}
 	resp.Body.Close()
-
-	body := bytes.NewBufferString(`{"algo":"AIS","k":3,"alpha":0.3,"queries":[0,1,2]}`)
-	resp, err = http.Post(ts.URL+"/batch", "application/json", body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: %v %v", err, resp)
-	}
-	var batch struct {
-		Results []struct {
-			Query   int32  `json:"query"`
-			Error   string `json:"error"`
-			Entries []struct {
-				ID int32   `json:"id"`
-				F  float64 `json:"f"`
-			} `json:"entries"`
-		} `json:"results"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(batch.Results) != 3 {
-		t.Fatalf("batch results = %d", len(batch.Results))
-	}
-	for i, r := range batch.Results {
-		if r.Error != "" {
-			t.Fatalf("batch item %d: %s", i, r.Error)
-		}
-		if len(r.Entries) != 3 {
-			t.Fatalf("batch item %d entries = %d", i, len(r.Entries))
-		}
-	}
 }
 
 // TestBuildShardedServer: -shards builds the partitioned engine end to end

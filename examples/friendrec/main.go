@@ -38,7 +38,7 @@ func main() {
 	// the default, still expands the grid cells near the query that its
 	// social bound has not yet ruled out.
 	fmt.Println("\nwork comparison (same query):")
-	for _, algo := range []ssrq.Algorithm{ssrq.SFA, ssrq.SPA, ssrq.TSA, ssrq.AIS} {
+	for _, algo := range []ssrq.Algorithm{ssrq.SFA, ssrq.TSA, ssrq.AIS} {
 		r, err := eng.TopKWith(algo, me, 8, 0.7)
 		if err != nil {
 			log.Fatal(err)

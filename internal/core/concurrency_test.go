@@ -148,8 +148,9 @@ func TestConcurrentQueryMoveStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchesAndMoves runs QueryBatch from several goroutines
-// while movers mutate locations — the serving pattern of the HTTP layer.
+// TestConcurrentBatchesAndMoves runs rounds of queries on several goroutines
+// while movers mutate locations — the serving pattern of the HTTP layer,
+// where each connection is one goroutine calling Query.
 func TestConcurrentBatchesAndMoves(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	const n = 150
@@ -158,9 +159,9 @@ func TestConcurrentBatchesAndMoves(t *testing.T) {
 	users := locatedUsers(ds)
 	prm := Params{K: 5, Alpha: 0.4}
 
-	batch := make([]BatchQuery, 24)
-	for i := range batch {
-		batch[i] = BatchQuery{Algo: AIS, Q: users[i%(len(users)/2)], Params: prm}
+	queries := make([]graph.VertexID, 24)
+	for i := range queries {
+		queries[i] = users[i%(len(users)/2)]
 	}
 
 	stop := make(chan struct{})
@@ -179,13 +180,26 @@ func TestConcurrentBatchesAndMoves(t *testing.T) {
 			}
 		}
 	}()
+	const queriers = 3
 	for round := 0; round < 6; round++ {
-		outs := queryBatch(e, batch, 3)
-		for i, out := range outs {
-			if out.Err != nil {
-				t.Fatalf("slot %d: %v", i, out.Err)
-			}
-			if err := validTopK(out.Result, batch[i].Q, prm.K, prm.Alpha); err != nil {
+		errs := make([]error, len(queries))
+		var qwg sync.WaitGroup
+		for g := 0; g < queriers; g++ {
+			qwg.Add(1)
+			go func(g int) {
+				defer qwg.Done()
+				for i := g; i < len(queries); i += queriers {
+					res, err := e.Query(AIS, queries[i], prm)
+					if err == nil {
+						err = validTopK(res, queries[i], prm.K, prm.Alpha)
+					}
+					errs[i] = err
+				}
+			}(g)
+		}
+		qwg.Wait()
+		for i, err := range errs {
+			if err != nil {
 				t.Fatalf("slot %d: %v", i, err)
 			}
 		}

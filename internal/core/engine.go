@@ -15,9 +15,9 @@ import (
 )
 
 // Algorithm selects the SSRQ processing method. A single-index Engine runs
-// every value; the served path (shard.Engine) answers only SFA, SPA, TSA, AIS
-// and BruteForce — the rest are the baselines and ablations of Figs. 8, 10
-// and 11, run where the figures are drawn.
+// every value; the served path (shard.Engine) answers only SFA, TSA, AIS and
+// BruteForce — SPA and the rest are the baselines and ablations of Figs. 8,
+// 10 and 11, run where the figures are drawn.
 type Algorithm int
 
 const (

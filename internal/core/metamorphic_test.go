@@ -44,7 +44,6 @@ import (
 // single-index reference behind syncRef both satisfy it.
 type queryEngine interface {
 	Query(algo core.Algorithm, q graph.VertexID, prm core.Params) (*core.Result, error)
-	QueryBatch(queries []core.BatchQuery, workers int) []core.BatchResult
 	ApplyUpdates(ops []core.Update) error
 	ApplyUpdatesAsync(ops []core.Update) error
 	Flush()
@@ -55,19 +54,13 @@ var (
 	_ queryEngine = (*shard.Engine)(nil)
 )
 
-// syncRef gives the single-index reference the routed engine's QueryBatch,
+// syncRef gives the single-index reference the routed engine's
 // ApplyUpdatesAsync and Flush: every batch applies as it arrives, so Flush
 // has nothing to wait for.
 type syncRef struct{ *core.Engine }
 
 func (r syncRef) ApplyUpdatesAsync(ops []core.Update) error { return r.ApplyUpdates(ops) }
 func (r syncRef) Flush()                                    {}
-
-func (r syncRef) QueryBatch(queries []core.BatchQuery, workers int) []core.BatchResult {
-	return core.RunBatch(queries, workers, func(bq core.BatchQuery) (*core.Result, error) {
-		return r.Query(bq.Algo, bq.Q, bq.Params)
-	})
-}
 
 // userLocation reads a user's position from the single-index reference's
 // published snapshot.
@@ -531,7 +524,7 @@ func TestDifferentialShardChurnEquivalence(t *testing.T) {
 					prm := core.Params{K: 1 + rng.Intn(12), Alpha: 0.05 + 0.9*rng.Float64()}
 					want := oracleEntries(n, model, locator(mono), q, prm)
 					for ei, e := range engines {
-						for _, algo := range []core.Algorithm{core.AIS, core.TSA, core.SFA, core.SPA, core.BruteForce} {
+						for _, algo := range servedBy(e, []core.Algorithm{core.AIS, core.TSA, core.SFA, core.SPA, core.BruteForce}) {
 							got, err := e.Query(algo, q, prm)
 							if err != nil {
 								t.Fatalf("round %d %s %v (q=%d): %v", round, names[ei], algo, q, err)
@@ -605,64 +598,6 @@ func assertExactMatch(t *testing.T, label string, got, want []core.Entry) {
 		}
 		if g.ID != w.ID {
 			t.Fatalf("%s: rank %d id=%d, want %d (f %v vs %v)", label, i, g.ID, w.ID, g.F, w.F)
-		}
-	}
-}
-
-// TestQueryBatchClampsBothFlavors pins the QueryBatch worker-clamping
-// contract on both engines: workers ≤ 0 selects GOMAXPROCS, worker counts
-// beyond the batch clamp to it, empty batches return empty, and every slot
-// is filled in input order.
-func TestQueryBatchClampsBothFlavors(t *testing.T) {
-	ds := clusteredDS(t, 120, 303)
-	opts := core.Options{GridS: 3, GridLevels: 1, NumLandmarks: 3, Seed: 303}
-	mono, err := core.NewEngine(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := shard.New(ds, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	users := locatedIDs(ds)
-
-	batch := make([]core.BatchQuery, 5)
-	for i := range batch {
-		batch[i] = core.BatchQuery{Algo: core.AIS, Q: users[i%len(users)], Params: core.Params{K: 4, Alpha: 0.4}}
-	}
-	// One poisoned slot: its error must stay in its slot.
-	batch[3].Q = graph.VertexID(ds.NumUsers() + 5)
-
-	for _, eng := range []struct {
-		name string
-		e    queryEngine
-	}{{"single-index", syncRef{mono}}, {"S=4", sharded}} {
-		for _, workers := range []int{-7, 0, 1, 2, len(batch), len(batch) + 50, 1 << 20} {
-			out := eng.e.QueryBatch(batch, workers)
-			if len(out) != len(batch) {
-				t.Fatalf("%s workers=%d: %d results for %d queries", eng.name, workers, len(out), len(batch))
-			}
-			for i, r := range out {
-				if i == 3 {
-					if r.Err == nil {
-						t.Fatalf("%s workers=%d: poisoned slot succeeded", eng.name, workers)
-					}
-					continue
-				}
-				if r.Err != nil || r.Result == nil {
-					t.Fatalf("%s workers=%d slot %d: %v", eng.name, workers, i, r.Err)
-				}
-				if r.Result.Query != batch[i].Q {
-					t.Fatalf("%s workers=%d: slot %d answered q=%d, want %d", eng.name, workers, i, r.Result.Query, batch[i].Q)
-				}
-			}
-		}
-		if out := eng.e.QueryBatch(nil, 8); len(out) != 0 {
-			t.Fatalf("%s: empty batch returned %d results", eng.name, len(out))
-		}
-		if out := eng.e.QueryBatch([]core.BatchQuery{batch[0]}, -1); len(out) != 1 || out[0].Err != nil {
-			t.Fatalf("%s: single-query batch with negative workers misbehaved", eng.name)
 		}
 	}
 }

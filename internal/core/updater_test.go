@@ -14,7 +14,7 @@ import (
 )
 
 // TestSnapshotStressAsyncMovers is the -race synchronization proof for the
-// lock-free query path: queriers run QueryBatch and single queries with no
+// lock-free query path: queriers call Query on their own goroutines with no
 // lock whatsoever while concurrent movers push sustained churn through the
 // engine. Every mid-flight result must be a valid top-k set against
 // *some* published epoch, and after a Flush barrier the index must agree

@@ -235,7 +235,6 @@ func TestTrailingDataRejected(t *testing.T) {
 		path, body string
 		ok         int
 	}{
-		{"/batch", `{"queries":[1,2],"k":3}`, http.StatusOK},
 		{"/move", `{"id":3,"x":0.5,"y":0.5}`, http.StatusNoContent},
 		{"/unlocate", `{"id":4}`, http.StatusNoContent},
 		{"/moves", `{"moves":[{"id":5,"x":0.5,"y":0.5}],"flush":true}`, http.StatusOK},

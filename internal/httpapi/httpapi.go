@@ -3,11 +3,11 @@
 // (§1). The engine is internally synchronized through epoch snapshots
 // (queries are lock-free against the latest published epoch; updates build
 // the next epoch copy-on-write), so handlers call it directly with no
-// server-side locking. /batch fans a request out over the engine's
-// worker-pool batch path; /moves and /edges hand the engine one batch per
-// request, queued, or with flush applied before the response; /stats
-// reports the epoch number, pending-update depth and snapshot age alongside
-// the dataset statistics.
+// server-side locking. A query is one request: concurrent /query
+// connections are how queries run in parallel. /moves and /edges hand the
+// engine one batch per request, queued, or with flush applied before the
+// response; /stats reports the epoch number, pending-update depth and
+// snapshot age alongside the dataset statistics.
 package httpapi
 
 import (
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -28,18 +27,12 @@ import (
 type Server struct {
 	eng *ssrq.Engine
 	mux *http.ServeMux
-	// parallel is the default worker count for /batch; 0 = GOMAXPROCS.
-	parallel int
 	// heartbeat is the SSE idle-stream ping interval; 0 = default 15s.
 	heartbeat time.Duration
 	// followerStats non-nil puts the server in read-only replica mode; it
 	// reports (applied seq, leader seq) for /stats. See SetFollower.
 	followerStats func() (applied, leader uint64)
 }
-
-// maxBatch bounds one /batch request, keeping a single request from pinning
-// the worker pool indefinitely.
-const maxBatch = 10000
 
 // maxMoves bounds one /moves request.
 const maxMoves = 65536
@@ -48,11 +41,9 @@ const maxMoves = 65536
 const maxEdges = 65536
 
 // Request body caps, in bytes. They bound the allocation, not just the
-// parsed length: a maxBatch-sized /batch is well under 1 MiB of JSON, a
-// maxMoves-sized /moves or maxEdges-sized /edges under 8 MiB, and a /move or
-// /unlocate body is one small object.
+// parsed length: a maxMoves-sized /moves or maxEdges-sized /edges is under
+// 8 MiB of JSON, and a /move or /unlocate body is one small object.
 const (
-	maxBatchBody = 1 << 20
 	maxBulkBody  = 8 << 20
 	maxPointBody = 4 << 10
 )
@@ -61,7 +52,6 @@ const (
 func New(eng *ssrq.Engine) *Server {
 	s := &Server{eng: eng, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /query", s.handleQuery)
-	s.mux.HandleFunc("POST /batch", s.handleBatch)
 	s.mux.HandleFunc("GET /user/{id}", s.handleUser)
 	s.mux.HandleFunc("POST /move", s.handleMove)
 	s.mux.HandleFunc("POST /moves", s.handleMoves)
@@ -77,10 +67,6 @@ func New(eng *ssrq.Engine) *Server {
 	})
 	return s
 }
-
-// SetParallel sets the default /batch worker count (0 = GOMAXPROCS). Call
-// before serving.
-func (s *Server) SetParallel(n int) { s.parallel = n }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -214,101 +200,6 @@ func toQueryResponse(q int32, k int, alpha float64, algo ssrq.Algorithm, res *ss
 		resp.Entries[i] = queryEntry{ID: e.ID, F: e.F, Social: e.P, Spatial: e.D}
 	}
 	return resp
-}
-
-// batchRequest asks for the same (algo, k, alpha, labels) over many query
-// users. Labels holds label indices in [0,64): when non-empty only users
-// carrying at least one of them are reported. Parallel optionally overrides
-// the server's worker count for this request.
-type batchRequest struct {
-	Algo     string  `json:"algo"`
-	K        int     `json:"k"`
-	Alpha    float64 `json:"alpha"`
-	Labels   []int   `json:"labels,omitempty"`
-	Queries  []int32 `json:"queries"`
-	Parallel int     `json:"parallel,omitempty"`
-}
-
-// batchItem is one slot of a batch response: either a ranked result or an
-// error, in input order.
-type batchItem struct {
-	Query   int32        `json:"query"`
-	Error   string       `json:"error,omitempty"`
-	Entries []queryEntry `json:"entries,omitempty"`
-}
-
-type batchResponse struct {
-	K       int         `json:"k"`
-	Alpha   float64     `json:"alpha"`
-	Algo    string      `json:"algo"`
-	Results []batchItem `json:"results"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	req := batchRequest{K: 10, Alpha: 0.3, Algo: "AIS"}
-	if !decodeBody(w, r, maxBatchBody, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("empty queries"))
-		return
-	}
-	if len(req.Queries) > maxBatch {
-		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("batch of %d exceeds limit %d", len(req.Queries), maxBatch))
-		return
-	}
-	algo, err := ssrq.ParseAlgorithm(req.Algo)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	var filter uint64
-	for _, i := range req.Labels {
-		if i < 0 || i > 63 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("label index %d out of [0,64)", i))
-			return
-		}
-		filter |= 1 << uint(i)
-	}
-	prm := ssrq.Params{K: req.K, Alpha: req.Alpha, Filter: filter}
-	if err := prm.Validate(); err != nil {
-		// Parameter-domain violations (k < 1, alpha outside (0,1) incl. NaN)
-		// are the client's fault: 400, not the engine catch-all 422.
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// A request may lower its own parallelism but never exceed the
-	// operator's configured cap (-parallel, GOMAXPROCS when unset).
-	limit := s.parallel
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	workers := limit
-	if req.Parallel > 0 && req.Parallel < limit {
-		workers = req.Parallel
-	}
-	batch := make([]ssrq.BatchQuery, len(req.Queries))
-	for i, q := range req.Queries {
-		batch[i] = ssrq.BatchQuery{Algo: algo, Q: q, Params: prm}
-	}
-	outs := s.eng.QueryBatch(batch, workers)
-	resp := batchResponse{
-		K: req.K, Alpha: req.Alpha, Algo: fmt.Sprint(algo),
-		Results: make([]batchItem, len(outs)),
-	}
-	for i, out := range outs {
-		item := batchItem{Query: req.Queries[i]}
-		if out.Err != nil {
-			item.Error = out.Err.Error()
-		} else {
-			item.Entries = make([]queryEntry, len(out.Result.Entries))
-			for j, e := range out.Result.Entries {
-				item.Entries[j] = queryEntry{ID: e.ID, F: e.F, Social: e.P, Spatial: e.D}
-			}
-		}
-		resp.Results[i] = item
-	}
-	writeJSON(w, resp)
 }
 
 type userResponse struct {

@@ -256,124 +256,6 @@ func TestConcurrentQueriesAndMoves(t *testing.T) {
 	}
 }
 
-func TestBatchEndpoint(t *testing.T) {
-	s, _, _ := mkServer(t)
-	rec := do(t, s, "POST", "/batch", batchRequest{Algo: "AIS", K: 4, Alpha: 0.3, Queries: []int32{0, 1, 2, 3, 4}, Parallel: 2})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch = %d: %s", rec.Code, rec.Body)
-	}
-	var resp batchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 5 {
-		t.Fatalf("results = %d", len(resp.Results))
-	}
-	for i, r := range resp.Results {
-		if r.Error != "" {
-			t.Fatalf("slot %d: %s", i, r.Error)
-		}
-		if r.Query != int32(i) {
-			t.Fatalf("slot %d out of order: query %d", i, r.Query)
-		}
-		if len(r.Entries) != 4 {
-			t.Fatalf("slot %d entries = %d", i, len(r.Entries))
-		}
-	}
-	// Batch answers must match the single-query endpoint exactly.
-	var single queryResponse
-	recQ := do(t, s, "GET", "/query?q=2&k=4&alpha=0.3&algo=AIS", nil)
-	if err := json.Unmarshal(recQ.Body.Bytes(), &single); err != nil {
-		t.Fatal(err)
-	}
-	for j, e := range resp.Results[2].Entries {
-		if e != single.Entries[j] {
-			t.Fatalf("batch/single mismatch at rank %d: %+v vs %+v", j, e, single.Entries[j])
-		}
-	}
-}
-
-func TestBatchEndpointErrorSlots(t *testing.T) {
-	s, _, _ := mkServer(t)
-	rec := do(t, s, "POST", "/batch", batchRequest{Algo: "AIS", K: 3, Alpha: 0.5, Queries: []int32{0, 999999, 1}})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch = %d: %s", rec.Code, rec.Body)
-	}
-	var resp batchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Results[0].Error != "" || resp.Results[2].Error != "" {
-		t.Fatalf("valid slots errored: %+v", resp.Results)
-	}
-	if resp.Results[1].Error == "" || len(resp.Results[1].Entries) != 0 {
-		t.Fatalf("invalid slot did not error: %+v", resp.Results[1])
-	}
-}
-
-func TestBatchEndpointValidation(t *testing.T) {
-	s, _, _ := mkServer(t)
-	if rec := do(t, s, "POST", "/batch", batchRequest{Algo: "AIS", Queries: nil}); rec.Code != http.StatusBadRequest {
-		t.Fatalf("empty batch = %d", rec.Code)
-	}
-	if rec := do(t, s, "POST", "/batch", batchRequest{Algo: "QUANTUM", Queries: []int32{0}}); rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown algo = %d", rec.Code)
-	}
-	huge := batchRequest{Algo: "AIS", Queries: make([]int32, maxBatch+1)}
-	if rec := do(t, s, "POST", "/batch", huge); rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized batch = %d", rec.Code)
-	}
-	req := httptest.NewRequest("POST", "/batch", bytes.NewBufferString("{broken"))
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("garbage body = %d", w.Code)
-	}
-	// Parameter-domain violations reject the whole batch with 400 — they are
-	// malformed requests, not per-slot engine failures.
-	domain := []struct {
-		name string
-		req  batchRequest
-	}{
-		{"k=0 via negative", batchRequest{Algo: "AIS", K: -1, Queries: []int32{0}}},
-		{"alpha=1.5", batchRequest{Algo: "AIS", Alpha: 1.5, Queries: []int32{0}}},
-		{"alpha=-0.1", batchRequest{Algo: "AIS", Alpha: -0.1, Queries: []int32{0}}},
-		{"label index 64", batchRequest{Algo: "AIS", Labels: []int{64}, Queries: []int32{0}}},
-		{"label index -1", batchRequest{Algo: "AIS", Labels: []int{-1}, Queries: []int32{0}}},
-	}
-	for _, c := range domain {
-		if rec := do(t, s, "POST", "/batch", c.req); rec.Code != http.StatusBadRequest {
-			t.Errorf("%s = %d, want %d", c.name, rec.Code, http.StatusBadRequest)
-		}
-	}
-	// Valid label indices are accepted (empty slots on an unlabeled dataset).
-	if rec := do(t, s, "POST", "/batch", batchRequest{Algo: "AIS", K: 3, Alpha: 0.5, Labels: []int{0, 5}, Queries: []int32{0}}); rec.Code != http.StatusOK {
-		t.Errorf("valid labels = %d, want 200", rec.Code)
-	}
-}
-
-// TestBatchDefaultsApplied checks the documented request defaults (AIS,
-// k=10, alpha=0.3) apply when fields are omitted.
-func TestBatchDefaultsApplied(t *testing.T) {
-	s, _, _ := mkServer(t)
-	req := httptest.NewRequest("POST", "/batch", bytes.NewBufferString(`{"queries":[0]}`))
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("defaults batch = %d: %s", w.Code, w.Body)
-	}
-	var resp batchResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Algo != "AIS" || resp.K != 10 || resp.Alpha != 0.3 {
-		t.Fatalf("defaults = %+v", resp)
-	}
-	if len(resp.Results[0].Entries) != 10 {
-		t.Fatalf("entries = %d", len(resp.Results[0].Entries))
-	}
-}
-
 // TestMovesBulkEndpoint drives the batching update pipeline through POST
 // /moves with a flush barrier and verifies read-your-writes through /user.
 func TestMovesBulkEndpoint(t *testing.T) {
@@ -517,21 +399,20 @@ func TestStatsReportsEpochAndPending(t *testing.T) {
 	}
 }
 
-// TestCHVariantsOverHTTP: the eight figure-only variants — the Fig. 8 CH
-// baselines and the TSA/AIS ablations of Figs. 8, 10 and 11 — are not
-// routable over HTTP: 400 "unknown algorithm" on /query and /batch alike,
-// whatever the case. /stats carries no hierarchy keys.
+// TestCHVariantsOverHTTP: SPA and the eight figure-only variants — the
+// Fig. 8 CH baselines and the TSA/AIS ablations of Figs. 8, 10 and 11 — are
+// not routable over HTTP: 400 "unknown algorithm" on /query, whatever the
+// case. There is no batch route (404), and /stats carries no hierarchy keys.
 func TestCHVariantsOverHTTP(t *testing.T) {
 	s, _, q := mkServer(t)
-	for _, algo := range []string{"TSA-QC", "TSA-NL", "AIS-BID", "AIS-", "AIS-Cache", "SFA-CH", "SPA-CH", "tsa-ch"} {
+	for _, algo := range []string{"SPA", "spa", "TSA-QC", "TSA-NL", "AIS-BID", "AIS-", "AIS-Cache", "SFA-CH", "SPA-CH", "tsa-ch"} {
 		rec := do(t, s, "GET", fmt.Sprintf("/query?q=%d&k=3&algo=%s", q, url.QueryEscape(algo)), nil)
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown algorithm") {
 			t.Fatalf("/query algo %s = %d: %s", algo, rec.Code, rec.Body)
 		}
-		rec = do(t, s, "POST", "/batch", map[string]any{"algo": algo, "k": 3, "alpha": 0.3, "queries": []int32{q}})
-		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown algorithm") {
-			t.Fatalf("/batch algo %s = %d: %s", algo, rec.Code, rec.Body)
-		}
+	}
+	if rec := doRaw(s, "/batch", []byte(`{"queries":[0]}`)); rec.Code != http.StatusNotFound {
+		t.Fatalf("POST /batch = %d, want 404: %s", rec.Code, rec.Body)
 	}
 	rec := do(t, s, "GET", "/stats", nil)
 	if rec.Code != http.StatusOK {
@@ -562,7 +443,6 @@ func TestBodyCaps(t *testing.T) {
 	}{
 		{"/move", maxPointBody, `{"id":3,"x":0.5,"y":0.5}`, http.StatusNoContent},
 		{"/unlocate", maxPointBody, `{"id":4}`, http.StatusNoContent},
-		{"/batch", maxBatchBody, `{"queries":[1,2],"k":3}`, http.StatusOK},
 		{"/moves", maxBulkBody, `{"moves":[{"id":5,"x":0.5,"y":0.5}]}`, http.StatusAccepted},
 		{"/edges", maxBulkBody, `{"edges":[{"u":7,"v":9,"w":1}]}`, http.StatusAccepted},
 	}

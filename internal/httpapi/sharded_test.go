@@ -58,12 +58,6 @@ func TestShardedServerEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Batch across the fan-out path.
-	rec = do(t, s, "POST", "/batch", batchRequest{Algo: "AIS", K: 5, Alpha: 0.3, Queries: []int32{int32(q)}})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch = %d: %s", rec.Code, rec.Body)
-	}
-
 	// Bulk moves route by region; flush makes them visible.
 	if p, ok := ds.Location(q); ok {
 		rec = do(t, s, "POST", "/moves", movesRequest{

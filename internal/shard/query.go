@@ -11,10 +11,11 @@ import (
 )
 
 // Served lists the algorithms Query answers, in enum order: the paper's SFA,
-// SPA, TSA and AIS, and the brute-force oracle. The other core.Algorithm
-// values are the baselines and ablations of Figs. 8, 10 and 11; they run on a
-// single-index core.Engine where the figures are drawn.
-var Served = []core.Algorithm{core.SFA, core.SPA, core.TSA, core.AIS, core.BruteForce}
+// TSA and AIS, and the brute-force oracle. The other core.Algorithm values —
+// SPA, which no measurement shows fastest, and the baselines and ablations of
+// Figs. 8, 10 and 11 — run on a single-index core.Engine where the figures
+// are drawn.
+var Served = []core.Algorithm{core.SFA, core.TSA, core.AIS, core.BruteForce}
 
 // Query answers an SSRQ as one search over the published view: the paper's
 // algorithms read its S snapshots as one forest (core.Searcher.QueryOn), so the
@@ -73,15 +74,6 @@ func locate(sns []*aggindex.Snapshot, id int32) int {
 		}
 	}
 	return -1
-}
-
-// QueryBatch answers a batch of queries on a pool of workers with
-// core.RunBatch's contract: outcomes in input order, workers <= 0 selects
-// GOMAXPROCS, and a failed query fills only its own slot.
-func (se *Engine) QueryBatch(queries []core.BatchQuery, workers int) []core.BatchResult {
-	return core.RunBatch(queries, workers, func(bq core.BatchQuery) (*core.Result, error) {
-		return se.Query(bq.Algo, bq.Q, bq.Params)
-	})
 }
 
 // SpatialKNN returns the k spatially-nearest located users to q across all

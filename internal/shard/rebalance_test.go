@@ -344,9 +344,9 @@ func entriesEqual(got, want []core.Entry) bool {
 // parked at the writer's publish hook, its inserts and removals applied but
 // the view not yet stored, and a query runs there; a re-cut never changes the
 // world, so every such answer, and the answer once the drain is done, must
-// equal the pre-drain brute-force answer. The figure variants among the
-// subtests (TSA-QC, AIS-Cache) are not served: the engine must refuse them by
-// name.
+// equal the pre-drain brute-force answer. SPA and the figure
+// variants among the subtests (TSA-QC, AIS-Cache) are not served: the engine
+// must refuse them by name.
 func TestQueryExactAcrossRebalanceDrain(t *testing.T) {
 	// Socially weighted, so the hotspot crowd (the users that migrate)
 	// reaches the top-k of a query user who stayed home on shard 0.

@@ -202,9 +202,9 @@ func TestAISCacheFallbackExactUnderFanout(t *testing.T) {
 // friend of q's the best-ranked user is parked at the writer's publish hook,
 // every shard already synced to the new epoch but the view not yet stored:
 // a query there must be brute force on the old graph, and once the writer is
-// released, brute force on the new one. The figure variants among the
-// subtests (TSA-QC, AIS-Cache) are not served: the engine must refuse them by
-// name.
+// released, brute force on the new one. SPA and the figure
+// variants among the subtests (TSA-QC, AIS-Cache) are not served: the engine
+// must refuse them by name.
 func TestQueryExactAcrossSocialEpochStraddle(t *testing.T) {
 	prm := core.Params{K: 8, Alpha: 0.9}
 	for _, algo := range []core.Algorithm{core.SFA, core.SPA, core.TSA, core.TSAQC,

@@ -128,9 +128,9 @@ func TestShardedMatchesUnshardedStatic(t *testing.T) {
 }
 
 // TestQueryRefusesUnservedAlgorithms: at one shard and at four, Query answers
-// exactly the Served menu and refuses every other Algorithm value — the five
-// figure variants and an out-of-range one — with an error naming it, before
-// any query counter moves.
+// exactly the Served menu and refuses every other Algorithm value — SPA, the
+// five figure variants and an out-of-range one — with an error naming it,
+// before any query counter moves.
 func TestQueryRefusesUnservedAlgorithms(t *testing.T) {
 	ds := clusteredDataset(t, 200, 29)
 	q := locatedUsers(ds)[0]
@@ -151,8 +151,8 @@ func TestQueryRefusesUnservedAlgorithms(t *testing.T) {
 			}
 			served++
 		}
-		if served != 5 {
-			t.Fatalf("S=%d: %d algorithms served, want 5", S, served)
+		if served != 4 {
+			t.Fatalf("S=%d: %d algorithms served, want 4", S, served)
 		}
 		if fs := se.FanoutStats(); fs.Queries != int64(served) {
 			t.Fatalf("S=%d: %d queries counted, want %d (refusals must not count)", S, fs.Queries, served)
@@ -366,36 +366,6 @@ func TestShardedAISPopsMatchOneIndex(t *testing.T) {
 	if pops4 != pops1 || calls4 != calls1 {
 		t.Errorf("S=4 did %d social pops / %d evaluations, S=1 %d / %d: the social work is no longer done once",
 			pops4, calls4, pops1, calls1)
-	}
-}
-
-// TestShardedQueryBatchClamps: workers <= 0 and workers > len(queries) must
-// clamp on the routed engine exactly like core.Engine.QueryBatch.
-func TestShardedQueryBatchClamps(t *testing.T) {
-	ds := clusteredDataset(t, 120, 31)
-	se, err := New(ds, 2, core.Options{GridS: 3, GridLevels: 1, NumLandmarks: 3, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer se.Close()
-	users := locatedUsers(ds)
-	batch := make([]core.BatchQuery, 3)
-	for i := range batch {
-		batch[i] = core.BatchQuery{Algo: core.AIS, Q: users[i], Params: core.Params{K: 4, Alpha: 0.5}}
-	}
-	for _, workers := range []int{-5, 0, 1, 2, 3, 1000} {
-		out := se.QueryBatch(batch, workers)
-		if len(out) != len(batch) {
-			t.Fatalf("workers=%d: %d results", workers, len(out))
-		}
-		for i, r := range out {
-			if r.Err != nil || r.Result == nil {
-				t.Fatalf("workers=%d slot %d: %v", workers, i, r.Err)
-			}
-		}
-	}
-	if out := se.QueryBatch(nil, 4); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
 	}
 }
 

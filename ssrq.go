@@ -8,13 +8,14 @@
 //
 // where p is normalized shortest-path distance in the weighted social graph
 // and d is normalized Euclidean distance between current locations. The
-// package serves the paper's processing algorithms — the SFA/SPA baselines,
-// the twofold search TSA, and the flagship Aggregate Index Search with social
+// package serves the paper's processing algorithms — the SFA baseline, the
+// twofold search TSA, and the flagship Aggregate Index Search with social
 // summaries, computation sharing and delayed evaluation — plus a brute-force
 // oracle, over the substrates they need (multi-level grid, landmark/ALT
 // machinery) and synthetic geo-social dataset generators standing in for the
-// paper's Gowalla/Foursquare/Twitter snapshots. The ablations and baselines of
-// the paper's Figs. 8, 10 and 11 run through ssrq-bench (-exp fig8|fig10|fig11).
+// paper's Gowalla/Foursquare/Twitter snapshots. The spatial-first baseline
+// SPA and the ablations of the paper's Figs. 8, 10 and 11 run through
+// ssrq-bench.
 //
 // Quick start:
 //
@@ -66,7 +67,6 @@ type Algorithm = core.Algorithm
 // Algorithm value with an error naming it.
 const (
 	SFA        = core.SFA
-	SPA        = core.SPA
 	TSA        = core.TSA
 	AIS        = core.AIS
 	BruteForce = core.BruteForce
@@ -76,7 +76,7 @@ const (
 func Algorithms() []Algorithm { return slices.Clone(shard.Served) }
 
 // ParseAlgorithm resolves a served algorithm by name, ignoring case: "SFA",
-// "SPA", "TSA", "AIS" or "Brute".
+// "TSA", "AIS" or "Brute".
 func ParseAlgorithm(name string) (Algorithm, error) {
 	names := make([]string, len(shard.Served))
 	for i, a := range shard.Served {
@@ -419,32 +419,8 @@ func (e *Engine) Query(algo Algorithm, q UserID, prm Params) (*Result, error) {
 	return e.eng.Query(algo, q, prm)
 }
 
-// BatchQuery is one query of a batch (see TopKBatch / QueryBatch).
-type BatchQuery = core.BatchQuery
-
-// BatchResult pairs one batch query's result with its error.
-type BatchResult = core.BatchResult
-
 // Params are the ranking parameters of one query.
 type Params = core.Params
-
-// TopKBatch answers many SSRQs with the same algorithm and parameters on a
-// pool of workers (workers <= 0 selects GOMAXPROCS), returning outcomes in
-// input order. Batches run concurrently with each other and with location
-// updates.
-func (e *Engine) TopKBatch(algo Algorithm, qs []UserID, k int, alpha float64, workers int) []BatchResult {
-	batch := make([]BatchQuery, len(qs))
-	for i, q := range qs {
-		batch[i] = BatchQuery{Algo: algo, Q: q, Params: core.Params{K: k, Alpha: alpha}}
-	}
-	return e.eng.QueryBatch(batch, workers)
-}
-
-// QueryBatch answers a heterogeneous batch (per-item algorithm and
-// parameters) on a pool of workers.
-func (e *Engine) QueryBatch(queries []BatchQuery, workers int) []BatchResult {
-	return e.eng.QueryBatch(queries, workers)
-}
 
 // UserLocation returns a user's current raw coordinates as of the latest
 // published epoch, so it is safe concurrently with movers (unlike reading

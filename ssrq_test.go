@@ -160,11 +160,11 @@ func TestEngineOptionsRespected(t *testing.T) {
 }
 
 // TestParseAlgorithm: the one name table both front ends use resolves the
-// five served algorithms by core's names, ignoring case, lists them in enum
-// order, and refuses every other name — the figure variants' included — with
-// a message listing the menu.
+// four served algorithms by core's names, ignoring case, lists them in enum
+// order, and refuses every other name — SPA's and the figure variants'
+// included — with a message listing the menu.
 func TestParseAlgorithm(t *testing.T) {
-	want := []Algorithm{SFA, SPA, TSA, AIS, BruteForce}
+	want := []Algorithm{SFA, TSA, AIS, BruteForce}
 	if got := Algorithms(); !slices.Equal(got, want) {
 		t.Fatalf("Algorithms() = %v, want %v", got, want)
 	}
@@ -175,9 +175,9 @@ func TestParseAlgorithm(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"TSA-QC", "TSA-NL", "AIS-BID", "AIS-", "AIS-Cache", "SFA-CH", "SPA-CH", "TSA-CH", "", "QUANTUM"} {
+	for _, name := range []string{"SPA", "TSA-QC", "TSA-NL", "AIS-BID", "AIS-", "AIS-Cache", "SFA-CH", "SPA-CH", "TSA-CH", "", "QUANTUM"} {
 		_, err := ParseAlgorithm(name)
-		if err == nil || !strings.Contains(err.Error(), "unknown algorithm") || !strings.Contains(err.Error(), "SFA|SPA|TSA|AIS|Brute") {
+		if err == nil || !strings.Contains(err.Error(), "unknown algorithm") || !strings.Contains(err.Error(), "SFA|TSA|AIS|Brute") {
 			t.Fatalf("ParseAlgorithm(%q): err = %v, want an unknown-algorithm error listing the menu", name, err)
 		}
 	}
