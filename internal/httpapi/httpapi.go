@@ -461,15 +461,12 @@ type statsResponse struct {
 	LandmarkRebuilds int64  `json:"landmark_rebuilds"`
 
 	// Sharding section, one shape at every shard count (num_shards ≥ 1, one
-	// shards entry each): how queries spanned the shards, elastic-rebalance
-	// counters, per-shard state. With one shard the empty-shard and rebalance
-	// counters stay zero and are omitted.
+	// shards entry each): how queries spanned the shards, the occupancy
+	// imbalance, per-shard state. With one shard the empty-shard counter
+	// stays zero and is omitted.
 	NumShards     int             `json:"num_shards"`
 	ShardsQueried int64           `json:"shards_queried,omitempty"`
 	ShardsEmpty   int64           `json:"shards_empty,omitempty"`
-	Rebalances    int64           `json:"rebalances,omitempty"`
-	CellsMoved    int64           `json:"rebalance_cells_moved,omitempty"`
-	UsersMoved    int64           `json:"rebalance_users_moved,omitempty"`
 	Imbalance     float64         `json:"imbalance,omitempty"`
 	Shards        []shardStatJSON `json:"shards"`
 
@@ -516,14 +513,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		LandmarkRebuilds: ss.LandmarkRebuilds,
 	}
 	fs := s.eng.FanoutStats()
-	rs := s.eng.RebalanceStats()
 	shards := s.eng.ShardStats()
 	resp.NumShards = len(shards)
 	resp.ShardsQueried = fs.ShardsQueried
 	resp.ShardsEmpty = fs.ShardsEmpty
-	resp.Rebalances = rs.Rebalances
-	resp.CellsMoved = rs.CellsMoved
-	resp.UsersMoved = rs.UsersMoved
 	resp.Imbalance = s.eng.Imbalance()
 	resp.Shards = make([]shardStatJSON, len(shards))
 	for i, st := range shards {

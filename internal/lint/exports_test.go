@@ -24,9 +24,8 @@ var exportAllowlist = map[string]string{
 	"landmark.Set.Vertices":                  "the chosen landmarks: tests in landmark, aggindex and core compare their tables with fresh sweeps",
 	"aggindex.Snapshot.MinSummary":           "summary invariant: tests in aggindex and core's social-churn test",
 	"aggindex.Snapshot.MaxSummary":           "summary invariant: tests in aggindex and core's social-churn test",
-	"gen.NewMigration":                       "drift workload: the migration tests in sub and shard",
-	"gen.Migration.Next":                     "drift workload: the migration tests in sub and shard",
-	"shard.Engine.Rebalance":                 "forced re-cut: tests in shard and sub",
+	"gen.NewMigration":                       "drift workload: the migration tests in gen and sub",
+	"gen.Migration.Next":                     "drift workload: the migration tests in gen and sub",
 	"spatial.Rect.Contains":                  "bounds check: tests in spatial, gen and sub keep generated points inside a rectangle",
 	"wal.Log.TestingLimitBytes":              "disk-full seam: tests in wal and the root package's durability tests",
 	"wal.Log.TestingBeforeCheckpointInstall": "crash-window seam: the root package's checkpoint-recovery tests",

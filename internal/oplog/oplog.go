@@ -11,12 +11,10 @@
 // below the root API speaks. Replay therefore bypasses the root engine's
 // raw→normalized conversion.
 //
-// Rebalance-driven cross-shard migrations are expressed with the same
-// canonical op shape internally (insert@new / remove@old batches of
-// aggindex.Op), but they are deliberately NOT sequenced into the durable
-// log: they change shard placement, not world state, and replaying their
-// remove halves would delete users. The write-ahead log records world
-// changes only; a recovered engine re-derives its own placement.
+// A move that crosses a shard boundary is one record: the sharded engine
+// splits it into remove@old / insert@new when it routes the op, and replay
+// routes it again. The write-ahead log records world changes only; a
+// recovered engine re-derives its own placement.
 //
 // Wire format (version 1, little-endian):
 //

@@ -12,10 +12,8 @@ import (
 // Durability: the one journal point. A record is appended by the writer
 // (update.go), where the op order is authoritative for any shard count: the
 // log carries the single logical op of a cross-shard move and replay
-// re-derives the remove@old + insert@new split. Rebalance drain batches are
-// never journaled (they are published without passing through apply): they
-// move shard placement, not world state, and replaying their remove halves
-// would delete users.
+// re-derives the remove@old + insert@new split. Every view the engine
+// publishes comes from a journaled unit.
 //
 // The writer stages a unit's records (sequence assigned, buffered, no
 // syscall), commits them — hands them to the OS and, under fsync=batch,

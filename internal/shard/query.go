@@ -26,8 +26,8 @@ var Served = []core.Algorithm{core.SFA, core.TSA, core.AIS, core.BruteForce}
 // The view is one load of one pointer and one instant of the world (see
 // update.go): every located user is in exactly one of its grids and every
 // grid is at one social epoch, so the answer is exactly a single index's at
-// that instant, ID tiebreaks included, whatever writes or re-cuts are in
-// flight. No lock is taken.
+// that instant, ID tiebreaks included, whatever writes are in flight. No
+// lock is taken.
 //
 // Only the Served algorithms are answered; any other value is refused with an
 // error naming it.

@@ -155,46 +155,6 @@ func TestFanoutCountersCountOnlySuccess(t *testing.T) {
 	}
 }
 
-// TestAISCacheFallbackExactUnderFanout: an AISCache scan that fills its
-// interim result and then proves inconclusive must not leave that result
-// behind for the fallback. The fallback re-derives every user from
-// lower-bound keys, and a tight landmark bound rounds an ulp ABOVE the cached
-// exact distance — so a fallback pruning against the scan's own kth score
-// would drop exactly that member (the bug the old fan-out's shared threshold
-// had). AIS-Cache runs on the single-index engine; the far-corner world packs
-// most of each short cached list into one hotspot, which is what fills the
-// scan.
-func TestAISCacheFallbackExactUnderFanout(t *testing.T) {
-	ds, users, moves := farCornerWorld(t)
-	mono, err := core.NewEngine(ds, farCornerOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mono.ApplyUpdates(moves); err != nil {
-		t.Fatal(err)
-	}
-	mono.ResetCache(20)
-	prm := core.Params{K: 10, Alpha: 0.5}
-	fellBack := 0
-	for _, q := range users {
-		want, err := mono.Query(core.BruteForce, q, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := mono.Query(core.AISCache, q, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Stats.FellBack {
-			fellBack++
-		}
-		sameEntries(t, fmt.Sprintf("AIS-Cache q=%d", q), got.Entries, want.Entries)
-	}
-	if fellBack == 0 {
-		t.Fatal("fixture: no query fell back")
-	}
-}
-
 // TestQueryExactAcrossSocialEpochStraddle: the substrate publishes an edge
 // batch by syncing its shards one at a time, so shard snapshots at mixed
 // social epochs exist — and one search over such a mix would pair one epoch's
@@ -287,7 +247,6 @@ func TestStatsReadThePublishedView(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer se.Close()
-	se.rebalanceThreshold = -1
 	u, w := crossShardPair(t, se, locatedUsers(ds))
 	dst, _ := se.UserLocation(w)
 

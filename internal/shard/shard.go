@@ -15,10 +15,11 @@
 //
 //   - The spatial dimension is PARTITIONED: each user's location is indexed
 //     by exactly one shard, so each grid and its AIS summaries cover only
-//     that shard's members. The partition is ELASTIC: occupancy imbalance
-//     past a threshold re-cuts the Z-order curve online, draining leaf cells
-//     to their new owners through the shards' ordinary batch apply while
-//     queries keep serving lock-free (see rebalance.go).
+//     that shard's members. The partition is FIXED: New cuts the Z-order
+//     curve once, from construction-time occupancy, and a cell's owner never
+//     changes after. A query searches every shard's cells in one heap and
+//     runs its social work once, so drift that skews occupancy costs nothing
+//     that re-cutting the curve would win back.
 //   - The social dimension is SHARED: one aggindex.Social substrate owns the
 //     friendship graph overlay, the landmark tables and their maintenance
 //     loop, and every shard's aggregate index consumes its epoch-tagged
@@ -35,18 +36,15 @@
 // et al., "The anatomy of urban social networks"), so social work cannot be
 // split by shard. A query therefore runs once, as the paper's algorithms over
 // the S grids read as one forest: one social search, every shard's cells in
-// one best-first heap, each bounded against its own shard's summaries. The
-// same literature's distance-dependent migration is what unbalances a frozen
-// partition — hence the online re-cut.
+// one best-first heap, each bounded against its own shard's summaries.
 //
 // Equivalence with a single index over the whole dataset is exact, not
 // approximate: the search is the unmodified paper algorithm over one view —
 // every located user in exactly one of its grids, every grid at one social
 // epoch — and the metamorphic/differential harness in internal/core asserts
-// S shards == a bare core.Engine == brute under interleaved churn, including
-// across a forced mid-stream rebalance. S = 1 is that same cut with no
-// boundary, which is why it is the engine's default rather than a second
-// implementation.
+// S shards == a bare core.Engine == brute under interleaved churn. S = 1 is
+// that same cut with no boundary, which is why it is the engine's default
+// rather than a second implementation.
 package shard
 
 import (
@@ -72,25 +70,23 @@ const MaxShards = 64
 type Engine struct {
 	ds     *dataset.Dataset
 	layout *spatial.Layout
-	// cellShard maps each leaf cell to its owning shard. Entries move while
-	// the engine serves (rebalance re-cuts the curve online); they are written
-	// under writeMu and read by routing and stats, so each is an atomic.
-	cellShard []atomic.Int32
+	// cellShard maps each leaf cell to its owning shard and cells counts
+	// the leaf cells each shard owns; both are fixed by New.
+	cellShard []int32
+	cells     []int
 	sub       *aggindex.Social  // shared social substrate, owned by this engine
 	shards    []*aggindex.Index // one per shard, written only under writeMu
 	search    *core.Searcher    // runs every query over the view
 
 	// owner[id] is the shard routing last sent the user to (-1 when
-	// unlocated), written under writeMu.
-	owner []atomic.Int32
+	// unlocated), written and read under writeMu.
+	owner []int32
 
 	// view is what every reader loads: the S shards' snapshots of one
 	// instant, indexed by shard and never mutated once stored. publish
-	// (update.go) stores the next one under writeMu, which serializes the
-	// writer's routing, apply and store with the rebalance drain — it is the
-	// writer lock of the substrate and of every shard index. onEpoch is the
-	// OnEpoch consumer and moved publish's reused delta scratch, both guarded
-	// by writeMu.
+	// (update.go) stores the next one under writeMu, the writer lock of the
+	// substrate and of every shard index. onEpoch is the OnEpoch consumer
+	// and moved publish's reused delta scratch, both guarded by writeMu.
 	view    atomic.Pointer[[]*aggindex.Snapshot]
 	writeMu sync.Mutex
 	onEpoch func(aggindex.EpochDelta)
@@ -105,14 +101,14 @@ type Engine struct {
 	// their op count, bounded by queueCap (queueOps; in-package tests shrink
 	// it before any traffic). work wakes the writer, space a sender blocked
 	// on a full queue; stopped closes when the writer exits. closed is set
-	// under qmu by Close: it refuses new writes and stops rebalancing.
+	// under qmu by Close: it refuses new writes.
 	qmu      sync.Mutex
 	work     sync.Cond
 	space    sync.Cond
 	queue    []batch
 	queued   int
 	queueCap int
-	closed   atomic.Bool
+	closed   bool
 	stopped  chan struct{}
 
 	// log is the journal every routed op is appended to (nil when not
@@ -121,21 +117,6 @@ type Engine struct {
 	log      *wal.Log
 	appended func(n int)
 	ckptMu   sync.Mutex
-
-	// Rebalance machinery (see rebalance.go). rebalanceMu serializes
-	// re-cuts; bg tracks the auto-kicked goroutine so Close can wait it out.
-	// rebalanceThreshold and drainBatch start at the package constants;
-	// in-package tests overwrite them before any traffic.
-	rebalanceMu        sync.Mutex
-	bg                 sync.WaitGroup
-	rebalanceThreshold float64
-	drainBatch         int
-
-	opsSinceCheck atomic.Int64
-	rebalances    atomic.Int64
-	cellsMoved    atomic.Int64
-	usersMoved    atomic.Int64
-	lastImbalance atomic.Uint64 // float64 bits
 
 	// Query counters (see FanoutStats).
 	queries       atomic.Int64
@@ -154,10 +135,9 @@ type Engine struct {
 // index per shard over the users it owns. The partition assigns grid leaf
 // cells to shards along a Z-order (Morton) space-filling curve, cutting the
 // curve into segments of approximately equal construction-time occupancy, so
-// shards start balanced and stay spatially contiguous along the curve;
-// sustained skew re-cuts it online (rebalance.go). Every shard's grid has the
-// whole dataset's layout and coordinates, so per-shard scores are identical
-// to a single index's.
+// shards start balanced and are spatially contiguous along the curve. The cut
+// is never redrawn. Every shard's grid has the whole dataset's layout and
+// coordinates, so per-shard scores are identical to a single index's.
 func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("shard: nil dataset")
@@ -186,21 +166,19 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 	se := &Engine{
 		ds:           ds,
 		layout:       layout,
-		cellShard:    make([]atomic.Int32, numCells),
+		cellShard:    partition(layout, ds, numShards),
+		cells:        make([]int, numShards),
 		sub:          sub,
 		shards:       make([]*aggindex.Index, numShards),
 		search:       core.NewSearcher(ds),
 		shardBatches: make([]atomic.Int64, numShards),
-		owner:        make([]atomic.Int32, ds.NumUsers()),
-
-		rebalanceThreshold: rebalanceThreshold,
-		drainBatch:         rebalanceDrainBatch,
-		queueCap:           queueOps,
-		stopped:            make(chan struct{}),
+		owner:        make([]int32, ds.NumUsers()),
+		queueCap:     queueOps,
+		stopped:      make(chan struct{}),
 	}
 	se.work.L, se.space.L = &se.qmu, &se.qmu
-	for c, s := range partition(layout, ds, numShards) {
-		se.cellShard[c].Store(s)
+	for _, s := range se.cellShard {
+		se.cells[s]++
 	}
 
 	// Per-shard located masks and the initial owner map.
@@ -211,12 +189,12 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 	}
 	for id := 0; id < ds.NumUsers(); id++ {
 		if !ds.Located[id] {
-			se.owner[id].Store(-1)
+			se.owner[id] = -1
 			continue
 		}
-		s := se.cellShard[layout.CellIndex(leaf, ds.Pts[id])].Load()
+		s := se.cellShard[layout.CellIndex(leaf, ds.Pts[id])]
 		keep[s][id] = true
-		se.owner[id].Store(s)
+		se.owner[id] = s
 	}
 
 	for s, located := range keep {
@@ -234,8 +212,7 @@ func New(ds *dataset.Dataset, numShards int, opts core.Options) (*Engine, error)
 }
 
 // partition maps every leaf cell to a shard from construction-time
-// occupancy; cutCurve does the actual Z-order cut (shared with the online
-// rebalance, which feeds it live occupancy instead).
+// occupancy; cutCurve does the actual Z-order cut.
 func partition(layout *spatial.Layout, ds *dataset.Dataset, numShards int) []int32 {
 	leaf := layout.LeafLevel()
 	occ := make([]int64, layout.NumCells(leaf))
@@ -306,21 +283,21 @@ func spread(v uint32) uint64 {
 
 // shardOfPoint returns the shard owning the region containing p.
 func (se *Engine) shardOfPoint(p spatial.Point) int32 {
-	return se.cellShard[se.layout.CellIndex(se.layout.LeafLevel(), p)].Load()
+	return se.cellShard[se.layout.CellIndex(se.layout.LeafLevel(), p)]
 }
 
 // NumShards returns the shard count.
 func (se *Engine) NumShards() int { return len(se.shards) }
 
 // OnEpoch installs fn as the epoch-delta consumer (single consumer; nil
-// detaches). fn gets one delta per published view — one per write batch or
-// rebalance drain batch that changed something — after the view is stored:
-// Moved lists every user the batch routed a location op to, a cross-shard
-// move once per half; SocialChanged is set when the batch moved the social
-// epoch; Snapshot is the view's shard-0 snapshot, whose graph, landmark
-// tables and labels every shard of the view shares. fn runs under the writer
-// lock, so it must be cheap and must not call back into the engine's writes.
-// Moved is valid only during the call.
+// detaches). fn gets one delta per published view — one per write unit that
+// changed something — after the view is stored: Moved lists every user the
+// batch routed a location op to, a cross-shard move once per half;
+// SocialChanged is set when the batch moved the social epoch; Snapshot is
+// the view's shard-0 snapshot, whose graph, landmark tables and labels every
+// shard of the view shares. fn runs under the writer lock, so it must be
+// cheap and must not call back into the engine's writes. Moved is valid only
+// during the call.
 func (se *Engine) OnEpoch(fn func(aggindex.EpochDelta)) {
 	se.writeMu.Lock()
 	se.onEpoch = fn

@@ -72,11 +72,20 @@ func shardOfUser(se *Engine, id int32) int {
 	if id < 0 || int(id) >= len(se.owner) {
 		return -1
 	}
-	return int(se.owner[id].Load())
+	return int(se.owner[id])
 }
 
-// cellShard returns the shard currently owning grid leaf cell idx.
-func cellShard(se *Engine, idx int32) int { return int(se.cellShard[idx].Load()) }
+func entriesEqual(got, want []core.Entry) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID || math.Abs(got[i].F-want[i].F) > 1e-12 {
+			return false
+		}
+	}
+	return true
+}
 
 // requireRefused asserts that the engine refuses algo at the served-menu gate,
 // with an error naming it.
@@ -179,7 +188,6 @@ func TestCrossShardRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer se.Close()
-	se.rebalanceThreshold = -1 // no background re-cut goroutine to count
 
 	rng := rand.New(rand.NewSource(23))
 	users := locatedUsers(ds)
@@ -414,9 +422,8 @@ func TestPartitionCoversAllCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		owned := make([]int, S)
-		for idx := range se.cellShard {
-			s := cellShard(se, int32(idx))
-			if s < 0 || s >= S {
+		for idx, s := range se.cellShard {
+			if s < 0 || int(s) >= S {
 				t.Fatalf("S=%d: cell %d maps to shard %d", S, idx, s)
 			}
 			owned[s]++
@@ -530,4 +537,131 @@ func addFriendAsync(e enqueuer, u, v int32, w float64) error {
 
 func removeFriendAsync(e enqueuer, u, v int32) error {
 	return e.ApplyUpdatesAsync([]core.Update{{Kind: core.OpEdgeRemove, U: u, V: v}})
+}
+
+// TestQueryDuringCrossShardAsyncMove: a user's async cross-shard move is
+// parked at the writer's publish hook, on the writer goroutine — removal
+// applied on the old owner, insert applied on the new one, the view not yet
+// stored. The moving user's own query there must answer (a continuously
+// located user never gets "no known location") exactly as brute force on the
+// pre-move world, and once the writer is released, as brute force on the
+// post-move world. And a second user's spatial kNN over everyone must list
+// every located user exactly once — the mover at its old position.
+func TestQueryDuringCrossShardAsyncMove(t *testing.T) {
+	ds := clusteredDataset(t, 200, 41)
+	se, err := New(ds, 4, core.Options{GridS: 4, GridLevels: 2, NumLandmarks: 3, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	// q moves to a shard above its own, so the removal applies first.
+	users := locatedUsers(ds)
+	var q graph.VertexID
+	var to spatial.Point
+	found := false
+	for _, u := range users {
+		for _, w := range users {
+			if shardOfUser(se, int32(w)) > shardOfUser(se, int32(u)) {
+				q, to, found = u, ds.Pts[w], true
+				break
+			}
+		}
+		if found {
+			break
+		}
+	}
+	if !found {
+		t.Fatal("fixture: every user on one shard")
+	}
+	old := shardOfUser(se, int32(q))
+	from, _ := se.UserLocation(int32(q))
+
+	// parkMove runs atPark on the writer goroutine while q's move is parked
+	// at the publish hook, then flushes the move.
+	parkMove := func(t *testing.T, dst spatial.Point, atPark func()) {
+		t.Helper()
+		var once sync.Once
+		parkedAt := make(chan struct{})
+		se.testSeam = func() {
+			once.Do(func() {
+				if se.shards[old].Snapshot().Grid().Located(int32(q)) {
+					t.Error("fixture: the old shard still locates q at the hook")
+				}
+				atPark()
+				close(parkedAt)
+			})
+		}
+		if err := moveUserAsync(se, int32(q), dst); err != nil {
+			t.Fatal(err)
+		}
+		se.Flush()
+		select {
+		case <-parkedAt:
+		default:
+			t.Fatal("seam never fired")
+		}
+	}
+
+	prm := core.Params{K: 5, Alpha: 0.5}
+	pre, err := se.Query(core.BruteForce, q, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parkMove(t, to, func() {
+		got, err := se.Query(core.AIS, q, prm)
+		if err != nil {
+			t.Errorf("query by a continuously located user mid-move: %v", err)
+			return
+		}
+		if !entriesEqual(got.Entries, pre.Entries) {
+			t.Errorf("parked AIS:\n got:  %+v\n want: %+v", got.Entries, pre.Entries)
+		}
+	})
+	if s := shardOfUser(se, int32(q)); s == old {
+		t.Fatal("fixture: the move did not cross shards")
+	}
+	post, err := se.Query(core.BruteForce, q, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := se.Query(core.AIS, q, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEntries(t, "released AIS", got.Entries, post.Entries)
+
+	t.Run("SpatialKNNListsEveryUserOnce", func(t *testing.T) {
+		// Put q back home, then park the same move again while another user
+		// lists everyone.
+		if err := moveUser(se, int32(q), from); err != nil || shardOfUser(se, int32(q)) != old {
+			t.Fatalf("fixture: moving q back home: %v", err)
+		}
+		p := users[0]
+		if p == q {
+			p = users[1]
+		}
+		pp, _ := se.UserLocation(int32(p))
+		parkMove(t, to, func() {
+			nbrs, err := se.SpatialKNN(int32(p), se.NumLocated())
+			if err != nil {
+				t.Errorf("SpatialKNN: %v", err)
+				return
+			}
+			if len(nbrs) != len(users)-1 {
+				t.Errorf("SpatialKNN over everyone: %d neighbours, want %d", len(nbrs), len(users)-1)
+			}
+			seen := make(map[int32]int, len(nbrs))
+			for _, nb := range nbrs {
+				seen[nb.ID]++
+				if nb.ID == int32(q) && math.Abs(nb.Dist-pp.Dist(from)) > 1e-12 {
+					t.Errorf("mover listed at distance %v, want its pre-move %v", nb.Dist, pp.Dist(from))
+				}
+			}
+			for _, u := range users {
+				if u != p && seen[int32(u)] != 1 {
+					t.Errorf("user %d listed %d times, want once", u, seen[int32(u)])
+				}
+			}
+		})
+	})
 }

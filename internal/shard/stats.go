@@ -20,25 +20,19 @@ type ShardStat struct {
 	Epoch       uint64
 	SocialEpoch uint64
 	// AppliedBatches counts the published batches that routed the shard a
-	// share of location ops — sync or queued writes, replay and rebalance
-	// migrations alike.
+	// share of location ops — sync or queued writes and replay alike.
 	AppliedBatches int64
 }
 
 // ShardStats returns every shard's section of the published view. Cell
-// ownership is recounted from the live routing table — it moves under
-// rebalance.
+// ownership is the cut New made, counted once.
 func (se *Engine) ShardStats() []ShardStat {
-	cells := make([]int, len(se.shards))
-	for c := range se.cellShard {
-		cells[se.cellShard[c].Load()]++
-	}
 	sns := *se.view.Load()
 	out := make([]ShardStat, len(se.shards))
 	for s, sn := range sns {
 		out[s] = ShardStat{
 			Shard:          s,
-			Cells:          cells[s],
+			Cells:          se.cells[s],
 			NumLocated:     sn.Grid().NumLocated(),
 			Epoch:          sn.Epoch(),
 			SocialEpoch:    sn.SocialEpoch(),
@@ -46,6 +40,24 @@ func (se *Engine) ShardStats() []ShardStat {
 		}
 	}
 	return out
+}
+
+// Imbalance returns the published view's occupancy imbalance: the most
+// populated shard's located-user count over the mean (1 for a perfectly
+// balanced or empty engine).
+func (se *Engine) Imbalance() float64 {
+	maxPop, total := 0, 0
+	for _, sn := range *se.view.Load() {
+		n := sn.Grid().NumLocated()
+		total += n
+		if n > maxPop {
+			maxPop = n
+		}
+	}
+	if total == 0 {
+		return 1
+	}
+	return float64(maxPop) * float64(len(se.shards)) / float64(total)
 }
 
 // FanoutStats counts how queries spanned the shards. All counters commit
@@ -81,8 +93,8 @@ func (se *Engine) FanoutStats() FanoutStats {
 // and SnapshotAge is how long ago its newest snapshot was published — the
 // numbers a query sees, never those of a batch still being applied. The
 // applied counts are the ops and the units the writer has published (a
-// cross-shard move counts once; rebalance migrations not at all); the
-// pending count is the ops waiting on the queue.
+// cross-shard move counts once); the pending count is the ops waiting on
+// the queue.
 func (se *Engine) UpdateStats() core.UpdateStats {
 	st := core.UpdateStats{AppliedUpdates: se.applied.Load(), AppliedBatches: se.batches.Load()}
 	se.qmu.Lock()

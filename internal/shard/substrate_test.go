@@ -65,7 +65,6 @@ func BenchmarkEdgeOpSharded(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer se.Close()
-			se.rebalanceThreshold = -1
 			// A rotating pair set keeps every op an effective reweight (never
 			// a no-op, never unbounded overlay growth).
 			const pairs = 64

@@ -81,17 +81,15 @@ func (se *Engine) Flush() {
 }
 
 // Close refuses further writes, lets the writer apply whatever is queued —
-// journaled like any batch — and waits for it to exit and for any in-flight
-// rebalance, which sees closed at its next drain batch. Idempotent; queries
+// journaled like any batch — and waits for it to exit. Idempotent; queries
 // keep working afterwards.
 func (se *Engine) Close() {
 	se.qmu.Lock()
-	se.closed.Store(true)
+	se.closed = true
 	se.work.Signal()
 	se.space.Broadcast()
 	se.qmu.Unlock()
 	<-se.stopped
-	se.bg.Wait()
 }
 
 func (se *Engine) validate(ops []core.Update) error {
@@ -111,10 +109,10 @@ func (se *Engine) submit(ops []core.Update, wait bool) error {
 		b.done = make(chan error, 1)
 	}
 	se.qmu.Lock()
-	for !se.closed.Load() && se.queued > 0 && se.queued+len(ops) > se.queueCap {
+	for !se.closed && se.queued > 0 && se.queued+len(ops) > se.queueCap {
 		se.space.Wait()
 	}
-	if se.closed.Load() {
+	if se.closed {
 		se.qmu.Unlock()
 		return ErrClosed
 	}
@@ -136,7 +134,7 @@ func (se *Engine) write() {
 	var taken []batch
 	for {
 		se.qmu.Lock()
-		for len(se.queue) == 0 && !se.closed.Load() {
+		for len(se.queue) == 0 && !se.closed {
 			se.work.Wait()
 		}
 		if len(se.queue) == 0 {
@@ -186,7 +184,6 @@ func (se *Engine) apply(ops []core.Update) error {
 	se.writeMu.Unlock()
 	se.applied.Add(int64(len(ops)))
 	se.batches.Add(1)
-	se.noteUpdates(len(ops))
 	return err
 }
 
@@ -196,11 +193,11 @@ func (se *Engine) routeInto(per [][]core.Update, op core.Update) {
 	if op.Kind != core.OpLocation {
 		return
 	}
-	old := se.owner[op.ID].Load()
+	old := se.owner[op.ID]
 	if op.Remove {
 		if old >= 0 {
 			per[old] = append(per[old], op)
-			se.owner[op.ID].Store(-1)
+			se.owner[op.ID] = -1
 		}
 		return
 	}
@@ -209,7 +206,7 @@ func (se *Engine) routeInto(per [][]core.Update, op core.Update) {
 		per[old] = append(per[old], core.Update{ID: op.ID, Remove: true})
 	}
 	per[dst] = append(per[dst], op)
-	se.owner[op.ID].Store(dst)
+	se.owner[op.ID] = dst
 }
 
 // publish applies one routed batch — the edge ops in edges once, on the

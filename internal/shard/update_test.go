@@ -14,9 +14,9 @@ import (
 
 // TestBackpressureAndCloseNeverDeadlock drives the one write path at its
 // tightest: a queue bounded at two ops, async writers sending batches of one
-// and three ops, sync batches on the same users, a forced re-cut and a
-// checkpoint, and Close while the async writers are still sending. Senders
-// blocked on the full queue must be released by the writer or by Close, so
+// and three ops, sync batches on the same users, a checkpoint, and Close
+// while the async writers are still sending. Senders blocked on the full
+// queue must be released by the writer or by Close, so
 // the run finishes; and every batch whose ApplyUpdatesAsync returned nil
 // must be journaled and applied — replaying the journal into a fresh engine
 // reproduces the final world.
@@ -92,12 +92,10 @@ func TestBackpressureAndCloseNeverDeadlock(t *testing.T) {
 				}
 			}(w)
 		}
-		// Let the uniform moves unsettle the clustered construction cut, then
-		// re-cut under full traffic.
+		// Checkpoint under full traffic.
 		for se.UpdateStats().AppliedUpdates < 300 {
 			time.Sleep(time.Millisecond)
 		}
-		t.Logf("forced re-cut moved %d cells", se.Rebalance())
 		if err := se.Checkpoint(); err != nil {
 			t.Error(err)
 		}
@@ -109,7 +107,7 @@ func TestBackpressureAndCloseNeverDeadlock(t *testing.T) {
 	select {
 	case <-finished:
 	case <-time.After(60 * time.Second):
-		t.Fatal("writers, re-cut, checkpoint and Close deadlocked")
+		t.Fatal("writers, checkpoint and Close deadlocked")
 	}
 
 	// Every accepted op is in the journal, as often as it was accepted.

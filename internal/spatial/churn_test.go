@@ -57,8 +57,8 @@ func checkFiled(t *testing.T, step string, snaps []*Snapshot, where []int, at []
 // TestLeafFollowsPointUnderChurn drives S grids over one point slice, each
 // owning the users in its share of the leaf cells, as a sharded index does:
 // seeded batches of moves within and across leaves (and across owners),
-// moves off the construction-time bounds, unlocates, relocations and a
-// rebalance drain that hands cells to new owners. A user's leaf is derived
+// moves off the construction-time bounds, unlocates, relocations and bulk
+// hand-offs of a run of cells to new owners. A user's leaf is derived
 // from its point, so every published epoch, and the one before it, must file
 // each located user in exactly the bucket its point maps to and nowhere
 // else.
@@ -144,7 +144,7 @@ func TestLeafFollowsPointUnderChurn(t *testing.T) {
 					}
 				}
 				if round%20 == 19 {
-					// A rebalance drain: a run of cells changes owner, and
+					// A bulk hand-off: a run of cells changes owner, and
 					// each resident user leaves the old grid for the new
 					// one at its current point.
 					lo := rng.Intn(len(owner) - 40)

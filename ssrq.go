@@ -385,13 +385,6 @@ func (e *Engine) ShardStats() []ShardStat { return e.eng.ShardStats() }
 // query counts one shard queried; ShardsPruned is always 0).
 func (e *Engine) FanoutStats() FanoutStats { return e.eng.FanoutStats() }
 
-// RebalanceStats counts the engine's elastic re-cuts.
-type RebalanceStats = shard.RebalanceStats
-
-// RebalanceStats returns the rebalance counters (all zero with one shard,
-// whose single partition never moves).
-func (e *Engine) RebalanceStats() RebalanceStats { return e.eng.RebalanceStats() }
-
 // Imbalance reports the current occupancy imbalance (max/mean located users
 // per shard; 1 with one shard).
 func (e *Engine) Imbalance() float64 { return e.eng.Imbalance() }
